@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRICS, init_states,
                           rank_groups, states_to_doc, update_all)
-from ..modelgraph import ComponentGraph, build_groups, export_manifest, group_tensors
+from ..modelgraph import ComponentGraph, build_groups, export_manifest, group_segments
 from ..netcore import (Adam, Network, SGD, add_l1_subgradient, backward,
                        forward, load_checkpoint, mse_loss, save_checkpoint)
 from ..scheduler import group_l1_norm, lambda_weight_at, schedule_row
@@ -123,6 +123,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     groups = graph.groups
     schedule = cfg.schedule.with_groups(len(groups))
     param_counts = [g.param_count for g in groups]
+    segments = [group_segments(net, g) for g in groups]
     states = init_states(graph, cfg.bayes)
     optimizer = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng([seed, 2])
@@ -145,8 +146,8 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
             update_all(states, net, graph, cfg.bayes, cfg.gamma)
-            for lam, group in zip(lambdas, groups):
-                add_l1_subgradient(group_tensors(net, group), weight * lam)
+            for lam, views in zip(lambdas, segments):
+                add_l1_subgradient(views, weight * lam)
             if lo + cfg.batch_size >= len(x_train):
                 pre_step_l1 = [group_l1_norm(net, g) for g in groups]
             optimizer.step(net)

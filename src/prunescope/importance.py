@@ -174,20 +174,28 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     gradients. Call after ``backward`` and before the sparsity subgradient
     is added. Mutates and returns ``states``; deterministic for identical
     inputs.
+
+    The squared and the absolute gradients are each taken in one call over
+    the network's gradient arena, into one reused buffer; the sums are then
+    taken per tensor over its slot, in slice order, as the metric
+    definitions above do.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
     for group in graph.groups:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
-    for group in graph.groups:
+    members = [group_tensors(net, group) for group in graph.groups]
+    scratch = np.multiply(net.flat_grad, net.flat_grad)
+    sq_sums = [sum(float(t.slot(scratch).sum()) for t in tensors)
+               for tensors in members]
+    np.abs(net.flat_grad, out=scratch)
+    for group, tensors, sq_sum in zip(graph.groups, members, sq_sums):
         state = states[group.id]
-        tensors = group_tensors(net, group)
-        abs_grads = {(s.layer, s.role): np.abs(t.grad)
+        abs_grads = {(s.layer, s.role): t.slot(scratch)
                      for s, t in zip(group.member_slices, tensors)}
         count = sum(t.size for t in tensors)
         abs_sum = sum(float(a.sum()) for a in abs_grads.values())
-        sq_sum = sum(float((t.grad * t.grad).sum()) for t in tensors)
         raw_grad = abs_sum / count
         raw_fisher = sq_sum / count
         bayes_update(state, raw_grad, cfg)

@@ -114,6 +114,19 @@ def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
     return [_tensor_for(net, s.layer, s.role) for s in group.member_slices]
 
 
+def group_segments(net: Network, group: PruningGroup) -> list[ParamTensor]:
+    """A group's parameters as flat views of the network's arenas, one per
+    run of adjacent tensors (a single view unless the group spans a fan-out)."""
+    runs: list[list[int]] = []
+    for t in sorted(group_tensors(net, group), key=lambda t: t.offset):
+        if runs and runs[-1][1] == t.offset:
+            runs[-1][1] += t.size
+        else:
+            runs.append([t.offset, t.offset + t.size])
+    return [ParamTensor(group.id, net.flat_values[lo:hi], net.flat_grad[lo:hi])
+            for lo, hi in runs]
+
+
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
     """Decompose a network into component-specific and coupling groups.
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -26,45 +26,99 @@ ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
 
 
-@dataclass
 class ParamTensor:
-    """A named parameter array together with its current gradient."""
+    """A named parameter array together with its current gradient.
 
-    name: str
-    values: np.ndarray
-    grad: np.ndarray | None = None
+    Once its network is built, ``values`` and ``grad`` are views into the
+    network's two arenas (see :class:`Network`) and ``offset`` is the
+    tensor's first position in them; until then it owns its arrays and
+    ``offset`` is None. Assigning to ``values`` or ``grad`` writes through:
+    an array of the same shape is copied into the existing storage, so the
+    arena sees it, and any other shape is refused.
+    """
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        else:
-            self.grad = np.asarray(self.grad, dtype=np.float64)
-        if self.grad.shape != self.values.shape:
+    __slots__ = ("name", "offset", "_values", "_grad")
+
+    def __init__(self, name: str, values: np.ndarray,
+                 grad: np.ndarray | None = None) -> None:
+        self.name = name
+        self.offset: int | None = None
+        self._values = np.asarray(values, dtype=np.float64)
+        self._grad = None if grad is None else np.asarray(grad, dtype=np.float64)
+        if self._grad is not None and self._grad.shape != self._values.shape:
             raise ConfigurationError(
-                f"{self.name}: grad shape {self.grad.shape} does not match "
-                f"values shape {self.values.shape}")
+                f"{self.name}: grad shape {self._grad.shape} does not match "
+                f"values shape {self._values.shape}")
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+    @values.setter
+    def values(self, new: np.ndarray) -> None:
+        self._write(self._values, new, "values")
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:  # a zero gradient, made when first asked for
+            self._grad = np.zeros(self.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, new: np.ndarray) -> None:
+        self._write(self.grad, new, "grad")
+
+    def _write(self, target: np.ndarray, new: np.ndarray, what: str) -> None:
+        if new is target:  # an in-place operator such as ``t.grad += x``
+            return
+        new = np.asarray(new)
+        if new.shape != target.shape:
+            raise ConfigurationError(
+                f"{self.name}: cannot assign {what} of shape {new.shape} to a "
+                f"tensor of shape {target.shape}")
+        target[...] = new
+
+    def _bind(self, flat_values: np.ndarray, flat_grad: np.ndarray,
+              offset: int) -> None:
+        """Move this tensor's data into arena slots starting at ``offset``."""
+        if self.offset is not None:
+            raise ConfigurationError(
+                f"{self.name} already belongs to a network; build the new "
+                "network from copies")
+        end = offset + self.size
+        values = flat_values[offset:end].reshape(self.shape)
+        grad = flat_grad[offset:end].reshape(self.shape)
+        values[...] = self._values
+        if self._grad is not None:  # the arena's gradients start at zero
+            grad[...] = self._grad
+        self._values, self._grad, self.offset = values, grad, offset
+
+    def slot(self, flat: np.ndarray) -> np.ndarray:
+        """This tensor's slot in an arena-sized buffer, shaped like it."""
+        if self.offset is None:
+            raise ConfigurationError(f"{self.name} belongs to no network")
+        return flat[self.offset:self.offset + self.size].reshape(self.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+        return self._values.shape
 
     @property
     def size(self) -> int:
-        return self.values.size
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.values)
+        return self._values.size
 
     def check_finite(self, context: str = "") -> None:
         suffix = f" {context}" if context else ""
-        if not np.isfinite(self.values).all():
+        if not np.isfinite(self._values).all():
             raise NumericsError(f"non-finite values in {self.name}{suffix}")
         if not np.isfinite(self.grad).all():
             raise NumericsError(f"non-finite gradient in {self.name}{suffix}")
 
-    def copy(self) -> "ParamTensor":
-        return ParamTensor(self.name, self.values.copy(), self.grad.copy())
+
+def _placeholder(name: str, shape: tuple[int, ...]) -> ParamTensor:
+    """A zero tensor that takes no memory of its own, for a network whose
+    arena is filled afterwards."""
+    return ParamTensor(name, np.broadcast_to(np.float64(0.0), shape))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -140,9 +194,6 @@ class DenseLayer:
         return cls(ParamTensor(f"layer{index}.weight", w),
                    ParamTensor(f"layer{index}.bias", b), activation)
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weight.copy(), self.bias.copy(), self.activation)
-
 
 class Network:
     """An ordered list of dense layers plus named component ranges.
@@ -153,6 +204,13 @@ class Network:
     ``[start, end)`` layer range; the ranges must partition the layer list.
     Layers with no consumer are sinks; the network output is the
     concatenation of sink outputs in layer order.
+
+    All parameters live in one contiguous float64 arena, ``flat_values``,
+    and all gradients in another, ``flat_grad``, in :meth:`param_tensors`
+    order. Building the network copies each tensor's data into its slot and
+    turns the tensor's arrays into views of the arenas, so whole-network
+    work (optimizer steps, finiteness scans) runs as a few array calls. A
+    tensor belongs to one network: build another network from copies.
     """
 
     def __init__(self, layers: Iterable[DenseLayer],
@@ -175,6 +233,15 @@ class Network:
                 consumers[src].append(k)
         self._consumers = tuple(tuple(c) for c in consumers)
         self._sinks = tuple(k for k in range(n) if not consumers[k])
+        tensors = [t for _, _, t in self.param_tensors()]
+        self.layout = tuple((t.name, t.shape) for t in tensors)
+        total = sum(t.size for t in tensors)
+        self.flat_values = np.empty(total)
+        self.flat_grad = np.zeros(total)
+        offset = 0
+        for tensor in tensors:
+            tensor._bind(self.flat_values, self.flat_grad, offset)
+            offset += tensor.size
 
     def _validate(self) -> None:
         n = len(self.layers)
@@ -246,41 +313,33 @@ class Network:
     def param_count(self) -> int:
         return sum(t.size for _, _, t in self.param_tensors())
 
-    def check_finite(self, context: str = "") -> None:
+    def _raise_non_finite(self, context: str) -> NoReturn:
+        """Raise a NumericsError naming the first tensor that holds a
+        non-finite value or gradient; called once a scan of an arena has
+        found one."""
         for _, _, tensor in self.param_tensors():
             tensor.check_finite(context)
-
-    def _flat_parts(self) -> list[tuple[int, ParamTensor]]:
-        parts = []
-        offset = 0
-        for _, _, tensor in self.param_tensors():
-            parts.append((offset, tensor))
-            offset += tensor.size
-        return parts
+        raise NumericsError(f"non-finite parameters {context}".rstrip())
 
     def get_flat(self, index: int) -> float:
-        offset, tensor = self._locate(index)
-        return float(tensor.values.reshape(-1)[index - offset])
+        return float(self.flat_values[self._flat_index(index)])
 
     def set_flat(self, index: int, value: float) -> None:
-        offset, tensor = self._locate(index)
-        tensor.values.reshape(-1)[index - offset] = value
+        self.flat_values[self._flat_index(index)] = value
 
-    def _locate(self, index: int) -> tuple[int, ParamTensor]:
-        if not 0 <= index < self.param_count():
+    def _flat_index(self, index: int) -> int:
+        if not 0 <= index < self.flat_values.size:
             raise ConfigurationError(
-                f"parameter index {index} out of range [0, {self.param_count()})")
-        located = None
-        for offset, tensor in self._flat_parts():
-            if offset <= index < offset + tensor.size:
-                located = (offset, tensor)
-                break
-        assert located is not None
-        return located
+                f"parameter index {index} out of range [0, {self.flat_values.size})")
+        return index
 
     def copy(self) -> "Network":
-        return Network([layer.copy() for layer in self.layers],
-                       dict(self.components), list(self.layer_inputs))
+        def fresh(t: ParamTensor) -> ParamTensor:
+            # A new tensor over this network's arrays; the new arena copies them.
+            return ParamTensor(t.name, t.values, t.grad)
+        layers = [DenseLayer(fresh(layer.weight), fresh(layer.bias), layer.activation)
+                  for layer in self.layers]
+        return Network(layers, dict(self.components), list(self.layer_inputs))
 
 
 def build_sequential(widths: Iterable[int], activations: Iterable[str],
@@ -362,8 +421,9 @@ def backward(net: Network, activations: list[np.ndarray],
     ``activations`` must come from :func:`forward` on this network and
     ``d_output`` is the loss gradient w.r.t. the network output. Fan-out
     points (one layer feeding several consumers) accumulate the sum of the
-    consumers' input gradients. Gradients are overwritten, not accumulated,
-    across calls.
+    consumers' input gradients. Gradients are overwritten in place, not
+    accumulated, across calls; one scan of the gradient arena then checks
+    them all.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -391,15 +451,14 @@ def backward(net: Network, activations: list[np.ndarray],
         else:
             dz = dh * activation_grad(layer.activation, h)
         x = activations[net.source(k) + 1]
-        layer.weight.grad = dz.T @ x
-        layer.bias.grad = dz.sum(axis=0)
+        np.matmul(dz.T, x, out=layer.weight.grad)
+        np.sum(dz, axis=0, out=layer.bias.grad)
         src = net.source(k)
         if src >= 0:
             d_in = dz @ layer.weight.values
             d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
-    for _, _, tensor in net.param_tensors():
-        if not np.isfinite(tensor.grad).all():
-            raise NumericsError(f"non-finite gradient in {tensor.name} after backward")
+    if not np.isfinite(net.flat_grad).all():
+        net._raise_non_finite("after backward")
 
 
 def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
@@ -448,6 +507,12 @@ def add_l1_subgradient(params: Iterable[ParamTensor], coeff: float) -> None:
 # -- optimizers ----------------------------------------------------------
 
 
+# Elements per Adam block: the block's gradient, moments, values and two
+# scratch buffers (6 x 256 KiB) stay in a 4 MiB L2 cache through all the
+# passes of the update.
+ADAM_BLOCK = 32768
+
+
 class SGD:
     """Plain gradient descent: ``theta -= lr * grad``."""
 
@@ -457,13 +522,22 @@ class SGD:
         self.lr = float(lr)
 
     def step(self, net: Network) -> None:
-        for _, _, tensor in net.param_tensors():
-            tensor.values -= self.lr * tensor.grad
-        net.check_finite("after SGD step")
+        net.flat_values -= self.lr * net.flat_grad
+        if not np.isfinite(net.flat_values).all():
+            net._raise_non_finite("after SGD step")
 
 
 class Adam:
-    """Adam with bias correction; first and second moments are kept per tensor."""
+    """Adam with bias correction over the network's whole arena.
+
+    The first and second moments are flat arrays laid out like the arena.
+    A network with another layout (tensor names and shapes) than the last
+    one stepped starts the optimizer afresh: zero moments, step count 0.
+    The update runs in place, block by block, in the element-wise order
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
+    are checked for finiteness while still in cache.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -477,26 +551,44 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._layout: tuple = ()
+        self._m = self._v = self._s = self._u = np.empty(0)
         self._t = 0
 
     def step(self, net: Network) -> None:
+        if net.layout != self._layout:
+            n = net.flat_values.size
+            self._layout = net.layout
+            self._m = np.zeros(n)
+            self._v = np.zeros(n)
+            self._s = np.empty(min(n, ADAM_BLOCK))
+            self._u = np.empty(min(n, ADAM_BLOCK))
+            self._t = 0
         self._t += 1
-        c1 = 1.0 - self.beta1 ** self._t
-        c2 = 1.0 - self.beta2 ** self._t
-        for _, _, tensor in net.param_tensors():
-            m = self._m.get(tensor.name)
-            v = self._v.get(tensor.name)
-            if m is None or m.shape != tensor.shape:
-                m = np.zeros_like(tensor.values)
-                v = np.zeros_like(tensor.values)
-            m = self.beta1 * m + (1.0 - self.beta1) * tensor.grad
-            v = self.beta2 * v + (1.0 - self.beta2) * tensor.grad * tensor.grad
-            self._m[tensor.name] = m
-            self._v[tensor.name] = v
-            tensor.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        net.check_finite("after Adam step")
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1 = 1.0 - b1 ** self._t
+        c2 = 1.0 - b2 ** self._t
+        theta, g = net.flat_values, net.flat_grad
+        for lo in range(0, theta.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            gb, mb, vb, tb = g[lo:hi], self._m[lo:hi], self._v[lo:hi], theta[lo:hi]
+            s, u = self._s[:gb.size], self._u[:gb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=s)
+            np.add(mb, s, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1.0 - b2, out=s)
+            np.multiply(s, gb, out=s)
+            np.add(vb, s, out=vb)
+            np.divide(vb, c2, out=s)
+            np.sqrt(s, out=s)
+            np.add(s, eps, out=s)
+            np.divide(mb, c1, out=u)
+            np.multiply(u, lr, out=u)
+            np.divide(u, s, out=u)
+            np.subtract(tb, u, out=tb)
+            if not np.isfinite(tb).all():
+                net._raise_non_finite("after Adam step")
 
 
 # -- checkpoints ---------------------------------------------------------
@@ -511,12 +603,18 @@ def _encode_array(arr: np.ndarray) -> str:
 
 
 def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
+    """A read-only little-endian view of one payload; no copy is made."""
+    if not isinstance(text, str):
+        raise ConfigurationError("checkpoint array payload must be a base64 string")
+    try:
+        raw = base64.b64decode(text.encode("ascii"))
+    except ValueError as exc:
+        raise ConfigurationError(f"checkpoint array payload is not base64: {exc}") from exc
     expected = 8 * int(np.prod(shape)) if shape else 8
     if len(raw) != expected:
         raise ConfigurationError(
             f"checkpoint array payload has {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def save_checkpoint(net: Network, path: str | Path,
@@ -542,10 +640,20 @@ def save_checkpoint(net: Network, path: str | Path,
     Path(path).write_text(json.dumps(doc))
 
 
+def _checkpoint_int(value: object, what: str, low: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigurationError(
+            f"checkpoint {what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    Returns the reconstructed network and the stored metadata dict.
+    Returns the reconstructed network and the stored metadata dict. The
+    network is built from the recorded shapes first, and each payload is
+    then decoded straight into its slot of the network's arena. A document
+    of the wrong shape raises :class:`ConfigurationError`.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -553,16 +661,31 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not a network checkpoint")
+    entries, components = doc.get("layers"), doc.get("components")
+    meta = doc.get("meta", {})
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigurationError(f"checkpoint {path} needs a list of layer objects")
+    if not isinstance(components, list) or not all(
+            isinstance(c, list) and len(c) == 3 for c in components):
+        raise ConfigurationError(
+            f"checkpoint {path} needs a list of [name, start, end] components")
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"checkpoint {path} meta must be an object")
     layers = []
-    layer_inputs = []
-    for k, entry in enumerate(doc["layers"]):
-        shape = (int(entry["out"]), int(entry["in"]))
-        weight = _decode_array(entry["weight"], shape)
-        bias = _decode_array(entry["bias"], (shape[0],))
-        layers.append(DenseLayer(ParamTensor(f"layer{k}.weight", weight),
-                                 ParamTensor(f"layer{k}.bias", bias),
-                                 entry["activation"]))
-        layer_inputs.append(int(entry.get("input", k - 1)))
-    components = {name: (int(lo), int(hi)) for name, lo, hi in doc["components"]}
-    net = Network(layers, components, layer_inputs)
-    return net, dict(doc.get("meta", {}))
+    for k, entry in enumerate(entries):
+        out_dim = _checkpoint_int(entry.get("out"), f"layer {k} 'out'", 1)
+        in_dim = _checkpoint_int(entry.get("in"), f"layer {k} 'in'", 1)
+        layers.append(DenseLayer(_placeholder(f"layer{k}.weight", (out_dim, in_dim)),
+                                 _placeholder(f"layer{k}.bias", (out_dim,)),
+                                 entry.get("activation")))
+    net = Network(
+        layers,
+        {str(name): (_checkpoint_int(lo, f"component {name!r} start", 0),
+                     _checkpoint_int(hi, f"component {name!r} end", 0))
+         for name, lo, hi in components},
+        [_checkpoint_int(e.get("input", k - 1), f"layer {k} 'input'", -1)
+         for k, e in enumerate(entries)])
+    for layer, entry in zip(net.layers, entries):
+        layer.weight.values = _decode_array(entry.get("weight"), layer.weight.shape)
+        layer.bias.values = _decode_array(entry.get("bias"), layer.bias.shape)
+    return net, dict(meta)

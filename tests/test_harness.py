@@ -412,6 +412,13 @@ def test_cli_failures_exit_two(cli_workspace, capsys):
     assert "error:" in err
 
 
+def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text('{"format": "prunescope.checkpoint", "version": 1}')
+    assert main(["verify", "--checkpoint", str(path)]) == 2
+    assert "layer" in capsys.readouterr().err
+
+
 def test_cli_train_synthetic_flag_and_protect(tmp_path, capsys):
     cfg = toy_config(epochs=2)
     cfg_path = tmp_path / "cfg.json"

@@ -6,8 +6,8 @@ import pytest
 from prunescope.errors import ConfigurationError
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
                                    build_groups, dependency_closure,
-                                   export_manifest, group_tensors,
-                                   prunable_units)
+                                   export_manifest, group_segments,
+                                   group_tensors, prunable_units)
 from prunescope.netcore import ROLE_BIAS, ROLE_WEIGHT, build_sequential
 
 from conftest import make_net, make_toy_multihead, make_two_component_chain
@@ -171,6 +171,19 @@ def test_group_lookup_and_tensor_access():
 
 
 # -- prunable units and closures --------------------------------------------
+
+
+def test_group_segments_are_merged_arena_views():
+    net = make_toy_multihead()
+    graph = build_groups(net)
+    for group in graph.groups:
+        segments = group_segments(net, group)
+        assert sum(s.size for s in segments) == group.param_count
+        for s in segments:
+            assert np.shares_memory(s.values, net.flat_values)
+            assert np.shares_memory(s.grad, net.flat_grad)
+        # Only the coupling group spans the fan-out to both heads.
+        assert len(segments) == (2 if group.kind == KIND_COUPLING else 1)
 
 
 def test_prunable_units_exclude_network_outputs():

@@ -1,16 +1,19 @@
 """Forward/backward correctness, optimizers, and checkpoint round trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
+from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                                 add_l1_subgradient, apply_activation,
                                 backward, build_sequential, fd_gradient,
                                 forward, load_checkpoint, mse_loss,
                                 save_checkpoint)
+from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
 from conftest import dyadic, make_layer, make_net, make_toy_multihead, set_dyadic
 
@@ -265,18 +268,42 @@ def test_adam_second_step_matches_hand_computation():
                                rtol=0, atol=1e-15)
 
 
-def test_adam_state_resets_when_a_tensor_changes_shape():
-    net = make_net([3, 2], ["identity"], seed=1)
+def test_adam_state_resets_when_a_tensor_changes_shape(rng):
+    net = make_toy_multihead(seed=2)
+    units = [(0, 0), (0, 5)]
+    plan = PrunePlan(0.1, "grad", {"encoder_1": units},
+                     predicted_removed_params(net, units))
+    pruned, _ = apply_prune(net, build_groups(net), plan)
+    for model in (net, pruned):
+        for _, _, t in model.param_tensors():
+            t.grad = dyadic(rng, t.shape)
+    fresh = pruned.copy()
     opt = Adam(lr=0.01)
-    for _, _, t in net.param_tensors():
-        t.grad = np.ones_like(t.values)
     opt.step(net)
-    smaller = make_net([2, 2], ["identity"], seed=1)
-    smaller.layers[0].weight.name = net.layers[0].weight.name
-    for _, _, t in smaller.param_tensors():
-        t.grad = np.ones_like(t.values)
-    opt.step(smaller)  # must not raise on the shape change
-    assert opt._m[smaller.layers[0].weight.name].shape == (2, 2)
+    opt.step(pruned)
+    Adam(lr=0.01).step(fresh)
+    assert pruned.flat_values.tobytes() == fresh.flat_values.tobytes()
+
+
+@pytest.mark.parametrize("make_opt, context", [
+    (lambda: SGD(lr=0.1), "after SGD step"),
+    (lambda: Adam(lr=0.1), "after Adam step"),
+])
+def test_optimizer_names_the_non_finite_tensor(make_opt, context):
+    # 200 * 200 weights put layer1 past the first Adam block.
+    net = make_net([200, 200, 2], ["relu", "identity"], seed=0)
+    net.layers[1].weight.grad[1, 7] = math.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericsError, match=rf"values in layer1\.weight {context}"):
+        make_opt().step(net)
+
+
+def test_backward_names_the_non_finite_gradient():
+    net = make_net([2, 3, 2], ["identity", "identity"], seed=0)
+    acts = forward(net, np.ones((1, 2)))
+    with pytest.raises(NumericsError,
+                       match=r"gradient in layer0\.weight after backward"):
+        backward(net, acts, np.array([[math.inf, 0.0]]))
 
 
 def test_optimizer_rejects_non_finite_result():
@@ -315,6 +342,25 @@ def test_chained_widths_must_agree():
 def test_build_sequential_checks_activation_count():
     with pytest.raises(ConfigurationError):
         build_sequential([3, 2, 1], ["identity"], {"a": (0, 2)})
+
+
+def test_tensors_are_views_of_the_network_arena():
+    net = make_toy_multihead(seed=3)
+    layer = net.layers[2]
+    layer.weight.values = np.full(layer.weight.shape, 0.5)
+    layer.bias.grad = np.arange(layer.bias.size, dtype=np.float64)
+    w, b = layer.weight.offset, layer.bias.offset
+    assert np.all(net.flat_values[w:w + layer.weight.size] == 0.5)
+    np.testing.assert_array_equal(net.flat_grad[b:b + layer.bias.size],
+                                  np.arange(layer.bias.size))
+    net.flat_values[w] = 2.0
+    assert layer.weight.values[0, 0] == 2.0
+    with pytest.raises(ConfigurationError, match="cannot assign values"):
+        layer.weight.values = np.zeros(layer.weight.size)
+    with pytest.raises(ConfigurationError, match="cannot assign grad"):
+        layer.bias.grad = np.zeros(layer.bias.size + 1)
+    with pytest.raises(ConfigurationError, match="already belongs"):
+        Network(net.layers, dict(net.components), list(net.layer_inputs))
 
 
 def test_get_set_flat_round_trip(rng):
@@ -381,6 +427,25 @@ def test_checkpoint_rejects_corrupt_payload(tmp_path):
     import json
     doc = json.loads(path.read_text())
     doc["layers"][0]["weight"] = doc["layers"][0]["weight"][:8]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc.pop("layers"),
+    lambda doc: doc.pop("components"),
+    lambda doc: doc["layers"][0].update(out="2"),
+    lambda doc: doc["layers"][0].update({"in": 2.5}),
+    lambda doc: doc["layers"][0].update(out=-1),
+    lambda doc: doc["layers"][0].pop("bias"),
+    lambda doc: doc["components"][0].__setitem__(1, "zero"),
+])
+def test_checkpoint_rejects_malformed_fields(tmp_path, damage):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(make_net([2, 2], ["identity"], seed=0), path)
+    doc = json.loads(path.read_text())
+    damage(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)

@@ -6,7 +6,7 @@ import pytest
 from prunescope.errors import ConfigurationError, InfeasiblePlanError
 from prunescope.importance import GroupImportanceState, init_states, BayesConfig
 from prunescope.modelgraph import build_groups, prunable_units
-from prunescope.netcore import forward
+from prunescope.netcore import ParamTensor, forward
 from prunescope.pruner import (PrunePlan, allocate_budget, apply_prune,
                                importance_weights, predicted_removed_params,
                                rank_units_within_group, verify_consistency)
@@ -366,7 +366,7 @@ def test_verifier_passes_healthy_networks():
 
 def test_verifier_reports_damage_without_raising():
     net = make_toy_multihead(seed=11)
-    net.layers[2].bias.values = np.zeros(3)  # wrong length
+    net.layers[2].bias = ParamTensor("layer2.bias", np.zeros(3))  # wrong length
     net.layers[0].weight.values[0, 0] = np.inf
     report = verify_consistency(net)
     assert not report.ok
