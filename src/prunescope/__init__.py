@@ -10,11 +10,11 @@ from .errors import (ConfigurationError, DataFormatError, InfeasiblePlanError,
                      NumericsError, PrunescopeError)
 from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
                          bayes_update, ema_update, fisher_diag, grad_magnitude,
-                         group_energy, init_states, metric_scores, rank_groups,
+                         init_states, metric_scores, rank_groups,
                          states_from_doc, states_to_doc, update_all)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
-                         build_groups, dependency_closure, export_manifest,
-                         group_tensors, prunable_units)
+                         build_groups, export_manifest, group_tensors,
+                         prunable_units)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                       add_l1_subgradient, apply_activation, backward,
                       build_sequential, fd_gradient, forward, load_checkpoint,
@@ -32,11 +32,11 @@ __all__ = [
     "ConfigurationError", "DataFormatError", "InfeasiblePlanError",
     "NumericsError", "PrunescopeError",
     "BayesConfig", "GroupImportanceState", "bayes_importance", "bayes_update",
-    "ema_update", "fisher_diag", "grad_magnitude", "group_energy",
-    "init_states", "metric_scores", "rank_groups", "states_from_doc",
-    "states_to_doc", "update_all",
+    "ema_update", "fisher_diag", "grad_magnitude", "init_states",
+    "metric_scores", "rank_groups", "states_from_doc", "states_to_doc",
+    "update_all",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
-    "dependency_closure", "export_manifest", "group_tensors", "prunable_units",
+    "export_manifest", "group_tensors", "prunable_units",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",
     "add_l1_subgradient", "apply_activation", "backward", "build_sequential",
     "fd_gradient", "forward", "load_checkpoint", "mse_loss", "save_checkpoint",

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..errors import PrunescopeError
+from ..errors import ConfigurationError, PrunescopeError
 from ..importance import COMBINED, METRICS, states_from_doc
 from ..modelgraph import build_groups, export_manifest
 from ..netcore import load_checkpoint, save_checkpoint
@@ -109,7 +109,12 @@ def _load_states_for(args: argparse.Namespace) -> dict:
     if not states_path.exists():
         raise PrunescopeError(
             f"importance states {states_path} not found; pass --states")
-    return states_from_doc(json.loads(states_path.read_text()))
+    try:
+        doc = json.loads(states_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"importance states {states_path} are not valid JSON: {exc}") from exc
+    return states_from_doc(doc)
 
 
 def cmd_prune(args: argparse.Namespace) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -152,15 +152,15 @@ class ExperimentConfig:
                 kwargs["bayes"] = BayesConfig(**doc["bayes"])
             if "schedule" in doc:
                 kwargs["schedule"] = ScheduleConfig(**doc["schedule"])
-        except TypeError as exc:
-            raise ConfigurationError(f"bad config section: {exc}") from exc
-        for key in ("epochs", "batch_size", "seed", "layers_per_group"):
-            if key in doc:
-                kwargs[key] = int(doc[key])
-        if "gamma" in doc:
-            kwargs["gamma"] = float(doc["gamma"])
-        if "metric_weights" in doc:
-            kwargs["metric_weights"] = tuple(float(w) for w in doc["metric_weights"])
+            for key in ("epochs", "batch_size", "seed", "layers_per_group"):
+                if key in doc:
+                    kwargs[key] = int(doc[key])
+            if "gamma" in doc:
+                kwargs["gamma"] = float(doc["gamma"])
+            if "metric_weights" in doc:
+                kwargs["metric_weights"] = tuple(float(w) for w in doc["metric_weights"])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad config value: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -187,10 +187,6 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigurationError(
                 f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    return replace(cfg, **kwargs)
 
 
 def build_model(model: ModelConfig, seed: int) -> Network:

@@ -79,6 +79,10 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         raise ConfigurationError("need n_train >= 1 and n_test >= 0")
     if in_dim < 1 or out_dim < 1:
         raise ConfigurationError("dataset widths must be positive")
+    if target == "identity" and out_dim != in_dim:
+        raise ConfigurationError(
+            f"identity targets need out_dim == in_dim, got {in_dim} -> "
+            f"{out_dim}; use target='affine'")
     if rank is None:
         rank = min(in_dim, 16)
     if not 1 <= rank <= in_dim:
@@ -91,9 +95,6 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
     span = x.max() - lo
     x = (x - lo) / (span if span > 0 else 1.0)
     if target == "identity":
-        if out_dim != in_dim:
-            raise ConfigurationError(
-                f"identity target needs out_dim == in_dim, got {out_dim} != {in_dim}")
         y = x
     elif target == "affine":
         a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)

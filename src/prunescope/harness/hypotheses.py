@@ -14,8 +14,6 @@ from ..importance import METRICS
 from ..modelgraph import KIND_COMPONENT, KIND_COUPLING
 from .trace import TraceRecord, group_order, validate_trace
 
-_EMA_FIELD = {"grad": "ema_grad", "fisher": "ema_fisher", "bayes": "ema_bayes"}
-
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -39,9 +37,9 @@ def _by_epoch(records: list[TraceRecord]) -> dict[int, dict[str, TraceRecord]]:
     return table
 
 
-def _ranking(rows: dict[str, TraceRecord], ids: tuple[str, ...],
-             field: str) -> tuple[str, ...]:
-    return tuple(sorted(ids, key=lambda g: (-getattr(rows[g], field), g)))
+def _ranking(scores: dict[str, float], ids: tuple[str, ...]) -> list[str]:
+    """Group ids by descending score; ties break by ascending id."""
+    return sorted(ids, key=lambda g: (-scores[g], g))
 
 
 def evaluate_hypotheses(records: list[TraceRecord],
@@ -65,42 +63,33 @@ def evaluate_hypotheses(records: list[TraceRecord],
                      f"{len(epochs)} epochs long)")
     late = epochs[-used:]
 
+    specific = [g for g in ids if kinds[g] == KIND_COMPONENT]
+    earliest = specific[0] if specific else None
+    if earliest is None:
+        notes.append("no component-specific groups in this trace")
+
     mean_late: dict[str, dict[str, float]] = {}
     top: dict[str, str] = {}
     coupling_top: dict[str, bool] = {}
+    earliest_rank: dict[str, int] = {}
+    earliest_bottom: dict[str, bool] = {}
+    crossovers: dict[str, list[int]] = {}
     for metric in METRICS:
-        field = _EMA_FIELD[metric]
+        field = f"ema_{metric}"
         means = {g: sum(getattr(table[e][g], field) for e in late) / used
                  for g in ids}
         mean_late[metric] = means
-        ranked = sorted(ids, key=lambda g: (-means[g], g))
+        ranked = _ranking(means, ids)
         top[metric] = ranked[0]
         coupling_top[metric] = kinds[ranked[0]] == KIND_COUPLING
-
-    specific = [g for g in ids if kinds[g] == KIND_COMPONENT]
-    earliest = specific[0] if specific else None
-    earliest_rank: dict[str, int] = {}
-    earliest_bottom: dict[str, bool] = {}
-    if earliest is not None:
-        for metric in METRICS:
-            ranked = sorted(ids, key=lambda g: (-mean_late[metric][g], g))
+        if earliest is not None:
             rank = ranked.index(earliest) + 1
             earliest_rank[metric] = rank
             earliest_bottom[metric] = rank == len(ids)
-    else:
-        notes.append("no component-specific groups in this trace")
-
-    crossovers: dict[str, list[int]] = {}
-    for metric in METRICS:
-        field = _EMA_FIELD[metric]
-        flips: list[int] = []
-        prev = _ranking(table[epochs[0]], ids, field)
-        for epoch in epochs[1:]:
-            cur = _ranking(table[epoch], ids, field)
-            if cur != prev:
-                flips.append(epoch)
-            prev = cur
-        crossovers[metric] = flips
+        orders = [_ranking({g: getattr(table[e][g], field) for g in ids}, ids)
+                  for e in epochs]
+        crossovers[metric] = [e for e, prev, cur in zip(epochs[1:], orders, orders[1:])
+                              if cur != prev]
 
     return HypothesisReport(
         window=used, group_ids=ids, kinds=kinds, mean_late_score=mean_late,

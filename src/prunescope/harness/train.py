@@ -21,7 +21,8 @@ from ..importance import (GroupImportanceState, METRICS, init_states,
 from ..modelgraph import ComponentGraph, build_groups, export_manifest, group_segments
 from ..netcore import (Adam, Network, SGD, add_l1_subgradient, backward,
                        forward, load_checkpoint, mse_loss, save_checkpoint)
-from ..scheduler import group_l1_norm, lambda_weight_at, schedule_row
+from ..scheduler import (group_l1_norm, l1_term, lambda_weight_at, schedule_row,
+                         total_loss)
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
 from .trace import TraceRecord, emit_trace
@@ -55,10 +56,6 @@ def load_dataset(cfg: ExperimentConfig, seed: int,
     """Resolve the configured dataset to (X_train, Y_train, X_test, Y_test)."""
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        if ds.target == "identity" and net.input_dim != net.output_dim:
-            raise ConfigurationError(
-                f"identity targets need matching widths, but the network maps "
-                f"{net.input_dim} -> {net.output_dim}; use target='affine'")
         return synthetic_dataset(seed, ds.n_train, ds.n_test, net.input_dim,
                                  net.output_dim, rank=ds.rank, target=ds.target)
     assert ds.kind == "mnist"
@@ -135,7 +132,6 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
         weight = lambda_weight_at(epoch, schedule)
         order = shuffle_rng.permutation(len(x_train))
         starts = range(0, len(x_train), cfg.batch_size)
-        pre_step_l1 = None
         for it, lo in enumerate(starts):
             idx = order[lo:lo + cfg.batch_size]
             acts = forward(net, x_train[idx])
@@ -148,12 +144,10 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
             update_all(states, net, graph, cfg.bayes, cfg.gamma)
             for lam, views in zip(lambdas, segments):
                 add_l1_subgradient(views, weight * lam)
-            if lo + cfg.batch_size >= len(x_train):
-                pre_step_l1 = [group_l1_norm(net, g) for g in groups]
+            if lo == starts[-1]:  # the epoch's loss is taken before its last step
+                l1 = l1_term(net, groups, lambdas)
             optimizer.step(net)
-        assert pre_step_l1 is not None
-        total_loss = task_loss + weight * sum(
-            lam * l1 for lam, l1 in zip(lambdas, pre_step_l1))
+        epoch_loss = total_loss(task_loss, l1, weight)
         for i, group in enumerate(groups):
             st = states[group.id]
             records.append(TraceRecord(
@@ -163,7 +157,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                 raw_fisher=st.raw_fisher, ema_fisher=st.ema_fisher,
                 raw_bayes=st.raw_bayes, ema_bayes=st.ema_bayes,
                 l1_norm=group_l1_norm(net, group),
-                task_loss=task_loss, total_loss=total_loss))
+                task_loss=task_loss, total_loss=epoch_loss))
 
     test_mse = evaluate_mse(net, x_test, y_test) if len(x_test) else math.nan
     return TrainResult(net=net, graph=graph, states=states, records=records,
@@ -227,7 +221,7 @@ def _summary_doc(result: TrainResult) -> dict:
             "id": group.id, "kind": group.kind,
             "param_count": group.param_count,
             "alpha": st.alpha, "beta": st.beta, "mu": st.mu,
-            "inv_mu": (math.inf if st.mu == 0 else 1.0 / st.mu),
+            "inv_mu": st.inv_mu,
             "ema_grad": st.ema_grad, "ema_fisher": st.ema_fisher,
             "ema_bayes": st.ema_bayes,
         })

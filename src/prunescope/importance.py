@@ -74,6 +74,11 @@ class GroupImportanceState:
     def mu(self) -> float:
         return self.alpha / self.beta
 
+    @property
+    def inv_mu(self) -> float:
+        """1/mu, the activity-aligned reading of mu; infinite when mu is 0."""
+        return 1.0 / self.mu if self.mu > 0 else math.inf
+
 
 def init_states(graph: ComponentGraph,
                 cfg: BayesConfig) -> dict[str, GroupImportanceState]:
@@ -90,26 +95,24 @@ def _flatten(grads: Sequence[np.ndarray] | np.ndarray) -> list[np.ndarray]:
     return arrays
 
 
+def _group_mean(parts: Sequence[np.ndarray]) -> float:
+    """(1/N) times the sum of per-tensor sums, N counting every element.
+
+    Each tensor is summed on its own, in order, so the result is the same
+    whether the parts are separate arrays or slots of one arena buffer.
+    """
+    return sum(float(p.sum()) for p in parts) / sum(p.size for p in parts)
+
+
 def grad_magnitude(grads: Sequence[np.ndarray] | np.ndarray) -> float:
-    """Mean absolute gradient over the group: (1/N) sum |g|."""
-    arrays = _flatten(grads)
-    total = sum(float(np.abs(a).sum()) for a in arrays)
-    count = sum(a.size for a in arrays)
-    return total / count
+    """Mean absolute gradient over the group: (1/N) sum |g|. It is also
+    the gradient energy the Bayes tracker observes."""
+    return _group_mean([np.abs(a) for a in _flatten(grads)])
 
 
 def fisher_diag(grads: Sequence[np.ndarray] | np.ndarray) -> float:
     """Mean squared gradient over the group: (1/N) sum g^2."""
-    arrays = _flatten(grads)
-    total = sum(float((a * a).sum()) for a in arrays)
-    count = sum(a.size for a in arrays)
-    return total / count
-
-
-def group_energy(grads: Sequence[np.ndarray] | np.ndarray) -> float:
-    """Gradient energy observation for the Bayes tracker; identical to the
-    mean absolute gradient by definition."""
-    return grad_magnitude(grads)
+    return _group_mean([a * a for a in _flatten(grads)])
 
 
 def bayes_update(state: GroupImportanceState, energy: float,
@@ -176,9 +179,9 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     inputs.
 
     The squared and the absolute gradients are each taken in one call over
-    the network's gradient arena, into one reused buffer; the sums are then
-    taken per tensor over its slot, in slice order, as the metric
-    definitions above do.
+    the network's gradient arena, into one reused buffer; each group's
+    metric is then reduced over its tensors' slots in slice order, by the
+    same reduction that :func:`fisher_diag` and :func:`grad_magnitude` use.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
@@ -187,17 +190,13 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
             raise ConfigurationError(f"no importance state for group {group.id!r}")
     members = [group_tensors(net, group) for group in graph.groups]
     scratch = np.multiply(net.flat_grad, net.flat_grad)
-    sq_sums = [sum(float(t.slot(scratch).sum()) for t in tensors)
-               for tensors in members]
+    fishers = [_group_mean([t.slot(scratch) for t in tensors]) for tensors in members]
     np.abs(net.flat_grad, out=scratch)
-    for group, tensors, sq_sum in zip(graph.groups, members, sq_sums):
+    for group, tensors, raw_fisher in zip(graph.groups, members, fishers):
         state = states[group.id]
         abs_grads = {(s.layer, s.role): t.slot(scratch)
                      for s, t in zip(group.member_slices, tensors)}
-        count = sum(t.size for t in tensors)
-        abs_sum = sum(float(a.sum()) for a in abs_grads.values())
-        raw_grad = abs_sum / count
-        raw_fisher = sq_sum / count
+        raw_grad = _group_mean(list(abs_grads.values()))
         bayes_update(state, raw_grad, cfg)
         raw_bayes = bayes_importance(state.mu, raw_fisher)
 
@@ -297,7 +296,7 @@ def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
                 "alpha": st.alpha,
                 "beta": st.beta,
                 "mu": st.mu,
-                "inv_mu": 1.0 / st.mu if st.mu > 0 else float("inf"),
+                "inv_mu": st.inv_mu,
                 "unit_ema": {str(layer): scores.tolist()
                              for layer, scores in sorted(st.unit_ema.items())},
             }
@@ -310,14 +309,20 @@ def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
     if not isinstance(doc, dict) or doc.get("format") != "prunescope.states":
         raise ConfigurationError("not an importance-state document")
     states = {}
-    for entry in doc["groups"]:
-        st = GroupImportanceState(
-            entry["id"], alpha=float(entry["alpha"]), beta=float(entry["beta"]),
-            raw_grad=float(entry["raw_grad"]), raw_fisher=float(entry["raw_fisher"]),
-            raw_bayes=float(entry["raw_bayes"]), ema_grad=float(entry["ema_grad"]),
-            ema_fisher=float(entry["ema_fisher"]), ema_bayes=float(entry["ema_bayes"]),
-            iteration=int(entry["iteration"]),
-            unit_ema={int(layer): np.asarray(scores, dtype=np.float64)
-                      for layer, scores in entry.get("unit_ema", {}).items()})
-        states[st.group_id] = st
+    try:
+        for entry in doc["groups"]:
+            st = GroupImportanceState(
+                entry["id"], alpha=float(entry["alpha"]), beta=float(entry["beta"]),
+                raw_grad=float(entry["raw_grad"]), raw_fisher=float(entry["raw_fisher"]),
+                raw_bayes=float(entry["raw_bayes"]), ema_grad=float(entry["ema_grad"]),
+                ema_fisher=float(entry["ema_fisher"]), ema_bayes=float(entry["ema_bayes"]),
+                iteration=int(entry["iteration"]),
+                unit_ema={int(layer): np.asarray(scores, dtype=np.float64)
+                          for layer, scores in entry.get("unit_ema", {}).items()})
+            states[st.group_id] = st
+    except KeyError as exc:
+        raise ConfigurationError(f"importance states lack the field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"importance states have a malformed field: {exc}") from None
     return states

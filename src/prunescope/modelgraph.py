@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .netcore import Network, ParamTensor, ROLE_BIAS, ROLE_WEIGHT
 
@@ -56,17 +54,6 @@ class PruningGroup:
         return tuple(sorted(layers))
 
 
-@dataclass(frozen=True)
-class ClosureSlice:
-    """One contiguous removal implied by pruning units: rows/cols of a weight
-    or elements of a bias."""
-
-    layer: int
-    role: str
-    axis: str  # 'rows' | 'cols' | 'elements'
-    indices: tuple[int, ...]
-
-
 class ComponentGraph:
     """The full group decomposition for one network."""
 
@@ -99,14 +86,6 @@ def _tensor_for(net: Network, layer: int, role: str) -> ParamTensor:
 
 def slice_param_count(net: Network, member: MemberSlice) -> int:
     return _tensor_for(net, member.layer, member.role).size
-
-
-def group_param_count(net: Network, group: PruningGroup) -> int:
-    """Total parameter count over the group's member slices."""
-    total = sum(slice_param_count(net, s) for s in group.member_slices)
-    if total < 1:
-        raise ConfigurationError(f"group {group.id!r} owns no parameters")
-    return total
 
 
 def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
@@ -229,35 +208,6 @@ def prunable_units(net: Network, group: PruningGroup) -> list[tuple[int, int]]:
             continue
         units.extend((layer, u) for u in range(net.layers[layer].out_dim))
     return units
-
-
-def dependency_closure(net: Network, layer: int,
-                       removed_units: Iterable[int]) -> list[ClosureSlice]:
-    """All slices that must be excised when output units of one layer go away.
-
-    Removing unit u of layer k removes row u of that layer's weight, entry u
-    of its bias, and column u of every consumer's weight (all consumers, so
-    fan-out to several heads is covered). Removing every unit of a layer is
-    refused.
-    """
-    if not 0 <= layer < len(net.layers):
-        raise ConfigurationError(f"layer index {layer} out of range")
-    out_dim = net.layers[layer].out_dim
-    units = sorted(set(int(u) for u in removed_units))
-    if not units:
-        return []
-    if units[0] < 0 or units[-1] >= out_dim:
-        raise ConfigurationError(
-            f"unit indices {units[0]}..{units[-1]} invalid for layer {layer} "
-            f"with {out_dim} output units")
-    if len(units) == out_dim:
-        raise ConfigurationError(
-            f"refusing to remove all {out_dim} units of layer {layer}")
-    idx = tuple(units)
-    slices = [ClosureSlice(layer, ROLE_WEIGHT, "rows", idx),
-              ClosureSlice(layer, ROLE_BIAS, "elements", idx)]
-    slices += [ClosureSlice(c, ROLE_WEIGHT, "cols", idx) for c in net.consumers(layer)]
-    return slices
 
 
 def export_manifest(net: Network, graph: ComponentGraph) -> dict:

@@ -164,16 +164,6 @@ class DenseLayer:
     bias: ParamTensor
     activation: str = "identity"
 
-    def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.weight.values.ndim != 2:
-            raise ConfigurationError(f"{self.weight.name}: weight must be 2-D")
-        if self.bias.values.ndim != 1 or self.bias.size != self.out_dim:
-            raise ConfigurationError(
-                f"{self.bias.name}: bias length {self.bias.size} does not match "
-                f"weight rows {self.out_dim}")
-
     @property
     def out_dim(self) -> int:
         return self.weight.values.shape[0]
@@ -217,8 +207,6 @@ class Network:
                  components: dict[str, tuple[int, int]],
                  layer_inputs: Iterable[int] | None = None) -> None:
         self.layers: list[DenseLayer] = list(layers)
-        if not self.layers:
-            raise ConfigurationError("network needs at least one layer")
         n = len(self.layers)
         if layer_inputs is None:
             self.layer_inputs = list(range(-1, n - 1))
@@ -226,7 +214,9 @@ class Network:
             self.layer_inputs = [int(s) for s in layer_inputs]
         self.components: dict[str, tuple[int, int]] = {
             str(name): (int(lo), int(hi)) for name, (lo, hi) in dict(components).items()}
-        self._validate()
+        problems = structural_problems(self)
+        if problems:
+            raise ConfigurationError(problems[0])
         consumers: list[list[int]] = [[] for _ in range(n)]
         for k, src in enumerate(self.layer_inputs):
             if src >= 0:
@@ -242,38 +232,6 @@ class Network:
         for tensor in tensors:
             tensor._bind(self.flat_values, self.flat_grad, offset)
             offset += tensor.size
-
-    def _validate(self) -> None:
-        n = len(self.layers)
-        if len(self.layer_inputs) != n:
-            raise ConfigurationError(
-                f"layer_inputs has {len(self.layer_inputs)} entries for {n} layers")
-        input_widths = set()
-        for k, src in enumerate(self.layer_inputs):
-            if not -1 <= src < k:
-                raise ConfigurationError(
-                    f"layer {k} reads from {src}; sources must be -1 or an earlier layer")
-            if src == -1:
-                input_widths.add(self.layers[k].in_dim)
-            elif self.layers[k].in_dim != self.layers[src].out_dim:
-                raise ConfigurationError(
-                    f"layer {k} input width {self.layers[k].in_dim} does not match "
-                    f"layer {src} output width {self.layers[src].out_dim}")
-        if not input_widths:
-            raise ConfigurationError("no layer reads the network input")
-        if len(input_widths) > 1:
-            raise ConfigurationError(
-                f"layers reading the network input disagree on width: {sorted(input_widths)}")
-        if not self.components:
-            raise ConfigurationError("network needs at least one named component")
-        covered: list[int] = []
-        for name, (lo, hi) in self.components.items():
-            if not (0 <= lo < hi <= n):
-                raise ConfigurationError(
-                    f"component {name!r} range [{lo}, {hi}) is invalid for {n} layers")
-            covered.extend(range(lo, hi))
-        if sorted(covered) != list(range(n)):
-            raise ConfigurationError("component ranges must partition the layer list")
 
     # -- topology ---------------------------------------------------------
 
@@ -340,6 +298,69 @@ class Network:
         layers = [DenseLayer(fresh(layer.weight), fresh(layer.bias), layer.activation)
                   for layer in self.layers]
         return Network(layers, dict(self.components), list(self.layer_inputs))
+
+
+def structural_problems(net: Network) -> list[str]:
+    """Every broken structural invariant of a network, one message each.
+
+    Checks each layer's activation and weight and bias shapes, that each
+    layer reads the network input or an earlier layer of matching width,
+    that the layers reading the input agree on its width, and that the
+    components partition the layers. Finiteness is not checked. The network
+    is read as it stands, so damage done after it was built (a replaced
+    tensor, a hand-edited wiring list) is reported, not raised.
+    """
+    n = len(net.layers)
+    if n == 0:
+        return ["network needs at least one layer"]
+    problems: list[str] = []
+    shapes: list[tuple[int, ...] | None] = []
+    for k, layer in enumerate(net.layers):
+        w, b = layer.weight.values, layer.bias.values
+        if layer.activation not in ACTIVATIONS:
+            problems.append(f"layer {k}: unknown activation {layer.activation!r}")
+        if w.ndim != 2:
+            problems.append(f"layer {k}: weight is {w.ndim}-D, expected 2-D")
+            shapes.append(None)
+            continue
+        shapes.append(w.shape)
+        if min(w.shape) < 1:
+            problems.append(f"layer {k}: degenerate weight shape {w.shape}")
+        if b.ndim != 1:
+            problems.append(f"layer {k}: bias is {b.ndim}-D, expected 1-D")
+        elif b.size != w.shape[0]:
+            problems.append(f"layer {k}: bias length {b.size} does not match "
+                            f"weight rows {w.shape[0]}")
+    if len(net.layer_inputs) != n:
+        problems.append(f"layer_inputs has {len(net.layer_inputs)} entries for {n} layers")
+    readers = []
+    for k, src in enumerate(net.layer_inputs[:n]):
+        if not -1 <= src < k:
+            problems.append(
+                f"layer {k} reads from {src}; sources must be -1 or an earlier layer")
+        elif src == -1:
+            readers.append(k)
+        elif shapes[k] and shapes[src] and shapes[k][1] != shapes[src][0]:
+            problems.append(
+                f"layer {k} input width {shapes[k][1]} does not match layer "
+                f"{src} output width {shapes[src][0]}")
+    input_widths = sorted({shapes[k][1] for k in readers if shapes[k]})
+    if not readers:
+        problems.append("no layer reads the network input")
+    elif len(input_widths) > 1:
+        problems.append(
+            f"layers reading the network input disagree on width: {input_widths}")
+    if not net.components:
+        problems.append("network needs at least one named component")
+    covered: list[int] = []
+    for name, (lo, hi) in net.components.items():
+        if not 0 <= lo < hi <= n:
+            problems.append(
+                f"component {name!r} range [{lo}, {hi}) is invalid for {n} layers")
+        covered.extend(range(lo, hi))
+    if sorted(covered) != list(range(n)):
+        problems.append("component ranges do not partition the layer list")
+    return problems
 
 
 def build_sequential(widths: Iterable[int], activations: Iterable[str],

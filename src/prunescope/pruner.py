@@ -21,10 +21,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InfeasiblePlanError
-from .importance import GroupImportanceState, metric_scores
-from .modelgraph import (ComponentGraph, PruningGroup, build_groups,
-                         dependency_closure, prunable_units)
-from .netcore import DenseLayer, Network, ParamTensor
+from .importance import GroupImportanceState, _minmax, metric_scores
+from .modelgraph import ComponentGraph, PruningGroup, build_groups, prunable_units
+from .netcore import DenseLayer, Network, ParamTensor, structural_problems
 
 UNIT_CAP_FRACTION = 0.9
 
@@ -61,14 +60,19 @@ class PrunePlan:
     def from_dict(cls, doc: dict) -> "PrunePlan":
         if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
             raise ConfigurationError("not a prune-plan document")
-        per_group = {}
-        for gid, entry in doc["groups"].items():
-            units = [(int(layer), int(unit)) for layer, unit in entry["units"]]
-            if len(units) != int(entry.get("unit_count", len(units))):
-                raise ConfigurationError(f"plan group {gid!r}: unit count mismatch")
-            per_group[gid] = units
-        return cls(float(doc["target_sparsity"]), str(doc["metric"]),
-                   per_group, int(doc["predicted_removed_params"]))
+        try:
+            per_group = {}
+            for gid, entry in doc["groups"].items():
+                units = [(int(layer), int(unit)) for layer, unit in entry["units"]]
+                if len(units) != int(entry.get("unit_count", len(units))):
+                    raise ConfigurationError(f"plan group {gid!r}: unit count mismatch")
+                per_group[gid] = units
+            return cls(float(doc["target_sparsity"]), str(doc["metric"]),
+                       per_group, int(doc["predicted_removed_params"]))
+        except KeyError as exc:
+            raise ConfigurationError(f"prune plan lacks the field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"prune plan has a malformed field: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
@@ -117,11 +121,8 @@ def importance_weights(states: Mapping[str, GroupImportanceState],
     weight. Degenerate spreads (all equal) give every group weight 1.
     """
     scores = metric_scores(states, group_ids, metric, weights)
-    values = [scores[gid] for gid in group_ids]
-    lo, hi = min(values), max(values)
-    if hi > lo:
-        return {gid: 1.0 - (scores[gid] - lo) / (hi - lo) for gid in group_ids}
-    return {gid: 1.0 for gid in group_ids}
+    normalized = _minmax([scores[gid] for gid in group_ids])
+    return {gid: 1.0 - v for gid, v in zip(group_ids, normalized)}
 
 
 class _RemovalLedger:
@@ -161,12 +162,6 @@ def predicted_removed_params(net: Network,
     return ledger.removed
 
 
-def _unit_closure_size(net: Network, layer: int) -> int:
-    """Parameters a single fresh unit removal excises on this layer."""
-    return (net.layers[layer].in_dim + 1
-            + sum(net.layers[c].out_dim for c in net.consumers(layer)))
-
-
 def allocate_budget(states: Mapping[str, GroupImportanceState],
                     graph: ComponentGraph, net: Network,
                     target_sparsity: float, metric: str,
@@ -198,6 +193,9 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
             units_of[group.id] = units
     if not candidates:
         raise InfeasiblePlanError("no unprotected group has prunable units")
+    for group in candidates:
+        if group.id not in states:
+            raise ConfigurationError(f"no importance state for group {group.id!r}")
 
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)
@@ -205,18 +203,17 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     ordered: dict[str, list[tuple[int, int]]] = {}
     caps: dict[str, int] = {}
     for group in candidates:
-        state = states.get(group.id)
-        if state is None:
-            raise ConfigurationError(f"no importance state for group {group.id!r}")
-        ranking = rank_units_within_group(group, state.unit_ema, units_of[group.id])
+        ranking = rank_units_within_group(group, states[group.id].unit_ema,
+                                          units_of[group.id])
         cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
         ordered[group.id] = ranking[:cap]
         caps[group.id] = cap
 
     total = net.param_count()
     target = round(target_sparsity * total)
-    granularity = max(_unit_closure_size(net, layer)
-                      for gid in cand_ids for layer, _ in (units_of[gid] or [(0, 0)]))
+    # The cost of one fresh unit removal on the dearest candidate layer.
+    unit_layers = {layer for gid in cand_ids for layer, _ in units_of[gid]}
+    granularity = max(_RemovalLedger(net).add_unit(layer, 0) for layer in unit_layers)
 
     ledger = _RemovalLedger(net)
     taken: dict[str, list[tuple[int, int]]] = {gid: [] for gid in cand_ids}
@@ -249,7 +246,6 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
         without = removed - last[2]
         if abs(without - target) < abs(removed - target):
             taken[last[0]].pop()
-            removed = without
 
     per_group = {gid: units for gid, units in taken.items() if units}
     predicted = predicted_removed_params(net, [u for units in per_group.values()
@@ -290,20 +286,13 @@ def apply_prune(net: Network, graph: ComponentGraph,
     must match the plan's predicted removal exactly.
     """
     _validate_plan(net, graph, plan)
-    by_layer: dict[int, set[int]] = {}
+    rows: list[set[int]] = [set() for _ in net.layers]
+    cols: list[set[int]] = [set() for _ in net.layers]
     for units in plan.per_group.values():
         for layer, unit in units:
-            by_layer.setdefault(layer, set()).add(unit)
-
-    rows: dict[int, set[int]] = {k: set() for k in range(len(net.layers))}
-    cols: dict[int, set[int]] = {k: set() for k in range(len(net.layers))}
-    for layer, units in sorted(by_layer.items()):
-        for closure in dependency_closure(net, layer, units):
-            if closure.axis == "rows" or closure.axis == "elements":
-                if closure.role == "weight" or closure.role == "bias":
-                    rows[closure.layer].update(closure.indices)
-            if closure.axis == "cols":
-                cols[closure.layer].update(closure.indices)
+            rows[layer].add(unit)
+            for consumer in net.consumers(layer):
+                cols[consumer].add(unit)
 
     new_layers = []
     for k, layer in enumerate(net.layers):
@@ -350,49 +339,16 @@ class ConsistencyReport:
 
 
 def verify_consistency(net: Network) -> ConsistencyReport:
-    """Re-check shapes, wiring, component coverage, and finiteness.
+    """Re-check the structural invariants and the finiteness of every value.
 
     Works on the object as it stands, so damage done after construction
     (hand-edited arrays, truncated biases) is reported rather than raised.
     """
-    problems: list[str] = []
-    n = len(net.layers)
-    if len(net.layer_inputs) != n:
-        problems.append(
-            f"layer_inputs has {len(net.layer_inputs)} entries for {n} layers")
-    for k, layer in enumerate(net.layers):
-        w = layer.weight.values
-        b = layer.bias.values
-        if w.ndim != 2:
-            problems.append(f"layer {k}: weight is {w.ndim}-D, expected 2-D")
-            continue
-        if w.shape[0] < 1 or w.shape[1] < 1:
-            problems.append(f"layer {k}: degenerate weight shape {w.shape}")
-        if b.ndim != 1 or b.shape[0] != w.shape[0]:
-            problems.append(
-                f"layer {k}: bias length {b.shape} does not match weight rows "
-                f"{w.shape[0]}")
-        if layer.weight.grad.shape != w.shape:
-            problems.append(f"layer {k}: weight grad shape mismatch")
-        if layer.bias.grad.shape != b.shape:
-            problems.append(f"layer {k}: bias grad shape mismatch")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            problems.append(f"layer {k}: non-finite parameter values")
-        src = net.layer_inputs[k] if k < len(net.layer_inputs) else None
-        if src is not None:
-            if not -1 <= src < k:
-                problems.append(f"layer {k}: invalid input source {src}")
-            elif src >= 0 and w.shape[1] != net.layers[src].weight.values.shape[0]:
-                problems.append(
-                    f"layer {k}: input width {w.shape[1]} does not match layer "
-                    f"{src} output width {net.layers[src].weight.values.shape[0]}")
-    covered: list[int] = []
-    for name, (lo, hi) in net.components.items():
-        if not 0 <= lo < hi <= n:
-            problems.append(f"component {name!r}: invalid range [{lo}, {hi})")
-        covered.extend(range(lo, hi))
-    if sorted(covered) != list(range(n)):
-        problems.append("component ranges do not partition the layer list")
+    problems = structural_problems(net)
+    problems += [f"layer {k}: non-finite parameter values"
+                 for k, layer in enumerate(net.layers)
+                 if not (np.isfinite(layer.weight.values).all()
+                         and np.isfinite(layer.bias.values).all())]
     shapes = [(layer.weight.values.shape[0], layer.weight.values.shape[1])
               if layer.weight.values.ndim == 2 else (-1, -1)
               for layer in net.layers]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from prunescope.harness.config import ModelConfig, build_model
 from prunescope.netcore import DenseLayer, Network, ParamTensor, build_sequential
 
 
@@ -36,15 +37,8 @@ def make_layer(weight, bias, activation="identity", index=0) -> DenseLayer:
 
 
 def make_toy_multihead(seed=0) -> Network:
-    """16 -> 32 -> 8 encoder feeding two 8 -> 16 -> 1 heads."""
-    rng = np.random.default_rng([seed, 0])
-    dims = [(16, 32, "relu"), (32, 8, "identity"),
-            (8, 16, "relu"), (16, 1, "identity"),
-            (8, 16, "relu"), (16, 1, "identity")]
-    layers = [DenseLayer.seeded(k, i, o, act, rng)
-              for k, (i, o, act) in enumerate(dims)]
-    components = {"encoder": (0, 2), "head_a": (2, 4), "head_b": (4, 6)}
-    return Network(layers, components, layer_inputs=[-1, 0, 1, 2, 1, 4])
+    """16 -> 32 -> 8 encoder feeding two 8 -> 16 -> 1 heads (the preset)."""
+    return build_model(ModelConfig(preset="toy_multihead"), seed)
 
 
 def make_two_component_chain(seed=0, widths=(6, 5, 4, 3, 2)) -> Network:

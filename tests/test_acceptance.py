@@ -21,8 +21,8 @@ from prunescope.harness.train import run_training
 from prunescope.harness.trace import validate_trace
 from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_update, ema_update, fisher_diag,
-                                   grad_magnitude, group_energy)
-from prunescope.modelgraph import build_groups, prunable_units
+                                   grad_magnitude, init_states, update_all)
+from prunescope.modelgraph import build_groups, group_tensors, prunable_units
 from prunescope.netcore import (backward, build_sequential, fd_gradient,
                                 forward, mse_loss)
 from prunescope.pruner import (PrunePlan, apply_prune,
@@ -84,12 +84,26 @@ def test_criterion_2_metrics_match_brute_force():
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
         for got, ref in ((grad_magnitude(g), ref_grad),
-                         (fisher_diag(g), ref_fisher),
-                         (group_energy(g), ref_grad)):
+                         (fisher_diag(g), ref_fisher)):
             worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
+    # The online update that training runs, on random gradients.
+    cfg = BayesConfig()
+    for seed in range(20):
+        net = make_toy_multihead(seed=seed)
+        for _, _, tensor in net.param_tensors():
+            tensor.grad = rng.normal(0.0, 3.0, size=tensor.shape)
+        graph = build_groups(net)
+        states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
+        for group in graph.groups:
+            g = [v for t in group_tensors(net, group) for v in t.grad.ravel()]
+            st = states[group.id]
+            for got, ref in ((st.raw_grad, math.fsum(abs(v) for v in g) / len(g)),
+                             (st.raw_fisher, math.fsum(v * v for v in g) / len(g))):
+                worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     ok = worst <= 1e-12
-    announce(2, ok, f"grad/fisher/energy vs fsum recomputation, worst "
-                    f"deviation {worst:.3e} over 1000 vectors")
+    announce(2, ok, f"grad/fisher kernels over 1000 vectors and update_all "
+                    f"over 20 networks vs fsum recomputation, worst "
+                    f"deviation {worst:.3e}")
     assert ok
 
 

@@ -1,5 +1,6 @@
 """Harness integration: configs, the training loop, hypotheses, and the CLI."""
 
+import importlib
 import json
 import struct
 
@@ -18,7 +19,7 @@ from prunescope.harness.train import (evaluate_mse, finetune, load_dataset,
 from prunescope.importance import states_from_doc
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import forward, load_checkpoint, mse_loss
-from prunescope.scheduler import ScheduleConfig, schedule_row
+from prunescope.scheduler import ScheduleConfig, l1_term, schedule_row, total_loss
 
 
 def toy_config(**overrides):
@@ -216,6 +217,16 @@ def test_total_loss_adds_the_scheduled_term():
         assert len({r.task_loss for r in chunk}) == 1
         assert len({r.total_loss for r in chunk}) == 1
         assert chunk[0].total_loss >= chunk[0].task_loss
+    # With one step per epoch the sparsity term is taken on the initial
+    # parameters, so it can be recomputed exactly from a fresh model.
+    cfg = toy_config(epochs=1, batch_size=128)
+    net = build_model(cfg.model, seed=0)
+    groups = build_groups(net, 1).groups
+    lambdas = schedule_row(0, [g.param_count for g in groups],
+                           cfg.schedule.with_groups(len(groups)))
+    record = run_training(cfg).records[0]
+    assert record.total_loss == total_loss(
+        record.task_loss, l1_term(net, groups, lambdas), 1.0)
 
 
 def test_non_finite_loss_raises_with_context():
@@ -410,6 +421,43 @@ def test_cli_failures_exit_two(cli_workspace, capsys):
                  "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+    # Malformed documents fail typed, each with its own error line.
+    def fails_typed(argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    bad_cfg = tmp_path / "bad_cfg.json"
+    bad_cfg.write_text(json.dumps({"epochs": "abc"}))
+    fails_typed(["train", "--config", str(bad_cfg), "--out", str(tmp_path / "x")])
+    plan_path = tmp_path / "plan.json"
+    assert main(["prune", "--checkpoint", ckpt, "--sparsity", "0.4",
+                 "--plan", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    del plan["target_sparsity"]
+    plan_path.write_text(json.dumps(plan))
+    fails_typed(["prune", "--checkpoint", ckpt, "--apply", str(plan_path),
+                 "--out", str(tmp_path / "p")])
+    states = json.loads((run_dir / "states.json").read_text())
+    states_path = tmp_path / "states.json"
+    no_alpha = json.loads(json.dumps(states))
+    del no_alpha["groups"][0]["alpha"]
+    states_path.write_text(json.dumps(no_alpha))
+    prune_with_states = ["prune", "--checkpoint", ckpt, "--sparsity", "0.4",
+                         "--states", str(states_path), "--out", str(tmp_path / "p")]
+    fails_typed(prune_with_states)
+    states["groups"] = [g for g in states["groups"] if g["id"] != "encoder_1"]
+    states_path.write_text(json.dumps(states))
+    fails_typed(prune_with_states)
+    states_path.write_text("{broken")
+    fails_typed(prune_with_states)
+
+
+def test_star_imports_resolve_every_exported_name():
+    for module in ("prunescope", "prunescope.harness"):
+        namespace: dict = {}
+        exec(f"from {module} import *", namespace)  # raises on a stale name
+        assert set(importlib.import_module(module).__all__) <= set(namespace)
 
 
 def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):

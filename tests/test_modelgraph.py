@@ -5,10 +5,11 @@ import pytest
 
 from prunescope.errors import ConfigurationError
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
-                                   build_groups, dependency_closure,
-                                   export_manifest, group_segments,
-                                   group_tensors, prunable_units)
+                                   build_groups, export_manifest,
+                                   group_segments, group_tensors,
+                                   prunable_units)
 from prunescope.netcore import ROLE_BIAS, ROLE_WEIGHT, build_sequential
+from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
 from conftest import make_net, make_toy_multihead, make_two_component_chain
 
@@ -198,57 +199,42 @@ def test_prunable_units_exclude_network_outputs():
     assert prunable_units(net, graph.get("head_b_1")) == []
 
 
-def test_dependency_closure_by_hand():
-    net = make_net([4, 3, 2], ["relu", "identity"], seed=6)
-    slices = dependency_closure(net, 0, [1])
-    table = {(s.layer, s.role, s.axis): s.indices for s in slices}
-    assert table == {
-        (0, ROLE_WEIGHT, "rows"): (1,),
-        (0, ROLE_BIAS, "elements"): (1,),
-        (1, ROLE_WEIGHT, "cols"): (1,),
-    }
-
-
-def test_dependency_closure_covers_every_consumer():
-    net = make_toy_multihead()
-    slices = dependency_closure(net, 1, [0, 3])
-    cols = sorted((s.layer, s.indices) for s in slices if s.axis == "cols")
-    assert cols == [(2, (0, 3)), (4, (0, 3))]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_closure_parameter_count_matches_brute_force(seed):
-    """Oracle: rebuild the closure by enumerating every affected entry."""
+    """Oracle: pruning k units of one layer takes k weight rows and bias
+    entries there and k weight columns from every consumer, and the pruned
+    network is smaller by exactly that many parameters."""
     rng = np.random.default_rng(seed)
     net = make_two_component_chain(seed=seed, widths=(7, 6, 5, 4, 3))
-    layer = int(rng.integers(0, len(net.layers) - 1))
+    graph = build_groups(net, 1)
+    owners = {layer: g.id for g in graph.groups for layer, _ in prunable_units(net, g)}
+    layer = sorted(owners)[int(rng.integers(0, len(owners)))]
     out_dim = net.layers[layer].out_dim
     k = int(rng.integers(1, out_dim))
     units = sorted(rng.choice(out_dim, size=k, replace=False).tolist())
-    slices = dependency_closure(net, layer, units)
-    count = 0
-    for s in slices:
-        if s.axis == "rows":
-            count += len(s.indices) * net.layers[s.layer].in_dim
-        elif s.axis == "cols":
-            count += len(s.indices) * net.layers[s.layer].out_dim
-        else:
-            count += len(s.indices)
-    expected = (len(units) * net.layers[layer].in_dim + len(units)
-                + sum(len(units) * net.layers[c].out_dim
-                      for c in net.consumers(layer)))
-    assert count == expected
+    removals = [(layer, u) for u in units]
+    expected = (k * net.layers[layer].in_dim + k
+                + sum(k * net.layers[c].out_dim for c in net.consumers(layer)))
+    assert predicted_removed_params(net, removals) == expected
+    pruned, _ = apply_prune(
+        net, graph, PrunePlan(0.1, "grad", {owners[layer]: removals}, expected))
+    assert net.param_count() - pruned.param_count() == expected
 
 
 def test_closure_edge_cases():
-    net = make_net([4, 3], ["identity"], seed=7)
-    assert dependency_closure(net, 0, []) == []
+    net = make_net([4, 3, 2], ["identity", "identity"], seed=7)
+    graph = build_groups(net, 1)
+    assert predicted_removed_params(net, []) == 0
+    pruned, _ = apply_prune(net, graph, PrunePlan(0.1, "grad", {}, 0))
+    assert pruned.param_count() == net.param_count()
+    everything = [(0, 0), (0, 1), (0, 2)]  # would empty the layer
     with pytest.raises(ConfigurationError):
-        dependency_closure(net, 0, [0, 1, 2])  # would empty the layer
-    with pytest.raises(ConfigurationError):
-        dependency_closure(net, 0, [3])
-    with pytest.raises(ConfigurationError):
-        dependency_closure(net, 9, [0])
+        apply_prune(net, graph, PrunePlan(
+            0.1, "grad", {"body_1": everything},
+            predicted_removed_params(net, everything)))
+    for units in ([(0, 3)], [(9, 0)]):  # one past the end, no such layer
+        with pytest.raises(ConfigurationError):
+            apply_prune(net, graph, PrunePlan(0.1, "grad", {"body_1": units}, 0))
 
 
 # -- manifest ----------------------------------------------------------------

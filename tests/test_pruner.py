@@ -266,6 +266,45 @@ def test_apply_prune_matches_masked_network_on_continuous_values(seed):
                                rtol=0, atol=1e-12)
 
 
+def test_prune_excises_row_bias_entry_and_consumer_column():
+    """By hand: unit 1 of layer 0 takes row 1 of its weight, entry 1 of its
+    bias and column 1 of the consumer's weight, and nothing else."""
+    net = make_net([4, 3, 2], ["relu", "identity"], seed=6)
+    graph = build_groups(net, 1)
+    plan = PrunePlan(0.1, "grad", {"body_1": [(0, 1)]}, 4 + 1 + 2)
+    pruned, _ = apply_prune(net, graph, plan)
+    w0, b0, w1, b1 = (t.values for _, _, t in net.param_tensors())
+    assert [(l.weight.shape, l.bias.shape) for l in pruned.layers] == [
+        ((2, 4), (2,)), ((2, 2), (2,))]
+    np.testing.assert_array_equal(pruned.layers[0].weight.values, w0[[0, 2]])
+    np.testing.assert_array_equal(pruned.layers[0].bias.values, b0[[0, 2]])
+    np.testing.assert_array_equal(pruned.layers[1].weight.values, w1[:, [0, 2]])
+    np.testing.assert_array_equal(pruned.layers[1].bias.values, b1)
+
+
+def test_prune_removes_fan_out_columns_from_both_heads():
+    """Interface units of a fan-out leave the weight columns of every
+    consumer: both heads lose columns 0 and 3."""
+    net = make_toy_multihead(seed=1)
+    graph = build_groups(net, 1)
+    units = [(1, 0), (1, 3)]
+    removed = 2 * (32 + 1) + 2 * (16 + 16)
+    assert predicted_removed_params(net, units) == removed
+    plan = PrunePlan(0.1, "grad", {"coupling_encoder_head_a_head_b": units}, removed)
+    pruned, _ = apply_prune(net, graph, plan)
+    before = [(l.weight.values, l.bias.values) for l in net.layers]
+    after = [(l.weight.values, l.bias.values) for l in pruned.layers]
+    np.testing.assert_array_equal(after[1][0], np.delete(before[1][0], [0, 3], axis=0))
+    np.testing.assert_array_equal(after[1][1], np.delete(before[1][1], [0, 3]))
+    for k in (2, 4):
+        np.testing.assert_array_equal(after[k][0],
+                                      np.delete(before[k][0], [0, 3], axis=1))
+    for k in (0, 2, 3, 4, 5):
+        np.testing.assert_array_equal(after[k][1], before[k][1])
+    for k in (0, 3, 5):
+        np.testing.assert_array_equal(after[k][0], before[k][0])
+
+
 def test_apply_prune_leaves_the_original_untouched():
     net = make_toy_multihead(seed=4)
     graph = build_groups(net, 1)
@@ -300,6 +339,8 @@ def test_apply_prune_validates_plans():
         {"encoder_1": [(3, 0)]},            # not this group's unit layer
         {"head_a_1": [(3, 0)]},             # sink layer
         {"encoder_1": [(0, 99)]},           # out of range
+        {"encoder_1": [(0, 32)]},           # one past the last unit
+        {"encoder_1": [(9, 0)]},            # no such layer
         {"encoder_1": [(0, 1), (0, 1)]},    # duplicate
     ]
     for per_group in cases:
