@@ -13,8 +13,8 @@ class NumericsError(PrunescopeError):
     """A non-finite value appeared where finite numbers are required."""
 
 
-class DataFormatError(PrunescopeError):
-    """An input file does not conform to its declared format."""
+class DataFormatError(ConfigurationError):
+    """An input file or document does not conform to its declared format."""
 
 
 class InfeasiblePlanError(PrunescopeError):

@@ -7,19 +7,19 @@ success, 1 for usage errors, 2 when a command starts but fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..errors import ConfigurationError, PrunescopeError
+from ..artifacts import read_json, write_json
+from ..errors import PrunescopeError
 from ..importance import COMBINED, METRICS, states_from_doc
-from ..modelgraph import build_groups, export_manifest
+from ..modelgraph import export_manifest
 from ..netcore import load_checkpoint, save_checkpoint
 from ..pruner import PrunePlan, allocate_budget, apply_prune, verify_consistency
 from .config import DatasetConfig, ExperimentConfig
 from .hypotheses import evaluate_hypotheses, render_report
-from .train import finetune, run_training, save_outputs
+from .train import finetune, load_grouped, run_training, save_outputs
 from .trace import group_order, read_trace, validate_trace
 
 METRIC_CHOICES = METRICS + (COMBINED,)
@@ -103,31 +103,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_states_for(args: argparse.Namespace) -> dict:
-    states_path = Path(args.states) if args.states else (
-        Path(args.checkpoint).parent / "states.json")
-    if not states_path.exists():
-        raise PrunescopeError(
-            f"importance states {states_path} not found; pass --states")
-    try:
-        doc = json.loads(states_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"importance states {states_path} are not valid JSON: {exc}") from exc
-    return states_from_doc(doc)
-
-
 def cmd_prune(args: argparse.Namespace) -> int:
     if args.plan is None and args.out is None:
         raise PrunescopeError("prune needs --out (or --plan to stop at planning)")
-    net, meta = load_checkpoint(args.checkpoint)
-    graph = build_groups(net, int(meta.get("layers_per_group", 1)))
+    net, graph, meta = load_grouped(args.checkpoint, 1)
     if args.apply:
         plan = PrunePlan.load(args.apply)
     else:
         if args.sparsity is None:
             raise PrunescopeError("prune needs --sparsity when allocating a plan")
-        states = _load_states_for(args)
+        states_path = args.states or Path(args.checkpoint).parent / "states.json"
+        states = states_from_doc(read_json(states_path, "importance states"))
         weights = tuple(args.weights) if args.weights else None
         plan = allocate_budget(states, graph, net, args.sparsity,
                                args.metric, protect=args.protect,
@@ -146,8 +132,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
                     meta={**meta, "pruned_from": str(args.checkpoint),
                           "target_sparsity": plan.target_sparsity})
     plan.save(out / "plan.json")
-    (out / "manifest.json").write_text(
-        json.dumps(export_manifest(pruned, new_graph), indent=2))
+    write_json(out / "manifest.json", export_manifest(pruned, new_graph), indent=2)
     achieved = plan.predicted_removed / before
     print(f"removed {plan.predicted_removed} of {before} parameters "
           f"({achieved:.4f} vs target {plan.target_sparsity:.4f})")
@@ -213,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except PrunescopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PrunescopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import Fields, read_json, write_json
 from ..errors import ConfigurationError
 from ..importance import BayesConfig
 from ..netcore import DenseLayer, Network, build_sequential
@@ -57,7 +57,7 @@ class DatasetConfig:
     test_images: str | None = None
     n_train: int = 1024
     n_test: int = 256
-    rank: int = 32
+    rank: int | None = 32
     target: str = "identity"
 
     def __post_init__(self) -> None:
@@ -111,82 +111,58 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["model"]["widths"] = (list(self.model.widths)
-                                  if self.model.widths else None)
-        doc["model"]["activations"] = (list(self.model.activations)
-                                       if self.model.activations else None)
-        if self.model.components:
-            doc["model"]["components"] = {
-                name: [lo, hi] for name, (lo, hi) in self.model.components.items()}
-        doc["metric_weights"] = list(self.metric_weights)
-        return doc
+        """The JSON-ready document (tuples are written as arrays)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigurationError("config document must be a JSON object")
-        known = {"model", "dataset", "optimizer", "bayes", "schedule", "epochs",
-                 "batch_size", "seed", "layers_per_group", "gamma",
-                 "metric_weights"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        try:
-            if "model" in doc:
-                m = dict(doc["model"])
-                if m.get("widths"):
-                    m["widths"] = tuple(int(w) for w in m["widths"])
-                if m.get("activations"):
-                    m["activations"] = tuple(m["activations"])
-                if m.get("components"):
-                    m["components"] = {name: (int(lo), int(hi))
-                                       for name, (lo, hi) in m["components"].items()}
-                kwargs["model"] = ModelConfig(**m)
-            if "dataset" in doc:
-                kwargs["dataset"] = DatasetConfig(**doc["dataset"])
-            if "optimizer" in doc:
-                kwargs["optimizer"] = OptimizerConfig(**doc["optimizer"])
-            if "bayes" in doc:
-                kwargs["bayes"] = BayesConfig(**doc["bayes"])
-            if "schedule" in doc:
-                kwargs["schedule"] = ScheduleConfig(**doc["schedule"])
-            for key in ("epochs", "batch_size", "seed", "layers_per_group"):
-                if key in doc:
-                    kwargs[key] = int(doc[key])
-            if "gamma" in doc:
-                kwargs["gamma"] = float(doc["gamma"])
-            if "metric_weights" in doc:
-                kwargs["metric_weights"] = tuple(float(w) for w in doc["metric_weights"])
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad config value: {exc}") from exc
-        return cls(**kwargs)
+        return _section(cls, Fields(doc, "config"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return _section(cls, Fields(read_json(path, "config"), f"config {path}"))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_json(path, self.to_dict(), indent=2)
 
     def resolve_seed(self) -> int:
         """The run seed; the PRUNESCOPE_SEED environment variable wins."""
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return self.seed
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+        env = Fields(dict(os.environ), "environment", text=True)
+        return env.int(SEED_ENV_VAR, self.seed)
+
+
+_SECTIONS = {cls.__name__: cls for cls in (ModelConfig, DatasetConfig, OptimizerConfig,
+                                           BayesConfig, ScheduleConfig)}
+
+
+def _section(cls: type, doc: Fields):
+    """``cls`` built from one config object, each field read as the type its
+    annotation names; a field the object leaves out keeps its default."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(doc.keys()) - set(types))
+    if unknown:
+        where = f" in {doc.at!r}" if doc.at else ""
+        raise ConfigurationError(f"unknown config keys{where}: {unknown}")
+    return cls(**{name: _typed(doc, name, types[name]) for name in doc.keys()})
+
+
+def _typed(doc: Fields, key: object, annotation: str) -> object:
+    kind = annotation.removesuffix(" | None")
+    if kind != annotation and doc.value[key] is None:
+        return None
+    if kind in _SECTIONS:
+        return _section(_SECTIONS[kind], doc.obj(key))
+    if kind.startswith("tuple["):
+        parts = kind[len("tuple["):-1].split(", ")
+        items = doc.arr(key, length=None if parts[-1] == "..." else len(parts))
+        return tuple(_typed(items, i, parts[0]) for i in items.keys())
+    if kind.startswith("dict[str, "):
+        items = doc.obj(key)
+        return {name: _typed(items, name, kind[len("dict[str, "):-1])
+                for name in items.keys()}
+    if kind == "float":
+        return doc.float(key, finite=True)
+    return getattr(doc, kind)(key)  # "int" or "str"
 
 
 def build_model(model: ModelConfig, seed: int) -> Network:

@@ -79,6 +79,8 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         raise ConfigurationError("need n_train >= 1 and n_test >= 0")
     if in_dim < 1 or out_dim < 1:
         raise ConfigurationError("dataset widths must be positive")
+    if target not in ("identity", "affine"):
+        raise ConfigurationError(f"unknown synthetic target {target!r}")
     if target == "identity" and out_dim != in_dim:
         raise ConfigurationError(
             f"identity targets need out_dim == in_dim, got {in_dim} -> "
@@ -96,11 +98,9 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
     x = (x - lo) / (span if span > 0 else 1.0)
     if target == "identity":
         y = x
-    elif target == "affine":
+    else:
         a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)
         c = rng.uniform(0.0, 1.0, size=out_dim)
         y = x @ a + c
-    else:
-        raise ConfigurationError(f"unknown synthetic target {target!r}")
     return (x[:n_train].copy(), y[:n_train].copy(),
             x[n_train:].copy(), y[n_train:].copy())

@@ -10,11 +10,12 @@ reloads to bitwise-identical values.
 from __future__ import annotations
 
 import csv
-import json
+import io
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
+from ..artifacts import Fields, read_csv, read_json, write_atomic, write_json
 from ..errors import DataFormatError
 
 TRACE_FIELDS = ("epoch", "group_id", "kind", "lambda", "raw_grad", "ema_grad",
@@ -46,33 +47,23 @@ class TraceRecord:
         return doc
 
 
-def _record_from_row(row: dict) -> TraceRecord:
-    try:
-        return TraceRecord(
-            epoch=int(row["epoch"]),
-            group_id=str(row["group_id"]),
-            kind=str(row["kind"]),
-            lambda_=float(row["lambda"]),
-            **{name: float(row[name]) for name in _FLOAT_FIELDS[1:]})
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"malformed trace row {row!r}: {exc}") from exc
+def _record_from_row(row: Fields) -> TraceRecord:
+    return TraceRecord(row.int("epoch"), row.str("group_id"), row.str("kind"),
+                       *(row.float(name) for name in _FLOAT_FIELDS))
 
 
 def emit_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     """Write records as ``.csv`` or ``.json``, chosen by file extension."""
     path = Path(path)
-    records = list(records)
+    rows = [rec.as_row() for rec in records]
     if path.suffix == ".csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_FIELDS)
-            for rec in records:
-                row = rec.as_row()
-                writer.writerow(
-                    [row["epoch"], row["group_id"], row["kind"]]
-                    + [format(row[name], ".17g") for name in _FLOAT_FIELDS])
+        buf = io.StringIO()
+        csv.writer(buf).writerows([TRACE_FIELDS] + [
+            [row["epoch"], row["group_id"], row["kind"]]
+            + [format(row[name], ".17g") for name in _FLOAT_FIELDS] for row in rows])
+        write_atomic(path, buf.getvalue())
     elif path.suffix == ".json":
-        path.write_text(json.dumps([rec.as_row() for rec in records], indent=2))
+        write_json(path, rows, indent=2)
     else:
         raise DataFormatError(
             f"trace path {path} must end in .csv or .json")
@@ -80,25 +71,14 @@ def emit_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"trace file {path} does not exist")
     if path.suffix == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_FIELDS:
-                raise DataFormatError(
-                    f"trace {path} has header {reader.fieldnames}, "
-                    f"expected {list(TRACE_FIELDS)}")
-            return [_record_from_row(row) for row in reader]
-    if path.suffix == ".json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"trace {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, list):
-            raise DataFormatError(f"trace {path} must hold a JSON array")
-        return [_record_from_row(row) for row in doc]
-    raise DataFormatError(f"trace path {path} must end in .csv or .json")
+        rows = read_csv(path, "trace", TRACE_FIELDS)
+    elif path.suffix == ".json":
+        doc = Fields(read_json(path, "trace"), f"trace {path}", list)
+        rows = [doc.obj(i) for i in doc.keys()]
+    else:
+        raise DataFormatError(f"trace path {path} must end in .csv or .json")
+    return [_record_from_row(row) for row in rows]
 
 
 def validate_trace(records: list[TraceRecord]) -> list[str]:

@@ -8,13 +8,13 @@ final iteration's metrics together with epoch-end norms and losses.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRICS, init_states,
                           rank_groups, states_to_doc, update_all)
@@ -105,6 +105,8 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     which is how fine-tuning reuses this loop on a pruned checkpoint.
     """
     seed = cfg.resolve_seed() if seed is None else int(seed)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     epochs = cfg.epochs if epochs is None else int(epochs)
     if epochs < 1:
         raise ConfigurationError("epochs must be at least 1")
@@ -173,11 +175,22 @@ def finetune(checkpoint_path: str | Path, cfg: ExperimentConfig,
     the ``layers_per_group`` recorded in its metadata; importance states start
     fresh so the smoothed metrics describe the fine-tuning phase only.
     """
-    net, meta = load_checkpoint(checkpoint_path)
-    lpg = int(meta.get("layers_per_group", cfg.layers_per_group))
-    graph = build_groups(net, lpg)
-    cfg = replace(cfg, layers_per_group=lpg)
+    net, graph, _ = load_grouped(checkpoint_path, cfg.layers_per_group)
+    cfg = replace(cfg, layers_per_group=graph.layers_per_group)
     return run_training(cfg, net=net, graph=graph, epochs=epochs)
+
+
+def load_grouped(checkpoint_path: str | Path,
+                 layers_per_group: int) -> tuple[Network, ComponentGraph, dict]:
+    """Load a checkpoint and rebuild its groups with the ``layers_per_group``
+    its metadata records (``layers_per_group`` when it records none).
+
+    Returns the network, its groups and the metadata.
+    """
+    net, meta = load_checkpoint(checkpoint_path)
+    lpg = Fields(meta, f"checkpoint {checkpoint_path} meta").int(
+        "layers_per_group", layers_per_group, low=1)
+    return net, build_groups(net, lpg), meta
 
 
 def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
@@ -202,11 +215,10 @@ def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
                                         default=0)})
     emit_trace(result.records, paths["trace_csv"])
     emit_trace(result.records, paths["trace_json"])
-    paths["states"].write_text(json.dumps(
-        states_to_doc(result.states, cfg.gamma, cfg.bayes), indent=2))
-    paths["manifest"].write_text(json.dumps(
-        export_manifest(result.net, result.graph), indent=2))
-    paths["summary"].write_text(json.dumps(_summary_doc(result), indent=2))
+    write_json(paths["states"], states_to_doc(result.states, cfg.gamma, cfg.bayes),
+               indent=2)
+    write_json(paths["manifest"], export_manifest(result.net, result.graph), indent=2)
+    write_json(paths["summary"], _summary_doc(result), indent=2)
     return paths
 
 

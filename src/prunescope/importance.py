@@ -30,6 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import Fields
 from .errors import ConfigurationError
 from .modelgraph import (AXIS_IN, AXIS_OUT, ComponentGraph, PruningGroup,
                          group_tensors)
@@ -37,6 +38,9 @@ from .netcore import Network, ROLE_WEIGHT
 
 METRICS = ("grad", "fisher", "bayes")
 COMBINED = "combined"
+
+STATES_FORMAT = "prunescope.states"
+STATES_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -278,8 +282,8 @@ def rank_groups(states: Mapping[str, GroupImportanceState], metric: str,
 def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
                   cfg: BayesConfig) -> dict:
     return {
-        "format": "prunescope.states",
-        "version": 1,
+        "format": STATES_FORMAT,
+        "version": STATES_VERSION,
         "gamma": gamma,
         "bayes": {"kappa": cfg.kappa, "eta": cfg.eta,
                   "alpha0": cfg.alpha0, "beta0": cfg.beta0},
@@ -306,23 +310,28 @@ def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
 
 
 def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
-    if not isinstance(doc, dict) or doc.get("format") != "prunescope.states":
-        raise ConfigurationError("not an importance-state document")
+    """Rebuild the states of :func:`states_to_doc`. Every metric must be
+    finite, alpha and beta positive, and each unit score vector a flat list
+    of finite numbers keyed by its layer index."""
+    doc = Fields.document(doc, "importance states", STATES_FORMAT, STATES_VERSION)
+    groups = doc.arr("groups")
     states = {}
-    try:
-        for entry in doc["groups"]:
-            st = GroupImportanceState(
-                entry["id"], alpha=float(entry["alpha"]), beta=float(entry["beta"]),
-                raw_grad=float(entry["raw_grad"]), raw_fisher=float(entry["raw_fisher"]),
-                raw_bayes=float(entry["raw_bayes"]), ema_grad=float(entry["ema_grad"]),
-                ema_fisher=float(entry["ema_fisher"]), ema_bayes=float(entry["ema_bayes"]),
-                iteration=int(entry["iteration"]),
-                unit_ema={int(layer): np.asarray(scores, dtype=np.float64)
-                          for layer, scores in entry.get("unit_ema", {}).items()})
-            states[st.group_id] = st
-    except KeyError as exc:
-        raise ConfigurationError(f"importance states lack the field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"importance states have a malformed field: {exc}") from None
+    for k in groups.keys():
+        entry = groups.obj(k)
+        unit_ema = entry.obj("unit_ema", {})
+        scores = {}
+        for layer in unit_ema.keys():
+            if not layer.isdecimal():
+                unit_ema.fail(layer, "is not a layer index")
+            vec = unit_ema.arr(layer)
+            scores[int(layer)] = np.asarray(
+                [vec.float(i, finite=True) for i in vec.keys()], dtype=np.float64)
+        st = GroupImportanceState(
+            entry.str("id"),
+            alpha=entry.float("alpha", finite=True, positive=True),
+            beta=entry.float("beta", finite=True, positive=True),
+            iteration=entry.int("iteration", low=0), unit_ema=scores,
+            **{f"{kind}_{m}": entry.float(f"{kind}_{m}", finite=True)
+               for m in METRICS for kind in ("raw", "ema")})
+        states[st.group_id] = st
     return states

@@ -10,7 +10,6 @@ finite-difference oracle in :func:`fd_gradient`.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +17,8 @@ from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError
+from .artifacts import Fields, read_json, write_json
+from .errors import ConfigurationError, DataFormatError, NumericsError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
@@ -625,15 +625,13 @@ def _encode_array(arr: np.ndarray) -> str:
 
 def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only little-endian view of one payload; no copy is made."""
-    if not isinstance(text, str):
-        raise ConfigurationError("checkpoint array payload must be a base64 string")
     try:
         raw = base64.b64decode(text.encode("ascii"))
     except ValueError as exc:
-        raise ConfigurationError(f"checkpoint array payload is not base64: {exc}") from exc
+        raise DataFormatError(f"checkpoint array payload is not base64: {exc}") from exc
     expected = 8 * int(np.prod(shape)) if shape else 8
     if len(raw) != expected:
-        raise ConfigurationError(
+        raise DataFormatError(
             f"checkpoint array payload has {len(raw)} bytes, expected {expected}")
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
@@ -641,7 +639,7 @@ def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
 def save_checkpoint(net: Network, path: str | Path,
                     meta: dict | None = None) -> None:
     """Write the network to a JSON checkpoint (bitwise round trip via base64)."""
-    doc = {
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layers": [
@@ -657,15 +655,7 @@ def save_checkpoint(net: Network, path: str | Path,
         ],
         "components": [[name, lo, hi] for name, (lo, hi) in net.components.items()],
         "meta": dict(meta or {}),
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def _checkpoint_int(value: object, what: str, low: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigurationError(
-            f"checkpoint {what} must be an integer >= {low}, got {value!r}")
-    return value
+    })
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
@@ -674,39 +664,31 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     Returns the reconstructed network and the stored metadata dict. The
     network is built from the recorded shapes first, and each payload is
     then decoded straight into its slot of the network's arena. A document
-    of the wrong shape raises :class:`ConfigurationError`.
+    of the wrong shape raises :class:`DataFormatError`.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigurationError(f"{path} is not a network checkpoint")
-    entries, components = doc.get("layers"), doc.get("components")
-    meta = doc.get("meta", {})
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigurationError(f"checkpoint {path} needs a list of layer objects")
-    if not isinstance(components, list) or not all(
-            isinstance(c, list) and len(c) == 3 for c in components):
-        raise ConfigurationError(
-            f"checkpoint {path} needs a list of [name, start, end] components")
-    if not isinstance(meta, dict):
-        raise ConfigurationError(f"checkpoint {path} meta must be an object")
-    layers = []
+    doc = Fields.document(read_json(path, "checkpoint"), f"checkpoint {path}",
+                          CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    layers = doc.arr("layers")
+    entries = [layers.obj(k) for k in layers.keys()]
+    dense = []
     for k, entry in enumerate(entries):
-        out_dim = _checkpoint_int(entry.get("out"), f"layer {k} 'out'", 1)
-        in_dim = _checkpoint_int(entry.get("in"), f"layer {k} 'in'", 1)
-        layers.append(DenseLayer(_placeholder(f"layer{k}.weight", (out_dim, in_dim)),
-                                 _placeholder(f"layer{k}.bias", (out_dim,)),
-                                 entry.get("activation")))
-    net = Network(
-        layers,
-        {str(name): (_checkpoint_int(lo, f"component {name!r} start", 0),
-                     _checkpoint_int(hi, f"component {name!r} end", 0))
-         for name, lo, hi in components},
-        [_checkpoint_int(e.get("input", k - 1), f"layer {k} 'input'", -1)
-         for k, e in enumerate(entries)])
+        out_dim, in_dim = entry.int("out", low=1), entry.int("in", low=1)
+        # Checked before the arena is allocated, so recorded shapes cannot
+        # claim more memory than the file's payloads hold.
+        for role, size in (("weight", out_dim * in_dim), ("bias", out_dim)):
+            if len(entry.str(role)) != 4 * -(-8 * size // 3):
+                entry.fail(role, f"must be the base64 of {size} float64 values")
+        dense.append(DenseLayer(_placeholder(f"layer{k}.weight", (out_dim, in_dim)),
+                                _placeholder(f"layer{k}.bias", (out_dim,)),
+                                entry.str("activation")))
+    components = doc.arr("components")
+    bounds = {}
+    for c in components.keys():
+        name_lo_hi = components.arr(c, length=3)
+        bounds[name_lo_hi.str(0)] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
+    net = Network(dense, bounds,
+                  [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)])
     for layer, entry in zip(net.layers, entries):
-        layer.weight.values = _decode_array(entry.get("weight"), layer.weight.shape)
-        layer.bias.values = _decode_array(entry.get("bias"), layer.bias.shape)
-    return net, dict(meta)
+        layer.weight.values = _decode_array(entry.str("weight"), layer.weight.shape)
+        layer.bias.values = _decode_array(entry.str("bias"), layer.bias.shape)
+    return net, dict(doc.obj("meta", {}).value)

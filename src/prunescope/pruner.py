@@ -12,7 +12,6 @@ untouched.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import Fields, read_json, write_json
 from .errors import ConfigurationError, InfeasiblePlanError
 from .importance import GroupImportanceState, _minmax, metric_scores
 from .modelgraph import ComponentGraph, PruningGroup, build_groups, prunable_units
@@ -28,6 +28,7 @@ from .netcore import DenseLayer, Network, ParamTensor, structural_problems
 UNIT_CAP_FRACTION = 0.9
 
 PLAN_FORMAT = "prunescope.plan"
+PLAN_VERSION = 1
 
 
 @dataclass
@@ -45,7 +46,7 @@ class PrunePlan:
     def to_dict(self) -> dict:
         return {
             "format": PLAN_FORMAT,
-            "version": 1,
+            "version": PLAN_VERSION,
             "target_sparsity": self.target_sparsity,
             "metric": self.ranking_used,
             "predicted_removed_params": self.predicted_removed,
@@ -58,31 +59,25 @@ class PrunePlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PrunePlan":
-        if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-            raise ConfigurationError("not a prune-plan document")
-        try:
-            per_group = {}
-            for gid, entry in doc["groups"].items():
-                units = [(int(layer), int(unit)) for layer, unit in entry["units"]]
-                if len(units) != int(entry.get("unit_count", len(units))):
-                    raise ConfigurationError(f"plan group {gid!r}: unit count mismatch")
-                per_group[gid] = units
-            return cls(float(doc["target_sparsity"]), str(doc["metric"]),
-                       per_group, int(doc["predicted_removed_params"]))
-        except KeyError as exc:
-            raise ConfigurationError(f"prune plan lacks the field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"prune plan has a malformed field: {exc}") from None
+        doc = Fields.document(doc, "prune plan", PLAN_FORMAT, PLAN_VERSION)
+        groups = doc.obj("groups")
+        per_group = {}
+        for gid in groups.keys():
+            entry = groups.obj(gid)
+            units = entry.arr("units")
+            pairs = [units.arr(i, length=2) for i in units.keys()]
+            per_group[gid] = [(p.int(0, low=0), p.int(1, low=0)) for p in pairs]
+            if entry.int("unit_count", len(pairs)) != len(pairs):
+                entry.fail("unit_count", f"does not match the {len(pairs)} units listed")
+        return cls(doc.float("target_sparsity", finite=True), doc.str("metric"),
+                   per_group, doc.int("predicted_removed_params", low=0))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path: str | Path) -> "PrunePlan":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"plan {path} is not valid JSON: {exc}") from exc
+        return cls.from_dict(read_json(path, "prune plan"))
 
 
 def rank_units_within_group(

@@ -1,0 +1,113 @@
+"""The artifact codec: typed fields, atomic writes, and unchanged bytes."""
+
+import hashlib
+import math
+import os
+
+import pytest
+
+from prunescope.artifacts import Fields, write_atomic, write_json
+from prunescope.errors import DataFormatError
+from prunescope.harness.cli import main
+from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
+from prunescope.harness.train import run_training, save_outputs
+
+# SHA-256 of each file a seeded toy train + prune writes, recorded with the
+# encoders as they were before every write went through write_atomic.
+ARTIFACT_DIGESTS = {
+    "pruned/checkpoint.json": "5cba93f491863ebfdf85ee2f2ad6ea4e0a661664f48235b0e3c0b7728d1995d2",
+    "pruned/manifest.json": "14045e22fa38edcc5cced3839724624f7191124eb68f8602e72c9930b5b6cd22",
+    "pruned/plan.json": "1e0b4d2a87143a7f369069e57c01acebf48ab94752df2607674ae1c686c58fcb",
+    "run/checkpoint.json": "ba041ee0713d89ecaa8b17d5fe37cec95f7f77b7f39265c8ec7ef0fa0e9c3b46",
+    "run/config.json": "ad5775cc2153bfa69425c0901a9fcb8fcb50903cd172534600338e36f0176703",
+    "run/manifest.json": "3cbe93bac4e95d483901eb1495c4c3f5db6d10350da4e73704edcd38014f29ae",
+    "run/states.json": "92915a030d52da3ed2dceff766fe6a0da49a232fbb7bb297f05a49f7d9fa9e7c",
+    "run/summary.json": "95612fe1eced6dbece2e51531a0d3d22cb4c3a5054b9162f6012d017cc96efaf",
+    "run/trace.csv": "658a2dc8b4a4647572f0daa188da496082b2a80c0c75ff0e4f65eef4bf3a23ec",
+    "run/trace.json": "883d467ad0dc0646f54b4bc63b4c46cf7fb9740aaec066fdef0925944bf239f2",
+}
+
+
+def test_train_and_prune_write_the_recorded_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the pruned meta records the relative input path
+    cfg = ExperimentConfig(
+        model=ModelConfig(preset="toy_multihead"),
+        dataset=DatasetConfig(kind="synthetic", n_train=128, n_test=32, rank=6,
+                              target="affine"),
+        epochs=3, batch_size=32, seed=0)
+    save_outputs(run_training(cfg), "run")
+    assert main(["prune", "--checkpoint", "run/checkpoint.json", "--sparsity", "0.4",
+                 "--out", "pruned"]) == 0
+    written = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert written == ARTIFACT_DIGESTS
+
+
+@pytest.mark.parametrize("fault", ["replace", "unserializable"])
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch, fault):
+    path = tmp_path / "plan.json"
+    path.write_bytes(b'{"old": true}')
+    if fault == "replace":
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(path, "new text")
+    else:
+        with pytest.raises(TypeError):
+            write_json(path, {"value": object()})
+    assert path.read_bytes() == b'{"old": true}'
+    assert os.listdir(tmp_path) == ["plan.json"]
+
+
+def test_write_atomic_replaces_without_newline_translation(tmp_path):
+    path = tmp_path / "a.csv"
+    write_atomic(path, "x\r\ny\n")
+    write_atomic(path, "é,\r\n")
+    assert path.read_bytes() == "é,\r\n".encode()
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
+@pytest.mark.parametrize("read, value, message", [
+    (lambda f: f.int("k"), 1.0, "must be an integer"),
+    (lambda f: f.int("k"), True, "must be an integer"),
+    (lambda f: f.int("k", low=1), 0, "must be an integer >= 1"),
+    (lambda f: f.float("k"), "1.5", "must be a number"),
+    (lambda f: f.float("k"), False, "must be a number"),
+    (lambda f: f.float("k", finite=True), math.nan, "must be finite"),
+    (lambda f: f.float("k", positive=True), 0.0, "must be positive"),
+    (lambda f: f.str("k"), 3, "must be a string"),
+    (lambda f: f.obj("k"), [], "must be an object"),
+    (lambda f: f.arr("k", length=2), [1], "must hold 2 entries"),
+])
+def test_fields_refuse_the_wrong_type_and_name_the_field(read, value, message):
+    with pytest.raises(DataFormatError, match=f"malformed doc: 'k' {message}"):
+        read(Fields({"k": value}, "doc"))
+
+
+def test_fields_read_defaults_nested_paths_and_text_cells():
+    doc = Fields({"a": [{"b": 2}], "n": 3, "x": 2.5}, "doc")
+    assert doc.int("n") == 3 and doc.float("n") == 3.0 and doc.float("x") == 2.5
+    assert doc.int("absent", 7) == 7 and doc.obj("absent", {}).value == {}
+    inner = doc.arr("a").obj(0)
+    assert inner.int("b") == 2
+    with pytest.raises(DataFormatError, match=r"'a\[0\]\.c' is missing"):
+        inner.int("c")
+    with pytest.raises(DataFormatError, match="the document must be an object"):
+        Fields([], "doc")
+    row = Fields({"epoch": "3", "loss": "0.25", "bad": "1.5"}, "row", text=True)
+    assert row.int("epoch") == 3 and row.float("loss") == 0.25
+    with pytest.raises(DataFormatError, match="'bad' must be an integer"):
+        row.int("bad")
+    assert Fields({"huge": 10 ** 400}, "doc").float("huge") == math.inf
+
+
+def test_document_checks_format_and_version():
+    ok = {"format": "prunescope.plan", "version": 1}
+    assert Fields.document(ok, "plan", "prunescope.plan", 1).value is ok
+    with pytest.raises(DataFormatError, match="not a 'prunescope.plan' document"):
+        Fields.document({"format": "other"}, "plan", "prunescope.plan", 1)
+    with pytest.raises(DataFormatError, match="'version' must be 1, got 99"):
+        Fields.document({**ok, "version": 99}, "plan", "prunescope.plan", 1)
+    with pytest.raises(DataFormatError, match="'version' is missing"):
+        Fields.document({"format": "prunescope.plan"}, "plan", "prunescope.plan", 1)

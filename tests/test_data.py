@@ -127,3 +127,12 @@ def test_synthetic_dataset_validation():
         synthetic_dataset(0, 0, 2, 5, 5)
     with pytest.raises(ConfigurationError):
         synthetic_dataset(0, 8, 2, 5, 5, target="nonsense")
+
+
+def test_unknown_synthetic_target_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("data was drawn before the target was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigurationError, match="bogus"):
+        synthetic_dataset(0, 8, 2, 5, 5, target="bogus")

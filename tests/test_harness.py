@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -42,6 +43,12 @@ def test_config_round_trips_through_json(tmp_path):
     path = tmp_path / "cfg.json"
     cfg.save(path)
     assert ExperimentConfig.from_file(path) == cfg
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    custom = toy_config(model=ModelConfig(
+        preset="custom", widths=(16, 8, 1), activations=("relu", "identity"),
+        components={"body": (0, 1), "head": (1, 2)}))
+    custom.save(path)
+    assert ExperimentConfig.from_file(path) == custom
 
 
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
@@ -451,6 +458,94 @@ def test_cli_failures_exit_two(cli_workspace, capsys):
     fails_typed(prune_with_states)
     states_path.write_text("{broken")
     fails_typed(prune_with_states)
+
+    # States whose values would turn the plan into garbage are refused too.
+    def first_vector(group):
+        return next(iter(group["unit_ema"]))
+
+    for damage in (lambda g: g.update(ema_grad=math.nan),
+                   lambda g: g.update(beta=0.0),
+                   lambda g: g["unit_ema"].update({first_vector(g): [[0.5, 0.25]]}),
+                   lambda g: g["unit_ema"].update({first_vector(g): [0.5, math.inf]})):
+        bad = json.loads((run_dir / "states.json").read_text())
+        damage(bad["groups"][0])
+        states_path.write_text(json.dumps(bad))
+        fails_typed(prune_with_states + ["--metric", "grad"])
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """A trained toy run and a plan for it; tests write damaged copies elsewhere."""
+    root = tmp_path_factory.mktemp("toy_run")
+    cfg_path = root / "cfg.json"
+    toy_config(epochs=2).save(cfg_path)
+    run_dir = root / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    plan_path = root / "plan.json"
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--sparsity", "0.4", "--plan", str(plan_path)]) == 0
+    return cfg_path, run_dir, plan_path
+
+
+def damaged(src, dst, damage):
+    """Copy a JSON artifact to ``dst`` with ``damage`` applied to its document."""
+    doc = json.loads(src.read_text())
+    damage(doc)
+    dst.write_text(json.dumps(doc))
+    return str(dst)
+
+
+def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):
+    cfg_path, run_dir, plan_path = toy_run
+    ckpt, states = run_dir / "checkpoint.json", run_dir / "states.json"
+    capsys.readouterr()
+
+    def fails_typed(argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    out = str(tmp_path / "out")
+    for change in ({"optimizer": {"lr": "abc"}}, {"epochs": 1.9}, {"batch_size": True},
+                   {"seed": -1}):
+        bad_cfg = damaged(cfg_path, tmp_path / "cfg.json", lambda doc: doc.update(change))
+        fails_typed(["train", "--config", bad_cfg, "--out", out])
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"epochs": "\xe9"}')
+    fails_typed(["train", "--config", str(not_utf8), "--out", out])
+    fails_typed(["verify", "--checkpoint", str(not_utf8)])
+    trace = tmp_path / "trace.json"
+    trace.write_text("[1]")
+    fails_typed(["report", "--trace", str(trace)])
+
+    def shift_first_unit(doc):
+        group = next(iter(doc["groups"].values()))
+        group["units"][0][0] += 0.9
+
+    bad_plan = damaged(plan_path, tmp_path / "plan.json", shift_first_unit)
+    fails_typed(["prune", "--checkpoint", str(ckpt), "--apply", bad_plan, "--out", out])
+
+    def version_99(doc):
+        doc["version"] = 99
+
+    fails_typed(["verify", "--checkpoint", damaged(ckpt, tmp_path / "ckpt.json", version_99)])
+    fails_typed(["prune", "--checkpoint", str(ckpt), "--out", out, "--apply",
+                 damaged(plan_path, tmp_path / "plan.json", version_99)])
+    fails_typed(["prune", "--checkpoint", str(ckpt), "--sparsity", "0.4", "--out", out,
+                 "--states", damaged(states, tmp_path / "states.json", version_99)])
+
+
+def test_cli_refuses_a_mistyped_layers_per_group(toy_run, tmp_path, capsys):
+    cfg_path, run_dir, _ = toy_run
+    bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                  lambda doc: doc["meta"].update(layers_per_group="x"))
+    capsys.readouterr()
+    for argv in (["prune", "--checkpoint", bad, "--sparsity", "0.4",
+                  "--out", str(tmp_path / "p")],
+                 ["finetune", "--checkpoint", bad, "--config", str(cfg_path),
+                  "--epochs", "1", "--out", str(tmp_path / "f")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "layers_per_group" in err
 
 
 def test_star_imports_resolve_every_exported_name():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from prunescope.errors import ConfigurationError, NumericsError
+from prunescope import netcore
+from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                                 add_l1_subgradient, apply_activation,
@@ -448,6 +449,22 @@ def test_checkpoint_rejects_malformed_fields(tmp_path, damage):
     damage(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shapes_are_checked_against_payloads_before_allocation(
+        tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(make_net([2, 2], ["identity"], seed=0), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["out"] = 3  # the payloads still hold a 2 x 2 layer
+    path.write_text(json.dumps(doc))
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("the network was built before the payloads were checked")
+
+    monkeypatch.setattr(netcore, "Network", no_network)
+    with pytest.raises(DataFormatError, match=r"'layers\[0\]\.weight' must be the base64"):
         load_checkpoint(path)
 
 
