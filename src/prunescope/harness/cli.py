@@ -155,11 +155,14 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     records = read_trace(args.trace)
-    problems = validate_trace(records)
-    if problems:
-        for problem in problems:
-            print(f"problem: {problem}", file=sys.stderr)
-        return 2
+    if args.hypotheses:  # evaluate_hypotheses validates the trace itself
+        hypotheses = evaluate_hypotheses(records, window=args.window)
+    else:
+        problems = validate_trace(records)
+        if problems:
+            for problem in problems:
+                print(f"problem: {problem}", file=sys.stderr)
+            return 2
     epochs = sorted({r.epoch for r in records})
     ids = group_order(records)
     print(f"trace: {len(records)} rows, epochs {epochs[0]}..{epochs[-1]}, "
@@ -172,7 +175,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"l1={rec.l1_norm:.6g}")
     if args.hypotheses:
         print()
-        print(render_report(evaluate_hypotheses(records, window=args.window)))
+        print(render_report(hypotheses))
     return 0
 
 

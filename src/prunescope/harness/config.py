@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ConfigurationError("layers_per_group must be at least 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if (len(self.metric_weights) != 3 or any(w < 0 for w in self.metric_weights)
-                or abs(sum(self.metric_weights) - 1.0) > 1e-9):
+        if (len(self.metric_weights) != 3 or not all(w >= 0 for w in self.metric_weights)
+                or not abs(sum(self.metric_weights) - 1.0) <= 1e-9):  # NaN fails
             raise ConfigurationError(
                 "metric_weights must be three non-negative values summing to 1")
 

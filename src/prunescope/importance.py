@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError
-from .modelgraph import (AXIS_IN, AXIS_OUT, ComponentGraph, PruningGroup,
-                         group_tensors)
+from .modelgraph import AXIS_OUT, ComponentGraph, PruningGroup, group_tensors
 from .netcore import Network, ROLE_WEIGHT
 
 METRICS = ("grad", "fisher", "bayes")
@@ -90,33 +89,37 @@ def init_states(graph: ComponentGraph,
             for g in graph.groups}
 
 
-def _flatten(grads: Sequence[np.ndarray] | np.ndarray) -> list[np.ndarray]:
+def _flatten(grads: Sequence[np.ndarray] | np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The gradients as float64 arrays, and their element count."""
     if isinstance(grads, np.ndarray):
         grads = [grads]
     arrays = [np.asarray(g, dtype=np.float64) for g in grads]
-    if not arrays or sum(a.size for a in arrays) == 0:
+    count = sum(a.size for a in arrays)
+    if count == 0:
         raise ConfigurationError("importance metrics need at least one parameter")
-    return arrays
+    return arrays, count
 
 
-def _group_mean(parts: Sequence[np.ndarray]) -> float:
-    """(1/N) times the sum of per-tensor sums, N counting every element.
+def _group_mean(parts: Sequence[np.ndarray], count: int) -> float:
+    """(1/N) times the sum of per-tensor sums, N = ``count`` elements.
 
     Each tensor is summed on its own, in order, so the result is the same
     whether the parts are separate arrays or slots of one arena buffer.
     """
-    return sum(float(p.sum()) for p in parts) / sum(p.size for p in parts)
+    return sum([float(np.add.reduce(p, axis=None)) for p in parts]) / count
 
 
 def grad_magnitude(grads: Sequence[np.ndarray] | np.ndarray) -> float:
     """Mean absolute gradient over the group: (1/N) sum |g|. It is also
     the gradient energy the Bayes tracker observes."""
-    return _group_mean([np.abs(a) for a in _flatten(grads)])
+    arrays, count = _flatten(grads)
+    return _group_mean([np.abs(a) for a in arrays], count)
 
 
 def fisher_diag(grads: Sequence[np.ndarray] | np.ndarray) -> float:
     """Mean squared gradient over the group: (1/N) sum g^2."""
-    return _group_mean([a * a for a in _flatten(grads)])
+    arrays, count = _flatten(grads)
+    return _group_mean([a * a for a in arrays], count)
 
 
 def bayes_update(state: GroupImportanceState, energy: float,
@@ -147,31 +150,56 @@ def ema_update(previous: float, current: float, gamma: float) -> float:
     return gamma * previous + (1.0 - gamma) * current
 
 
-def _unit_scores(net: Network, group: PruningGroup, unit_layer: int,
-                 abs_grads: Mapping[tuple[int, str], np.ndarray]) -> np.ndarray:
-    """Per-unit mean |grad| over the group-owned slices indexed by this layer's
-    output units."""
-    out_dim = net.layers[unit_layer].out_dim
-    numerator = np.zeros(out_dim)
-    weight_count = 0
-    for s in group.member_slices:
-        if s.unit_layer != unit_layer:
-            continue
-        a = abs_grads[(s.layer, s.role)]
-        if s.role == ROLE_WEIGHT:
-            if s.unit_axis == AXIS_OUT:
-                numerator += a.sum(axis=1)
-                weight_count += a.shape[1]
-            elif s.unit_axis == AXIS_IN:
-                numerator += a.sum(axis=0)
-                weight_count += a.shape[0]
-        else:
-            numerator += a
-            weight_count += 1
-    if weight_count == 0:
+@dataclass(frozen=True)
+class _GroupPlan:
+    """What :func:`update_all` reads of one group, fixed by the layout.
+
+    ``slots`` holds each owned tensor's arena range and shape, in slice
+    order, and ``count`` their element count. ``units`` holds, per unit
+    layer, its width, the parts its unit scores sum (an index into
+    ``slots`` and the weight axis to reduce, or None for a bias) and the
+    number of weights per unit they add up.
+    """
+
+    group_id: str
+    slots: tuple[tuple[int, int, tuple[int, ...]], ...]
+    count: int
+    units: tuple[tuple[int, int, tuple[tuple[int, int | None], ...], int], ...]
+
+
+def _plan_group(net: Network, group: PruningGroup) -> _GroupPlan:
+    tensors = group_tensors(net, group)
+    slots = tuple((t.offset, t.offset + t.size, t.shape) for t in tensors)
+    units = []
+    for unit_layer in group.unit_layers():
+        parts, per_unit = [], 0
+        for i, (s, t) in enumerate(zip(group.member_slices, tensors)):
+            if s.unit_layer != unit_layer:
+                continue
+            if s.role != ROLE_WEIGHT:
+                parts.append((i, None))
+                per_unit += 1
+            else:  # a row per unit on its own layer, a column on a consumer
+                axis = 1 if s.unit_axis == AXIS_OUT else 0
+                parts.append((i, axis))
+                per_unit += t.shape[axis]
+        units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
+    return _GroupPlan(group.id, slots, sum(t.size for t in tensors), tuple(units))
+
+
+def _importance_plan(net: Network, graph: ComponentGraph) -> tuple[_GroupPlan, ...]:
+    """The graph's importance plan, built on first use and kept on the graph.
+
+    The plan holds arena positions, so it serves only networks of the
+    layout the graph was built for; any other network is refused.
+    """
+    if net.layout != graph.layout:
         raise ConfigurationError(
-            f"group {group.id!r} has no slices indexed by layer {unit_layer}")
-    return numerator / weight_count
+            "the network's parameter layout differs from the one its groups "
+            "were built for; rebuild the groups with build_groups(net)")
+    if graph.importance_plan is None:
+        graph.importance_plan = tuple(_plan_group(net, g) for g in graph.groups)
+    return graph.importance_plan
 
 
 def update_all(states: dict[str, GroupImportanceState], net: Network,
@@ -183,24 +211,27 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     inputs.
 
     The squared and the absolute gradients are each taken in one call over
-    the network's gradient arena, into one reused buffer; each group's
-    metric is then reduced over its tensors' slots in slice order, by the
-    same reduction that :func:`fisher_diag` and :func:`grad_magnitude` use.
+    the network's gradient arena, into one buffer; each group's metric is
+    then reduced over its tensors' slots in slice order, by the same
+    reduction that :func:`fisher_diag` and :func:`grad_magnitude` use. Where
+    the slots lie and which of them feed each unit score comes from the
+    graph's importance plan, so a step does only the arithmetic.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
-    for group in graph.groups:
-        if group.id not in states:
-            raise ConfigurationError(f"no importance state for group {group.id!r}")
-    members = [group_tensors(net, group) for group in graph.groups]
+    plan = _importance_plan(net, graph)
+    for group in plan:
+        if group.group_id not in states:
+            raise ConfigurationError(
+                f"no importance state for group {group.group_id!r}")
     scratch = np.multiply(net.flat_grad, net.flat_grad)
-    fishers = [_group_mean([t.slot(scratch) for t in tensors]) for tensors in members]
+    fishers = [_group_mean([scratch[lo:hi] for lo, hi, _ in group.slots], group.count)
+               for group in plan]
     np.abs(net.flat_grad, out=scratch)
-    for group, tensors, raw_fisher in zip(graph.groups, members, fishers):
-        state = states[group.id]
-        abs_grads = {(s.layer, s.role): t.slot(scratch)
-                     for s, t in zip(group.member_slices, tensors)}
-        raw_grad = _group_mean(list(abs_grads.values()))
+    for group, raw_fisher in zip(plan, fishers):
+        state = states[group.group_id]
+        abs_grads = [scratch[lo:hi].reshape(shape) for lo, hi, shape in group.slots]
+        raw_grad = _group_mean(abs_grads, group.count)
         bayes_update(state, raw_grad, cfg)
         raw_bayes = bayes_importance(state.mu, raw_fisher)
 
@@ -217,8 +248,13 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
             state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, gamma)
             state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, gamma)
 
-        for unit_layer in group.unit_layers():
-            scores = _unit_scores(net, group, unit_layer, abs_grads)
+        # Per-unit mean |grad| over the slices each unit layer indexes.
+        for unit_layer, width, parts, per_unit in group.units:
+            numerator = np.zeros(width)
+            for i, axis in parts:
+                a = abs_grads[i]
+                numerator += a if axis is None else np.add.reduce(a, axis)
+            scores = numerator / per_unit
             if first or unit_layer not in state.unit_ema:
                 state.unit_ema[unit_layer] = scores
             else:
@@ -254,9 +290,10 @@ def metric_scores(states: Mapping[str, GroupImportanceState],
     if weights is None:
         weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     weights = [float(w) for w in weights]
-    if len(weights) != len(METRICS) or any(w < 0 for w in weights):
+    # Written so that a NaN weight fails both checks.
+    if len(weights) != len(METRICS) or not all(w >= 0 for w in weights):
         raise ConfigurationError("combined metric needs three non-negative weights")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if not abs(sum(weights) - 1.0) <= 1e-9:
         raise ConfigurationError(f"metric weights must sum to 1, got {sum(weights)}")
     combined = {gid: 0.0 for gid in group_ids}
     for w, name in zip(weights, METRICS):

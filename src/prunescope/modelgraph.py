@@ -55,13 +55,21 @@ class PruningGroup:
 
 
 class ComponentGraph:
-    """The full group decomposition for one network."""
+    """The full group decomposition for one network.
+
+    ``layout`` is the network's :attr:`Network.layout` (tensor names and
+    shapes) that the groups were built for. ``importance_plan`` starts
+    empty; :func:`prunescope.importance.update_all` fills it on first use.
+    """
 
     def __init__(self, components: dict[str, tuple[int, int]],
-                 groups: Iterable[PruningGroup], layers_per_group: int) -> None:
+                 groups: Iterable[PruningGroup], layers_per_group: int,
+                 layout: tuple) -> None:
         self.components = dict(components)
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
+        self.layout = layout
+        self.importance_plan: tuple | None = None
         self._by_id = {g.id: g for g in self.groups}
         if len(self._by_id) != len(self.groups):
             raise ConfigurationError("duplicate group ids in graph")
@@ -192,7 +200,7 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         raise ConfigurationError(
             f"group decomposition covers {total} parameters, network has "
             f"{net.param_count()}")
-    return ComponentGraph(net.components, groups, layers_per_group)
+    return ComponentGraph(net.components, groups, layers_per_group, net.layout)
 
 
 def prunable_units(net: Network, group: PruningGroup) -> list[tuple[int, int]]:

@@ -93,12 +93,6 @@ class ParamTensor:
             grad[...] = self._grad
         self._values, self._grad, self.offset = values, grad, offset
 
-    def slot(self, flat: np.ndarray) -> np.ndarray:
-        """This tensor's slot in an arena-sized buffer, shaped like it."""
-        if self.offset is None:
-            raise ConfigurationError(f"{self.name} belongs to no network")
-        return flat[self.offset:self.offset + self.size].reshape(self.shape)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self._values.shape
@@ -122,13 +116,16 @@ def _placeholder(name: str, shape: tuple[int, ...]) -> ParamTensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + exp(-z)) for z >= 0 and
+    # exp(z) / (1 + exp(z)) below, so exp never overflows and no element
+    # needs a branch of its own.
+    num = np.minimum(z, 0.0)
+    np.exp(num, out=num)
+    den = np.abs(z)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    np.add(den, 1.0, out=den)
+    return np.divide(num, den, out=num)
 
 
 def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:

@@ -191,6 +191,14 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     for group in candidates:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
+        for layer in group.unit_layers():
+            scores = states[group.id].unit_ema.get(layer)
+            width = net.layers[layer].out_dim
+            if scores is not None and len(scores) != width:
+                raise ConfigurationError(
+                    f"group {group.id!r}: {len(scores)} unit scores for layer "
+                    f"{layer}, which has {width} units; the states were not "
+                    "recorded on this network")
 
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
+from prunescope.harness import cli, hypotheses
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
                                        ModelConfig, OptimizerConfig,
@@ -546,6 +547,47 @@ def test_cli_refuses_a_mistyped_layers_per_group(toy_run, tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "layers_per_group" in err
+
+
+def test_cli_refuses_nan_weights_and_foreign_unit_scores(toy_run, tmp_path, capsys):
+    _, run_dir, _ = toy_run
+    ckpt, states = str(run_dir / "checkpoint.json"), run_dir / "states.json"
+    with pytest.raises(ConfigurationError):
+        toy_config(metric_weights=(math.nan, 0.5, 0.5))
+
+    def extend_unit_scores(doc):
+        for entry in doc["groups"]:
+            for scores in entry["unit_ema"].values():
+                scores.extend([0.0] * 50)
+
+    long_states = damaged(states, tmp_path / "states.json", extend_unit_scores)
+    capsys.readouterr()
+    for extra in (["--weights", "nan", "0.5", "0.5"], ["--states", long_states]):
+        out = tmp_path / "out"
+        assert main(["prune", "--checkpoint", ckpt, "--sparsity", "0.4",
+                     "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "checkpoint.json").exists()
+
+
+def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(records):
+        calls.append(len(records))
+        return validate_trace(records)
+
+    monkeypatch.setattr(cli, "validate_trace", counted)
+    monkeypatch.setattr(hypotheses, "validate_trace", counted)
+    _, run_dir, _ = toy_run
+    trace = run_dir / "trace.json"
+    assert main(["report", "--trace", str(trace), "--hypotheses"]) == 0
+    assert len(calls) == 1
+    short = damaged(trace, tmp_path / "trace.json", lambda doc: doc.pop(1))
+    capsys.readouterr()
+    for extra, first_line in (([], "problem:"), (["--hypotheses"], "error:")):
+        assert main(["report", "--trace", short, *extra]) == 2
+        assert capsys.readouterr().err.startswith(first_line)
 
 
 def test_star_imports_resolve_every_exported_name():

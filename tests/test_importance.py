@@ -226,6 +226,26 @@ def test_unit_scores_for_coupling_group_by_hand():
     np.testing.assert_allclose(st.unit_ema[1], expected, rtol=1e-15)
 
 
+def test_update_all_refuses_a_network_of_another_layout():
+    """The graph's importance plan is built once and serves every network of
+    its layout; a network of another layout (here one layer narrower, as
+    after a prune) is refused, even on the first call."""
+    net = make_two_component_chain(seed=4)
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    states = init_states(graph, cfg)
+    grads_for(net)
+    update_all(states, net, graph, cfg, gamma=0.9)
+    plan = graph.importance_plan
+    update_all(states, net.copy(), graph, cfg, gamma=0.9)
+    assert graph.importance_plan is plan
+    narrower = make_two_component_chain(seed=4, widths=(6, 5, 3, 3, 2))
+    grads_for(narrower)
+    for g in (graph, build_groups(net, 1)):
+        with pytest.raises(ConfigurationError, match="layout"):
+            update_all(init_states(g, cfg), narrower, g, cfg, gamma=0.9)
+
+
 def test_update_all_requires_states_for_every_group():
     net = make_two_component_chain(seed=3)
     graph = build_groups(net, 1)

@@ -36,6 +36,19 @@ def test_sigmoid_matches_reference_and_stays_finite():
     np.testing.assert_allclose(out[1], 1.0 / (1.0 + math.exp(5.0)), rtol=1e-15)
     np.testing.assert_allclose(out[3], 1.0 / (1.0 + math.exp(-5.0)), rtol=1e-15)
     assert (np.diff(out) >= 0).all()
+    ends = apply_activation("sigmoid", np.array([-np.inf, -0.0, np.inf, np.nan]))
+    assert ends[0] == 0.0 and ends[1] == 0.5 and ends[2] == 1.0
+    assert np.isnan(ends[3])
+    # The same bits as the sign-split form: 1/(1+exp(-z)) for z >= 0,
+    # exp(z)/(1+exp(z)) below.
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(0.0, scale, 2000)
+                        for scale in (1e-300, 1e-8, 1.0, 30.0, 800.0)])
+    pos = z >= 0
+    split = np.empty_like(z)
+    split[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    split[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    assert apply_activation("sigmoid", z).tobytes() == split.tobytes()
 
 
 def test_unknown_activation_rejected():
