@@ -16,9 +16,9 @@ import numpy as np
 
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
-from ..importance import (GroupImportanceState, METRICS, init_states,
-                          rank_groups, states_to_doc, update_all)
-from ..modelgraph import ComponentGraph, build_groups, export_manifest, group_segments
+from ..importance import (GroupImportanceState, METRICS, importance_plan,
+                          init_states, rank_groups, states_to_doc, update_all)
+from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, add_l1_subgradient, backward,
                        forward, load_checkpoint, mse_loss, save_checkpoint)
 from ..scheduler import (group_l1_norm, l1_term, lambda_weight_at, schedule_row,
@@ -122,7 +122,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     groups = graph.groups
     schedule = cfg.schedule.with_groups(len(groups))
     param_counts = [g.param_count for g in groups]
-    segments = [group_segments(net, g) for g in groups]
+    plan = importance_plan(net, graph)
     states = init_states(graph, cfg.bayes)
     optimizer = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng([seed, 2])
@@ -132,6 +132,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     for epoch in range(1, epochs + 1):
         lambdas = schedule_row(epoch - 1, param_counts, schedule)
         weight = lambda_weight_at(epoch, schedule)
+        l1_runs = plan.l1_parts([weight * lam for lam in lambdas])
         order = shuffle_rng.permutation(len(x_train))
         starts = range(0, len(x_train), cfg.batch_size)
         for it, lo in enumerate(starts):
@@ -144,8 +145,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
             update_all(states, net, graph, cfg.bayes, cfg.gamma)
-            for lam, views in zip(lambdas, segments):
-                add_l1_subgradient(views, weight * lam)
+            add_l1_subgradient(net, l1_runs)
             if lo == starts[-1]:  # the epoch's loss is taken before its last step
                 l1 = l1_term(net, groups, lambdas)
             optimizer.step(net)

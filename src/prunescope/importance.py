@@ -33,7 +33,7 @@ import numpy as np
 from .artifacts import Fields
 from .errors import ConfigurationError
 from .modelgraph import AXIS_OUT, ComponentGraph, PruningGroup, group_tensors
-from .netcore import Network, ROLE_WEIGHT
+from .netcore import ADAM_BLOCK, Network, ROLE_WEIGHT, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
 COMBINED = "combined"
@@ -155,16 +155,59 @@ class _GroupPlan:
     """What :func:`update_all` reads of one group, fixed by the layout.
 
     ``slots`` holds each owned tensor's arena range and shape, in slice
-    order, and ``count`` their element count. ``units`` holds, per unit
-    layer, its width, the parts its unit scores sum (an index into
-    ``slots`` and the weight axis to reduce, or None for a bias) and the
-    number of weights per unit they add up.
+    order, ``count`` their element count and ``runs`` the slots merged into
+    ranges of adjacent elements. ``units`` holds, per unit layer, its
+    width, the parts its unit scores sum (an index into ``slots`` and the
+    weight axis to reduce, or None for a bias) and the number of weights
+    per unit they add up.
     """
 
     group_id: str
     slots: tuple[tuple[int, int, tuple[int, ...]], ...]
     count: int
+    runs: tuple[tuple[int, int], ...]
     units: tuple[tuple[int, int, tuple[tuple[int, int | None], ...], int], ...]
+
+
+@dataclass(frozen=True)
+class _PlanPart:
+    """One lane's share of a plan: consecutive groups, the index of the
+    first in the plan, and their slots merged into arena runs."""
+
+    groups: tuple[_GroupPlan, ...]
+    first: int
+    runs: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class ImportancePlan:
+    """The per-step view of a graph: one :class:`_GroupPlan` per group, in
+    graph order, and the groups split into lanes.
+
+    A network that spans at least one ``ADAM_BLOCK`` has two parts of about
+    equal element count, the second for the second lane; a smaller one has
+    a single part.
+    """
+
+    groups: tuple[_GroupPlan, ...]
+    parts: tuple[_PlanPart, ...]
+
+    def l1_parts(self, coeffs: Sequence[float]) -> list[list[tuple[int, int, float]]]:
+        """The ``add_l1_subgradient`` runs for one coefficient per group."""
+        return [[(lo, hi, float(coeffs[i]))
+                 for i, group in enumerate(part.groups, part.first) for lo, hi in group.runs]
+                for part in self.parts]
+
+
+def _merged(ranges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Half-open ranges, sorted, with adjacent ones joined."""
+    runs: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if runs and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return tuple(runs)
 
 
 def _plan_group(net: Network, group: PruningGroup) -> _GroupPlan:
@@ -184,10 +227,25 @@ def _plan_group(net: Network, group: PruningGroup) -> _GroupPlan:
                 parts.append((i, axis))
                 per_unit += t.shape[axis]
         units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
-    return _GroupPlan(group.id, slots, sum(t.size for t in tensors), tuple(units))
+    return _GroupPlan(group.id, slots, sum(t.size for t in tensors),
+                      _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units))
 
 
-def _importance_plan(net: Network, graph: ComponentGraph) -> tuple[_GroupPlan, ...]:
+def _split(groups: Sequence[_GroupPlan]) -> tuple[_PlanPart, ...]:
+    """One part, or two at the group boundary that best halves the elements."""
+    total = sum(g.count for g in groups)
+    cut, best, before = len(groups), total, 0
+    if total >= ADAM_BLOCK:
+        for i, g in enumerate(groups[:-1], start=1):
+            before += g.count
+            if abs(2 * before - total) < best:
+                cut, best = i, abs(2 * before - total)
+    return tuple(_PlanPart(tuple(part), first, _merged([r for g in part for r in g.runs]))
+                 for first, part in ((0, groups[:cut]), (cut, groups[cut:]))
+                 if part)
+
+
+def importance_plan(net: Network, graph: ComponentGraph) -> ImportancePlan:
     """The graph's importance plan, built on first use and kept on the graph.
 
     The plan holds arena positions, so it serves only networks of the
@@ -198,7 +256,8 @@ def _importance_plan(net: Network, graph: ComponentGraph) -> tuple[_GroupPlan, .
             "the network's parameter layout differs from the one its groups "
             "were built for; rebuild the groups with build_groups(net)")
     if graph.importance_plan is None:
-        graph.importance_plan = tuple(_plan_group(net, g) for g in graph.groups)
+        groups = tuple(_plan_group(net, g) for g in graph.groups)
+        graph.importance_plan = ImportancePlan(groups, _split(groups))
     return graph.importance_plan
 
 
@@ -210,25 +269,41 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     is added. Mutates and returns ``states``; deterministic for identical
     inputs.
 
-    The squared and the absolute gradients are each taken in one call over
-    the network's gradient arena, into one buffer; each group's metric is
-    then reduced over its tensors' slots in slice order, by the same
-    reduction that :func:`fisher_diag` and :func:`grad_magnitude` use. Where
-    the slots lie and which of them feed each unit score comes from the
-    graph's importance plan, so a step does only the arithmetic.
+    Each part of the graph's importance plan takes the squared and then the
+    absolute gradients over its arena runs, into one buffer; each group's
+    metric is then reduced over its tensors' slots in slice order, by the
+    same reduction that :func:`fisher_diag` and :func:`grad_magnitude` use.
+    The second part, if any, runs on the second lane. Where the slots lie
+    and which of them feed each unit score comes from the plan, so a step
+    does only the arithmetic, and a group's arithmetic does not depend on
+    the part it is in.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
-    plan = _importance_plan(net, graph)
-    for group in plan:
+    plan = importance_plan(net, graph)
+    for group in plan.groups:
         if group.group_id not in states:
             raise ConfigurationError(
                 f"no importance state for group {group.group_id!r}")
-    scratch = np.multiply(net.flat_grad, net.flat_grad)
+    scratch = np.empty(net.flat_grad.size)
+    with second_lane(scratch.size) as lane:
+        for part in plan.parts[1:]:
+            lane.submit(_update_part, part, states, net.flat_grad, scratch, cfg, gamma)
+        _update_part(plan.parts[0], states, net.flat_grad, scratch, cfg, gamma)
+    return states
+
+
+def _update_part(part: _PlanPart, states: dict[str, GroupImportanceState],
+                 grad: np.ndarray,
+                 scratch: np.ndarray, cfg: BayesConfig, gamma: float) -> None:
+    groups = part.groups
+    for lo, hi in part.runs:
+        np.multiply(grad[lo:hi], grad[lo:hi], out=scratch[lo:hi])
     fishers = [_group_mean([scratch[lo:hi] for lo, hi, _ in group.slots], group.count)
-               for group in plan]
-    np.abs(net.flat_grad, out=scratch)
-    for group, raw_fisher in zip(plan, fishers):
+               for group in groups]
+    for lo, hi in part.runs:
+        np.abs(grad[lo:hi], out=scratch[lo:hi])
+    for group, raw_fisher in zip(groups, fishers):
         state = states[group.group_id]
         abs_grads = [scratch[lo:hi].reshape(shape) for lo, hi, shape in group.slots]
         raw_grad = _group_mean(abs_grads, group.count)
@@ -261,7 +336,6 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
                 state.unit_ema[unit_layer] = (
                     gamma * state.unit_ema[unit_layer] + (1.0 - gamma) * scores)
         state.iteration += 1
-    return states
 
 
 def _minmax(values: Sequence[float]) -> list[float]:

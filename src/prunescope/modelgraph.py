@@ -59,7 +59,8 @@ class ComponentGraph:
 
     ``layout`` is the network's :attr:`Network.layout` (tensor names and
     shapes) that the groups were built for. ``importance_plan`` starts
-    empty; :func:`prunescope.importance.update_all` fills it on first use.
+    empty; :func:`prunescope.importance.importance_plan` fills it on first
+    use.
     """
 
     def __init__(self, components: dict[str, tuple[int, int]],
@@ -69,7 +70,7 @@ class ComponentGraph:
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
-        self.importance_plan: tuple | None = None
+        self.importance_plan = None  # an importance.ImportancePlan once built
         self._by_id = {g.id: g for g in self.groups}
         if len(self._by_id) != len(self.groups):
             raise ConfigurationError("duplicate group ids in graph")
@@ -99,19 +100,6 @@ def slice_param_count(net: Network, member: MemberSlice) -> int:
 def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
     """The parameter tensors owned by a group, in slice order."""
     return [_tensor_for(net, s.layer, s.role) for s in group.member_slices]
-
-
-def group_segments(net: Network, group: PruningGroup) -> list[ParamTensor]:
-    """A group's parameters as flat views of the network's arenas, one per
-    run of adjacent tensors (a single view unless the group spans a fan-out)."""
-    runs: list[list[int]] = []
-    for t in sorted(group_tensors(net, group), key=lambda t: t.offset):
-        if runs and runs[-1][1] == t.offset:
-            runs[-1][1] += t.size
-        else:
-            runs.append([t.offset, t.offset + t.size])
-    return [ParamTensor(group.id, net.flat_values[lo:hi], net.flat_grad[lo:hi])
-            for lo, hi in runs]
 
 
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:

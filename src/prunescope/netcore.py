@@ -10,10 +10,16 @@ finite-difference oracle in :func:`fd_gradient`.
 from __future__ import annotations
 
 import base64
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -441,7 +447,9 @@ def backward(net: Network, activations: list[np.ndarray],
     points (one layer feeding several consumers) accumulate the sum of the
     consumers' input gradients. Gradients are overwritten in place, not
     accumulated, across calls; one scan of the gradient arena then checks
-    them all.
+    them all. Each layer's weight and bias gradients go to the second lane
+    (see :func:`second_lane`) while this thread computes the gradient of
+    the layer's input.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -459,24 +467,30 @@ def backward(net: Network, activations: list[np.ndarray],
         raise ConfigurationError(
             f"d_output width {d_output.shape[1]} does not match network output "
             f"width {col}")
-    for k in reversed(range(n)):
-        dh = d_h[k]
-        assert dh is not None  # every non-sink layer feeds a later layer
-        layer = net.layers[k]
-        h = activations[k + 1]
-        if layer.activation == "identity":
-            dz = dh
-        else:
-            dz = dh * activation_grad(layer.activation, h)
-        x = activations[net.source(k) + 1]
-        np.matmul(dz.T, x, out=layer.weight.grad)
-        np.sum(dz, axis=0, out=layer.bias.grad)
-        src = net.source(k)
-        if src >= 0:
-            d_in = dz @ layer.weight.values
-            d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
+    with second_lane(net.flat_grad.size) as lane:
+        for k in reversed(range(n)):
+            dh = d_h[k]
+            assert dh is not None  # every non-sink layer feeds a later layer
+            layer = net.layers[k]
+            h = activations[k + 1]
+            if layer.activation == "identity":
+                dz = dh
+            else:
+                dz = dh * activation_grad(layer.activation, h)
+            src = net.source(k)
+            lane.submit(_param_grads, dz, activations[src + 1],
+                        layer.weight.grad, layer.bias.grad)
+            if src >= 0:
+                d_in = dz @ layer.weight.values
+                d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
     if not np.isfinite(net.flat_grad).all():
         net._raise_non_finite("after backward")
+
+
+def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
+                 bias_grad: np.ndarray) -> None:
+    np.matmul(dz.T, x, out=weight_grad)
+    np.add.reduce(dz, 0, out=bias_grad)  # what np.sum calls, without its wrapper
 
 
 def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
@@ -509,17 +523,31 @@ def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
     return (upper - lower) / (2.0 * h)
 
 
-def add_l1_subgradient(params: Iterable[ParamTensor], coeff: float) -> None:
-    """Add ``coeff * sign(theta)`` to each tensor's gradient in place.
+def add_l1_subgradient(net: Network,
+                       parts: Sequence[Sequence[tuple[int, int, float]]]) -> None:
+    """Add ``coeff * sign(theta)`` to the gradient over arena runs, in place.
 
-    ``coeff`` is the full effective coefficient (schedule value times any
-    global loss weight). The subgradient at exactly zero is zero.
+    Each part is a list of ``(lo, hi, coeff)`` runs of the network's arenas;
+    the first part is done on this thread and the others on the second
+    lane. ``coeff`` is the full effective coefficient (schedule value times
+    any global loss weight). The subgradient at exactly zero is zero. A run
+    whose coefficient is zero is skipped, because adding ``0 * sign(theta)``
+    would turn a ``-0.0`` gradient into ``+0.0``. Runs are worked through in
+    ``ADAM_BLOCK`` pieces, so that no temporary is larger than one block.
     """
-    coeff = float(coeff)
-    if coeff == 0.0:
-        return
-    for tensor in params:
-        tensor.grad += coeff * np.sign(tensor.values)
+    with second_lane(net.flat_grad.size) as lane:
+        for runs in parts[1:]:
+            lane.submit(_add_l1_runs, net, runs)
+        _add_l1_runs(net, parts[0])
+
+
+def _add_l1_runs(net: Network, runs: Sequence[tuple[int, int, float]]) -> None:
+    values, grad = net.flat_values, net.flat_grad
+    for lo, hi, coeff in runs:
+        if coeff != 0.0:
+            for start in range(lo, hi, ADAM_BLOCK):
+                g = grad[start:min(start + ADAM_BLOCK, hi)]
+                g += coeff * np.sign(values[start:start + g.size])
 
 
 # -- optimizers ----------------------------------------------------------
@@ -531,6 +559,34 @@ def add_l1_subgradient(params: Iterable[ParamTensor], coeff: float) -> None:
 ADAM_BLOCK = 32768
 
 
+def _blockwise(net: Network, update: Callable[[int, int, int], np.ndarray],
+               context: str) -> None:
+    """Run ``update(lo, hi, lane)`` over the arena in ``ADAM_BLOCK`` blocks and
+    check the new values it returns for each block while they are still in
+    cache.
+
+    The upper half of the blocks runs on the second lane (``lane`` is 1
+    there, 0 here), so each lane can keep scratch of its own. A block that
+    holds a non-finite value stops its half; once both halves are done,
+    the error names the first tensor that holds one.
+    """
+    size = net.flat_values.size
+    starts = range(0, size, ADAM_BLOCK)
+    half = (size + ADAM_BLOCK) // (2 * ADAM_BLOCK)
+
+    def run(starts: range, lane: int) -> None:
+        for lo in starts:
+            if not np.isfinite(update(lo, lo + ADAM_BLOCK, lane)).all():
+                raise NumericsError(context)
+
+    try:
+        with second_lane(size) as lane:
+            lane.submit(run, starts[half:], 1)
+            run(starts[:half], 0)
+    except NumericsError:
+        net._raise_non_finite(context)
+
+
 class SGD:
     """Plain gradient descent: ``theta -= lr * grad``."""
 
@@ -540,9 +596,14 @@ class SGD:
         self.lr = float(lr)
 
     def step(self, net: Network) -> None:
-        net.flat_values -= self.lr * net.flat_grad
-        if not np.isfinite(net.flat_values).all():
-            net._raise_non_finite("after SGD step")
+        theta, g, lr = net.flat_values, net.flat_grad, self.lr
+
+        def update(lo: int, hi: int, lane: int) -> np.ndarray:
+            tb = theta[lo:hi]
+            tb -= lr * g[lo:hi]
+            return tb
+
+        _blockwise(net, update, "after SGD step")
 
 
 class Adam:
@@ -554,7 +615,8 @@ class Adam:
     The update runs in place, block by block, in the element-wise order
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
-    are checked for finiteness while still in cache.
+    are checked for finiteness while still in cache. Each lane has its own
+    pair of scratch blocks.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -570,7 +632,8 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self._layout: tuple = ()
-        self._m = self._v = self._s = self._u = np.empty(0)
+        self._m = self._v = np.empty(0)
+        self._scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
         self._t = 0
 
     def step(self, net: Network) -> None:
@@ -579,18 +642,20 @@ class Adam:
             self._layout = net.layout
             self._m = np.zeros(n)
             self._v = np.zeros(n)
-            self._s = np.empty(min(n, ADAM_BLOCK))
-            self._u = np.empty(min(n, ADAM_BLOCK))
+            block = min(n, ADAM_BLOCK)
+            self._scratch = tuple((np.empty(block), np.empty(block)) for _ in range(2))
             self._t = 0
         self._t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
-        theta, g = net.flat_values, net.flat_grad
-        for lo in range(0, theta.size, ADAM_BLOCK):
-            hi = lo + ADAM_BLOCK
-            gb, mb, vb, tb = g[lo:hi], self._m[lo:hi], self._v[lo:hi], theta[lo:hi]
-            s, u = self._s[:gb.size], self._u[:gb.size]
+        theta, g, m, v = net.flat_values, net.flat_grad, self._m, self._v
+        scratch = self._scratch
+
+        def update(lo: int, hi: int, lane: int) -> np.ndarray:
+            gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
+            s, u = scratch[lane]
+            s, u = s[:gb.size], u[:gb.size]
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1.0 - b1, out=s)
             np.add(mb, s, out=mb)
@@ -604,9 +669,181 @@ class Adam:
             np.divide(mb, c1, out=u)
             np.multiply(u, lr, out=u)
             np.divide(u, s, out=u)
-            np.subtract(tb, u, out=tb)
-            if not np.isfinite(tb).all():
-                net._raise_non_finite("after Adam step")
+            return np.subtract(tb, u, out=tb)
+
+        _blockwise(net, update, "after Adam step")
+
+
+# -- the second lane -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlasRuntime:
+    """numpy's BLAS library as it runs in this process; see :func:`blas_runtime`."""
+
+    name: str = "unknown"
+    version: str = "unknown"
+    core: str = "unknown"
+    threads: int | None = None
+
+
+def blas_runtime(load: Callable[[str], object] = ctypes.CDLL) -> BlasRuntime:
+    """Read numpy's BLAS name, version, CPU core kernel and thread count.
+
+    Only numpy's bundled scipy-openblas (64-bit integer build) is read: its
+    library file is opened again with ``load``, which gives back the copy
+    numpy already loaded, and asked through ``ctypes``. Any other build, a
+    library without those entry points or a failed call gives the
+    all-unknown record; this function never raises.
+    """
+    try:
+        lib = load(_openblas_file())
+        config = _ask(lib, "get_config", ctypes.c_char_p).decode().split()
+        return BlasRuntime("scipy-openblas", config[1],
+                           _ask(lib, "get_corename", ctypes.c_char_p).decode(),
+                           int(_ask(lib, "get_num_threads", ctypes.c_int)))
+    except (OSError, AttributeError, IndexError, TypeError, ValueError):
+        return BlasRuntime()
+
+
+def _openblas_file() -> str:
+    """The path of numpy's bundled scipy-openblas library."""
+    root = os.path.dirname(np.__file__)
+    for folder in (os.path.join(os.path.dirname(root), "numpy.libs"),
+                   os.path.join(root, ".dylibs")):
+        if os.path.isdir(folder):
+            for name in sorted(os.listdir(folder)):
+                if name.startswith("libscipy_openblas64_"):
+                    return os.path.join(folder, name)
+    raise FileNotFoundError("numpy bundles no scipy-openblas library")
+
+
+def _ask(lib: object, what: str, restype: type) -> object:
+    func = getattr(lib, f"scipy_openblas_{what}64_")
+    func.argtypes, func.restype = [], restype
+    return func()
+
+
+@functools.cache
+def _lane_rule() -> bool:
+    """Whether stages may use the second lane at all: only while BLAS runs
+    fewer threads than this process may use cores, so that the lane's core
+    would otherwise sit idle. Read once; an unknown BLAS gives no lane.
+    A CPU quota set by a cgroup is not seen, only the affinity mask."""
+    threads = blas_runtime().threads
+    return threads is not None and threads < _usable_cores()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Lane:
+    """One persistent worker thread that runs whole calls handed to it.
+
+    The worker starts on first use and then waits for calls, one stage's
+    at a time: a stage holds ``taken`` from when it opens until every call
+    it handed over has finished.
+    """
+
+    def __init__(self) -> None:
+        self.taken = threading.Lock()
+        self.todo: deque = deque()
+        self.queued = threading.Semaphore(0)
+        self.finished = threading.Semaphore(0)
+        self.worker: threading.Thread | None = None
+
+    def serve(self) -> None:
+        while True:
+            self.queued.acquire()
+            stage, func, args = self.todo.popleft()
+            stage.context.run(stage.call, func, args)
+            # An idle worker must not keep the last call's arrays alive.
+            del stage, func, args
+            self.finished.release()
+
+
+_LANE = _Lane()
+
+
+def _fresh_lane() -> None:
+    global _LANE
+    _LANE = _Lane()  # a forked child has no worker; it starts its own
+
+
+os.register_at_fork(after_in_child=_fresh_lane)
+
+
+class _Stage:
+    """The calls one stage hands to the second lane; see :func:`second_lane`.
+
+    The lane runs them in a copy of the context the stage was opened in, so
+    settings such as ``np.errstate`` hold on both threads.
+    """
+
+    __slots__ = ("lane", "context", "sent", "error")
+
+    def __init__(self, lane: _Lane | None) -> None:
+        self.lane = lane
+        self.context = None if lane is None else contextvars.copy_context()
+        self.sent = 0
+        self.error: BaseException | None = None
+
+    def call(self, func: Callable, args: tuple) -> None:
+        try:
+            func(*args)
+        except BaseException as exc:  # re-raised by __exit__ after the join
+            if self.error is None:
+                self.error = exc
+
+    def submit(self, func: Callable, *args: object) -> None:
+        """Run ``func(*args)`` on the lane, or here and now without one."""
+        lane = self.lane
+        if lane is None:
+            self.call(func, args)
+            return
+        lane.todo.append((self, func, args))
+        lane.queued.release()
+        self.sent += 1
+
+    def __enter__(self) -> "_Stage":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        lane = self.lane
+        if lane is not None:
+            for _ in range(self.sent):
+                lane.finished.acquire()
+            lane.taken.release()
+        if self.error is not None and exc is None:
+            raise self.error
+        return False
+
+
+def second_lane(size: int) -> _Stage:
+    """Open a stage over ``size`` arena elements, for use as ``with``.
+
+    The stage hands whole calls to the second lane with ``submit`` and does
+    the rest itself; leaving the ``with`` block waits for every handed call
+    to finish, then re-raises the first exception one of them raised (an
+    exception of the block itself takes precedence). Calls go to the lane
+    only when the stage spans at least one ``ADAM_BLOCK`` and BLAS leaves a
+    core idle (:func:`_lane_rule`), and only from one stage at a time: a
+    stage opened meanwhile, such as one inside a call the lane runs, runs
+    its calls inline. Inline, ``submit`` runs the call at once, so the two
+    cases are one code path. No numpy call is split, so no bit depends on
+    which thread made it.
+    """
+    lane = _LANE
+    if size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False):
+        if lane.worker is None:
+            lane.worker = threading.Thread(target=lane.serve, name="prunescope-lane",
+                                           daemon=True)
+            lane.worker.start()
+        return _Stage(lane)
+    return _Stage(None)
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from prunescope import netcore
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.netcore import DenseLayer, Network, ParamTensor, build_sequential
 
@@ -53,3 +54,15 @@ def make_two_component_chain(seed=0, widths=(6, 5, 4, 3, 2)) -> Network:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def force_lane(monkeypatch):
+    """Force the second lane's BLAS rule on or off, on a fresh lane whose
+    ``worker`` shows whether a stage handed it anything; returns the lane."""
+    def force(on: bool) -> netcore._Lane:
+        lane = netcore._Lane()
+        monkeypatch.setattr(netcore, "_LANE", lane)
+        monkeypatch.setattr(netcore, "_lane_rule", lambda: on)
+        return lane
+    return force

@@ -4,13 +4,26 @@ The digests were recorded before parameters moved into one flat arena per
 network, so they also pin that the arena, the in-place blocked Adam and the
 view-based importance and L1 code change no bit. A change that alters the
 arithmetic on purpose must say so and record new digests.
+
+The autoencoder's matrix products are large enough for OpenBLAS to thread,
+and one and two BLAS threads give different bits, so its digests are pinned
+per BLAS configuration: each case runs in a subprocess with
+``OPENBLAS_NUM_THREADS`` set before numpy loads. The toy network's products
+stay below OpenBLAS's threading threshold, so its digests hold at any
+thread count.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from prunescope import netcore
 from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
 from prunescope.harness.train import finetune, run_training
 from prunescope.importance import states_to_doc
@@ -21,6 +34,15 @@ TRAINED = "323cd4536642b3bdd29e74c7ae3a1ba9803c51354f0e8b424e8f9587ff181344"
 FINETUNED = "469509a124c0ab3fd0a676ad37bf5211ecc4e5b562ce8b4fd37753b16baf985c"
 AUTOENCODER_PARAMS = "0f864209f597deaf8287dc700342a8245cf62df699a59a556375fb9e7ef6e8de"
 AUTOENCODER_STATES = "0d5d7f7b340b60739d3200cebe388d70f8f62a4868e652d0e903494e2ffd0401"
+
+# The autoencoder digests per (BLAS core kernel, BLAS threads), recorded with
+# numpy 2.4.6 and its scipy-openblas 0.3.31; the two-thread pair above was
+# recorded first, the one-thread pair at the commit before the second lane.
+AUTOENCODER = {
+    ("SkylakeX", 1): ("a477e6fe4a90ad2972d1a0b8952c48186d635e5573fcb329e900da8fe3b30ae0",
+                      "d64f64c0b251418021c69755cec4b453ace6d9b5ac52cab858560c15633f50e8"),
+    ("SkylakeX", 2): (AUTOENCODER_PARAMS, AUTOENCODER_STATES),
+}
 
 
 def digest(net) -> str:
@@ -48,16 +70,73 @@ def test_toy_multihead_train_prune_finetune_is_bitwise_stable(tmp_path):
     assert digest(finetune(path, cfg, 2).net) == FINETUNED
 
 
-def test_autoencoder_train_and_importance_are_bitwise_stable():
-    """The autoencoder path: relu and sigmoid layers, 784-wide tensors and
-    their importance states. Both digests were recorded before the sigmoid
-    lost its sign-split form and before the importance update was planned
-    once per graph, so they pin that neither change moved a bit."""
+def autoencoder_digests() -> tuple[str, str]:
+    """SHA-256 of the parameters and of the states document after the
+    autoencoder case: latent 8, 256 training rows, batch 64, 2 epochs, seed 0."""
     cfg = ExperimentConfig(
         model=ModelConfig(preset="autoencoder", latent_dim=8),
         dataset=DatasetConfig(kind="synthetic", n_train=256, n_test=64),
         epochs=2, batch_size=64, seed=0)
     trained = run_training(cfg)
-    assert digest(trained.net) == AUTOENCODER_PARAMS
     doc = states_to_doc(trained.states, cfg.gamma, cfg.bayes)
-    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == AUTOENCODER_STATES
+    return digest(trained.net), hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def pinned_report() -> dict:
+    """The autoencoder digests with the BLAS record they were made under and
+    whether the second lane ran; printed as JSON by the subprocess."""
+    params, states = autoencoder_digests()
+    blas = netcore.blas_runtime()
+    return {"params": params, "states": states, "core": blas.core,
+            "threads": blas.threads, "cores": netcore._usable_cores(),
+            "lane": netcore._LANE.worker is not None}
+
+
+def run_pinned(threads: int) -> dict:
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import json, test_golden; print(json.dumps(test_golden.pinned_report()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_autoencoder_train_and_importance_are_bitwise_stable():
+    """The autoencoder path: relu and sigmoid layers, 784-wide tensors and
+    their importance states, at one and at two BLAS threads. The two-thread
+    pair was recorded before the sigmoid lost its sign-split form and before
+    the importance update was planned once per graph, the one-thread pair
+    before the second lane, so they pin that none of these moved a bit.
+    With one BLAS thread on a machine with two usable cores the second lane
+    runs.
+
+    The digests hold for the BLAS core kernel they were recorded on. On
+    another kernel each run is still made and the case is reported as
+    skipped, naming the kernel, never as passed.
+    """
+    unknown = []
+    for threads in (1, 2):
+        run = run_pinned(threads)
+        idle_core = run["threads"] is not None and run["threads"] < run["cores"]
+        assert run["lane"] == idle_core
+        expected = AUTOENCODER.get((run["core"], run["threads"]))
+        if expected is None:
+            unknown.append(f"{run['core']} at {run['threads']} thread(s)")
+            continue
+        assert (run["params"], run["states"]) == expected, f"{threads} BLAS thread(s)"
+    if unknown:
+        pytest.skip(f"no autoencoder digests recorded for BLAS {', '.join(unknown)}")
+
+
+def test_second_lane_changes_no_bit(force_lane):
+    """The autoencoder case in this process, with the second lane forced on
+    and off: the parameter and states digests are equal."""
+    runs = []
+    for on in (True, False):
+        lane = force_lane(on)
+        runs.append(autoencoder_digests())
+        assert (lane.worker is not None) == on
+    assert runs[0] == runs[1]

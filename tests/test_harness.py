@@ -3,7 +3,10 @@
 import importlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,14 @@ def test_training_is_bitwise_deterministic():
                                       b.net.param_tensors()):
         np.testing.assert_array_equal(ta.values, tb.values)
     assert struct.pack("d", a.test_mse) == struct.pack("d", b.test_mse)
+
+
+def test_toy_training_never_starts_the_second_lane(force_lane):
+    """1,130 parameters span less than one ADAM_BLOCK, so no stage hands
+    work to the lane even where BLAS leaves a core idle."""
+    lane = force_lane(True)
+    run_training(toy_config())
+    assert lane.worker is None
 
 
 def test_training_seed_changes_the_run(monkeypatch):
@@ -595,6 +606,19 @@ def test_star_imports_resolve_every_exported_name():
         namespace: dict = {}
         exec(f"from {module} import *", namespace)  # raises on a stale name
         assert set(importlib.import_module(module).__all__) <= set(namespace)
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    """``setup_s`` pays for every module the CLI imports; the second lane is
+    built on ``threading`` alone."""
+    code = ("import sys, prunescope.harness.cli; "
+            "print(*[m for m in ('concurrent.futures', 'logging', 'queue') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):

@@ -9,11 +9,11 @@ import pytest
 from prunescope.errors import ConfigurationError
 from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_importance, bayes_update, ema_update,
-                                   fisher_diag, grad_magnitude, init_states,
-                                   metric_scores, rank_groups, states_from_doc,
-                                   states_to_doc, update_all)
-from prunescope.modelgraph import build_groups, group_tensors
-from prunescope.netcore import backward, forward, mse_loss
+                                   fisher_diag, grad_magnitude, importance_plan,
+                                   init_states, metric_scores, rank_groups,
+                                   states_from_doc, states_to_doc, update_all)
+from prunescope.modelgraph import KIND_COUPLING, build_groups, group_tensors
+from prunescope.netcore import ADAM_BLOCK, backward, build_sequential, forward, mse_loss
 
 from conftest import dyadic, make_toy_multihead, make_two_component_chain
 
@@ -244,6 +244,37 @@ def test_update_all_refuses_a_network_of_another_layout():
     for g in (graph, build_groups(net, 1)):
         with pytest.raises(ConfigurationError, match="layout"):
             update_all(init_states(g, cfg), narrower, g, cfg, gamma=0.9)
+
+
+def test_plan_runs_are_merged_arena_ranges():
+    net = make_toy_multihead()
+    graph = build_groups(net)
+    plan = importance_plan(net, graph)
+    for group, gplan in zip(graph.groups, plan.groups):
+        assert sum(hi - lo for lo, hi in gplan.runs) == group.param_count
+        for t in group_tensors(net, group):
+            assert any(lo <= t.offset and t.offset + t.size <= hi
+                       for lo, hi in gplan.runs)
+        # Only the coupling group spans the fan-out to both heads.
+        assert len(gplan.runs) == (2 if group.kind == KIND_COUPLING else 1)
+    # 1,130 parameters: one lane, one run over the whole arena.
+    assert [(p.groups, p.first, p.runs) for p in plan.parts] == [
+        (plan.groups, 0, ((0, net.flat_grad.size),))]
+
+
+def test_plan_splits_a_large_arena_into_two_lanes_of_about_equal_size():
+    widths = [784, 256, 128, 8, 128, 256, 784]
+    acts = ["relu", "relu", "identity", "relu", "relu", "sigmoid"]
+    net = build_sequential(widths, acts, {"encoder": (0, 3), "decoder": (3, 6)})
+    assert net.flat_grad.size >= ADAM_BLOCK
+    plan = importance_plan(net, build_groups(net))
+    low, high = plan.parts
+    assert low.groups + high.groups == plan.groups
+    assert (low.first, high.first) == (0, len(low.groups))
+    sizes = [sum(hi - lo for lo, hi in part.runs) for part in plan.parts]
+    assert sum(sizes) == net.flat_grad.size
+    assert abs(sizes[0] - sizes[1]) <= max(g.count for g in plan.groups)
+    assert low.runs[-1][1] <= high.runs[0][0]
 
 
 def test_update_all_requires_states_for_every_group():

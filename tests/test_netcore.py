@@ -1,7 +1,14 @@
 """Forward/backward correctness, optimizers, and checkpoint round trips."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -225,22 +232,30 @@ def test_fd_gradient_restores_the_probed_parameter():
 # -- L1 subgradient --------------------------------------------------------
 
 
+def l1_net(values, grad=(0.0, 0.0)) -> Network:
+    """A one-layer net whose arena is ``values`` then a zero bias."""
+    net = Network([make_layer([values], [0.0])], {"body": (0, 1)})
+    net.layers[0].weight.grad = np.array([grad])
+    return net
+
+
 def test_l1_subgradient_by_hand():
-    tensor = ParamTensor("t", np.array([-2.0, 0.0, 5.0]))
-    add_l1_subgradient([tensor], 0.1)
-    np.testing.assert_array_equal(tensor.grad, [-0.1, 0.0, 0.1])
+    net = l1_net([-2.0, 0.0, 5.0], [0.0, 0.0, 0.0])
+    add_l1_subgradient(net, [[(0, 3, 0.1)]])
+    np.testing.assert_array_equal(net.layers[0].weight.grad, [[-0.1, 0.0, 0.1]])
 
 
 def test_l1_subgradient_adds_on_top_of_task_gradient():
-    tensor = ParamTensor("t", np.array([1.0, -1.0]), grad=np.array([0.5, 0.5]))
-    add_l1_subgradient([tensor], 0.25)
-    np.testing.assert_array_equal(tensor.grad, [0.75, 0.25])
+    net = l1_net([1.0, -1.0], [0.5, 0.5])
+    add_l1_subgradient(net, [[(0, 1, 0.25)], [(1, 2, 0.25)]])
+    np.testing.assert_array_equal(net.layers[0].weight.grad, [[0.75, 0.25]])
 
 
 def test_l1_subgradient_zero_coefficient_is_a_noop():
-    tensor = ParamTensor("t", np.array([1.0, -1.0]))
-    add_l1_subgradient([tensor], 0.0)
-    np.testing.assert_array_equal(tensor.grad, [0.0, 0.0])
+    net = l1_net([1.0, -1.0], [-0.0, 0.0])
+    add_l1_subgradient(net, [[(0, 3, 0.0)]])
+    np.testing.assert_array_equal(net.flat_grad, [0.0, 0.0, 0.0])
+    assert np.signbit(net.flat_grad[0])  # -0.0 + 0 * sign(1.0) would be +0.0
 
 
 # -- optimizers ------------------------------------------------------------
@@ -310,6 +325,130 @@ def test_optimizer_names_the_non_finite_tensor(make_opt, context):
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericsError, match=rf"values in layer1\.weight {context}"):
         make_opt().step(net)
+
+
+@pytest.mark.parametrize("stage", ["backward", "SGD", "Adam"])
+def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
+        force_lane, stage):
+    """40,602 parameters span two ADAM_BLOCKs, so layer1 is stepped by the
+    upper half, which runs on the lane; backward hands every weight gradient
+    to it. The error names the same tensor with the lane forced on and off."""
+    messages = []
+    for on in (True, False):
+        lane = force_lane(on)
+        net = make_net([200, 200, 2], ["relu", "identity"], seed=0)
+        acts = forward(net, np.ones((3, 200)))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as err:
+            if stage == "backward":
+                acts[1][0, 5] = math.inf
+                backward(net, acts, np.ones((3, 2)))
+            else:
+                net.layers[1].weight.grad[1, 7] = math.inf
+                (SGD(lr=0.1) if stage == "SGD" else Adam(lr=0.1)).step(net)
+        messages.append(str(err.value))
+        assert (lane.worker is not None) == on
+    assert messages[0] == messages[1]
+    assert "layer1.weight" in messages[0]
+
+
+def test_second_lane_reraises_after_both_halves_finish(force_lane):
+    force_lane(True)
+    done = []
+
+    def fail():
+        done.append("lane")
+        raise ValueError("from the lane")
+
+    with pytest.raises(ValueError, match="from the lane"):
+        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+            lane.submit(fail)
+            done.append("here")
+    assert sorted(done) == ["here", "lane"]
+    # An exception of the stage itself wins; the lane is free afterwards.
+    with pytest.raises(KeyError):
+        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+            lane.submit(fail)
+            raise KeyError("here")
+    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+        assert lane.lane is not None
+        with netcore.second_lane(netcore.ADAM_BLOCK) as nested:
+            assert nested.lane is None  # the lane is taken: inline
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_runtime_reads_the_thread_count_set_before_numpy_loads(threads):
+    config = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    if config["name"] != "scipy-openblas":
+        pytest.skip(f"numpy is built with {config['name']}, not scipy-openblas")
+    code = ("import dataclasses, json; from prunescope import netcore; "
+            "print(json.dumps([dataclasses.asdict(netcore.blas_runtime()), "
+            "netcore._usable_cores()]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    blas, cores = json.loads(done.stdout)
+    assert blas["name"] == "scipy-openblas"
+    assert blas["version"] == config["version"]
+    assert blas["core"] not in ("", "unknown")
+    assert blas["threads"] == min(threads, cores)
+
+
+def test_blas_runtime_is_unknown_without_the_entry_points():
+    """A library that lacks scipy-openblas's symbols (here the process's own
+    symbol table) or cannot be opened reads as unknown, and gives no lane."""
+    unknown = netcore.BlasRuntime()
+    assert unknown.threads is None and unknown.core == "unknown"
+    assert netcore.blas_runtime(lambda path: ctypes.CDLL(None)) == unknown
+
+    def missing(path):
+        raise OSError(f"cannot open {path}")
+
+    assert netcore.blas_runtime(missing) == unknown
+
+
+def test_the_lane_runs_calls_under_the_callers_errstate(force_lane):
+    force_lane(True)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+            lane.submit(np.divide, np.ones(2), np.zeros(2))
+
+
+def test_an_idle_lane_keeps_no_reference_to_its_last_call(force_lane):
+    force_lane(True)
+    arena = np.zeros(4)
+    alive = weakref.ref(arena)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+        lane.submit(np.add, arena, 1.0, arena)
+    del arena
+    assert alive() is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_lane(force_lane):
+    parent_lane = force_lane(True)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+        lane.submit(lambda: None)
+    assert parent_lane.worker is not None
+    pid = os.fork()
+    if pid == 0:  # the child: a stage must get a lane of its own and finish
+        done = []
+        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
+            lane.submit(lambda: done.append(threading.get_ident()))
+        ok = (netcore._LANE is not parent_lane and done
+              and done[0] == netcore._LANE.worker.ident)
+        os._exit(0 if ok else 1)
+    for _ in range(600):
+        waited, status = os.waitpid(pid, os.WNOHANG)
+        if waited:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's stage did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_backward_names_the_non_finite_gradient():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
+from prunescope.importance import importance_plan
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import backward, fd_gradient, forward, mse_loss
+from prunescope.netcore import (add_l1_subgradient, backward, fd_gradient,
+                                forward, mse_loss)
 from prunescope.scheduler import (ScheduleConfig, group_l1_norm, l1_term,
                                   lambda_coefficient, lambda_weight_at,
                                   make_l1_penalty, phase_offset, schedule_row,
@@ -190,10 +192,8 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     acts = forward(net, x)
     _, d_out = mse_loss(acts[-1], y)
     backward(net, acts, d_out)
-    from prunescope.netcore import add_l1_subgradient
-    for lam, group in zip(lambdas, graph.groups):
-        from prunescope.modelgraph import group_tensors
-        add_l1_subgradient(group_tensors(net, group), weight * lam)
+    plan = importance_plan(net, graph)
+    add_l1_subgradient(net, plan.l1_parts([weight * lam for lam in lambdas]))
 
     flat = np.concatenate([t.grad.reshape(-1) for _, _, t in net.param_tensors()])
     penalty = make_l1_penalty(graph, lambdas, weight)
