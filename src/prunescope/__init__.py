@@ -13,8 +13,7 @@ from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
                          init_states, metric_scores, rank_groups,
                          states_from_doc, states_to_doc, update_all)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
-                         build_groups, export_manifest, group_tensors,
-                         prunable_units)
+                         build_groups, export_manifest, prunable_units)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                       add_l1_subgradient, apply_activation, backward,
                       build_sequential, fd_gradient, forward, load_checkpoint,
@@ -22,8 +21,7 @@ from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
 from .pruner import (PrunePlan, allocate_budget, apply_prune,
                      importance_weights, rank_units_within_group,
                      verify_consistency)
-from .scheduler import (ScheduleConfig, group_l1_norm, l1_term,
-                        lambda_coefficient, lambda_weight_at, make_l1_penalty,
+from .scheduler import (ScheduleConfig, lambda_coefficient, lambda_weight_at,
                         phase_offset, schedule_row, total_loss)
 
 __version__ = "0.1.0"
@@ -36,14 +34,13 @@ __all__ = [
     "metric_scores", "rank_groups", "states_from_doc", "states_to_doc",
     "update_all",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
-    "export_manifest", "group_tensors", "prunable_units",
+    "export_manifest", "prunable_units",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",
     "add_l1_subgradient", "apply_activation", "backward", "build_sequential",
     "fd_gradient", "forward", "load_checkpoint", "mse_loss", "save_checkpoint",
     "PrunePlan", "allocate_budget", "apply_prune", "importance_weights",
     "rank_units_within_group", "verify_consistency",
-    "ScheduleConfig", "group_l1_norm", "l1_term", "lambda_coefficient",
-    "lambda_weight_at", "make_l1_penalty", "phase_offset", "schedule_row",
-    "total_loss",
+    "ScheduleConfig", "lambda_coefficient", "lambda_weight_at", "phase_offset",
+    "schedule_row", "total_loss",
     "__version__",
 ]

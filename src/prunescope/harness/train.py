@@ -16,13 +16,12 @@ import numpy as np
 
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
-from ..importance import (GroupImportanceState, METRICS, importance_plan,
-                          init_states, rank_groups, states_to_doc, update_all)
+from ..importance import (GroupImportanceState, METRICS, init_states, rank_groups,
+                          states_to_doc, update_all)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, add_l1_subgradient, backward,
                        forward, load_checkpoint, mse_loss, save_checkpoint)
-from ..scheduler import (group_l1_norm, l1_term, lambda_weight_at, schedule_row,
-                         total_loss)
+from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
 from .trace import TraceRecord, emit_trace
@@ -122,7 +121,6 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     groups = graph.groups
     schedule = cfg.schedule.with_groups(len(groups))
     param_counts = [g.param_count for g in groups]
-    plan = importance_plan(net, graph)
     states = init_states(graph, cfg.bayes)
     optimizer = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng([seed, 2])
@@ -132,7 +130,9 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     for epoch in range(1, epochs + 1):
         lambdas = schedule_row(epoch - 1, param_counts, schedule)
         weight = lambda_weight_at(epoch, schedule)
-        l1_runs = plan.l1_parts([weight * lam for lam in lambdas])
+        coeffs = {g.id: weight * lam for g, lam in zip(groups, lambdas)}
+        l1_runs = [[(lo, hi, coeffs[g.id]) for g in part for lo, hi in g.runs]
+                   for part, _ in graph.parts]
         order = shuffle_rng.permutation(len(x_train))
         starts = range(0, len(x_train), cfg.batch_size)
         for it, lo in enumerate(starts):
@@ -147,9 +147,11 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
             update_all(states, net, graph, cfg.bayes, cfg.gamma)
             add_l1_subgradient(net, l1_runs)
             if lo == starts[-1]:  # the epoch's loss is taken before its last step
-                l1 = l1_term(net, groups, lambdas)
+                l1 = sum(lam * norm for lam, norm
+                         in zip(lambdas, graph.l1_norms(net.flat_values)))
             optimizer.step(net)
         epoch_loss = total_loss(task_loss, l1, weight)
+        norms = graph.l1_norms(net.flat_values)
         for i, group in enumerate(groups):
             st = states[group.id]
             records.append(TraceRecord(
@@ -158,7 +160,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                 raw_grad=st.raw_grad, ema_grad=st.ema_grad,
                 raw_fisher=st.raw_fisher, ema_fisher=st.ema_fisher,
                 raw_bayes=st.raw_bayes, ema_bayes=st.ema_bayes,
-                l1_norm=group_l1_norm(net, group),
+                l1_norm=norms[i],
                 task_loss=task_loss, total_loss=epoch_loss))
 
     test_mse = evaluate_mse(net, x_test, y_test) if len(x_test) else math.nan

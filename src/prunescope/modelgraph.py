@@ -6,6 +6,10 @@ component boundary the producing layer's weight and bias together with the
 cross-component consumers' weight matrices form a coupling group whose unit
 axis is the interface activation. A consuming layer's bias stays with its
 own output units and is attached to the consumer component's first group.
+
+:func:`build_groups` also fixes where each group's tensors lie in the
+network's arenas, once; the importance update, the L1 subgradient and the
+L1 norms all read that view.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ConfigurationError
-from .netcore import Network, ParamTensor, ROLE_BIAS, ROLE_WEIGHT
+from .netcore import ADAM_BLOCK, Network, ROLE_BIAS, ROLE_WEIGHT
 
 KIND_COMPONENT = "component_specific"
 KIND_COUPLING = "coupling"
@@ -41,26 +47,39 @@ class MemberSlice:
 
 @dataclass(frozen=True)
 class PruningGroup:
+    """One group and where its parameters lie in the network's arenas.
+
+    ``slots`` holds each member tensor's arena range and shape, in slice
+    order, and ``param_count`` their element count; ``runs`` holds the
+    slots merged into ranges of adjacent elements. ``units`` holds, per
+    unit layer in ascending order, its width, the parts its unit scores
+    sum (an index into ``slots`` and the weight axis to reduce, or None for
+    a bias) and the number of weights per unit they add up.
+    """
+
     id: str
     kind: str
     member_slices: tuple[MemberSlice, ...]
     owning_components: tuple[str, ...]
     param_count: int
+    slots: tuple[tuple[int, int, tuple[int, ...]], ...]
+    runs: tuple[tuple[int, int], ...]
+    units: tuple[tuple[int, int, tuple[tuple[int, int | None], ...], int], ...]
 
     def unit_layers(self) -> tuple[int, ...]:
         """Layers whose output units this group can prune (weight-row owners)."""
-        layers = {s.unit_layer for s in self.member_slices
-                  if s.role == ROLE_WEIGHT and s.unit_axis == AXIS_OUT}
-        return tuple(sorted(layers))
+        return tuple(layer for layer, _, _, _ in self.units)
 
 
 class ComponentGraph:
     """The full group decomposition for one network.
 
     ``layout`` is the network's :attr:`Network.layout` (tensor names and
-    shapes) that the groups were built for. ``importance_plan`` starts
-    empty; :func:`prunescope.importance.importance_plan` fills it on first
-    use.
+    shapes) that the groups were built for; their arena positions serve
+    only networks of that layout. ``parts`` splits the groups for the
+    second lane: one ``(groups, runs)`` pair, or two of about equal element
+    count when the network spans at least one ``ADAM_BLOCK``, each with
+    its groups' slots merged into arena runs.
     """
 
     def __init__(self, components: dict[str, tuple[int, int]],
@@ -70,7 +89,7 @@ class ComponentGraph:
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
-        self.importance_plan = None  # an importance.ImportancePlan once built
+        self.parts = _split(self.groups)
         self._by_id = {g.id: g for g in self.groups}
         if len(self._by_id) != len(self.groups):
             raise ConfigurationError("duplicate group ids in graph")
@@ -84,22 +103,73 @@ class ComponentGraph:
         except KeyError:
             raise ConfigurationError(f"unknown group id {group_id!r}") from None
 
-    def coupling_groups(self) -> tuple[PruningGroup, ...]:
-        return tuple(g for g in self.groups if g.kind == KIND_COUPLING)
+    def check_layout(self, net: Network) -> None:
+        """Refuse a network of another parameter layout than the groups'."""
+        if net.layout != self.layout:
+            raise ConfigurationError(
+                "the network's parameter layout differs from the one its groups "
+                "were built for; rebuild the groups with build_groups(net)")
+
+    def l1_norms(self, values: np.ndarray) -> list[float]:
+        """Each group's sum of absolute parameter values, in group order,
+        read from an arena laid out like the groups' (``net.flat_values``).
+
+        Each slot is reduced on its own and the slots are added in slice
+        order, so a norm has the bits of a sum of per-tensor sums.
+        """
+        return [sum([float(np.add.reduce(np.abs(values[lo:hi]), axis=None))
+                     for lo, hi, _ in group.slots])
+                for group in self.groups]
 
 
-def _tensor_for(net: Network, layer: int, role: str) -> ParamTensor:
-    dense = net.layers[layer]
-    return dense.weight if role == ROLE_WEIGHT else dense.bias
+def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Half-open ranges, sorted, with adjacent ones joined."""
+    runs: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if runs and runs[-1][1] == lo:
+            runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return tuple(runs)
 
 
-def slice_param_count(net: Network, member: MemberSlice) -> int:
-    return _tensor_for(net, member.layer, member.role).size
+def _split(groups: tuple[PruningGroup, ...]) -> tuple:
+    """One part, or two at the group boundary that best halves the elements."""
+    total = sum(g.param_count for g in groups)
+    cut, best, before = len(groups), total, 0
+    if total >= ADAM_BLOCK:
+        for i, g in enumerate(groups[:-1], start=1):
+            before += g.param_count
+            if abs(2 * before - total) < best:
+                cut, best = i, abs(2 * before - total)
+    return tuple((part, _merged([r for g in part for r in g.runs]))
+                 for part in (groups[:cut], groups[cut:]) if part)
 
 
-def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
-    """The parameter tensors owned by a group, in slice order."""
-    return [_tensor_for(net, s.layer, s.role) for s in group.member_slices]
+def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
+             owners: tuple[str, ...]) -> PruningGroup:
+    """A group with its arena view read off the network's tensors."""
+    tensors = [net.layers[s.layer].weight if s.role == ROLE_WEIGHT
+               else net.layers[s.layer].bias for s in slices]
+    slots = tuple((t.offset, t.offset + t.size, t.shape) for t in tensors)
+    units = []
+    for unit_layer in sorted({s.unit_layer for s in slices
+                              if s.role == ROLE_WEIGHT and s.unit_axis == AXIS_OUT}):
+        parts, per_unit = [], 0
+        for i, s in enumerate(slices):
+            if s.unit_layer != unit_layer:
+                continue
+            if s.role != ROLE_WEIGHT:
+                parts.append((i, None))
+                per_unit += 1
+            else:  # a row per unit on its own layer, a column on a consumer
+                axis = 1 if s.unit_axis == AXIS_OUT else 0
+                parts.append((i, axis))
+                per_unit += tensors[i].shape[axis]
+        units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
+    return PruningGroup(gid, kind, tuple(slices), owners,
+                        sum(t.size for t in tensors), slots,
+                        _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units))
 
 
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
@@ -145,7 +215,7 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in sorted(cross)]
         for s in slices:
             claim(s.layer, s.role, gid)
-        groups.append(PruningGroup(gid, KIND_COUPLING, tuple(slices), owners, 0))
+        groups.append(_compile(net, gid, KIND_COUPLING, slices, owners))
 
     # Component-specific groups over the layers left unclaimed.
     for name, (lo, hi) in net.components.items():
@@ -170,7 +240,7 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
                 slices.append(MemberSlice(k, ROLE_BIAS, AXIS_OUT, k))
             for s in slices:
                 claim(s.layer, s.role, gid)
-            groups.append(PruningGroup(gid, KIND_COMPONENT, tuple(slices), (name,), 0))
+            groups.append(_compile(net, gid, KIND_COMPONENT, slices, (name,)))
 
     # Every tensor must be owned exactly once.
     expected = {(k, role) for k in range(n) for role in (ROLE_WEIGHT, ROLE_BIAS)}
@@ -178,9 +248,6 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         missing = sorted(expected - set(claimed))
         raise ConfigurationError(f"unclaimed parameter tensors: {missing}")
 
-    groups = [PruningGroup(g.id, g.kind, g.member_slices, g.owning_components,
-                           sum(slice_param_count(net, s) for s in g.member_slices))
-              for g in groups]
     groups.sort(key=lambda g: (min(s.layer for s in g.member_slices), g.id))
 
     total = sum(g.param_count for g in groups)
@@ -227,9 +294,9 @@ def export_manifest(net: Network, graph: ComponentGraph) -> dict:
                         "role": s.role,
                         "unit_axis": s.unit_axis,
                         "unit_layer": s.unit_layer,
-                        "param_count": slice_param_count(net, s),
+                        "param_count": hi - lo,
                     }
-                    for s in g.member_slices
+                    for s, (lo, hi, _) in zip(g.member_slices, g.slots)
                 ],
             }
             for g in graph.groups

@@ -33,56 +33,30 @@ ROLE_BIAS = "bias"
 
 
 class ParamTensor:
-    """A named parameter array together with its current gradient.
+    """A named parameter array together with its gradient.
 
     Once its network is built, ``values`` and ``grad`` are views into the
     network's two arenas (see :class:`Network`) and ``offset`` is the
-    tensor's first position in them; until then it owns its arrays and
-    ``offset`` is None. Assigning to ``values`` or ``grad`` writes through:
-    an array of the same shape is copied into the existing storage, so the
-    arena sees it, and any other shape is refused.
+    tensor's first position in them; until then ``values`` is the array the
+    tensor was made from and ``grad`` and ``offset`` are None. Write into
+    the views (``t.values[...] = x``); neither can be rebound.
     """
 
     __slots__ = ("name", "offset", "_values", "_grad")
 
-    def __init__(self, name: str, values: np.ndarray,
-                 grad: np.ndarray | None = None) -> None:
+    def __init__(self, name: str, values: np.ndarray) -> None:
         self.name = name
         self.offset: int | None = None
         self._values = np.asarray(values, dtype=np.float64)
-        self._grad = None if grad is None else np.asarray(grad, dtype=np.float64)
-        if self._grad is not None and self._grad.shape != self._values.shape:
-            raise ConfigurationError(
-                f"{self.name}: grad shape {self._grad.shape} does not match "
-                f"values shape {self._values.shape}")
+        self._grad: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
         return self._values
 
-    @values.setter
-    def values(self, new: np.ndarray) -> None:
-        self._write(self._values, new, "values")
-
     @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:  # a zero gradient, made when first asked for
-            self._grad = np.zeros(self.shape)
+    def grad(self) -> np.ndarray | None:
         return self._grad
-
-    @grad.setter
-    def grad(self, new: np.ndarray) -> None:
-        self._write(self.grad, new, "grad")
-
-    def _write(self, target: np.ndarray, new: np.ndarray, what: str) -> None:
-        if new is target:  # an in-place operator such as ``t.grad += x``
-            return
-        new = np.asarray(new)
-        if new.shape != target.shape:
-            raise ConfigurationError(
-                f"{self.name}: cannot assign {what} of shape {new.shape} to a "
-                f"tensor of shape {target.shape}")
-        target[...] = new
 
     def _bind(self, flat_values: np.ndarray, flat_grad: np.ndarray,
               offset: int) -> None:
@@ -93,11 +67,9 @@ class ParamTensor:
                 "network from copies")
         end = offset + self.size
         values = flat_values[offset:end].reshape(self.shape)
-        grad = flat_grad[offset:end].reshape(self.shape)
         values[...] = self._values
-        if self._grad is not None:  # the arena's gradients start at zero
-            grad[...] = self._grad
-        self._values, self._grad, self.offset = values, grad, offset
+        self._values, self._grad = values, flat_grad[offset:end].reshape(self.shape)
+        self.offset = offset
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,13 +78,6 @@ class ParamTensor:
     @property
     def size(self) -> int:
         return self._values.size
-
-    def check_finite(self, context: str = "") -> None:
-        suffix = f" {context}" if context else ""
-        if not np.isfinite(self._values).all():
-            raise NumericsError(f"non-finite values in {self.name}{suffix}")
-        if not np.isfinite(self.grad).all():
-            raise NumericsError(f"non-finite gradient in {self.name}{suffix}")
 
 
 def _placeholder(name: str, shape: tuple[int, ...]) -> ParamTensor:
@@ -279,8 +244,11 @@ class Network:
         non-finite value or gradient; called once a scan of an arena has
         found one."""
         for _, _, tensor in self.param_tensors():
-            tensor.check_finite(context)
-        raise NumericsError(f"non-finite parameters {context}".rstrip())
+            if not np.isfinite(tensor.values).all():
+                raise NumericsError(f"non-finite values in {tensor.name} {context}")
+            if not np.isfinite(tensor.grad).all():
+                raise NumericsError(f"non-finite gradient in {tensor.name} {context}")
+        raise NumericsError(f"non-finite parameters {context}")
 
     def get_flat(self, index: int) -> float:
         return float(self.flat_values[self._flat_index(index)])
@@ -295,12 +263,14 @@ class Network:
         return index
 
     def copy(self) -> "Network":
-        def fresh(t: ParamTensor) -> ParamTensor:
-            # A new tensor over this network's arrays; the new arena copies them.
-            return ParamTensor(t.name, t.values, t.grad)
-        layers = [DenseLayer(fresh(layer.weight), fresh(layer.bias), layer.activation)
+        # New tensors over this network's values; the new arena copies them.
+        layers = [DenseLayer(ParamTensor(layer.weight.name, layer.weight.values),
+                             ParamTensor(layer.bias.name, layer.bias.values),
+                             layer.activation)
                   for layer in self.layers]
-        return Network(layers, dict(self.components), list(self.layer_inputs))
+        net = Network(layers, dict(self.components), list(self.layer_inputs))
+        net.flat_grad[...] = self.flat_grad
+        return net
 
 
 def structural_problems(net: Network) -> list[str]:
@@ -923,6 +893,6 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     net = Network(dense, bounds,
                   [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)])
     for layer, entry in zip(net.layers, entries):
-        layer.weight.values = _decode_array(entry.str("weight"), layer.weight.shape)
-        layer.bias.values = _decode_array(entry.str("bias"), layer.bias.shape)
+        layer.weight.values[...] = _decode_array(entry.str("weight"), layer.weight.shape)
+        layer.bias.values[...] = _decode_array(entry.str("bias"), layer.bias.shape)
     return net, dict(doc.obj("meta", {}).value)

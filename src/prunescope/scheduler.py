@@ -17,13 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import ConfigurationError, NumericsError
-from .modelgraph import ComponentGraph, PruningGroup, group_tensors
-from .netcore import Network
 
 
 @dataclass(frozen=True)
@@ -42,25 +38,26 @@ class ScheduleConfig:
     warmup_epochs: int = 0
 
     def __post_init__(self) -> None:
-        if not self.lambda_base > 0:
-            raise ConfigurationError("lambda_base must be positive")
+        # Each check is written so that NaN fails it.
+        if not 0 < self.lambda_base < math.inf:
+            raise ConfigurationError("lambda_base must be positive and finite")
         if self.lambda_min is None:
             object.__setattr__(self, "lambda_min", 0.1 * self.lambda_base)
         if self.lambda_max is None:
             object.__setattr__(self, "lambda_max", 2.0 * self.lambda_base)
-        if not 0 <= self.lambda_min <= self.lambda_max:
+        if not 0 <= self.lambda_min <= self.lambda_max < math.inf:
             raise ConfigurationError(
-                f"need 0 <= lambda_min <= lambda_max, got "
+                f"need 0 <= lambda_min <= lambda_max < inf, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
-        if int(self.cycle_T) < 1:
+        if not 1 <= self.cycle_T < math.inf:
             raise ConfigurationError("cycle_T must be at least 1")
         object.__setattr__(self, "cycle_T", int(self.cycle_T))
-        if int(self.n_groups) < 1:
+        if not 1 <= self.n_groups < math.inf:
             raise ConfigurationError("n_groups must be at least 1")
         object.__setattr__(self, "n_groups", int(self.n_groups))
-        if self.lambda_weight < 0:
-            raise ConfigurationError("lambda_weight must be non-negative")
-        if int(self.warmup_epochs) < 0:
+        if not 0 <= self.lambda_weight < math.inf:
+            raise ConfigurationError("lambda_weight must be non-negative and finite")
+        if not 0 <= self.warmup_epochs < math.inf:
             raise ConfigurationError("warmup_epochs must be non-negative")
         object.__setattr__(self, "warmup_epochs", int(self.warmup_epochs))
 
@@ -109,20 +106,6 @@ def lambda_weight_at(epoch: int, cfg: ScheduleConfig) -> float:
     return cfg.lambda_weight * ramp
 
 
-def group_l1_norm(net: Network, group: PruningGroup) -> float:
-    """Sum of absolute parameter values over one group."""
-    return sum(float(np.abs(t.values).sum()) for t in group_tensors(net, group))
-
-
-def l1_term(net: Network, groups: Sequence[PruningGroup],
-            lambdas: Sequence[float]) -> float:
-    """The scheduled sparsity term: sum_i lambda_i * |theta_i|_1."""
-    if len(groups) != len(lambdas):
-        raise ConfigurationError(
-            f"{len(groups)} groups but {len(lambdas)} coefficients")
-    return sum(lam * group_l1_norm(net, g) for g, lam in zip(groups, lambdas))
-
-
 def total_loss(task: float, l1: float, weight: float) -> float:
     """task + weight * l1, with a finiteness guard."""
     value = task + weight * l1
@@ -130,12 +113,3 @@ def total_loss(task: float, l1: float, weight: float) -> float:
         raise NumericsError(
             f"non-finite total loss (task={task}, l1={l1}, weight={weight})")
     return value
-
-
-def make_l1_penalty(graph: ComponentGraph, lambdas: Sequence[float],
-                    weight: float) -> Callable[[Network], float]:
-    """A net -> penalty callable for finite-difference checks of the
-    composite objective."""
-    def penalty(net: Network) -> float:
-        return weight * l1_term(net, graph.groups, lambdas)
-    return penalty

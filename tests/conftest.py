@@ -7,7 +7,9 @@ import pytest
 
 from prunescope import netcore
 from prunescope.harness.config import ModelConfig, build_model
-from prunescope.netcore import DenseLayer, Network, ParamTensor, build_sequential
+from prunescope.modelgraph import PruningGroup
+from prunescope.netcore import (DenseLayer, Network, ParamTensor, ROLE_WEIGHT,
+                                build_sequential)
 
 
 def dyadic(rng: np.random.Generator, shape) -> np.ndarray:
@@ -28,7 +30,19 @@ def make_net(widths, activations, components=None, seed=0) -> Network:
 def set_dyadic(net: Network, rng: np.random.Generator) -> None:
     """Overwrite every parameter with dyadic values (nonzero-biased)."""
     for _, _, tensor in net.param_tensors():
-        tensor.values = dyadic(rng, tensor.shape)
+        tensor.values[...] = dyadic(rng, tensor.shape)
+
+
+def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
+    """The parameter tensors a group owns, in slice order, looked up by
+    layer and role: a reference that does not read the group's slots."""
+    return [net.layers[s.layer].weight if s.role == ROLE_WEIGHT
+            else net.layers[s.layer].bias for s in group.member_slices]
+
+
+def group_l1_norm(net: Network, group: PruningGroup) -> float:
+    """Reference L1 norm of a group: the sum of its per-tensor sums."""
+    return sum(float(np.abs(t.values).sum()) for t in group_tensors(net, group))
 
 
 def make_layer(weight, bias, activation="identity", index=0) -> DenseLayer:

@@ -22,15 +22,14 @@ from prunescope.harness.trace import validate_trace
 from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_update, ema_update, fisher_diag,
                                    grad_magnitude, init_states, update_all)
-from prunescope.modelgraph import build_groups, group_tensors, prunable_units
+from prunescope.modelgraph import build_groups, prunable_units
 from prunescope.netcore import (backward, build_sequential, fd_gradient,
                                 forward, mse_loss)
 from prunescope.pruner import (PrunePlan, apply_prune,
                                predicted_removed_params, verify_consistency)
-from prunescope.scheduler import (ScheduleConfig, group_l1_norm,
-                                  lambda_coefficient)
+from prunescope.scheduler import ScheduleConfig, lambda_coefficient
 
-from conftest import dyadic, make_toy_multihead, set_dyadic
+from conftest import dyadic, group_l1_norm, group_tensors, make_toy_multihead, set_dyadic
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -91,7 +90,7 @@ def test_criterion_2_metrics_match_brute_force():
     for seed in range(20):
         net = make_toy_multihead(seed=seed)
         for _, _, tensor in net.param_tensors():
-            tensor.grad = rng.normal(0.0, 3.0, size=tensor.shape)
+            tensor.grad[...] = rng.normal(0.0, 3.0, size=tensor.shape)
         graph = build_groups(net)
         states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
         for group in graph.groups:

@@ -24,7 +24,9 @@ from prunescope.harness.train import (evaluate_mse, finetune, load_dataset,
 from prunescope.importance import states_from_doc
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import forward, load_checkpoint, mse_loss
-from prunescope.scheduler import ScheduleConfig, l1_term, schedule_row, total_loss
+from prunescope.scheduler import ScheduleConfig, schedule_row, total_loss
+
+from conftest import group_l1_norm
 
 
 def toy_config(**overrides):
@@ -244,15 +246,15 @@ def test_total_loss_adds_the_scheduled_term():
     lambdas = schedule_row(0, [g.param_count for g in groups],
                            cfg.schedule.with_groups(len(groups)))
     record = run_training(cfg).records[0]
-    assert record.total_loss == total_loss(
-        record.task_loss, l1_term(net, groups, lambdas), 1.0)
+    l1 = sum(lam * group_l1_norm(net, g) for g, lam in zip(groups, lambdas))
+    assert record.total_loss == total_loss(record.task_loss, l1, 1.0)
 
 
 def test_non_finite_loss_raises_with_context():
     cfg = toy_config(epochs=1)
     net = build_model(cfg.model, seed=0)
     for _, _, tensor in net.param_tensors():
-        tensor.values = tensor.values * 1e200
+        tensor.values[...] = tensor.values * 1e200
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="epoch 1"):
             run_training(cfg, net=net)

@@ -5,12 +5,12 @@ import pytest
 
 from prunescope.errors import ConfigurationError
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
-                                   build_groups, export_manifest,
-                                   group_tensors, prunable_units)
-from prunescope.netcore import ROLE_BIAS, ROLE_WEIGHT, build_sequential
+                                   build_groups, export_manifest, prunable_units)
+from prunescope.netcore import ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, build_sequential
 from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
-from conftest import make_net, make_toy_multihead, make_two_component_chain
+from conftest import (group_l1_norm, group_tensors, make_net, make_toy_multihead,
+                      make_two_component_chain)
 
 
 def autoencoder(latent=8, seed=0):
@@ -126,7 +126,7 @@ def test_every_tensor_is_owned_exactly_once(seed):
 def test_single_component_net_has_no_coupling_groups():
     net = make_net([5, 4, 3, 2], ["relu", "relu", "identity"], seed=1)
     graph = build_groups(net, 1)
-    assert graph.coupling_groups() == ()
+    assert [g for g in graph.groups if g.kind == KIND_COUPLING] == []
     assert [g.id for g in graph.groups] == ["body_1", "body_2", "body_3"]
 
 
@@ -168,6 +168,47 @@ def test_group_lookup_and_tensor_access():
     group = graph.groups[0]
     tensors = group_tensors(net, group)
     assert sum(t.size for t in tensors) == group.param_count
+    assert group.slots == tuple((t.offset, t.offset + t.size, t.shape) for t in tensors)
+
+
+def test_group_runs_are_merged_arena_ranges():
+    net = make_toy_multihead()
+    graph = build_groups(net)
+    for group in graph.groups:
+        assert sum(hi - lo for lo, hi in group.runs) == group.param_count
+        for t in group_tensors(net, group):
+            assert any(lo <= t.offset and t.offset + t.size <= hi
+                       for lo, hi in group.runs)
+        # Only the coupling group spans the fan-out to both heads.
+        assert len(group.runs) == (2 if group.kind == KIND_COUPLING else 1)
+    # 1,130 parameters: one lane, one run over the whole arena.
+    assert graph.parts == ((graph.groups, ((0, net.flat_grad.size),)),)
+
+
+def test_graph_splits_a_large_arena_into_two_parts_of_about_equal_size():
+    net = autoencoder(latent=8)
+    assert net.flat_grad.size >= ADAM_BLOCK
+    graph = build_groups(net)
+    (low, low_runs), (high, high_runs) = graph.parts
+    assert low + high == graph.groups
+    assert graph.groups[len(low)] is high[0]
+    sizes = [sum(hi - lo for lo, hi in runs) for _, runs in graph.parts]
+    assert sum(sizes) == net.flat_grad.size
+    assert abs(sizes[0] - sizes[1]) <= max(g.param_count for g in graph.groups)
+    assert low_runs[-1][1] <= high_runs[0][0]
+
+
+@pytest.mark.parametrize("make", [lambda: autoencoder(latent=8),
+                                  lambda: autoencoder(latent=512),
+                                  make_toy_multihead],
+                         ids=["latent8", "latent512", "toy_multihead"])
+def test_l1_norms_equal_the_per_tensor_sums_bit_for_bit(make):
+    """Each slot is reduced on its own, as a per-tensor sum is: summing a
+    merged run of several tensors at once gives other bits."""
+    net = make()
+    net.flat_values[...] = np.random.default_rng(7).normal(0.0, 3.0, net.flat_values.size)
+    graph = build_groups(net)
+    assert graph.l1_norms(net.flat_values) == [group_l1_norm(net, g) for g in graph.groups]
 
 
 # -- prunable units and closures --------------------------------------------

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
-from prunescope.importance import importance_plan
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (add_l1_subgradient, backward, fd_gradient,
                                 forward, mse_loss)
-from prunescope.scheduler import (ScheduleConfig, group_l1_norm, l1_term,
-                                  lambda_coefficient, lambda_weight_at,
-                                  make_l1_penalty, phase_offset, schedule_row,
+from prunescope.scheduler import (ScheduleConfig, lambda_coefficient,
+                                  lambda_weight_at, phase_offset, schedule_row,
                                   total_loss)
 
-from conftest import make_net, make_two_component_chain
+from conftest import group_l1_norm, make_net, make_two_component_chain
 
 
 def test_defaults_derive_from_the_base_coefficient():
@@ -36,6 +34,15 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScheduleConfig(lambda_weight=-0.5)
     assert ScheduleConfig().with_groups(5).n_groups == 5
+
+
+@pytest.mark.parametrize("field", ["lambda_base", "lambda_min", "lambda_max",
+                                   "lambda_weight", "cycle_T", "n_groups",
+                                   "warmup_epochs"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_refuses_non_finite_constants(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ScheduleConfig(**{field: value})
 
 
 def test_phase_offsets_spread_evenly_over_the_cycle():
@@ -141,13 +148,13 @@ def hand_valued_net():
     net = make_net([2, 2, 2, 2], ["identity"] * 3,
                    components={"front": (0, 1), "back": (1, 3)}, seed=0)
     # Coupling group {W0, b0, W1}: L1 norm 3.0.
-    net.layers[0].weight.values = np.array([[1.0, -1.0], [0.5, 0.0]])
-    net.layers[0].bias.values = np.array([0.25, -0.25])
-    net.layers[1].weight.values = np.zeros((2, 2))
+    net.layers[0].weight.values[...] = [[1.0, -1.0], [0.5, 0.0]]
+    net.layers[0].bias.values[...] = [0.25, -0.25]
+    net.layers[1].weight.values[...] = 0.0
     # back_1 group {b1, W2, b2}: L1 norm 4.0.
-    net.layers[1].bias.values = np.array([0.25, 0.0])
-    net.layers[2].weight.values = np.array([[-2.0, 1.0], [0.5, 0.25]])
-    net.layers[2].bias.values = np.zeros(2)
+    net.layers[1].bias.values[...] = [0.25, 0.0]
+    net.layers[2].weight.values[...] = [[-2.0, 1.0], [0.5, 0.25]]
+    net.layers[2].bias.values[...] = 0.0
     return net
 
 
@@ -155,12 +162,14 @@ def test_group_l1_norm_and_l1_term_by_hand():
     net = hand_valued_net()
     graph = build_groups(net, 1)
     assert [g.id for g in graph.groups] == ["coupling_front_back", "back_1"]
-    norms = [group_l1_norm(net, g) for g in graph.groups]
-    assert norms == [3.0, 4.0]
-    np.testing.assert_allclose(l1_term(net, graph.groups, [0.1, 0.1]), 0.7,
+    norms = graph.l1_norms(net.flat_values)
+    assert norms == [group_l1_norm(net, g) for g in graph.groups] == [3.0, 4.0]
+    # The term training adds: sum_i lambda_i * |theta_i|_1.
+    np.testing.assert_allclose(sum(lam * n for lam, n in zip([0.1, 0.1], norms)), 0.7,
                                rtol=1e-15)
+    # Its coefficients come from schedule_row, which refuses a count mismatch.
     with pytest.raises(ConfigurationError):
-        l1_term(net, graph.groups, [0.1])
+        schedule_row(0, [g.param_count for g in graph.groups], ScheduleConfig(n_groups=1))
 
 
 def test_total_loss_by_hand_and_finiteness():
@@ -180,8 +189,8 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     for layer in net.layers:
         layer.activation = "sigmoid" if layer.activation == "relu" else "identity"
     for _, _, tensor in net.param_tensors():
-        tensor.values = (rng.choice([-1.0, 1.0], size=tensor.shape)
-                         * rng.uniform(0.5, 1.5, size=tensor.shape))
+        tensor.values[...] = (rng.choice([-1.0, 1.0], size=tensor.shape)
+                              * rng.uniform(0.5, 1.5, size=tensor.shape))
     graph = build_groups(net, 1)
     cfg = ScheduleConfig(lambda_base=1e-2, n_groups=len(graph.groups))
     lambdas = schedule_row(seed, [g.param_count for g in graph.groups], cfg)
@@ -192,11 +201,15 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     acts = forward(net, x)
     _, d_out = mse_loss(acts[-1], y)
     backward(net, acts, d_out)
-    plan = importance_plan(net, graph)
-    add_l1_subgradient(net, plan.l1_parts([weight * lam for lam in lambdas]))
+    coeffs = {g.id: weight * lam for g, lam in zip(graph.groups, lambdas)}
+    add_l1_subgradient(net, [[(lo, hi, coeffs[g.id]) for g in part for lo, hi in g.runs]
+                             for part, _ in graph.parts])
 
     flat = np.concatenate([t.grad.reshape(-1) for _, _, t in net.param_tensors()])
-    penalty = make_l1_penalty(graph, lambdas, weight)
+
+    def penalty(net):
+        return weight * sum(lam * group_l1_norm(net, g)
+                            for g, lam in zip(graph.groups, lambdas))
     picks = rng.choice(net.param_count(), size=15, replace=False)
     for index in picks:
         fd = fd_gradient(net, x, y, int(index), penalty=penalty)
