@@ -11,7 +11,7 @@ import numpy as np
 from ..artifacts import Fields, read_json, write_json
 from ..errors import ConfigurationError
 from ..importance import BayesConfig
-from ..netcore import DenseLayer, Network, build_sequential
+from ..netcore import Network, build_sequential, seeded_layer
 from ..scheduler import ScheduleConfig
 
 SEED_ENV_VAR = "PRUNESCOPE_SEED"
@@ -178,8 +178,7 @@ def build_model(model: ModelConfig, seed: int) -> Network:
         dims = [(16, 32, "relu"), (32, 8, "identity"),
                 (8, 16, "relu"), (16, 1, "identity"),
                 (8, 16, "relu"), (16, 1, "identity")]
-        layers = [DenseLayer.seeded(k, i, o, act, rng)
-                  for k, (i, o, act) in enumerate(dims)]
+        layers = [seeded_layer(k, i, o, act, rng) for k, (i, o, act) in enumerate(dims)]
         components = {"encoder": (0, 2), "head_a": (2, 4), "head_b": (4, 6)}
         return Network(layers, components, layer_inputs=[-1, 0, 1, 2, 1, 4])
     assert model.preset == "custom"

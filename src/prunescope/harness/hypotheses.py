@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DataFormatError
-from ..importance import METRICS
+from ..importance import METRICS, ranked
 from ..modelgraph import KIND_COMPONENT, KIND_COUPLING
 from .trace import TraceRecord, group_order, validate_trace
 
@@ -35,11 +35,6 @@ def _by_epoch(records: list[TraceRecord]) -> dict[int, dict[str, TraceRecord]]:
     for rec in records:
         table.setdefault(rec.epoch, {})[rec.group_id] = rec
     return table
-
-
-def _ranking(scores: dict[str, float], ids: tuple[str, ...]) -> list[str]:
-    """Group ids by descending score; ties break by ascending id."""
-    return sorted(ids, key=lambda g: (-scores[g], g))
 
 
 def evaluate_hypotheses(records: list[TraceRecord],
@@ -79,14 +74,14 @@ def evaluate_hypotheses(records: list[TraceRecord],
         means = {g: sum(getattr(table[e][g], field) for e in late) / used
                  for g in ids}
         mean_late[metric] = means
-        ranked = _ranking(means, ids)
-        top[metric] = ranked[0]
-        coupling_top[metric] = kinds[ranked[0]] == KIND_COUPLING
+        order = ranked(means, ids)
+        top[metric] = order[0]
+        coupling_top[metric] = kinds[order[0]] == KIND_COUPLING
         if earliest is not None:
-            rank = ranked.index(earliest) + 1
+            rank = order.index(earliest) + 1
             earliest_rank[metric] = rank
             earliest_bottom[metric] = rank == len(ids)
-        orders = [_ranking({g: getattr(table[e][g], field) for g in ids}, ids)
+        orders = [ranked({g: getattr(table[e][g], field) for g in ids}, ids)
                   for e in epochs]
         crossovers[metric] = [e for e, prev, cur in zip(epochs[1:], orders, orders[1:])
                               if cur != prev]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -271,7 +271,11 @@ def rank_groups(states: Mapping[str, GroupImportanceState], metric: str,
     """Group ids ordered by descending smoothed importance; ties break by
     ascending group id."""
     ids = list(group_ids) if group_ids is not None else sorted(states)
-    scores = metric_scores(states, ids, metric, weights)
+    return ranked(metric_scores(states, ids, metric, weights), ids)
+
+
+def ranked(scores: Mapping[str, float], ids: Iterable[str]) -> list[str]:
+    """Group ids by descending score; ties break by ascending id."""
     return sorted(ids, key=lambda gid: (-scores[gid], gid))
 
 
@@ -332,5 +336,7 @@ def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
             iteration=entry.int("iteration", low=0), unit_ema=scores,
             **{f"{kind}_{m}": entry.float(f"{kind}_{m}", finite=True)
                for m in METRICS for kind in ("raw", "ema")})
+        if st.group_id in states:
+            entry.fail("id", f"repeats group {st.group_id!r}")
         states[st.group_id] = st
     return states

@@ -175,17 +175,14 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
     """Decompose a network into component-specific and coupling groups.
 
-    Raises a configuration error when a component is empty, when adjacent
-    boundaries would claim the same tensor twice, or when a component owns
-    nothing outside its boundary layers.
+    Raises a configuration error when adjacent boundaries would claim the
+    same tensor twice, or when a component owns nothing outside its boundary
+    layers.
     """
     if layers_per_group < 1:
         raise ConfigurationError("layers_per_group must be at least 1")
     n = len(net.layers)
     comp_of = {k: net.component_of(k) for k in range(n)}
-    for name, (lo, hi) in net.components.items():
-        if hi <= lo:
-            raise ConfigurationError(f"component {name!r} is empty")
 
     claimed: dict[tuple[int, str], str] = {}
 
@@ -249,12 +246,6 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         raise ConfigurationError(f"unclaimed parameter tensors: {missing}")
 
     groups.sort(key=lambda g: (min(s.layer for s in g.member_slices), g.id))
-
-    total = sum(g.param_count for g in groups)
-    if total != net.param_count():
-        raise ConfigurationError(
-            f"group decomposition covers {total} parameters, network has "
-            f"{net.param_count()}")
     return ComponentGraph(net.components, groups, layers_per_group, net.layout)
 
 

@@ -19,7 +19,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -32,58 +33,28 @@ ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class ParamTensor:
     """A named parameter array together with its gradient.
 
-    Once its network is built, ``values`` and ``grad`` are views into the
-    network's two arenas (see :class:`Network`) and ``offset`` is the
-    tensor's first position in them; until then ``values`` is the array the
-    tensor was made from and ``grad`` and ``offset`` are None. Write into
-    the views (``t.values[...] = x``); neither can be rebound.
+    Made only by :class:`Network`: ``values`` and ``grad`` are views into the
+    network's two arenas and ``offset`` is the tensor's first position in
+    them. Write into the views (``t.values[...] = x``); no field can be
+    rebound.
     """
 
-    __slots__ = ("name", "offset", "_values", "_grad")
-
-    def __init__(self, name: str, values: np.ndarray) -> None:
-        self.name = name
-        self.offset: int | None = None
-        self._values = np.asarray(values, dtype=np.float64)
-        self._grad: np.ndarray | None = None
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad
-
-    def _bind(self, flat_values: np.ndarray, flat_grad: np.ndarray,
-              offset: int) -> None:
-        """Move this tensor's data into arena slots starting at ``offset``."""
-        if self.offset is not None:
-            raise ConfigurationError(
-                f"{self.name} already belongs to a network; build the new "
-                "network from copies")
-        end = offset + self.size
-        values = flat_values[offset:end].reshape(self.shape)
-        values[...] = self._values
-        self._values, self._grad = values, flat_grad[offset:end].reshape(self.shape)
-        self.offset = offset
+    name: str
+    offset: int
+    values: np.ndarray
+    grad: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._values.shape
+        return self.values.shape
 
     @property
     def size(self) -> int:
-        return self._values.size
-
-
-def _placeholder(name: str, shape: tuple[int, ...]) -> ParamTensor:
-    """A zero tensor that takes no memory of its own, for a network whose
-    arena is filled afterwards."""
-    return ParamTensor(name, np.broadcast_to(np.float64(0.0), shape))
+        return self.values.size
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -124,82 +95,97 @@ def activation_grad(kind: str, post: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DenseLayer:
-    """A fully connected layer: ``h = act(x @ W.T + b)`` with W of shape (out, in)."""
+    """A fully connected layer: ``h = act(x @ W.T + b)`` with W of shape (out, in).
+
+    Made only by :class:`Network`; no field can be rebound.
+    """
 
     weight: ParamTensor
     bias: ParamTensor
-    activation: str = "identity"
+    activation: str
 
     @property
     def out_dim(self) -> int:
-        return self.weight.values.shape[0]
+        return self.weight.shape[0]
 
     @property
     def in_dim(self) -> int:
-        return self.weight.values.shape[1]
+        return self.weight.shape[1]
 
-    @classmethod
-    def seeded(cls, index: int, in_dim: int, out_dim: int, activation: str,
-               rng: np.random.Generator) -> "DenseLayer":
-        """Initialize weight and bias uniformly in +-1/sqrt(in_dim)."""
-        if in_dim < 1 or out_dim < 1:
-            raise ConfigurationError(f"layer {index}: widths must be positive")
-        bound = 1.0 / math.sqrt(in_dim)
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        b = rng.uniform(-bound, bound, size=out_dim)
-        return cls(ParamTensor(f"layer{index}.weight", w),
-                   ParamTensor(f"layer{index}.bias", b), activation)
+
+def seeded_layer(index: int, in_dim: int, out_dim: int, activation: str,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, str]:
+    """Layer ``index`` as :class:`Network` takes it, ``(weight, bias,
+    activation)``, with weight then bias drawn uniformly in +-1/sqrt(in_dim)."""
+    if in_dim < 1 or out_dim < 1:
+        raise ConfigurationError(f"layer {index}: widths must be positive")
+    bound = 1.0 / math.sqrt(in_dim)
+    return (rng.uniform(-bound, bound, size=(out_dim, in_dim)),
+            rng.uniform(-bound, bound, size=out_dim), activation)
 
 
 class Network:
-    """An ordered list of dense layers plus named component ranges.
+    """A tuple of dense layers plus named component ranges.
 
+    Each layer is given as ``(weight, bias, activation)``: an (out, in)
+    weight array, an (out,) bias array and an activation name.
     ``layer_inputs[k]`` is the index of the layer whose output feeds layer k,
     or -1 for the network input; omitted, it defaults to the sequential chain
-    ``[-1, 0, 1, ...]``. ``components`` maps a component name to a half-open
+    ``(-1, 0, 1, ...)``. ``components`` maps a component name to a half-open
     ``[start, end)`` layer range; the ranges must partition the layer list.
     Layers with no consumer are sinks; the network output is the
     concatenation of sink outputs in layer order.
 
-    All parameters live in one contiguous float64 arena, ``flat_values``,
-    and all gradients in another, ``flat_grad``, in :meth:`param_tensors`
-    order. Building the network copies each tensor's data into its slot and
-    turns the tensor's arrays into views of the arenas, so whole-network
-    work (optimizer steps, finiteness scans) runs as a few array calls. A
-    tensor belongs to one network: build another network from copies.
+    The constructor checks this structure once and raises a
+    :class:`ConfigurationError` naming the first problem. It then copies the
+    arrays into two contiguous float64 arenas, ``flat_values`` for the
+    parameters and ``flat_grad`` for their gradients, in
+    :meth:`param_tensors` order, and makes each layer's tensors
+    (``layer{k}.weight``, ``layer{k}.bias``) as views of them, so
+    whole-network work (optimizer steps, finiteness scans) runs as a few
+    array calls. ``layers`` and ``layer_inputs`` are tuples and
+    ``components`` is read-only: a built network's structure cannot change,
+    only the values in its arenas.
     """
 
-    def __init__(self, layers: Iterable[DenseLayer],
-                 components: dict[str, tuple[int, int]],
+    def __init__(self, layers: Iterable[tuple[np.ndarray, np.ndarray, str]],
+                 components: Mapping[str, tuple[int, int]],
                  layer_inputs: Iterable[int] | None = None) -> None:
-        self.layers: list[DenseLayer] = list(layers)
-        n = len(self.layers)
-        if layer_inputs is None:
-            self.layer_inputs = list(range(-1, n - 1))
-        else:
-            self.layer_inputs = [int(s) for s in layer_inputs]
-        self.components: dict[str, tuple[int, int]] = {
-            str(name): (int(lo), int(hi)) for name, (lo, hi) in dict(components).items()}
-        problems = structural_problems(self)
-        if problems:
-            raise ConfigurationError(problems[0])
-        consumers: list[list[int]] = [[] for _ in range(n)]
-        for k, src in enumerate(self.layer_inputs):
-            if src >= 0:
-                consumers[src].append(k)
-        self._consumers = tuple(tuple(c) for c in consumers)
-        self._sinks = tuple(k for k in range(n) if not consumers[k])
-        tensors = [t for _, _, t in self.param_tensors()]
-        self.layout = tuple((t.name, t.shape) for t in tensors)
-        total = sum(t.size for t in tensors)
+        arrays = [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64), act)
+                  for w, b, act in layers]
+        n = len(arrays)
+        self.layer_inputs: tuple[int, ...] = (
+            tuple(range(-1, n - 1)) if layer_inputs is None
+            else tuple(int(s) for s in layer_inputs))
+        named = {str(name): (int(lo), int(hi)) for name, (lo, hi) in dict(components).items()}
+        _check_structure(arrays, self.layer_inputs, named)
+        self.components: Mapping[str, tuple[int, int]] = MappingProxyType(named)
+        self._consumers = tuple(tuple(c for c, src in enumerate(self.layer_inputs) if src == k)
+                                for k in range(n))
+        self._sinks = tuple(k for k in range(n) if not self._consumers[k])
+        total = sum(w.size + b.size for w, b, _ in arrays)
         self.flat_values = np.empty(total)
         self.flat_grad = np.zeros(total)
-        offset = 0
-        for tensor in tensors:
-            tensor._bind(self.flat_values, self.flat_grad, offset)
-            offset += tensor.size
+        built, offset = [], 0
+        for k, (w, b, activation) in enumerate(arrays):
+            weight = self._slot(f"layer{k}.{ROLE_WEIGHT}", offset, w)
+            bias = self._slot(f"layer{k}.{ROLE_BIAS}", offset + w.size, b)
+            offset += w.size + b.size
+            built.append(DenseLayer(weight, bias, activation))
+        self.layers: tuple[DenseLayer, ...] = tuple(built)
+        self.layout = tuple((t.name, t.shape) for _, _, t in self.param_tensors())
+        self.input_dim: int = self.layers[self.layer_inputs.index(-1)].in_dim
+        self.output_dim: int = sum(self.layers[s].out_dim for s in self._sinks)
+
+    def _slot(self, name: str, offset: int, array: np.ndarray) -> ParamTensor:
+        """A tensor over the arena slots from ``offset``, holding ``array``."""
+        end = offset + array.size
+        values = self.flat_values[offset:end].reshape(array.shape)
+        values[...] = array
+        return ParamTensor(name, offset, values,
+                           self.flat_grad[offset:end].reshape(array.shape))
 
     # -- topology ---------------------------------------------------------
 
@@ -218,17 +204,6 @@ class Network:
                 return name
         raise ConfigurationError(f"layer {k} belongs to no component")
 
-    @property
-    def input_dim(self) -> int:
-        for k, src in enumerate(self.layer_inputs):
-            if src == -1:
-                return self.layers[k].in_dim
-        raise ConfigurationError("no layer reads the network input")
-
-    @property
-    def output_dim(self) -> int:
-        return sum(self.layers[s].out_dim for s in self._sinks)
-
     # -- parameters -------------------------------------------------------
 
     def param_tensors(self) -> Iterator[tuple[int, str, ParamTensor]]:
@@ -237,7 +212,7 @@ class Network:
             yield k, ROLE_BIAS, layer.bias
 
     def param_count(self) -> int:
-        return sum(t.size for _, _, t in self.param_tensors())
+        return self.flat_values.size
 
     def _raise_non_finite(self, context: str) -> NoReturn:
         """Raise a NumericsError naming the first tensor that holds a
@@ -263,81 +238,67 @@ class Network:
         return index
 
     def copy(self) -> "Network":
-        # New tensors over this network's values; the new arena copies them.
-        layers = [DenseLayer(ParamTensor(layer.weight.name, layer.weight.values),
-                             ParamTensor(layer.bias.name, layer.bias.values),
-                             layer.activation)
-                  for layer in self.layers]
-        net = Network(layers, dict(self.components), list(self.layer_inputs))
+        net = Network([(layer.weight.values, layer.bias.values, layer.activation)
+                       for layer in self.layers], self.components, self.layer_inputs)
         net.flat_grad[...] = self.flat_grad
         return net
 
 
-def structural_problems(net: Network) -> list[str]:
-    """Every broken structural invariant of a network, one message each.
+def _check_structure(layers: list[tuple[np.ndarray, np.ndarray, str]],
+                     inputs: tuple[int, ...],
+                     components: dict[str, tuple[int, int]]) -> None:
+    """Raise a ConfigurationError naming the first broken structural invariant.
 
     Checks each layer's activation and weight and bias shapes, that each
     layer reads the network input or an earlier layer of matching width,
     that the layers reading the input agree on its width, and that the
-    components partition the layers. Finiteness is not checked. The network
-    is read as it stands, so damage done after it was built (a replaced
-    tensor, a hand-edited wiring list) is reported, not raised.
+    components partition the layers. Finiteness is not checked.
     """
-    n = len(net.layers)
+    n = len(layers)
     if n == 0:
-        return ["network needs at least one layer"]
-    problems: list[str] = []
-    shapes: list[tuple[int, ...] | None] = []
-    for k, layer in enumerate(net.layers):
-        w, b = layer.weight.values, layer.bias.values
-        if layer.activation not in ACTIVATIONS:
-            problems.append(f"layer {k}: unknown activation {layer.activation!r}")
+        raise ConfigurationError("network needs at least one layer")
+    for k, (w, b, activation) in enumerate(layers):
+        if activation not in ACTIVATIONS:
+            raise ConfigurationError(f"layer {k}: unknown activation {activation!r}")
         if w.ndim != 2:
-            problems.append(f"layer {k}: weight is {w.ndim}-D, expected 2-D")
-            shapes.append(None)
-            continue
-        shapes.append(w.shape)
+            raise ConfigurationError(f"layer {k}: weight is {w.ndim}-D, expected 2-D")
         if min(w.shape) < 1:
-            problems.append(f"layer {k}: degenerate weight shape {w.shape}")
+            raise ConfigurationError(f"layer {k}: degenerate weight shape {w.shape}")
         if b.ndim != 1:
-            problems.append(f"layer {k}: bias is {b.ndim}-D, expected 1-D")
-        elif b.size != w.shape[0]:
-            problems.append(f"layer {k}: bias length {b.size} does not match "
-                            f"weight rows {w.shape[0]}")
-    if len(net.layer_inputs) != n:
-        problems.append(f"layer_inputs has {len(net.layer_inputs)} entries for {n} layers")
-    readers = []
-    for k, src in enumerate(net.layer_inputs[:n]):
+            raise ConfigurationError(f"layer {k}: bias is {b.ndim}-D, expected 1-D")
+        if b.size != w.shape[0]:
+            raise ConfigurationError(f"layer {k}: bias length {b.size} does not match "
+                                     f"weight rows {w.shape[0]}")
+    if len(inputs) != n:
+        raise ConfigurationError(f"layer_inputs has {len(inputs)} entries for {n} layers")
+    for k, src in enumerate(inputs):
         if not -1 <= src < k:
-            problems.append(
+            raise ConfigurationError(
                 f"layer {k} reads from {src}; sources must be -1 or an earlier layer")
-        elif src == -1:
-            readers.append(k)
-        elif shapes[k] and shapes[src] and shapes[k][1] != shapes[src][0]:
-            problems.append(
-                f"layer {k} input width {shapes[k][1]} does not match layer "
-                f"{src} output width {shapes[src][0]}")
-    input_widths = sorted({shapes[k][1] for k in readers if shapes[k]})
-    if not readers:
-        problems.append("no layer reads the network input")
-    elif len(input_widths) > 1:
-        problems.append(
+        if src >= 0 and layers[k][0].shape[1] != layers[src][0].shape[0]:
+            raise ConfigurationError(
+                f"layer {k} input width {layers[k][0].shape[1]} does not match layer "
+                f"{src} output width {layers[src][0].shape[0]}")
+    input_widths = sorted({w.shape[1] for (w, _, _), src in zip(layers, inputs) if src == -1})
+    if not input_widths:
+        raise ConfigurationError("no layer reads the network input")
+    if len(input_widths) > 1:
+        raise ConfigurationError(
             f"layers reading the network input disagree on width: {input_widths}")
-    if not net.components:
-        problems.append("network needs at least one named component")
+    if not components:
+        raise ConfigurationError("network needs at least one named component")
     covered: list[int] = []
-    for name, (lo, hi) in net.components.items():
+    for name, (lo, hi) in components.items():
         if not 0 <= lo < hi <= n:
-            problems.append(
+            raise ConfigurationError(
                 f"component {name!r} range [{lo}, {hi}) is invalid for {n} layers")
         covered.extend(range(lo, hi))
     if sorted(covered) != list(range(n)):
-        problems.append("component ranges do not partition the layer list")
-    return problems
+        raise ConfigurationError("component ranges do not partition the layer list")
 
 
 def build_sequential(widths: Iterable[int], activations: Iterable[str],
-                     components: dict[str, tuple[int, int]],
+                     components: Mapping[str, tuple[int, int]],
                      seed: int | np.random.Generator = 0) -> Network:
     """Build a seeded sequential network from a width chain.
 
@@ -352,9 +313,8 @@ def build_sequential(widths: Iterable[int], activations: Iterable[str],
             f"{len(widths) - 1} layers need {len(widths) - 1} activations, "
             f"got {len(activations)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    layers = [DenseLayer.seeded(k, widths[k], widths[k + 1], activations[k], rng)
-              for k in range(len(widths) - 1)]
-    return Network(layers, components)
+    return Network([seeded_layer(k, widths[k], widths[k + 1], activations[k], rng)
+                    for k in range(len(widths) - 1)], components)
 
 
 # -- forward / loss / backward -------------------------------------------
@@ -875,16 +835,17 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     layers = doc.arr("layers")
     entries = [layers.obj(k) for k in layers.keys()]
     dense = []
-    for k, entry in enumerate(entries):
+    for entry in entries:
         out_dim, in_dim = entry.int("out", low=1), entry.int("in", low=1)
         # Checked before the arena is allocated, so recorded shapes cannot
         # claim more memory than the file's payloads hold.
         for role, size in (("weight", out_dim * in_dim), ("bias", out_dim)):
             if len(entry.str(role)) != 4 * -(-8 * size // 3):
                 entry.fail(role, f"must be the base64 of {size} float64 values")
-        dense.append(DenseLayer(_placeholder(f"layer{k}.weight", (out_dim, in_dim)),
-                                _placeholder(f"layer{k}.bias", (out_dim,)),
-                                entry.str("activation")))
+        # Zeros that take no memory of their own: each payload is decoded
+        # straight into its arena slot below, so one is held at a time.
+        dense.append((np.broadcast_to(0.0, (out_dim, in_dim)),
+                      np.broadcast_to(0.0, out_dim), entry.str("activation")))
     components = doc.arr("components")
     bounds = {}
     for c in components.keys():

@@ -23,7 +23,7 @@ from .artifacts import Fields, read_json, write_json
 from .errors import ConfigurationError, InfeasiblePlanError
 from .importance import GroupImportanceState, _minmax, metric_scores
 from .modelgraph import ComponentGraph, PruningGroup, build_groups, prunable_units
-from .netcore import DenseLayer, Network, ParamTensor, structural_problems
+from .netcore import Network
 
 UNIT_CAP_FRACTION = 0.9
 
@@ -69,8 +69,11 @@ class PrunePlan:
             per_group[gid] = [(p.int(0, low=0), p.int(1, low=0)) for p in pairs]
             if entry.int("unit_count", len(pairs)) != len(pairs):
                 entry.fail("unit_count", f"does not match the {len(pairs)} units listed")
-        return cls(doc.float("target_sparsity", finite=True), doc.str("metric"),
-                   per_group, doc.int("predicted_removed_params", low=0))
+        target = doc.float("target_sparsity")
+        if not 0.0 < target < 1.0:
+            doc.fail("target_sparsity", f"must lie in (0, 1), got {target}")
+        return cls(target, doc.str("metric"), per_group,
+                   doc.int("predicted_removed_params", low=0))
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict(), indent=2)
@@ -307,11 +310,9 @@ def apply_prune(net: Network, graph: ComponentGraph,
                 f"{'rows' if len(r) >= layer.out_dim else 'columns'}")
         w = np.delete(np.delete(layer.weight.values, r, axis=0), c, axis=1)
         b = np.delete(layer.bias.values, r)
-        new_layers.append(DenseLayer(ParamTensor(layer.weight.name, w),
-                                     ParamTensor(layer.bias.name, b),
-                                     layer.activation))
+        new_layers.append((w, b, layer.activation))
 
-    pruned = Network(new_layers, dict(net.components), list(net.layer_inputs))
+    pruned = Network(new_layers, net.components, net.layer_inputs)
     removed = net.param_count() - pruned.param_count()
     expected = predicted_removed_params(
         net, [u for units in plan.per_group.values() for u in units])
@@ -342,19 +343,15 @@ class ConsistencyReport:
 
 
 def verify_consistency(net: Network) -> ConsistencyReport:
-    """Re-check the structural invariants and the finiteness of every value.
+    """Check that every parameter value is finite.
 
-    Works on the object as it stands, so damage done after construction
-    (hand-edited arrays, truncated biases) is reported rather than raised.
+    The network's constructor already checked its structure, which cannot
+    change afterwards, so only the values in the arena are left to check.
+    Damage is reported rather than raised.
     """
-    problems = structural_problems(net)
-    problems += [f"layer {k}: non-finite parameter values"
-                 for k, layer in enumerate(net.layers)
-                 if not (np.isfinite(layer.weight.values).all()
-                         and np.isfinite(layer.bias.values).all())]
-    shapes = [(layer.weight.values.shape[0], layer.weight.values.shape[1])
-              if layer.weight.values.ndim == 2 else (-1, -1)
-              for layer in net.layers]
-    count = sum(layer.weight.values.size + layer.bias.values.size
-                for layer in net.layers)
-    return ConsistencyReport(not problems, problems, count, shapes)
+    problems = [f"layer {k}: non-finite parameter values"
+                for k, layer in enumerate(net.layers)
+                if not (np.isfinite(layer.weight.values).all()
+                        and np.isfinite(layer.bias.values).all())]
+    return ConsistencyReport(not problems, problems, net.param_count(),
+                             [layer.weight.shape for layer in net.layers])

@@ -8,8 +8,7 @@ import pytest
 from prunescope import netcore
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import PruningGroup
-from prunescope.netcore import (DenseLayer, Network, ParamTensor, ROLE_WEIGHT,
-                                build_sequential)
+from prunescope.netcore import Network, ParamTensor, ROLE_WEIGHT, build_sequential
 
 
 def dyadic(rng: np.random.Generator, shape) -> np.ndarray:
@@ -45,10 +44,12 @@ def group_l1_norm(net: Network, group: PruningGroup) -> float:
     return sum(float(np.abs(t.values).sum()) for t in group_tensors(net, group))
 
 
-def make_layer(weight, bias, activation="identity", index=0) -> DenseLayer:
-    return DenseLayer(ParamTensor(f"layer{index}.weight", np.asarray(weight)),
-                      ParamTensor(f"layer{index}.bias", np.asarray(bias)),
-                      activation)
+def with_activations(net: Network, activations) -> Network:
+    """A new network with ``net``'s parameters, wiring and components but
+    other activations, one per layer: a built network's cannot change."""
+    return Network([(layer.weight.values, layer.bias.values, activation)
+                    for layer, activation in zip(net.layers, activations)],
+                   net.components, net.layer_inputs)
 
 
 def make_toy_multihead(seed=0) -> Network:

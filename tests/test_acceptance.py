@@ -29,7 +29,8 @@ from prunescope.pruner import (PrunePlan, apply_prune,
                                predicted_removed_params, verify_consistency)
 from prunescope.scheduler import ScheduleConfig, lambda_coefficient
 
-from conftest import dyadic, group_l1_norm, group_tensors, make_toy_multihead, set_dyadic
+from conftest import (dyadic, group_l1_norm, group_tensors, make_toy_multihead, set_dyadic,
+                      with_activations)
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -219,8 +220,7 @@ def test_criterion_6_fuzzed_prune_plans_stay_consistent():
         if round_no % 4 == 0:
             net = make_toy_multihead(seed=round_no)
             if identity_only:
-                for layer in net.layers:
-                    layer.activation = "identity"
+                net = with_activations(net, ["identity"] * len(net.layers))
         else:
             depth = int(rng.integers(3, 5))
             widths = [int(w) for w in rng.integers(3, 8, size=depth + 1)]

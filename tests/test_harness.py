@@ -562,6 +562,21 @@ def test_cli_refuses_a_mistyped_layers_per_group(toy_run, tmp_path, capsys):
         assert err.startswith("error:") and "layers_per_group" in err
 
 
+@pytest.mark.parametrize("target", [7.5, 0.0])
+def test_cli_refuses_a_plan_whose_target_lies_outside_zero_one(toy_run, tmp_path, capsys,
+                                                               target):
+    _, run_dir, plan_path = toy_run
+    bad = damaged(plan_path, tmp_path / "plan.json",
+                  lambda doc: doc.update(target_sparsity=target))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--apply", bad, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "target_sparsity" in err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_cli_refuses_nan_weights_and_foreign_unit_scores(toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
     ckpt, states = str(run_dir / "checkpoint.json"), run_dir / "states.json"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from prunescope.errors import ConfigurationError
+from prunescope.errors import ConfigurationError, DataFormatError
 from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_importance, bayes_update, ema_update,
                                    fisher_diag, grad_magnitude, init_states,
@@ -339,6 +339,15 @@ def test_states_document_round_trip_is_lossless():
         assert set(other.unit_ema) == set(st.unit_ema)
         for layer, scores in st.unit_ema.items():
             np.testing.assert_array_equal(other.unit_ema[layer], scores)
+
+
+def test_states_from_doc_refuses_a_repeated_group_id():
+    cfg = BayesConfig()
+    states = init_states(build_groups(make_toy_multihead(seed=9), 1), cfg)
+    doc = json.loads(json.dumps(states_to_doc(states, 0.9, cfg)))
+    doc["groups"].append(dict(doc["groups"][0], ema_grad=123.0))
+    with pytest.raises(DataFormatError, match=r"'groups\[4\]\.id' repeats group"):
+        states_from_doc(doc)
 
 
 def test_states_from_doc_rejects_foreign_documents():

@@ -15,15 +15,16 @@ import pytest
 
 from prunescope import netcore
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
+from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import (Adam, DenseLayer, Network, SGD,
-                                add_l1_subgradient, apply_activation,
-                                backward, build_sequential, fd_gradient,
-                                forward, load_checkpoint, mse_loss,
-                                save_checkpoint)
+from prunescope.netcore import (Adam, Network, SGD, add_l1_subgradient,
+                                apply_activation, backward, build_sequential,
+                                fd_gradient, forward, load_checkpoint, mse_loss,
+                                save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
-from conftest import dyadic, make_layer, make_net, make_toy_multihead, set_dyadic
+from conftest import (dyadic, make_net, make_toy_multihead, set_dyadic,
+                      with_activations)
 
 
 # -- activations -----------------------------------------------------------
@@ -67,7 +68,7 @@ def test_unknown_activation_rejected():
 
 
 def test_forward_single_unit_by_hand():
-    net = Network([make_layer([[3.0]], [1.0])], {"body": (0, 1)})
+    net = Network([([[3.0]], [1.0], "identity")], {"body": (0, 1)})
     acts = forward(net, np.array([[2.0]]))
     assert len(acts) == 3
     np.testing.assert_array_equal(acts[0], [[2.0]])
@@ -135,7 +136,7 @@ def test_mse_shape_mismatch():
 
 
 def test_backward_single_layer_by_hand():
-    net = Network([make_layer([[2.0]], [0.0])], {"body": (0, 1)})
+    net = Network([([[2.0]], [0.0], "identity")], {"body": (0, 1)})
     acts = forward(net, np.array([[3.0]]))
     backward(net, acts, np.array([[1.0]]))
     np.testing.assert_array_equal(net.layers[0].weight.grad, [[3.0]])
@@ -197,8 +198,8 @@ def test_backward_accumulates_fanout_through_shared_encoder(seed):
     """The shared encoder output feeds both heads, so its gradient is the
     sum of both heads' contributions; the oracle sees the same sum."""
     net = make_toy_multihead(seed=seed)
-    for layer in net.layers:
-        layer.activation = "sigmoid" if layer.activation == "relu" else "identity"
+    net = with_activations(net, ["sigmoid" if layer.activation == "relu" else "identity"
+                                 for layer in net.layers])
     rng = np.random.default_rng(seed + 100)
     x = rng.uniform(size=(4, 16))
     y = rng.uniform(size=(4, 2))
@@ -234,7 +235,7 @@ def test_fd_gradient_restores_the_probed_parameter():
 
 def l1_net(values, grad=(0.0, 0.0)) -> Network:
     """A one-layer net whose arena is ``values`` then a zero bias."""
-    net = Network([make_layer([values], [0.0])], {"body": (0, 1)})
+    net = Network([([values], [0.0], "identity")], {"body": (0, 1)})
     net.layers[0].weight.grad[...] = [grad]
     return net
 
@@ -262,14 +263,14 @@ def test_l1_subgradient_zero_coefficient_is_a_noop():
 
 
 def test_sgd_by_hand():
-    net = Network([make_layer([[1.0]], [0.0])], {"body": (0, 1)})
+    net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     net.layers[0].weight.grad[...] = 2.0
     SGD(lr=0.1).step(net)
     np.testing.assert_array_equal(net.layers[0].weight.values, [[0.8]])
 
 
 def test_adam_first_step_matches_hand_computation():
-    net = Network([make_layer([[1.0]], [0.0])], {"body": (0, 1)})
+    net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     g = 0.5
     net.layers[0].weight.grad[...] = g
     opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
@@ -282,7 +283,7 @@ def test_adam_first_step_matches_hand_computation():
 
 
 def test_adam_second_step_matches_hand_computation():
-    net = Network([make_layer([[1.0]], [0.0])], {"body": (0, 1)})
+    net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     opt = Adam(lr=0.1)
     m = v = 0.0
     theta = 1.0
@@ -460,7 +461,7 @@ def test_backward_names_the_non_finite_gradient():
 
 
 def test_optimizer_rejects_non_finite_result():
-    net = Network([make_layer([[1.0]], [0.0])], {"body": (0, 1)})
+    net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     net.layers[0].weight.grad[...] = math.inf
     with pytest.raises(NumericsError):
         SGD(lr=0.1).step(net)
@@ -470,7 +471,7 @@ def test_optimizer_rejects_non_finite_result():
 
 
 def test_components_must_partition_layers():
-    layers = [DenseLayer.seeded(k, 3, 3, "identity", np.random.default_rng(k))
+    layers = [seeded_layer(k, 3, 3, "identity", np.random.default_rng(k))
               for k in range(2)]
     with pytest.raises(ConfigurationError):
         Network(layers, {"a": (0, 1)})
@@ -479,15 +480,15 @@ def test_components_must_partition_layers():
 
 
 def test_layer_inputs_must_point_backwards():
-    layers = [DenseLayer.seeded(k, 3, 3, "identity", np.random.default_rng(k))
+    layers = [seeded_layer(k, 3, 3, "identity", np.random.default_rng(k))
               for k in range(2)]
     with pytest.raises(ConfigurationError):
         Network(layers, {"a": (0, 2)}, layer_inputs=[-1, 1])
 
 
 def test_chained_widths_must_agree():
-    l0 = DenseLayer.seeded(0, 3, 4, "identity", np.random.default_rng(0))
-    l1 = DenseLayer.seeded(1, 5, 2, "identity", np.random.default_rng(1))
+    l0 = seeded_layer(0, 3, 4, "identity", np.random.default_rng(0))
+    l1 = seeded_layer(1, 5, 2, "identity", np.random.default_rng(1))
     with pytest.raises(ConfigurationError):
         Network([l0, l1], {"a": (0, 2)})
 
@@ -513,8 +514,89 @@ def test_tensors_are_views_of_the_network_arena():
         layer.weight.values = np.zeros(layer.weight.shape)
     with pytest.raises(AttributeError):
         layer.bias.grad = np.zeros(layer.bias.shape)
-    with pytest.raises(ConfigurationError, match="already belongs"):
-        Network(net.layers, dict(net.components), list(net.layer_inputs))
+    # Nor can a layer take another tensor, which the arenas would not hold.
+    with pytest.raises(AttributeError):
+        layer.bias = net.layers[3].bias
+    assert layer.bias.offset == b
+
+
+def test_a_built_network_refuses_structural_edits():
+    net = make_toy_multihead(seed=3)
+    layer = net.layers[2]
+    for field, value in (("weight", net.layers[4].weight), ("bias", net.layers[4].bias),
+                         ("activation", "sigmoid")):
+        with pytest.raises(AttributeError):
+            setattr(layer, field, value)
+    with pytest.raises(TypeError):
+        net.layers[2] = net.layers[4]
+    with pytest.raises(TypeError):
+        net.layer_inputs[4] = 3
+    with pytest.raises(TypeError):
+        net.components["head_b"] = (4, 5)
+    assert layer.activation == "relu"
+    assert net.layer_inputs == (-1, 0, 1, 2, 1, 4)
+    assert net.components == {"encoder": (0, 2), "head_a": (2, 4), "head_b": (4, 6)}
+
+
+LAYER = (np.ones((2, 3)), np.ones(2), "relu")
+STRUCTURE_PROBLEMS = [
+    ([], {"a": (0, 1)}, None, "at least one layer"),
+    ([(np.ones(3), np.ones(3), "relu")], {"a": (0, 1)}, None, "weight is 1-D"),
+    ([(np.ones((2, 0)), np.ones(2), "relu")], {"a": (0, 1)}, None, "degenerate weight"),
+    ([(np.ones((2, 3)), np.ones((2, 1)), "relu")], {"a": (0, 1)}, None, "bias is 2-D"),
+    ([(np.ones((2, 3)), np.ones(3), "relu")], {"a": (0, 1)}, None,
+     "layer 0: bias length 3 does not match weight rows 2"),
+    ([LAYER], {"a": (0, 1)}, [-1, 0], "2 entries for 1"),
+    ([LAYER, (np.ones((2, 4)), np.ones(2), "relu")], {"a": (0, 2)}, [-1, -1],
+     "disagree on width"),
+    ([LAYER], {}, None, "at least one named component"),
+    ([LAYER], {"a": (0, 2)}, None, "invalid for 1 layers"),
+    # Of several problems, the first in this order is named.
+    ([(np.ones((2, 3)), np.ones(3), "tanh")], {}, [-1, 0], "unknown activation 'tanh'"),
+]
+
+
+@pytest.mark.parametrize("layers, components, inputs, message", STRUCTURE_PROBLEMS,
+                         ids=[case[-1] for case in STRUCTURE_PROBLEMS])
+def test_constructor_names_the_first_structural_problem(layers, components, inputs,
+                                                       message):
+    with pytest.raises(ConfigurationError, match=message):
+        Network(layers, components, inputs)
+
+
+def _built_by(way: str, tmp_path) -> Network:
+    """A network made by one of the ways a network gets built."""
+    if way == "autoencoder":
+        return build_model(ModelConfig(preset="autoencoder", latent_dim=8), 0)
+    if way == "toy_multihead":
+        return make_toy_multihead(seed=1)
+    if way == "build_sequential":
+        return make_net([5, 4, 3, 2], ["relu", "sigmoid", "identity"], seed=2)
+    net = make_toy_multihead(seed=3)
+    if way == "copy":
+        return net.copy()
+    if way == "load_checkpoint":
+        save_checkpoint(net, tmp_path / "ckpt.json")
+        return load_checkpoint(tmp_path / "ckpt.json")[0]
+    per_group = {"encoder_1": [(0, 1), (0, 5)], "coupling_encoder_head_a_head_b": [(1, 2)]}
+    removed = predicted_removed_params(net, [u for units in per_group.values() for u in units])
+    return apply_prune(net, build_groups(net), PrunePlan(0.1, "grad", per_group, removed))[0]
+
+
+@pytest.mark.parametrize("way", ["autoencoder", "toy_multihead", "build_sequential",
+                                 "copy", "load_checkpoint", "apply_prune"])
+def test_every_way_of_building_lays_tensors_out_in_the_arena(way, tmp_path):
+    net = _built_by(way, tmp_path)
+    offset = 0
+    for k, role, tensor in net.param_tensors():
+        assert tensor.name == f"layer{k}.{role}"
+        assert tensor.offset == offset
+        for view, arena in ((tensor.values, net.flat_values), (tensor.grad, net.flat_grad)):
+            assert view.base is arena and view.shape == tensor.shape
+            assert view.ctypes.data == arena.ctypes.data + 8 * offset
+        offset += tensor.size
+    assert offset == net.flat_values.size == net.flat_grad.size
+    assert net.layout == tuple((t.name, t.shape) for _, _, t in net.param_tensors())
 
 
 def test_get_set_flat_round_trip(rng):
@@ -617,9 +699,11 @@ def test_checkpoint_shapes_are_checked_against_payloads_before_allocation(
     doc["layers"][0]["out"] = 3  # the payloads still hold a 2 x 2 layer
     path.write_text(json.dumps(doc))
 
-    def no_network(*args, **kwargs):
-        raise AssertionError("the network was built before the payloads were checked")
+    def too_soon(*args, **kwargs):
+        raise AssertionError("a payload was decoded or the network built before "
+                             "the payloads were checked")
 
-    monkeypatch.setattr(netcore, "Network", no_network)
+    monkeypatch.setattr(netcore, "Network", too_soon)
+    monkeypatch.setattr(netcore, "_decode_array", too_soon)
     with pytest.raises(DataFormatError, match=r"'layers\[0\]\.weight' must be the base64"):
         load_checkpoint(path)

@@ -6,7 +6,7 @@ import pytest
 from prunescope.errors import ConfigurationError, InfeasiblePlanError
 from prunescope.importance import GroupImportanceState, init_states, BayesConfig
 from prunescope.modelgraph import build_groups, prunable_units
-from prunescope.netcore import ParamTensor, forward
+from prunescope.netcore import Network, forward
 from prunescope.pruner import (PrunePlan, allocate_budget, apply_prune,
                                importance_weights, predicted_removed_params,
                                rank_units_within_group, verify_consistency)
@@ -407,10 +407,14 @@ def test_verifier_passes_healthy_networks():
 
 def test_verifier_reports_damage_without_raising():
     net = make_toy_multihead(seed=11)
-    net.layers[2].bias = ParamTensor("layer2.bias", np.zeros(3))  # wrong length
     net.layers[0].weight.values[0, 0] = np.inf
     report = verify_consistency(net)
     assert not report.ok
-    assert any("bias length" in p for p in report.problems)
-    assert any("non-finite" in p for p in report.problems)
+    assert report.problems == ["layer 0: non-finite parameter values"]
     assert "FAIL" in report.summary()
+    # A bias of the wrong length never makes it into a network.
+    layers = [(layer.weight.values, layer.bias.values, layer.activation)
+              for layer in net.layers]
+    layers[2] = (layers[2][0], np.zeros(3), layers[2][2])
+    with pytest.raises(ConfigurationError, match="bias length"):
+        Network(layers, net.components, net.layer_inputs)

@@ -13,7 +13,8 @@ from prunescope.scheduler import (ScheduleConfig, lambda_coefficient,
                                   lambda_weight_at, phase_offset, schedule_row,
                                   total_loss)
 
-from conftest import group_l1_norm, make_net, make_two_component_chain
+from conftest import (group_l1_norm, make_net, make_two_component_chain,
+                      with_activations)
 
 
 def test_defaults_derive_from_the_base_coefficient():
@@ -186,8 +187,8 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     probe never crosses the L1 kink."""
     rng = np.random.default_rng(seed)
     net = make_two_component_chain(seed=seed)
-    for layer in net.layers:
-        layer.activation = "sigmoid" if layer.activation == "relu" else "identity"
+    net = with_activations(net, ["sigmoid" if layer.activation == "relu" else "identity"
+                                 for layer in net.layers])
     for _, _, tensor in net.param_tensors():
         tensor.values[...] = (rng.choice([-1.0, 1.0], size=tensor.shape)
                               * rng.uniform(0.5, 1.5, size=tensor.shape))
