@@ -44,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="plan and apply structured pruning")
     p.add_argument("--checkpoint", required=True, help="trained checkpoint JSON")
-    p.add_argument("--sparsity", type=float, default=None,
-                   help="target fraction of parameters to remove, in (0, 1); "
-                        "required unless --apply supplies a plan")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--sparsity", type=float, default=None,
+                        help="target fraction of parameters to remove, in (0, 1); "
+                             "required unless --apply supplies a plan")
     p.add_argument("--metric", default=COMBINED, choices=METRIC_CHOICES)
     p.add_argument("--states", default=None,
                    help="importance states JSON (default: states.json beside "
@@ -58,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="combined-metric weights (must sum to 1)")
     p.add_argument("--plan", default=None,
                    help="write the plan JSON here and stop without applying")
-    p.add_argument("--apply", default=None,
-                   help="apply an existing plan JSON instead of allocating")
+    source.add_argument("--apply", default=None,
+                        help="apply an existing plan JSON instead of allocating")
     p.add_argument("--out", default=None, help="output directory for the "
                    "pruned checkpoint (required unless --plan is given)")
     p.set_defaults(func=cmd_prune)
@@ -94,8 +95,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             target=cfg.dataset.target))
     result = run_training(cfg, epochs=args.epochs, seed=args.seed)
     paths = save_outputs(result, args.out)
-    print(f"trained {len({r.epoch for r in result.records})} epochs, "
-          f"seed {result.seed}")
+    print(f"trained {result.config.epochs} epochs, seed {result.config.seed}")
     print(f"final task loss {result.final_task_loss:.6g}, "
           f"test mse {result.test_mse:.6g}")
     for name in ("checkpoint", "trace_csv", "states", "summary"):

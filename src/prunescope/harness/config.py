@@ -97,6 +97,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
         if self.layers_per_group < 1:

@@ -38,7 +38,6 @@ class TrainResult:
     states: dict[str, GroupImportanceState]
     records: list[TraceRecord]
     config: ExperimentConfig
-    seed: int
     final_task_loss: float
     test_mse: float
 
@@ -100,36 +99,33 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                  data: tuple[np.ndarray, ...] | None = None) -> TrainResult:
     """Train for the configured number of epochs and return the full record.
 
-    ``net``/``graph``/``epochs``/``data`` override the config when given,
-    which is how fine-tuning reuses this loop on a pruned checkpoint.
+    ``net``/``graph``/``data`` override the config when given, which is how
+    fine-tuning reuses this loop on a pruned checkpoint. ``seed`` (else the
+    PRUNESCOPE_SEED environment variable) and ``epochs`` are folded into the
+    config, so the result's ``config`` is the one that ran.
     """
-    seed = cfg.resolve_seed() if seed is None else int(seed)
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    epochs = cfg.epochs if epochs is None else int(epochs)
-    if epochs < 1:
-        raise ConfigurationError("epochs must be at least 1")
+    cfg = replace(cfg, seed=cfg.resolve_seed() if seed is None else seed,
+                  epochs=cfg.epochs if epochs is None else epochs)
     if net is None:
-        net = build_model(cfg.model, seed)
+        net = build_model(cfg.model, cfg.seed)
     if graph is None:
         graph = build_groups(net, cfg.layers_per_group)
     x_train, y_train, x_test, y_test = (
-        load_dataset(cfg, seed, net) if data is None else data)
+        load_dataset(cfg, cfg.seed, net) if data is None else data)
     if len(x_train) < 1:
         raise ConfigurationError("training set is empty")
 
     groups = graph.groups
-    schedule = cfg.schedule.with_groups(len(groups))
     param_counts = [g.param_count for g in groups]
     states = init_states(graph, cfg.bayes)
     optimizer = make_optimizer(cfg)
-    shuffle_rng = np.random.default_rng([seed, 2])
+    shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
     records: list[TraceRecord] = []
     task_loss = math.nan
-    for epoch in range(1, epochs + 1):
-        lambdas = schedule_row(epoch - 1, param_counts, schedule)
-        weight = lambda_weight_at(epoch, schedule)
+    for epoch in range(1, cfg.epochs + 1):
+        lambdas = schedule_row(epoch - 1, param_counts, cfg.schedule)
+        weight = lambda_weight_at(epoch, cfg.schedule)
         coeffs = {g.id: weight * lam for g, lam in zip(groups, lambdas)}
         l1_runs = [[(lo, hi, coeffs[g.id]) for g in part for lo, hi in g.runs]
                    for part, _ in graph.parts]
@@ -165,7 +161,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
 
     test_mse = evaluate_mse(net, x_test, y_test) if len(x_test) else math.nan
     return TrainResult(net=net, graph=graph, states=states, records=records,
-                       config=cfg, seed=seed, final_task_loss=task_loss,
+                       config=cfg, final_task_loss=task_loss,
                        test_mse=test_mse)
 
 
@@ -212,9 +208,7 @@ def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
     cfg.save(paths["config"])
     save_checkpoint(result.net, paths["checkpoint"],
                     meta={"layers_per_group": cfg.layers_per_group,
-                          "seed": result.seed,
-                          "epochs": max((r.epoch for r in result.records),
-                                        default=0)})
+                          "seed": cfg.seed, "epochs": cfg.epochs})
     emit_trace(result.records, paths["trace_csv"])
     emit_trace(result.records, paths["trace_json"])
     write_json(paths["states"], states_to_doc(result.states, cfg.gamma, cfg.bayes),
@@ -241,8 +235,8 @@ def _summary_doc(result: TrainResult) -> dict:
         })
     return {
         "format": "prunescope.summary",
-        "seed": result.seed,
-        "epochs": max((r.epoch for r in result.records), default=0),
+        "seed": result.config.seed,
+        "epochs": result.config.epochs,
         "final_task_loss": result.final_task_loss,
         "test_mse": result.test_mse,
         "param_count": result.net.param_count(),

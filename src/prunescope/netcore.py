@@ -850,7 +850,10 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     bounds = {}
     for c in components.keys():
         name_lo_hi = components.arr(c, length=3)
-        bounds[name_lo_hi.str(0)] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
+        name = name_lo_hi.str(0)
+        if name in bounds:
+            components.fail(c, f"repeats the component name {name!r}")
+        bounds[name] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
     net = Network(dense, bounds,
                   [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)])
     for layer, entry in zip(net.layers, entries):

@@ -206,82 +206,57 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)
 
-    ordered: dict[str, list[tuple[int, int]]] = {}
-    caps: dict[str, int] = {}
+    # Each group's queue is its ranking cut at the cap, the k-th unit keyed by
+    # the progress k / share the group has made when that unit goes; a group
+    # with no share gives nothing. The keys are distinct, so sorting the
+    # queues' union merges them: the group furthest behind its share goes
+    # next (least progress, then lowest id).
+    queue = []
     for group in candidates:
         ranking = rank_units_within_group(group, states[group.id].unit_ema,
                                           units_of[group.id])
-        cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
-        ordered[group.id] = ranking[:cap]
-        caps[group.id] = cap
+        share = alloc_weights[group.id] * len(ranking)
+        if share > 0:
+            cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
+            queue += [((k / share, group.id), unit)
+                      for k, unit in enumerate(ranking[:cap])]
 
-    total = net.param_count()
-    target = round(target_sparsity * total)
+    target = round(target_sparsity * net.param_count())
     # The cost of one fresh unit removal on the dearest candidate layer.
     unit_layers = {layer for gid in cand_ids for layer, _ in units_of[gid]}
     granularity = max(_RemovalLedger(net).add_unit(layer, 0) for layer in unit_layers)
 
     ledger = _RemovalLedger(net)
     taken: dict[str, list[tuple[int, int]]] = {gid: [] for gid in cand_ids}
-    full_units = {gid: len(units_of[gid]) for gid in cand_ids}
-    last: tuple[str, tuple[int, int], int] | None = None
-
-    while ledger.removed < target:
-        best = None
-        for gid in cand_ids:
-            share = alloc_weights[gid] * full_units[gid]
-            if share <= 0 or len(taken[gid]) >= caps[gid]:
-                continue
-            progress = len(taken[gid]) / share
-            if best is None or (progress, gid) < best[:2]:
-                best = (progress, gid)
-        if best is None:
-            if target - ledger.removed > granularity:
-                raise InfeasiblePlanError(
-                    f"cannot reach {target} removed parameters: caps and "
-                    f"protections allow only {ledger.removed}")
+    last: tuple[str, int] | None = None
+    for (_, gid), unit in sorted(queue):
+        if ledger.removed >= target:
             break
-        gid = best[1]
-        unit = ordered[gid][len(taken[gid])]
-        delta = ledger.add_unit(*unit)
+        last = gid, ledger.add_unit(*unit)
         taken[gid].append(unit)
-        last = (gid, unit, delta)
+    if target - ledger.removed > granularity:
+        raise InfeasiblePlanError(
+            f"cannot reach {target} removed parameters: caps and "
+            f"protections allow only {ledger.removed}")
 
     removed = ledger.removed
-    if last is not None and removed > target:
-        without = removed - last[2]
-        if abs(without - target) < abs(removed - target):
-            taken[last[0]].pop()
-
+    # Drop the last unit when the total lands closer to the target without it.
+    if last is not None and abs(removed - last[1] - target) < removed - target:
+        taken[last[0]].pop()
+        removed -= last[1]
     per_group = {gid: units for gid, units in taken.items() if units}
-    predicted = predicted_removed_params(net, [u for units in per_group.values()
-                                               for u in units])
-    return PrunePlan(target_sparsity, metric, per_group, predicted)
+    return PrunePlan(target_sparsity, metric, per_group, removed)
 
 
 def _validate_plan(net: Network, graph: ComponentGraph, plan: PrunePlan) -> None:
-    sinks = set(net.sinks())
     for gid, units in plan.per_group.items():
-        group = graph.get(gid)
-        allowed_layers = set(group.unit_layers())
-        seen = set()
+        allowed = set(prunable_units(net, graph.get(gid)))
         for layer, unit in units:
-            if layer not in allowed_layers:
+            if (layer, unit) not in allowed:
                 raise ConfigurationError(
-                    f"plan group {gid!r}: layer {layer} is not a unit layer of "
-                    f"this group")
-            if layer in sinks:
-                raise ConfigurationError(
-                    f"plan group {gid!r}: layer {layer} is a network output layer "
-                    "and cannot be pruned")
-            if not 0 <= unit < net.layers[layer].out_dim:
-                raise ConfigurationError(
-                    f"plan group {gid!r}: unit {unit} out of range for layer "
-                    f"{layer}")
-            if (layer, unit) in seen:
-                raise ConfigurationError(
-                    f"plan group {gid!r}: duplicate unit ({layer}, {unit})")
-            seen.add((layer, unit))
+                    f"plan group {gid!r}: ({layer}, {unit}) is not a prunable "
+                    "unit of this group, or is listed twice")
+            allowed.remove((layer, unit))
 
 
 def apply_prune(net: Network, graph: ComponentGraph,

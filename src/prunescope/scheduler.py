@@ -16,7 +16,7 @@ exactly periodic in t. The total objective is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigurationError, NumericsError
@@ -33,7 +33,6 @@ class ScheduleConfig:
     lambda_min: float | None = None
     lambda_max: float | None = None
     cycle_T: int = 20
-    n_groups: int = 1
     lambda_weight: float = 1.0
     warmup_epochs: int = 0
 
@@ -52,34 +51,29 @@ class ScheduleConfig:
         if not 1 <= self.cycle_T < math.inf:
             raise ConfigurationError("cycle_T must be at least 1")
         object.__setattr__(self, "cycle_T", int(self.cycle_T))
-        if not 1 <= self.n_groups < math.inf:
-            raise ConfigurationError("n_groups must be at least 1")
-        object.__setattr__(self, "n_groups", int(self.n_groups))
         if not 0 <= self.lambda_weight < math.inf:
             raise ConfigurationError("lambda_weight must be non-negative and finite")
         if not 0 <= self.warmup_epochs < math.inf:
             raise ConfigurationError("warmup_epochs must be non-negative")
         object.__setattr__(self, "warmup_epochs", int(self.warmup_epochs))
 
-    def with_groups(self, n_groups: int) -> "ScheduleConfig":
-        return replace(self, n_groups=n_groups)
 
-
-def phase_offset(i: int, n_groups: int, cycle_T: int) -> float:
+def phase_offset(i: int, n: int, cycle_T: int) -> float:
     """Evenly spread offsets over one cycle: phi_i = (i / n) * T."""
-    if not 0 <= i < n_groups:
-        raise ConfigurationError(f"group index {i} out of range [0, {n_groups})")
-    return (i / n_groups) * cycle_T
+    if not 0 <= i < n:
+        raise ConfigurationError(f"group index {i} out of range [0, {n})")
+    return (i / n) * cycle_T
 
 
-def lambda_coefficient(t: int, i: int, n_params: int, cfg: ScheduleConfig) -> float:
-    """The L1 coefficient for group i at epoch t, scaled by 1/sqrt(N_i)."""
+def lambda_coefficient(t: int, i: int, n: int, n_params: int,
+                       cfg: ScheduleConfig) -> float:
+    """The L1 coefficient for group i of n at epoch t, scaled by 1/sqrt(N_i)."""
     t = int(t)
     if t < 0:
         raise ConfigurationError(f"epoch counter must be non-negative, got {t}")
     if n_params < 1:
         raise ConfigurationError("group parameter count must be at least 1")
-    phi = phase_offset(i, cfg.n_groups, cfg.cycle_T)
+    phi = phase_offset(i, n, cfg.cycle_T)
     # Integer reduction keeps the schedule exactly periodic in t.
     u = (t % cfg.cycle_T) + phi
     w = 0.5 * (1.0 + math.cos(math.tau * (u / cfg.cycle_T)))
@@ -89,11 +83,10 @@ def lambda_coefficient(t: int, i: int, n_params: int, cfg: ScheduleConfig) -> fl
 
 def schedule_row(t: int, param_counts: Sequence[int],
                  cfg: ScheduleConfig) -> list[float]:
-    """lambda_i(t) for every group, in group order."""
-    if len(param_counts) != cfg.n_groups:
-        raise ConfigurationError(
-            f"{len(param_counts)} parameter counts for {cfg.n_groups} groups")
-    return [lambda_coefficient(t, i, n, cfg) for i, n in enumerate(param_counts)]
+    """lambda_i(t) for every group, in group order; the groups are counted
+    from ``param_counts``."""
+    return [lambda_coefficient(t, i, len(param_counts), count, cfg)
+            for i, count in enumerate(param_counts)]
 
 
 def lambda_weight_at(epoch: int, cfg: ScheduleConfig) -> float:

@@ -149,19 +149,20 @@ def test_criterion_4_ema_matches_closed_form():
 
 
 def test_criterion_5_scheduler_identities():
-    cfg = ScheduleConfig(n_groups=4)  # lambda_base 1e-5, T = 20
-    top = lambda_coefficient(0, 0, 16, cfg)
-    bottom = lambda_coefficient(cfg.cycle_T // 2, 0, 25, cfg)
+    cfg = ScheduleConfig()  # lambda_base 1e-5, T = 20
+    n_groups = 4
+    top = lambda_coefficient(0, 0, n_groups, 16, cfg)
+    bottom = lambda_coefficient(cfg.cycle_T // 2, 0, n_groups, 25, cfg)
     exact_ends = (top == cfg.lambda_max / 4.0
                   and bottom == cfg.lambda_min / 5.0)
     rng = np.random.default_rng(55)
     worst = 0.0
     for _ in range(1000):
         t = int(rng.integers(0, 10_000))
-        i = int(rng.integers(0, cfg.n_groups))
+        i = int(rng.integers(0, n_groups))
         n = int(rng.integers(1, 10_000))
-        worst = max(worst, abs(lambda_coefficient(t + cfg.cycle_T, i, n, cfg)
-                               - lambda_coefficient(t, i, n, cfg)))
+        worst = max(worst, abs(lambda_coefficient(t + cfg.cycle_T, i, n_groups, n, cfg)
+                               - lambda_coefficient(t, i, n_groups, n, cfg)))
     ok = exact_ends and worst <= 1e-15
     announce(5, ok, f"exact lambda_max/sqrt(N) and lambda_min/sqrt(N) "
                     f"endpoints; period-T drift {worst:.1e} over 1000 draws")

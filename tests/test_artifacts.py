@@ -13,13 +13,14 @@ from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConf
 from prunescope.harness.train import run_training, save_outputs
 
 # SHA-256 of each file a seeded toy train + prune writes, recorded with the
-# encoders as they were before every write went through write_atomic.
+# encoders as they were before every write went through write_atomic;
+# run/config.json re-recorded when the schedule lost its n_groups key.
 ARTIFACT_DIGESTS = {
     "pruned/checkpoint.json": "5cba93f491863ebfdf85ee2f2ad6ea4e0a661664f48235b0e3c0b7728d1995d2",
     "pruned/manifest.json": "14045e22fa38edcc5cced3839724624f7191124eb68f8602e72c9930b5b6cd22",
     "pruned/plan.json": "1e0b4d2a87143a7f369069e57c01acebf48ab94752df2607674ae1c686c58fcb",
     "run/checkpoint.json": "ba041ee0713d89ecaa8b17d5fe37cec95f7f77b7f39265c8ec7ef0fa0e9c3b46",
-    "run/config.json": "ad5775cc2153bfa69425c0901a9fcb8fcb50903cd172534600338e36f0176703",
+    "run/config.json": "4e98f0495e271faeef05728b88fba0144349635bbc7acc1d26672a668d9a8a45",
     "run/manifest.json": "3cbe93bac4e95d483901eb1495c4c3f5db6d10350da4e73704edcd38014f29ae",
     "run/states.json": "92915a030d52da3ed2dceff766fe6a0da49a232fbb7bb297f05a49f7d9fa9e7c",
     "run/summary.json": "95612fe1eced6dbece2e51531a0d3d22cb4c3a5054b9162f6012d017cc96efaf",

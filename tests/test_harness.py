@@ -189,7 +189,7 @@ def test_training_seed_changes_the_run(monkeypatch):
     assert base.records != other.records
     monkeypatch.setenv(SEED_ENV_VAR, "1")
     via_env = run_training(toy_config())
-    assert via_env.seed == 1
+    assert via_env.config.seed == 1
     assert via_env.records == other.records
 
 
@@ -207,10 +207,9 @@ def test_trace_has_one_row_per_epoch_and_group_in_graph_order():
 
 def test_trace_lambda_column_follows_the_schedule():
     result = run_training(toy_config(epochs=3))
-    schedule = result.config.schedule.with_groups(len(result.graph.groups))
     counts = [g.param_count for g in result.graph.groups]
     for epoch in range(1, 4):
-        expected = schedule_row(epoch - 1, counts, schedule)
+        expected = schedule_row(epoch - 1, counts, result.config.schedule)
         chunk = [r.lambda_ for r in result.records if r.epoch == epoch]
         assert chunk == expected
 
@@ -243,8 +242,7 @@ def test_total_loss_adds_the_scheduled_term():
     cfg = toy_config(epochs=1, batch_size=128)
     net = build_model(cfg.model, seed=0)
     groups = build_groups(net, 1).groups
-    lambdas = schedule_row(0, [g.param_count for g in groups],
-                           cfg.schedule.with_groups(len(groups)))
+    lambdas = schedule_row(0, [g.param_count for g in groups], cfg.schedule)
     record = run_training(cfg).records[0]
     l1 = sum(lam * group_l1_norm(net, g) for g, lam in zip(groups, lambdas))
     assert record.total_loss == total_loss(record.task_loss, l1, 1.0)
@@ -263,7 +261,7 @@ def test_non_finite_loss_raises_with_context():
 def test_evaluate_mse_matches_unbatched_loss():
     cfg = toy_config()
     result = run_training(cfg)
-    _, _, xte, yte = load_dataset(cfg, result.seed, result.net)
+    _, _, xte, yte = load_dataset(cfg, result.config.seed, result.net)
     whole, _ = mse_loss(forward(result.net, xte)[-1], yte)
     np.testing.assert_allclose(evaluate_mse(result.net, xte, yte, batch_size=7),
                                whole, rtol=1e-12)
@@ -280,7 +278,7 @@ def test_save_outputs_writes_the_full_artifact_set(tmp_path):
         assert paths[name].exists(), name
     net, meta = load_checkpoint(paths["checkpoint"])
     assert meta["layers_per_group"] == 1
-    assert meta["seed"] == result.seed
+    assert meta["seed"] == result.config.seed
     assert read_trace(paths["trace_csv"]) == result.records
     states = states_from_doc(json.loads(paths["states"].read_text()))
     assert set(states) == set(result.states)
@@ -661,3 +659,50 @@ def test_cli_train_synthetic_flag_and_protect(tmp_path, capsys):
                  "--out", str(tmp_path / "pruned")]) == 0
     plan = json.loads((tmp_path / "pruned" / "plan.json").read_text())
     assert "encoder_1" not in plan["groups"]
+
+
+def test_cli_verify_refuses_a_repeated_component_name(toy_run, tmp_path, capsys):
+    _, run_dir, _ = toy_run
+    repeated = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                       lambda doc: doc["components"].append(["head_b", 4, 6]))
+    capsys.readouterr()
+    assert main(["verify", "--checkpoint", repeated]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "components[3]" in err and "head_b" in err
+
+
+def test_cli_prune_apply_refuses_a_sparsity(toy_run, tmp_path, capsys):
+    _, run_dir, plan_path = toy_run
+    out = tmp_path / "out"
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--apply", str(plan_path), "--sparsity", "0.9",
+                 "--out", str(out)]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+RUN_FILES = ("checkpoint.json", "trace.csv", "states.json", "summary.json", "config.json")
+
+
+def test_recorded_config_reproduces_the_run(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    toy_config(epochs=50).save(cfg_path)
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    first = tmp_path / "first"
+    assert main(["train", "--config", str(cfg_path), "--epochs", "2", "--seed", "5",
+                 "--out", str(first)]) == 0
+    recorded = json.loads((first / "config.json").read_text())
+    assert (recorded["epochs"], recorded["seed"]) == (2, 5)
+
+    monkeypatch.delenv(SEED_ENV_VAR)
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(first / "config.json"),
+                 "--out", str(again)]) == 0
+    for name in RUN_FILES:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    env_only = tmp_path / "env_only"
+    assert main(["train", "--config", str(cfg_path), "--epochs", "2",
+                 "--out", str(env_only)]) == 0
+    assert json.loads((env_only / "config.json").read_text())["seed"] == 9

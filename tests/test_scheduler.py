@@ -34,12 +34,10 @@ def test_config_validation():
         ScheduleConfig(cycle_T=0)
     with pytest.raises(ConfigurationError):
         ScheduleConfig(lambda_weight=-0.5)
-    assert ScheduleConfig().with_groups(5).n_groups == 5
 
 
 @pytest.mark.parametrize("field", ["lambda_base", "lambda_min", "lambda_max",
-                                   "lambda_weight", "cycle_T", "n_groups",
-                                   "warmup_epochs"])
+                                   "lambda_weight", "cycle_T", "warmup_epochs"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_config_refuses_non_finite_constants(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -55,14 +53,14 @@ def test_phase_offsets_spread_evenly_over_the_cycle():
 
 
 def test_zero_phase_group_starts_exactly_at_lambda_max():
-    cfg = ScheduleConfig(n_groups=3)
-    lam = lambda_coefficient(0, 0, 16, cfg)
+    cfg = ScheduleConfig()
+    lam = lambda_coefficient(0, 0, 3, 16, cfg)
     assert lam == cfg.lambda_max / 4.0  # sqrt(16) is exact
 
 
 def test_half_cycle_hits_exactly_lambda_min():
-    cfg = ScheduleConfig(n_groups=1, cycle_T=20)
-    lam = lambda_coefficient(10, 0, 25, cfg)
+    cfg = ScheduleConfig(cycle_T=20)
+    lam = lambda_coefficient(10, 0, 1, 25, cfg)
     assert lam == cfg.lambda_min / 5.0
 
 
@@ -71,63 +69,61 @@ def test_schedule_is_bitwise_periodic(seed):
     """Reducing the epoch counter modulo T before the cosine makes
     lambda(t + T) literally equal to lambda(t)."""
     rng = np.random.default_rng(seed)
-    cfg = ScheduleConfig(n_groups=int(rng.integers(1, 7)),
-                         cycle_T=int(rng.integers(2, 40)))
+    n_groups = int(rng.integers(1, 7))
+    cfg = ScheduleConfig(cycle_T=int(rng.integers(2, 40)))
     for _ in range(200):
         t = int(rng.integers(0, 10_000))
-        i = int(rng.integers(0, cfg.n_groups))
+        i = int(rng.integers(0, n_groups))
         n = int(rng.integers(1, 1000))
-        assert lambda_coefficient(t + cfg.cycle_T, i, n, cfg) \
-            == lambda_coefficient(t, i, n, cfg)
+        assert lambda_coefficient(t + cfg.cycle_T, i, n_groups, n, cfg) \
+            == lambda_coefficient(t, i, n_groups, n, cfg)
 
 
 def test_phase_offset_is_a_pure_time_shift():
     """With integer offsets, group i at epoch 0 sees exactly what group 0
     sees at epoch phi_i."""
-    cfg = ScheduleConfig(n_groups=4, cycle_T=20)
+    cfg = ScheduleConfig(cycle_T=20)
     for i in range(4):
         shift = int(phase_offset(i, 4, 20))
-        assert lambda_coefficient(0, i, 49, cfg) \
-            == lambda_coefficient(shift, 0, 49, cfg)
+        assert lambda_coefficient(0, i, 4, 49, cfg) \
+            == lambda_coefficient(shift, 0, 4, 49, cfg)
 
 
 def test_cycle_mean_is_the_midpoint():
     """cos averages to zero over any full integer-grid cycle, so the mean
     coefficient is (lambda_max + lambda_min) / 2 / sqrt(N)."""
-    cfg = ScheduleConfig(n_groups=5, cycle_T=20)
+    cfg = ScheduleConfig(cycle_T=20)
     for i in range(5):
-        mean = np.mean([lambda_coefficient(t, i, 1, cfg)
+        mean = np.mean([lambda_coefficient(t, i, 5, 1, cfg)
                         for t in range(cfg.cycle_T)])
         np.testing.assert_allclose(
             mean, 0.5 * (cfg.lambda_max + cfg.lambda_min), rtol=1e-12)
 
 
 def test_size_normalization_scales_inverse_square_root():
-    cfg = ScheduleConfig(n_groups=2)
-    big = lambda_coefficient(7, 1, 400, cfg)
-    small = lambda_coefficient(7, 1, 100, cfg)
+    cfg = ScheduleConfig()
+    big = lambda_coefficient(7, 1, 2, 400, cfg)
+    small = lambda_coefficient(7, 1, 2, 100, cfg)
     assert big == small / 2.0
 
 
 def test_coefficient_stays_within_the_band():
-    cfg = ScheduleConfig(n_groups=3, cycle_T=17)
+    cfg = ScheduleConfig(cycle_T=17)
     for t in range(40):
         for i in range(3):
-            lam = lambda_coefficient(t, i, 1, cfg)
+            lam = lambda_coefficient(t, i, 3, 1, cfg)
             assert cfg.lambda_min - 1e-18 <= lam <= cfg.lambda_max + 1e-18
 
 
 def test_schedule_row_and_argument_validation():
-    cfg = ScheduleConfig(n_groups=2)
+    cfg = ScheduleConfig()
     row = schedule_row(3, [100, 400], cfg)
-    assert row == [lambda_coefficient(3, 0, 100, cfg),
-                   lambda_coefficient(3, 1, 400, cfg)]
+    assert row == [lambda_coefficient(3, 0, 2, 100, cfg),
+                   lambda_coefficient(3, 1, 2, 400, cfg)]
     with pytest.raises(ConfigurationError):
-        schedule_row(3, [100], cfg)
+        lambda_coefficient(-1, 0, 2, 10, cfg)
     with pytest.raises(ConfigurationError):
-        lambda_coefficient(-1, 0, 10, cfg)
-    with pytest.raises(ConfigurationError):
-        lambda_coefficient(0, 0, 0, cfg)
+        lambda_coefficient(0, 0, 2, 0, cfg)
 
 
 def test_lambda_weight_warmup_ramp():
@@ -168,9 +164,6 @@ def test_group_l1_norm_and_l1_term_by_hand():
     # The term training adds: sum_i lambda_i * |theta_i|_1.
     np.testing.assert_allclose(sum(lam * n for lam, n in zip([0.1, 0.1], norms)), 0.7,
                                rtol=1e-15)
-    # Its coefficients come from schedule_row, which refuses a count mismatch.
-    with pytest.raises(ConfigurationError):
-        schedule_row(0, [g.param_count for g in graph.groups], ScheduleConfig(n_groups=1))
 
 
 def test_total_loss_by_hand_and_finiteness():
@@ -193,7 +186,7 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
         tensor.values[...] = (rng.choice([-1.0, 1.0], size=tensor.shape)
                               * rng.uniform(0.5, 1.5, size=tensor.shape))
     graph = build_groups(net, 1)
-    cfg = ScheduleConfig(lambda_base=1e-2, n_groups=len(graph.groups))
+    cfg = ScheduleConfig(lambda_base=1e-2)
     lambdas = schedule_row(seed, [g.param_count for g in graph.groups], cfg)
     weight = 0.7
     x = rng.uniform(size=(4, net.input_dim))
