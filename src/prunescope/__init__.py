@@ -9,15 +9,15 @@ closure so the smaller network stays consistent.
 from .errors import (ConfigurationError, DataFormatError, InfeasiblePlanError,
                      NumericsError, PrunescopeError)
 from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
-                         bayes_update, ema_update, fisher_diag, grad_magnitude,
-                         init_states, metric_scores, rank_groups,
-                         states_from_doc, states_to_doc, update_all)
+                         bayes_update, ema_update, init_states, metric_scores,
+                         rank_groups, states_from_doc, states_to_doc,
+                         update_all)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
                          build_groups, export_manifest, prunable_units)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                       add_l1_subgradient, apply_activation, backward,
-                      build_sequential, fd_gradient, forward, load_checkpoint,
-                      mse_loss, save_checkpoint)
+                      build_sequential, forward, load_checkpoint, mse_loss,
+                      save_checkpoint)
 from .pruner import (PrunePlan, allocate_budget, apply_prune,
                      importance_weights, rank_units_within_group,
                      verify_consistency)
@@ -30,14 +30,13 @@ __all__ = [
     "ConfigurationError", "DataFormatError", "InfeasiblePlanError",
     "NumericsError", "PrunescopeError",
     "BayesConfig", "GroupImportanceState", "bayes_importance", "bayes_update",
-    "ema_update", "fisher_diag", "grad_magnitude", "init_states",
-    "metric_scores", "rank_groups", "states_from_doc", "states_to_doc",
-    "update_all",
+    "ema_update", "init_states", "metric_scores", "rank_groups",
+    "states_from_doc", "states_to_doc", "update_all",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
     "export_manifest", "prunable_units",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",
     "add_l1_subgradient", "apply_activation", "backward", "build_sequential",
-    "fd_gradient", "forward", "load_checkpoint", "mse_loss", "save_checkpoint",
+    "forward", "load_checkpoint", "mse_loss", "save_checkpoint",
     "PrunePlan", "allocate_budget", "apply_prune", "importance_weights",
     "rank_units_within_group", "verify_consistency",
     "ScheduleConfig", "lambda_coefficient", "lambda_weight_at", "phase_offset",

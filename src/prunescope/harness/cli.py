@@ -54,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "the checkpoint)")
     p.add_argument("--protect", nargs="*", default=[], metavar="GROUP_ID",
                    help="group ids exempt from pruning")
-    p.add_argument("--weights", nargs=3, type=float, default=None,
-                   metavar=("W_GRAD", "W_FISHER", "W_BAYES"),
-                   help="combined-metric weights (must sum to 1)")
+    p.add_argument("--weights", nargs="+", type=float, default=None,
+                   metavar="W",
+                   help="combined-metric weights for grad, fisher and bayes: "
+                        "three, non-negative, summing to 1")
     p.add_argument("--plan", default=None,
                    help="write the plan JSON here and stop without applying")
     source.add_argument("--apply", default=None,
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("report", help="summarize a trace file")
-    p.add_argument("--trace", required=True, help="trace CSV or JSON")
+    p.add_argument("--trace", required=True, help="trace CSV")
     p.add_argument("--hypotheses", action="store_true",
                    help="score the importance-dynamics hypotheses")
     p.add_argument("--window", type=int, default=20,
@@ -146,7 +147,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
 def cmd_finetune(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     result = finetune(args.checkpoint, cfg, args.epochs)
-    paths = save_outputs(result, args.out)
+    paths = save_outputs(result, args.out,
+                         meta={"finetuned_from": str(args.checkpoint)})
     print(f"fine-tuned {args.epochs} epochs, final task loss "
           f"{result.final_task_loss:.6g}, test mse {result.test_mse:.6g}")
     print(f"wrote {paths['checkpoint']}")

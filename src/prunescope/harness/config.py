@@ -10,7 +10,7 @@ import numpy as np
 
 from ..artifacts import Fields, read_json, write_json
 from ..errors import ConfigurationError
-from ..importance import BayesConfig
+from ..importance import BayesConfig, check_metric_weights
 from ..netcore import Network, build_sequential, seeded_layer
 from ..scheduler import ScheduleConfig
 
@@ -105,10 +105,7 @@ class ExperimentConfig:
             raise ConfigurationError("layers_per_group must be at least 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if (len(self.metric_weights) != 3 or not all(w >= 0 for w in self.metric_weights)
-                or not abs(sum(self.metric_weights) - 1.0) <= 1e-9):  # NaN fails
-            raise ConfigurationError(
-                "metric_weights must be three non-negative values summing to 1")
+        check_metric_weights(self.metric_weights)
 
     # -- serialization ------------------------------------------------------
 

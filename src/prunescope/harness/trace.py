@@ -1,21 +1,21 @@
-"""Importance-trace records and their CSV/JSON round trip.
+"""Importance-trace records and their CSV round trip.
 
 One trace row is emitted per (epoch, group): the schedule coefficient in
 force, the raw and smoothed importance metrics from the epoch's final
 iteration, the group's L1 norm after the epoch's updates, and the epoch-end
 losses. Floats are written with repr-faithful precision so a written trace
-reloads to bitwise-identical values.
+reloads to bitwise-identical values; every float must be finite.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from ..artifacts import Fields, read_csv, read_json, write_atomic, write_json
+from ..artifacts import Fields, read_csv, write_atomic
 from ..errors import DataFormatError
 
 TRACE_FIELDS = ("epoch", "group_id", "kind", "lambda", "raw_grad", "ema_grad",
@@ -41,44 +41,32 @@ class TraceRecord:
     task_loss: float
     total_loss: float
 
-    def as_row(self) -> dict:
-        doc = asdict(self)
-        doc["lambda"] = doc.pop("lambda_")
-        return doc
-
 
 def _record_from_row(row: Fields) -> TraceRecord:
     return TraceRecord(row.int("epoch"), row.str("group_id"), row.str("kind"),
-                       *(row.float(name) for name in _FLOAT_FIELDS))
+                       *(row.float(name, finite=True) for name in _FLOAT_FIELDS))
 
 
 def emit_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
-    """Write records as ``.csv`` or ``.json``, chosen by file extension."""
-    path = Path(path)
-    rows = [rec.as_row() for rec in records]
-    if path.suffix == ".csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows([TRACE_FIELDS] + [
-            [row["epoch"], row["group_id"], row["kind"]]
-            + [format(row[name], ".17g") for name in _FLOAT_FIELDS] for row in rows])
-        write_atomic(path, buf.getvalue())
-    elif path.suffix == ".json":
-        write_json(path, rows, indent=2)
-    else:
-        raise DataFormatError(
-            f"trace path {path} must end in .csv or .json")
+    """Write records as CSV; ``path`` must end in ``.csv``."""
+    path = _csv_path(path)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([TRACE_FIELDS] + [
+        [rec.epoch, rec.group_id, rec.kind]
+        + [format(value, ".17g") for value in astuple(rec)[3:]] for rec in records])
+    write_atomic(path, buf.getvalue())
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    path = Path(path)
-    if path.suffix == ".csv":
-        rows = read_csv(path, "trace", TRACE_FIELDS)
-    elif path.suffix == ".json":
-        doc = Fields(read_json(path, "trace"), f"trace {path}", list)
-        rows = [doc.obj(i) for i in doc.keys()]
-    else:
-        raise DataFormatError(f"trace path {path} must end in .csv or .json")
+    rows = read_csv(_csv_path(path), "trace", TRACE_FIELDS)
     return [_record_from_row(row) for row in rows]
+
+
+def _csv_path(path: str | Path) -> Path:
+    path = Path(path)
+    if path.suffix != ".csv":
+        raise DataFormatError(f"trace path {path} must end in .csv")
+    return path
 
 
 def validate_trace(records: list[TraceRecord]) -> list[str]:

@@ -191,8 +191,12 @@ def load_grouped(checkpoint_path: str | Path,
     return net, build_groups(net, lpg), meta
 
 
-def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write the standard artifact set for one run; returns name -> path."""
+def save_outputs(result: TrainResult, out_dir: str | Path,
+                 meta: dict | None = None) -> dict[str, Path]:
+    """Write the standard artifact set for one run; returns name -> path.
+
+    ``meta`` adds entries to the checkpoint's metadata.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
@@ -200,7 +204,6 @@ def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
         "config": out / "config.json",
         "checkpoint": out / "checkpoint.json",
         "trace_csv": out / "trace.csv",
-        "trace_json": out / "trace.json",
         "states": out / "states.json",
         "manifest": out / "manifest.json",
         "summary": out / "summary.json",
@@ -208,9 +211,8 @@ def save_outputs(result: TrainResult, out_dir: str | Path) -> dict[str, Path]:
     cfg.save(paths["config"])
     save_checkpoint(result.net, paths["checkpoint"],
                     meta={"layers_per_group": cfg.layers_per_group,
-                          "seed": cfg.seed, "epochs": cfg.epochs})
+                          "seed": cfg.seed, "epochs": cfg.epochs, **(meta or {})})
     emit_trace(result.records, paths["trace_csv"])
-    emit_trace(result.records, paths["trace_json"])
     write_json(paths["states"], states_to_doc(result.states, cfg.gamma, cfg.bayes),
                indent=2)
     write_json(paths["manifest"], export_manifest(result.net, result.graph), indent=2)

@@ -89,17 +89,6 @@ def init_states(graph: ComponentGraph,
             for g in graph.groups}
 
 
-def _flatten(grads: Sequence[np.ndarray] | np.ndarray) -> tuple[list[np.ndarray], int]:
-    """The gradients as float64 arrays, and their element count."""
-    if isinstance(grads, np.ndarray):
-        grads = [grads]
-    arrays = [np.asarray(g, dtype=np.float64) for g in grads]
-    count = sum(a.size for a in arrays)
-    if count == 0:
-        raise ConfigurationError("importance metrics need at least one parameter")
-    return arrays, count
-
-
 def _group_mean(parts: Sequence[np.ndarray], count: int) -> float:
     """(1/N) times the sum of per-tensor sums, N = ``count`` elements.
 
@@ -107,19 +96,6 @@ def _group_mean(parts: Sequence[np.ndarray], count: int) -> float:
     whether the parts are separate arrays or slots of one arena buffer.
     """
     return sum([float(np.add.reduce(p, axis=None)) for p in parts]) / count
-
-
-def grad_magnitude(grads: Sequence[np.ndarray] | np.ndarray) -> float:
-    """Mean absolute gradient over the group: (1/N) sum |g|. It is also
-    the gradient energy the Bayes tracker observes."""
-    arrays, count = _flatten(grads)
-    return _group_mean([np.abs(a) for a in arrays], count)
-
-
-def fisher_diag(grads: Sequence[np.ndarray] | np.ndarray) -> float:
-    """Mean squared gradient over the group: (1/N) sum g^2."""
-    arrays, count = _flatten(grads)
-    return _group_mean([a * a for a in arrays], count)
 
 
 def bayes_update(state: GroupImportanceState, energy: float,
@@ -160,12 +136,13 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
 
     Each of the graph's parts takes the squared and then the absolute
     gradients over its arena runs, into one buffer; each group's metric is
-    then reduced over its tensors' slots in slice order, by the same
-    reduction that :func:`fisher_diag` and :func:`grad_magnitude` use. The
-    second part, if any, runs on the second lane. Where the slots lie and
-    which of them feed each unit score was fixed by :func:`build_groups`,
-    so a step does only the arithmetic, and a group's arithmetic does not
-    depend on the part it is in.
+    then reduced over its tensors' slots in slice order by
+    :func:`_group_mean`: the gradient magnitude (1/N) sum |g|, which is
+    also the energy the Bayes tracker observes, and the Fisher diagonal
+    (1/N) sum g^2. The second part, if any, runs on the second lane. Where
+    the slots lie and which of them feed each unit score was fixed by
+    :func:`build_groups`, so a step does only the arithmetic, and a group's
+    arithmetic does not depend on the part it is in.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
@@ -226,6 +203,19 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
         state.iteration += 1
 
 
+def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:
+    """The combined metric's weights, one per metric in ``METRICS`` order,
+    as floats; refused unless there are three, none negative, summing to 1."""
+    weights = tuple(float(w) for w in weights)
+    # Written so that a NaN weight fails.
+    if (len(weights) != len(METRICS) or not all(w >= 0 for w in weights)
+            or not abs(sum(weights) - 1.0) <= 1e-9):
+        raise ConfigurationError(
+            "metric weights must be three non-negative numbers that sum to 1, "
+            f"got {list(weights)}")
+    return weights
+
+
 def _minmax(values: Sequence[float]) -> list[float]:
     lo = min(values)
     hi = max(values)
@@ -249,14 +239,7 @@ def metric_scores(states: Mapping[str, GroupImportanceState],
     if metric != COMBINED:
         raise ConfigurationError(
             f"unknown metric {metric!r}; expected one of {METRICS + (COMBINED,)}")
-    if weights is None:
-        weights = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    weights = [float(w) for w in weights]
-    # Written so that a NaN weight fails both checks.
-    if len(weights) != len(METRICS) or not all(w >= 0 for w in weights):
-        raise ConfigurationError("combined metric needs three non-negative weights")
-    if not abs(sum(weights) - 1.0) <= 1e-9:
-        raise ConfigurationError(f"metric weights must sum to 1, got {sum(weights)}")
+    weights = check_metric_weights((1 / 3, 1 / 3, 1 / 3) if weights is None else weights)
     combined = {gid: 0.0 for gid in group_ids}
     for w, name in zip(weights, METRICS):
         values = [getattr(states[gid], f"ema_{name}") for gid in group_ids]
@@ -266,11 +249,10 @@ def metric_scores(states: Mapping[str, GroupImportanceState],
 
 
 def rank_groups(states: Mapping[str, GroupImportanceState], metric: str,
-                weights: Sequence[float] | None = None,
-                group_ids: Sequence[str] | None = None) -> list[str]:
+                weights: Sequence[float] | None = None) -> list[str]:
     """Group ids ordered by descending smoothed importance; ties break by
     ascending group id."""
-    ids = list(group_ids) if group_ids is not None else sorted(states)
+    ids = sorted(states)
     return ranked(metric_scores(states, ids, metric, weights), ids)
 
 

@@ -3,8 +3,8 @@
 Layers form a directed acyclic graph: each layer reads either the network
 input or the output of one earlier layer, so plain encoder/decoder stacks
 and shared-encoder multi-head graphs are both expressible. All arithmetic
-is float64. Analytic gradients are checked against the central
-finite-difference oracle in :func:`fd_gradient`.
+is float64; the test suite checks the analytic gradients against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -225,18 +225,6 @@ class Network:
                 raise NumericsError(f"non-finite gradient in {tensor.name} {context}")
         raise NumericsError(f"non-finite parameters {context}")
 
-    def get_flat(self, index: int) -> float:
-        return float(self.flat_values[self._flat_index(index)])
-
-    def set_flat(self, index: int, value: float) -> None:
-        self.flat_values[self._flat_index(index)] = value
-
-    def _flat_index(self, index: int) -> int:
-        if not 0 <= index < self.flat_values.size:
-            raise ConfigurationError(
-                f"parameter index {index} out of range [0, {self.flat_values.size})")
-        return index
-
     def copy(self) -> "Network":
         net = Network([(layer.weight.values, layer.bias.values, layer.activation)
                        for layer in self.layers], self.components, self.layer_inputs)
@@ -421,36 +409,6 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
                  bias_grad: np.ndarray) -> None:
     np.matmul(dz.T, x, out=weight_grad)
     np.add.reduce(dz, 0, out=bias_grad)  # what np.sum calls, without its wrapper
-
-
-def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
-                index: int, h: float = 1e-5,
-                penalty: Callable[[Network], float] | None = None) -> float:
-    """Central finite-difference derivative of the loss w.r.t. one parameter.
-
-    ``penalty``, when given, is added to the task loss at both probe points
-    (used to check composite objectives such as task + L1). The network is
-    restored exactly afterwards.
-    """
-    if h <= 0:
-        raise ConfigurationError("finite-difference step must be positive")
-
-    def total() -> float:
-        acts = forward(net, batch)
-        loss, _ = mse_loss(acts[-1], target)
-        if penalty is not None:
-            loss += float(penalty(net))
-        return loss
-
-    original = net.get_flat(index)
-    try:
-        net.set_flat(index, original + h)
-        upper = total()
-        net.set_flat(index, original - h)
-        lower = total()
-    finally:
-        net.set_flat(index, original)
-    return (upper - lower) / (2.0 * h)
 
 
 def add_l1_subgradient(net: Network,

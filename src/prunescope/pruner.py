@@ -85,16 +85,11 @@ class PrunePlan:
 
 def rank_units_within_group(
         group: PruningGroup, unit_scores: Mapping[int, np.ndarray],
-        units: Sequence[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
-    """Order units by ascending score; ties break by (layer, unit index).
+        units: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Order ``units`` by ascending score; ties break by (layer, unit index).
 
     ``unit_scores`` maps a unit layer to its per-output-unit score vector.
-    ``units`` restricts the ranking (defaults to every scored unit of the
-    group's unit layers).
     """
-    if units is None:
-        units = [(layer, u) for layer in group.unit_layers()
-                 for u in range(len(np.asarray(unit_scores[layer])))]
     scored = []
     for layer, unit in units:
         if layer not in unit_scores:

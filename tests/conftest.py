@@ -1,4 +1,4 @@
-"""Shared builders for the test suite."""
+"""Shared builders and reference oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import pytest
 from prunescope import netcore
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import PruningGroup
-from prunescope.netcore import Network, ParamTensor, ROLE_WEIGHT, build_sequential
+from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, build_sequential,
+                                forward, mse_loss)
 
 
 def dyadic(rng: np.random.Generator, shape) -> np.ndarray:
@@ -42,6 +43,38 @@ def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
 def group_l1_norm(net: Network, group: PruningGroup) -> float:
     """Reference L1 norm of a group: the sum of its per-tensor sums."""
     return sum(float(np.abs(t.values).sum()) for t in group_tensors(net, group))
+
+
+def per_tensor_mean(arrays) -> float:
+    """Reference group metric: (1/N) times the sum of per-tensor sums over
+    the N elements of ``arrays``; training reduces its slots the same way."""
+    return sum(float(a.sum()) for a in arrays) / sum(a.size for a in arrays)
+
+
+def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
+                index: int, h: float = 1e-5, penalty=None) -> float:
+    """Central finite-difference derivative of the MSE loss with respect to
+    parameter ``index`` of ``net.flat_values``.
+
+    ``penalty(net)``, when given, is added to the task loss at both probe
+    points (to check composite objectives such as task + L1). The parameter
+    is restored exactly afterwards.
+    """
+    def total() -> float:
+        loss, _ = mse_loss(forward(net, batch)[-1], target)
+        if penalty is not None:
+            loss += float(penalty(net))
+        return loss
+
+    original = float(net.flat_values[index])
+    try:
+        net.flat_values[index] = original + h
+        upper = total()
+        net.flat_values[index] = original - h
+        lower = total()
+    finally:
+        net.flat_values[index] = original
+    return (upper - lower) / (2.0 * h)
 
 
 def with_activations(net: Network, activations) -> Network:

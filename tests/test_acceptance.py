@@ -19,18 +19,16 @@ from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
 from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import validate_trace
-from prunescope.importance import (BayesConfig, GroupImportanceState,
-                                   bayes_update, ema_update, fisher_diag,
-                                   grad_magnitude, init_states, update_all)
-from prunescope.modelgraph import build_groups, prunable_units
-from prunescope.netcore import (backward, build_sequential, fd_gradient,
-                                forward, mse_loss)
+from prunescope.importance import (BayesConfig, GroupImportanceState, _update_part,
+                                   bayes_update, ema_update, init_states, update_all)
+from prunescope.modelgraph import PruningGroup, build_groups, prunable_units
+from prunescope.netcore import backward, build_sequential, forward, mse_loss
 from prunescope.pruner import (PrunePlan, apply_prune,
                                predicted_removed_params, verify_consistency)
 from prunescope.scheduler import ScheduleConfig, lambda_coefficient
 
-from conftest import (dyadic, group_l1_norm, group_tensors, make_toy_multihead, set_dyadic,
-                      with_activations)
+from conftest import (dyadic, fd_gradient, group_l1_norm, group_tensors, make_toy_multihead,
+                      set_dyadic, with_activations)
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -78,16 +76,21 @@ def test_criterion_1_gradients_match_finite_differences():
 def test_criterion_2_metrics_match_brute_force():
     rng = np.random.default_rng(202)
     worst = 0.0
+    cfg = BayesConfig()
+    # The kernel training runs, on one group whose single slot is the vector.
     for _ in range(1000):
         g = rng.normal(0.0, 3.0, size=int(rng.integers(1, 64)))
         n = g.size
+        group = PruningGroup("g", "component_specific", (), ("body",), n,
+                             ((0, n, (n,)),), ((0, n),), ())
+        states = {"g": GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)}
+        _update_part((group,), group.runs, states, g, np.empty(n), cfg, 0.9)
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
-        for got, ref in ((grad_magnitude(g), ref_grad),
-                         (fisher_diag(g), ref_fisher)):
+        for got, ref in ((states["g"].raw_grad, ref_grad),
+                         (states["g"].raw_fisher, ref_fisher)):
             worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-    # The online update that training runs, on random gradients.
-    cfg = BayesConfig()
+    # The whole online update, on random gradients.
     for seed in range(20):
         net = make_toy_multihead(seed=seed)
         for _, _, tensor in net.param_tensors():
@@ -101,7 +104,7 @@ def test_criterion_2_metrics_match_brute_force():
                              (st.raw_fisher, math.fsum(v * v for v in g) / len(g))):
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     ok = worst <= 1e-12
-    announce(2, ok, f"grad/fisher kernels over 1000 vectors and update_all "
+    announce(2, ok, f"the training kernel over 1000 vectors and update_all "
                     f"over 20 networks vs fsum recomputation, worst "
                     f"deviation {worst:.3e}")
     assert ok

@@ -14,7 +14,8 @@ from prunescope.harness.train import run_training, save_outputs
 
 # SHA-256 of each file a seeded toy train + prune writes, recorded with the
 # encoders as they were before every write went through write_atomic;
-# run/config.json re-recorded when the schedule lost its n_groups key.
+# run/config.json re-recorded when the schedule lost its n_groups key, and
+# run/trace.json dropped when the trace became CSV only.
 ARTIFACT_DIGESTS = {
     "pruned/checkpoint.json": "5cba93f491863ebfdf85ee2f2ad6ea4e0a661664f48235b0e3c0b7728d1995d2",
     "pruned/manifest.json": "14045e22fa38edcc5cced3839724624f7191124eb68f8602e72c9930b5b6cd22",
@@ -25,7 +26,6 @@ ARTIFACT_DIGESTS = {
     "run/states.json": "92915a030d52da3ed2dceff766fe6a0da49a232fbb7bb297f05a49f7d9fa9e7c",
     "run/summary.json": "95612fe1eced6dbece2e51531a0d3d22cb4c3a5054b9162f6012d017cc96efaf",
     "run/trace.csv": "658a2dc8b4a4647572f0daa188da496082b2a80c0c75ff0e4f65eef4bf3a23ec",
-    "run/trace.json": "883d467ad0dc0646f54b4bc63b4c46cf7fb9740aaec066fdef0925944bf239f2",
 }
 
 

@@ -1,7 +1,7 @@
 """Property-based fuzzing of every artifact the CLI reads.
 
 Valid artifacts of a tiny ``toy_multihead`` run (config, checkpoint,
-importance states, prune plan, and the trace as CSV and as JSON) are
+importance states, prune plan, and the trace CSV) are
 truncated, retyped and stripped of keys, then fed through ``main``. Whatever
 the damage, ``main`` must return 0 or 2 and no exception may escape. A
 document that no longer parses, or whose whole value was retyped, must exit 2
@@ -64,7 +64,6 @@ def run(tmp_path_factory):
                              "--states", f, "--out", out],
         "plan": lambda f: ["prune", "--checkpoint", str(ckpt), "--apply", f,
                            "--out", out],
-        "trace_json": lambda f: ["report", "--trace", f, "--hypotheses"],
         "trace_csv": lambda f: ["report", "--trace", f, "--hypotheses"],
     }
     sources = {**paths, "plan": plan}
@@ -93,7 +92,7 @@ def nodes(doc, path=()):
             yield from nodes(value, path + (key,))
 
 
-@pytest.mark.parametrize("name", ["config", "checkpoint", "states", "plan", "trace_json"])
+@pytest.mark.parametrize("name", ["config", "checkpoint", "states", "plan"])
 @FUZZ
 @given(data=st.data())
 def test_damaged_json_artifacts_exit_zero_or_two(run, name, data):

@@ -273,10 +273,12 @@ def test_evaluate_mse_matches_unbatched_loss():
 def test_save_outputs_writes_the_full_artifact_set(tmp_path):
     result = run_training(toy_config())
     paths = save_outputs(result, tmp_path / "run")
-    for name in ("config", "checkpoint", "trace_csv", "trace_json", "states",
-                 "manifest", "summary"):
+    for name in ("config", "checkpoint", "trace_csv", "states", "manifest", "summary"):
         assert paths[name].exists(), name
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+        p.name for p in paths.values())
     net, meta = load_checkpoint(paths["checkpoint"])
+    assert set(meta) == {"layers_per_group", "seed", "epochs"}
     assert meta["layers_per_group"] == 1
     assert meta["seed"] == result.config.seed
     assert read_trace(paths["trace_csv"]) == result.records
@@ -525,9 +527,10 @@ def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):
     not_utf8.write_bytes(b'{"epochs": "\xe9"}')
     fails_typed(["train", "--config", str(not_utf8), "--out", out])
     fails_typed(["verify", "--checkpoint", str(not_utf8)])
-    trace = tmp_path / "trace.json"
+    trace = tmp_path / "trace.csv"
     trace.write_text("[1]")
     fails_typed(["report", "--trace", str(trace)])
+    fails_typed(["report", "--trace", str(tmp_path / "trace.json")])
 
     def shift_first_unit(doc):
         group = next(iter(doc["groups"].values()))
@@ -606,14 +609,78 @@ def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, cap
     monkeypatch.setattr(cli, "validate_trace", counted)
     monkeypatch.setattr(hypotheses, "validate_trace", counted)
     _, run_dir, _ = toy_run
-    trace = run_dir / "trace.json"
+    trace = run_dir / "trace.csv"
     assert main(["report", "--trace", str(trace), "--hypotheses"]) == 0
     assert len(calls) == 1
-    short = damaged(trace, tmp_path / "trace.json", lambda doc: doc.pop(1))
+    lines = trace.read_text().splitlines(keepends=True)
+    short = tmp_path / "trace.csv"
+    short.write_text("".join(lines[:2] + lines[3:]))  # epoch 1 loses a group
+    short = str(short)
     capsys.readouterr()
     for extra, first_line in (([], "problem:"), (["--hypotheses"], "error:")):
         assert main(["report", "--trace", short, *extra]) == 2
         assert capsys.readouterr().err.startswith(first_line)
+
+
+def test_cli_report_refuses_a_non_finite_trace_cell(toy_run, tmp_path, capsys):
+    """Training never writes a non-finite trace value; a trace holding one
+    would reorder the hypotheses' rankings, so it is refused."""
+    _, run_dir, _ = toy_run
+    rows = [line.split(",") for line in
+            (run_dir / "trace.csv").read_text().splitlines()]
+    col = rows[0].index("ema_grad")
+    for row in rows[1:]:
+        if row[1] == "head_b_1":
+            row[col] = "nan"
+    bad = tmp_path / "trace.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    for extra in ([], ["--hypotheses"]):
+        assert main(["report", "--trace", str(bad), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ema_grad" in err and "finite" in err
+
+
+BAD_WEIGHTS = {"nan": ["nan", "0.5", "0.5"], "negative": ["-0.5", "0.75", "0.75"],
+               "too_short": ["0.5", "0.5"], "sum_not_one": ["0.5", "0.5", "0.5"]}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+def test_bad_metric_weights_get_one_refusal_from_config_and_cli(toy_run, tmp_path,
+                                                                capsys, case):
+    cfg_path, run_dir, _ = toy_run
+    weights = BAD_WEIGHTS[case]
+    bad_cfg = damaged(cfg_path, tmp_path / "cfg.json",
+                      lambda doc: doc.update(metric_weights=[float(w) for w in weights]))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    errors = []
+    for argv in (["train", "--config", bad_cfg, "--out", str(out)],
+                 ["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                  "--sparsity", "0.4", "--weights", *weights, "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "weights" in err
+        errors.append(err.splitlines()[-1])
+        assert not out.exists()
+    if case in ("negative", "sum_not_one"):  # the config reader passes these on
+        assert errors[0].endswith(errors[1].removeprefix("error: "))
+    assert "metric weights must be three non-negative numbers that sum to 1" in errors[1]
+
+
+def test_cli_finetune_records_the_checkpoint_it_started_from(toy_run, tmp_path):
+    cfg_path, run_dir, plan_path = toy_run
+    pruned, tuned = tmp_path / "pruned", tmp_path / "tuned"
+    source = str(run_dir / "checkpoint.json")
+    assert main(["prune", "--checkpoint", source, "--apply", str(plan_path),
+                 "--out", str(pruned)]) == 0
+    assert load_checkpoint(pruned / "checkpoint.json")[1]["pruned_from"] == source
+    start = str(pruned / "checkpoint.json")
+    assert main(["finetune", "--checkpoint", start, "--config", str(cfg_path),
+                 "--epochs", "1", "--out", str(tuned)]) == 0
+    _, meta = load_checkpoint(tuned / "checkpoint.json")
+    assert meta["finetuned_from"] == start
+    assert meta["epochs"] == 1 and meta["layers_per_group"] == 1
 
 
 def test_star_imports_resolve_every_exported_name():

@@ -9,33 +9,37 @@ import pytest
 from prunescope.errors import ConfigurationError, DataFormatError
 from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_importance, bayes_update, ema_update,
-                                   fisher_diag, grad_magnitude, init_states,
-                                   metric_scores, rank_groups, states_from_doc,
-                                   states_to_doc, update_all)
+                                   init_states, metric_scores, rank_groups, ranked,
+                                   states_from_doc, states_to_doc, update_all)
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import backward, forward, mse_loss
 
-from conftest import dyadic, group_tensors, make_toy_multihead, make_two_component_chain
+from conftest import (dyadic, group_tensors, make_net, make_toy_multihead,
+                      make_two_component_chain, per_tensor_mean)
 
 
 # -- raw metrics -------------------------------------------------------------
 
 
+def one_layer_metrics(grad):
+    """(raw_grad, raw_fisher) after one ``update_all`` on a one-layer
+    network, one group, whose gradient (weight row, then bias) is ``grad``."""
+    net = make_net([len(grad) - 1, 1], ["identity"])
+    net.flat_grad[...] = grad
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    (st,) = update_all(init_states(graph, cfg), net, graph, cfg, 0.9).values()
+    return st.raw_grad, st.raw_fisher
+
+
 def test_grad_magnitude_by_hand():
-    assert grad_magnitude(np.array([3.0, -4.0])) == 3.5
-    assert grad_magnitude([np.array([1.0, -1.0]), np.array([[2.0]])]) == 4.0 / 3.0
+    assert one_layer_metrics([3.0, -4.0])[0] == 3.5
+    assert one_layer_metrics([1.0, -1.0, 2.0])[0] == 4.0 / 3.0
 
 
 def test_fisher_diag_by_hand():
-    assert fisher_diag(np.array([3.0, -4.0])) == 12.5
-    assert fisher_diag([np.array([1.0, -1.0]), np.array([[2.0]])]) == 2.0
-
-
-def test_metrics_reject_empty_groups():
-    with pytest.raises(ConfigurationError):
-        grad_magnitude([])
-    with pytest.raises(ConfigurationError):
-        fisher_diag(np.zeros((0,)))
+    assert one_layer_metrics([3.0, -4.0])[1] == 12.5
+    assert one_layer_metrics([1.0, -1.0, 2.0])[1] == 2.0
 
 
 # -- conjugate updates --------------------------------------------------------
@@ -179,9 +183,9 @@ def test_update_all_matches_per_group_brute_force():
     for group in graph.groups:
         grads = [t.grad for t in group_tensors(net, group)]
         st = states[group.id]
-        # Training runs the same reduction as the public kernels, bit for bit.
-        assert st.raw_grad == grad_magnitude(grads)
-        assert st.raw_fisher == fisher_diag(grads)
+        # Training sums each tensor on its own, then the sums: bit for bit.
+        assert st.raw_grad == per_tensor_mean([np.abs(g) for g in grads])
+        assert st.raw_fisher == per_tensor_mean([g * g for g in grads])
         assert st.alpha == cfg.alpha0 + cfg.kappa
         np.testing.assert_allclose(
             st.beta, cfg.beta0 + cfg.kappa * st.raw_grad / cfg.eta, rtol=1e-15)
@@ -314,7 +318,7 @@ def test_rank_groups_descending_with_id_tiebreak():
     states = three_states()
     assert rank_groups(states, "grad") == ["b", "c", "a"]
     assert rank_groups(states, "fisher") == ["a", "b", "c"]  # b == c tie
-    assert rank_groups(states, "bayes", group_ids=["c", "a"]) == ["c", "a"]
+    assert ranked(metric_scores(states, ["c", "a"], "bayes"), ["c", "a"]) == ["c", "a"]
 
 
 # -- round trip ------------------------------------------------------------------

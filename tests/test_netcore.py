@@ -19,11 +19,11 @@ from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Adam, Network, SGD, add_l1_subgradient,
                                 apply_activation, backward, build_sequential,
-                                fd_gradient, forward, load_checkpoint, mse_loss,
+                                forward, load_checkpoint, mse_loss,
                                 save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
-from conftest import (dyadic, make_net, make_toy_multihead, set_dyadic,
+from conftest import (dyadic, fd_gradient, make_net, make_toy_multihead, set_dyadic,
                       with_activations)
 
 
@@ -225,9 +225,9 @@ def test_backward_rejects_width_mismatch():
 
 def test_fd_gradient_restores_the_probed_parameter():
     net = make_net([2, 2], ["identity"], seed=3)
-    before = net.get_flat(1)
+    before = net.flat_values.copy()
     fd_gradient(net, np.ones((1, 2)), np.zeros((1, 2)), 1)
-    assert net.get_flat(1) == before
+    assert net.flat_values.tobytes() == before.tobytes()
 
 
 # -- L1 subgradient --------------------------------------------------------
@@ -597,17 +597,6 @@ def test_every_way_of_building_lays_tensors_out_in_the_arena(way, tmp_path):
         offset += tensor.size
     assert offset == net.flat_values.size == net.flat_grad.size
     assert net.layout == tuple((t.name, t.shape) for _, _, t in net.param_tensors())
-
-
-def test_get_set_flat_round_trip(rng):
-    net = make_net([3, 4, 2], ["relu", "identity"], seed=9)
-    total = net.param_count()
-    assert total == 3 * 4 + 4 + 4 * 2 + 2
-    values = [net.get_flat(i) for i in range(total)]
-    for i in reversed(range(total)):
-        net.set_flat(i, values[i] + 1.0)
-    for i in range(total):
-        assert net.get_flat(i) == values[i] + 1.0
 
 
 def test_network_copy_is_deep():

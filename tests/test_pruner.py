@@ -52,14 +52,16 @@ def test_rank_units_ascending_by_score():
     net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
     graph = build_groups(net, 1)
     group = graph.get("body_1")
-    ranked = rank_units_within_group(group, {0: np.array([3.0, 1.0, 2.0])})
+    ranked = rank_units_within_group(group, {0: np.array([3.0, 1.0, 2.0])},
+                                     prunable_units(net, group))
     assert ranked == [(0, 1), (0, 2), (0, 0)]
 
 
 def test_rank_units_breaks_ties_by_position():
     net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
     group = build_groups(net, 1).get("body_1")
-    ranked = rank_units_within_group(group, {0: np.array([1.0, 1.0, 1.0])})
+    ranked = rank_units_within_group(group, {0: np.array([1.0, 1.0, 1.0])},
+                                     prunable_units(net, group))
     assert ranked == [(0, 0), (0, 1), (0, 2)]
 
 

@@ -7,13 +7,12 @@ import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import (add_l1_subgradient, backward, fd_gradient,
-                                forward, mse_loss)
+from prunescope.netcore import add_l1_subgradient, backward, forward, mse_loss
 from prunescope.scheduler import (ScheduleConfig, lambda_coefficient,
                                   lambda_weight_at, phase_offset, schedule_row,
                                   total_loss)
 
-from conftest import (group_l1_norm, make_net, make_two_component_chain,
+from conftest import (fd_gradient, group_l1_norm, make_net, make_two_component_chain,
                       with_activations)
 
 
