@@ -15,9 +15,8 @@ from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
                          build_groups, export_manifest, prunable_units)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
-                      add_l1_subgradient, apply_activation, backward,
-                      build_sequential, forward, load_checkpoint, mse_loss,
-                      save_checkpoint)
+                      apply_activation, backward, build_sequential, forward,
+                      load_checkpoint, mse_loss, save_checkpoint)
 from .pruner import (PrunePlan, allocate_budget, apply_prune,
                      importance_weights, rank_units_within_group,
                      verify_consistency)
@@ -35,8 +34,8 @@ __all__ = [
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
     "export_manifest", "prunable_units",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",
-    "add_l1_subgradient", "apply_activation", "backward", "build_sequential",
-    "forward", "load_checkpoint", "mse_loss", "save_checkpoint",
+    "apply_activation", "backward", "build_sequential", "forward",
+    "load_checkpoint", "mse_loss", "save_checkpoint",
     "PrunePlan", "allocate_budget", "apply_prune", "importance_weights",
     "rank_units_within_group", "verify_consistency",
     "ScheduleConfig", "lambda_coefficient", "lambda_weight_at", "phase_offset",

@@ -58,12 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="W",
                    help="combined-metric weights for grad, fisher and bayes: "
                         "three, non-negative, summing to 1")
-    p.add_argument("--plan", default=None,
-                   help="write the plan JSON here and stop without applying")
     source.add_argument("--apply", default=None,
                         help="apply an existing plan JSON instead of allocating")
-    p.add_argument("--out", default=None, help="output directory for the "
-                   "pruned checkpoint (required unless --plan is given)")
+    dest = p.add_mutually_exclusive_group()
+    dest.add_argument("--plan", default=None,
+                      help="write the plan JSON here and stop without applying")
+    dest.add_argument("--out", default=None, help="output directory for the "
+                      "pruned checkpoint (required unless --plan is given)")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("finetune", help="continue training a pruned checkpoint")
@@ -107,6 +108,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     if args.plan is None and args.out is None:
         raise PrunescopeError("prune needs --out (or --plan to stop at planning)")
+    if args.apply:
+        ignored = [f"--{name}" for name in ("states", "protect", "weights")
+                   if getattr(args, name)]
+        if ignored:
+            raise PrunescopeError("--apply takes the plan as it is; "
+                                  f"{', '.join(ignored)} would be ignored")
+    elif args.weights and args.metric != COMBINED:
+        raise PrunescopeError(f"--weights needs --metric {COMBINED}, not {args.metric}")
     net, graph, meta = load_grouped(args.checkpoint, 1)
     if args.apply:
         plan = PrunePlan.load(args.apply)
@@ -127,6 +136,12 @@ def cmd_prune(args: argparse.Namespace) -> int:
     before = net.param_count()
     pruned, new_graph = apply_prune(net, graph, plan)
     report = verify_consistency(pruned)
+    achieved = plan.predicted_removed / before
+    print(f"removed {plan.predicted_removed} of {before} parameters "
+          f"({achieved:.4f} vs target {plan.target_sparsity:.4f})")
+    print(report.summary())
+    if not report.ok:
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(pruned, out / "checkpoint.json",
@@ -134,13 +149,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
                           "target_sparsity": plan.target_sparsity})
     plan.save(out / "plan.json")
     write_json(out / "manifest.json", export_manifest(pruned, new_graph), indent=2)
-    achieved = plan.predicted_removed / before
-    print(f"removed {plan.predicted_removed} of {before} parameters "
-          f"({achieved:.4f} vs target {plan.target_sparsity:.4f})")
-    print(report.summary())
     print(f"wrote {out / 'checkpoint.json'}")
-    if not report.ok:
-        return 2
     return 0
 
 

@@ -1,9 +1,9 @@
 """The training loop: seeded batches, scheduled group L1, online importance.
 
-Each iteration runs forward, task loss, and backward; the importance states
-consume the pure task gradients before the scheduled L1 subgradient is mixed
-in and the optimizer steps. One trace row per (epoch, group) captures the
-final iteration's metrics together with epoch-end norms and losses.
+Each iteration runs forward, task loss, and backward; ``update_all`` reads
+the pure task gradients into the importance states before it adds the
+scheduled L1 subgradient, and the optimizer steps. One trace row per (epoch,
+group) captures the final iteration's metrics with epoch-end norms and losses.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRICS, init_states, rank_groups,
                           states_to_doc, update_all)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
-from ..netcore import (Adam, Network, SGD, add_l1_subgradient, backward,
-                       forward, load_checkpoint, mse_loss, save_checkpoint)
+from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
+                       mse_loss, save_checkpoint)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -126,9 +126,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     for epoch in range(1, cfg.epochs + 1):
         lambdas = schedule_row(epoch - 1, param_counts, cfg.schedule)
         weight = lambda_weight_at(epoch, cfg.schedule)
-        coeffs = {g.id: weight * lam for g, lam in zip(groups, lambdas)}
-        l1_runs = [[(lo, hi, coeffs[g.id]) for g in part for lo, hi in g.runs]
-                   for part, _ in graph.parts]
+        coeffs = [weight * lam for lam in lambdas]
         order = shuffle_rng.permutation(len(x_train))
         starts = range(0, len(x_train), cfg.batch_size)
         for it, lo in enumerate(starts):
@@ -140,8 +138,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     f"task loss became {task_loss} at epoch {epoch}, "
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
-            update_all(states, net, graph, cfg.bayes, cfg.gamma)
-            add_l1_subgradient(net, l1_runs)
+            update_all(states, net, graph, cfg.bayes, cfg.gamma, coeffs)
             if lo == starts[-1]:  # the epoch's loss is taken before its last step
                 l1 = sum(lam * norm for lam, norm
                          in zip(lambdas, graph.l1_norms(net.flat_values)))

@@ -1,8 +1,8 @@
 """Online gradient-based group importance.
 
-Three per-group metrics are maintained from task-loss gradients only (the
-sparsity subgradient is added to the parameter gradients after these
-updates, so it never leaks into importance):
+Three per-group metrics are maintained from task-loss gradients only
+(:func:`update_all` adds the step's L1 subgradient to a group's gradient
+only after its last read of it, so the term never leaks into importance):
 
 * gradient magnitude: mean absolute gradient over the group,
 * Fisher: mean squared gradient (a diagonal, batch-level approximation),
@@ -31,9 +31,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import Fields
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericsError
 from .modelgraph import ComponentGraph, PruningGroup
-from .netcore import Network, second_lane
+from .netcore import ADAM_BLOCK, Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
 COMBINED = "combined"
@@ -127,22 +127,27 @@ def ema_update(previous: float, current: float, gamma: float) -> float:
 
 
 def update_all(states: dict[str, GroupImportanceState], net: Network,
-               graph: ComponentGraph, cfg: BayesConfig,
-               gamma: float) -> dict[str, GroupImportanceState]:
+               graph: ComponentGraph, cfg: BayesConfig, gamma: float,
+               l1: Sequence[float] | None = None) -> dict[str, GroupImportanceState]:
     """Advance every group's metrics by one observation of the current task
-    gradients. Call after ``backward`` and before the sparsity subgradient
-    is added. Mutates and returns ``states``; deterministic for identical
-    inputs.
+    gradients, then add the step's L1 subgradient to those gradients. Call
+    after ``backward`` and before the optimizer step. Mutates and returns
+    ``states``; deterministic for identical inputs.
 
-    Each of the graph's parts takes the squared and then the absolute
-    gradients over its arena runs, into one buffer; each group's metric is
-    then reduced over its tensors' slots in slice order by
-    :func:`_group_mean`: the gradient magnitude (1/N) sum |g|, which is
-    also the energy the Bayes tracker observes, and the Fisher diagonal
-    (1/N) sum g^2. The second part, if any, runs on the second lane. Where
-    the slots lie and which of them feed each unit score was fixed by
-    :func:`build_groups`, so a step does only the arithmetic, and a group's
-    arithmetic does not depend on the part it is in.
+    ``l1`` holds one coefficient per group in ``graph.groups`` order (the
+    schedule's value times the loss weight). Each of the graph's parts takes
+    the squared and then the absolute gradients over its arena runs, into one
+    buffer: the last reads of the gradients. Each group's metric is reduced
+    from the buffer over its tensors' slots in slice order by
+    :func:`_group_mean`: the gradient magnitude (1/N) sum |g|, also the energy
+    the Bayes tracker observes, and the Fisher diagonal (1/N) sum g^2; one that
+    is not finite raises :class:`NumericsError`. Only then does the group add
+    ``coeff * sign(theta)`` over its runs, one ``ADAM_BLOCK`` at a time through
+    its own slots of the buffer, unless its coefficient is zero (which would
+    turn a ``-0.0`` gradient into ``+0.0``). The second part, if any, runs on
+    the second lane. Where the slots lie and which of them feed each unit score
+    was fixed by :func:`build_groups`, so a step does only the arithmetic, and
+    a group's arithmetic does not depend on the part it is in.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
@@ -150,17 +155,21 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     for group in graph.groups:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
+    if l1 is not None and len(l1) != len(graph.groups):
+        raise ConfigurationError(f"need one L1 coefficient per group, got {len(l1)}")
+    coeffs = {} if l1 is None else dict(zip(graph.group_ids(), l1))
     scratch = np.empty(net.flat_grad.size)
+    args = (states, net.flat_grad, net.flat_values, coeffs, scratch, cfg, gamma)
     with second_lane(scratch.size) as lane:
-        for groups, runs in graph.parts[1:]:
-            lane.submit(_update_part, groups, runs, states, net.flat_grad, scratch,
-                        cfg, gamma)
-        _update_part(*graph.parts[0], states, net.flat_grad, scratch, cfg, gamma)
+        for part in graph.parts[1:]:
+            lane.submit(_update_part, *part, *args)
+        _update_part(*graph.parts[0], *args)
     return states
 
 
 def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], ...],
                  states: dict[str, GroupImportanceState], grad: np.ndarray,
+                 values: np.ndarray, coeffs: Mapping[str, float],
                  scratch: np.ndarray, cfg: BayesConfig, gamma: float) -> None:
     for lo, hi in runs:
         np.multiply(grad[lo:hi], grad[lo:hi], out=scratch[lo:hi])
@@ -172,8 +181,13 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
         state = states[group.id]
         abs_grads = [scratch[lo:hi].reshape(shape) for lo, hi, shape in group.slots]
         raw_grad = _group_mean(abs_grads, group.param_count)
-        bayes_update(state, raw_grad, cfg)
+        if math.isfinite(raw_grad):  # else bayes_update would refuse it
+            bayes_update(state, raw_grad, cfg)
         raw_bayes = bayes_importance(state.mu, raw_fisher)
+        if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
+                and math.isfinite(raw_bayes)):
+            raise NumericsError(f"group {group.id!r}: importance is not finite, grad "
+                                f"{raw_grad}, fisher {raw_fisher}, bayes {raw_bayes}")
 
         first = state.iteration == 0
         state.raw_grad = raw_grad
@@ -201,6 +215,13 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
                 state.unit_ema[unit_layer] = (
                     gamma * state.unit_ema[unit_layer] + (1.0 - gamma) * scores)
         state.iteration += 1
+        if coeffs.get(group.id, 0.0) != 0.0:  # the metrics have read its scratch
+            for lo, hi in group.runs:
+                for start in range(lo, hi, ADAM_BLOCK):
+                    end = min(start + ADAM_BLOCK, hi)
+                    step = np.sign(values[start:end], out=scratch[start:end])
+                    g = grad[start:end]
+                    g += np.multiply(step, coeffs[group.id], out=step)
 
 
 def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -411,39 +411,12 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
     np.add.reduce(dz, 0, out=bias_grad)  # what np.sum calls, without its wrapper
 
 
-def add_l1_subgradient(net: Network,
-                       parts: Sequence[Sequence[tuple[int, int, float]]]) -> None:
-    """Add ``coeff * sign(theta)`` to the gradient over arena runs, in place.
-
-    Each part is a list of ``(lo, hi, coeff)`` runs of the network's arenas;
-    the first part is done on this thread and the others on the second
-    lane. ``coeff`` is the full effective coefficient (schedule value times
-    any global loss weight). The subgradient at exactly zero is zero. A run
-    whose coefficient is zero is skipped, because adding ``0 * sign(theta)``
-    would turn a ``-0.0`` gradient into ``+0.0``. Runs are worked through in
-    ``ADAM_BLOCK`` pieces, so that no temporary is larger than one block.
-    """
-    with second_lane(net.flat_grad.size) as lane:
-        for runs in parts[1:]:
-            lane.submit(_add_l1_runs, net, runs)
-        _add_l1_runs(net, parts[0])
-
-
-def _add_l1_runs(net: Network, runs: Sequence[tuple[int, int, float]]) -> None:
-    values, grad = net.flat_values, net.flat_grad
-    for lo, hi, coeff in runs:
-        if coeff != 0.0:
-            for start in range(lo, hi, ADAM_BLOCK):
-                g = grad[start:min(start + ADAM_BLOCK, hi)]
-                g += coeff * np.sign(values[start:start + g.size])
-
-
 # -- optimizers ----------------------------------------------------------
 
 
 # Elements per Adam block: the block's gradient, moments, values and two
-# scratch buffers (6 x 256 KiB) stay in a 4 MiB L2 cache through all the
-# passes of the update.
+# scratch buffers (6 x 256 KiB = 1.5 MiB) stay in one core's 2 MiB L2 cache
+# through all the passes of the update.
 ADAM_BLOCK = 32768
 
 

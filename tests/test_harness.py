@@ -23,7 +23,7 @@ from prunescope.harness.train import (evaluate_mse, finetune, load_dataset,
                                       run_training, save_outputs)
 from prunescope.importance import states_from_doc
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import forward, load_checkpoint, mse_loss
+from prunescope.netcore import forward, load_checkpoint, mse_loss, save_checkpoint
 from prunescope.scheduler import ScheduleConfig, schedule_row, total_loss
 
 from conftest import group_l1_norm
@@ -746,6 +746,47 @@ def test_cli_prune_apply_refuses_a_sparsity(toy_run, tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+IGNORED_FLAGS = {
+    "weights_with_one_metric": (["--sparsity", "0.3", "--metric", "grad",
+                                 "--weights", "5", "5", "5"], 2, ["--weights"]),
+    "plan_and_out": (["--sparsity", "0.3", "--plan", "PLAN"], 1, ["--out"]),
+    "apply_with_allocation_flags": (["--apply", "APPLY", "--weights", "9", "9", "9",
+                                     "--protect", "encoder_1",
+                                     "--states", "/nonexistent.json"],
+                                    2, ["--states", "--protect", "--weights"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
+def test_cli_prune_refuses_flags_it_would_ignore(toy_run, tmp_path, capsys, case):
+    _, run_dir, plan_path = toy_run
+    flags, code, named = IGNORED_FLAGS[case]
+    plan, out = tmp_path / "y.json", tmp_path / "q"
+    flags = [{"PLAN": str(plan), "APPLY": str(plan_path)}.get(f, f) for f in flags]
+    capsys.readouterr()
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"), *flags,
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named)
+    assert not out.exists() and not plan.exists()
+
+
+def test_cli_prune_writes_nothing_that_fails_its_check(toy_run, tmp_path, capsys):
+    _, run_dir, _ = toy_run
+    net, meta = load_checkpoint(run_dir / "checkpoint.json")
+    net.layers[1].weight.values[0, 0] = math.nan
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(net, ckpt, meta)
+    out = tmp_path / "p"
+    capsys.readouterr()
+    assert main(["prune", "--checkpoint", str(ckpt), "--states",
+                 str(run_dir / "states.json"), "--sparsity", "0.3",
+                 "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "consistency: FAIL" in printed and "layer 1" in printed
+    assert "wrote" not in printed and not out.exists()
 
 
 RUN_FILES = ("checkpoint.json", "trace.csv", "states.json", "summary.json", "config.json")

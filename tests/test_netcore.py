@@ -17,10 +17,9 @@ from prunescope import netcore
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import (Adam, Network, SGD, add_l1_subgradient,
-                                apply_activation, backward, build_sequential,
-                                forward, load_checkpoint, mse_loss,
-                                save_checkpoint, seeded_layer)
+from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
+                                build_sequential, forward, load_checkpoint,
+                                mse_loss, save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
 from conftest import (dyadic, fd_gradient, make_net, make_toy_multihead, set_dyadic,
@@ -228,35 +227,6 @@ def test_fd_gradient_restores_the_probed_parameter():
     before = net.flat_values.copy()
     fd_gradient(net, np.ones((1, 2)), np.zeros((1, 2)), 1)
     assert net.flat_values.tobytes() == before.tobytes()
-
-
-# -- L1 subgradient --------------------------------------------------------
-
-
-def l1_net(values, grad=(0.0, 0.0)) -> Network:
-    """A one-layer net whose arena is ``values`` then a zero bias."""
-    net = Network([([values], [0.0], "identity")], {"body": (0, 1)})
-    net.layers[0].weight.grad[...] = [grad]
-    return net
-
-
-def test_l1_subgradient_by_hand():
-    net = l1_net([-2.0, 0.0, 5.0], [0.0, 0.0, 0.0])
-    add_l1_subgradient(net, [[(0, 3, 0.1)]])
-    np.testing.assert_array_equal(net.layers[0].weight.grad, [[-0.1, 0.0, 0.1]])
-
-
-def test_l1_subgradient_adds_on_top_of_task_gradient():
-    net = l1_net([1.0, -1.0], [0.5, 0.5])
-    add_l1_subgradient(net, [[(0, 1, 0.25)], [(1, 2, 0.25)]])
-    np.testing.assert_array_equal(net.layers[0].weight.grad, [[0.75, 0.25]])
-
-
-def test_l1_subgradient_zero_coefficient_is_a_noop():
-    net = l1_net([1.0, -1.0], [-0.0, 0.0])
-    add_l1_subgradient(net, [[(0, 3, 0.0)]])
-    np.testing.assert_array_equal(net.flat_grad, [0.0, 0.0, 0.0])
-    assert np.signbit(net.flat_grad[0])  # -0.0 + 0 * sign(1.0) would be +0.0
 
 
 # -- optimizers ------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
+from prunescope.importance import BayesConfig, init_states, update_all
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import add_l1_subgradient, backward, forward, mse_loss
+from prunescope.netcore import backward, forward, mse_loss
 from prunescope.scheduler import (ScheduleConfig, lambda_coefficient,
                                   lambda_weight_at, phase_offset, schedule_row,
                                   total_loss)
@@ -194,9 +195,9 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     acts = forward(net, x)
     _, d_out = mse_loss(acts[-1], y)
     backward(net, acts, d_out)
-    coeffs = {g.id: weight * lam for g, lam in zip(graph.groups, lambdas)}
-    add_l1_subgradient(net, [[(lo, hi, coeffs[g.id]) for g in part for lo, hi in g.runs]
-                             for part, _ in graph.parts])
+    bayes = BayesConfig()
+    update_all(init_states(graph, bayes), net, graph, bayes, 0.9,
+               [weight * lam for lam in lambdas])
 
     flat = np.concatenate([t.grad.reshape(-1) for _, _, t in net.param_tensors()])
 
