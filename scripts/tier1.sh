@@ -2,8 +2,9 @@
 # Run the tier-1 test suite three times: with OPENBLAS_NUM_THREADS unset,
 # then set to 1, then to 2. The golden digests are pinned per BLAS thread
 # count, and the second lane runs only at one thread, so all three must pass.
-# Prints each run's pass/fail line (and its failures) and exits non-zero if
-# any run fails. Extra arguments go to pytest.
+# Prints each run's five slowest tests (the criterion-8 fixture among them),
+# its pass/fail line and its failures, and exits non-zero if any run fails.
+# Extra arguments go to pytest.
 #
 #   scripts/tier1.sh            # the whole suite
 #   scripts/tier1.sh -x tests/  # stop at the first failure, tests/ only
@@ -14,13 +15,14 @@ status=0
 for threads in unset 1 2; do
     if [ "$threads" = unset ]; then
         out=$(env -u OPENBLAS_NUM_THREADS \
-              python -m pytest -q --continue-on-collection-errors "$@" 2>&1)
+              python -m pytest -q --continue-on-collection-errors --durations=5 "$@" 2>&1)
     else
         out=$(OPENBLAS_NUM_THREADS=$threads \
-              python -m pytest -q --continue-on-collection-errors "$@" 2>&1)
+              python -m pytest -q --continue-on-collection-errors --durations=5 "$@" 2>&1)
     fi
     code=$?
     echo "OPENBLAS_NUM_THREADS=$threads: $(printf '%s\n' "$out" | tail -n 1)"
+    printf '%s\n' "$out" | grep -E '^[0-9]+\.[0-9]+s ' || true
     if [ "$code" -ne 0 ]; then
         printf '%s\n' "$out" | grep -E '^(FAILED|ERROR) ' || true
         status=1

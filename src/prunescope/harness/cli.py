@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sparsity", type=float, default=None,
                         help="target fraction of parameters to remove, in (0, 1); "
                              "required unless --apply supplies a plan")
-    p.add_argument("--metric", default=COMBINED, choices=METRIC_CHOICES)
+    p.add_argument("--metric", default=None, choices=METRIC_CHOICES,
+                   help=f"ranking metric when allocating (default: {COMBINED})")
     p.add_argument("--states", default=None,
                    help="importance states JSON (default: states.json beside "
                         "the checkpoint)")
@@ -109,12 +110,12 @@ def cmd_prune(args: argparse.Namespace) -> int:
     if args.plan is None and args.out is None:
         raise PrunescopeError("prune needs --out (or --plan to stop at planning)")
     if args.apply:
-        ignored = [f"--{name}" for name in ("states", "protect", "weights")
+        ignored = [f"--{name}" for name in ("metric", "states", "protect", "weights")
                    if getattr(args, name)]
         if ignored:
             raise PrunescopeError("--apply takes the plan as it is; "
                                   f"{', '.join(ignored)} would be ignored")
-    elif args.weights and args.metric != COMBINED:
+    elif args.weights and args.metric not in (None, COMBINED):
         raise PrunescopeError(f"--weights needs --metric {COMBINED}, not {args.metric}")
     net, graph, meta = load_grouped(args.checkpoint, 1)
     if args.apply:
@@ -126,7 +127,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         states = states_from_doc(read_json(states_path, "importance states"))
         weights = tuple(args.weights) if args.weights else None
         plan = allocate_budget(states, graph, net, args.sparsity,
-                               args.metric, protect=args.protect,
+                               args.metric or COMBINED, protect=args.protect,
                                weights=weights)
     if args.plan:
         plan.save(args.plan)

@@ -57,41 +57,39 @@ class ParamTensor:
         return self.values.size
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(min(z, 0)) / (1 + exp(-|z|)) is 1 / (1 + exp(-z)) for z >= 0 and
-    # exp(z) / (1 + exp(z)) below, so exp never overflows and no element
-    # needs a branch of its own.
-    num = np.minimum(z, 0.0)
-    np.exp(num, out=num)
-    den = np.abs(z)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.add(den, 1.0, out=den)
-    return np.divide(num, den, out=num)
+def apply_activation(kind: str, z: np.ndarray,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Apply the activation to ``z`` in place and return ``z``.
 
-
-def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
+    Sigmoid overwrites ``scratch``, an array of ``z``'s shape, or allocates
+    one when it is omitted; relu and identity never touch it. Sigmoid is
+    ``exp(min(z, 0)) / (1 + exp(-|z|))``: that is ``1 / (1 + exp(-z))`` for
+    z >= 0 and ``exp(z) / (1 + exp(z))`` below, so exp never overflows and
+    no element needs a branch of its own.
+    """
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
-        return _sigmoid(z)
+        den = np.abs(z, out=scratch)
+        np.negative(den, out=den)
+        np.exp(den, out=den)
+        np.add(den, 1.0, out=den)
+        np.minimum(z, 0.0, out=z)
+        np.exp(z, out=z)
+        return np.divide(z, den, out=z)
     if kind == "identity":
         return z
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
 def activation_grad(kind: str, post: np.ndarray) -> np.ndarray:
-    """Derivative w.r.t. the pre-activation, written in terms of the output.
-
-    All three supported activations admit this form: relu's subgradient at
-    exactly zero is taken as zero.
-    """
+    """Derivative w.r.t. the pre-activation, written in terms of the output;
+    relu's subgradient at exactly zero is taken as zero. :func:`backward`
+    passes an identity layer's gradient through without calling this."""
     if kind == "relu":
         return (post > 0.0).astype(np.float64)
     if kind == "sigmoid":
         return post * (1.0 - post)
-    if kind == "identity":
-        return np.ones_like(post)
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
@@ -314,8 +312,17 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
     The returned list is ``[input, h_0, ..., h_(L-1), output]``: entry
     ``k + 1`` is the post-activation output of layer k and the final entry
     is the network output (the concatenation of sink outputs; for a plain
-    chain it aliases the last layer's output). Pure: repeated calls on the
-    same inputs return identical values.
+    chain it aliases the last layer's output). Pure: each call allocates a
+    fresh ``(rows, out_dim)`` array per layer, and repeated calls on the same
+    inputs return identical values.
+
+    :func:`_forward_rows` computes every layer for a range of batch rows
+    straight into those arrays: the product, then the bias and the
+    activation in place. When the stage has the second lane (see
+    :func:`second_lane`), the lane runs the second half of the rows while
+    this thread runs the first, but only for a C-contiguous batch whose
+    every layer passes :func:`_row_split_is_exact` at this row count, so
+    the split never changes a bit. Otherwise this thread runs every row.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -326,17 +333,74 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
         raise ConfigurationError(
             f"batch width {batch.shape[1]} does not match network input width "
             f"{net.input_dim}")
-    acts: list[np.ndarray] = [batch]
-    for k, layer in enumerate(net.layers):
-        x = acts[net.source(k) + 1]
-        z = x @ layer.weight.values.T + layer.bias.values
-        acts.append(apply_activation(layer.activation, z))
+    m = batch.shape[0]
+    # Every array and view either half touches is made here, sigmoid's
+    # scratch included, so the lane's half allocates nothing.
+    acts, work = [batch], []
+    for src, layer in zip(net.layer_inputs, net.layers):
+        out = np.empty((m, len(layer.bias.values)))
+        work.append((acts[src + 1], layer.weight.values.T, layer.bias.values, out,
+                     layer.activation,
+                     np.empty_like(out) if layer.activation == "sigmoid" else None))
+        acts.append(out)
+
+    def rows(lo: int, hi: int) -> list[tuple]:
+        return [(x[lo:hi], w_t, b, out[lo:hi], kind, None if tmp is None else tmp[lo:hi])
+                for x, w_t, b, out, kind, tmp in work]
+
+    with second_lane(net.flat_values.size) as stage:
+        if (stage.lane is not None and batch.flags.c_contiguous
+                and all(_row_split_is_exact(m, layer.in_dim, layer.out_dim, False)
+                        for layer in net.layers)):
+            stage.submit(_forward_rows, rows(m // 2, m))
+            _forward_rows(rows(0, m // 2))
+        else:
+            _forward_rows(work)
     sinks = net.sinks()
     if len(sinks) == 1:
         acts.append(acts[sinks[0] + 1])
     else:
         acts.append(np.concatenate([acts[s + 1] for s in sinks], axis=1))
     return acts
+
+
+def _forward_rows(work: list[tuple]) -> None:
+    """Compute each layer's rows in place, in layer order: ``work`` holds,
+    per layer, its input rows, ``W.T``, bias, output rows, activation and
+    sigmoid's scratch rows."""
+    for x, w_t, b, out, kind, scratch in work:
+        np.matmul(x, w_t, out=out)
+        np.add(out, b, out=out)
+        apply_activation(kind, out, scratch)
+
+
+@functools.cache
+def _row_split_is_exact(rows: int, inner: int, cols: int, a_transposed: bool,
+                        matmul: Callable = np.matmul) -> bool:
+    """Whether ``A @ B``, for a (rows, inner) ``A`` and an (inner, cols)
+    ``B``, gives the same bits whole as in the row halves ``[0, rows // 2)``
+    and ``[rows // 2, rows)``; false when a half would be empty.
+
+    ``a_transposed`` picks the layout of the two split products: false is
+    :func:`forward`'s ``x @ W.T`` (``A`` C-ordered, ``B`` a transposed C
+    array) cut by batch rows, true is :func:`backward`'s ``dz.T @ x`` (``A``
+    a transposed C array, ``B`` C-ordered) cut by output unit. BLAS may
+    order a product's sums by its shape (at one OpenBLAS thread, 128->8 at
+    256 rows fails), so this is checked once per shape, through the same
+    slicing and ``out=`` path, on seeded heavy-tailed values whose sums
+    change bits under any other order. ``matmul`` is the product checked.
+    """
+    half = rows // 2
+    if not half:
+        return False
+    rng = np.random.default_rng([rows, inner, cols, a_transposed])
+    a = rng.standard_t(2, (inner, rows)).T if a_transposed else rng.standard_t(2, (rows, inner))
+    b = rng.standard_t(2, (inner, cols)) if a_transposed else rng.standard_t(2, (cols, inner)).T
+    whole, split = np.empty((rows, cols)), np.empty((rows, cols))
+    matmul(a, b, out=whole)
+    matmul(a[:half], b, out=split[:half])
+    matmul(a[half:], b, out=split[half:])
+    return bool(np.array_equal(whole, split))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -367,7 +431,10 @@ def backward(net: Network, activations: list[np.ndarray],
     accumulated, across calls; one scan of the gradient arena then checks
     them all. Each layer's weight and bias gradients go to the second lane
     (see :func:`second_lane`) while this thread computes the gradient of
-    the layer's input.
+    the layer's input. A layer that reads the network input has none, so
+    this thread takes the first half of its output units instead, where
+    :func:`_row_split_is_exact` shows that this split of ``dz.T @ x`` is
+    exact.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -396,11 +463,18 @@ def backward(net: Network, activations: list[np.ndarray],
             else:
                 dz = dh * activation_grad(layer.activation, h)
             src = net.source(k)
-            lane.submit(_param_grads, dz, activations[src + 1],
-                        layer.weight.grad, layer.bias.grad)
+            x, wg, bg = activations[src + 1], layer.weight.grad, layer.bias.grad
             if src >= 0:
+                lane.submit(_param_grads, dz, x, wg, bg)
                 d_in = dz @ layer.weight.values
                 d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
+            elif (lane.lane is not None and dz.flags.c_contiguous and x.flags.c_contiguous
+                  and _row_split_is_exact(layer.out_dim, len(x), layer.in_dim, True)):
+                half = layer.out_dim // 2
+                lane.submit(_param_grads, dz[:, half:], x, wg[half:], bg[half:])
+                _param_grads(dz[:, :half], x, wg[:half], bg[:half])
+            else:
+                lane.submit(_param_grads, dz, x, wg, bg)
     if not np.isfinite(net.flat_grad).all():
         net._raise_non_finite("after backward")
 

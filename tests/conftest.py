@@ -8,8 +8,8 @@ import pytest
 from prunescope import netcore
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.modelgraph import PruningGroup
-from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, build_sequential,
-                                forward, mse_loss)
+from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, apply_activation,
+                                build_sequential, forward, mse_loss)
 
 
 def dyadic(rng: np.random.Generator, shape) -> np.ndarray:
@@ -75,6 +75,18 @@ def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
     finally:
         net.flat_values[index] = original
     return (upper - lower) / (2.0 * h)
+
+
+def forward_oracle(net: Network, batch: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation computed on the whole batch at once,
+    ``act(x @ W.T + b)`` layer by layer, in :func:`forward`'s list layout
+    without its final output entry: the reference that forward's row halves
+    must equal bit for bit."""
+    acts = [np.asarray(batch, dtype=np.float64)]
+    for k, layer in enumerate(net.layers):
+        z = acts[net.source(k) + 1] @ layer.weight.values.T + layer.bias.values
+        acts.append(apply_activation(layer.activation, z))
+    return acts
 
 
 def with_activations(net: Network, activations) -> Network:

@@ -756,6 +756,7 @@ IGNORED_FLAGS = {
                                      "--protect", "encoder_1",
                                      "--states", "/nonexistent.json"],
                                     2, ["--states", "--protect", "--weights"]),
+    "apply_with_metric": (["--apply", "APPLY", "--metric", "grad"], 2, ["--metric"]),
 }
 
 

@@ -15,35 +15,43 @@ import pytest
 
 from prunescope import netcore
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
-from prunescope.harness.config import ModelConfig, build_model
+from prunescope.harness.config import AUTOENCODER_LATENTS, ModelConfig, build_model
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
                                 build_sequential, forward, load_checkpoint,
                                 mse_loss, save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
 
-from conftest import (dyadic, fd_gradient, make_net, make_toy_multihead, set_dyadic,
-                      with_activations)
+from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
+                      set_dyadic, with_activations)
 
 
 # -- activations -----------------------------------------------------------
+# apply_activation is the kernel forward runs on each layer's rows: in place,
+# with sigmoid's scratch passed in.
 
 
 def test_relu_clamps_negatives():
     z = np.array([-3.0, -0.0, 0.0, 2.5])
-    np.testing.assert_array_equal(apply_activation("relu", z),
-                                  [0.0, 0.0, 0.0, 2.5])
+    assert apply_activation("relu", z, np.empty_like(z)) is z
+    np.testing.assert_array_equal(z, [0.0, 0.0, 0.0, 2.5])
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The sigmoid as forward runs it, on a copy of ``z``."""
+    z = np.array(z, dtype=np.float64)
+    assert apply_activation("sigmoid", z, np.empty_like(z)) is z
+    return z
 
 
 def test_sigmoid_matches_reference_and_stays_finite():
-    z = np.array([-1000.0, -5.0, 0.0, 5.0, 1000.0])
-    out = apply_activation("sigmoid", z)
+    out = sigmoid([-1000.0, -5.0, 0.0, 5.0, 1000.0])
     assert np.isfinite(out).all()
     assert out[2] == 0.5
     np.testing.assert_allclose(out[1], 1.0 / (1.0 + math.exp(5.0)), rtol=1e-15)
     np.testing.assert_allclose(out[3], 1.0 / (1.0 + math.exp(-5.0)), rtol=1e-15)
     assert (np.diff(out) >= 0).all()
-    ends = apply_activation("sigmoid", np.array([-np.inf, -0.0, np.inf, np.nan]))
+    ends = sigmoid([-np.inf, -0.0, np.inf, np.nan])
     assert ends[0] == 0.0 and ends[1] == 0.5 and ends[2] == 1.0
     assert np.isnan(ends[3])
     # The same bits as the sign-split form: 1/(1+exp(-z)) for z >= 0,
@@ -55,7 +63,7 @@ def test_sigmoid_matches_reference_and_stays_finite():
     split = np.empty_like(z)
     split[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     split[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
-    assert apply_activation("sigmoid", z).tobytes() == split.tobytes()
+    assert sigmoid(z).tobytes() == split.tobytes()
 
 
 def test_unknown_activation_rejected():
@@ -107,6 +115,81 @@ def test_forward_rejects_bad_batches():
         forward(net, np.zeros((0, 3)))
     with pytest.raises(ConfigurationError):
         forward(net, np.zeros((2, 4)))
+
+
+def split_test_net(name: str) -> Network:
+    """A preset network by name, or ``pruned``: the latent-8 autoencoder
+    with units taken from four layers, a shape no preset has."""
+    if name == "toy_multihead":
+        return make_toy_multihead(seed=3)
+    latent = 8 if name == "pruned" else int(name[len("latent"):])
+    net = build_model(ModelConfig(preset="autoencoder", latent_dim=latent), 0)
+    if name != "pruned":
+        return net
+    units = {"encoder_1": [(0, u) for u in range(0, 256, 11)],
+             "encoder_2": [(1, u) for u in range(0, 128, 5)],
+             "coupling_encoder_decoder": [(2, 1), (2, 6)],
+             "decoder_1": [(4, u) for u in range(0, 256, 7)]}
+    removed = predicted_removed_params(net, [u for us in units.values() for u in us])
+    return apply_prune(net, build_groups(net), PrunePlan(0.1, "grad", units, removed))[0]
+
+
+@pytest.mark.parametrize("name", [f"latent{d}" for d in AUTOENCODER_LATENTS]
+                         + ["pruned", "toy_multihead"])
+def test_the_lane_splits_change_no_bit(force_lane, name):
+    """With the lane forced on, every activation equals the whole-batch
+    oracle bit for bit, and every gradient equals backward's without the
+    lane, at batch sizes where the probe passes (the lane takes half the
+    rows) and fails (this thread takes them all)."""
+    net = split_test_net(name)
+    rng = np.random.default_rng(9)
+    for rows in (1, 3, 40, 64, 127, 128, 256):
+        x = rng.standard_normal((rows, net.input_dim))
+        force_lane(True)
+        acts = forward(net, x)
+        assert ([a.tobytes() for a in acts[:-1]]
+                == [a.tobytes() for a in forward_oracle(net, x)]), f"batch {rows}"
+        d_out = rng.standard_normal(acts[-1].shape)
+        grads = []
+        for on in (True, False):
+            force_lane(on)
+            backward(net, acts, d_out)
+            grads.append(net.flat_grad.tobytes())
+        assert grads[0] == grads[1], f"batch {rows}"
+
+
+@pytest.mark.parametrize("name, rows, calls", [
+    ("latent8", 128, 1),        # every layer's split is exact: the lane takes half
+    ("latent8", 256, 0),        # 128->8 at 256 rows is not: this thread takes all
+    ("toy_multihead", 128, 0),  # below one ADAM_BLOCK: no lane at all
+])
+def test_forward_hands_half_the_rows_to_the_lane_only_where_exact(
+        force_lane, monkeypatch, name, rows, calls):
+    force_lane(True)
+    stages, opened = [], netcore.second_lane
+
+    def recording(size):
+        stages.append(opened(size))
+        return stages[-1]
+
+    monkeypatch.setattr(netcore, "second_lane", recording)
+    net = split_test_net(name)
+    forward(net, np.ones((rows, net.input_dim)))
+    assert [stage.sent for stage in stages] == [calls]
+
+
+@pytest.mark.parametrize("a_transposed", [False, True])
+def test_the_row_split_probe_fails_a_product_whose_halves_differ(a_transposed):
+    def reversed_when_short(a, b, out):
+        """A product that sums in the other order for fewer than 40 rows."""
+        if len(a) < 40:
+            return np.matmul(a[:, ::-1], b[::-1], out=out)
+        return np.matmul(a, b, out=out)
+
+    probe = netcore._row_split_is_exact
+    assert probe(40, 128, 8, a_transposed, reversed_when_short) is False
+    assert probe(38, 128, 8, a_transposed, reversed_when_short) is True
+    assert probe(1, 128, 8, a_transposed) is False  # a half would be empty
 
 
 # -- loss ------------------------------------------------------------------
