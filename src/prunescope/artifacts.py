@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericsError
 
 _REQUIRED = object()
 
@@ -178,4 +178,10 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, doc: object, indent: int | None = None) -> None:
-    write_atomic(path, json.dumps(doc, indent=indent))
+    """Replace ``path`` by ``doc`` as strict JSON (RFC 8259); a NaN or an
+    infinity is refused before ``path`` is touched."""
+    try:
+        text = json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"cannot write {path}: {exc}") from None
+    write_atomic(path, text)

@@ -44,10 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="plan and apply structured pruning")
     p.add_argument("--checkpoint", required=True, help="trained checkpoint JSON")
-    source = p.add_mutually_exclusive_group()
+    source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sparsity", type=float, default=None,
-                        help="target fraction of parameters to remove, in (0, 1); "
-                             "required unless --apply supplies a plan")
+                        help="target fraction of parameters to remove, in (0, 1)")
+    source.add_argument("--apply", default=None,
+                        help="apply an existing plan JSON instead of allocating")
     p.add_argument("--metric", default=None, choices=METRIC_CHOICES,
                    help=f"ranking metric when allocating (default: {COMBINED})")
     p.add_argument("--states", default=None,
@@ -59,13 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="W",
                    help="combined-metric weights for grad, fisher and bayes: "
                         "three, non-negative, summing to 1")
-    source.add_argument("--apply", default=None,
-                        help="apply an existing plan JSON instead of allocating")
-    dest = p.add_mutually_exclusive_group()
+    dest = p.add_mutually_exclusive_group(required=True)
     dest.add_argument("--plan", default=None,
                       help="write the plan JSON here and stop without applying")
-    dest.add_argument("--out", default=None, help="output directory for the "
-                      "pruned checkpoint (required unless --plan is given)")
+    dest.add_argument("--out", default=None,
+                      help="output directory for the pruned checkpoint")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("finetune", help="continue training a pruned checkpoint")
@@ -107,8 +106,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
-    if args.plan is None and args.out is None:
-        raise PrunescopeError("prune needs --out (or --plan to stop at planning)")
     if args.apply:
         ignored = [f"--{name}" for name in ("metric", "states", "protect", "weights")
                    if getattr(args, name)]
@@ -121,8 +118,6 @@ def cmd_prune(args: argparse.Namespace) -> int:
     if args.apply:
         plan = PrunePlan.load(args.apply)
     else:
-        if args.sparsity is None:
-            raise PrunescopeError("prune needs --sparsity when allocating a plan")
         states_path = args.states or Path(args.checkpoint).parent / "states.json"
         states = states_from_doc(read_json(states_path, "importance states"))
         weights = tuple(args.weights) if args.weights else None

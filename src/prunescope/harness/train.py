@@ -58,24 +58,28 @@ def load_dataset(cfg: ExperimentConfig, seed: int,
                                  net.output_dim, rank=ds.rank, target=ds.target)
     assert ds.kind == "mnist"
     assert ds.train_images is not None
-    x = load_image_matrix(ds.train_images)
-    if x.shape[1] != net.input_dim:
-        raise ConfigurationError(
-            f"images are {x.shape[1]}-wide but the network expects "
-            f"{net.input_dim} inputs")
+
+    def images(path: str) -> np.ndarray:
+        x = load_image_matrix(path)
+        if x.shape[1] != net.input_dim:
+            raise ConfigurationError(
+                f"images in {path} are {x.shape[1]}-wide but the network "
+                f"expects {net.input_dim} inputs")
+        return x
+
+    x = images(ds.train_images)
     if net.output_dim != net.input_dim:
         raise ConfigurationError(
             "image reconstruction needs output width equal to input width")
-    if ds.test_images:
-        x_test = load_image_matrix(ds.test_images)[:ds.n_test]
-        x_train = x[:ds.n_train]
-    else:
-        if len(x) < ds.n_train + ds.n_test:
-            raise ConfigurationError(
-                f"{len(x)} images cannot cover n_train={ds.n_train} plus a "
-                f"held-out n_test={ds.n_test}")
-        x_train = x[:ds.n_train]
-        x_test = x[ds.n_train:ds.n_train + ds.n_test]
+    # Without a test file the test rows are held out after the training rows.
+    x_test = images(ds.test_images) if ds.test_images else x[ds.n_train:]
+    if len(x) < ds.n_train or len(x_test) < ds.n_test:
+        have = (f"{len(x)} training and {len(x_test)} test images"
+                if ds.test_images else f"{len(x)} images")
+        raise ConfigurationError(
+            f"{have} cannot cover n_train={ds.n_train} plus a "
+            f"held-out n_test={ds.n_test}")
+    x_train, x_test = x[:ds.n_train], x_test[:ds.n_test]
     return x_train, x_train.copy(), x_test, x_test.copy()
 
 
@@ -237,7 +241,7 @@ def _summary_doc(result: TrainResult) -> dict:
         "seed": result.config.seed,
         "epochs": result.config.epochs,
         "final_task_loss": result.final_task_loss,
-        "test_mse": result.test_mse,
+        "test_mse": None if math.isnan(result.test_mse) else result.test_mse,
         "param_count": result.net.param_count(),
         "rankings": rankings,
         "groups": table,

@@ -178,15 +178,9 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     candidates: list[PruningGroup] = []
     units_of: dict[str, list[tuple[int, int]]] = {}
     for group in graph.groups:
-        if group.id in protect:
+        units = [] if group.id in protect else prunable_units(net, group)
+        if not units:
             continue
-        units = prunable_units(net, group)
-        if units:
-            candidates.append(group)
-            units_of[group.id] = units
-    if not candidates:
-        raise InfeasiblePlanError("no unprotected group has prunable units")
-    for group in candidates:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
         for layer in group.unit_layers():
@@ -197,6 +191,10 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
                     f"group {group.id!r}: {len(scores)} unit scores for layer "
                     f"{layer}, which has {width} units; the states were not "
                     "recorded on this network")
+        candidates.append(group)
+        units_of[group.id] = units
+    if not candidates:
+        raise InfeasiblePlanError("no unprotected group has prunable units")
 
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)
@@ -243,7 +241,17 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     return PrunePlan(target_sparsity, metric, per_group, removed)
 
 
-def _validate_plan(net: Network, graph: ComponentGraph, plan: PrunePlan) -> None:
+def apply_prune(net: Network, graph: ComponentGraph,
+                plan: PrunePlan) -> tuple[Network, ComponentGraph]:
+    """Execute a plan, returning the smaller network and its rebuilt graph.
+
+    One pass checks each unit against its group's prunable units and adds
+    its closure to a removal ledger; the layers are then cut at the ledger's
+    rows and columns. The input network is left untouched. The exhaustive
+    parameter recount must match the ledger, and the ledger the plan's
+    predicted removal.
+    """
+    ledger = _RemovalLedger(net)
     for gid, units in plan.per_group.items():
         allowed = set(prunable_units(net, graph.get(gid)))
         for layer, unit in units:
@@ -252,48 +260,30 @@ def _validate_plan(net: Network, graph: ComponentGraph, plan: PrunePlan) -> None
                     f"plan group {gid!r}: ({layer}, {unit}) is not a prunable "
                     "unit of this group, or is listed twice")
             allowed.remove((layer, unit))
-
-
-def apply_prune(net: Network, graph: ComponentGraph,
-                plan: PrunePlan) -> tuple[Network, ComponentGraph]:
-    """Execute a plan, returning the smaller network and its rebuilt graph.
-
-    The input network is left untouched. The exhaustive parameter recount
-    must match the plan's predicted removal exactly.
-    """
-    _validate_plan(net, graph, plan)
-    rows: list[set[int]] = [set() for _ in net.layers]
-    cols: list[set[int]] = [set() for _ in net.layers]
-    for units in plan.per_group.values():
-        for layer, unit in units:
-            rows[layer].add(unit)
-            for consumer in net.consumers(layer):
-                cols[consumer].add(unit)
+            ledger.add_unit(layer, unit)
 
     new_layers = []
     for k, layer in enumerate(net.layers):
-        r = sorted(rows[k])
-        c = sorted(cols[k])
-        if len(r) >= layer.out_dim or len(c) >= layer.in_dim:
+        # A layer's removed columns are its source's removed rows, so only
+        # rows can empty a layer.
+        rows = sorted(ledger.rows.get(k, ()))
+        if len(rows) >= layer.out_dim:
             raise ConfigurationError(
-                f"plan degenerates layer {k}: it would lose all its "
-                f"{'rows' if len(r) >= layer.out_dim else 'columns'}")
-        w = np.delete(np.delete(layer.weight.values, r, axis=0), c, axis=1)
-        b = np.delete(layer.bias.values, r)
-        new_layers.append((w, b, layer.activation))
+                f"plan degenerates layer {k}: it would lose all its rows")
+        w = np.delete(layer.weight.values, rows, axis=0)
+        w = np.delete(w, sorted(ledger.cols.get(k, ())), axis=1)
+        new_layers.append((w, np.delete(layer.bias.values, rows), layer.activation))
 
     pruned = Network(new_layers, net.components, net.layer_inputs)
     removed = net.param_count() - pruned.param_count()
-    expected = predicted_removed_params(
-        net, [u for units in plan.per_group.values() for u in units])
-    if removed != expected:
+    if removed != ledger.removed:
         raise ConfigurationError(
             f"recount mismatch: removed {removed} parameters, closure math "
-            f"predicted {expected}")
-    if plan.predicted_removed != expected:
+            f"predicted {ledger.removed}")
+    if plan.predicted_removed != ledger.removed:
         raise ConfigurationError(
             f"plan predicts {plan.predicted_removed} removed parameters but this "
-            f"network loses {expected}; the plan was built for a different network")
+            f"network loses {ledger.removed}; the plan was built for a different network")
     return pruned, build_groups(pruned, graph.layers_per_group)
 
 

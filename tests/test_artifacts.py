@@ -7,7 +7,7 @@ import os
 import pytest
 
 from prunescope.artifacts import Fields, write_atomic, write_json
-from prunescope.errors import DataFormatError
+from prunescope.errors import DataFormatError, NumericsError
 from prunescope.harness.cli import main
 from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
 from prunescope.harness.train import run_training, save_outputs
@@ -44,7 +44,7 @@ def test_train_and_prune_write_the_recorded_bytes(tmp_path, monkeypatch):
     assert written == ARTIFACT_DIGESTS
 
 
-@pytest.mark.parametrize("fault", ["replace", "unserializable"])
+@pytest.mark.parametrize("fault", ["replace", "unserializable", "non_finite"])
 def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch, fault):
     path = tmp_path / "plan.json"
     path.write_bytes(b'{"old": true}')
@@ -54,9 +54,13 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypa
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="replace refused"):
             write_atomic(path, "new text")
-    else:
+    elif fault == "unserializable":
         with pytest.raises(TypeError):
             write_json(path, {"value": object()})
+    else:  # strict JSON (RFC 8259) has no NaN or infinity
+        for value in (math.nan, -math.inf):
+            with pytest.raises(NumericsError, match="cannot write .*plan.json"):
+                write_json(path, {"value": [1.0, value]})
     assert path.read_bytes() == b'{"old": true}'
     assert os.listdir(tmp_path) == ["plan.json"]
 

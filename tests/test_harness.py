@@ -161,6 +161,29 @@ def test_load_dataset_mnist_round_trip(tmp_path):
             dataset=DatasetConfig(kind="mnist", train_images=str(path),
                                   n_train=6, n_test=2)), 0, net)
 
+    # A test file: its first n_test rows, and the same count and width checks.
+    test_path = tmp_path / "test.idx"
+    test_path.write_bytes(_struct.pack(">IIII", IDX_IMAGE_MAGIC, 3, 2, 2)
+                          + bytes(range(100, 112)))
+
+    def with_test_file(n_train, n_test, images=test_path):
+        return toy_config(model=cfg.model, dataset=DatasetConfig(
+            kind="mnist", train_images=str(path), test_images=str(images),
+            n_train=n_train, n_test=n_test))
+
+    xtr, _, xte, yte = load_dataset(with_test_file(6, 2), 0, net)
+    assert xtr.shape == (6, 4)
+    np.testing.assert_array_equal(xte, np.arange(100, 108).reshape(2, 4) / 255.0)
+    np.testing.assert_array_equal(xte, yte)
+    for n_train, n_test in ((7, 2), (6, 4)):  # one image short in each file
+        with pytest.raises(ConfigurationError,
+                           match="6 training and 3 test images cannot cover"):
+            load_dataset(with_test_file(n_train, n_test), 0, net)
+    wide = tmp_path / "wide.idx"  # 3x3 test images against 2x2 training images
+    wide.write_bytes(_struct.pack(">IIII", IDX_IMAGE_MAGIC, 3, 3, 3) + bytes(27))
+    with pytest.raises(ConfigurationError, match="wide.idx are 9-wide .* expects 4"):
+        load_dataset(with_test_file(6, 2, wide), 0, net)
+
 
 # -- the training loop --------------------------------------------------------------
 
@@ -291,6 +314,18 @@ def test_save_outputs_writes_the_full_artifact_set(tmp_path):
     assert "mu decreases" in summary["bayes_note"]
     for row in summary["groups"]:
         np.testing.assert_allclose(row["inv_mu"], 1.0 / row["mu"], rtol=1e-15)
+
+
+def test_summary_without_a_test_set_is_strict_json(tmp_path):
+    cfg = toy_config(epochs=2, dataset=DatasetConfig(
+        kind="synthetic", n_train=128, n_test=0, rank=6, target="affine"))
+    paths = save_outputs(run_training(cfg), tmp_path / "run")
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    summary = json.loads(paths["summary"].read_text(), parse_constant=refuse)
+    assert summary["test_mse"] is None
 
 
 def test_finetune_uses_checkpoint_grouping_and_fresh_states(tmp_path):
@@ -435,9 +470,6 @@ def test_cli_failures_exit_two(cli_workspace, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
     ckpt = str(run_dir / "checkpoint.json")
-    assert main(["prune", "--checkpoint", ckpt, "--sparsity", "0.4"]) == 2
-    assert main(["prune", "--checkpoint", ckpt, "--metric", "grad",
-                 "--out", str(tmp_path / "p")]) == 2  # no sparsity, no plan
     assert main(["prune", "--checkpoint", ckpt, "--sparsity", "2.0",
                  "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
@@ -692,15 +724,19 @@ def test_star_imports_resolve_every_exported_name():
 
 def test_cli_import_loads_no_thread_pool_or_logging():
     """``setup_s`` pays for every module the CLI imports; the second lane is
-    built on ``threading`` alone."""
-    code = ("import sys, prunescope.harness.cli; "
+    built on ``threading`` alone, and the only dependency outside the
+    standard library is numpy. ``-S`` keeps site hooks from loading modules
+    of their own first."""
+    code = ("import sys; before = set(sys.modules); import prunescope.harness.cli; "
             "print(*[m for m in ('concurrent.futures', 'logging', 'queue') "
-            "if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+            "if m in sys.modules]); "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+            "- set(sys.stdlib_module_names) - {'numpy', 'prunescope'}))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    assert done.stdout.splitlines() == ["", ""]
 
 
 def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):
@@ -746,6 +782,21 @@ def test_cli_prune_apply_refuses_a_sparsity(toy_run, tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "not allowed with argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (["--metric", "grad", "--out", "OUT"], "--sparsity --apply"),
+    (["--sparsity", "0.3"], "--plan --out"),
+], ids=["no_sparsity_or_apply", "no_plan_or_out"])
+def test_cli_prune_without_a_required_flag_is_a_usage_error(tmp_path, capsys,
+                                                            flags, missing):
+    out = tmp_path / "out"
+    flags = [str(out) if f == "OUT" else f for f in flags]
+    # The checkpoint does not exist: argparse refuses before any file is read.
+    assert main(["prune", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                 *flags]) == 1
+    assert f"one of the arguments {missing} is required" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 IGNORED_FLAGS = {
