@@ -13,7 +13,7 @@ from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
                          rank_groups, states_from_doc, states_to_doc,
                          update_all)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
-                         build_groups, export_manifest, prunable_units)
+                         build_groups, export_manifest)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                       apply_activation, backward, build_sequential, forward,
                       load_checkpoint, mse_loss, save_checkpoint)
@@ -32,7 +32,7 @@ __all__ = [
     "ema_update", "init_states", "metric_scores", "rank_groups",
     "states_from_doc", "states_to_doc", "update_all",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
-    "export_manifest", "prunable_units",
+    "export_manifest",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",
     "apply_activation", "backward", "build_sequential", "forward",
     "load_checkpoint", "mse_loss", "save_checkpoint",

@@ -66,12 +66,12 @@ class Fields:
     """Typed access to one JSON object (``kind=dict``) or array (``list``;
     an array field also takes a tuple).
 
-    An int field refuses floats and bools. A float field takes ints and
-    floats, refuses strings and bools, and refuses non-finite values when
-    asked. A field read without a default is required; a missing field read
-    with one gives the default as it is. Errors name the document (``what``)
-    and the field's path in it. In ``text`` mode (a CSV row) a number field
-    parses its string first.
+    An int field refuses floats and bools. A float field is always required;
+    it takes ints and floats, refuses strings and bools, and refuses
+    non-finite values when asked. Any other field read without a default is
+    required; a missing field read with one gives the default as it is.
+    Errors name the document (``what``) and the field's path in it. In
+    ``text`` mode (a CSV row) a number field parses its string first.
     """
 
     def __init__(self, value: object, what: str, kind: type | tuple = dict,
@@ -129,11 +129,9 @@ class Fields:
             self.fail(key, f"must be an integer{bound}, got {_show(value)}")
         return value
 
-    def float(self, key: object, default: object = _REQUIRED, *,
-              finite: bool = False, positive: bool = False) -> float:
-        value = self._get(key, default, float)
-        if value is default:
-            return value
+    def float(self, key: object, *, finite: bool = False,
+              positive: bool = False) -> float:
+        value = self._get(key, _REQUIRED, float)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(key, f"must be a number, got {_show(value)}")
         try:

@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prunescope",
         description="Train, prune, and audit small multi-component networks.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write run artifacts")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -194,18 +194,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (PrunescopeError, OSError) as exc:

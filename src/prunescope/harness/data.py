@@ -74,6 +74,9 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
     into [0, 1]. ``target='identity'`` returns the inputs themselves
     (reconstruction; requires out_dim == in_dim); ``target='affine'``
     returns ``X @ A + c`` for fixed seeded A, c. Same seed, same arrays.
+    The four arrays are row slices of one input and one target array, and
+    identity targets are the input slices themselves: they share memory,
+    and nothing may write into them.
     """
     if n_train < 1 or n_test < 0:
         raise ConfigurationError("need n_train >= 1 and n_test >= 0")
@@ -102,5 +105,4 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)
         c = rng.uniform(0.0, 1.0, size=out_dim)
         y = x @ a + c
-    return (x[:n_train].copy(), y[:n_train].copy(),
-            x[n_train:].copy(), y[n_train:].copy())
+    return x[:n_train], y[:n_train], x[n_train:], y[n_train:]

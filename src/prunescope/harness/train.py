@@ -51,7 +51,13 @@ def make_optimizer(cfg: ExperimentConfig):
 
 def load_dataset(cfg: ExperimentConfig, seed: int,
                  net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve the configured dataset to (X_train, Y_train, X_test, Y_test)."""
+    """Resolve the configured dataset to (X_train, Y_train, X_test, Y_test).
+
+    Reconstruction targets are the inputs themselves: for mnist,
+    ``Y_train is X_train`` and ``Y_test is X_test``. Training batches are
+    fancy-indexed copies and evaluation only reads, so nothing writes into
+    them.
+    """
     ds = cfg.dataset
     if ds.kind == "synthetic":
         return synthetic_dataset(seed, ds.n_train, ds.n_test, net.input_dim,
@@ -80,7 +86,7 @@ def load_dataset(cfg: ExperimentConfig, seed: int,
             f"{have} cannot cover n_train={ds.n_train} plus a "
             f"held-out n_test={ds.n_test}")
     x_train, x_test = x[:ds.n_train], x_test[:ds.n_test]
-    return x_train, x_train.copy(), x_test, x_test.copy()
+    return x_train, x_train, x_test, x_test
 
 
 def evaluate_mse(net: Network, x: np.ndarray, y: np.ndarray,

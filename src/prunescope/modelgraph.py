@@ -54,7 +54,10 @@ class PruningGroup:
     slots merged into ranges of adjacent elements. ``units`` holds, per
     unit layer in ascending order, its width, the parts its unit scores
     sum (an index into ``slots`` and the weight axis to reduce, or None for
-    a bias) and the number of weights per unit they add up.
+    a bias) and the number of weights per unit they add up. ``prunable``
+    holds the ``(layer, unit)`` pairs the group may remove: every unit of
+    its unit layers in ascending order, except those of the network's sink
+    layers, whose widths the task fixes.
     """
 
     id: str
@@ -65,10 +68,7 @@ class PruningGroup:
     slots: tuple[tuple[int, int, tuple[int, ...]], ...]
     runs: tuple[tuple[int, int], ...]
     units: tuple[tuple[int, int, tuple[tuple[int, int | None], ...], int], ...]
-
-    def unit_layers(self) -> tuple[int, ...]:
-        """Layers whose output units this group can prune (weight-row owners)."""
-        return tuple(layer for layer, _, _, _ in self.units)
+    prunable: tuple[tuple[int, int], ...]
 
 
 class ComponentGraph:
@@ -167,9 +167,11 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
                 parts.append((i, axis))
                 per_unit += tensors[i].shape[axis]
         units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
+    prunable = tuple((layer, u) for layer, width, _, _ in units
+                     if layer not in net.sinks() for u in range(width))
     return PruningGroup(gid, kind, tuple(slices), owners,
                         sum(t.size for t in tensors), slots,
-                        _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units))
+                        _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units), prunable)
 
 
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
@@ -239,29 +241,8 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
                 claim(s.layer, s.role, gid)
             groups.append(_compile(net, gid, KIND_COMPONENT, slices, (name,)))
 
-    # Every tensor must be owned exactly once.
-    expected = {(k, role) for k in range(n) for role in (ROLE_WEIGHT, ROLE_BIAS)}
-    if set(claimed) != expected:
-        missing = sorted(expected - set(claimed))
-        raise ConfigurationError(f"unclaimed parameter tensors: {missing}")
-
     groups.sort(key=lambda g: (min(s.layer for s in g.member_slices), g.id))
     return ComponentGraph(net.components, groups, layers_per_group, net.layout)
-
-
-def prunable_units(net: Network, group: PruningGroup) -> list[tuple[int, int]]:
-    """(layer, unit) pairs this group may remove.
-
-    Output units of sink layers are excluded: the network's input and output
-    interfaces are fixed by the task.
-    """
-    sinks = set(net.sinks())
-    units = []
-    for layer in group.unit_layers():
-        if layer in sinks:
-            continue
-        units.extend((layer, u) for u in range(net.layers[layer].out_dim))
-    return units
 
 
 def export_manifest(net: Network, graph: ComponentGraph) -> dict:
@@ -278,7 +259,7 @@ def export_manifest(net: Network, graph: ComponentGraph) -> dict:
                 "kind": g.kind,
                 "param_count": g.param_count,
                 "owning_components": list(g.owning_components),
-                "prunable_units": len(prunable_units(net, g)),
+                "prunable_units": len(g.prunable),
                 "member_slices": [
                     {
                         "layer": s.layer,

@@ -266,8 +266,6 @@ def _check_structure(layers: list[tuple[np.ndarray, np.ndarray, str]],
                 f"layer {k} input width {layers[k][0].shape[1]} does not match layer "
                 f"{src} output width {layers[src][0].shape[0]}")
     input_widths = sorted({w.shape[1] for (w, _, _), src in zip(layers, inputs) if src == -1})
-    if not input_widths:
-        raise ConfigurationError("no layer reads the network input")
     if len(input_widths) > 1:
         raise ConfigurationError(
             f"layers reading the network input disagree on width: {input_widths}")

@@ -22,7 +22,7 @@ import numpy as np
 from .artifacts import Fields, read_json, write_json
 from .errors import ConfigurationError, InfeasiblePlanError
 from .importance import GroupImportanceState, _minmax, metric_scores
-from .modelgraph import ComponentGraph, PruningGroup, build_groups, prunable_units
+from .modelgraph import ComponentGraph, PruningGroup, build_groups
 from .netcore import Network
 
 UNIT_CAP_FRACTION = 0.9
@@ -146,15 +146,6 @@ class _RemovalLedger:
         return delta
 
 
-def predicted_removed_params(net: Network,
-                             removals: Iterable[tuple[int, int]]) -> int:
-    """Exact parameter count a set of (layer, unit) removals would excise."""
-    ledger = _RemovalLedger(net)
-    for layer, unit in removals:
-        ledger.add_unit(layer, unit)
-    return ledger.removed
-
-
 def allocate_budget(states: Mapping[str, GroupImportanceState],
                     graph: ComponentGraph, net: Network,
                     target_sparsity: float, metric: str,
@@ -164,8 +155,10 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     unit's closure of ``target_sparsity * total_params``.
 
     Raises :class:`InfeasiblePlanError` when caps and protections make the
-    target unreachable.
+    target unreachable, and a configuration error when ``net`` is not of
+    the layout ``graph`` was built for.
     """
+    graph.check_layout(net)
     if not 0.0 < target_sparsity < 1.0:
         raise ConfigurationError(
             f"target sparsity must lie in (0, 1), got {target_sparsity}")
@@ -176,23 +169,19 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
         raise ConfigurationError(f"protected ids not in graph: {sorted(unknown)}")
 
     candidates: list[PruningGroup] = []
-    units_of: dict[str, list[tuple[int, int]]] = {}
     for group in graph.groups:
-        units = [] if group.id in protect else prunable_units(net, group)
-        if not units:
+        if group.id in protect or not group.prunable:
             continue
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
-        for layer in group.unit_layers():
+        for layer, width, _, _ in group.units:
             scores = states[group.id].unit_ema.get(layer)
-            width = net.layers[layer].out_dim
             if scores is not None and len(scores) != width:
                 raise ConfigurationError(
                     f"group {group.id!r}: {len(scores)} unit scores for layer "
                     f"{layer}, which has {width} units; the states were not "
                     "recorded on this network")
         candidates.append(group)
-        units_of[group.id] = units
     if not candidates:
         raise InfeasiblePlanError("no unprotected group has prunable units")
 
@@ -207,7 +196,7 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     queue = []
     for group in candidates:
         ranking = rank_units_within_group(group, states[group.id].unit_ema,
-                                          units_of[group.id])
+                                          group.prunable)
         share = alloc_weights[group.id] * len(ranking)
         if share > 0:
             cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
@@ -216,8 +205,8 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
 
     target = round(target_sparsity * net.param_count())
     # The cost of one fresh unit removal on the dearest candidate layer.
-    unit_layers = {layer for gid in cand_ids for layer, _ in units_of[gid]}
-    granularity = max(_RemovalLedger(net).add_unit(layer, 0) for layer in unit_layers)
+    layers = {layer for group in candidates for layer, _ in group.prunable}
+    granularity = max(_RemovalLedger(net).add_unit(layer, 0) for layer in layers)
 
     ledger = _RemovalLedger(net)
     taken: dict[str, list[tuple[int, int]]] = {gid: [] for gid in cand_ids}
@@ -249,11 +238,13 @@ def apply_prune(net: Network, graph: ComponentGraph,
     its closure to a removal ledger; the layers are then cut at the ledger's
     rows and columns. The input network is left untouched. The exhaustive
     parameter recount must match the ledger, and the ledger the plan's
-    predicted removal.
+    predicted removal. A network of another layout than the graph's is
+    refused.
     """
+    graph.check_layout(net)
     ledger = _RemovalLedger(net)
     for gid, units in plan.per_group.items():
-        allowed = set(prunable_units(net, graph.get(gid)))
+        allowed = set(graph.get(gid).prunable)
         for layer, unit in units:
             if (layer, unit) not in allowed:
                 raise ConfigurationError(

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from prunescope import netcore
-from prunescope.harness.config import ModelConfig, build_model
+from prunescope.harness.cli import main
+from prunescope.harness.config import (DatasetConfig, ExperimentConfig, ModelConfig,
+                                       build_model)
 from prunescope.modelgraph import PruningGroup
 from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, apply_activation,
                                 build_sequential, forward, mse_loss)
+from prunescope.pruner import _RemovalLedger
 
 
 def dyadic(rng: np.random.Generator, shape) -> np.ndarray:
@@ -43,6 +48,15 @@ def group_tensors(net: Network, group: PruningGroup) -> list[ParamTensor]:
 def group_l1_norm(net: Network, group: PruningGroup) -> float:
     """Reference L1 norm of a group: the sum of its per-tensor sums."""
     return sum(float(np.abs(t.values).sum()) for t in group_tensors(net, group))
+
+
+def predicted_removed_params(net: Network, removals) -> int:
+    """Exact parameter count a set of (layer, unit) removals would excise,
+    counted by the pruner's own removal ledger."""
+    ledger = _RemovalLedger(net)
+    for layer, unit in removals:
+        ledger.add_unit(layer, unit)
+    return ledger.removed
 
 
 def per_tensor_mean(arrays) -> float:
@@ -109,6 +123,38 @@ def make_two_component_chain(seed=0, widths=(6, 5, 4, 3, 2)) -> Network:
     return build_sequential(
         widths, ["relu"] * (n - 1) + ["identity"],
         {"front": (0, cut), "back": (cut, n)}, seed)
+
+
+def toy_config(**overrides):
+    base = dict(
+        model=ModelConfig(preset="toy_multihead"),
+        dataset=DatasetConfig(kind="synthetic", n_train=128, n_test=32,
+                              rank=6, target="affine"),
+        epochs=3, batch_size=32, seed=0)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """A trained toy run and a plan for it; tests write damaged copies elsewhere."""
+    root = tmp_path_factory.mktemp("toy_run")
+    cfg_path = root / "cfg.json"
+    toy_config(epochs=2).save(cfg_path)
+    run_dir = root / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    plan_path = root / "plan.json"
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--sparsity", "0.4", "--plan", str(plan_path)]) == 0
+    return cfg_path, run_dir, plan_path
+
+
+def damaged(src, dst, damage):
+    """Copy a JSON artifact to ``dst`` with ``damage`` applied to its document."""
+    doc = json.loads(src.read_text())
+    damage(doc)
+    dst.write_text(json.dumps(doc))
+    return str(dst)
 
 
 @pytest.fixture

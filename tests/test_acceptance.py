@@ -21,14 +21,13 @@ from prunescope.harness.train import run_training
 from prunescope.harness.trace import validate_trace
 from prunescope.importance import (BayesConfig, GroupImportanceState, _update_part,
                                    bayes_update, ema_update, init_states, update_all)
-from prunescope.modelgraph import PruningGroup, build_groups, prunable_units
+from prunescope.modelgraph import PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
-from prunescope.pruner import (PrunePlan, apply_prune,
-                               predicted_removed_params, verify_consistency)
+from prunescope.pruner import PrunePlan, apply_prune, verify_consistency
 from prunescope.scheduler import ScheduleConfig, lambda_coefficient
 
 from conftest import (dyadic, fd_gradient, group_l1_norm, group_tensors, make_toy_multihead,
-                      set_dyadic, with_activations)
+                      predicted_removed_params, set_dyadic, with_activations)
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -82,7 +81,7 @@ def test_criterion_2_metrics_match_brute_force():
         g = rng.normal(0.0, 3.0, size=int(rng.integers(1, 64)))
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
-                             ((0, n, (n,)),), ((0, n),), ())
+                             ((0, n, (n,)),), ((0, n),), (), ())
         states = {"g": GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)}
         _update_part((group,), group.runs, states, g, None, {}, np.empty(n), cfg, 0.9)
         ref_grad = math.fsum(abs(v) for v in g) / n
@@ -186,7 +185,7 @@ def _fuzz_plan(rng, net, graph):
     per_group = {}
     pairs = []
     for group in graph.groups:
-        units = prunable_units(net, group)
+        units = group.prunable
         if not units:
             continue
         by_layer = {}
@@ -203,7 +202,7 @@ def _fuzz_plan(rng, net, graph):
             pairs.extend(chosen)
     if not pairs:  # force at least one removal
         for group in graph.groups:
-            units = prunable_units(net, group)
+            units = group.prunable
             if units:
                 pick = units[int(rng.integers(0, len(units)))]
                 per_group[group.id] = [pick]

@@ -9,12 +9,13 @@ import pytest
 from prunescope.errors import InfeasiblePlanError
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.importance import COMBINED, METRICS, BayesConfig, init_states
-from prunescope.modelgraph import build_groups, prunable_units
+from prunescope.modelgraph import build_groups
 from prunescope.pruner import (UNIT_CAP_FRACTION, PrunePlan, _RemovalLedger,
                                allocate_budget, importance_weights,
-                               predicted_removed_params, rank_units_within_group)
+                               rank_units_within_group)
 
-from conftest import make_toy_multihead, make_two_component_chain
+from conftest import (make_toy_multihead, make_two_component_chain,
+                      predicted_removed_params)
 
 SPARSITIES = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99)
 
@@ -28,7 +29,7 @@ def reference_allocate_budget(states, graph, net, target_sparsity, metric,
     for group in graph.groups:
         if group.id in protect:
             continue
-        units = prunable_units(net, group)
+        units = group.prunable
         if units:
             candidates.append(group)
             units_of[group.id] = units
@@ -98,8 +99,7 @@ def seeded_states(graph, net, rng, tied):
         else:
             st.ema_grad, st.ema_fisher, st.ema_bayes = rng.uniform(size=3)
         st.iteration = 1
-        for layer in group.unit_layers():
-            width = net.layers[layer].out_dim
+        for layer, width, _, _ in group.units:
             st.unit_ema[layer] = (rng.integers(0, 3, size=width).astype(float) if tied
                                   else rng.uniform(size=width))
     return states

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,17 +27,7 @@ from prunescope.modelgraph import build_groups
 from prunescope.netcore import forward, load_checkpoint, mse_loss, save_checkpoint
 from prunescope.scheduler import ScheduleConfig, schedule_row, total_loss
 
-from conftest import group_l1_norm
-
-
-def toy_config(**overrides):
-    base = dict(
-        model=ModelConfig(preset="toy_multihead"),
-        dataset=DatasetConfig(kind="synthetic", n_train=128, n_test=32,
-                              rank=6, target="affine"),
-        epochs=3, batch_size=32, seed=0)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from conftest import damaged, group_l1_norm, toy_config
 
 
 # -- configuration ------------------------------------------------------------
@@ -154,7 +145,7 @@ def test_load_dataset_mnist_round_trip(tmp_path):
     net = build_model(cfg.model, seed=0)
     xtr, ytr, xte, yte = load_dataset(cfg, 0, net)
     assert xtr.shape == (4, 4) and xte.shape == (2, 4)
-    np.testing.assert_array_equal(xtr, ytr)
+    assert ytr is xtr and yte is xte  # reconstruction targets are the inputs
     with pytest.raises(ConfigurationError, match="cannot cover"):
         load_dataset(toy_config(
             model=cfg.model,
@@ -185,6 +176,28 @@ def test_load_dataset_mnist_round_trip(tmp_path):
         load_dataset(with_test_file(6, 2, wide), 0, net)
 
 
+def test_identity_targets_share_the_inputs_and_training_leaves_them_unchanged():
+    """Identity targets are the input arrays themselves, not copies; nothing
+    the training loop or the evaluation does writes into them."""
+    cfg = toy_config(
+        model=ModelConfig(preset="custom", widths=(6, 4, 6),
+                          activations=("relu", "sigmoid"), components={"all": (0, 2)}),
+        dataset=DatasetConfig(kind="synthetic", n_train=40, n_test=9, rank=3,
+                              target="identity"))
+    net = build_model(cfg.model, seed=0)
+    data = load_dataset(cfg, 0, net)
+    x_train, y_train, x_test, y_test = data
+    # Row slices of one array: each target views the rows of its inputs.
+    for x, y in ((x_train, y_train), (x_test, y_test)):
+        assert y.base is x.base and y.shape == x.shape
+        assert y.__array_interface__["data"] == x.__array_interface__["data"]
+    before = [a.copy() for a in data]
+    result = run_training(cfg, net=net, data=data)
+    assert math.isfinite(result.test_mse)
+    for got, want in zip(data, before):
+        assert got.tobytes() == want.tobytes()
+
+
 # -- the training loop --------------------------------------------------------------
 
 
@@ -204,6 +217,20 @@ def test_toy_training_never_starts_the_second_lane(force_lane):
     lane = force_lane(True)
     run_training(toy_config())
     assert lane.worker is None
+
+
+def test_training_through_an_sgd_config(tmp_path):
+    """An ``optimizer.kind: "sgd"`` config read from a file trains with plain
+    gradient descent: the loss falls, and the run differs from Adam's."""
+    path = tmp_path / "cfg.json"
+    toy_config(epochs=6, optimizer=OptimizerConfig(kind="sgd", lr=0.05)).save(path)
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.optimizer.kind == "sgd"
+    sgd = run_training(cfg)
+    losses = [r.task_loss for r in sgd.records]
+    assert losses[-1] < losses[0]
+    adam = run_training(replace(cfg, optimizer=OptimizerConfig(lr=0.05)))
+    assert not np.array_equal(sgd.net.flat_values, adam.net.flat_values)
 
 
 def test_training_seed_changes_the_run(monkeypatch):
@@ -401,6 +428,32 @@ def test_hypotheses_window_shrinks_with_a_note():
     assert "H1" in text and "H2" in text and "H3" in text
 
 
+def test_hypotheses_without_component_specific_groups():
+    records = [r for r in constant_records(epochs=4) if r.kind == "coupling"]
+    report = evaluate_hypotheses(records, window=2)
+    assert report.earliest_specific is None and report.earliest_specific_rank == {}
+    assert "no component-specific groups in this trace" in report.notes
+    assert "    (no component-specific groups)" in render_report(report).splitlines()
+
+
+def test_hypotheses_report_lists_twelve_crossovers_then_elides():
+    """Two groups trade places every epoch from epoch 2 on: 19 crossovers
+    over 20 epochs, of which the report shows the first 12."""
+    records = []
+    for r in constant_records(epochs=20):
+        if r.group_id != "coupling_x_y":
+            s = 1.0 + (r.epoch % 2 == (r.group_id == "x_1"))
+            r = TraceRecord(r.epoch, r.group_id, r.kind, r.lambda_,
+                            s, s, s, s, s, s, r.l1_norm, r.task_loss, r.total_loss)
+        records.append(r)
+    report = evaluate_hypotheses(records, window=5)
+    assert report.crossover_epochs["grad"] == list(range(2, 21))
+    line = next(x for x in render_report(report).splitlines() if x.startswith("    grad ")
+                and "crossover" in x)
+    assert line == ("    grad    19 crossover epoch(s): "
+                    + ", ".join(map(str, range(2, 14))) + ", ...")
+
+
 def test_hypotheses_reject_malformed_traces():
     records = constant_records(epochs=3)
     with pytest.raises(Exception):
@@ -418,8 +471,10 @@ def cli_workspace(tmp_path):
     return tmp_path, cfg_path
 
 
-def test_cli_exit_codes_for_usage():
+def test_cli_exit_codes_for_usage(capsys):
     assert main([]) == 1
+    assert main(["--"]) == 1  # no command after the options
+    assert "required: command" in capsys.readouterr().err
     assert main(["--help"]) == 0
     assert main(["no-such-command"]) == 1
     assert main(["train"]) == 1  # missing required arguments
@@ -517,28 +572,6 @@ def test_cli_failures_exit_two(cli_workspace, capsys):
         damage(bad["groups"][0])
         states_path.write_text(json.dumps(bad))
         fails_typed(prune_with_states + ["--metric", "grad"])
-
-
-@pytest.fixture(scope="module")
-def toy_run(tmp_path_factory):
-    """A trained toy run and a plan for it; tests write damaged copies elsewhere."""
-    root = tmp_path_factory.mktemp("toy_run")
-    cfg_path = root / "cfg.json"
-    toy_config(epochs=2).save(cfg_path)
-    run_dir = root / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
-    plan_path = root / "plan.json"
-    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
-                 "--sparsity", "0.4", "--plan", str(plan_path)]) == 0
-    return cfg_path, run_dir, plan_path
-
-
-def damaged(src, dst, damage):
-    """Copy a JSON artifact to ``dst`` with ``damage`` applied to its document."""
-    doc = json.loads(src.read_text())
-    damage(doc)
-    dst.write_text(json.dumps(doc))
-    return str(dst)
 
 
 def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):

@@ -5,12 +5,13 @@ import pytest
 
 from prunescope.errors import ConfigurationError
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
-                                   build_groups, export_manifest, prunable_units)
-from prunescope.netcore import ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, build_sequential
-from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
+                                   build_groups, export_manifest)
+from prunescope.netcore import (ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, Network, build_sequential,
+                                seeded_layer)
+from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (group_l1_norm, group_tensors, make_net, make_toy_multihead,
-                      make_two_component_chain)
+                      make_two_component_chain, predicted_removed_params)
 
 
 def autoencoder(latent=8, seed=0):
@@ -51,7 +52,7 @@ def test_autoencoder_coupling_group_members():
     assert members[(2, ROLE_WEIGHT)].unit_axis == "out"
     assert members[(3, ROLE_WEIGHT)].unit_axis == "in"
     assert all(s.unit_layer == 2 for s in coupling.member_slices)
-    assert coupling.unit_layers() == (2,)
+    assert [layer for layer, _, _, _ in coupling.units] == [2]
     assert coupling.owning_components == ("encoder", "decoder")
 
 
@@ -116,11 +117,32 @@ def test_every_tensor_is_owned_exactly_once(seed):
     net = build_sequential(widths, ["relu"] * (n_layers - 1) + ["identity"],
                            {"front": (0, cut), "back": (cut, n_layers)},
                            rng)
-    graph = build_groups(net, layers_per_group=int(rng.integers(1, 3)))
-    claims = claimed_tensors(graph)
-    assert sorted(claims) == sorted(
-        (k, role) for k in range(n_layers) for role in (ROLE_WEIGHT, ROLE_BIAS))
-    assert sum(g.param_count for g in graph.groups) == net.param_count()
+    # Multi-head DAGs too, where each head's interface bias is a residue.
+    for net in (net, make_toy_multihead(seed=seed), shared_trunk(rng)):
+        graph = build_groups(net, layers_per_group=int(rng.integers(1, 3)))
+        claims = claimed_tensors(graph)
+        assert sorted(claims) == sorted(
+            (k, role) for k in range(len(net.layers)) for role in (ROLE_WEIGHT, ROLE_BIAS))
+        assert sum(g.param_count for g in graph.groups) == net.param_count()
+
+
+def shared_trunk(rng):
+    """A seeded trunk of 1-3 layers whose last layer feeds 2-3 heads of 2-3
+    layers each; every head reads the trunk's output."""
+    n_trunk = int(rng.integers(1, 4))
+    heads = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(2, 4)))]
+    widths = [int(w) for w in rng.integers(2, 9, size=n_trunk + 1)]
+    layers = [seeded_layer(k, widths[k], widths[k + 1], "relu", rng) for k in range(n_trunk)]
+    inputs, components = list(range(-1, n_trunk - 1)), {"trunk": (0, n_trunk)}
+    for h, depth in enumerate(heads):
+        start, source, in_dim = len(layers), n_trunk - 1, widths[-1]
+        for _ in range(depth):
+            out_dim = int(rng.integers(2, 9))
+            layers.append(seeded_layer(len(layers), in_dim, out_dim, "relu", rng))
+            inputs.append(source)
+            source, in_dim = len(layers) - 1, out_dim
+        components[f"head{h}"] = (start, len(layers))
+    return Network(layers, components, inputs)
 
 
 def test_single_component_net_has_no_coupling_groups():
@@ -217,13 +239,12 @@ def test_l1_norms_equal_the_per_tensor_sums_bit_for_bit(make):
 def test_prunable_units_exclude_network_outputs():
     net = make_toy_multihead()
     graph = build_groups(net, 1)
-    assert prunable_units(net, graph.get("encoder_1")) == [
-        (0, u) for u in range(32)]
-    assert prunable_units(net, graph.get("coupling_encoder_head_a_head_b")) == [
-        (1, u) for u in range(8)]
+    assert graph.get("encoder_1").prunable == tuple((0, u) for u in range(32))
+    assert graph.get("coupling_encoder_head_a_head_b").prunable == tuple(
+        (1, u) for u in range(8))
     # Both head groups only own sink-layer units, which stay fixed.
-    assert prunable_units(net, graph.get("head_a_1")) == []
-    assert prunable_units(net, graph.get("head_b_1")) == []
+    assert graph.get("head_a_1").prunable == ()
+    assert graph.get("head_b_1").prunable == ()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -234,7 +255,7 @@ def test_closure_parameter_count_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     net = make_two_component_chain(seed=seed, widths=(7, 6, 5, 4, 3))
     graph = build_groups(net, 1)
-    owners = {layer: g.id for g in graph.groups for layer, _ in prunable_units(net, g)}
+    owners = {layer: g.id for g in graph.groups for layer, _ in g.prunable}
     layer = sorted(owners)[int(rng.integers(0, len(owners)))]
     out_dim = net.layers[layer].out_dim
     k = int(rng.integers(1, out_dim))
@@ -278,6 +299,6 @@ def test_manifest_is_json_ready_and_complete():
     assert [g["id"] for g in doc["groups"]] == list(graph.group_ids())
     for entry, group in zip(doc["groups"], graph.groups):
         assert entry["param_count"] == group.param_count
-        assert entry["prunable_units"] == len(prunable_units(net, group))
+        assert entry["prunable_units"] == len(group.prunable)
         assert sum(s["param_count"] for s in entry["member_slices"]) \
             == group.param_count

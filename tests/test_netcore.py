@@ -20,10 +20,10 @@ from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
                                 build_sequential, forward, load_checkpoint,
                                 mse_loss, save_checkpoint, seeded_layer)
-from prunescope.pruner import PrunePlan, apply_prune, predicted_removed_params
+from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
-                      set_dyadic, with_activations)
+                      predicted_removed_params, set_dyadic, with_activations)
 
 
 # -- activations -----------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 
 from prunescope.errors import ConfigurationError, InfeasiblePlanError
 from prunescope.importance import GroupImportanceState, init_states, BayesConfig
-from prunescope.modelgraph import build_groups, prunable_units
+from prunescope.modelgraph import build_groups
 from prunescope.netcore import Network, forward
 from prunescope.pruner import (PrunePlan, allocate_budget, apply_prune,
-                               importance_weights, predicted_removed_params,
-                               rank_units_within_group, verify_consistency)
+                               importance_weights, rank_units_within_group,
+                               verify_consistency)
 
-from conftest import dyadic, make_net, make_toy_multihead, set_dyadic
+from conftest import (dyadic, make_net, make_toy_multihead, predicted_removed_params,
+                      set_dyadic)
 
 
 def masked_clone(net, by_layer):
@@ -40,8 +41,8 @@ def states_with_unit_scores(graph, net, seed=0, ema=None):
         if ema is not None:
             st.ema_grad = st.ema_fisher = st.ema_bayes = ema[group.id]
         st.iteration = 1
-        for layer in group.unit_layers():
-            st.unit_ema[layer] = rng.uniform(size=net.layers[layer].out_dim)
+        for layer, width, _, _ in group.units:
+            st.unit_ema[layer] = rng.uniform(size=width)
     return states
 
 
@@ -53,7 +54,7 @@ def test_rank_units_ascending_by_score():
     graph = build_groups(net, 1)
     group = graph.get("body_1")
     ranked = rank_units_within_group(group, {0: np.array([3.0, 1.0, 2.0])},
-                                     prunable_units(net, group))
+                                     group.prunable)
     assert ranked == [(0, 1), (0, 2), (0, 0)]
 
 
@@ -61,7 +62,7 @@ def test_rank_units_breaks_ties_by_position():
     net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
     group = build_groups(net, 1).get("body_1")
     ranked = rank_units_within_group(group, {0: np.array([1.0, 1.0, 1.0])},
-                                     prunable_units(net, group))
+                                     group.prunable)
     assert ranked == [(0, 0), (0, 1), (0, 2)]
 
 
@@ -194,7 +195,7 @@ def test_unit_cap_limits_each_group():
     plan = allocate_budget(states, graph, net, 0.5, "grad")
     for gid, units in plan.per_group.items():
         group = graph.get(gid)
-        assert len(units) <= int(0.9 * len(prunable_units(net, group)))
+        assert len(units) <= int(0.9 * len(group.prunable))
 
 
 def test_unreachable_target_raises():
@@ -213,6 +214,22 @@ def test_allocation_validates_sparsity():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ConfigurationError):
             allocate_budget(states, graph, net, bad, "grad")
+
+
+def test_allocation_and_pruning_refuse_a_network_of_another_layout():
+    """A graph's prunable units and widths belong to the layout it was built
+    for. A narrower network, with states and a plan that fit it, is refused
+    with the graph of the wider one."""
+    net, graph = chain_for_allocation()
+    narrower = make_net([10, 8, 5, 6], ["relu", "relu", "identity"], seed=0)
+    own_graph = build_groups(narrower, 1)
+    states = states_with_unit_scores(own_graph, narrower)
+    plan = allocate_budget(states, own_graph, narrower, 0.2, "grad")
+    apply_prune(narrower, own_graph, plan)
+    with pytest.raises(ConfigurationError, match="layout"):
+        allocate_budget(states, graph, narrower, 0.2, "grad")
+    with pytest.raises(ConfigurationError, match="layout"):
+        apply_prune(narrower, graph, plan)
 
 
 # -- applying plans -------------------------------------------------------------
