@@ -18,8 +18,7 @@ from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
                       apply_activation, backward, build_sequential, forward,
                       load_checkpoint, mse_loss, save_checkpoint)
 from .pruner import (PrunePlan, allocate_budget, apply_prune,
-                     importance_weights, rank_units_within_group,
-                     verify_consistency)
+                     importance_weights, verify_consistency)
 from .scheduler import (ScheduleConfig, lambda_coefficient, lambda_weight_at,
                         phase_offset, schedule_row, total_loss)
 
@@ -37,7 +36,7 @@ __all__ = [
     "apply_activation", "backward", "build_sequential", "forward",
     "load_checkpoint", "mse_loss", "save_checkpoint",
     "PrunePlan", "allocate_budget", "apply_prune", "importance_weights",
-    "rank_units_within_group", "verify_consistency",
+    "verify_consistency",
     "ScheduleConfig", "lambda_coefficient", "lambda_weight_at", "phase_offset",
     "schedule_row", "total_loss",
     "__version__",

@@ -49,9 +49,10 @@ def make_optimizer(cfg: ExperimentConfig):
     return Adam(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
 
 
-def load_dataset(cfg: ExperimentConfig, seed: int,
+def load_dataset(cfg: ExperimentConfig,
                  net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve the configured dataset to (X_train, Y_train, X_test, Y_test).
+    """Resolve the configured dataset to (X_train, Y_train, X_test, Y_test);
+    a synthetic one is drawn from ``cfg.seed``.
 
     Reconstruction targets are the inputs themselves: for mnist,
     ``Y_train is X_train`` and ``Y_test is X_test``. Training batches are
@@ -60,7 +61,7 @@ def load_dataset(cfg: ExperimentConfig, seed: int,
     """
     ds = cfg.dataset
     if ds.kind == "synthetic":
-        return synthetic_dataset(seed, ds.n_train, ds.n_test, net.input_dim,
+        return synthetic_dataset(cfg.seed, ds.n_train, ds.n_test, net.input_dim,
                                  net.output_dim, rank=ds.rank, target=ds.target)
     assert ds.kind == "mnist"
     assert ds.train_images is not None
@@ -121,7 +122,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     if graph is None:
         graph = build_groups(net, cfg.layers_per_group)
     x_train, y_train, x_test, y_test = (
-        load_dataset(cfg, cfg.seed, net) if data is None else data)
+        load_dataset(cfg, net) if data is None else data)
     if len(x_train) < 1:
         raise ConfigurationError("training set is empty")
 

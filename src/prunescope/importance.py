@@ -32,7 +32,7 @@ import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
-from .modelgraph import ComponentGraph, PruningGroup
+from .modelgraph import ComponentGraph, PruningGroup, slot_sum
 from .netcore import ADAM_BLOCK, Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
@@ -89,15 +89,6 @@ def init_states(graph: ComponentGraph,
             for g in graph.groups}
 
 
-def _group_mean(parts: Sequence[np.ndarray], count: int) -> float:
-    """(1/N) times the sum of per-tensor sums, N = ``count`` elements.
-
-    Each tensor is summed on its own, in order, so the result is the same
-    whether the parts are separate arrays or slots of one arena buffer.
-    """
-    return sum([float(np.add.reduce(p, axis=None)) for p in parts]) / count
-
-
 def bayes_update(state: GroupImportanceState, energy: float,
                  cfg: BayesConfig) -> GroupImportanceState:
     """One conjugate update: alpha += kappa, beta += kappa * E / eta.
@@ -119,8 +110,10 @@ def bayes_importance(mu: float, fisher: float) -> float:
     return math.log1p(mu) * (1.0 + fisher)
 
 
-def ema_update(previous: float, current: float, gamma: float) -> float:
-    """Exponential moving average step; gamma in [0, 1)."""
+def ema_update(previous: float | np.ndarray, current: float | np.ndarray,
+               gamma: float) -> float | np.ndarray:
+    """Exponential moving average step, of floats or elementwise of arrays;
+    gamma in [0, 1)."""
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
     return gamma * previous + (1.0 - gamma) * current
@@ -139,7 +132,7 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     the squared and then the absolute gradients over its arena runs, into one
     buffer: the last reads of the gradients. Each group's metric is reduced
     from the buffer over its tensors' slots in slice order by
-    :func:`_group_mean`: the gradient magnitude (1/N) sum |g|, also the energy
+    :func:`slot_sum`: the gradient magnitude (1/N) sum |g|, also the energy
     the Bayes tracker observes, and the Fisher diagonal (1/N) sum g^2; one that
     is not finite raises :class:`NumericsError`. Only then does the group add
     ``coeff * sign(theta)`` over its runs, one ``ADAM_BLOCK`` at a time through
@@ -173,14 +166,12 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
                  scratch: np.ndarray, cfg: BayesConfig, gamma: float) -> None:
     for lo, hi in runs:
         np.multiply(grad[lo:hi], grad[lo:hi], out=scratch[lo:hi])
-    fishers = [_group_mean([scratch[lo:hi] for lo, hi, _ in group.slots], group.param_count)
-               for group in groups]
+    fishers = [slot_sum(scratch, group.slots) / group.param_count for group in groups]
     for lo, hi in runs:
         np.abs(grad[lo:hi], out=scratch[lo:hi])
     for group, raw_fisher in zip(groups, fishers):
         state = states[group.id]
-        abs_grads = [scratch[lo:hi].reshape(shape) for lo, hi, shape in group.slots]
-        raw_grad = _group_mean(abs_grads, group.param_count)
+        raw_grad = slot_sum(scratch, group.slots) / group.param_count
         if math.isfinite(raw_grad):  # else bayes_update would refuse it
             bayes_update(state, raw_grad, cfg)
         raw_bayes = bayes_importance(state.mu, raw_fisher)
@@ -206,14 +197,13 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
         for unit_layer, width, parts, per_unit in group.units:
             numerator = np.zeros(width)
             for i, axis in parts:
-                a = abs_grads[i]
+                lo, hi, shape = group.slots[i]
+                a = scratch[lo:hi].reshape(shape)
                 numerator += a if axis is None else np.add.reduce(a, axis)
             scores = numerator / per_unit
-            if first or unit_layer not in state.unit_ema:
-                state.unit_ema[unit_layer] = scores
-            else:
-                state.unit_ema[unit_layer] = (
-                    gamma * state.unit_ema[unit_layer] + (1.0 - gamma) * scores)
+            previous = state.unit_ema.get(unit_layer)
+            state.unit_ema[unit_layer] = (scores if first or previous is None
+                                          else ema_update(previous, scores, gamma))
         state.iteration += 1
         if coeffs.get(group.id, 0.0) != 0.0:  # the metrics have read its scratch
             for lo, hi in group.runs:

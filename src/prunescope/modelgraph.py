@@ -90,9 +90,11 @@ class ComponentGraph:
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
         self.parts = _split(self.groups)
-        self._by_id = {g.id: g for g in self.groups}
-        if len(self._by_id) != len(self.groups):
-            raise ConfigurationError("duplicate group ids in graph")
+        self._by_id: dict[str, PruningGroup] = {}
+        for g in self.groups:
+            if g.id in self._by_id:
+                raise ConfigurationError(f"duplicate group id {g.id!r} in graph")
+            self._by_id[g.id] = g
 
     def group_ids(self) -> tuple[str, ...]:
         return tuple(g.id for g in self.groups)
@@ -111,15 +113,20 @@ class ComponentGraph:
                 "were built for; rebuild the groups with build_groups(net)")
 
     def l1_norms(self, values: np.ndarray) -> list[float]:
-        """Each group's sum of absolute parameter values, in group order,
-        read from an arena laid out like the groups' (``net.flat_values``).
+        """Each group's :func:`slot_sum` of absolute values, in group order,
+        from an arena laid out like the groups' (``net.flat_values``)."""
+        magnitudes = np.abs(values)
+        return [slot_sum(magnitudes, group.slots) for group in self.groups]
 
-        Each slot is reduced on its own and the slots are added in slice
-        order, so a norm has the bits of a sum of per-tensor sums.
-        """
-        return [sum([float(np.add.reduce(np.abs(values[lo:hi]), axis=None))
-                     for lo, hi, _ in group.slots])
-                for group in self.groups]
+
+def slot_sum(values: np.ndarray, slots: Iterable[tuple[int, int, tuple]]) -> float:
+    """The sum of an arena's elements over a group's slots.
+
+    Each slot is reduced on its own and the slots are added in slice order,
+    so the sum has the bits of a sum of per-tensor sums; a sum over merged
+    runs would group the additions differently.
+    """
+    return sum([float(np.add.reduce(values[lo:hi], axis=None)) for lo, hi, _ in slots])
 
 
 def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -199,19 +206,20 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
     groups: list[PruningGroup] = []
 
     # Coupling groups: one per producing layer with cross-component consumers.
+    # An id names the owners, and the producing layer if they own another.
+    couplings = {}
     for p in range(n):
         cross = [c for c in net.consumers(p) if comp_of[c] != comp_of[p]]
-        if not cross:
-            continue
-        consumer_comps: list[str] = []
-        for c in cross:
-            if comp_of[c] not in consumer_comps:
-                consumer_comps.append(comp_of[c])
-        owners = (comp_of[p], *consumer_comps)
+        if cross:
+            couplings[p] = cross, (comp_of[p], *dict.fromkeys(comp_of[c] for c in cross))
+    all_owners = [owners for _, owners in couplings.values()]
+    for p, (cross, owners) in couplings.items():
         gid = "coupling_" + "_".join(owners)
+        if all_owners.count(owners) > 1:
+            gid += f"_l{p}"
         slices = [MemberSlice(p, ROLE_WEIGHT, AXIS_OUT, p),
                   MemberSlice(p, ROLE_BIAS, AXIS_OUT, p)]
-        slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in sorted(cross)]
+        slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in cross]
         for s in slices:
             claim(s.layer, s.role, gid)
         groups.append(_compile(net, gid, KIND_COUPLING, slices, owners))

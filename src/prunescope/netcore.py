@@ -793,7 +793,7 @@ def _encode_array(arr: np.ndarray) -> str:
 def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
     """A read-only little-endian view of one payload; no copy is made."""
     try:
-        raw = base64.b64decode(text.encode("ascii"))
+        raw = base64.b64decode(text.encode("ascii"), validate=True)
     except ValueError as exc:
         raise DataFormatError(f"checkpoint array payload is not base64: {exc}") from exc
     expected = 8 * int(np.prod(shape)) if shape else 8

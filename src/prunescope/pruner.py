@@ -6,8 +6,8 @@ consumer's weight, so the network stays shape-consistent by construction.
 Budgets are parameter-weighted: group removal fractions are proportional to
 one minus the min-max-normalized smoothed importance, rescaled until the
 exact number of excised parameters (overlaps counted once) meets the
-target, with at most 90% of any group's units removed and protected groups
-untouched.
+target, with at most 90% of any group's units removed, at least one unit
+left in every layer and protected groups untouched.
 """
 
 from __future__ import annotations
@@ -83,28 +83,6 @@ class PrunePlan:
         return cls.from_dict(read_json(path, "prune plan"))
 
 
-def rank_units_within_group(
-        group: PruningGroup, unit_scores: Mapping[int, np.ndarray],
-        units: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Order ``units`` by ascending score; ties break by (layer, unit index).
-
-    ``unit_scores`` maps a unit layer to its per-output-unit score vector.
-    """
-    scored = []
-    for layer, unit in units:
-        if layer not in unit_scores:
-            raise ConfigurationError(
-                f"group {group.id!r}: no unit scores for layer {layer}")
-        vec = np.asarray(unit_scores[layer], dtype=np.float64)
-        if not 0 <= unit < len(vec):
-            raise ConfigurationError(
-                f"group {group.id!r}: unit {unit} out of range for layer {layer} "
-                f"scores of length {len(vec)}")
-        scored.append((float(vec[unit]), layer, unit))
-    scored.sort()
-    return [(layer, unit) for _, layer, unit in scored]
-
-
 def importance_weights(states: Mapping[str, GroupImportanceState],
                        group_ids: Sequence[str], metric: str,
                        weights: Sequence[float] | None = None) -> dict[str, float]:
@@ -176,6 +154,9 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
             raise ConfigurationError(f"no importance state for group {group.id!r}")
         for layer, width, _, _ in group.units:
             scores = states[group.id].unit_ema.get(layer)
+            if scores is None and (layer, 0) in group.prunable:
+                raise ConfigurationError(
+                    f"group {group.id!r}: no unit scores for layer {layer}")
             if scores is not None and len(scores) != width:
                 raise ConfigurationError(
                     f"group {group.id!r}: {len(scores)} unit scores for layer "
@@ -188,18 +169,23 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)
 
-    # Each group's queue is its ranking cut at the cap, the k-th unit keyed by
-    # the progress k / share the group has made when that unit goes; a group
+    # Each group ranks its units by ascending score, ties by (layer, unit).
+    # Its queue is that ranking without each layer's highest-ranked unit,
+    # which the layer keeps, cut at the cap; the k-th unit is keyed by the
+    # progress k / share the group has made when that unit goes, and a group
     # with no share gives nothing. The keys are distinct, so sorting the
     # queues' union merges them: the group furthest behind its share goes
     # next (least progress, then lowest id).
     queue = []
     for group in candidates:
-        ranking = rank_units_within_group(group, states[group.id].unit_ema,
-                                          group.prunable)
+        unit_ema = states[group.id].unit_ema
+        ranking = sorted(group.prunable,
+                         key=lambda unit: (float(unit_ema[unit[0]][unit[1]]), unit))
         share = alloc_weights[group.id] * len(ranking)
         if share > 0:
             cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
+            kept = dict(ranking)  # each layer's last, highest-ranked unit
+            ranking = [(layer, unit) for layer, unit in ranking if kept[layer] != unit]
             queue += [((k / share, group.id), unit)
                       for k, unit in enumerate(ranking[:cap])]
 

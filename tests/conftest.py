@@ -59,6 +59,23 @@ def predicted_removed_params(net: Network, removals) -> int:
     return ledger.removed
 
 
+def masked_clone(net, by_layer):
+    """Zero the closure of the removed units instead of excising it.
+
+    A masked unit contributes exactly nothing downstream (its outgoing
+    columns are zero), so the masked network's outputs must equal the pruned
+    network's outputs; sink layers are never pruned, so output width agrees.
+    """
+    clone = net.copy()
+    for layer, units in by_layer.items():
+        u = sorted(units)
+        clone.layers[layer].weight.values[u, :] = 0.0
+        clone.layers[layer].bias.values[u] = 0.0
+        for c in net.consumers(layer):
+            clone.layers[c].weight.values[:, u] = 0.0
+    return clone
+
+
 def per_tensor_mean(arrays) -> float:
     """Reference group metric: (1/N) times the sum of per-tensor sums over
     the N elements of ``arrays``; training reduces its slots the same way."""
@@ -123,6 +140,33 @@ def make_two_component_chain(seed=0, widths=(6, 5, 4, 3, 2)) -> Network:
     return build_sequential(
         widths, ["relu"] * (n - 1) + ["identity"],
         {"front": (0, cut), "back": (cut, n)}, seed)
+
+
+def random_dag(seed: int) -> tuple[Network, int]:
+    """A seeded valid network and a ``layers_per_group`` of 1-3.
+
+    The network has 4-8 layers in 2-3 components and widths of 2-6. Each
+    layer reads the previous layer, or half the time the input or any
+    earlier layer, so chains, shared trunks, multi-sink heads and components
+    with several layers feeding one other component all occur. Half the
+    networks use only relu and identity, which keep dyadic values exact;
+    the others draw from every activation.
+    """
+    rng = np.random.default_rng([seed, 16])
+    n = int(rng.integers(4, 9))
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), replace=False,
+                                             size=int(rng.integers(1, 3))))
+    bounds = [0, *cuts, n]
+    activations = netcore.ACTIVATIONS if rng.random() < 0.5 else ("relu", "identity")
+    widths = [int(w) for w in rng.integers(2, 7, size=n + 1)]  # widths[0]: the input's
+    inputs, layers = [], []
+    for k in range(n):
+        source = k - 1 if rng.random() < 0.5 else int(rng.integers(-1, k))
+        inputs.append(source)
+        layers.append(netcore.seeded_layer(k, widths[source + 1], widths[k + 1],
+                                           str(rng.choice(activations)), rng))
+    components = {name: (lo, hi) for name, lo, hi in zip("abc", bounds, bounds[1:])}
+    return Network(layers, components, inputs), int(rng.integers(1, 4))
 
 
 def toy_config(**overrides):

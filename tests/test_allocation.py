@@ -11,8 +11,7 @@ from prunescope.harness.config import ModelConfig, build_model
 from prunescope.importance import COMBINED, METRICS, BayesConfig, init_states
 from prunescope.modelgraph import build_groups
 from prunescope.pruner import (UNIT_CAP_FRACTION, PrunePlan, _RemovalLedger,
-                               allocate_budget, importance_weights,
-                               rank_units_within_group)
+                               allocate_budget, importance_weights)
 
 from conftest import (make_toy_multihead, make_two_component_chain,
                       predicted_removed_params)
@@ -38,13 +37,21 @@ def reference_allocate_budget(states, graph, net, target_sparsity, metric,
     cand_ids = [g.id for g in candidates]
     alloc_weights = importance_weights(states, cand_ids, metric, weights)
 
+    # Units rank by ascending score, ties by (layer, unit). Each layer keeps
+    # its best unit: the highest score, ties to the highest index.
     ordered, caps = {}, {}
     for group in candidates:
-        ranking = rank_units_within_group(group, states[group.id].unit_ema,
-                                          units_of[group.id])
-        cap = math.floor(UNIT_CAP_FRACTION * len(ranking))
+        scored = sorted((float(states[group.id].unit_ema[layer][unit]), layer, unit)
+                        for layer, unit in units_of[group.id])
+        best = {}
+        for score, layer, unit in scored:
+            if layer not in best or (score, unit) >= best[layer]:
+                best[layer] = (score, unit)
+        ranking = [(layer, unit) for score, layer, unit in scored
+                   if best[layer] != (score, unit)]
+        cap = math.floor(UNIT_CAP_FRACTION * len(scored))
         ordered[group.id] = ranking[:cap]
-        caps[group.id] = cap
+        caps[group.id] = len(ordered[group.id])
 
     target = round(target_sparsity * net.param_count())
     unit_layers = {layer for gid in cand_ids for layer, _ in units_of[gid]}

@@ -127,7 +127,7 @@ def test_load_dataset_identity_width_mismatch():
     cfg = toy_config(dataset=DatasetConfig(kind="synthetic", target="identity"))
     net = build_model(cfg.model, seed=0)  # 16 in, 2 out
     with pytest.raises(ConfigurationError, match="identity"):
-        load_dataset(cfg, 0, net)
+        load_dataset(cfg, net)
 
 
 def test_load_dataset_mnist_round_trip(tmp_path):
@@ -143,14 +143,14 @@ def test_load_dataset_mnist_round_trip(tmp_path):
         dataset=DatasetConfig(kind="mnist", train_images=str(path),
                               n_train=4, n_test=2))
     net = build_model(cfg.model, seed=0)
-    xtr, ytr, xte, yte = load_dataset(cfg, 0, net)
+    xtr, ytr, xte, yte = load_dataset(cfg, net)
     assert xtr.shape == (4, 4) and xte.shape == (2, 4)
     assert ytr is xtr and yte is xte  # reconstruction targets are the inputs
     with pytest.raises(ConfigurationError, match="cannot cover"):
         load_dataset(toy_config(
             model=cfg.model,
             dataset=DatasetConfig(kind="mnist", train_images=str(path),
-                                  n_train=6, n_test=2)), 0, net)
+                                  n_train=6, n_test=2)), net)
 
     # A test file: its first n_test rows, and the same count and width checks.
     test_path = tmp_path / "test.idx"
@@ -162,18 +162,18 @@ def test_load_dataset_mnist_round_trip(tmp_path):
             kind="mnist", train_images=str(path), test_images=str(images),
             n_train=n_train, n_test=n_test))
 
-    xtr, _, xte, yte = load_dataset(with_test_file(6, 2), 0, net)
+    xtr, _, xte, yte = load_dataset(with_test_file(6, 2), net)
     assert xtr.shape == (6, 4)
     np.testing.assert_array_equal(xte, np.arange(100, 108).reshape(2, 4) / 255.0)
     np.testing.assert_array_equal(xte, yte)
     for n_train, n_test in ((7, 2), (6, 4)):  # one image short in each file
         with pytest.raises(ConfigurationError,
                            match="6 training and 3 test images cannot cover"):
-            load_dataset(with_test_file(n_train, n_test), 0, net)
+            load_dataset(with_test_file(n_train, n_test), net)
     wide = tmp_path / "wide.idx"  # 3x3 test images against 2x2 training images
     wide.write_bytes(_struct.pack(">IIII", IDX_IMAGE_MAGIC, 3, 3, 3) + bytes(27))
     with pytest.raises(ConfigurationError, match="wide.idx are 9-wide .* expects 4"):
-        load_dataset(with_test_file(6, 2, wide), 0, net)
+        load_dataset(with_test_file(6, 2, wide), net)
 
 
 def test_identity_targets_share_the_inputs_and_training_leaves_them_unchanged():
@@ -185,7 +185,7 @@ def test_identity_targets_share_the_inputs_and_training_leaves_them_unchanged():
         dataset=DatasetConfig(kind="synthetic", n_train=40, n_test=9, rank=3,
                               target="identity"))
     net = build_model(cfg.model, seed=0)
-    data = load_dataset(cfg, 0, net)
+    data = load_dataset(cfg, net)
     x_train, y_train, x_test, y_test = data
     # Row slices of one array: each target views the rows of its inputs.
     for x, y in ((x_train, y_train), (x_test, y_test)):
@@ -311,7 +311,7 @@ def test_non_finite_loss_raises_with_context():
 def test_evaluate_mse_matches_unbatched_loss():
     cfg = toy_config()
     result = run_training(cfg)
-    _, _, xte, yte = load_dataset(cfg, result.config.seed, result.net)
+    _, _, xte, yte = load_dataset(result.config, result.net)
     whole, _ = mse_loss(forward(result.net, xte)[-1], yte)
     np.testing.assert_allclose(evaluate_mse(result.net, xte, yte, batch_size=7),
                                whole, rtol=1e-12)

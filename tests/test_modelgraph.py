@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError
+from prunescope.importance import BayesConfig, init_states
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
                                    build_groups, export_manifest)
 from prunescope.netcore import (ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, Network, build_sequential,
                                 seeded_layer)
-from prunescope.pruner import PrunePlan, apply_prune
+from prunescope.pruner import PrunePlan, allocate_budget, apply_prune, verify_consistency
 
 from conftest import (group_l1_norm, group_tensors, make_net, make_toy_multihead,
                       make_two_component_chain, predicted_removed_params)
@@ -180,6 +181,30 @@ def test_component_reduced_to_boundary_biases_is_rejected():
                    components={"a": (0, 1), "b": (1, 2)}, seed=4)
     with pytest.raises(ConfigurationError, match="boundary-layer biases"):
         build_groups(net, 1)
+
+
+def test_two_coupling_groups_with_the_same_owners_gain_producer_suffixes():
+    """Layers 0 and 1 of component ``a`` each feed a layer of ``b``: both
+    coupling groups are owned by ``a`` and ``b``, so each id also names its
+    producing layer, and the network prunes and verifies."""
+    rng = np.random.default_rng(0)
+    net = Network([seeded_layer(0, 3, 4, "relu", rng), seeded_layer(1, 4, 4, "relu", rng),
+                   seeded_layer(2, 4, 2, "relu", rng), seeded_layer(3, 4, 2, "relu", rng),
+                   seeded_layer(4, 2, 2, "identity", rng)],
+                  {"a": (0, 2), "b": (2, 5)}, [-1, 0, 0, 1, 2])
+    graph = build_groups(net)
+    assert graph.group_ids() == ("coupling_a_b_l0", "coupling_a_b_l1", "b_1")
+    assert [s.layer for s in graph.get("coupling_a_b_l0").member_slices] == [0, 0, 2]
+    assert [s.layer for s in graph.get("coupling_a_b_l1").member_slices] == [1, 1, 3]
+    cfg = BayesConfig()
+    states = init_states(graph, cfg)
+    for group in graph.groups:
+        for layer, width, _, _ in group.units:
+            states[group.id].unit_ema[layer] = rng.uniform(size=width)
+    plan = allocate_budget(states, graph, net, 0.3, "grad")
+    pruned, _ = apply_prune(net, graph, plan)
+    assert net.param_count() - pruned.param_count() == plan.predicted_removed > 0
+    assert verify_consistency(pruned).ok
 
 
 def test_group_lookup_and_tensor_access():

@@ -8,28 +8,10 @@ from prunescope.importance import GroupImportanceState, init_states, BayesConfig
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import Network, forward
 from prunescope.pruner import (PrunePlan, allocate_budget, apply_prune,
-                               importance_weights, rank_units_within_group,
-                               verify_consistency)
+                               importance_weights, verify_consistency)
 
-from conftest import (dyadic, make_net, make_toy_multihead, predicted_removed_params,
-                      set_dyadic)
-
-
-def masked_clone(net, by_layer):
-    """Zero the closure of the removed units instead of excising it.
-
-    A masked unit contributes exactly nothing downstream (its outgoing
-    columns are zero), so the masked network's outputs must equal the pruned
-    network's outputs; sink layers are never pruned, so output width agrees.
-    """
-    clone = net.copy()
-    for layer, units in by_layer.items():
-        u = sorted(units)
-        clone.layers[layer].weight.values[u, :] = 0.0
-        clone.layers[layer].bias.values[u] = 0.0
-        for c in net.consumers(layer):
-            clone.layers[c].weight.values[:, u] = 0.0
-    return clone
+from conftest import (dyadic, make_net, make_toy_multihead, masked_clone,
+                      predicted_removed_params, set_dyadic)
 
 
 def states_with_unit_scores(graph, net, seed=0, ema=None):
@@ -49,30 +31,34 @@ def states_with_unit_scores(graph, net, seed=0, ema=None):
 # -- unit ranking ------------------------------------------------------------
 
 
-def test_rank_units_ascending_by_score():
+def plan_for_unit_scores(unit_ema, sparsity):
+    """The plan for a 4 -> 3 -> 2 chain whose one prunable group, ``body_1``,
+    has ``unit_ema`` as its unit scores. One of its units costs 7 of the 23
+    parameters and the cap allows two, so 0.3 takes the lowest-ranked unit
+    and 0.6 the two lowest."""
     net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
     graph = build_groups(net, 1)
-    group = graph.get("body_1")
-    ranked = rank_units_within_group(group, {0: np.array([3.0, 1.0, 2.0])},
-                                     group.prunable)
-    assert ranked == [(0, 1), (0, 2), (0, 0)]
+    states = init_states(graph, BayesConfig())
+    states["body_1"].unit_ema = unit_ema
+    return allocate_budget(states, graph, net, sparsity, "grad")
+
+
+def test_rank_units_ascending_by_score():
+    scores = {0: np.array([3.0, 1.0, 2.0])}
+    assert plan_for_unit_scores(scores, 0.3).per_group == {"body_1": [(0, 1)]}
+    assert plan_for_unit_scores(scores, 0.6).per_group == {"body_1": [(0, 1), (0, 2)]}
 
 
 def test_rank_units_breaks_ties_by_position():
-    net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
-    group = build_groups(net, 1).get("body_1")
-    ranked = rank_units_within_group(group, {0: np.array([1.0, 1.0, 1.0])},
-                                     group.prunable)
-    assert ranked == [(0, 0), (0, 1), (0, 2)]
+    scores = {0: np.array([1.0, 1.0, 1.0])}
+    assert plan_for_unit_scores(scores, 0.6).per_group == {"body_1": [(0, 0), (0, 1)]}
 
 
 def test_rank_units_validates_scores():
-    net = make_net([4, 3, 2], ["relu", "identity"], seed=0)
-    group = build_groups(net, 1).get("body_1")
-    with pytest.raises(ConfigurationError):
-        rank_units_within_group(group, {}, [(0, 0)])
-    with pytest.raises(ConfigurationError):
-        rank_units_within_group(group, {0: np.array([1.0])}, [(0, 2)])
+    with pytest.raises(ConfigurationError, match="'body_1': no unit scores for layer 0"):
+        plan_for_unit_scores({}, 0.3)
+    with pytest.raises(ConfigurationError, match="1 unit scores for layer 0, which has 3"):
+        plan_for_unit_scores({0: np.array([1.0])}, 0.3)
 
 
 # -- allocation weights --------------------------------------------------------

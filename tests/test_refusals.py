@@ -106,16 +106,24 @@ def test_cli_verify_refuses_a_payload_of_the_right_length_that_is_not_base64(
         toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
 
-    # The decoder drops ASCII characters outside the alphabet, and refuses
-    # any other character.
-    for char, fragment in (("!", "payload has 0 bytes, expected"),
-                           ("é", "payload is not base64")):
+    for char in ("!", "é"):  # outside the alphabet, ASCII and not
         def not_base64(doc):
             layer = doc["layers"][0]
             layer["bias"] = char * len(layer["bias"])
 
         bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", not_base64)
-        refused(capsys, ["verify", "--checkpoint", bad], fragment)
+        refused(capsys, ["verify", "--checkpoint", bad], "payload is not base64")
+
+
+def test_cli_verify_refuses_a_base64_payload_of_the_wrong_length(toy_run, tmp_path, capsys):
+    _, run_dir, _ = toy_run
+
+    def unpadded(doc):  # 344 characters: 256 bytes and two of padding, or 258 bytes
+        layer = doc["layers"][0]
+        layer["bias"] = "A" * len(layer["bias"])
+
+    bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", unpadded)
+    refused(capsys, ["verify", "--checkpoint", bad], "payload has 258 bytes, expected 256")
 
 
 def test_cli_report_refuses_a_zero_window_and_an_oversized_csv_field(toy_run, tmp_path,
@@ -160,13 +168,13 @@ def test_library_calls_refuse_malformed_arguments():
         run_training(toy_config(), net=net, data=empty)
 
 
-def test_two_coupling_groups_with_the_same_owners_are_refused():
-    """Layers 0 and 1 of component ``a`` each feed a layer of ``b``, so both
-    coupling groups would be named ``coupling_a_b``."""
+def test_group_ids_that_collide_are_refused_by_name():
+    """Component ``coupling_x``'s first group and the coupling group of
+    components ``x`` and ``1`` would both be named ``coupling_x_1``."""
     rng = np.random.default_rng(0)
     net = Network([seeded_layer(0, 3, 4, "relu", rng), seeded_layer(1, 4, 4, "relu", rng),
-                   seeded_layer(2, 4, 2, "relu", rng), seeded_layer(3, 4, 2, "relu", rng),
-                   seeded_layer(4, 2, 2, "identity", rng)],
-                  {"a": (0, 2), "b": (2, 5)}, [-1, 0, 0, 1, 2])
-    with pytest.raises(ConfigurationError, match="duplicate group ids"):
+                   seeded_layer(2, 4, 2, "relu", rng), seeded_layer(3, 2, 2, "identity", rng),
+                   seeded_layer(4, 3, 2, "relu", rng), seeded_layer(5, 2, 2, "identity", rng)],
+                  {"x": (0, 2), "1": (2, 4), "coupling_x": (4, 6)}, [-1, 0, 1, 2, -1, 4])
+    with pytest.raises(ConfigurationError, match="duplicate group id 'coupling_x_1'"):
         build_groups(net)
