@@ -65,6 +65,8 @@ class DatasetConfig:
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "mnist" and not self.train_images:
             raise ConfigurationError("mnist dataset needs a train_images path")
+        if self.n_train < 1 or self.n_test < 0:
+            raise ConfigurationError("need n_train >= 1 and n_test >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Pruning-group decomposition of a multi-component network.
 
-Every parameter tensor is owned by exactly one group. Within a component,
-consecutive layers are bundled into component-specific groups; at each
-component boundary the producing layer's weight and bias together with the
-cross-component consumers' weight matrices form a coupling group whose unit
-axis is the interface activation. A consuming layer's bias stays with its
-own output units and is attached to the consumer component's first group.
+Every parameter tensor is owned by exactly one group. At each component
+boundary the producing layer's weight and bias together with the weight
+matrices of the cross-component consumers that feed no boundary of their
+own form a coupling group whose unit axis is the interface activation.
+Within a component, the other layers are bundled into component-specific
+groups. A consuming layer's bias stays with its own output units in the
+consumer component's first group, a group of biases alone when the
+boundaries own every layer of the component.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
 network's arenas, once; the importance update, the L1 subgradient and the
@@ -82,10 +84,8 @@ class ComponentGraph:
     its groups' slots merged into arena runs.
     """
 
-    def __init__(self, components: dict[str, tuple[int, int]],
-                 groups: Iterable[PruningGroup], layers_per_group: int,
+    def __init__(self, groups: Iterable[PruningGroup], layers_per_group: int,
                  layout: tuple) -> None:
-        self.components = dict(components)
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
@@ -184,25 +184,16 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
     """Decompose a network into component-specific and coupling groups.
 
-    Raises a configuration error when adjacent boundaries would claim the
-    same tensor twice, or when a component owns nothing outside its boundary
-    layers.
+    A producing layer's coupling group takes the weight columns of each
+    cross-component consumer that is not itself a producing layer, and a
+    component whose layers the boundaries all own gets one group of its
+    consumed layers' biases, with no prunable units. A layer reads one
+    source, so no tensor has two owners.
     """
     if layers_per_group < 1:
         raise ConfigurationError("layers_per_group must be at least 1")
     n = len(net.layers)
     comp_of = {k: net.component_of(k) for k in range(n)}
-
-    claimed: dict[tuple[int, str], str] = {}
-
-    def claim(layer: int, role: str, gid: str) -> None:
-        key = (layer, role)
-        if key in claimed:
-            raise ConfigurationError(
-                f"layer {layer} {role} claimed by both {claimed[key]!r} and {gid!r}; "
-                "components are too thin to separate their boundaries")
-        claimed[key] = gid
-
     groups: list[PruningGroup] = []
 
     # Coupling groups: one per producing layer with cross-component consumers.
@@ -212,6 +203,7 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         cross = [c for c in net.consumers(p) if comp_of[c] != comp_of[p]]
         if cross:
             couplings[p] = cross, (comp_of[p], *dict.fromkeys(comp_of[c] for c in cross))
+    consumed = {c for cross, _ in couplings.values() for c in cross if c not in couplings}
     all_owners = [owners for _, owners in couplings.values()]
     for p, (cross, owners) in couplings.items():
         gid = "coupling_" + "_".join(owners)
@@ -219,38 +211,29 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
             gid += f"_l{p}"
         slices = [MemberSlice(p, ROLE_WEIGHT, AXIS_OUT, p),
                   MemberSlice(p, ROLE_BIAS, AXIS_OUT, p)]
-        slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in cross]
-        for s in slices:
-            claim(s.layer, s.role, gid)
+        slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in cross if c in consumed]
         groups.append(_compile(net, gid, KIND_COUPLING, slices, owners))
 
-    # Component-specific groups over the layers left unclaimed.
+    # Component-specific groups over the layers no boundary owns.
     for name, (lo, hi) in net.components.items():
-        full = [k for k in range(lo, hi) if (k, ROLE_WEIGHT) not in claimed]
-        residue = [k for k in range(lo, hi)
-                   if (k, ROLE_WEIGHT) in claimed and (k, ROLE_BIAS) not in claimed]
-        if not full:
-            if residue:
-                raise ConfigurationError(
-                    f"component {name!r} owns only boundary-layer biases; it needs "
-                    "at least one layer outside its coupling groups")
-            continue
-        chunks = [full[i:i + layers_per_group]
-                  for i in range(0, len(full), layers_per_group)]
-        for ordinal, chunk in enumerate(chunks, start=1):
-            gid = f"{name}_{ordinal}"
+        free = [k for k in range(lo, hi) if k not in couplings and k not in consumed]
+        chunks = [free[i:i + layers_per_group]
+                  for i in range(0, len(free), layers_per_group)]
+        # With no free layer, the consumed layers' biases, if any, form one group.
+        for ordinal, chunk in enumerate(chunks or [[]], start=1):
             slices: list[MemberSlice] = []
             if ordinal == 1:
-                slices += [MemberSlice(k, ROLE_BIAS, AXIS_OUT, k) for k in residue]
+                slices += [MemberSlice(k, ROLE_BIAS, AXIS_OUT, k)
+                           for k in range(lo, hi) if k in consumed]
             for k in chunk:
                 slices.append(MemberSlice(k, ROLE_WEIGHT, AXIS_OUT, k))
                 slices.append(MemberSlice(k, ROLE_BIAS, AXIS_OUT, k))
-            for s in slices:
-                claim(s.layer, s.role, gid)
-            groups.append(_compile(net, gid, KIND_COMPONENT, slices, (name,)))
+            if slices:
+                groups.append(_compile(net, f"{name}_{ordinal}", KIND_COMPONENT,
+                                       slices, (name,)))
 
     groups.sort(key=lambda g: (min(s.layer for s in g.member_slices), g.id))
-    return ComponentGraph(net.components, groups, layers_per_group, net.layout)
+    return ComponentGraph(groups, layers_per_group, net.layout)
 
 
 def export_manifest(net: Network, graph: ComponentGraph) -> dict:
@@ -260,7 +243,7 @@ def export_manifest(net: Network, graph: ComponentGraph) -> dict:
         "version": 1,
         "layers_per_group": graph.layers_per_group,
         "total_params": net.param_count(),
-        "components": [[name, lo, hi] for name, (lo, hi) in graph.components.items()],
+        "components": [[name, lo, hi] for name, (lo, hi) in net.components.items()],
         "groups": [
             {
                 "id": g.id,

@@ -1,45 +1,41 @@
-"""Every network the grouping accepts groups and prunes consistently.
+"""Every valid network groups, prunes, differentiates and round-trips.
 
-The networks are :func:`conftest.random_dag`'s seeded DAGs. The grouping
-may refuse one only as too thin: a layer between two boundaries, or a
-component that its coupling groups leave only biases.
+The networks are :func:`conftest.random_dag`'s seeded DAGs, and the grouping
+accepts each of them.
 """
 
+import math
 import re
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from prunescope.errors import ConfigurationError, InfeasiblePlanError
+from prunescope.errors import InfeasiblePlanError
+from prunescope.harness.train import run_training
 from prunescope.importance import COMBINED, METRICS, BayesConfig, init_states, update_all
-from prunescope.modelgraph import build_groups
-from prunescope.netcore import ROLE_BIAS, ROLE_WEIGHT, backward, forward, mse_loss
+from prunescope.modelgraph import KIND_COMPONENT, KIND_COUPLING, build_groups, export_manifest
+from prunescope.netcore import (ROLE_BIAS, ROLE_WEIGHT, backward, forward, load_checkpoint,
+                                mse_loss, save_checkpoint)
 from prunescope.pruner import allocate_budget, apply_prune, verify_consistency
 
-from conftest import dyadic, masked_clone, random_dag, set_dyadic
+from conftest import dyadic, fd_gradient, masked_clone, random_dag, set_dyadic, toy_config
 
 SEEDS = range(64)
 
 
 def grouped(seed):
-    """The seed's network, its ``layers_per_group`` and its graph, or None
-    for a graph that ``build_groups`` refused as too thin."""
+    """The seed's network, its ``layers_per_group`` and its graph."""
     net, layers_per_group = random_dag(seed)
-    try:
-        return net, layers_per_group, build_groups(net, layers_per_group)
-    except ConfigurationError as exc:
-        assert re.search("too thin|owns only boundary-layer biases", str(exc)), exc
-        return net, layers_per_group, None
+    return net, layers_per_group, build_groups(net, layers_per_group)
 
 
 def test_the_accepted_networks_take_every_shape():
     shapes = Counter()
     for seed in SEEDS:
         net, layers_per_group, graph = grouped(seed)
-        if graph is None:
-            continue
         n = len(net.layers)
+        producers = [g.member_slices[0].layer for g in graph.groups if g.kind == KIND_COUPLING]
         shapes.update([f"layers_per_group {layers_per_group}",
                        f"{len(net.components)} components",
                        *{f"activation {layer.activation}" for layer in net.layers}])
@@ -48,12 +44,18 @@ def test_the_accepted_networks_take_every_shape():
             "shared trunk": any(len(net.consumers(k)) > 1 for k in range(n)),
             "multi-sink": len(net.sinks()) > 1,
             "two producers": any(re.search(r"_l\d+$", gid) for gid in graph.group_ids()),
+            "a layer between two boundaries": any(
+                net.source(p) >= 0 and net.component_of(net.source(p)) != net.component_of(p)
+                for p in producers),
+            "a component-specific group of biases only": any(
+                g.kind == KIND_COMPONENT and not g.units for g in graph.groups),
         }.items() if present)
     assert set(shapes) == {
         "layers_per_group 1", "layers_per_group 2", "layers_per_group 3",
         "2 components", "3 components",
         "activation relu", "activation sigmoid", "activation identity",
-        "chain", "shared trunk", "multi-sink", "two producers"}, shapes
+        "chain", "shared trunk", "multi-sink", "two producers",
+        "a layer between two boundaries", "a component-specific group of biases only"}, shapes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,8 +65,6 @@ def test_an_accepted_network_prunes_like_its_masked_copy(seed):
     has no sigmoid (every operation is then exact), else within 1e-12. Its
     predicted removal is the recount, and the pruned network verifies."""
     net, _, graph = grouped(seed)
-    if graph is None:
-        return
     claims = sorted((s.layer, s.role) for g in graph.groups for s in g.member_slices)
     assert claims == sorted((k, role) for k in range(len(net.layers))
                             for role in (ROLE_WEIGHT, ROLE_BIAS))
@@ -99,3 +99,34 @@ def test_an_accepted_network_prunes_like_its_masked_copy(seed):
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_network_differentiates_round_trips_and_trains(seed, tmp_path):
+    """Every parameter's ``backward`` gradient matches central differences
+    within criterion 1's bound. A checkpoint round trip is bitwise and gives
+    the same manifest, and one training epoch of the reloaded network ends
+    with a finite loss."""
+    net, layers_per_group, graph = grouped(seed)
+    rng = np.random.default_rng([seed, 2])
+    x = rng.uniform(-1.0, 1.0, size=(4, net.input_dim))
+    y = rng.uniform(-1.0, 1.0, size=(4, net.output_dim))
+    acts = forward(net, x)
+    backward(net, acts, mse_loss(acts[-1], y)[1])
+    for index, analytic in enumerate(net.flat_grad.tolist()):
+        fd = fd_gradient(net, x, y, index)
+        assert abs(fd - analytic) < 1e-4 * max(abs(analytic), 1e-6), (index, fd, analytic)
+
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(net, path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat_values.tobytes() == net.flat_values.tobytes()
+    assert ([layer.activation for layer in loaded.layers], loaded.layer_inputs,
+            dict(loaded.components)) == ([layer.activation for layer in net.layers],
+                                         net.layer_inputs, dict(net.components))
+    reloaded_graph = build_groups(loaded, layers_per_group)
+    assert export_manifest(loaded, reloaded_graph) == export_manifest(net, graph)
+
+    result = run_training(toy_config(epochs=1, batch_size=2), net=loaded,
+                          graph=reloaded_graph, data=(x, y, x, y))
+    assert math.isfinite(result.final_task_loss) and math.isfinite(result.test_mse)

@@ -797,6 +797,25 @@ def test_cli_train_synthetic_flag_and_protect(tmp_path, capsys):
     assert "encoder_1" not in plan["groups"]
 
 
+def test_cli_prunes_a_two_layer_chain_of_two_components(tmp_path):
+    """``enc`` is one producing layer and ``dec`` one consuming layer: the
+    coupling group ranks the 8 interface units and ``dec_1`` holds only the
+    output bias."""
+    cfg_path, run_dir = tmp_path / "cfg.json", tmp_path / "run"
+    toy_config(epochs=2, model=ModelConfig(
+        preset="custom", widths=(16, 8, 16), activations=("relu", "identity"),
+        components={"enc": (0, 1), "dec": (1, 2)}),
+        dataset=DatasetConfig(n_train=64, n_test=16, rank=4)).save(cfg_path)
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert [(g["id"], g["prunable_units"]) for g in manifest["groups"]] == [
+        ("coupling_enc_dec", 8), ("dec_1", 0)]
+    pruned = tmp_path / "pruned"
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--sparsity", "0.3", "--out", str(pruned)]) == 0
+    assert main(["verify", "--checkpoint", str(pruned / "checkpoint.json")]) == 0
+
+
 def test_cli_verify_refuses_a_repeated_component_name(toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
     repeated = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",

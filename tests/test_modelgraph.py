@@ -169,18 +169,42 @@ def test_autoencoder_with_wider_chunks_still_partitions():
         "encoder_1", "coupling_encoder_decoder", "decoder_1"]
 
 
-def test_adjacent_boundaries_that_collide_are_rejected():
+def prunes_and_verifies(net, graph, rng):
+    """A 30% grad plan over random unit scores removes what it predicts, and
+    the pruned network verifies."""
+    states = init_states(graph, BayesConfig())
+    for group in graph.groups:
+        for layer, width, _, _ in group.units:
+            states[group.id].unit_ema[layer] = rng.uniform(size=width)
+    plan = allocate_budget(states, graph, net, 0.3, "grad")
+    pruned, _ = apply_prune(net, graph, plan)
+    assert net.param_count() - pruned.param_count() == plan.predicted_removed > 0
+    assert verify_consistency(pruned).ok
+
+
+def test_a_layer_between_two_boundaries_joins_the_coupling_group_it_produces_for():
+    """Layer 1 reads ``a`` and feeds ``c``: its rows and bias are ``b``'s
+    coupling group, and ``a``'s coupling group takes no columns of it."""
     net = make_net([4, 4, 4, 4], ["relu", "relu", "identity"],
                    components={"a": (0, 1), "b": (1, 2), "c": (2, 3)}, seed=3)
-    with pytest.raises(ConfigurationError, match="too thin"):
-        build_groups(net, 1)
+    graph = build_groups(net, 1)
+    assert graph.group_ids() == ("coupling_a_b", "coupling_b_c", "c_1")
+    assert [[s.layer for s in g.member_slices] for g in graph.groups] == [
+        [0, 0], [1, 1, 2], [2]]
+    prunes_and_verifies(net, graph, np.random.default_rng(3))
 
 
-def test_component_reduced_to_boundary_biases_is_rejected():
+def test_a_component_of_boundary_layers_gets_a_group_of_its_biases():
+    """Component ``b`` is one consuming layer, whose weight the coupling
+    group holds: its bias forms ``b_1``, which has no prunable units."""
     net = make_net([4, 3, 2], ["relu", "identity"],
                    components={"a": (0, 1), "b": (1, 2)}, seed=4)
-    with pytest.raises(ConfigurationError, match="boundary-layer biases"):
-        build_groups(net, 1)
+    graph = build_groups(net, 1)
+    assert graph.group_ids() == ("coupling_a_b", "b_1")
+    bias_only = graph.get("b_1")
+    assert (bias_only.kind, bias_only.prunable, bias_only.units) == (KIND_COMPONENT, (), ())
+    assert [(s.layer, s.role) for s in bias_only.member_slices] == [(1, ROLE_BIAS)]
+    assert bias_only.param_count == 2
 
 
 def test_two_coupling_groups_with_the_same_owners_gain_producer_suffixes():
@@ -196,15 +220,7 @@ def test_two_coupling_groups_with_the_same_owners_gain_producer_suffixes():
     assert graph.group_ids() == ("coupling_a_b_l0", "coupling_a_b_l1", "b_1")
     assert [s.layer for s in graph.get("coupling_a_b_l0").member_slices] == [0, 0, 2]
     assert [s.layer for s in graph.get("coupling_a_b_l1").member_slices] == [1, 1, 3]
-    cfg = BayesConfig()
-    states = init_states(graph, cfg)
-    for group in graph.groups:
-        for layer, width, _, _ in group.units:
-            states[group.id].unit_ema[layer] = rng.uniform(size=width)
-    plan = allocate_budget(states, graph, net, 0.3, "grad")
-    pruned, _ = apply_prune(net, graph, plan)
-    assert net.param_count() - pruned.param_count() == plan.predicted_removed > 0
-    assert verify_consistency(pruned).ok
+    prunes_and_verifies(net, graph, rng)
 
 
 def test_group_lookup_and_tensor_access():

@@ -35,6 +35,13 @@ def idx_images(path, count, rows, cols, payload=None):
     return str(path)
 
 
+def mnist_counts(**counts):
+    """An mnist dataset section with image counts and a missing image file:
+    the counts are refused before the file is read, since a negative count
+    would slice rows off the end."""
+    return {"dataset": {"kind": "mnist", "train_images": "missing.idx", **counts}}
+
+
 CONFIG_CASES = {
     "optimizer_kind": ({"optimizer": {"kind": "rmsprop"}}, "unknown optimizer 'rmsprop'"),
     "adam_lr": ({"optimizer": {"lr": 0.0}}, "learning rate must be positive"),
@@ -44,6 +51,10 @@ CONFIG_CASES = {
     "eps": ({"optimizer": {"eps": 0.0}}, "eps must be positive"),
     "batch_size": ({"batch_size": 0}, "batch_size must be at least 1"),
     "layers_per_group": ({"layers_per_group": 0}, "layers_per_group must be at least 1"),
+    "mnist_n_train_zero": (mnist_counts(n_train=0), "need n_train >= 1 and n_test >= 0"),
+    "mnist_n_train_negative": (mnist_counts(n_train=-5), "need n_train >= 1 and n_test >= 0"),
+    "mnist_n_test_negative": (mnist_counts(n_train=10, n_test=-2),
+                              "need n_train >= 1 and n_test >= 0"),
 }
 
 
