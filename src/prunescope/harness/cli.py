@@ -20,7 +20,7 @@ from ..pruner import PrunePlan, allocate_budget, apply_prune, verify_consistency
 from .config import DatasetConfig, ExperimentConfig
 from .hypotheses import evaluate_hypotheses, render_report
 from .train import finetune, load_grouped, run_training, save_outputs
-from .trace import group_order, read_trace, validate_trace
+from .trace import check_trace, group_order, read_trace
 
 METRIC_CHOICES = METRICS + (COMBINED,)
 
@@ -162,14 +162,10 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     records = read_trace(args.trace)
-    if args.hypotheses:  # evaluate_hypotheses validates the trace itself
+    if args.hypotheses:  # evaluate_hypotheses checks the trace itself
         hypotheses = evaluate_hypotheses(records, window=args.window)
     else:
-        problems = validate_trace(records)
-        if problems:
-            for problem in problems:
-                print(f"problem: {problem}", file=sys.stderr)
-            return 2
+        check_trace(records)
     epochs = sorted({r.epoch for r in records})
     ids = group_order(records)
     print(f"trace: {len(records)} rows, epochs {epochs[0]}..{epochs[-1]}, "

@@ -1,4 +1,4 @@
-"""Datasets: IDX image/label files and deterministic synthetic generators."""
+"""Datasets: IDX image files and deterministic synthetic generators."""
 
 from __future__ import annotations
 
@@ -11,17 +11,16 @@ import numpy as np
 from ..errors import ConfigurationError, DataFormatError
 
 IDX_IMAGE_MAGIC = 0x00000803  # unsigned bytes, rank 3
-IDX_LABEL_MAGIC = 0x00000801  # unsigned bytes, rank 1
 
 _MAX_ELEMENTS = 1 << 40
 
 
 def load_idx(path: str | Path) -> np.ndarray:
-    """Parse an IDX file of unsigned bytes (gzip accepted transparently).
+    """Parse an IDX image file of unsigned bytes (gzip accepted transparently).
 
-    Images (magic 0x00000803) come back as uint8 [count, rows, cols]; labels
-    (magic 0x00000801) as uint8 [count]. The big-endian magic, one 32-bit
-    dimension per axis, and the exact payload length are all validated.
+    The images (magic 0x00000803) come back as uint8 [count, rows, cols].
+    The big-endian magic, one 32-bit dimension per axis, and the exact
+    payload length are all validated; any other magic is refused.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -29,17 +28,13 @@ def load_idx(path: str | Path) -> np.ndarray:
     if len(raw) < 4:
         raise DataFormatError(f"{path}: too short for an IDX magic number")
     (magic,) = struct.unpack(">I", raw[:4])
-    if magic == IDX_IMAGE_MAGIC:
-        ndim = 3
-    elif magic == IDX_LABEL_MAGIC:
-        ndim = 1
-    else:
+    if magic != IDX_IMAGE_MAGIC:
         raise DataFormatError(f"{path}: bad magic 0x{magic:08x}")
-    header = 4 + 4 * ndim
+    header = 16  # the magic and three 32-bit dimensions
     if len(raw) < header:
         raise DataFormatError(
             f"{path}: truncated header, expected {header} bytes, got {len(raw)}")
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
+    dims = struct.unpack(">3I", raw[4:header])
     if any(d == 0 for d in dims):
         raise DataFormatError(f"{path}: zero-length dimension in {dims}")
     elements = 1
@@ -58,8 +53,6 @@ def load_idx(path: str | Path) -> np.ndarray:
 def load_image_matrix(path: str | Path) -> np.ndarray:
     """IDX images flattened to float64 rows scaled into [0, 1]."""
     images = load_idx(path)
-    if images.ndim != 3:
-        raise DataFormatError(f"{path}: expected an image file, got rank {images.ndim}")
     count = images.shape[0]
     return images.reshape(count, -1).astype(np.float64) / 255.0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..errors import DataFormatError
 from ..importance import METRICS, ranked
 from ..modelgraph import KIND_COMPONENT, KIND_COUPLING
-from .trace import TraceRecord, group_order, validate_trace
+from .trace import TraceRecord, check_trace, group_order
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ def evaluate_hypotheses(records: list[TraceRecord],
     for the mean smoothed scores (shrunk when the run is shorter)."""
     if window < 1:
         raise DataFormatError("window must be at least 1")
-    problems = validate_trace(records)
-    if problems:
-        raise DataFormatError("trace is not well formed: " + "; ".join(problems))
+    check_trace(records)
     ids = tuple(group_order(records))
     kinds = {rec.group_id: rec.kind for rec in records}
     epochs = sorted({rec.epoch for rec in records})

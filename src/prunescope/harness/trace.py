@@ -95,6 +95,13 @@ def validate_trace(records: list[TraceRecord]) -> list[str]:
     return problems
 
 
+def check_trace(records: list[TraceRecord]) -> None:
+    """Refuse a trace in which :func:`validate_trace` finds problems."""
+    problems = validate_trace(records)
+    if problems:
+        raise DataFormatError("trace is not well formed: " + "; ".join(problems))
+
+
 def group_order(records: list[TraceRecord]) -> list[str]:
     """Group ids in their first-epoch row order."""
     if not records:

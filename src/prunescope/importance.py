@@ -39,7 +39,7 @@ METRICS = ("grad", "fisher", "bayes")
 COMBINED = "combined"
 
 STATES_FORMAT = "prunescope.states"
-STATES_VERSION = 1
+STATES_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ own form a coupling group whose unit axis is the interface activation.
 Within a component, the other layers are bundled into component-specific
 groups. A consuming layer's bias stays with its own output units in the
 consumer component's first group, a group of biases alone when the
-boundaries own every layer of the component.
+boundaries own every layer of the component. A group scores, and may
+prune, the units of each non-output layer whose bias it owns, so each such
+unit has one home; a consumed layer's units are scored by their bias entries.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
 network's arenas, once; the importance update, the L1 subgradient and the
@@ -27,23 +29,18 @@ from .netcore import ADAM_BLOCK, Network, ROLE_BIAS, ROLE_WEIGHT
 KIND_COMPONENT = "component_specific"
 KIND_COUPLING = "coupling"
 
-AXIS_OUT = "out"
-AXIS_IN = "in"
-
 
 @dataclass(frozen=True)
 class MemberSlice:
     """One whole tensor owned by a group.
 
-    ``unit_axis`` says which axis of the tensor is indexed by the group's
-    prunable units ('out' for weight rows and biases, 'in' for the weight
-    columns of a coupling consumer) and ``unit_layer`` is the layer whose
-    output units provide that index.
+    ``unit_layer`` is the layer whose output units index the tensor: its
+    own layer for weight rows and biases, the producing layer for the
+    weight columns of a coupling consumer.
     """
 
     layer: int
     role: str
-    unit_axis: str
     unit_layer: int
 
 
@@ -56,10 +53,10 @@ class PruningGroup:
     slots merged into ranges of adjacent elements. ``units`` holds, per
     unit layer in ascending order, its width, the parts its unit scores
     sum (an index into ``slots`` and the weight axis to reduce, or None for
-    a bias) and the number of weights per unit they add up. ``prunable``
-    holds the ``(layer, unit)`` pairs the group may remove: every unit of
-    its unit layers in ascending order, except those of the network's sink
-    layers, whose widths the task fixes.
+    a bias) and the number of weights per unit they add up. Its unit layers
+    are those whose bias the group owns, less the network's sinks, whose
+    widths the task fixes. ``prunable`` holds every ``(layer, unit)`` pair
+    of the unit layers, in ascending order: the units the group may remove.
     """
 
     id: str
@@ -160,8 +157,8 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
                else net.layers[s.layer].bias for s in slices]
     slots = tuple((t.offset, t.offset + t.size, t.shape) for t in tensors)
     units = []
-    for unit_layer in sorted({s.unit_layer for s in slices
-                              if s.role == ROLE_WEIGHT and s.unit_axis == AXIS_OUT}):
+    for unit_layer in sorted({s.layer for s in slices if s.role == ROLE_BIAS}
+                             - set(net.sinks())):
         parts, per_unit = [], 0
         for i, s in enumerate(slices):
             if s.unit_layer != unit_layer:
@@ -170,12 +167,11 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
                 parts.append((i, None))
                 per_unit += 1
             else:  # a row per unit on its own layer, a column on a consumer
-                axis = 1 if s.unit_axis == AXIS_OUT else 0
+                axis = 1 if s.layer == unit_layer else 0
                 parts.append((i, axis))
                 per_unit += tensors[i].shape[axis]
         units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
-    prunable = tuple((layer, u) for layer, width, _, _ in units
-                     if layer not in net.sinks() for u in range(width))
+    prunable = tuple((layer, u) for layer, width, _, _ in units for u in range(width))
     return PruningGroup(gid, kind, tuple(slices), owners,
                         sum(t.size for t in tensors), slots,
                         _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units), prunable)
@@ -187,8 +183,9 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
     A producing layer's coupling group takes the weight columns of each
     cross-component consumer that is not itself a producing layer, and a
     component whose layers the boundaries all own gets one group of its
-    consumed layers' biases, with no prunable units. A layer reads one
-    source, so no tensor has two owners.
+    consumed layers' biases. A layer reads one source, so no tensor has two
+    owners. Each group's units are those of the non-sink layers whose bias
+    it owns.
     """
     if layers_per_group < 1:
         raise ConfigurationError("layers_per_group must be at least 1")
@@ -209,9 +206,8 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         gid = "coupling_" + "_".join(owners)
         if all_owners.count(owners) > 1:
             gid += f"_l{p}"
-        slices = [MemberSlice(p, ROLE_WEIGHT, AXIS_OUT, p),
-                  MemberSlice(p, ROLE_BIAS, AXIS_OUT, p)]
-        slices += [MemberSlice(c, ROLE_WEIGHT, AXIS_IN, p) for c in cross if c in consumed]
+        slices = [MemberSlice(p, ROLE_WEIGHT, p), MemberSlice(p, ROLE_BIAS, p)]
+        slices += [MemberSlice(c, ROLE_WEIGHT, p) for c in cross if c in consumed]
         groups.append(_compile(net, gid, KIND_COUPLING, slices, owners))
 
     # Component-specific groups over the layers no boundary owns.
@@ -223,11 +219,11 @@ def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:
         for ordinal, chunk in enumerate(chunks or [[]], start=1):
             slices: list[MemberSlice] = []
             if ordinal == 1:
-                slices += [MemberSlice(k, ROLE_BIAS, AXIS_OUT, k)
+                slices += [MemberSlice(k, ROLE_BIAS, k)
                            for k in range(lo, hi) if k in consumed]
             for k in chunk:
-                slices.append(MemberSlice(k, ROLE_WEIGHT, AXIS_OUT, k))
-                slices.append(MemberSlice(k, ROLE_BIAS, AXIS_OUT, k))
+                slices.append(MemberSlice(k, ROLE_WEIGHT, k))
+                slices.append(MemberSlice(k, ROLE_BIAS, k))
             if slices:
                 groups.append(_compile(net, f"{name}_{ordinal}", KIND_COMPONENT,
                                        slices, (name,)))
@@ -255,7 +251,7 @@ def export_manifest(net: Network, graph: ComponentGraph) -> dict:
                     {
                         "layer": s.layer,
                         "role": s.role,
-                        "unit_axis": s.unit_axis,
+                        "unit_axis": "out" if s.unit_layer == s.layer else "in",
                         "unit_layer": s.unit_layer,
                         "param_count": hi - lo,
                     }

@@ -153,15 +153,12 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
         for layer, width, _, _ in group.units:
-            scores = states[group.id].unit_ema.get(layer)
-            if scores is None and (layer, 0) in group.prunable:
+            count = len(states[group.id].unit_ema.get(layer, ()))
+            if count != width:
                 raise ConfigurationError(
-                    f"group {group.id!r}: no unit scores for layer {layer}")
-            if scores is not None and len(scores) != width:
-                raise ConfigurationError(
-                    f"group {group.id!r}: {len(scores)} unit scores for layer "
-                    f"{layer}, which has {width} units; the states were not "
-                    "recorded on this network")
+                    f"group {group.id!r}: {count} unit scores for layer {layer}, "
+                    f"which has {width} units; the states were not recorded on "
+                    "this network")
         candidates.append(group)
     if not candidates:
         raise InfeasiblePlanError("no unprotected group has prunable units")

@@ -14,16 +14,18 @@ from prunescope.harness.train import run_training, save_outputs
 
 # SHA-256 of each file a seeded toy train + prune writes, recorded with the
 # encoders as they were before every write went through write_atomic;
-# run/config.json re-recorded when the schedule lost its n_groups key, and
-# run/trace.json dropped when the trace became CSV only.
+# run/config.json re-recorded when the schedule lost its n_groups key,
+# run/trace.json dropped when the trace became CSV only, and the states,
+# manifests and pruned files re-recorded when a group's units became those
+# of the non-output layers whose bias it owns.
 ARTIFACT_DIGESTS = {
-    "pruned/checkpoint.json": "5cba93f491863ebfdf85ee2f2ad6ea4e0a661664f48235b0e3c0b7728d1995d2",
-    "pruned/manifest.json": "14045e22fa38edcc5cced3839724624f7191124eb68f8602e72c9930b5b6cd22",
-    "pruned/plan.json": "1e0b4d2a87143a7f369069e57c01acebf48ab94752df2607674ae1c686c58fcb",
+    "pruned/checkpoint.json": "710e16a9fb96dd2767f2ca196d2e02ea5ac4675b2593182bce31b25f4e3979b8",
+    "pruned/manifest.json": "8e5d1cbee6717001e7ceecd7dc5fe24f13bdaec28b8c4414abfc48740fdd97ef",
+    "pruned/plan.json": "025e3930c8ce15489e8daabef8b69e6e55c8fa7fac88eba699bf06b437c95c0a",
     "run/checkpoint.json": "ba041ee0713d89ecaa8b17d5fe37cec95f7f77b7f39265c8ec7ef0fa0e9c3b46",
     "run/config.json": "4e98f0495e271faeef05728b88fba0144349635bbc7acc1d26672a668d9a8a45",
-    "run/manifest.json": "3cbe93bac4e95d483901eb1495c4c3f5db6d10350da4e73704edcd38014f29ae",
-    "run/states.json": "92915a030d52da3ed2dceff766fe6a0da49a232fbb7bb297f05a49f7d9fa9e7c",
+    "run/manifest.json": "11ee9c871c41f5bab3139b8c848cae85035509da61faa5f794b9435f5c54b585",
+    "run/states.json": "4a13283ed4c450bff4d0988ac980a322f19d9975e69c19817381c4a3ef064f8b",
     "run/summary.json": "95612fe1eced6dbece2e51531a0d3d22cb4c3a5054b9162f6012d017cc96efaf",
     "run/trace.csv": "658a2dc8b4a4647572f0daa188da496082b2a80c0c75ff0e4f65eef4bf3a23ec",
 }

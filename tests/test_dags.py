@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import InfeasiblePlanError
+from prunescope.harness.config import ModelConfig, build_model
 from prunescope.harness.train import run_training
 from prunescope.importance import COMBINED, METRICS, BayesConfig, init_states, update_all
 from prunescope.modelgraph import KIND_COMPONENT, KIND_COUPLING, build_groups, export_manifest
@@ -48,14 +49,39 @@ def test_the_accepted_networks_take_every_shape():
                 net.source(p) >= 0 and net.component_of(net.source(p)) != net.component_of(p)
                 for p in producers),
             "a component-specific group of biases only": any(
-                g.kind == KIND_COMPONENT and not g.units for g in graph.groups),
+                g.kind == KIND_COMPONENT
+                and all(s.role == ROLE_BIAS for s in g.member_slices) for g in graph.groups),
+            "a consumed layer ranked by its component's group": any(
+                g.kind == KIND_COMPONENT and any(
+                    (layer, ROLE_WEIGHT) not in {(s.layer, s.role) for s in g.member_slices}
+                    for layer, _, _, _ in g.units) for g in graph.groups),
         }.items() if present)
     assert set(shapes) == {
         "layers_per_group 1", "layers_per_group 2", "layers_per_group 3",
         "2 components", "3 components",
         "activation relu", "activation sigmoid", "activation identity",
         "chain", "shared trunk", "multi-sink", "two producers",
-        "a layer between two boundaries", "a component-specific group of biases only"}, shapes
+        "a layer between two boundaries", "a component-specific group of biases only",
+        "a consumed layer ranked by its component's group"}, shapes
+
+
+def test_each_non_output_unit_has_one_group():
+    """In every seed's network and both presets, at one to three layers per
+    group, the groups' prunable units partition the units of the layers that
+    are not network outputs, and each unit layer is one whose bias the group
+    holds."""
+    nets = [random_dag(seed)[0] for seed in SEEDS] + [
+        build_model(ModelConfig(preset="autoencoder", latent_dim=8), 0),
+        build_model(ModelConfig(preset="toy_multihead"), 0)]
+    for net in nets:
+        expected = sorted((k, u) for k, layer in enumerate(net.layers)
+                          if k not in net.sinks() for u in range(layer.out_dim))
+        for layers_per_group in (1, 2, 3):
+            graph = build_groups(net, layers_per_group)
+            assert sorted(unit for g in graph.groups for unit in g.prunable) == expected
+            for g in graph.groups:
+                biases = {s.layer for s in g.member_slices if s.role == ROLE_BIAS}
+                assert {layer for layer, _, _, _ in g.units} <= biases, g.id
 
 
 @pytest.mark.parametrize("seed", SEEDS)

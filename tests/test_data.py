@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, DataFormatError
-from prunescope.harness.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC,
-                                     load_idx, load_image_matrix,
+from prunescope.harness.data import (IDX_IMAGE_MAGIC, load_idx, load_image_matrix,
                                      synthetic_dataset)
 
 
@@ -25,14 +24,6 @@ def test_load_idx_images_from_hand_built_bytes(tmp_path):
     assert out.dtype == np.uint8
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out.reshape(-1), np.arange(12))
-
-
-def test_load_idx_labels_from_hand_built_bytes(tmp_path):
-    path = tmp_path / "labels.idx"
-    path.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes([7, 0, 255, 3]))
-    out = load_idx(path)
-    assert out.shape == (4,)
-    np.testing.assert_array_equal(out, [7, 0, 255, 3])
 
 
 def test_load_idx_accepts_gzip_transparently(tmp_path):
@@ -79,9 +70,10 @@ def test_load_image_matrix_flattens_and_scales(tmp_path):
 
 def test_load_image_matrix_rejects_label_files(tmp_path):
     path = tmp_path / "labels.idx"
-    path.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 2) + bytes([1, 2]))
-    with pytest.raises(DataFormatError, match="rank 1"):
+    path.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([1, 2]))
+    with pytest.raises(DataFormatError, match="bad magic 0x00000801") as refusal:
         load_image_matrix(path)
+    assert str(path) in str(refusal.value)
 
 
 # -- synthetic data -----------------------------------------------------------

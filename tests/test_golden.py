@@ -3,7 +3,12 @@
 The digests were recorded before parameters moved into one flat arena per
 network, so they also pin that the arena, the in-place blocked Adam and the
 view-based importance and L1 code change no bit. A change that alters the
-arithmetic on purpose must say so and record new digests.
+arithmetic on purpose must say so and record new digests. The toy
+``FINETUNED`` digest and the autoencoder states digests were re-recorded
+when a group's units became those of the non-output layers whose bias it
+owns: the states then score the decoder's consumed layer 3 instead of the
+output layer 5, and the toy plan takes head units. ``TRAINED`` and the
+parameter digests did not move.
 
 The autoencoder's matrix products are large enough for OpenBLAS to thread,
 and one and two BLAS threads give different bits, so its digests are pinned
@@ -31,16 +36,16 @@ from prunescope.netcore import save_checkpoint
 from prunescope.pruner import allocate_budget, apply_prune
 
 TRAINED = "323cd4536642b3bdd29e74c7ae3a1ba9803c51354f0e8b424e8f9587ff181344"
-FINETUNED = "469509a124c0ab3fd0a676ad37bf5211ecc4e5b562ce8b4fd37753b16baf985c"
+FINETUNED = "aba0e25da08a1436120585df2af1875dc9b48ef3bbf9a2fc4eb9e6dfd04e8fa5"
 AUTOENCODER_PARAMS = "0f864209f597deaf8287dc700342a8245cf62df699a59a556375fb9e7ef6e8de"
-AUTOENCODER_STATES = "0d5d7f7b340b60739d3200cebe388d70f8f62a4868e652d0e903494e2ffd0401"
+AUTOENCODER_STATES = "0578daa783b1886c1e32f8f553a59e521b9904ff04933683a34280a75061867e"
 
 # The autoencoder digests per (BLAS core kernel, BLAS threads), recorded with
 # numpy 2.4.6 and its scipy-openblas 0.3.31; the two-thread pair above was
 # recorded first, the one-thread pair at the commit before the second lane.
 AUTOENCODER = {
     ("SkylakeX", 1): ("a477e6fe4a90ad2972d1a0b8952c48186d635e5573fcb329e900da8fe3b30ae0",
-                      "d64f64c0b251418021c69755cec4b453ace6d9b5ac52cab858560c15633f50e8"),
+                      "0b9b4113cc17ac5c0bd1bde55a896e56395d3e7af550fbbe226f6552f68177d6"),
     ("SkylakeX", 2): (AUTOENCODER_PARAMS, AUTOENCODER_STATES),
 }
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
-from prunescope.harness import cli, hypotheses
+from prunescope.harness import trace as trace_module
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
                                        ModelConfig, OptimizerConfig,
@@ -664,6 +664,44 @@ def test_cli_refuses_nan_weights_and_foreign_unit_scores(toy_run, tmp_path, caps
         assert not (out / "checkpoint.json").exists()
 
 
+def test_cli_refuses_version_1_states(toy_run, tmp_path, capsys):
+    """Version 1 states scored the sink layers' units and not the consumed
+    layers'; such a file is refused by its version, and nothing is written."""
+    _, run_dir, _ = toy_run
+
+    def version_1(doc):
+        doc["version"] = 1
+        for entry, sink in zip(doc["groups"][2:], ("3", "5")):
+            assert entry["id"] in ("head_a_1", "head_b_1")
+            entry["unit_ema"] = {sink: [0.5]}
+
+    old = damaged(run_dir / "states.json", tmp_path / "states.json", version_1)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"), "--sparsity",
+                 "0.4", "--states", old, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'version' must be 2, got 1" in err
+    assert not out.exists()
+
+
+def test_cli_prunes_units_of_a_consumed_head_layer(toy_run, tmp_path):
+    """The toy plan takes units of head layers 2 or 4, whose biases alone
+    their head groups hold; the plan applies and the pruned network verifies."""
+    _, run_dir, plan_path = toy_run
+    plan = json.loads(plan_path.read_text())
+    head = [layer for entry in plan["groups"].values() for layer, _ in entry["units"]
+            if layer in (2, 4)]
+    assert head
+    out = tmp_path / "pruned"
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                 "--apply", str(plan_path), "--out", str(out)]) == 0
+    assert main(["verify", "--checkpoint", str(out / "checkpoint.json")]) == 0
+    pruned, _ = load_checkpoint(out / "checkpoint.json")
+    for layer in (2, 4):
+        assert pruned.layers[layer].out_dim == 16 - head.count(layer)
+
+
 def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, capsys):
     calls = []
 
@@ -671,8 +709,7 @@ def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, cap
         calls.append(len(records))
         return validate_trace(records)
 
-    monkeypatch.setattr(cli, "validate_trace", counted)
-    monkeypatch.setattr(hypotheses, "validate_trace", counted)
+    monkeypatch.setattr(trace_module, "validate_trace", counted)
     _, run_dir, _ = toy_run
     trace = run_dir / "trace.csv"
     assert main(["report", "--trace", str(trace), "--hypotheses"]) == 0
@@ -682,9 +719,11 @@ def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, cap
     short.write_text("".join(lines[:2] + lines[3:]))  # epoch 1 loses a group
     short = str(short)
     capsys.readouterr()
-    for extra, first_line in (([], "problem:"), (["--hypotheses"], "error:")):
+    for extra in ([], ["--hypotheses"]):
+        calls.clear()
         assert main(["report", "--trace", short, *extra]) == 2
-        assert capsys.readouterr().err.startswith(first_line)
+        assert calls == [len(lines) - 2]
+        assert capsys.readouterr().err.startswith("error: trace is not well formed:")
 
 
 def test_cli_report_refuses_a_non_finite_trace_cell(toy_run, tmp_path, capsys):

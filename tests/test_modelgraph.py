@@ -50,9 +50,12 @@ def test_autoencoder_coupling_group_members():
     coupling = graph.get("coupling_encoder_decoder")
     members = {(s.layer, s.role): s for s in coupling.member_slices}
     assert set(members) == {(2, ROLE_WEIGHT), (2, ROLE_BIAS), (3, ROLE_WEIGHT)}
-    assert members[(2, ROLE_WEIGHT)].unit_axis == "out"
-    assert members[(3, ROLE_WEIGHT)].unit_axis == "in"
     assert all(s.unit_layer == 2 for s in coupling.member_slices)
+    # The manifest derives each slice's axis: rows exactly on the unit layer.
+    entry = export_manifest(net, graph)["groups"][2]
+    assert entry["id"] == "coupling_encoder_decoder"
+    assert [(s["layer"], s["unit_axis"]) for s in entry["member_slices"]] == [
+        (2, "out"), (2, "out"), (3, "in")]
     assert [layer for layer, _, _, _ in coupling.units] == [2]
     assert coupling.owning_components == ("encoder", "decoder")
 
@@ -283,9 +286,10 @@ def test_prunable_units_exclude_network_outputs():
     assert graph.get("encoder_1").prunable == tuple((0, u) for u in range(32))
     assert graph.get("coupling_encoder_head_a_head_b").prunable == tuple(
         (1, u) for u in range(8))
-    # Both head groups only own sink-layer units, which stay fixed.
-    assert graph.get("head_a_1").prunable == ()
-    assert graph.get("head_b_1").prunable == ()
+    # Each head group owns its consumed layer's bias, so it ranks that
+    # layer's 16 units; the sink layers' units stay fixed.
+    assert graph.get("head_a_1").prunable == tuple((2, u) for u in range(16))
+    assert graph.get("head_b_1").prunable == tuple((4, u) for u in range(16))
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -55,7 +55,7 @@ def test_rank_units_breaks_ties_by_position():
 
 
 def test_rank_units_validates_scores():
-    with pytest.raises(ConfigurationError, match="'body_1': no unit scores for layer 0"):
+    with pytest.raises(ConfigurationError, match="'body_1': 0 unit scores for layer 0, which has 3"):
         plan_for_unit_scores({}, 0.3)
     with pytest.raises(ConfigurationError, match="1 unit scores for layer 0, which has 3"):
         plan_for_unit_scores({0: np.array([1.0])}, 0.3)
@@ -241,6 +241,22 @@ def test_apply_prune_matches_masked_network_bitwise_on_dyadic_values(rng):
     masked = masked_clone(net, {0: [3, 17, 30], 1: [0, 5]})
     np.testing.assert_array_equal(forward(pruned, x)[-1],
                                   forward(masked, x)[-1])
+
+
+def test_a_consumed_head_unit_prunes_like_its_masked_network(rng):
+    """Toy layer 2 reads the coupling layer from another component, so only
+    its bias lies in ``head_a_1``, which ranks its units. Removing one of
+    them equals zeroing it, bitwise on dyadic values."""
+    net = make_toy_multihead(seed=3)
+    set_dyadic(net, rng)
+    graph = build_groups(net, 1)
+    removed = predicted_removed_params(net, [(2, 6)])
+    assert removed == 8 + 1 + 1
+    pruned, _ = apply_prune(net, graph, PrunePlan(0.1, "grad", {"head_a_1": [(2, 6)]}, removed))
+    assert pruned.layers[2].out_dim == 15
+    x = dyadic(rng, (9, 16))
+    np.testing.assert_array_equal(forward(pruned, x)[-1],
+                                  forward(masked_clone(net, {2: [6]}), x)[-1])
 
 
 @pytest.mark.parametrize("seed", range(8))
