@@ -4,8 +4,7 @@ from .config import (DatasetConfig, ExperimentConfig, ModelConfig,
                      OptimizerConfig, build_model)
 from .data import load_idx, load_image_matrix, synthetic_dataset
 from .hypotheses import HypothesisReport, evaluate_hypotheses, render_report
-from .trace import (TRACE_FIELDS, TraceRecord, emit_trace, group_order,
-                    read_trace, validate_trace)
+from .trace import TRACE_FIELDS, TraceRecord, emit_trace, group_order, read_trace
 from .train import (TrainResult, evaluate_mse, finetune, load_dataset,
                     make_optimizer, run_training, save_outputs)
 
@@ -14,6 +13,6 @@ __all__ = [
     "build_model", "load_idx", "load_image_matrix", "synthetic_dataset",
     "HypothesisReport", "evaluate_hypotheses", "render_report",
     "TRACE_FIELDS", "TraceRecord", "emit_trace", "group_order", "read_trace",
-    "validate_trace", "TrainResult", "evaluate_mse", "finetune",
-    "load_dataset", "make_optimizer", "run_training", "save_outputs",
+    "TrainResult", "evaluate_mse", "finetune", "load_dataset", "make_optimizer",
+    "run_training", "save_outputs",
 ]

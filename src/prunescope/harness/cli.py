@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="trace CSV")
     p.add_argument("--hypotheses", action="store_true",
                    help="score the importance-dynamics hypotheses")
-    p.add_argument("--window", type=int, default=20,
-                   help="late-training window for hypothesis scoring")
+    p.add_argument("--window", type=int, default=None,
+                   help="late-training window for hypothesis scoring "
+                        "(default: 20); needs --hypotheses")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="consistency-check a checkpoint")
@@ -107,11 +108,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_prune(args: argparse.Namespace) -> int:
     if args.apply:
-        ignored = [f"--{name}" for name in ("metric", "states", "protect", "weights")
+        refused = [f"--{name}" for name in ("metric", "states", "protect", "weights", "plan")
                    if getattr(args, name)]
-        if ignored:
-            raise PrunescopeError("--apply takes the plan as it is; "
-                                  f"{', '.join(ignored)} would be ignored")
+        if refused:
+            raise PrunescopeError("--apply applies the plan as it is; "
+                                  f"it takes no {', '.join(refused)}")
     elif args.weights and args.metric not in (None, COMBINED):
         raise PrunescopeError(f"--weights needs --metric {COMBINED}, not {args.metric}")
     net, graph, meta = load_grouped(args.checkpoint, 1)
@@ -161,9 +162,12 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.window is not None and not args.hypotheses:
+        raise PrunescopeError("--window sets the hypotheses' window; it needs --hypotheses")
     records = read_trace(args.trace)
     if args.hypotheses:  # evaluate_hypotheses checks the trace itself
-        hypotheses = evaluate_hypotheses(records, window=args.window)
+        window = 20 if args.window is None else args.window
+        hypotheses = evaluate_hypotheses(records, window=window)
     else:
         check_trace(records)
     epochs = sorted({r.epoch for r in records})

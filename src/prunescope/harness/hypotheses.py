@@ -37,8 +37,7 @@ def _by_epoch(records: list[TraceRecord]) -> dict[int, dict[str, TraceRecord]]:
     return table
 
 
-def evaluate_hypotheses(records: list[TraceRecord],
-                        window: int = 20) -> HypothesisReport:
+def evaluate_hypotheses(records: list[TraceRecord], window: int) -> HypothesisReport:
     """Score H1-H3 from trace rows; ``window`` is the late-training span used
     for the mean smoothed scores (shrunk when the run is shorter)."""
     if window < 1:

@@ -69,11 +69,13 @@ def _csv_path(path: str | Path) -> Path:
     return path
 
 
-def validate_trace(records: list[TraceRecord]) -> list[str]:
-    """Structural checks; returns human-readable problems (empty = clean)."""
-    problems: list[str] = []
+def check_trace(records: list[TraceRecord]) -> None:
+    """Refuse a trace that is empty, whose epochs do not run from 1 without
+    a gap, that repeats an (epoch, group) row, or whose epochs disagree on
+    the set of groups; the error lists every problem found."""
     if not records:
-        return ["trace is empty"]
+        raise DataFormatError("trace is not well formed: trace is empty")
+    problems: list[str] = []
     epochs = sorted({rec.epoch for rec in records})
     if epochs[0] != 1:
         problems.append(f"epochs start at {epochs[0]}, expected 1")
@@ -92,12 +94,6 @@ def validate_trace(records: list[TraceRecord]) -> list[str]:
     group_sets = {frozenset(g) for g in groups_by_epoch.values()}
     if len(group_sets) > 1:
         problems.append("epochs disagree on the set of groups")
-    return problems
-
-
-def check_trace(records: list[TraceRecord]) -> None:
-    """Refuse a trace in which :func:`validate_trace` finds problems."""
-    problems = validate_trace(records)
     if problems:
         raise DataFormatError("trace is not well formed: " + "; ".join(problems))
 

@@ -348,7 +348,7 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
 
     with second_lane(net.flat_values.size) as stage:
         if (stage.lane is not None and batch.flags.c_contiguous
-                and all(_row_split_is_exact(m, layer.in_dim, layer.out_dim, False)
+                and all(_row_split_is_exact(m, layer.in_dim, layer.out_dim)
                         for layer in net.layers)):
             stage.submit(_forward_rows, rows(m // 2, m))
             _forward_rows(rows(0, m // 2))
@@ -373,27 +373,25 @@ def _forward_rows(work: list[tuple]) -> None:
 
 
 @functools.cache
-def _row_split_is_exact(rows: int, inner: int, cols: int, a_transposed: bool,
+def _row_split_is_exact(rows: int, inner: int, cols: int,
                         matmul: Callable = np.matmul) -> bool:
     """Whether ``A @ B``, for a (rows, inner) ``A`` and an (inner, cols)
     ``B``, gives the same bits whole as in the row halves ``[0, rows // 2)``
     and ``[rows // 2, rows)``; false when a half would be empty.
 
-    ``a_transposed`` picks the layout of the two split products: false is
-    :func:`forward`'s ``x @ W.T`` (``A`` C-ordered, ``B`` a transposed C
-    array) cut by batch rows, true is :func:`backward`'s ``dz.T @ x`` (``A``
-    a transposed C array, ``B`` C-ordered) cut by output unit. BLAS may
-    order a product's sums by its shape (at one OpenBLAS thread, 128->8 at
-    256 rows fails), so this is checked once per shape, through the same
-    slicing and ``out=`` path, on seeded heavy-tailed values whose sums
-    change bits under any other order. ``matmul`` is the product checked.
+    The layout is :func:`forward`'s ``x @ W.T``: ``A`` C-ordered, ``B`` a
+    transposed C array, cut by batch rows. BLAS may order a product's sums
+    by its shape (at one OpenBLAS thread, 128->8 at 256 rows fails), so
+    this is checked once per shape, through the same slicing and ``out=``
+    path, on seeded heavy-tailed values whose sums change bits under any
+    other order. ``matmul`` is the product checked.
     """
     half = rows // 2
     if not half:
         return False
-    rng = np.random.default_rng([rows, inner, cols, a_transposed])
-    a = rng.standard_t(2, (inner, rows)).T if a_transposed else rng.standard_t(2, (rows, inner))
-    b = rng.standard_t(2, (inner, cols)) if a_transposed else rng.standard_t(2, (cols, inner)).T
+    rng = np.random.default_rng([rows, inner, cols])
+    a = rng.standard_t(2, (rows, inner))
+    b = rng.standard_t(2, (cols, inner)).T
     whole, split = np.empty((rows, cols)), np.empty((rows, cols))
     matmul(a, b, out=whole)
     matmul(a[:half], b, out=split[:half])
@@ -430,9 +428,8 @@ def backward(net: Network, activations: list[np.ndarray],
     them all. Each layer's weight and bias gradients go to the second lane
     (see :func:`second_lane`) while this thread computes the gradient of
     the layer's input. A layer that reads the network input has none, so
-    this thread takes the first half of its output units instead, where
-    :func:`_row_split_is_exact` shows that this split of ``dz.T @ x`` is
-    exact.
+    this thread computes its gradients whole while the lane finishes the
+    others. No product is split, so no bit depends on the lane.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -466,13 +463,8 @@ def backward(net: Network, activations: list[np.ndarray],
                 lane.submit(_param_grads, dz, x, wg, bg)
                 d_in = dz @ layer.weight.values
                 d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
-            elif (lane.lane is not None and dz.flags.c_contiguous and x.flags.c_contiguous
-                  and _row_split_is_exact(layer.out_dim, len(x), layer.in_dim, True)):
-                half = layer.out_dim // 2
-                lane.submit(_param_grads, dz[:, half:], x, wg[half:], bg[half:])
-                _param_grads(dz[:, :half], x, wg[:half], bg[:half])
             else:
-                lane.submit(_param_grads, dz, x, wg, bg)
+                _param_grads(dz, x, wg, bg)
     if not np.isfinite(net.flat_grad).all():
         net._raise_non_finite("after backward")
 

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
-from prunescope.harness import trace as trace_module
+from prunescope.harness import cli as cli_module, hypotheses as hypotheses_module
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
                                        ModelConfig, OptimizerConfig,
                                        SEED_ENV_VAR, build_model)
 from prunescope.harness.hypotheses import evaluate_hypotheses, render_report
-from prunescope.harness.trace import TraceRecord, read_trace, validate_trace
+from prunescope.harness.trace import TraceRecord, check_trace, read_trace
 from prunescope.harness.train import (evaluate_mse, finetune, load_dataset,
                                       run_training, save_outputs)
 from prunescope.importance import states_from_doc
@@ -246,7 +246,7 @@ def test_training_seed_changes_the_run(monkeypatch):
 def test_trace_has_one_row_per_epoch_and_group_in_graph_order():
     result = run_training(toy_config(epochs=4))
     records = result.records
-    assert validate_trace(records) == []
+    check_trace(records)
     gids = [g.id for g in result.graph.groups]
     assert len(records) == 4 * len(gids)
     for epoch in range(1, 5):
@@ -707,9 +707,10 @@ def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, cap
 
     def counted(records):
         calls.append(len(records))
-        return validate_trace(records)
+        check_trace(records)
 
-    monkeypatch.setattr(trace_module, "validate_trace", counted)
+    for module in (cli_module, hypotheses_module):
+        monkeypatch.setattr(module, "check_trace", counted)
     _, run_dir, _ = toy_run
     trace = run_dir / "trace.csv"
     assert main(["report", "--trace", str(trace), "--hypotheses"]) == 0
@@ -724,6 +725,30 @@ def test_cli_report_validates_the_trace_once(toy_run, tmp_path, monkeypatch, cap
         assert main(["report", "--trace", short, *extra]) == 2
         assert calls == [len(lines) - 2]
         assert capsys.readouterr().err.startswith("error: trace is not well formed:")
+
+
+def test_cli_report_takes_a_window_only_with_hypotheses(toy_run, monkeypatch, capsys):
+    """Without ``--hypotheses`` no window is used, so ``--window`` is refused
+    before the trace is read; with them the window defaults to 20."""
+    _, run_dir, _ = toy_run
+    trace = str(run_dir / "trace.csv")
+    for path, window in ((trace, "5"), (trace, "-5"), ("/nonexistent/trace.csv", "20")):
+        capsys.readouterr()
+        assert main(["report", "--trace", path, "--window", window]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == ("error: --window sets the hypotheses' window; "
+                               "it needs --hypotheses\n")
+        assert printed.out == ""
+    windows = []
+
+    def recording(records, window):
+        windows.append(window)
+        return evaluate_hypotheses(records, window)
+
+    monkeypatch.setattr(cli_module, "evaluate_hypotheses", recording)
+    for extra, window in (([], 20), (["--window", "2"], 2)):
+        assert main(["report", "--trace", trace, "--hypotheses", *extra]) == 0
+        assert windows.pop() == window
 
 
 def test_cli_report_refuses_a_non_finite_trace_cell(toy_run, tmp_path, capsys):
@@ -892,13 +917,15 @@ def test_cli_prune_without_a_required_flag_is_a_usage_error(tmp_path, capsys,
 
 IGNORED_FLAGS = {
     "weights_with_one_metric": (["--sparsity", "0.3", "--metric", "grad",
-                                 "--weights", "5", "5", "5"], 2, ["--weights"]),
-    "plan_and_out": (["--sparsity", "0.3", "--plan", "PLAN"], 1, ["--out"]),
+                                 "--weights", "5", "5", "5", "--out", "OUT"], 2, ["--weights"]),
+    "plan_and_out": (["--sparsity", "0.3", "--plan", "PLAN", "--out", "OUT"], 1, ["--out"]),
     "apply_with_allocation_flags": (["--apply", "APPLY", "--weights", "9", "9", "9",
                                      "--protect", "encoder_1",
-                                     "--states", "/nonexistent.json"],
+                                     "--states", "/nonexistent.json", "--out", "OUT"],
                                     2, ["--states", "--protect", "--weights"]),
-    "apply_with_metric": (["--apply", "APPLY", "--metric", "grad"], 2, ["--metric"]),
+    "apply_with_metric": (["--apply", "APPLY", "--metric", "grad", "--out", "OUT"],
+                          2, ["--metric"]),
+    "apply_with_plan": (["--apply", "APPLY", "--plan", "PLAN"], 2, ["--plan"]),
 }
 
 
@@ -907,10 +934,10 @@ def test_cli_prune_refuses_flags_it_would_ignore(toy_run, tmp_path, capsys, case
     _, run_dir, plan_path = toy_run
     flags, code, named = IGNORED_FLAGS[case]
     plan, out = tmp_path / "y.json", tmp_path / "q"
-    flags = [{"PLAN": str(plan), "APPLY": str(plan_path)}.get(f, f) for f in flags]
+    flags = [{"PLAN": str(plan), "APPLY": str(plan_path), "OUT": str(out)}.get(f, f)
+             for f in flags]
     capsys.readouterr()
-    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"), *flags,
-                 "--out", str(out)]) == code
+    assert main(["prune", "--checkpoint", str(run_dir / "checkpoint.json"), *flags]) == code
     err = capsys.readouterr().err
     assert all(flag in err for flag in named)
     assert not out.exists() and not plan.exists()

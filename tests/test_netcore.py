@@ -178,8 +178,7 @@ def test_forward_hands_half_the_rows_to_the_lane_only_where_exact(
     assert [stage.sent for stage in stages] == [calls]
 
 
-@pytest.mark.parametrize("a_transposed", [False, True])
-def test_the_row_split_probe_fails_a_product_whose_halves_differ(a_transposed):
+def test_the_row_split_probe_fails_a_product_whose_halves_differ():
     def reversed_when_short(a, b, out):
         """A product that sums in the other order for fewer than 40 rows."""
         if len(a) < 40:
@@ -187,9 +186,29 @@ def test_the_row_split_probe_fails_a_product_whose_halves_differ(a_transposed):
         return np.matmul(a, b, out=out)
 
     probe = netcore._row_split_is_exact
-    assert probe(40, 128, 8, a_transposed, reversed_when_short) is False
-    assert probe(38, 128, 8, a_transposed, reversed_when_short) is True
-    assert probe(1, 128, 8, a_transposed) is False  # a half would be empty
+    assert probe(40, 128, 8, reversed_when_short) is False
+    assert probe(38, 128, 8, reversed_when_short) is True
+    assert probe(1, 128, 8) is False  # a half would be empty
+
+
+def test_backward_keeps_the_input_layer_whole_on_this_thread(force_lane, monkeypatch):
+    """The input layer's gradients are one whole call on the calling thread;
+    each other layer's are one whole call on the lane."""
+    lane = force_lane(True)
+    net = split_test_net("latent8")
+    calls, param_grads = [], netcore._param_grads
+
+    def recording(dz, x, weight_grad, bias_grad):
+        k = next(k for k, layer in enumerate(net.layers)
+                 if np.shares_memory(weight_grad, layer.weight.grad))
+        calls.append((k, threading.get_ident(), weight_grad.shape))
+        param_grads(dz, x, weight_grad, bias_grad)
+
+    monkeypatch.setattr(netcore, "_param_grads", recording)
+    acts = forward(net, np.random.default_rng(2).standard_normal((128, net.input_dim)))
+    backward(net, acts, np.ones_like(acts[-1]))
+    assert sorted(calls) == [(0, threading.get_ident(), (256, 784))] + [
+        (k, lane.worker.ident, net.layers[k].weight.grad.shape) for k in range(1, 6)]
 
 
 # -- loss ------------------------------------------------------------------

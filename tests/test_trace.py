@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from prunescope.errors import DataFormatError
-from prunescope.harness.trace import (TRACE_FIELDS, TraceRecord, emit_trace,
-                                      group_order, read_trace, validate_trace)
+from prunescope.harness.trace import (TRACE_FIELDS, TraceRecord, check_trace,
+                                      emit_trace, group_order, read_trace)
 
 
 def record(epoch, gid, kind="component_specific", **overrides):
@@ -101,23 +101,28 @@ def test_malformed_row_is_reported(tmp_path):
 
 
 def test_validate_accepts_clean_traces():
-    assert validate_trace(synthetic_trace()) == []
+    check_trace(synthetic_trace())
 
 
 def test_validate_flags_structural_problems():
-    assert validate_trace([]) == ["trace is empty"]
+    with pytest.raises(DataFormatError, match="trace is empty"):
+        check_trace([])
 
     gap = [r for r in synthetic_trace() if r.epoch != 3]
-    assert any("contiguous" in p for p in validate_trace(gap))
+    with pytest.raises(DataFormatError, match="contiguous"):
+        check_trace(gap)
 
     late = [record(2, "a"), record(3, "a")]
-    assert any("start at 2" in p for p in validate_trace(late))
+    with pytest.raises(DataFormatError, match="start at 2"):
+        check_trace(late)
 
     dupes = [record(1, "a"), record(1, "a")]
-    assert any("duplicate" in p for p in validate_trace(dupes))
+    with pytest.raises(DataFormatError, match="duplicate"):
+        check_trace(dupes)
 
     drift = [record(1, "a"), record(1, "b"), record(2, "a"), record(2, "c")]
-    assert any("disagree" in p for p in validate_trace(drift))
+    with pytest.raises(DataFormatError, match="disagree"):
+        check_trace(drift)
 
 
 def test_group_order_preserves_first_epoch_layout():
