@@ -160,15 +160,16 @@ class Fields:
         return items
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` by ``text`` (UTF-8, no newline translation); on any
-    failure the temporary file is removed and ``path`` keeps its bytes."""
+def write_atomic(path: str | Path, data: str | bytes | memoryview) -> None:
+    """Replace ``path`` by ``data``: text as UTF-8 with no newline
+    translation, bytes as they are. On any failure the temporary file is
+    removed and ``path`` keeps its bytes."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(text)
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -101,7 +101,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"trained {result.config.epochs} epochs, seed {result.config.seed}")
     print(f"final task loss {result.final_task_loss:.6g}, "
           f"test mse {result.test_mse:.6g}")
-    for name in ("checkpoint", "trace_csv", "states", "summary"):
+    for name in ("checkpoint", "params", "trace_csv", "states", "summary"):
         print(f"wrote {paths[name]}")
     return 0
 

@@ -20,7 +20,7 @@ from ..importance import (GroupImportanceState, METRICS, init_states, rank_group
                           states_to_doc, update_all)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
-                       mse_loss, save_checkpoint)
+                       mse_loss, save_checkpoint, sidecar_path)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -211,6 +211,7 @@ def save_outputs(result: TrainResult, out_dir: str | Path,
     paths = {
         "config": out / "config.json",
         "checkpoint": out / "checkpoint.json",
+        "params": sidecar_path(out / "checkpoint.json"),
         "trace_csv": out / "trace.csv",
         "states": out / "states.json",
         "manifest": out / "manifest.json",

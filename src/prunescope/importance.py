@@ -165,7 +165,7 @@ def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], 
                  values: np.ndarray, coeffs: Mapping[str, float],
                  scratch: np.ndarray, cfg: BayesConfig, gamma: float) -> None:
     for lo, hi in runs:
-        np.multiply(grad[lo:hi], grad[lo:hi], out=scratch[lo:hi])
+        np.square(grad[lo:hi], out=scratch[lo:hi])
     fishers = [slot_sum(scratch, group.slots) / group.param_count for group in groups]
     for lo, hi in runs:
         np.abs(grad[lo:hi], out=scratch[lo:hi])

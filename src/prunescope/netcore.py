@@ -9,7 +9,6 @@ finite differences.
 
 from __future__ import annotations
 
-import base64
 import contextvars
 import ctypes
 import functools
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
-from .artifacts import Fields, read_json, write_json
+from .artifacts import Fields, read_json, write_atomic, write_json
 from .errors import ConfigurationError, DataFormatError, NumericsError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
@@ -411,7 +410,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
         raise ConfigurationError(
             f"prediction shape {pred.shape} does not match target shape {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float(np.add.reduce(diff * diff, axis=None)) / diff.size  # np.mean's bits, less overhead
     grad = (2.0 / diff.size) * diff
     return loss, grad
 
@@ -774,30 +773,36 @@ def second_lane(size: int) -> _Stage:
 # -- checkpoints ---------------------------------------------------------
 
 CHECKPOINT_FORMAT = "prunescope.checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only little-endian view of one payload; no copy is made."""
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except ValueError as exc:
-        raise DataFormatError(f"checkpoint array payload is not base64: {exc}") from exc
-    expected = 8 * int(np.prod(shape)) if shape else 8
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"checkpoint array payload has {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+def sidecar_path(header: str | Path) -> Path:
+    """The parameter sidecar that pairs with a checkpoint header: the
+    header's path with its suffix replaced by ``.f64``."""
+    return Path(header).with_suffix(".f64")
 
 
 def save_checkpoint(net: Network, path: str | Path,
                     meta: dict | None = None) -> None:
-    """Write the network to a JSON checkpoint (bitwise round trip via base64)."""
+    """Write the network as a checkpoint pair, bitwise round trip.
+
+    The sidecar, ``path`` with its suffix replaced by ``.f64``, holds
+    ``net.flat_values`` as raw little-endian float64 in arena order. The
+    header at ``path`` is strict JSON: each layer's activation, shape and
+    input, the components, ``meta``, and ``params_sha256``, the SHA-256 of
+    the sidecar's bytes. The sidecar is written first, so a crash between
+    the two writes leaves a pair whose digests disagree, which
+    :func:`load_checkpoint` refuses. A ``path`` that ends in ``.f64`` is
+    refused: it would be its own sidecar.
+    """
+    import hashlib  # imported here: it costs milliseconds that a CLI start would pay
+
+    path, sidecar = Path(path), sidecar_path(path)
+    if sidecar == path:
+        raise ConfigurationError(f"checkpoint header {path} cannot end in .f64, "
+                                 "the suffix of its sidecar")
+    raw = np.asarray(net.flat_values, dtype="<f8")  # the arena itself on a little-endian host
+    write_atomic(sidecar, raw.data)
     write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -807,40 +812,34 @@ def save_checkpoint(net: Network, path: str | Path,
                 "out": layer.out_dim,
                 "in": layer.in_dim,
                 "input": net.source(k),
-                "weight": _encode_array(layer.weight.values),
-                "bias": _encode_array(layer.bias.values),
             }
             for k, layer in enumerate(net.layers)
         ],
         "components": [[name, lo, hi] for name, (lo, hi) in net.components.items()],
         "meta": dict(meta or {}),
+        "params_sha256": hashlib.sha256(raw).hexdigest(),
     })
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
-    """Load a checkpoint written by :func:`save_checkpoint`.
+    """Load a checkpoint pair written by :func:`save_checkpoint`.
 
-    Returns the reconstructed network and the stored metadata dict. The
-    network is built from the recorded shapes first, and each payload is
-    then decoded straight into its slot of the network's arena. A document
-    of the wrong shape raises :class:`DataFormatError`.
+    Returns the reconstructed network and the stored metadata dict. Every
+    field of the header is checked first. The sidecar's size must then be
+    8 bytes per parameter the recorded shapes hold, checked before the
+    network allocates its arena, so a header cannot claim more memory than
+    its sidecar holds. The sidecar is read straight into the arena, and its
+    SHA-256 must equal the header's ``params_sha256``. A malformed header and
+    a missing, wrong-size or foreign sidecar raise :class:`DataFormatError`.
     """
+    import hashlib  # imported here: it costs milliseconds that a CLI start would pay
+
     doc = Fields.document(read_json(path, "checkpoint"), f"checkpoint {path}",
                           CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     layers = doc.arr("layers")
     entries = [layers.obj(k) for k in layers.keys()]
-    dense = []
-    for entry in entries:
-        out_dim, in_dim = entry.int("out", low=1), entry.int("in", low=1)
-        # Checked before the arena is allocated, so recorded shapes cannot
-        # claim more memory than the file's payloads hold.
-        for role, size in (("weight", out_dim * in_dim), ("bias", out_dim)):
-            if len(entry.str(role)) != 4 * -(-8 * size // 3):
-                entry.fail(role, f"must be the base64 of {size} float64 values")
-        # Zeros that take no memory of their own: each payload is decoded
-        # straight into its arena slot below, so one is held at a time.
-        dense.append((np.broadcast_to(0.0, (out_dim, in_dim)),
-                      np.broadcast_to(0.0, out_dim), entry.str("activation")))
+    shapes = [(entry.int("out", low=1), entry.int("in", low=1), entry.str("activation"))
+              for entry in entries]
     components = doc.arr("components")
     bounds = {}
     for c in components.keys():
@@ -849,9 +848,28 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         if name in bounds:
             components.fail(c, f"repeats the component name {name!r}")
         bounds[name] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
-    net = Network(dense, bounds,
-                  [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)])
-    for layer, entry in zip(net.layers, entries):
-        layer.weight.values[...] = _decode_array(entry.str("weight"), layer.weight.shape)
-        layer.bias.values[...] = _decode_array(entry.str("bias"), layer.bias.shape)
-    return net, dict(doc.obj("meta", {}).value)
+    inputs = [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)]
+    meta = dict(doc.obj("meta", {}).value)
+    digest = doc.str("params_sha256")
+    sidecar = sidecar_path(path)
+    expected = 8 * sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
+    try:
+        with open(sidecar, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise DataFormatError(
+                    f"checkpoint sidecar {sidecar} holds {size} bytes; the layer "
+                    f"shapes of {path} need {expected}")
+            # Zeros that take no memory of their own: the sidecar is read
+            # straight into the arena.
+            net = Network([(np.broadcast_to(0.0, (out_dim, in_dim)),
+                            np.broadcast_to(0.0, out_dim), activation)
+                           for out_dim, in_dim, activation in shapes], bounds, inputs)
+            fh.readinto(memoryview(net.flat_values).cast("B"))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read checkpoint sidecar {sidecar}: {exc}") from None
+    if hashlib.sha256(net.flat_values).hexdigest() != digest:
+        raise DataFormatError(f"checkpoint sidecar {sidecar} does not hold the parameters "
+                              f"of {path}: their SHA-256 differs from 'params_sha256'")
+    net.flat_values[...] = net.flat_values.view("<f8")  # a no-op on a little-endian host
+    return net, meta

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -199,6 +200,13 @@ def damaged(src, dst, damage):
     damage(doc)
     dst.write_text(json.dumps(doc))
     return str(dst)
+
+
+def copied_checkpoint(src, dst, damage=lambda doc: None):
+    """Copy a checkpoint pair: the header to ``dst`` with ``damage`` applied
+    to its document, and its sidecar unchanged beside it."""
+    shutil.copyfile(netcore.sidecar_path(src), netcore.sidecar_path(dst))
+    return damaged(src, dst, damage)
 
 
 @pytest.fixture

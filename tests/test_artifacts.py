@@ -11,18 +11,26 @@ from prunescope.errors import DataFormatError, NumericsError
 from prunescope.harness.cli import main
 from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
 from prunescope.harness.train import run_training, save_outputs
+from prunescope.netcore import save_checkpoint
+
+from conftest import make_toy_multihead
 
 # SHA-256 of each file a seeded toy train + prune writes, recorded with the
 # encoders as they were before every write went through write_atomic;
 # run/config.json re-recorded when the schedule lost its n_groups key,
 # run/trace.json dropped when the trace became CSV only, and the states,
 # manifests and pruned files re-recorded when a group's units became those
-# of the non-output layers whose bias it owns.
+# of the non-output layers whose bias it owns, and the checkpoints when they
+# became a JSON header and a raw float64 sidecar (version 2). Each sidecar's
+# digest is that of the version-1 base64 payloads it replaced, decoded and
+# concatenated in layer order (weight, then bias).
 ARTIFACT_DIGESTS = {
-    "pruned/checkpoint.json": "710e16a9fb96dd2767f2ca196d2e02ea5ac4675b2593182bce31b25f4e3979b8",
+    "pruned/checkpoint.f64": "79c50c19cf481df3ebdc0450839e2aff85d92251ccfe9b30bb79e1db066f3f7e",
+    "pruned/checkpoint.json": "19d95f3a200b974a4b2115a3dd934e8ba26e0573ddc1af9251de17ff8949d509",
     "pruned/manifest.json": "8e5d1cbee6717001e7ceecd7dc5fe24f13bdaec28b8c4414abfc48740fdd97ef",
     "pruned/plan.json": "025e3930c8ce15489e8daabef8b69e6e55c8fa7fac88eba699bf06b437c95c0a",
-    "run/checkpoint.json": "ba041ee0713d89ecaa8b17d5fe37cec95f7f77b7f39265c8ec7ef0fa0e9c3b46",
+    "run/checkpoint.f64": "4f5a8383b931694b28b60e5855e7745a559d1768be8751bbeb983344e5781c70",
+    "run/checkpoint.json": "1702293da4ab94255d76a57665edaa48c0e13a53e83bc4c794d189aa258fb850",
     "run/config.json": "4e98f0495e271faeef05728b88fba0144349635bbc7acc1d26672a668d9a8a45",
     "run/manifest.json": "11ee9c871c41f5bab3139b8c848cae85035509da61faa5f794b9435f5c54b585",
     "run/states.json": "4a13283ed4c450bff4d0988ac980a322f19d9975e69c19817381c4a3ef064f8b",
@@ -54,8 +62,9 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypa
         def refuse(src, dst):
             raise OSError("replace refused")
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="replace refused"):
-            write_atomic(path, "new text")
+        for data in ("new text", b"new\x00bytes"):
+            with pytest.raises(OSError, match="replace refused"):
+                write_atomic(path, data)
     elif fault == "unserializable":
         with pytest.raises(TypeError):
             write_json(path, {"value": object()})
@@ -72,7 +81,33 @@ def test_write_atomic_replaces_without_newline_translation(tmp_path):
     write_atomic(path, "x\r\ny\n")
     write_atomic(path, "é,\r\n")
     assert path.read_bytes() == "é,\r\n".encode()
+    write_atomic(path, memoryview(b"\r\n\x00\xff"))
+    assert path.read_bytes() == b"\r\n\x00\xff"
     assert os.listdir(tmp_path) == ["a.csv"]
+
+
+def test_a_crash_between_the_sidecar_and_the_header_leaves_a_pair_verify_refuses(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "checkpoint.json"
+    net = make_toy_multihead(seed=0)
+    save_checkpoint(net, path)
+    net.flat_values[0] += 1.0
+    replace = os.replace
+
+    def die_at_the_header(src, dst):
+        if str(dst).endswith(".json"):
+            raise KeyboardInterrupt  # the process is killed after the sidecar's rename
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", die_at_the_header)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(net, path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint.f64", "checkpoint.json"]
+    capsys.readouterr()
+    assert main(["verify", "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "checkpoint.f64 does not hold the parameters" in err
 
 
 @pytest.mark.parametrize("read, value, message", [

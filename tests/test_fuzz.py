@@ -5,13 +5,15 @@ importance states, prune plan, and the trace CSV) are
 truncated, retyped and stripped of keys, then fed through ``main``. Whatever
 the damage, ``main`` must return 0 or 2 and no exception may escape. A
 document that no longer parses, or whose whole value was retyped, must exit 2
-with an ``error:`` line. Examples are derived deterministically and no
-example database is written.
+with an ``error:`` line, and so must a checkpoint whose parameter sidecar is
+truncated, has one byte changed or is gone. Examples are derived
+deterministically and no example database is written.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from prunescope.harness.cli import main
 from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
 from prunescope.harness.train import run_training, save_outputs
+from prunescope.netcore import sidecar_path
 
 # Even with no example database, Hypothesis caches the constants of local
 # source files under its home directory (./.hypothesis by default), and its
@@ -71,6 +74,8 @@ def run(tmp_path_factory):
         assert run_cli(command(str(sources[name])))[0] == 0, name
     damaged = root / "damaged"
     damaged.mkdir()
+    # A damaged checkpoint header pairs with the valid sidecar.
+    shutil.copyfile(sidecar_path(ckpt), sidecar_path(damaged / ckpt.name))
     return {name: (sources[name], command) for name, command in commands.items()}, damaged
 
 
@@ -135,3 +140,26 @@ def test_damaged_csv_traces_exit_zero_or_two(run, data):
     else:
         del row[cell]
     feed(run, "trace_csv", "\r\n".join(",".join(r) for r in lines).encode())
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_checkpoint_sidecars_exit_two(run, data):
+    artifacts, damaged = run
+    header, command = artifacts["checkpoint"]
+    pair = damaged / "pair"
+    pair.mkdir(exist_ok=True)
+    shutil.copyfile(header, pair / header.name)
+    raw = sidecar_path(header).read_bytes()
+    sidecar = sidecar_path(pair / header.name)
+    damage = data.draw(st.sampled_from(["truncate", "flip", "delete"]))
+    if damage == "truncate":
+        sidecar.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif damage == "flip":
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        sidecar.write_bytes(flipped)
+    else:
+        sidecar.unlink(missing_ok=True)
+    code, err = run_cli(command(str(pair / header.name)))
+    assert code == 2 and err.startswith("error:") and sidecar.name in err, err

@@ -27,7 +27,7 @@ from prunescope.modelgraph import build_groups
 from prunescope.netcore import forward, load_checkpoint, mse_loss, save_checkpoint
 from prunescope.scheduler import ScheduleConfig, schedule_row, total_loss
 
-from conftest import damaged, group_l1_norm, toy_config
+from conftest import copied_checkpoint, damaged, group_l1_norm, toy_config
 
 
 # -- configuration ------------------------------------------------------------
@@ -323,7 +323,8 @@ def test_evaluate_mse_matches_unbatched_loss():
 def test_save_outputs_writes_the_full_artifact_set(tmp_path):
     result = run_training(toy_config())
     paths = save_outputs(result, tmp_path / "run")
-    for name in ("config", "checkpoint", "trace_csv", "states", "manifest", "summary"):
+    for name in ("config", "checkpoint", "params", "trace_csv", "states", "manifest",
+                 "summary"):
         assert paths[name].exists(), name
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
         p.name for p in paths.values())
@@ -607,7 +608,8 @@ def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):
     def version_99(doc):
         doc["version"] = 99
 
-    fails_typed(["verify", "--checkpoint", damaged(ckpt, tmp_path / "ckpt.json", version_99)])
+    fails_typed(["verify", "--checkpoint",
+                 copied_checkpoint(ckpt, tmp_path / "ckpt.json", version_99)])
     fails_typed(["prune", "--checkpoint", str(ckpt), "--out", out, "--apply",
                  damaged(plan_path, tmp_path / "plan.json", version_99)])
     fails_typed(["prune", "--checkpoint", str(ckpt), "--sparsity", "0.4", "--out", out,
@@ -616,8 +618,8 @@ def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):
 
 def test_cli_refuses_a_mistyped_layers_per_group(toy_run, tmp_path, capsys):
     cfg_path, run_dir, _ = toy_run
-    bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
-                  lambda doc: doc["meta"].update(layers_per_group="x"))
+    bad = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                            lambda doc: doc["meta"].update(layers_per_group="x"))
     capsys.readouterr()
     for argv in (["prune", "--checkpoint", bad, "--sparsity", "0.4",
                   "--out", str(tmp_path / "p")],
@@ -838,7 +840,7 @@ def test_cli_import_loads_no_thread_pool_or_logging():
 
 def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):
     path = tmp_path / "bare.json"
-    path.write_text('{"format": "prunescope.checkpoint", "version": 1}')
+    path.write_text('{"format": "prunescope.checkpoint", "version": 2}')
     assert main(["verify", "--checkpoint", str(path)]) == 2
     assert "layer" in capsys.readouterr().err
 
@@ -882,8 +884,8 @@ def test_cli_prunes_a_two_layer_chain_of_two_components(tmp_path):
 
 def test_cli_verify_refuses_a_repeated_component_name(toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
-    repeated = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
-                       lambda doc: doc["components"].append(["head_b", 4, 6]))
+    repeated = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                                 lambda doc: doc["components"].append(["head_b", 4, 6]))
     capsys.readouterr()
     assert main(["verify", "--checkpoint", repeated]) == 2
     err = capsys.readouterr().err
@@ -959,7 +961,8 @@ def test_cli_prune_writes_nothing_that_fails_its_check(toy_run, tmp_path, capsys
     assert "wrote" not in printed and not out.exists()
 
 
-RUN_FILES = ("checkpoint.json", "trace.csv", "states.json", "summary.json", "config.json")
+RUN_FILES = ("checkpoint.json", "checkpoint.f64", "trace.csv", "states.json", "summary.json",
+             "config.json")
 
 
 def test_recorded_config_reproduces_the_run(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    bayes_importance, bayes_update, ema_update,
                                    init_states, metric_scores, rank_groups, ranked,
                                    states_from_doc, states_to_doc, update_all)
-from prunescope.modelgraph import build_groups
+from prunescope.modelgraph import build_groups, slot_sum
 from prunescope.netcore import Network, backward, forward, mse_loss
 
 from conftest import (dyadic, group_tensors, make_net, make_toy_multihead,
@@ -31,6 +31,27 @@ def one_layer_metrics(grad):
     cfg = BayesConfig()
     (st,) = update_all(init_states(graph, cfg), net, graph, cfg, 0.9).values()
     return st.raw_grad, st.raw_fisher
+
+
+def test_the_fisher_pass_has_the_bits_of_the_products(rng):
+    """``update_all`` squares the gradient with ``np.square``: the bits of
+    ``g * g`` on heavy-tailed draws, signed zeros, infinities, NaN and
+    subnormals, so each group's Fisher metric is the slot sum of ``g * g``."""
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1e-160, -1e-170, 1.3e154, -1.4e154]
+    g = np.concatenate([rng.standard_t(1, size=4096), specials])
+    with np.errstate(over="ignore"):
+        assert np.square(g).tobytes() == np.multiply(g, g).tobytes()
+    net = make_toy_multihead(seed=0)
+    finite = g[np.isfinite(g) & (np.abs(g) < 1e150)]
+    net.flat_grad[...] = rng.choice(finite, size=net.flat_grad.size)
+    squares = net.flat_grad * net.flat_grad
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
+    for group in graph.groups:
+        assert states[group.id].raw_fisher == (slot_sum(squares, group.slots)
+                                               / group.param_count), group.id
 
 
 def test_grad_magnitude_by_hand():

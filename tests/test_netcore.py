@@ -228,6 +228,18 @@ def test_mse_means_over_every_element():
     np.testing.assert_array_equal(grad, pred / 2.0)
 
 
+def test_mse_loss_has_the_bits_of_the_mean_of_squares():
+    """The loss sums with ``np.add.reduce`` and divides once: the pairwise sum
+    and the division of ``np.mean``, so the same bits on every shape."""
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 300, size=int(rng.integers(1, 3))))
+        pred = rng.standard_t(1, size=shape) * 10.0 ** int(rng.integers(-5, 6))
+        target = rng.standard_normal(shape)
+        loss, _ = mse_loss(pred, target)
+        assert loss == float(np.mean((pred - target) * (pred - target))), shape
+
+
 def test_mse_shape_mismatch():
     with pytest.raises(ConfigurationError):
         mse_loss(np.zeros((2, 3)), np.zeros((3, 2)))
@@ -702,6 +714,10 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, rng):
     net.layers[0].weight.values[0, 0] = 1.0 / 3.0  # not dyadic on purpose
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path, meta={"layers_per_group": 2, "seed": 6})
+    # The header holds no parameter; the sidecar is the arena, little-endian.
+    assert all(set(entry) == {"activation", "out", "in", "input"}
+               for entry in json.loads(path.read_text())["layers"])
+    assert (tmp_path / "ckpt.f64").read_bytes() == net.flat_values.astype("<f8").tobytes()
     loaded, meta = load_checkpoint(path)
     assert meta == {"layers_per_group": 2, "seed": 6}
     assert loaded.layer_inputs == net.layer_inputs
@@ -725,10 +741,8 @@ def test_checkpoint_rejects_corrupt_payload(tmp_path):
     net = make_net([2, 2], ["identity"], seed=0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path)
-    import json
-    doc = json.loads(path.read_text())
-    doc["layers"][0]["weight"] = doc["layers"][0]["weight"][:8]
-    path.write_text(json.dumps(doc))
+    sidecar = tmp_path / "ckpt.f64"
+    sidecar.write_bytes(sidecar.read_bytes()[:8])
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
 
@@ -739,8 +753,10 @@ def test_checkpoint_rejects_corrupt_payload(tmp_path):
     lambda doc: doc["layers"][0].update(out="2"),
     lambda doc: doc["layers"][0].update({"in": 2.5}),
     lambda doc: doc["layers"][0].update(out=-1),
-    lambda doc: doc["layers"][0].pop("bias"),
+    lambda doc: doc.pop("params_sha256"),
     lambda doc: doc["components"][0].__setitem__(1, "zero"),
+    lambda doc: doc.update(params_sha256=7),
+    lambda doc: doc["layers"][0].update(out=10 ** 30),  # checked before any allocation
 ])
 def test_checkpoint_rejects_malformed_fields(tmp_path, damage):
     path = tmp_path / "ckpt.json"
@@ -757,14 +773,20 @@ def test_checkpoint_shapes_are_checked_against_payloads_before_allocation(
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_net([2, 2], ["identity"], seed=0), path)
     doc = json.loads(path.read_text())
-    doc["layers"][0]["out"] = 3  # the payloads still hold a 2 x 2 layer
+    doc["layers"][0]["out"] = 3  # the sidecar still holds a 2 x 2 layer
     path.write_text(json.dumps(doc))
 
     def too_soon(*args, **kwargs):
-        raise AssertionError("a payload was decoded or the network built before "
-                             "the payloads were checked")
+        raise AssertionError("the network was built before the sidecar's size was checked")
 
     monkeypatch.setattr(netcore, "Network", too_soon)
-    monkeypatch.setattr(netcore, "_decode_array", too_soon)
-    with pytest.raises(DataFormatError, match=r"'layers\[0\]\.weight' must be the base64"):
+    with pytest.raises(DataFormatError,
+                       match=r"sidecar .*ckpt\.f64 holds 48 bytes; the layer shapes of "
+                             r".*ckpt\.json need 72"):
         load_checkpoint(path)
+
+
+def test_a_checkpoint_header_is_not_its_own_sidecar(tmp_path):
+    with pytest.raises(ConfigurationError, match=r"cannot end in \.f64"):
+        save_checkpoint(make_net([2, 2], ["identity"], seed=0), tmp_path / "ckpt.f64")
+    assert list(tmp_path.iterdir()) == []

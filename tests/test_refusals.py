@@ -2,6 +2,8 @@
 PrunescopeError, and where a file carries the input through the CLI, as exit
 2 with an ``error:`` line and nothing written."""
 
+import base64
+import shutil
 import struct
 
 import numpy as np
@@ -14,9 +16,9 @@ from prunescope.harness.train import evaluate_mse, run_training
 from prunescope.importance import BayesConfig, init_states, metric_scores, update_all
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Network, activation_grad, build_sequential,
-                                seeded_layer)
+                                load_checkpoint, seeded_layer)
 
-from conftest import damaged, toy_config
+from conftest import copied_checkpoint, damaged, toy_config
 
 
 def refused(capsys, argv, fragment, out=None):
@@ -113,28 +115,42 @@ def test_cli_prune_refuses_a_unit_score_key_that_is_no_layer(toy_run, tmp_path, 
             "is not a layer index", out)
 
 
-def test_cli_verify_refuses_a_payload_of_the_right_length_that_is_not_base64(
+def test_cli_verify_refuses_a_sidecar_of_the_right_size_from_another_run(
         toy_run, tmp_path, capsys):
+    cfg_path, run_dir, _ = toy_run
+    other = tmp_path / "other"
+    assert main(["train", "--config", str(cfg_path), "--seed", "1", "--out", str(other)]) == 0
+    header = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
+    shutil.copyfile(other / "checkpoint.f64", tmp_path / "checkpoint.f64")
+    refused(capsys, ["verify", "--checkpoint", header],
+            "checkpoint.f64 does not hold the parameters of")
+
+
+def test_cli_verify_refuses_a_sidecar_of_the_wrong_size(toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
-
-    for char in ("!", "é"):  # outside the alphabet, ASCII and not
-        def not_base64(doc):
-            layer = doc["layers"][0]
-            layer["bias"] = char * len(layer["bias"])
-
-        bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", not_base64)
-        refused(capsys, ["verify", "--checkpoint", bad], "payload is not base64")
+    header = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
+    sidecar = tmp_path / "checkpoint.f64"
+    sidecar.write_bytes(sidecar.read_bytes() + bytes(8))  # one parameter too many
+    refused(capsys, ["verify", "--checkpoint", header],
+            "checkpoint.f64 holds 9048 bytes; the layer shapes of")
 
 
-def test_cli_verify_refuses_a_base64_payload_of_the_wrong_length(toy_run, tmp_path, capsys):
+def test_cli_verify_refuses_a_version_1_checkpoint(toy_run, tmp_path, capsys):
+    """A version-1 checkpoint held each layer's parameters as base64 in the
+    JSON document; it is refused by its version, before any payload is read."""
     _, run_dir, _ = toy_run
+    net, _ = load_checkpoint(run_dir / "checkpoint.json")
 
-    def unpadded(doc):  # 344 characters: 256 bytes and two of padding, or 258 bytes
-        layer = doc["layers"][0]
-        layer["bias"] = "A" * len(layer["bias"])
+    def to_version_1(doc):
+        doc["version"] = 1
+        del doc["params_sha256"]
+        for entry, layer in zip(doc["layers"], net.layers):
+            for role in ("weight", "bias"):
+                raw = getattr(layer, role).values.astype("<f8").tobytes()
+                entry[role] = base64.b64encode(raw).decode("ascii")
 
-    bad = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", unpadded)
-    refused(capsys, ["verify", "--checkpoint", bad], "payload has 258 bytes, expected 256")
+    old = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", to_version_1)
+    refused(capsys, ["verify", "--checkpoint", old], "'version' must be 2, got 1")
 
 
 def test_cli_report_refuses_a_zero_window_and_an_oversized_csv_field(toy_run, tmp_path,
