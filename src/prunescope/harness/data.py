@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,15 @@ def load_idx(path: str | Path) -> np.ndarray:
 
     The images (magic 0x00000803) come back as uint8 [count, rows, cols].
     The big-endian magic, one 32-bit dimension per axis, and the exact
-    payload length are all validated; any other magic is refused.
+    payload length are all validated; any other magic is refused, and so is
+    a truncated or corrupt gzip stream.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise DataFormatError(f"{path}: corrupt gzip stream: {exc}") from None
     if len(raw) < 4:
         raise DataFormatError(f"{path}: too short for an IDX magic number")
     (magic,) = struct.unpack(">I", raw[:4])

@@ -308,7 +308,8 @@ def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
 def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
     """Rebuild the states of :func:`states_to_doc`. Every metric must be
     finite, alpha and beta positive, and each unit score vector a flat list
-    of finite numbers keyed by its layer index."""
+    of finite numbers keyed by its layer index, written as
+    :func:`states_to_doc` writes it."""
     doc = Fields.document(doc, "importance states", STATES_FORMAT, STATES_VERSION)
     groups = doc.arr("groups")
     states = {}
@@ -317,7 +318,10 @@ def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
         unit_ema = entry.obj("unit_ema", {})
         scores = {}
         for layer in unit_ema.keys():
-            if not layer.isdecimal():
+            # Only the digits states_to_doc writes: "01" or "١" would alias
+            # layer 1, and int() refuses a key of thousands of digits.
+            digits = layer.isascii() and layer.isdecimal() and len(layer) < 19
+            if not digits or layer != str(int(layer)):
                 unit_ema.fail(layer, "is not a layer index")
             vec = unit_ema.arr(layer)
             scores[int(layer)] = np.asarray(

@@ -56,20 +56,17 @@ class ParamTensor:
         return self.values.size
 
 
-def apply_activation(kind: str, z: np.ndarray,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
+def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     """Apply the activation to ``z`` in place and return ``z``.
 
-    Sigmoid overwrites ``scratch``, an array of ``z``'s shape, or allocates
-    one when it is omitted; relu and identity never touch it. Sigmoid is
-    ``exp(min(z, 0)) / (1 + exp(-|z|))``: that is ``1 / (1 + exp(-z))`` for
-    z >= 0 and ``exp(z) / (1 + exp(z))`` below, so exp never overflows and
-    no element needs a branch of its own.
+    Sigmoid is ``exp(min(z, 0)) / (1 + exp(-|z|))``: that is
+    ``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below, so
+    exp never overflows and no element needs a branch of its own.
     """
     if kind == "relu":
         return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
-        den = np.abs(z, out=scratch)
+        den = np.abs(z)
         np.negative(den, out=den)
         np.exp(den, out=den)
         np.add(den, 1.0, out=den)
@@ -313,13 +310,8 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
     fresh ``(rows, out_dim)`` array per layer, and repeated calls on the same
     inputs return identical values.
 
-    :func:`_forward_rows` computes every layer for a range of batch rows
-    straight into those arrays: the product, then the bias and the
-    activation in place. When the stage has the second lane (see
-    :func:`second_lane`), the lane runs the second half of the rows while
-    this thread runs the first, but only for a C-contiguous batch whose
-    every layer passes :func:`_row_split_is_exact` at this row count, so
-    the split never changes a bit. Otherwise this thread runs every row.
+    Each layer runs whole on the calling thread: the product ``x @ W.T``,
+    then the bias and the activation in place.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -330,72 +322,17 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
         raise ConfigurationError(
             f"batch width {batch.shape[1]} does not match network input width "
             f"{net.input_dim}")
-    m = batch.shape[0]
-    # Every array and view either half touches is made here, sigmoid's
-    # scratch included, so the lane's half allocates nothing.
-    acts, work = [batch], []
+    acts = [batch]
     for src, layer in zip(net.layer_inputs, net.layers):
-        out = np.empty((m, len(layer.bias.values)))
-        work.append((acts[src + 1], layer.weight.values.T, layer.bias.values, out,
-                     layer.activation,
-                     np.empty_like(out) if layer.activation == "sigmoid" else None))
-        acts.append(out)
-
-    def rows(lo: int, hi: int) -> list[tuple]:
-        return [(x[lo:hi], w_t, b, out[lo:hi], kind, None if tmp is None else tmp[lo:hi])
-                for x, w_t, b, out, kind, tmp in work]
-
-    with second_lane(net.flat_values.size) as stage:
-        if (stage.lane is not None and batch.flags.c_contiguous
-                and all(_row_split_is_exact(m, layer.in_dim, layer.out_dim)
-                        for layer in net.layers)):
-            stage.submit(_forward_rows, rows(m // 2, m))
-            _forward_rows(rows(0, m // 2))
-        else:
-            _forward_rows(work)
+        z = np.matmul(acts[src + 1], layer.weight.values.T)
+        np.add(z, layer.bias.values, out=z)
+        acts.append(apply_activation(layer.activation, z))
     sinks = net.sinks()
     if len(sinks) == 1:
         acts.append(acts[sinks[0] + 1])
     else:
         acts.append(np.concatenate([acts[s + 1] for s in sinks], axis=1))
     return acts
-
-
-def _forward_rows(work: list[tuple]) -> None:
-    """Compute each layer's rows in place, in layer order: ``work`` holds,
-    per layer, its input rows, ``W.T``, bias, output rows, activation and
-    sigmoid's scratch rows."""
-    for x, w_t, b, out, kind, scratch in work:
-        np.matmul(x, w_t, out=out)
-        np.add(out, b, out=out)
-        apply_activation(kind, out, scratch)
-
-
-@functools.cache
-def _row_split_is_exact(rows: int, inner: int, cols: int,
-                        matmul: Callable = np.matmul) -> bool:
-    """Whether ``A @ B``, for a (rows, inner) ``A`` and an (inner, cols)
-    ``B``, gives the same bits whole as in the row halves ``[0, rows // 2)``
-    and ``[rows // 2, rows)``; false when a half would be empty.
-
-    The layout is :func:`forward`'s ``x @ W.T``: ``A`` C-ordered, ``B`` a
-    transposed C array, cut by batch rows. BLAS may order a product's sums
-    by its shape (at one OpenBLAS thread, 128->8 at 256 rows fails), so
-    this is checked once per shape, through the same slicing and ``out=``
-    path, on seeded heavy-tailed values whose sums change bits under any
-    other order. ``matmul`` is the product checked.
-    """
-    half = rows // 2
-    if not half:
-        return False
-    rng = np.random.default_rng([rows, inner, cols])
-    a = rng.standard_t(2, (rows, inner))
-    b = rng.standard_t(2, (cols, inner)).T
-    whole, split = np.empty((rows, cols)), np.empty((rows, cols))
-    matmul(a, b, out=whole)
-    matmul(a[:half], b, out=split[:half])
-    matmul(a[half:], b, out=split[half:])
-    return bool(np.array_equal(whole, split))
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -757,8 +694,10 @@ def second_lane(size: int) -> _Stage:
     core idle (:func:`_lane_rule`), and only from one stage at a time: a
     stage opened meanwhile, such as one inside a call the lane runs, runs
     its calls inline. Inline, ``submit`` runs the call at once, so the two
-    cases are one code path. No numpy call is split, so no bit depends on
-    which thread made it.
+    cases are one code path. A training step opens three stages:
+    :func:`backward`, ``importance.update_all`` and the optimizer step.
+    Each handed call is whole and writes its own arrays, so no bit depends
+    on which thread made it.
     """
     lane = _LANE
     if size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False):

@@ -110,10 +110,10 @@ def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,
 
 
 def forward_oracle(net: Network, batch: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activation computed on the whole batch at once,
-    ``act(x @ W.T + b)`` layer by layer, in :func:`forward`'s list layout
-    without its final output entry: the reference that forward's row halves
-    must equal bit for bit."""
+    """Every layer's activation as the plain expression ``act(x @ W.T + b)``,
+    layer by layer, in :func:`forward`'s list layout without its final
+    output entry: the reference that forward's in-place arithmetic must
+    equal bit for bit."""
     acts = [np.asarray(batch, dtype=np.float64)]
     for k, layer in enumerate(net.layers):
         z = acts[net.source(k) + 1] @ layer.weight.values.T + layer.bias.values

@@ -7,11 +7,13 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from prunescope import netcore
 from prunescope.errors import ConfigurationError, NumericsError
 from prunescope.harness import cli as cli_module, hypotheses as hypotheses_module
 from prunescope.harness.cli import main
@@ -217,6 +219,34 @@ def test_toy_training_never_starts_the_second_lane(force_lane):
     lane = force_lane(True)
     run_training(toy_config())
     assert lane.worker is None
+
+
+def test_no_function_the_bench_times_runs_on_the_lane(force_lane, monkeypatch):
+    """With the lane forced on, one latent-8 epoch makes every call of the
+    step functions the benchmark times on the calling thread: the lane runs
+    only whole untimed calls (parameter gradients, importance, optimizer
+    blocks), so a tracer's one span stack never sees two threads."""
+    timed = ("forward", "apply_activation", "activation_grad", "mse_loss", "backward")
+    threads = {name: set() for name in timed}
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("prunescope")]
+    for name in timed:
+        original = getattr(netcore, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            threads[_name].add(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    lane = force_lane(True)
+    run_training(ExperimentConfig(
+        model=ModelConfig(preset="autoencoder", latent_dim=8),
+        dataset=DatasetConfig(kind="synthetic", n_train=256, n_test=64, rank=8),
+        epochs=1, batch_size=128, seed=0))
+    assert lane.worker is not None
+    assert threads == {name: {threading.get_ident()} for name in timed}
 
 
 def test_training_through_an_sgd_config(tmp_path):

@@ -27,20 +27,19 @@ from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_mu
 
 
 # -- activations -----------------------------------------------------------
-# apply_activation is the kernel forward runs on each layer's rows: in place,
-# with sigmoid's scratch passed in.
+# apply_activation is the kernel forward runs on each layer's output, in place.
 
 
 def test_relu_clamps_negatives():
     z = np.array([-3.0, -0.0, 0.0, 2.5])
-    assert apply_activation("relu", z, np.empty_like(z)) is z
+    assert apply_activation("relu", z) is z
     np.testing.assert_array_equal(z, [0.0, 0.0, 0.0, 2.5])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """The sigmoid as forward runs it, on a copy of ``z``."""
     z = np.array(z, dtype=np.float64)
-    assert apply_activation("sigmoid", z, np.empty_like(z)) is z
+    assert apply_activation("sigmoid", z) is z
     return z
 
 
@@ -137,10 +136,9 @@ def split_test_net(name: str) -> Network:
 @pytest.mark.parametrize("name", [f"latent{d}" for d in AUTOENCODER_LATENTS]
                          + ["pruned", "toy_multihead"])
 def test_the_lane_splits_change_no_bit(force_lane, name):
-    """With the lane forced on, every activation equals the whole-batch
+    """With the lane forced on, every activation equals the layer-by-layer
     oracle bit for bit, and every gradient equals backward's without the
-    lane, at batch sizes where the probe passes (the lane takes half the
-    rows) and fails (this thread takes them all)."""
+    lane, at batch sizes from one row up."""
     net = split_test_net(name)
     rng = np.random.default_rng(9)
     for rows in (1, 3, 40, 64, 127, 128, 256):
@@ -156,39 +154,6 @@ def test_the_lane_splits_change_no_bit(force_lane, name):
             backward(net, acts, d_out)
             grads.append(net.flat_grad.tobytes())
         assert grads[0] == grads[1], f"batch {rows}"
-
-
-@pytest.mark.parametrize("name, rows, calls", [
-    ("latent8", 128, 1),        # every layer's split is exact: the lane takes half
-    ("latent8", 256, 0),        # 128->8 at 256 rows is not: this thread takes all
-    ("toy_multihead", 128, 0),  # below one ADAM_BLOCK: no lane at all
-])
-def test_forward_hands_half_the_rows_to_the_lane_only_where_exact(
-        force_lane, monkeypatch, name, rows, calls):
-    force_lane(True)
-    stages, opened = [], netcore.second_lane
-
-    def recording(size):
-        stages.append(opened(size))
-        return stages[-1]
-
-    monkeypatch.setattr(netcore, "second_lane", recording)
-    net = split_test_net(name)
-    forward(net, np.ones((rows, net.input_dim)))
-    assert [stage.sent for stage in stages] == [calls]
-
-
-def test_the_row_split_probe_fails_a_product_whose_halves_differ():
-    def reversed_when_short(a, b, out):
-        """A product that sums in the other order for fewer than 40 rows."""
-        if len(a) < 40:
-            return np.matmul(a[:, ::-1], b[::-1], out=out)
-        return np.matmul(a, b, out=out)
-
-    probe = netcore._row_split_is_exact
-    assert probe(40, 128, 8, reversed_when_short) is False
-    assert probe(38, 128, 8, reversed_when_short) is True
-    assert probe(1, 128, 8) is False  # a half would be empty
 
 
 def test_backward_keeps_the_input_layer_whole_on_this_thread(force_lane, monkeypatch):

@@ -3,6 +3,7 @@ PrunescopeError, and where a file carries the input through the CLI, as exit
 2 with an ``error:`` line and nothing written."""
 
 import base64
+import gzip
 import shutil
 import struct
 
@@ -101,18 +102,45 @@ def test_cli_train_refuses_mnist_files_that_cannot_serve_the_network(toy_run, tm
                          "--out", str(out)], fragment, out)
 
 
-def test_cli_prune_refuses_a_unit_score_key_that_is_no_layer(toy_run, tmp_path, capsys):
-    _, run_dir, _ = toy_run
-
-    def rename_a_key(doc):
-        unit_ema = doc["groups"][0]["unit_ema"]
-        unit_ema["first"] = unit_ema.pop(next(iter(unit_ema)))
-
-    states = damaged(run_dir / "states.json", tmp_path / "states.json", rename_a_key)
+def test_cli_train_refuses_a_corrupt_gzip_image_file(toy_run, tmp_path, capsys):
+    """A truncated stream (EOFError), a bad deflate block (zlib.error) and an
+    unknown compression method (BadGzipFile) each end as one error line
+    naming the file."""
+    cfg_path, _, _ = toy_run
+    packed = gzip.compress(struct.pack(">IIII", IDX_IMAGE_MAGIC, 3, 4, 4) + bytes(48))
     out = tmp_path / "out"
-    refused(capsys, ["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
-                     "--sparsity", "0.4", "--states", states, "--out", str(out)],
-            "is not a layer index", out)
+    for name, data in [("truncated", packed[:len(packed) // 2]),
+                       ("deflate", packed[:10] + b"\xff" + packed[11:]),
+                       ("method", packed[:2] + b"\x07" + packed[3:])]:
+        images = tmp_path / f"{name}.idx.gz"
+        images.write_bytes(data)
+
+        def to_mnist(doc):
+            doc["dataset"].update(kind="mnist", train_images=str(images), n_train=2, n_test=1)
+
+        refused(capsys, ["train", "--config", damaged(cfg_path, tmp_path / "cfg.json", to_mnist),
+                         "--out", str(out)], f"{images}: corrupt gzip stream", out)
+
+
+def test_cli_prune_refuses_a_unit_score_key_that_is_no_layer(toy_run, tmp_path, capsys):
+    """A key beside a group's first one is refused unless it is a layer index
+    in canonical ASCII digits: a leading zero or Arabic-Indic digits would
+    alias the first key's layer, and one vector would silently win. A key
+    past int()'s digit limit is refused the same way."""
+    _, run_dir, _ = toy_run
+    arabic_indic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    out = tmp_path / "out"
+    for alias in (lambda key: "first", lambda key: "0" + key,
+                  lambda key: key.translate(arabic_indic), lambda key: "9" * 5000):
+        def add_a_key(doc):
+            unit_ema = doc["groups"][0]["unit_ema"]
+            key = next(iter(unit_ema))
+            unit_ema[alias(key)] = unit_ema[key]
+
+        states = damaged(run_dir / "states.json", tmp_path / "states.json", add_a_key)
+        refused(capsys, ["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                         "--sparsity", "0.4", "--states", states, "--out", str(out)],
+                "is not a layer index", out)
 
 
 def test_cli_verify_refuses_a_sidecar_of_the_right_size_from_another_run(
