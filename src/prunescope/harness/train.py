@@ -20,7 +20,7 @@ from ..importance import (GroupImportanceState, METRICS, init_states, rank_group
                           states_to_doc, update_all)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
-                       mse_loss, save_checkpoint, sidecar_path)
+                       mse_loss, one_blas_thread, save_checkpoint, sidecar_path)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -90,11 +90,19 @@ def load_dataset(cfg: ExperimentConfig,
     return x_train, x_train, x_test, x_test
 
 
+@one_blas_thread()
 def evaluate_mse(net: Network, x: np.ndarray, y: np.ndarray,
                  batch_size: int = 256) -> float:
-    """Mean squared error over a full dataset, batched."""
+    """Mean squared error over a full dataset, batched, with BLAS at one
+    thread. An empty dataset, a ``batch_size`` below 1 and targets of another
+    shape than the prediction are refused before any forward pass."""
     if len(x) == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be at least 1, got {batch_size}")
+    if y.shape != (len(x), net.output_dim):
+        raise ConfigurationError(f"targets of shape {y.shape} do not match {len(x)} "
+                                 f"rows of network output width {net.output_dim}")
     total = 0.0
     for lo in range(0, len(x), batch_size):
         batch = x[lo:lo + batch_size]
@@ -103,6 +111,7 @@ def evaluate_mse(net: Network, x: np.ndarray, y: np.ndarray,
     return total / (len(x) * y.shape[1])
 
 
+@one_blas_thread()
 def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                  graph: ComponentGraph | None = None,
                  epochs: int | None = None,
@@ -113,7 +122,9 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     ``net``/``graph``/``data`` override the config when given, which is how
     fine-tuning reuses this loop on a pruned checkpoint. ``seed`` (else the
     PRUNESCOPE_SEED environment variable) and ``epochs`` are folded into the
-    config, so the result's ``config`` is the one that ran.
+    config, so the result's ``config`` is the one that ran. BLAS runs one
+    thread (``netcore.one_blas_thread``), so ``OPENBLAS_NUM_THREADS`` changes
+    no bit and the second lane is the run's only parallel path.
     """
     cfg = replace(cfg, seed=cfg.resolve_seed() if seed is None else seed,
                   epochs=cfg.epochs if epochs is None else epochs)

@@ -9,6 +9,7 @@ finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -311,7 +312,7 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
     inputs return identical values.
 
     Each layer runs whole on the calling thread: the product ``x @ W.T``,
-    then the bias and the activation in place.
+    then the bias and the activation in place, at the caller's BLAS threads.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -365,7 +366,8 @@ def backward(net: Network, activations: list[np.ndarray],
     (see :func:`second_lane`) while this thread computes the gradient of
     the layer's input. A layer that reads the network input has none, so
     this thread computes its gradients whole while the lane finishes the
-    others. No product is split, so no bit depends on the lane.
+    others. No product is split, so no bit depends on the lane. The
+    products run at the caller's BLAS thread count.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -477,7 +479,7 @@ class Adam:
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
     are checked for finiteness while still in cache. Each lane has its own
-    pair of scratch blocks.
+    pair of scratch blocks. A step keeps the caller's BLAS thread count.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -579,20 +581,43 @@ def _openblas_file() -> str:
     raise FileNotFoundError("numpy bundles no scipy-openblas library")
 
 
-def _ask(lib: object, what: str, restype: type) -> object:
+def _ask(lib: object, what: str, restype: type | None, *args: int) -> object:
     func = getattr(lib, f"scipy_openblas_{what}64_")
-    func.argtypes, func.restype = [], restype
-    return func()
+    func.argtypes, func.restype = [ctypes.c_int] * len(args), restype
+    return func(*args)
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    try:
+        return ctypes.CDLL(_openblas_file())
+    except OSError:
+        return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body, or each call of a function this decorates, with numpy's
+    scipy-openblas at one thread, and restore the caller's count on exit,
+    also on a raise. Where the library cannot be opened, do nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = _ask(lib, "get_num_threads", ctypes.c_int)
+    _ask(lib, "set_num_threads", None, 1)
+    try:
+        yield
+    finally:
+        _ask(lib, "set_num_threads", None, before)
 
 
 @functools.cache
 def _lane_rule() -> bool:
-    """Whether stages may use the second lane at all: only while BLAS runs
-    fewer threads than this process may use cores, so that the lane's core
-    would otherwise sit idle. Read once; an unknown BLAS gives no lane.
-    A CPU quota set by a cgroup is not seen, only the affinity mask."""
-    threads = blas_runtime().threads
-    return threads is not None and threads < _usable_cores()
+    """Whether stages may use the second lane at all: only where the
+    process's affinity mask holds at least two cores. Read once; a CPU quota
+    set by a cgroup is not seen."""
+    return _usable_cores() >= 2
 
 
 def _usable_cores() -> int:
@@ -690,14 +715,14 @@ def second_lane(size: int) -> _Stage:
     the rest itself; leaving the ``with`` block waits for every handed call
     to finish, then re-raises the first exception one of them raised (an
     exception of the block itself takes precedence). Calls go to the lane
-    only when the stage spans at least one ``ADAM_BLOCK`` and BLAS leaves a
-    core idle (:func:`_lane_rule`), and only from one stage at a time: a
-    stage opened meanwhile, such as one inside a call the lane runs, runs
-    its calls inline. Inline, ``submit`` runs the call at once, so the two
-    cases are one code path. A training step opens three stages:
-    :func:`backward`, ``importance.update_all`` and the optimizer step.
-    Each handed call is whole and writes its own arrays, so no bit depends
-    on which thread made it.
+    only when the stage spans at least one ``ADAM_BLOCK`` and the process
+    may use two cores (:func:`_lane_rule`), whatever BLAS's thread count,
+    and only from one stage at a time: a stage opened meanwhile, such as one
+    inside a call the lane runs, runs its calls inline. Inline, ``submit``
+    runs the call at once, so the two cases are one code path. A training
+    step opens three stages: :func:`backward`, ``importance.update_all`` and
+    the optimizer step. Each handed call is whole and writes its own arrays,
+    so no bit depends on which thread made it.
     """
     lane = _LANE
     if size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False):

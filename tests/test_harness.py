@@ -15,7 +15,8 @@ import pytest
 
 from prunescope import netcore
 from prunescope.errors import ConfigurationError, NumericsError
-from prunescope.harness import cli as cli_module, hypotheses as hypotheses_module
+from prunescope.harness import (cli as cli_module, hypotheses as hypotheses_module,
+                                train as train_module)
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
                                        ModelConfig, OptimizerConfig,
@@ -336,6 +337,41 @@ def test_non_finite_loss_raises_with_context():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="epoch 1"):
             run_training(cfg, net=net)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS thread count set to 2 through the handle that
+    ``netcore.one_blas_thread`` uses, and set back afterwards."""
+    lib = netcore._openblas()
+    if lib is None:
+        pytest.skip("numpy's scipy-openblas cannot be opened")
+    before = netcore.blas_runtime().threads
+    netcore._ask(lib, "set_num_threads", None, 2)
+    yield
+    netcore._ask(lib, "set_num_threads", None, before)
+
+
+def test_training_and_evaluation_run_at_one_blas_thread_and_give_the_count_back(
+        two_blas_threads, monkeypatch):
+    """Inside ``run_training`` and ``evaluate_mse`` BLAS runs one thread;
+    after each, also after a run that raises, the caller's count is back."""
+    seen = []
+
+    def recording(net, batch):
+        seen.append(netcore.blas_runtime().threads)
+        return forward(net, batch)
+
+    monkeypatch.setattr(train_module, "forward", recording)
+    result = run_training(toy_config(epochs=1))
+    assert netcore.blas_runtime().threads == 2
+    x, y, xte, yte = load_dataset(result.config, result.net)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="epoch 1"):
+        run_training(toy_config(epochs=1), data=(np.full_like(x, np.nan), y, xte, yte))
+    assert netcore.blas_runtime().threads == 2
+    evaluate_mse(result.net, xte, yte)
+    assert netcore.blas_runtime().threads == 2
+    assert seen and set(seen) == {1}
 
 
 def test_evaluate_mse_matches_unbatched_loss():

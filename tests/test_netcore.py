@@ -447,7 +447,7 @@ def test_blas_runtime_reads_the_thread_count_set_before_numpy_loads(threads):
 
 def test_blas_runtime_is_unknown_without_the_entry_points():
     """A library that lacks scipy-openblas's symbols (here the process's own
-    symbol table) or cannot be opened reads as unknown, and gives no lane."""
+    symbol table) or cannot be opened reads as unknown."""
     unknown = netcore.BlasRuntime()
     assert unknown.threads is None and unknown.core == "unknown"
     assert netcore.blas_runtime(lambda path: ctypes.CDLL(None)) == unknown

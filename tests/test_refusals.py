@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError
+from prunescope.harness import train as train_module
 from prunescope.harness.cli import main
 from prunescope.harness.data import IDX_IMAGE_MAGIC, synthetic_dataset
 from prunescope.harness.train import evaluate_mse, run_training
@@ -221,6 +222,25 @@ def test_library_calls_refuse_malformed_arguments():
     empty = (np.empty((0, 4)), np.empty((0, 2)), np.empty((0, 4)), np.empty((0, 2)))
     with pytest.raises(ConfigurationError, match="training set is empty"):
         run_training(toy_config(), net=net, data=empty)
+
+
+@pytest.mark.parametrize("batch_size, rows, width, message", [
+    (-1, 5, 2, "batch_size must be at least 1, got -1"),
+    (0, 5, 2, "batch_size must be at least 1, got 0"),
+    (256, 4, 2, r"targets of shape \(4, 2\) do not match 5 rows"),
+    (256, 5, 3, r"targets of shape \(5, 3\) do not match 5 rows of network output width 2"),
+])
+def test_evaluate_mse_refuses_a_bad_batch_size_or_target_shape(monkeypatch, batch_size,
+                                                               rows, width, message):
+    """Refused before any forward pass. Unchecked, a negative batch size
+    returned 0.0 and the others raised bare ValueErrors."""
+    def no_forward(*args):
+        raise AssertionError("forward ran")
+
+    monkeypatch.setattr(train_module, "forward", no_forward)
+    net = build_sequential([4, 3, 2], ["relu", "identity"], {"body": (0, 2)}, 0)
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate_mse(net, np.ones((5, 4)), np.zeros((rows, width)), batch_size)
 
 
 def test_group_ids_that_collide_are_refused_by_name():
