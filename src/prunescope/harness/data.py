@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigurationError, DataFormatError
+from ..netcore import MAX_FLOAT64S
 
 IDX_IMAGE_MAGIC = 0x00000803  # unsigned bytes, rank 3
 
@@ -90,6 +91,8 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         rank = min(in_dim, 16)
     if not 1 <= rank <= in_dim:
         raise ConfigurationError(f"rank must lie in [1, {in_dim}], got {rank}")
+    if (n_train + n_test) * max(in_dim, out_dim) > MAX_FLOAT64S:
+        raise ConfigurationError(f"{n_train + n_test} dataset rows exceed any address space")
     rng = np.random.default_rng([int(seed), 9157])
     factors = rng.uniform(0.0, 1.0, size=(n_train + n_test, rank))
     mix = rng.uniform(-1.0, 1.0, size=(rank, in_dim))

@@ -153,9 +153,9 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     coeffs = {} if l1 is None else dict(zip(graph.group_ids(), l1))
     scratch = np.empty(net.flat_grad.size)
     args = (states, net.flat_grad, net.flat_values, coeffs, scratch, cfg, gamma)
-    with second_lane(scratch.size) as lane:
+    with second_lane(scratch.size) as submit:
         for part in graph.parts[1:]:
-            lane.submit(_update_part, *part, *args)
+            submit(_update_part, *part, *args)
         _update_part(*graph.parts[0], *args)
     return states
 

@@ -32,6 +32,8 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 ROLE_WEIGHT = "weight"
 ROLE_BIAS = "bias"
 
+MAX_FLOAT64S = 1 << 54  # 2**57 bytes: more than any 64-bit CPU can address
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ParamTensor:
@@ -116,6 +118,8 @@ def seeded_layer(index: int, in_dim: int, out_dim: int, activation: str,
     activation)``, with weight then bias drawn uniformly in +-1/sqrt(in_dim)."""
     if in_dim < 1 or out_dim < 1:
         raise ConfigurationError(f"layer {index}: widths must be positive")
+    if in_dim * out_dim > MAX_FLOAT64S:
+        raise ConfigurationError(f"layer {index}: {out_dim}x{in_dim} weights exceed any address space")
     bound = 1.0 / math.sqrt(in_dim)
     return (rng.uniform(-bound, bound, size=(out_dim, in_dim)),
             rng.uniform(-bound, bound, size=out_dim), activation)
@@ -385,7 +389,7 @@ def backward(net: Network, activations: list[np.ndarray],
         raise ConfigurationError(
             f"d_output width {d_output.shape[1]} does not match network output "
             f"width {col}")
-    with second_lane(net.flat_grad.size) as lane:
+    with second_lane(net.flat_grad.size) as submit:
         for k in reversed(range(n)):
             dh = d_h[k]
             assert dh is not None  # every non-sink layer feeds a later layer
@@ -398,7 +402,7 @@ def backward(net: Network, activations: list[np.ndarray],
             src = net.source(k)
             x, wg, bg = activations[src + 1], layer.weight.grad, layer.bias.grad
             if src >= 0:
-                lane.submit(_param_grads, dz, x, wg, bg)
+                submit(_param_grads, dz, x, wg, bg)
                 d_in = dz @ layer.weight.values
                 d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
             else:
@@ -417,35 +421,32 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
 
 
 # Elements per Adam block: the block's gradient, moments, values and two
-# scratch buffers (6 x 256 KiB = 1.5 MiB) stay in one core's 2 MiB L2 cache
+# temporaries (6 x 256 KiB = 1.5 MiB) stay in one core's 2 MiB L2 cache
 # through all the passes of the update.
 ADAM_BLOCK = 32768
 
 
-def _blockwise(net: Network, update: Callable[[int, int, int], np.ndarray],
+def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
                context: str) -> None:
-    """Run ``update(lo, hi, lane)`` over the arena in ``ADAM_BLOCK`` blocks and
-    check the new values it returns for each block while they are still in
-    cache.
-
-    The upper half of the blocks runs on the second lane (``lane`` is 1
-    there, 0 here), so each lane can keep scratch of its own. A block that
-    holds a non-finite value stops its half; once both halves are done,
-    the error names the first tensor that holds one.
+    """Run ``update(lo, hi)`` over the arena in ``ADAM_BLOCK`` blocks, the
+    upper half of them on the second lane, and check the new values it
+    returns for each block while they are still in cache. A block that holds
+    a non-finite value stops its half; once both halves are done, the error
+    names the first tensor that holds one.
     """
     size = net.flat_values.size
     starts = range(0, size, ADAM_BLOCK)
     half = (size + ADAM_BLOCK) // (2 * ADAM_BLOCK)
 
-    def run(starts: range, lane: int) -> None:
+    def run(starts: range) -> None:
         for lo in starts:
-            if not np.isfinite(update(lo, lo + ADAM_BLOCK, lane)).all():
+            if not np.isfinite(update(lo, lo + ADAM_BLOCK)).all():
                 raise NumericsError(context)
 
     try:
-        with second_lane(size) as lane:
-            lane.submit(run, starts[half:], 1)
-            run(starts[:half], 0)
+        with second_lane(size) as submit:
+            submit(run, starts[half:])
+            run(starts[:half])
     except NumericsError:
         net._raise_non_finite(context)
 
@@ -461,7 +462,7 @@ class SGD:
     def step(self, net: Network) -> None:
         theta, g, lr = net.flat_values, net.flat_grad, self.lr
 
-        def update(lo: int, hi: int, lane: int) -> np.ndarray:
+        def update(lo: int, hi: int) -> np.ndarray:
             tb = theta[lo:hi]
             tb -= lr * g[lo:hi]
             return tb
@@ -478,8 +479,8 @@ class Adam:
     The update runs in place, block by block, in the element-wise order
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
-    are checked for finiteness while still in cache. Each lane has its own
-    pair of scratch blocks. A step keeps the caller's BLAS thread count.
+    are checked for finiteness while still in cache. Each block allocates
+    its own two temporaries. A step keeps the caller's BLAS thread count.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -496,7 +497,6 @@ class Adam:
         self.eps = float(eps)
         self._layout: tuple = ()
         self._m = self._v = np.empty(0)
-        self._scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
         self._t = 0
 
     def step(self, net: Network) -> None:
@@ -505,22 +505,17 @@ class Adam:
             self._layout = net.layout
             self._m = np.zeros(n)
             self._v = np.zeros(n)
-            block = min(n, ADAM_BLOCK)
-            self._scratch = tuple((np.empty(block), np.empty(block)) for _ in range(2))
             self._t = 0
         self._t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
         theta, g, m, v = net.flat_values, net.flat_grad, self._m, self._v
-        scratch = self._scratch
 
-        def update(lo: int, hi: int, lane: int) -> np.ndarray:
+        def update(lo: int, hi: int) -> np.ndarray:
             gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
-            s, u = scratch[lane]
-            s, u = s[:gb.size], u[:gb.size]
             np.multiply(mb, b1, out=mb)
-            np.multiply(gb, 1.0 - b1, out=s)
+            s = np.multiply(gb, 1.0 - b1)
             np.add(mb, s, out=mb)
             np.multiply(vb, b2, out=vb)
             np.multiply(gb, 1.0 - b2, out=s)
@@ -529,7 +524,7 @@ class Adam:
             np.divide(vb, c2, out=s)
             np.sqrt(s, out=s)
             np.add(s, eps, out=s)
-            np.divide(mb, c1, out=u)
+            u = np.divide(mb, c1)
             np.multiply(u, lr, out=u)
             np.divide(u, s, out=u)
             return np.subtract(tb, u, out=tb)
@@ -550,22 +545,22 @@ class BlasRuntime:
     threads: int | None = None
 
 
-def blas_runtime(load: Callable[[str], object] = ctypes.CDLL) -> BlasRuntime:
+def blas_runtime() -> BlasRuntime:
     """Read numpy's BLAS name, version, CPU core kernel and thread count.
 
-    Only numpy's bundled scipy-openblas (64-bit integer build) is read: its
-    library file is opened again with ``load``, which gives back the copy
-    numpy already loaded, and asked through ``ctypes``. Any other build, a
-    library without those entry points or a failed call gives the
-    all-unknown record; this function never raises.
+    Only numpy's bundled scipy-openblas (64-bit integer build) is read, asked
+    through ``ctypes`` on the handle :func:`one_blas_thread` also uses. Any
+    other build (no handle: ``_ask`` raises ``AttributeError``), a library
+    without those entry points or a failed call gives the all-unknown
+    record; this function never raises.
     """
+    lib = _openblas()
     try:
-        lib = load(_openblas_file())
         config = _ask(lib, "get_config", ctypes.c_char_p).decode().split()
         return BlasRuntime("scipy-openblas", config[1],
                            _ask(lib, "get_corename", ctypes.c_char_p).decode(),
                            int(_ask(lib, "get_num_threads", ctypes.c_int)))
-    except (OSError, AttributeError, IndexError, TypeError, ValueError):
+    except (AttributeError, IndexError, TypeError, ValueError):
         return BlasRuntime()
 
 
@@ -589,6 +584,7 @@ def _ask(lib: object, what: str, restype: type | None, *args: int) -> object:
 
 @functools.cache
 def _openblas() -> ctypes.CDLL | None:
+    """numpy's loaded scipy-openblas, opened once; None where it cannot be."""
     try:
         return ctypes.CDLL(_openblas_file())
     except OSError:
@@ -627,12 +623,9 @@ def _usable_cores() -> int:
 
 
 class _Lane:
-    """One persistent worker thread that runs whole calls handed to it.
-
-    The worker starts on first use and then waits for calls, one stage's
-    at a time: a stage holds ``taken`` from when it opens until every call
-    it handed over has finished.
-    """
+    """One worker thread, started on first use, that runs the whole calls
+    of one stage at a time: a stage holds ``taken`` from when it opens until
+    every call it handed over has finished."""
 
     def __init__(self) -> None:
         self.taken = threading.Lock()
@@ -644,10 +637,10 @@ class _Lane:
     def serve(self) -> None:
         while True:
             self.queued.acquire()
-            stage, func, args = self.todo.popleft()
-            stage.context.run(stage.call, func, args)
+            context, errors, func, args = self.todo.popleft()
+            context.run(_call, errors, func, args)
             # An idle worker must not keep the last call's arrays alive.
-            del stage, func, args
+            del context, errors, func, args
             self.finished.release()
 
 
@@ -662,76 +655,55 @@ def _fresh_lane() -> None:
 os.register_at_fork(after_in_child=_fresh_lane)
 
 
-class _Stage:
-    """The calls one stage hands to the second lane; see :func:`second_lane`.
+def _call(errors: list[BaseException], func: Callable, args: tuple) -> None:
+    try:
+        func(*args)
+    except BaseException as exc:  # re-raised when the stage closes
+        errors.append(exc)
 
-    The lane runs them in a copy of the context the stage was opened in, so
-    settings such as ``np.errstate`` hold on both threads.
+
+@contextlib.contextmanager
+def second_lane(size: int) -> Iterator[Callable[..., None]]:
+    """A stage over ``size`` arena elements: the ``with`` block gets
+    ``submit(func, *args)``, which hands a whole call to the second lane.
+
+    Leaving the block waits for every handed call, then re-raises the first
+    exception one raised (an exception of the block itself wins). Calls go
+    to the lane only when the stage spans at least one ``ADAM_BLOCK``, the
+    process may use two cores (:func:`_lane_rule`) and no other stage holds
+    the lane, such as one whose call opened this one; otherwise ``submit``
+    runs each call at once, under the same rules. The lane runs calls in a
+    copy of the stage's context, so ``np.errstate`` holds there too. A
+    training step opens three stages: :func:`backward`,
+    ``importance.update_all`` and the optimizer step. Each handed call is
+    whole and writes its own arrays, so no bit depends on the thread.
     """
-
-    __slots__ = ("lane", "context", "sent", "error")
-
-    def __init__(self, lane: _Lane | None) -> None:
-        self.lane = lane
-        self.context = None if lane is None else contextvars.copy_context()
-        self.sent = 0
-        self.error: BaseException | None = None
-
-    def call(self, func: Callable, args: tuple) -> None:
-        try:
-            func(*args)
-        except BaseException as exc:  # re-raised by __exit__ after the join
-            if self.error is None:
-                self.error = exc
-
-    def submit(self, func: Callable, *args: object) -> None:
-        """Run ``func(*args)`` on the lane, or here and now without one."""
-        lane = self.lane
-        if lane is None:
-            self.call(func, args)
-            return
-        lane.todo.append((self, func, args))
-        lane.queued.release()
-        self.sent += 1
-
-    def __enter__(self) -> "_Stage":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        lane = self.lane
-        if lane is not None:
-            for _ in range(self.sent):
-                lane.finished.acquire()
-            lane.taken.release()
-        if self.error is not None and exc is None:
-            raise self.error
-        return False
-
-
-def second_lane(size: int) -> _Stage:
-    """Open a stage over ``size`` arena elements, for use as ``with``.
-
-    The stage hands whole calls to the second lane with ``submit`` and does
-    the rest itself; leaving the ``with`` block waits for every handed call
-    to finish, then re-raises the first exception one of them raised (an
-    exception of the block itself takes precedence). Calls go to the lane
-    only when the stage spans at least one ``ADAM_BLOCK`` and the process
-    may use two cores (:func:`_lane_rule`), whatever BLAS's thread count,
-    and only from one stage at a time: a stage opened meanwhile, such as one
-    inside a call the lane runs, runs its calls inline. Inline, ``submit``
-    runs the call at once, so the two cases are one code path. A training
-    step opens three stages: :func:`backward`, ``importance.update_all`` and
-    the optimizer step. Each handed call is whole and writes its own arrays,
-    so no bit depends on which thread made it.
-    """
+    errors: list[BaseException] = []
     lane = _LANE
-    if size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False):
+    if not (size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False)):
+        yield lambda func, *args: _call(errors, func, args)
+    else:
         if lane.worker is None:
             lane.worker = threading.Thread(target=lane.serve, name="prunescope-lane",
                                            daemon=True)
             lane.worker.start()
-        return _Stage(lane)
-    return _Stage(None)
+        context = contextvars.copy_context()
+        sent = 0
+
+        def submit(func: Callable, *args: object) -> None:
+            nonlocal sent
+            lane.todo.append((context, errors, func, args))
+            lane.queued.release()
+            sent += 1
+
+        try:
+            yield submit
+        finally:
+            for _ in range(sent):
+                lane.finished.acquire()
+            lane.taken.release()
+    if errors:
+        raise errors[0]
 
 
 # -- checkpoints ---------------------------------------------------------

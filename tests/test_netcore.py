@@ -401,28 +401,34 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
     assert "layer1.weight" in messages[0]
 
 
-def test_second_lane_reraises_after_both_halves_finish(force_lane):
-    force_lane(True)
+@pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
+def test_second_lane_reraises_after_both_halves_finish(force_lane, on):
+    """With the lane and inline alike, every call runs, the first error is
+    raised after the block, and an error of the block itself wins."""
+    lane = force_lane(on)
     done = []
 
     def fail():
-        done.append("lane")
-        raise ValueError("from the lane")
+        done.append("call")
+        raise ValueError("from the call")
 
-    with pytest.raises(ValueError, match="from the lane"):
-        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-            lane.submit(fail)
+    with pytest.raises(ValueError, match="from the call"):
+        with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+            submit(fail)
             done.append("here")
-    assert sorted(done) == ["here", "lane"]
+    assert sorted(done) == ["call", "here"]
     # An exception of the stage itself wins; the lane is free afterwards.
     with pytest.raises(KeyError):
-        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-            lane.submit(fail)
+        with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+            submit(fail)
             raise KeyError("here")
-    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-        assert lane.lane is not None
-        with netcore.second_lane(netcore.ADAM_BLOCK) as nested:
-            assert nested.lane is None  # the lane is taken: inline
+    threads = {}  # the thread each call ran on
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(lambda: threads.setdefault("outer", threading.get_ident()))
+        with netcore.second_lane(netcore.ADAM_BLOCK) as nested:  # the lane is taken: inline
+            nested(lambda: threads.setdefault("nested", threading.get_ident()))
+    here = threading.get_ident()
+    assert threads == {"outer": lane.worker.ident if on else here, "nested": here}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -445,32 +451,30 @@ def test_blas_runtime_reads_the_thread_count_set_before_numpy_loads(threads):
     assert blas["threads"] == min(threads, cores)
 
 
-def test_blas_runtime_is_unknown_without_the_entry_points():
-    """A library that lacks scipy-openblas's symbols (here the process's own
-    symbol table) or cannot be opened reads as unknown."""
+def test_blas_runtime_is_unknown_without_the_entry_points(monkeypatch):
+    """A handle that lacks scipy-openblas's symbols (here the process's own
+    symbol table), and no handle where the library cannot be opened, read as
+    unknown."""
     unknown = netcore.BlasRuntime()
     assert unknown.threads is None and unknown.core == "unknown"
-    assert netcore.blas_runtime(lambda path: ctypes.CDLL(None)) == unknown
-
-    def missing(path):
-        raise OSError(f"cannot open {path}")
-
-    assert netcore.blas_runtime(missing) == unknown
+    for handle in (ctypes.CDLL(None), None):
+        monkeypatch.setattr(netcore, "_openblas", lambda: handle)
+        assert netcore.blas_runtime() == unknown
 
 
 def test_the_lane_runs_calls_under_the_callers_errstate(force_lane):
     force_lane(True)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-            lane.submit(np.divide, np.ones(2), np.zeros(2))
+        with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+            submit(np.divide, np.ones(2), np.zeros(2))
 
 
 def test_an_idle_lane_keeps_no_reference_to_its_last_call(force_lane):
     force_lane(True)
     arena = np.zeros(4)
     alive = weakref.ref(arena)
-    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-        lane.submit(np.add, arena, 1.0, arena)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(np.add, arena, 1.0, arena)
     del arena
     assert alive() is None
 
@@ -478,14 +482,14 @@ def test_an_idle_lane_keeps_no_reference_to_its_last_call(force_lane):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_lane(force_lane):
     parent_lane = force_lane(True)
-    with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-        lane.submit(lambda: None)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(lambda: None)
     assert parent_lane.worker is not None
     pid = os.fork()
     if pid == 0:  # the child: a stage must get a lane of its own and finish
         done = []
-        with netcore.second_lane(netcore.ADAM_BLOCK) as lane:
-            lane.submit(lambda: done.append(threading.get_ident()))
+        with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+            submit(lambda: done.append(threading.get_ident()))
         ok = (netcore._LANE is not parent_lane and done
               and done[0] == netcore._LANE.worker.ident)
         os._exit(0 if ok else 1)

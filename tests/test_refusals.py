@@ -46,6 +46,13 @@ def mnist_counts(**counts):
     return {"dataset": {"kind": "mnist", "train_images": "missing.idx", **counts}}
 
 
+def custom_widths(hidden):
+    """A custom model section whose one hidden layer is ``hidden`` wide."""
+    return {"model": {"preset": "custom", "widths": [16, hidden, 2],
+                      "activations": ["relu", "identity"],
+                      "components": {"encoder": [0, 1], "decoder": [1, 2]}}}
+
+
 CONFIG_CASES = {
     "optimizer_kind": ({"optimizer": {"kind": "rmsprop"}}, "unknown optimizer 'rmsprop'"),
     "adam_lr": ({"optimizer": {"lr": 0.0}}, "learning rate must be positive"),
@@ -59,6 +66,11 @@ CONFIG_CASES = {
     "mnist_n_train_negative": (mnist_counts(n_train=-5), "need n_train >= 1 and n_test >= 0"),
     "mnist_n_test_negative": (mnist_counts(n_train=10, n_test=-2),
                               "need n_train >= 1 and n_test >= 0"),
+    # Past any address space: refused before numpy is asked for the array.
+    "width_2_55": (custom_widths(2**55), "layer 0: 36028797018963968x16 weights exceed"),
+    "width_2_62": (custom_widths(2**62), "layer 0: 4611686018427387904x16 weights exceed"),
+    "n_train_2_55": ({"dataset": {"n_train": 2**55}},
+                     f"{2**55 + 32} dataset rows exceed any address space"),
 }
 
 
