@@ -94,16 +94,19 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
     if (n_train + n_test) * max(in_dim, out_dim) > MAX_FLOAT64S:
         raise ConfigurationError(f"{n_train + n_test} dataset rows exceed any address space")
     rng = np.random.default_rng([int(seed), 9157])
-    factors = rng.uniform(0.0, 1.0, size=(n_train + n_test, rank))
-    mix = rng.uniform(-1.0, 1.0, size=(rank, in_dim))
-    x = factors @ mix
-    lo = x.min()
-    span = x.max() - lo
-    x = (x - lo) / (span if span > 0 else 1.0)
-    if target == "identity":
-        y = x
-    else:
-        a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)
-        c = rng.uniform(0.0, 1.0, size=out_dim)
-        y = x @ a + c
+    try:
+        factors = rng.uniform(0.0, 1.0, size=(n_train + n_test, rank))
+        mix = rng.uniform(-1.0, 1.0, size=(rank, in_dim))
+        x = factors @ mix
+        lo = x.min()
+        span = x.max() - lo
+        x = (x - lo) / (span if span > 0 else 1.0)
+        if target == "identity":
+            y = x
+        else:
+            a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)
+            c = rng.uniform(0.0, 1.0, size=out_dim)
+            y = x @ a + c
+    except MemoryError:
+        raise ConfigurationError(f"{n_train + n_test} dataset rows exceed memory") from None
     return x[:n_train], y[:n_train], x[n_train:], y[n_train:]

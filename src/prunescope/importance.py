@@ -128,19 +128,19 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     ``states``; deterministic for identical inputs.
 
     ``l1`` holds one coefficient per group in ``graph.groups`` order (the
-    schedule's value times the loss weight). Each of the graph's parts takes
-    the squared and then the absolute gradients over its arena runs, into one
-    buffer: the last reads of the gradients. Each group's metric is reduced
-    from the buffer over its tensors' slots in slice order by
-    :func:`slot_sum`: the gradient magnitude (1/N) sum |g|, also the energy
-    the Bayes tracker observes, and the Fisher diagonal (1/N) sum g^2; one that
-    is not finite raises :class:`NumericsError`. Only then does the group add
-    ``coeff * sign(theta)`` over its runs, one ``ADAM_BLOCK`` at a time through
-    its own slots of the buffer, unless its coefficient is zero (which would
-    turn a ``-0.0`` gradient into ``+0.0``). The second part, if any, runs on
-    the second lane. Where the slots lie and which of them feed each unit score
-    was fixed by :func:`build_groups`, so a step does only the arithmetic, and
-    a group's arithmetic does not depend on the part it is in.
+    schedule's value times the loss weight). Each group is one
+    :func:`second_lane` call, which takes the squared and then the absolute
+    gradients over the group's arena runs into its runs of one buffer: the
+    last reads of its gradients. Its metrics are reduced from the buffer over
+    its slots in slice order by :func:`slot_sum`: the gradient magnitude
+    (1/N) sum |g|, also the energy the Bayes tracker observes, and the Fisher
+    diagonal (1/N) sum g^2; one that is not finite raises
+    :class:`NumericsError`. Only then does the group add ``coeff *
+    sign(theta)`` over its runs, one ``ADAM_BLOCK`` at a time through its
+    runs of the buffer, unless its coefficient is zero (which would turn a
+    ``-0.0`` gradient into ``+0.0``). Where the slots lie and which of them
+    feed each unit score was fixed by :func:`build_groups`. Groups own
+    disjoint runs, so no group's arithmetic depends on another's.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
@@ -148,70 +148,66 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     for group in graph.groups:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
-    if l1 is not None and len(l1) != len(graph.groups):
+    l1 = [0.0] * len(graph.groups) if l1 is None else l1
+    if len(l1) != len(graph.groups):
         raise ConfigurationError(f"need one L1 coefficient per group, got {len(l1)}")
-    coeffs = {} if l1 is None else dict(zip(graph.group_ids(), l1))
     scratch = np.empty(net.flat_grad.size)
-    args = (states, net.flat_grad, net.flat_values, coeffs, scratch, cfg, gamma)
     with second_lane(scratch.size) as submit:
-        for part in graph.parts[1:]:
-            submit(_update_part, *part, *args)
-        _update_part(*graph.parts[0], *args)
+        for group, coeff in zip(graph.groups, l1):
+            submit(_update_group, group, coeff, states, net.flat_grad, net.flat_values,
+                   scratch, cfg, gamma)
     return states
 
 
-def _update_part(groups: tuple[PruningGroup, ...], runs: tuple[tuple[int, int], ...],
-                 states: dict[str, GroupImportanceState], grad: np.ndarray,
-                 values: np.ndarray, coeffs: Mapping[str, float],
-                 scratch: np.ndarray, cfg: BayesConfig, gamma: float) -> None:
-    for lo, hi in runs:
+def _update_group(group: PruningGroup, coeff: float, states: dict[str, GroupImportanceState],
+                  grad: np.ndarray, values: np.ndarray, scratch: np.ndarray,
+                  cfg: BayesConfig, gamma: float) -> None:
+    for lo, hi in group.runs:
         np.square(grad[lo:hi], out=scratch[lo:hi])
-    fishers = [slot_sum(scratch, group.slots) / group.param_count for group in groups]
-    for lo, hi in runs:
+    raw_fisher = slot_sum(scratch, group.slots) / group.param_count
+    for lo, hi in group.runs:
         np.abs(grad[lo:hi], out=scratch[lo:hi])
-    for group, raw_fisher in zip(groups, fishers):
-        state = states[group.id]
-        raw_grad = slot_sum(scratch, group.slots) / group.param_count
-        if math.isfinite(raw_grad):  # else bayes_update would refuse it
-            bayes_update(state, raw_grad, cfg)
-        raw_bayes = bayes_importance(state.mu, raw_fisher)
-        if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
-                and math.isfinite(raw_bayes)):
-            raise NumericsError(f"group {group.id!r}: importance is not finite, grad "
-                                f"{raw_grad}, fisher {raw_fisher}, bayes {raw_bayes}")
+    state = states[group.id]
+    raw_grad = slot_sum(scratch, group.slots) / group.param_count
+    if math.isfinite(raw_grad):  # else bayes_update would refuse it
+        bayes_update(state, raw_grad, cfg)
+    raw_bayes = bayes_importance(state.mu, raw_fisher)
+    if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
+            and math.isfinite(raw_bayes)):
+        raise NumericsError(f"group {group.id!r}: importance is not finite, grad "
+                            f"{raw_grad}, fisher {raw_fisher}, bayes {raw_bayes}")
+    first = state.iteration == 0
+    state.raw_grad = raw_grad
+    state.raw_fisher = raw_fisher
+    state.raw_bayes = raw_bayes
+    if first:
+        state.ema_grad = raw_grad
+        state.ema_fisher = raw_fisher
+        state.ema_bayes = raw_bayes
+    else:
+        state.ema_grad = ema_update(state.ema_grad, raw_grad, gamma)
+        state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, gamma)
+        state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, gamma)
 
-        first = state.iteration == 0
-        state.raw_grad = raw_grad
-        state.raw_fisher = raw_fisher
-        state.raw_bayes = raw_bayes
-        if first:
-            state.ema_grad = raw_grad
-            state.ema_fisher = raw_fisher
-            state.ema_bayes = raw_bayes
-        else:
-            state.ema_grad = ema_update(state.ema_grad, raw_grad, gamma)
-            state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, gamma)
-            state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, gamma)
-
-        # Per-unit mean |grad| over the slices each unit layer indexes.
-        for unit_layer, width, parts, per_unit in group.units:
-            numerator = np.zeros(width)
-            for i, axis in parts:
-                lo, hi, shape = group.slots[i]
-                a = scratch[lo:hi].reshape(shape)
-                numerator += a if axis is None else np.add.reduce(a, axis)
-            scores = numerator / per_unit
-            previous = state.unit_ema.get(unit_layer)
-            state.unit_ema[unit_layer] = (scores if first or previous is None
-                                          else ema_update(previous, scores, gamma))
-        state.iteration += 1
-        if coeffs.get(group.id, 0.0) != 0.0:  # the metrics have read its scratch
-            for lo, hi in group.runs:
-                for start in range(lo, hi, ADAM_BLOCK):
-                    end = min(start + ADAM_BLOCK, hi)
-                    step = np.sign(values[start:end], out=scratch[start:end])
-                    g = grad[start:end]
-                    g += np.multiply(step, coeffs[group.id], out=step)
+    # Per-unit mean |grad| over the slices each unit layer indexes.
+    for unit_layer, width, parts, per_unit in group.units:
+        numerator = np.zeros(width)
+        for i, axis in parts:
+            lo, hi, shape = group.slots[i]
+            a = scratch[lo:hi].reshape(shape)
+            numerator += a if axis is None else np.add.reduce(a, axis)
+        scores = numerator / per_unit
+        previous = state.unit_ema.get(unit_layer)
+        state.unit_ema[unit_layer] = (scores if first or previous is None
+                                      else ema_update(previous, scores, gamma))
+    state.iteration += 1
+    if coeff != 0.0:  # the metrics have read its scratch
+        for lo, hi in group.runs:
+            for start in range(lo, hi, ADAM_BLOCK):
+                end = min(start + ADAM_BLOCK, hi)
+                step = np.sign(values[start:end], out=scratch[start:end])
+                g = grad[start:end]
+                g += np.multiply(step, coeff, out=step)
 
 
 def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:

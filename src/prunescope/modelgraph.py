@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError
-from .netcore import ADAM_BLOCK, Network, ROLE_BIAS, ROLE_WEIGHT
+from .netcore import Network, ROLE_BIAS, ROLE_WEIGHT
 
 KIND_COMPONENT = "component_specific"
 KIND_COUPLING = "coupling"
@@ -75,10 +75,7 @@ class ComponentGraph:
 
     ``layout`` is the network's :attr:`Network.layout` (tensor names and
     shapes) that the groups were built for; their arena positions serve
-    only networks of that layout. ``parts`` splits the groups for the
-    second lane: one ``(groups, runs)`` pair, or two of about equal element
-    count when the network spans at least one ``ADAM_BLOCK``, each with
-    its groups' slots merged into arena runs.
+    only networks of that layout.
     """
 
     def __init__(self, groups: Iterable[PruningGroup], layers_per_group: int,
@@ -86,7 +83,6 @@ class ComponentGraph:
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
-        self.parts = _split(self.groups)
         self._by_id: dict[str, PruningGroup] = {}
         for g in self.groups:
             if g.id in self._by_id:
@@ -135,19 +131,6 @@ def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         else:
             runs.append((lo, hi))
     return tuple(runs)
-
-
-def _split(groups: tuple[PruningGroup, ...]) -> tuple:
-    """One part, or two at the group boundary that best halves the elements."""
-    total = sum(g.param_count for g in groups)
-    cut, best, before = len(groups), total, 0
-    if total >= ADAM_BLOCK:
-        for i, g in enumerate(groups[:-1], start=1):
-            before += g.param_count
-            if abs(2 * before - total) < best:
-                cut, best = i, abs(2 * before - total)
-    return tuple((part, _merged([r for g in part for r in g.runs]))
-                 for part in (groups[:cut], groups[cut:]) if part)
 
 
 def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],

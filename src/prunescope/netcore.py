@@ -121,8 +121,11 @@ def seeded_layer(index: int, in_dim: int, out_dim: int, activation: str,
     if in_dim * out_dim > MAX_FLOAT64S:
         raise ConfigurationError(f"layer {index}: {out_dim}x{in_dim} weights exceed any address space")
     bound = 1.0 / math.sqrt(in_dim)
-    return (rng.uniform(-bound, bound, size=(out_dim, in_dim)),
-            rng.uniform(-bound, bound, size=out_dim), activation)
+    try:
+        return (rng.uniform(-bound, bound, size=(out_dim, in_dim)),
+                rng.uniform(-bound, bound, size=out_dim), activation)
+    except MemoryError:
+        raise ConfigurationError(f"layer {index}: {out_dim}x{in_dim} weights exceed memory") from None
 
 
 class Network:
@@ -366,12 +369,11 @@ def backward(net: Network, activations: list[np.ndarray],
     points (one layer feeding several consumers) accumulate the sum of the
     consumers' input gradients. Gradients are overwritten in place, not
     accumulated, across calls; one scan of the gradient arena then checks
-    them all. Each layer's weight and bias gradients go to the second lane
-    (see :func:`second_lane`) while this thread computes the gradient of
-    the layer's input. A layer that reads the network input has none, so
-    this thread computes its gradients whole while the lane finishes the
-    others. No product is split, so no bit depends on the lane. The
-    products run at the caller's BLAS thread count.
+    them all. Each layer's weight and bias gradients are one
+    :func:`second_lane` call, queued while this thread computes the gradient
+    of the layer's input; a layer that reads the network input has none, so
+    this thread computes its gradients itself. No product is split, so no
+    bit depends on the lane. Products run at the caller's BLAS thread count.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -428,25 +430,21 @@ ADAM_BLOCK = 32768
 
 def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
                context: str) -> None:
-    """Run ``update(lo, hi)`` over the arena in ``ADAM_BLOCK`` blocks, the
-    upper half of them on the second lane, and check the new values it
-    returns for each block while they are still in cache. A block that holds
-    a non-finite value stops its half; once both halves are done, the error
-    names the first tensor that holds one.
+    """Run ``update(lo, hi)`` over the arena as one :func:`second_lane` call
+    per ``ADAM_BLOCK``, and check the new values it returns for each block
+    while they are still in cache. Once every block is done, a non-finite
+    value raises an error that names the first tensor that holds one.
     """
     size = net.flat_values.size
-    starts = range(0, size, ADAM_BLOCK)
-    half = (size + ADAM_BLOCK) // (2 * ADAM_BLOCK)
 
-    def run(starts: range) -> None:
-        for lo in starts:
-            if not np.isfinite(update(lo, lo + ADAM_BLOCK)).all():
-                raise NumericsError(context)
+    def run(lo: int) -> None:
+        if not np.isfinite(update(lo, lo + ADAM_BLOCK)).all():
+            raise NumericsError(context)
 
     try:
         with second_lane(size) as submit:
-            submit(run, starts[half:])
-            run(starts[:half])
+            for lo in range(0, size, ADAM_BLOCK):
+                submit(run, lo)
     except NumericsError:
         net._raise_non_finite(context)
 
@@ -623,9 +621,9 @@ def _usable_cores() -> int:
 
 
 class _Lane:
-    """One worker thread, started on first use, that runs the whole calls
-    of one stage at a time: a stage holds ``taken`` from when it opens until
-    every call it handed over has finished."""
+    """One worker thread, started on first use, that takes the whole calls
+    of one stage at a time from the front of ``todo``: a stage holds
+    ``taken`` from when it opens until every call it queued has finished."""
 
     def __init__(self) -> None:
         self.taken = threading.Lock()
@@ -637,11 +635,18 @@ class _Lane:
     def serve(self) -> None:
         while True:
             self.queued.acquire()
-            context, errors, func, args = self.todo.popleft()
-            context.run(_call, errors, func, args)
-            # An idle worker must not keep the last call's arrays alive.
-            del context, errors, func, args
-            self.finished.release()
+            if self.run(self.todo.popleft):
+                self.finished.release()
+
+    def run(self, take: Callable[[], Callable[[], None]]) -> bool:
+        """Run the call ``take`` removes from ``todo``; False if none is left.
+        The call goes with this frame: an idle worker keeps none of its arrays."""
+        try:
+            call = take()
+        except IndexError:
+            return False
+        call()
+        return True
 
 
 _LANE = _Lane()
@@ -655,55 +660,58 @@ def _fresh_lane() -> None:
 os.register_at_fork(after_in_child=_fresh_lane)
 
 
-def _call(errors: list[BaseException], func: Callable, args: tuple) -> None:
+def _call(errors: dict[int, BaseException], index: int, func: Callable, args: tuple) -> None:
     try:
         func(*args)
     except BaseException as exc:  # re-raised when the stage closes
-        errors.append(exc)
+        errors[index] = exc
 
 
 @contextlib.contextmanager
 def second_lane(size: int) -> Iterator[Callable[..., None]]:
     """A stage over ``size`` arena elements: the ``with`` block gets
-    ``submit(func, *args)``, which hands a whole call to the second lane.
+    ``submit(func, *args)``, which queues a whole call for the second lane.
 
-    Leaving the block waits for every handed call, then re-raises the first
-    exception one raised (an exception of the block itself wins). Calls go
-    to the lane only when the stage spans at least one ``ADAM_BLOCK``, the
-    process may use two cores (:func:`_lane_rule`) and no other stage holds
-    the lane, such as one whose call opened this one; otherwise ``submit``
-    runs each call at once, under the same rules. The lane runs calls in a
-    copy of the stage's context, so ``np.errstate`` holds there too. A
-    training step opens three stages: :func:`backward`,
-    ``importance.update_all`` and the optimizer step. Each handed call is
-    whole and writes its own arrays, so no bit depends on the thread.
+    The lane's worker takes calls from the front of the queue. Leaving the
+    block, this thread runs those it has not taken from the back, then waits
+    for those it took (work stealing: Blumofe and Leiserson, JACM 1999), so a
+    busy core only leaves more calls to this thread. Then the error of the
+    earliest-submitted call that raised one is re-raised, unless the block
+    raised its own. Calls are queued only when the stage spans an
+    ``ADAM_BLOCK``, the process may use two cores (:func:`_lane_rule`) and no
+    other stage holds the lane, as a nested one does; otherwise ``submit``
+    runs each call at once, under the same rules. A call runs in a copy of
+    the context it was submitted in, so ``np.errstate`` holds on either
+    thread. Each call is whole and writes its own arrays, so no bit depends
+    on the thread that ran it.
     """
-    errors: list[BaseException] = []
-    lane = _LANE
+    errors: dict[int, BaseException] = {}
+    lane, sent = _LANE, 0
     if not (size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False)):
-        yield lambda func, *args: _call(errors, func, args)
+        # Calls run here in submit order, so the earliest error gets the lowest key.
+        yield lambda func, *args: _call(errors, len(errors), func, args)
     else:
         if lane.worker is None:
-            lane.worker = threading.Thread(target=lane.serve, name="prunescope-lane",
-                                           daemon=True)
+            lane.worker = threading.Thread(target=lane.serve, name="prunescope-lane", daemon=True)
             lane.worker.start()
-        context = contextvars.copy_context()
-        sent = 0
 
         def submit(func: Callable, *args: object) -> None:
             nonlocal sent
-            lane.todo.append((context, errors, func, args))
+            lane.todo.append(functools.partial(contextvars.copy_context().run,
+                                               _call, errors, sent, func, args))
             lane.queued.release()
             sent += 1
 
         try:
             yield submit
         finally:
+            while lane.run(lane.todo.pop):
+                sent -= 1  # leaving the calls the worker took
             for _ in range(sent):
                 lane.finished.acquire()
             lane.taken.release()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 # -- checkpoints ---------------------------------------------------------

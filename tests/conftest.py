@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -224,3 +225,20 @@ def force_lane(monkeypatch):
         monkeypatch.setattr(netcore, "_lane_rule", lambda: on)
         return lane
     return force
+
+
+@pytest.fixture
+def gated_lane(force_lane):
+    """The second lane forced on, with a worker that takes nothing until the
+    returned event is set: a lane held up as by a busy core. Returns the
+    lane and the event, and sets the event on teardown."""
+    lane, gate = force_lane(True), threading.Event()
+    serve = lane.serve
+
+    def gated() -> None:
+        gate.wait()
+        serve()
+
+    lane.serve = gated
+    yield lane, gate
+    gate.set()

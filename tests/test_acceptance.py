@@ -19,7 +19,7 @@ from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
 from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import check_trace
-from prunescope.importance import (BayesConfig, GroupImportanceState, _update_part,
+from prunescope.importance import (BayesConfig, GroupImportanceState, _update_group,
                                    bayes_update, ema_update, init_states, update_all)
 from prunescope.modelgraph import PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
@@ -83,7 +83,7 @@ def test_criterion_2_metrics_match_brute_force():
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), ((0, n),), (), ())
         states = {"g": GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)}
-        _update_part((group,), group.runs, states, g, None, {}, np.empty(n), cfg, 0.9)
+        _update_group(group, 0.0, states, g, None, np.empty(n), cfg, 0.9)
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
         for got, ref in ((states["g"].raw_grad, ref_grad),

@@ -85,13 +85,14 @@ def test_training_runs_as_before_where_openblas_cannot_be_opened(monkeypatch):
     assert digest(run_training(TOY).net) == TRAINED
 
 
-def autoencoder_digests() -> tuple[str, str]:
+def autoencoder_digests(epochs: int = 2) -> tuple[str, str]:
     """SHA-256 of the parameters and of the states document after the
-    autoencoder case: latent 8, 256 training rows, batch 64, 2 epochs, seed 0."""
+    autoencoder case: latent 8, 256 training rows, batch 64, 2 epochs unless
+    told otherwise, seed 0."""
     cfg = ExperimentConfig(
         model=ModelConfig(preset="autoencoder", latent_dim=8),
         dataset=DatasetConfig(kind="synthetic", n_train=256, n_test=64),
-        epochs=2, batch_size=64, seed=0)
+        epochs=epochs, batch_size=64, seed=0)
     trained = run_training(cfg)
     doc = states_to_doc(trained.states, cfg.gamma, cfg.bayes)
     return digest(trained.net), hashlib.sha256(json.dumps(doc).encode()).hexdigest()
@@ -157,3 +158,14 @@ def test_second_lane_changes_no_bit(force_lane):
         runs.append(autoencoder_digests())
         assert (lane.worker is not None) == on
     assert runs[0] == runs[1]
+
+
+def test_a_held_up_lane_changes_no_bit(force_lane, gated_lane):
+    """One epoch of the autoencoder case with a lane whose worker takes
+    nothing: every stage's calls run on this thread, from the back of each
+    stage's queue, and the digests equal those with the lane off."""
+    lane, _ = gated_lane
+    held_up = autoencoder_digests(epochs=1)
+    assert lane.worker is not None and not lane.todo
+    force_lane(False)
+    assert held_up == autoencoder_digests(epochs=1)

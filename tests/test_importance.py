@@ -269,9 +269,9 @@ def test_update_all_refuses_a_network_of_another_layout():
     states = init_states(graph, cfg)
     grads_for(net)
     update_all(states, net, graph, cfg, gamma=0.9)
-    groups, parts = graph.groups, graph.parts
+    groups = graph.groups
     update_all(states, net.copy(), graph, cfg, gamma=0.9)
-    assert graph.groups is groups and graph.parts is parts
+    assert graph.groups is groups
     narrower = make_two_component_chain(seed=4, widths=(6, 5, 3, 3, 2))
     grads_for(narrower)
     for g in (graph, build_groups(net, 1)):
@@ -347,7 +347,8 @@ def test_the_l1_term_never_reaches_importance(widths, force_lane):
     """With a large coefficient per group, two steps leave every metric,
     unit score and Bayes parameter as a step without L1 does, bit for bit,
     and the gradient is the task gradient plus ``coeff * sign(theta)``. The
-    wider net spans two parts, one of them on the second lane."""
+    wider net spans an ``ADAM_BLOCK``, so its groups are queued for the
+    second lane."""
     force_lane(True)
     net = make_two_component_chain(seed=5, widths=widths)
     graph = build_groups(net, 1)

@@ -71,6 +71,11 @@ CONFIG_CASES = {
     "width_2_62": (custom_widths(2**62), "layer 0: 4611686018427387904x16 weights exceed"),
     "n_train_2_55": ({"dataset": {"n_train": 2**55}},
                      f"{2**55 + 32} dataset rows exceed any address space"),
+    # 64 PiB: under that bound but past what a process can map, so numpy
+    # fails at once and nothing is allocated.
+    "width_2_49": (custom_widths(2**49), "layer 0: 562949953421312x16 weights exceed memory"),
+    "n_train_2_49": ({"dataset": {"n_train": 2**49}},
+                     f"{2**49 + 32} dataset rows exceed memory"),
 }
 
 
