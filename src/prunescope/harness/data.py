@@ -100,7 +100,8 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         x = factors @ mix
         lo = x.min()
         span = x.max() - lo
-        x = (x - lo) / (span if span > 0 else 1.0)
+        x -= lo
+        x /= span if span > 0 else 1.0
         if target == "identity":
             y = x
         else:

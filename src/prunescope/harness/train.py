@@ -1,13 +1,18 @@
 """The training loop: seeded batches, scheduled group L1, online importance.
 
-Each iteration runs forward, task loss, and backward; ``update_all`` reads
-the pure task gradients into the importance states before it adds the
-scheduled L1 subgradient, and the optimizer steps. One trace row per (epoch,
-group) captures the final iteration's metrics with epoch-end norms and losses.
+Each iteration runs forward, task loss and backward, and the optimizer
+steps with the scheduled L1 subgradient as its penalty, which leaves
+``flat_grad`` holding the task gradients. The importance states read those
+gradients in one ``second_lane`` stage (``importance.reading``) that spans
+the next iteration's forward pass and loss, so the element-wise reads run
+beside its matrix products; the epoch's last iteration is read after its
+step. One trace row per (epoch, group) captures the final iteration's
+metrics with epoch-end norms and losses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +22,7 @@ import numpy as np
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRICS, init_states, rank_groups,
-                          states_to_doc, update_all)
+                          reading, states_to_doc, update_all)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
                        mse_loss, one_blas_thread, save_checkpoint, sidecar_path)
@@ -148,23 +153,27 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     for epoch in range(1, cfg.epochs + 1):
         lambdas = schedule_row(epoch - 1, param_counts, cfg.schedule)
         weight = lambda_weight_at(epoch, cfg.schedule)
-        coeffs = [weight * lam for lam in lambdas]
+        penalty = graph.penalty([weight * lam for lam in lambdas])
         order = shuffle_rng.permutation(len(x_train))
         starts = range(0, len(x_train), cfg.batch_size)
         for it, lo in enumerate(starts):
             idx = order[lo:lo + cfg.batch_size]
-            acts = forward(net, x_train[idx])
-            task_loss, d_out = mse_loss(acts[-1], y_train[idx])
+            # The previous iteration's gradients are read beside this forward.
+            with (reading(states, net, graph, cfg.bayes, cfg.gamma) if it
+                  else contextlib.nullcontext()):
+                acts = forward(net, x_train[idx])
+                task_loss, d_out = mse_loss(acts[-1], y_train[idx])
             if not math.isfinite(task_loss):
                 raise NumericsError(
                     f"task loss became {task_loss} at epoch {epoch}, "
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
-            update_all(states, net, graph, cfg.bayes, cfg.gamma, coeffs)
+            del acts, d_out  # freed before the next stage allocates its buffer
             if lo == starts[-1]:  # the epoch's loss is taken before its last step
                 l1 = sum(lam * norm for lam, norm
                          in zip(lambdas, graph.l1_norms(net.flat_values)))
-            optimizer.step(net)
+            optimizer.step(net, penalty)
+        update_all(states, net, graph, cfg.bayes, cfg.gamma)
         epoch_loss = total_loss(task_loss, l1, weight)
         norms = graph.l1_norms(net.flat_values)
         for i, group in enumerate(groups):

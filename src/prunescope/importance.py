@@ -1,8 +1,6 @@
 """Online gradient-based group importance.
 
-Three per-group metrics are maintained from task-loss gradients only
-(:func:`update_all` adds the step's L1 subgradient to a group's gradient
-only after its last read of it, so the term never leaks into importance):
+Three per-group metrics are maintained from task-loss gradients only:
 
 * gradient magnitude: mean absolute gradient over the group,
 * Fisher: mean squared gradient (a diagonal, batch-level approximation),
@@ -10,6 +8,12 @@ only after its last read of it, so the term never leaks into importance):
   is the posterior mean rate of a Gamma prior over an exponential
   gradient-energy model, updated as ``alpha += kappa`` and
   ``beta += kappa * E / eta`` per observation.
+
+The reads write nothing into the network. The step's L1 subgradient exists
+only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
+``flat_grad`` holding the task gradients, so the term never reaches
+importance, and a step's gradients can be read while the next step's
+forward pass runs (:func:`reading`).
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -24,16 +28,17 @@ for within-group unit ranking.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
 from .modelgraph import ComponentGraph, PruningGroup, slot_sum
-from .netcore import ADAM_BLOCK, Network, second_lane
+from .netcore import Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
 COMBINED = "combined"
@@ -120,27 +125,38 @@ def ema_update(previous: float | np.ndarray, current: float | np.ndarray,
 
 
 def update_all(states: dict[str, GroupImportanceState], net: Network,
-               graph: ComponentGraph, cfg: BayesConfig, gamma: float,
-               l1: Sequence[float] | None = None) -> dict[str, GroupImportanceState]:
-    """Advance every group's metrics by one observation of the current task
-    gradients, then add the step's L1 subgradient to those gradients. Call
-    after ``backward`` and before the optimizer step. Mutates and returns
-    ``states``; deterministic for identical inputs.
+               graph: ComponentGraph, cfg: BayesConfig,
+               gamma: float) -> dict[str, GroupImportanceState]:
+    """Advance every group's metrics by one observation of the gradients in
+    ``net.flat_grad``: :func:`reading` with an empty body. Writes nothing
+    into the network. Mutates and returns ``states``; deterministic for
+    identical inputs."""
+    with reading(states, net, graph, cfg, gamma):
+        pass
+    return states
 
-    ``l1`` holds one coefficient per group in ``graph.groups`` order (the
-    schedule's value times the loss weight). Each group is one
-    :func:`second_lane` call, which takes the squared and then the absolute
-    gradients over the group's arena runs into its runs of one buffer: the
-    last reads of its gradients. Its metrics are reduced from the buffer over
-    its slots in slice order by :func:`slot_sum`: the gradient magnitude
-    (1/N) sum |g|, also the energy the Bayes tracker observes, and the Fisher
-    diagonal (1/N) sum g^2; one that is not finite raises
-    :class:`NumericsError`. Only then does the group add ``coeff *
-    sign(theta)`` over its runs, one ``ADAM_BLOCK`` at a time through its
-    runs of the buffer, unless its coefficient is zero (which would turn a
-    ``-0.0`` gradient into ``+0.0``). Where the slots lie and which of them
-    feed each unit score was fixed by :func:`build_groups`. Groups own
+
+@contextlib.contextmanager
+def reading(states: dict[str, GroupImportanceState], net: Network,
+            graph: ComponentGraph, cfg: BayesConfig, gamma: float) -> Iterator[None]:
+    """A :func:`second_lane` stage that reads the gradients in
+    ``net.flat_grad`` into ``states`` while the ``with`` block runs.
+
+    Each group is one call, which takes the squared and then the absolute
+    gradients over the group's arena runs into its runs of one buffer. Its
+    metrics are reduced from the buffer over its slots in slice order by
+    :func:`slot_sum`: the gradient magnitude (1/N) sum |g|, also the energy
+    the Bayes tracker observes, and the Fisher diagonal (1/N) sum g^2; one
+    that is not finite raises :class:`NumericsError` when the stage closes,
+    unless the block raised its own error. Where the slots lie and which of
+    them feed each unit score was fixed by :func:`build_groups`. Groups own
     disjoint runs, so no group's arithmetic depends on another's.
+
+    The calls read ``flat_grad`` and write only ``states`` and the buffer,
+    so the block may run anything that neither writes ``flat_grad`` nor
+    reads ``states``: ``run_training`` runs the next step's forward pass and
+    loss there. Without the lane, each call runs when it is submitted,
+    before the block.
     """
     if not 0.0 <= gamma < 1.0:
         raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
@@ -148,19 +164,15 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
     for group in graph.groups:
         if group.id not in states:
             raise ConfigurationError(f"no importance state for group {group.id!r}")
-    l1 = [0.0] * len(graph.groups) if l1 is None else l1
-    if len(l1) != len(graph.groups):
-        raise ConfigurationError(f"need one L1 coefficient per group, got {len(l1)}")
     scratch = np.empty(net.flat_grad.size)
     with second_lane(scratch.size) as submit:
-        for group, coeff in zip(graph.groups, l1):
-            submit(_update_group, group, coeff, states, net.flat_grad, net.flat_values,
-                   scratch, cfg, gamma)
-    return states
+        for group in graph.groups:
+            submit(_update_group, group, states, net.flat_grad, scratch, cfg, gamma)
+        yield
 
 
-def _update_group(group: PruningGroup, coeff: float, states: dict[str, GroupImportanceState],
-                  grad: np.ndarray, values: np.ndarray, scratch: np.ndarray,
+def _update_group(group: PruningGroup, states: dict[str, GroupImportanceState],
+                  grad: np.ndarray, scratch: np.ndarray,
                   cfg: BayesConfig, gamma: float) -> None:
     for lo, hi in group.runs:
         np.square(grad[lo:hi], out=scratch[lo:hi])
@@ -201,13 +213,6 @@ def _update_group(group: PruningGroup, coeff: float, states: dict[str, GroupImpo
         state.unit_ema[unit_layer] = (scores if first or previous is None
                                       else ema_update(previous, scores, gamma))
     state.iteration += 1
-    if coeff != 0.0:  # the metrics have read its scratch
-        for lo, hi in group.runs:
-            for start in range(lo, hi, ADAM_BLOCK):
-                end = min(start + ADAM_BLOCK, hi)
-                step = np.sign(values[start:end], out=scratch[start:end])
-                g = grad[start:end]
-                g += np.multiply(step, coeff, out=step)
 
 
 def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:

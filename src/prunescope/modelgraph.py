@@ -12,19 +12,19 @@ prune, the units of each non-output layer whose bias it owns, so each such
 unit has one home; a consumed layer's units are scored by their bias entries.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
-network's arenas, once; the importance update, the L1 subgradient and the
-L1 norms all read that view.
+network's arenas, once; the importance update, the optimizer's L1 penalty
+and the L1 norms all read that view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .netcore import Network, ROLE_BIAS, ROLE_WEIGHT
+from .netcore import Network, Penalty, ROLE_BIAS, ROLE_WEIGHT
 
 KIND_COMPONENT = "component_specific"
 KIND_COUPLING = "coupling"
@@ -110,6 +110,17 @@ class ComponentGraph:
         from an arena laid out like the groups' (``net.flat_values``)."""
         magnitudes = np.abs(values)
         return [slot_sum(magnitudes, group.slots) for group in self.groups]
+
+    def penalty(self, coeffs: Sequence[float]) -> Penalty:
+        """The L1 term an optimizer step takes: each group's runs with its
+        coefficient, ``coeffs`` holding one per group in ``groups`` order
+        (the schedule's value times the loss weight). A group whose
+        coefficient is zero adds nothing, so its ``-0.0`` gradients stay
+        ``-0.0``."""
+        if len(coeffs) != len(self.groups):
+            raise ConfigurationError(f"need one L1 coefficient per group, got {len(coeffs)}")
+        return [(lo, hi, coeff) for group, coeff in zip(self.groups, coeffs)
+                if coeff != 0.0 for lo, hi in group.runs]
 
 
 def slot_sum(values: np.ndarray, slots: Iterable[tuple[int, int, tuple]]) -> float:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -427,6 +427,10 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
 # through all the passes of the update.
 ADAM_BLOCK = 32768
 
+# An optimizer step's L1 term: ``(lo, hi, coeff)`` arena runs, each adding
+# ``coeff * sign(theta)`` to the gradient the step reads over ``[lo, hi)``.
+Penalty = Sequence[tuple[int, int, float]]
+
 
 def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
                context: str) -> None:
@@ -438,7 +442,7 @@ def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
     size = net.flat_values.size
 
     def run(lo: int) -> None:
-        if not np.isfinite(update(lo, lo + ADAM_BLOCK)).all():
+        if not np.isfinite(update(lo, min(lo + ADAM_BLOCK, size))).all():
             raise NumericsError(context)
 
     try:
@@ -449,20 +453,52 @@ def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
         net._raise_non_finite(context)
 
 
+def _penalized(g: np.ndarray, theta: np.ndarray, lo: int, hi: int,
+               penalty: Penalty) -> tuple[np.ndarray, np.ndarray | None]:
+    """The gradient a step reads over the block ``[lo, hi)``, and a free
+    array of the block's size or None.
+
+    Where no run of ``penalty`` meets the block, that is the block of ``g``
+    itself and None. Otherwise it is a private copy of the block plus
+    ``coeff * sign(theta)`` over each run that meets it, taken in the free
+    array, so ``g`` keeps the task gradient. Runs that do not overlap give
+    each element at most one addition, with the bits of adding the term to
+    ``g`` in place.
+    """
+    # Clipped by comparisons, not max() and min() calls: a toy network
+    # steps in microseconds, and this runs once per block and step.
+    runs = [(a - lo if a > lo else 0, (b if b < hi else hi) - lo, coeff)
+            for a, b, coeff in penalty if a < hi and b > lo]
+    if not runs:
+        return g[lo:hi], None
+    gb, free = g[lo:hi].copy(), np.empty(hi - lo)
+    for a, b, coeff in runs:
+        term = np.sign(theta[lo + a:lo + b], out=free[a:b])
+        gb[a:b] += np.multiply(term, coeff, out=term)
+    return gb, free
+
+
 class SGD:
-    """Plain gradient descent: ``theta -= lr * grad``."""
+    """Plain gradient descent: ``theta -= lr * g``, where ``g`` is the task
+    gradient plus the step's L1 subgradient, read as :class:`Adam` reads it.
+    A block allocates at most two arrays: with a penalty run, the penalized
+    gradient copy and the term's scratch, which then holds ``lr * g``;
+    without one, ``lr * g`` alone."""
 
     def __init__(self, lr: float = 1e-3) -> None:
         if not lr > 0:
             raise ConfigurationError("learning rate must be positive")
         self.lr = float(lr)
 
-    def step(self, net: Network) -> None:
+    def step(self, net: Network, penalty: Penalty = ()) -> None:
+        """Step ``net`` by its task gradients plus the L1 subgradient over
+        ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
         theta, g, lr = net.flat_values, net.flat_grad, self.lr
 
         def update(lo: int, hi: int) -> np.ndarray:
+            gb, free = _penalized(g, theta, lo, hi, penalty)
             tb = theta[lo:hi]
-            tb -= lr * g[lo:hi]
+            tb -= np.multiply(gb, lr, out=free)
             return tb
 
         _blockwise(net, update, "after SGD step")
@@ -477,8 +513,17 @@ class Adam:
     The update runs in place, block by block, in the element-wise order
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
     ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
-    are checked for finiteness while still in cache. Each block allocates
-    its own two temporaries. A step keeps the caller's BLAS thread count.
+    are checked for finiteness while still in cache. A step keeps the
+    caller's BLAS thread count.
+
+    :meth:`step` takes the step's L1 term as a ``penalty``: ``(lo, hi,
+    coeff)`` arena runs, as :meth:`ComponentGraph.penalty` builds them. Over
+    each run, ``g`` is the task gradient plus ``coeff * sign(theta)``, taken
+    before the step moves theta, in a private copy of the block, so
+    ``net.flat_grad`` keeps the task gradients. A block allocates at most two
+    arrays: its penalized copy, which holds ``lr*(m/c1)`` once the gradient
+    is read for the last time, and one temporary; or, without a penalty run,
+    the temporary and ``lr*(m/c1)``.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -497,7 +542,9 @@ class Adam:
         self._m = self._v = np.empty(0)
         self._t = 0
 
-    def step(self, net: Network) -> None:
+    def step(self, net: Network, penalty: Penalty = ()) -> None:
+        """Step ``net`` by its task gradients plus the L1 subgradient over
+        ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
         if net.layout != self._layout:
             n = net.flat_values.size
             self._layout = net.layout
@@ -511,9 +558,11 @@ class Adam:
         theta, g, m, v = net.flat_values, net.flat_grad, self._m, self._v
 
         def update(lo: int, hi: int) -> np.ndarray:
-            gb, mb, vb, tb = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
+            gb, s = _penalized(g, theta, lo, hi, penalty)
+            mb, vb, tb = m[lo:hi], v[lo:hi], theta[lo:hi]
+            own = s is not None
             np.multiply(mb, b1, out=mb)
-            s = np.multiply(gb, 1.0 - b1)
+            s = np.multiply(gb, 1.0 - b1, out=s)
             np.add(mb, s, out=mb)
             np.multiply(vb, b2, out=vb)
             np.multiply(gb, 1.0 - b2, out=s)
@@ -522,7 +571,7 @@ class Adam:
             np.divide(vb, c2, out=s)
             np.sqrt(s, out=s)
             np.add(s, eps, out=s)
-            u = np.divide(mb, c1)
+            u = np.divide(mb, c1, out=gb if own else None)  # gb is read no more
             np.multiply(u, lr, out=u)
             np.divide(u, s, out=u)
             return np.subtract(tb, u, out=tb)

@@ -83,7 +83,7 @@ def test_criterion_2_metrics_match_brute_force():
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), ((0, n),), (), ())
         states = {"g": GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)}
-        _update_group(group, 0.0, states, g, None, np.empty(n), cfg, 0.9)
+        _update_group(group, states, g, np.empty(n), cfg, 0.9)
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
         for got, ref in ((states["g"].raw_grad, ref_grad),

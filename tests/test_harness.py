@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prunescope import netcore
+from prunescope import importance as importance_module, netcore
 from prunescope.errors import ConfigurationError, NumericsError
 from prunescope.harness import (cli as cli_module, hypotheses as hypotheses_module,
                                 train as train_module)
@@ -248,6 +248,55 @@ def test_no_function_the_bench_times_runs_on_the_lane(force_lane, monkeypatch):
         epochs=1, batch_size=128, seed=0))
     assert lane.worker is not None
     assert threads == {name: {threading.get_ident()} for name in timed}
+
+
+def latent8_config(n_train=1024) -> ExperimentConfig:
+    return ExperimentConfig(
+        model=ModelConfig(preset="autoencoder", latent_dim=8),
+        dataset=DatasetConfig(kind="synthetic", n_train=n_train, n_test=64, rank=8),
+        epochs=1, batch_size=128, seed=0)
+
+
+def test_a_steps_gradients_are_read_on_the_lane(force_lane, monkeypatch):
+    """With the lane forced on, the reads of a latent-8 epoch's eight steps
+    run at least one group's call on the lane thread, beside the calling
+    thread's forward passes."""
+    threads = []
+    original = importance_module._update_group
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        original(*args)
+
+    monkeypatch.setattr(importance_module, "_update_group", recording)
+    lane = force_lane(True)
+    result = run_training(latent8_config())
+    assert len(threads) == 8 * len(result.graph.groups)
+    assert lane.worker is not None and set(threads) - {threading.get_ident()}
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
+def test_a_non_finite_importance_ends_training_with_the_groups_error(
+        force_lane, monkeypatch, on):
+    """A Bayes score that is not finite from the second step's read on
+    raises the first group's NumericsError when the third step's read stage
+    closes, before its backward, with the lane and without it."""
+    groups = build_groups(build_model(latent8_config().model, 0)).groups
+    scores, backwards = [], []
+    original = importance_module.bayes_importance
+
+    def poisoned(mu, fisher):
+        scores.append(None)
+        return math.nan if len(scores) > len(groups) else original(mu, fisher)
+
+    monkeypatch.setattr(importance_module, "bayes_importance", poisoned)
+    monkeypatch.setattr(train_module, "backward",
+                        lambda *args: (backwards.append(None), netcore.backward(*args)))
+    force_lane(on)
+    with pytest.raises(NumericsError, match=rf"group {groups[0].id!r}: importance is not "
+                                            r"finite, grad \S+, fisher \S+, bayes nan"):
+        run_training(latent8_config())
+    assert len(backwards) == 2
 
 
 def test_training_through_an_sgd_config(tmp_path):

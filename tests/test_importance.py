@@ -13,7 +13,7 @@ from prunescope.importance import (BayesConfig, GroupImportanceState,
                                    init_states, metric_scores, rank_groups, ranked,
                                    states_from_doc, states_to_doc, update_all)
 from prunescope.modelgraph import build_groups, slot_sum
-from prunescope.netcore import Network, backward, forward, mse_loss
+from prunescope.netcore import Adam, backward, forward, mse_loss
 
 from conftest import (dyadic, group_tensors, make_net, make_toy_multihead,
                       make_two_component_chain, per_tensor_mean)
@@ -302,73 +302,34 @@ def test_update_all_names_the_group_whose_metric_overflows():
         update_all(init_states(graph, cfg), net, graph, cfg, gamma=0.9)
 
 
-# -- the L1 subgradient -------------------------------------------------------
-
-
-def l1_step(values, grad, coeff) -> Network:
-    """A one-layer net, one group, whose arena is ``values`` then a zero
-    bias and whose gradient is ``grad`` then a zero, after one
-    ``update_all`` with L1 coefficient ``coeff``."""
-    net = Network([([values], [0.0], "identity")], {"body": (0, 1)})
-    net.layers[0].weight.grad[...] = [grad]
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    update_all(init_states(graph, cfg), net, graph, cfg, 0.9, [coeff])
-    return net
-
-
-def test_l1_subgradient_by_hand():
-    net = l1_step([-2.0, 0.0, 5.0], [0.0, 0.0, 0.0], 0.1)
-    np.testing.assert_array_equal(net.layers[0].weight.grad, [[-0.1, 0.0, 0.1]])
-
-
-def test_l1_subgradient_adds_on_top_of_task_gradient():
-    net = l1_step([1.0, -1.0], [0.5, 0.5], 0.25)
-    np.testing.assert_array_equal(net.layers[0].weight.grad, [[0.75, 0.25]])
-
-
-def test_l1_subgradient_zero_coefficient_is_a_noop():
-    net = l1_step([1.0, -1.0], [-0.0, 0.0], 0.0)
-    np.testing.assert_array_equal(net.flat_grad, [0.0, 0.0, 0.0])
-    assert np.signbit(net.flat_grad[0])  # -0.0 + 0 * sign(1.0) would be +0.0
-
-
-def test_update_all_refuses_l1_coefficients_of_the_wrong_length():
-    net = make_two_component_chain(seed=3)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    for coeffs in ([], [0.1] * (len(graph.groups) + 1)):
-        with pytest.raises(ConfigurationError, match="one L1 coefficient per group"):
-            update_all(init_states(graph, cfg), net, graph, cfg, 0.9, coeffs)
+# -- the L1 term stays out of importance ------------------------------------------
 
 
 @pytest.mark.parametrize("widths", [(6, 5, 4, 3, 2), (120, 160, 120, 80, 10)])
 def test_the_l1_term_never_reaches_importance(widths, force_lane):
-    """With a large coefficient per group, two steps leave every metric,
-    unit score and Bayes parameter as a step without L1 does, bit for bit,
-    and the gradient is the task gradient plus ``coeff * sign(theta)``. The
-    wider net spans an ``ADAM_BLOCK``, so its groups are queued for the
-    second lane."""
+    """``update_all`` leaves ``flat_grad`` and ``flat_values`` bitwise
+    unchanged, and an optimizer step with a large L1 coefficient per group
+    leaves ``flat_grad`` holding the task gradient, so reading it after the
+    step gives every metric, unit score and Bayes parameter of reading it
+    before. The wider net spans an ``ADAM_BLOCK``, so its groups are queued
+    for the second lane."""
     force_lane(True)
     net = make_two_component_chain(seed=5, widths=widths)
     graph = build_groups(net, 1)
     cfg = BayesConfig()
-    coeffs = [1e3 * (i + 1) for i in range(len(graph.groups))]
     grads_for(net)
-    task = net.flat_grad.copy()
-    plain, with_l1 = init_states(graph, cfg), init_states(graph, cfg)
+    values, task = net.flat_values.tobytes(), net.flat_grad.tobytes()
+    before = init_states(graph, cfg)
     for _ in range(2):
-        net.flat_grad[...] = task
-        update_all(plain, net, graph, cfg, 0.9)
-        net.flat_grad[...] = task
-        update_all(with_l1, net, graph, cfg, 0.9, coeffs)
-    assert (json.dumps(states_to_doc(with_l1, 0.9, cfg))
-            == json.dumps(states_to_doc(plain, 0.9, cfg)))
-    expected = task.copy()
-    for group, coeff in zip(graph.groups, coeffs):
-        for lo, hi in group.runs:
-            expected[lo:hi] += coeff * np.sign(net.flat_values[lo:hi])
-    np.testing.assert_array_equal(net.flat_grad, expected)
+        update_all(before, net, graph, cfg, 0.9)
+    assert (net.flat_values.tobytes(), net.flat_grad.tobytes()) == (values, task)
+    Adam(lr=0.1).step(net, graph.penalty([1e3 * (i + 1) for i in range(len(graph.groups))]))
+    assert net.flat_grad.tobytes() == task and net.flat_values.tobytes() != values
+    after = init_states(graph, cfg)
+    for _ in range(2):
+        update_all(after, net, graph, cfg, 0.9)
+    assert (json.dumps(states_to_doc(after, 0.9, cfg))
+            == json.dumps(states_to_doc(before, 0.9, cfg)))
 
 
 # -- scoring and ranking --------------------------------------------------------

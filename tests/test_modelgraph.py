@@ -267,6 +267,21 @@ def test_l1_norms_equal_the_per_tensor_sums_bit_for_bit(make):
     assert graph.l1_norms(net.flat_values) == [group_l1_norm(net, g) for g in graph.groups]
 
 
+def test_penalty_refuses_l1_coefficients_of_the_wrong_length():
+    graph = build_groups(make_two_component_chain(seed=3), 1)
+    for coeffs in ([], [0.1] * (len(graph.groups) + 1)):
+        with pytest.raises(ConfigurationError, match="one L1 coefficient per group"):
+            graph.penalty(coeffs)
+
+
+def test_penalty_holds_the_runs_of_each_group_with_a_nonzero_coefficient():
+    graph = build_groups(make_toy_multihead())
+    coeffs = [0.5 * i for i in range(len(graph.groups))]
+    assert graph.penalty(coeffs) == [(lo, hi, coeff) for group, coeff
+                                     in zip(graph.groups[1:], coeffs[1:])
+                                     for lo, hi in group.runs]
+
+
 # -- prunable units and closures --------------------------------------------
 
 

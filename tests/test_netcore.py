@@ -24,7 +24,8 @@ from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
 from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
-                      predicted_removed_params, set_dyadic, with_activations)
+                      make_two_component_chain, predicted_removed_params, set_dyadic,
+                      with_activations)
 
 
 # -- activations -----------------------------------------------------------
@@ -367,6 +368,84 @@ def test_adam_state_resets_when_a_tensor_changes_shape(rng):
     opt.step(pruned)
     Adam(lr=0.01).step(fresh)
     assert pruned.flat_values.tobytes() == fresh.flat_values.tobytes()
+
+
+# -- the L1 penalty an optimizer step takes ----------------------------------
+
+
+def l1_gradient(values, grad, coeff) -> np.ndarray:
+    """The gradient an optimizer step reads for a one-layer net, one group,
+    whose arena is ``values`` then a zero bias and whose gradient is
+    ``grad`` then a zero, under the penalty of L1 coefficient ``coeff``.
+    The network's own gradient stays the task gradient."""
+    net = Network([([values], [0.0], "identity")], {"body": (0, 1)})
+    net.layers[0].weight.grad[...] = [grad]
+    task = net.flat_grad.tobytes()
+    penalty = build_groups(net, 1).penalty([coeff])
+    read, _ = netcore._penalized(net.flat_grad, net.flat_values, 0, net.flat_grad.size,
+                                 penalty)
+    assert net.flat_grad.tobytes() == task
+    return read
+
+
+def test_l1_subgradient_by_hand():
+    np.testing.assert_array_equal(l1_gradient([-2.0, 0.0, 5.0], [0.0, 0.0, 0.0], 0.1),
+                                  [-0.1, 0.0, 0.1, 0.0])
+
+
+def test_l1_subgradient_adds_on_top_of_task_gradient():
+    np.testing.assert_array_equal(l1_gradient([1.0, -1.0], [0.5, 0.5], 0.25),
+                                  [0.75, 0.25, 0.0])
+
+
+def test_l1_subgradient_zero_coefficient_is_a_noop():
+    read = l1_gradient([1.0, -1.0], [-0.0, 0.0], 0.0)
+    np.testing.assert_array_equal(read, [0.0, 0.0, 0.0])
+    assert np.signbit(read[0])  # -0.0 + 0 * sign(1.0) would be +0.0
+
+
+@pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
+                         ids=["SGD", "Adam"])
+def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, make_opt):
+    """Two steps with the L1 term as the step's penalty give the values (and
+    Adam's moments) of adding ``coeff * sign(theta)`` to the gradient in
+    place, group by group and one ``ADAM_BLOCK`` at a time from each run's
+    start, and then stepping without one. The arena spans four blocks, runs
+    cross block edges, and it holds -0.0 gradients, theta = 0 entries and a
+    group of coefficient zero. The penalized network's gradient stays the
+    task gradient."""
+    force_lane(True)
+    net = make_two_component_chain(seed=4, widths=(200, 300, 120, 40, 200))
+    graph = build_groups(net, 1)
+    assert net.param_count() > 3 * netcore.ADAM_BLOCK
+    assert any(lo // netcore.ADAM_BLOCK != (hi - 1) // netcore.ADAM_BLOCK
+               for group in graph.groups for lo, hi in group.runs)
+    rng = np.random.default_rng(12)
+    net.flat_values[::97] = 0.0
+    task = rng.normal(0.0, 1e-3, net.flat_grad.size)
+    task[::89] = -0.0
+    coeffs = [1e-3 * i for i in range(len(graph.groups))]
+    assert coeffs[0] == 0.0
+    reference, penalized = net.copy(), net.copy()
+    ref_opt, opt = make_opt(), make_opt()
+    for _ in range(2):
+        g = reference.flat_grad
+        g[...] = task
+        for group, coeff in zip(graph.groups, coeffs):
+            if coeff != 0.0:
+                for lo, hi in group.runs:
+                    for start in range(lo, hi, netcore.ADAM_BLOCK):
+                        end = min(start + netcore.ADAM_BLOCK, hi)
+                        term = np.sign(reference.flat_values[start:end])
+                        g[start:end] += np.multiply(term, coeff, out=term)
+        ref_opt.step(reference)
+        penalized.flat_grad[...] = task
+        opt.step(penalized, graph.penalty(coeffs))
+        assert penalized.flat_grad.tobytes() == task.tobytes()
+        assert penalized.flat_values.tobytes() == reference.flat_values.tobytes()
+    for moment in ("_m", "_v"):
+        assert (getattr(opt, moment, np.empty(0)).tobytes()
+                == getattr(ref_opt, moment, np.empty(0)).tobytes())
 
 
 @pytest.mark.parametrize("make_opt, context", [

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, NumericsError
-from prunescope.importance import BayesConfig, init_states, update_all
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import backward, forward, mse_loss
+from prunescope.netcore import SGD, backward, forward, mse_loss
 from prunescope.scheduler import (ScheduleConfig, lambda_coefficient,
                                   lambda_weight_at, phase_offset, schedule_row,
                                   total_loss)
@@ -174,10 +173,11 @@ def test_total_loss_by_hand_and_finiteness():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_composite_objective_gradient_matches_finite_differences(seed):
-    """The analytic gradient of task + weight * sum lambda_i |theta_i| is the
-    task gradient plus the scheduled subgradient; the FD oracle probes the
-    composite loss directly. Parameters are pushed away from zero so the
-    probe never crosses the L1 kink."""
+    """The gradient an optimizer step reads under ``graph.penalty`` of the
+    scheduled coefficients is the analytic gradient of task + weight * sum
+    lambda_i |theta_i|; the FD oracle probes the composite loss directly.
+    Parameters are pushed away from zero so the probe never crosses the L1
+    kink."""
     rng = np.random.default_rng(seed)
     net = make_two_component_chain(seed=seed)
     net = with_activations(net, ["sigmoid" if layer.activation == "relu" else "identity"
@@ -195,11 +195,11 @@ def test_composite_objective_gradient_matches_finite_differences(seed):
     acts = forward(net, x)
     _, d_out = mse_loss(acts[-1], y)
     backward(net, acts, d_out)
-    bayes = BayesConfig()
-    update_all(init_states(graph, bayes), net, graph, bayes, 0.9,
-               [weight * lam for lam in lambdas])
-
-    flat = np.concatenate([t.grad.reshape(-1) for _, _, t in net.param_tensors()])
+    # An SGD step at lr 1 moves theta by the gradient it reads: the task
+    # gradient plus the penalty's subgradient.
+    stepped = net.copy()
+    SGD(lr=1.0).step(stepped, graph.penalty([weight * lam for lam in lambdas]))
+    flat = net.flat_values - stepped.flat_values
 
     def penalty(net):
         return weight * sum(lam * group_l1_norm(net, g)
