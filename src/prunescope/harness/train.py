@@ -2,12 +2,14 @@
 
 Each iteration runs forward, task loss and backward, and the optimizer
 steps with the scheduled L1 subgradient as its penalty, which leaves
-``flat_grad`` holding the task gradients. The importance states read those
-gradients in one ``second_lane`` stage (``importance.reading``) that spans
-the next iteration's forward pass and loss, so the element-wise reads run
-beside its matrix products; the epoch's last iteration is read after its
-step. One trace row per (epoch, group) captures the final iteration's
-metrics with epoch-end norms and losses.
+``flat_grad`` holding the task gradients. One ``importance.Reader`` per
+run, which checks its inputs, allocates its scratch and binds its views
+once, reads those gradients into the importance states in one
+``second_lane`` stage (``Reader.beside``) that spans the next iteration's
+forward pass and loss, so the element-wise reads run beside its matrix
+products; the epoch's last iteration is read after its step
+(``Reader.read``). One trace row per (epoch, group) captures the final
+iteration's metrics with epoch-end norms and losses.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
-from ..importance import (GroupImportanceState, METRICS, init_states, rank_groups,
-                          reading, states_to_doc, update_all)
+from ..importance import (GroupImportanceState, METRICS, Reader, init_states,
+                          rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
                        mse_loss, one_blas_thread, save_checkpoint, sidecar_path)
@@ -145,6 +147,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     groups = graph.groups
     param_counts = [g.param_count for g in groups]
     states = init_states(graph, cfg.bayes)
+    reader = Reader(states, net, graph, cfg.bayes, cfg.gamma)
     optimizer = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
@@ -159,8 +162,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
         for it, lo in enumerate(starts):
             idx = order[lo:lo + cfg.batch_size]
             # The previous iteration's gradients are read beside this forward.
-            with (reading(states, net, graph, cfg.bayes, cfg.gamma) if it
-                  else contextlib.nullcontext()):
+            with reader.beside() if it else contextlib.nullcontext():
                 acts = forward(net, x_train[idx])
                 task_loss, d_out = mse_loss(acts[-1], y_train[idx])
             if not math.isfinite(task_loss):
@@ -168,12 +170,12 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     f"task loss became {task_loss} at epoch {epoch}, "
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
-            del acts, d_out  # freed before the next stage allocates its buffer
+            del acts, d_out  # freed before the step and the next forward allocate theirs
             if lo == starts[-1]:  # the epoch's loss is taken before its last step
                 l1 = sum(lam * norm for lam, norm
                          in zip(lambdas, graph.l1_norms(net.flat_values)))
             optimizer.step(net, penalty)
-        update_all(states, net, graph, cfg.bayes, cfg.gamma)
+        reader.read()
         epoch_loss = total_loss(task_loss, l1, weight)
         norms = graph.l1_norms(net.flat_values)
         for i, group in enumerate(groups):

@@ -13,7 +13,9 @@ The reads write nothing into the network. The step's L1 subgradient exists
 only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 ``flat_grad`` holding the task gradients, so the term never reaches
 importance, and a step's gradients can be read while the next step's
-forward pass runs (:func:`reading`).
+forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
+inputs, allocates its scratch and binds its views once, so each read runs
+only its ufuncs.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -37,7 +39,7 @@ import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
-from .modelgraph import ComponentGraph, PruningGroup, slot_sum
+from .modelgraph import ComponentGraph, PruningGroup, view_sum
 from .netcore import Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
@@ -128,59 +130,92 @@ def update_all(states: dict[str, GroupImportanceState], net: Network,
                graph: ComponentGraph, cfg: BayesConfig,
                gamma: float) -> dict[str, GroupImportanceState]:
     """Advance every group's metrics by one observation of the gradients in
-    ``net.flat_grad``: :func:`reading` with an empty body. Writes nothing
-    into the network. Mutates and returns ``states``; deterministic for
-    identical inputs."""
-    with reading(states, net, graph, cfg, gamma):
-        pass
+    ``net.flat_grad``: one :meth:`Reader.read`. Writes nothing into the
+    network. Mutates and returns ``states``; deterministic for identical
+    inputs."""
+    Reader(states, net, graph, cfg, gamma).read()
     return states
 
 
-@contextlib.contextmanager
-def reading(states: dict[str, GroupImportanceState], net: Network,
-            graph: ComponentGraph, cfg: BayesConfig, gamma: float) -> Iterator[None]:
-    """A :func:`second_lane` stage that reads the gradients in
-    ``net.flat_grad`` into ``states`` while the ``with`` block runs.
+class Reader:
+    """Reads the gradients in ``net.flat_grad`` into the states that
+    ``states`` holds when it is built, one observation per :meth:`read` or
+    :meth:`beside` stage.
 
-    Each group is one call, which takes the squared and then the absolute
-    gradients over the group's arena runs into its runs of one buffer. Its
-    metrics are reduced from the buffer over its slots in slice order by
-    :func:`slot_sum`: the gradient magnitude (1/N) sum |g|, also the energy
-    the Bayes tracker observes, and the Fisher diagonal (1/N) sum g^2; one
-    that is not finite raises :class:`NumericsError` when the stage closes,
-    unless the block raised its own error. Where the slots lie and which of
-    them feed each unit score was fixed by :func:`build_groups`. Groups own
-    disjoint runs, so no group's arithmetic depends on another's.
-
-    The calls read ``flat_grad`` and write only ``states`` and the buffer,
-    so the block may run anything that neither writes ``flat_grad`` nor
-    reads ``states``: ``run_training`` runs the next step's forward pass and
-    loss there. Without the lane, each call runs when it is submitted,
-    before the block.
+    Construction checks ``gamma``, the network's layout against the graph
+    and that every group has a state, allocates the one scratch buffer of
+    the arena's size and binds every view a read runs its ufuncs on, so a
+    stage pays only for its arithmetic. A stage is one :func:`second_lane`
+    call per group, which takes the squared and then the absolute gradients
+    over the group's arena runs into its runs of the buffer. Its metrics
+    are reduced from the buffer over its slots in slice order by
+    :func:`view_sum`: the gradient magnitude (1/N) sum |g|,
+    also the energy the Bayes tracker observes, and the Fisher diagonal
+    (1/N) sum g^2; one that is not finite raises :class:`NumericsError`
+    when the stage closes, unless the block raised its own error. Where the
+    slots lie and which of them feed each unit score was fixed by
+    :func:`build_groups`. Groups own disjoint runs, so no group's
+    arithmetic depends on another's. The stages of one reader share its
+    buffer, so they run one at a time.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
-    graph.check_layout(net)
-    for group in graph.groups:
-        if group.id not in states:
-            raise ConfigurationError(f"no importance state for group {group.id!r}")
-    scratch = np.empty(net.flat_grad.size)
-    with second_lane(scratch.size) as submit:
+
+    def __init__(self, states: dict[str, GroupImportanceState], net: Network,
+                 graph: ComponentGraph, cfg: BayesConfig, gamma: float) -> None:
+        if not 0.0 <= gamma < 1.0:
+            raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
+        graph.check_layout(net)
         for group in graph.groups:
-            submit(_update_group, group, states, net.flat_grad, scratch, cfg, gamma)
-        yield
+            if group.id not in states:
+                raise ConfigurationError(f"no importance state for group {group.id!r}")
+        scratch = np.empty(net.flat_grad.size)
+        self._calls = [(_update_group, group, states[group.id],
+                        *_views(group, net.flat_grad, scratch), cfg, gamma)
+                       for group in graph.groups]
+        self._size = scratch.size
+
+    @contextlib.contextmanager
+    def beside(self) -> Iterator[None]:
+        """A :func:`second_lane` stage that reads the gradients while the
+        ``with`` block runs.
+
+        The calls read ``flat_grad`` and write only the states and the
+        buffer, so the block may run anything that neither writes
+        ``flat_grad`` nor reads the states: ``run_training`` runs the next
+        step's forward pass and loss there. Without the lane, each call runs
+        when it is submitted, before the block.
+        """
+        with second_lane(self._size) as submit:
+            for call in self._calls:
+                submit(*call)
+            yield
+
+    def read(self) -> None:
+        """One observation now: :meth:`beside` with an empty block."""
+        with self.beside():
+            pass
 
 
-def _update_group(group: PruningGroup, states: dict[str, GroupImportanceState],
-                  grad: np.ndarray, scratch: np.ndarray,
+def _views(group: PruningGroup, grad: np.ndarray, scratch: np.ndarray) -> tuple:
+    """The views a read of ``group`` runs its ufuncs on: each arena run of
+    ``grad`` beside the same run of ``scratch``, each slot of ``scratch``,
+    and per unit layer its width, its parts (each slot reshaped to its
+    tensor, with the axis to reduce or None) and its weights per unit."""
+    slots = tuple(scratch[lo:hi] for lo, hi, _ in group.slots)
+    return (tuple((grad[lo:hi], scratch[lo:hi]) for lo, hi in group.runs), slots,
+            tuple((layer, width, tuple((slots[i].reshape(group.slots[i][2]), axis)
+                                       for i, axis in parts), per_unit)
+                  for layer, width, parts, per_unit in group.units))
+
+
+def _update_group(group: PruningGroup, state: GroupImportanceState,
+                  runs: tuple, slots: tuple, units: tuple,
                   cfg: BayesConfig, gamma: float) -> None:
-    for lo, hi in group.runs:
-        np.square(grad[lo:hi], out=scratch[lo:hi])
-    raw_fisher = slot_sum(scratch, group.slots) / group.param_count
-    for lo, hi in group.runs:
-        np.abs(grad[lo:hi], out=scratch[lo:hi])
-    state = states[group.id]
-    raw_grad = slot_sum(scratch, group.slots) / group.param_count
+    for g, s in runs:
+        np.square(g, out=s)
+    raw_fisher = view_sum(slots) / group.param_count
+    for g, s in runs:
+        np.abs(g, out=s)
+    raw_grad = view_sum(slots) / group.param_count
     if math.isfinite(raw_grad):  # else bayes_update would refuse it
         bayes_update(state, raw_grad, cfg)
     raw_bayes = bayes_importance(state.mu, raw_fisher)
@@ -202,11 +237,9 @@ def _update_group(group: PruningGroup, states: dict[str, GroupImportanceState],
         state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, gamma)
 
     # Per-unit mean |grad| over the slices each unit layer indexes.
-    for unit_layer, width, parts, per_unit in group.units:
+    for unit_layer, width, parts, per_unit in units:
         numerator = np.zeros(width)
-        for i, axis in parts:
-            lo, hi, shape = group.slots[i]
-            a = scratch[lo:hi].reshape(shape)
+        for a, axis in parts:
             numerator += a if axis is None else np.add.reduce(a, axis)
         scores = numerator / per_unit
         previous = state.unit_ema.get(unit_layer)

@@ -130,7 +130,13 @@ def slot_sum(values: np.ndarray, slots: Iterable[tuple[int, int, tuple]]) -> flo
     so the sum has the bits of a sum of per-tensor sums; a sum over merged
     runs would group the additions differently.
     """
-    return sum([float(np.add.reduce(values[lo:hi], axis=None)) for lo, hi, _ in slots])
+    return view_sum([values[lo:hi] for lo, hi, _ in slots])
+
+
+def view_sum(views: Iterable[np.ndarray]) -> float:
+    """The sum of arrays, each reduced on its own and added in order: a
+    :func:`slot_sum` over views already cut."""
+    return sum([float(np.add.reduce(v, axis=None)) for v in views])
 
 
 def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -460,8 +460,9 @@ def _penalized(g: np.ndarray, theta: np.ndarray, lo: int, hi: int,
 
     Where no run of ``penalty`` meets the block, that is the block of ``g``
     itself and None. Otherwise it is a private copy of the block plus
-    ``coeff * sign(theta)`` over each run that meets it, taken in the free
-    array, so ``g`` keeps the task gradient. Runs that do not overlap give
+    ``coeff * sign(theta)`` over each run that meets it: the free array
+    takes the block's signs once, and each run multiplies its part of them
+    in place, so ``g`` keeps the task gradient. Runs that do not overlap give
     each element at most one addition, with the bits of adding the term to
     ``g`` in place.
     """
@@ -471,9 +472,9 @@ def _penalized(g: np.ndarray, theta: np.ndarray, lo: int, hi: int,
             for a, b, coeff in penalty if a < hi and b > lo]
     if not runs:
         return g[lo:hi], None
-    gb, free = g[lo:hi].copy(), np.empty(hi - lo)
+    gb, free = g[lo:hi].copy(), np.sign(theta[lo:hi])
     for a, b, coeff in runs:
-        term = np.sign(theta[lo + a:lo + b], out=free[a:b])
+        term = free[a:b]
         gb[a:b] += np.multiply(term, coeff, out=term)
     return gb, free
 

@@ -19,7 +19,7 @@ from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
 from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import check_trace
-from prunescope.importance import (BayesConfig, GroupImportanceState, _update_group,
+from prunescope.importance import (BayesConfig, GroupImportanceState, _update_group, _views,
                                    bayes_update, ema_update, init_states, update_all)
 from prunescope.modelgraph import PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
@@ -76,18 +76,17 @@ def test_criterion_2_metrics_match_brute_force():
     rng = np.random.default_rng(202)
     worst = 0.0
     cfg = BayesConfig()
-    # The kernel training runs, on one group whose single slot is the vector.
+    # The reader's kernel, on one group whose single slot is the vector.
     for _ in range(1000):
         g = rng.normal(0.0, 3.0, size=int(rng.integers(1, 64)))
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), ((0, n),), (), ())
-        states = {"g": GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)}
-        _update_group(group, states, g, np.empty(n), cfg, 0.9)
+        state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
+        _update_group(group, state, *_views(group, g, np.empty(n)), cfg, 0.9)
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
-        for got, ref in ((states["g"].raw_grad, ref_grad),
-                         (states["g"].raw_fisher, ref_fisher)):
+        for got, ref in ((state.raw_grad, ref_grad), (state.raw_fisher, ref_fisher)):
             worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     # The whole online update, on random gradients.
     for seed in range(20):
@@ -103,7 +102,7 @@ def test_criterion_2_metrics_match_brute_force():
                              (st.raw_fisher, math.fsum(v * v for v in g) / len(g))):
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     ok = worst <= 1e-12
-    announce(2, ok, f"the training kernel over 1000 vectors and update_all "
+    announce(2, ok, f"the reader's kernel over 1000 vectors and update_all "
                     f"over 20 networks vs fsum recomputation, worst "
                     f"deviation {worst:.3e}")
     assert ok

@@ -299,6 +299,36 @@ def test_a_non_finite_importance_ends_training_with_the_groups_error(
     assert len(backwards) == 2
 
 
+def test_a_training_run_allocates_one_read_arena(monkeypatch):
+    """A 2-epoch latent-8 run (16 steps, 16 reads) allocates one arena-sized
+    array in ``importance``, the reader's scratch, and not one per read."""
+    cfg = replace(latent8_config(), epochs=2)
+    size = build_model(cfg.model, 0).param_count()
+    arenas = []
+
+    class CountingNumpy:  # numpy, whose functions report new arena-sized arrays
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, (np.ufunc, type)):
+                return attr
+
+            def counted(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                if isinstance(out, np.ndarray) and out.base is None and out.size == size:
+                    arenas.append(name)
+                return out
+            return counted
+
+    monkeypatch.setattr(importance_module, "np", CountingNumpy())
+    reads = []
+    original = importance_module._update_group
+    monkeypatch.setattr(importance_module, "_update_group",
+                        lambda *args: (reads.append(None), original(*args)))
+    result = run_training(cfg)
+    assert len(reads) == 16 * len(result.graph.groups)
+    assert arenas == ["empty"]
+
+
 def test_training_through_an_sgd_config(tmp_path):
     """An ``optimizer.kind: "sgd"`` config read from a file trains with plain
     gradient descent: the loss falls, and the run differs from Adam's."""
