@@ -42,8 +42,8 @@ ALLOWED = {
         "platform fallback: this numpy bundles scipy-openblas",
     ("netcore.py", "_usable_cores", "return os.cpu_count() or 1"):
         "platform fallback: os.sched_getaffinity exists on Linux",
-    ("netcore.py", "_fresh_lane", "_LANE = _Lane()  # a forked child has no worker; "
-     "it starts its own"):
+    ("netcore.py", "_fresh_lane", "_LANE.clear()  # a forked child has no worker; "
+     "its first stage that queues makes one"):
         "runs in a forked child, whose trace this process never sees",
     ("netcore.py", "Network._raise_non_finite",
      'raise NumericsError(f"non-finite parameters {context}")'):

@@ -23,7 +23,7 @@ def load_idx(path: str | Path) -> np.ndarray:
     The images (magic 0x00000803) come back as uint8 [count, rows, cols].
     The big-endian magic, one 32-bit dimension per axis, and the exact
     payload length are all validated; any other magic is refused, and so is
-    a truncated or corrupt gzip stream.
+    a truncated or corrupt gzip stream or one that exceeds memory.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -31,6 +31,8 @@ def load_idx(path: str | Path) -> np.ndarray:
             raw = gzip.decompress(raw)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise DataFormatError(f"{path}: corrupt gzip stream: {exc}") from None
+        except MemoryError:
+            raise DataFormatError(f"{path}: the decompressed stream exceeds memory") from None
     if len(raw) < 4:
         raise DataFormatError(f"{path}: too short for an IDX magic number")
     (magic,) = struct.unpack(">I", raw[:4])
@@ -59,8 +61,10 @@ def load_idx(path: str | Path) -> np.ndarray:
 def load_image_matrix(path: str | Path) -> np.ndarray:
     """IDX images flattened to float64 rows scaled into [0, 1]."""
     images = load_idx(path)
-    count = images.shape[0]
-    return images.reshape(count, -1).astype(np.float64) / 255.0
+    try:
+        return images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    except MemoryError:
+        raise DataFormatError(f"{path}: {images.shape} images exceed memory as float64") from None
 
 
 def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,

@@ -8,8 +8,10 @@ once, reads those gradients into the importance states in one
 ``second_lane`` stage (``Reader.beside``) that spans the next iteration's
 forward pass and loss, so the element-wise reads run beside its matrix
 products; the epoch's last iteration is read after its step
-(``Reader.read``). One trace row per (epoch, group) captures the final
-iteration's metrics with epoch-end norms and losses.
+(``Reader.read``). The lane's thread pool, and ``concurrent.futures``
+with it, is made by the first stage that queues a call, so a network below
+one ``ADAM_BLOCK`` never loads either. One trace row per (epoch, group)
+captures the final iteration's metrics with epoch-end norms and losses.
 """
 
 from __future__ import annotations

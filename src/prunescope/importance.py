@@ -13,9 +13,10 @@ The reads write nothing into the network. The step's L1 subgradient exists
 only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 ``flat_grad`` holding the task gradients, so the term never reaches
 importance, and a step's gradients can be read while the next step's
-forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
-inputs, allocates its scratch and binds its views once, so each read runs
-only its ufuncs.
+forward pass runs (:meth:`Reader.beside`), on the second lane's thread
+pool, which the first stage that queues a call makes and imports. A
+:class:`Reader` checks its inputs, allocates its scratch and binds its
+views once, so each read runs only its ufuncs.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its

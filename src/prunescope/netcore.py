@@ -15,8 +15,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -354,6 +352,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ConfigurationError(
             f"prediction shape {pred.shape} does not match target shape {target.shape}")
+    if pred.size == 0:
+        raise ConfigurationError(f"cannot take the mean over an empty prediction {pred.shape}")
     diff = pred - target
     loss = float(np.add.reduce(diff * diff, axis=None)) / diff.size  # np.mean's bits, less overhead
     grad = (2.0 / diff.size) * diff
@@ -670,51 +670,23 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-class _Lane:
-    """One worker thread, started on first use, that takes the whole calls
-    of one stage at a time from the front of ``todo``: a stage holds
-    ``taken`` from when it opens until every call it queued has finished."""
-
-    def __init__(self) -> None:
-        self.taken = threading.Lock()
-        self.todo: deque = deque()
-        self.queued = threading.Semaphore(0)
-        self.finished = threading.Semaphore(0)
-        self.worker: threading.Thread | None = None
-
-    def serve(self) -> None:
-        while True:
-            self.queued.acquire()
-            if self.run(self.todo.popleft):
-                self.finished.release()
-
-    def run(self, take: Callable[[], Callable[[], None]]) -> bool:
-        """Run the call ``take`` removes from ``todo``; False if none is left.
-        The call goes with this frame: an idle worker keeps none of its arrays."""
-        try:
-            call = take()
-        except IndexError:
-            return False
-        call()
-        return True
-
-
-_LANE = _Lane()
+_LANE: dict = {}  # "pool": the one-worker ThreadPoolExecutor, made by the first stage that queues
 
 
 def _fresh_lane() -> None:
-    global _LANE
-    _LANE = _Lane()  # a forked child has no worker; it starts its own
+    _LANE.clear()  # a forked child has no worker; its first stage that queues makes one
 
 
 os.register_at_fork(after_in_child=_fresh_lane)
 
 
-def _call(errors: dict[int, BaseException], index: int, func: Callable, args: tuple) -> None:
+def _error_of(func: Callable, *args: object) -> BaseException | None:
+    """Run ``func(*args)`` and return what it raised, or None."""
     try:
         func(*args)
     except BaseException as exc:  # re-raised when the stage closes
-        errors[index] = exc
+        return exc
+    return None
 
 
 @contextlib.contextmanager
@@ -722,46 +694,49 @@ def second_lane(size: int) -> Iterator[Callable[..., None]]:
     """A stage over ``size`` arena elements: the ``with`` block gets
     ``submit(func, *args)``, which queues a whole call for the second lane.
 
-    The lane's worker takes calls from the front of the queue. Leaving the
-    block, this thread runs those it has not taken from the back, then waits
-    for those it took (work stealing: Blumofe and Leiserson, JACM 1999), so a
-    busy core only leaves more calls to this thread. Then the error of the
+    The lane is one worker thread that takes calls in submit order. Leaving
+    the block, this thread walks its own calls from the back, runs each one
+    whose ``Future.cancel()`` succeeds (exactly those the worker has not
+    started) and waits for the rest (work stealing: Blumofe and Leiserson,
+    JACM 1999), so a busy core only leaves more calls to this thread. Then the error of the
     earliest-submitted call that raised one is re-raised, unless the block
-    raised its own. Calls are queued only when the stage spans an
-    ``ADAM_BLOCK``, the process may use two cores (:func:`_lane_rule`) and no
-    other stage holds the lane, as a nested one does; otherwise ``submit``
-    runs each call at once, under the same rules. A call runs in a copy of
-    the context it was submitted in, so ``np.errstate`` holds on either
-    thread. Each call is whole and writes its own arrays, so no bit depends
-    on the thread that ran it.
+    raised its own. A stage waits for no call but its own, so stages may
+    nest or run on several threads. Calls are queued only when the stage
+    spans an ``ADAM_BLOCK`` and the process may use two cores
+    (:func:`_lane_rule`); otherwise ``submit`` runs each call at once, under
+    the same error rule. A call runs in a copy of the context it was
+    submitted in, so ``np.errstate`` holds on either thread. Each call is
+    whole and writes its own arrays, so no bit depends on the thread that
+    ran it.
     """
-    errors: dict[int, BaseException] = {}
-    lane, sent = _LANE, 0
-    if not (size >= ADAM_BLOCK and _lane_rule() and lane.taken.acquire(blocking=False)):
-        # Calls run here in submit order, so the earliest error gets the lowest key.
-        yield lambda func, *args: _call(errors, len(errors), func, args)
+    errors: list[BaseException | None] = []  # one per call, in submit order
+    if not (size >= ADAM_BLOCK and _lane_rule()):
+        yield lambda func, *args: errors.append(_error_of(func, *args))
     else:
-        if lane.worker is None:
-            lane.worker = threading.Thread(target=lane.serve, name="prunescope-lane", daemon=True)
-            lane.worker.start()
+        pool, calls = _LANE.get("pool"), []
+        if pool is None:
+            # Imported here: concurrent.futures loads logging, which a CLI
+            # start would pay for. setdefault keeps one pool where first
+            # stages race; a pool starts its worker on its first submit, so
+            # one not kept never starts any.
+            from concurrent.futures import ThreadPoolExecutor
+            pool = _LANE.setdefault("pool", ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="prunescope-lane"))
 
         def submit(func: Callable, *args: object) -> None:
-            nonlocal sent
-            lane.todo.append(functools.partial(contextvars.copy_context().run,
-                                               _call, errors, sent, func, args))
-            lane.queued.release()
-            sent += 1
+            call = functools.partial(contextvars.copy_context().run, func, *args)
+            calls.append((pool.submit(call), call))
 
         try:
             yield submit
         finally:
-            while lane.run(lane.todo.pop):
-                sent -= 1  # leaving the calls the worker took
-            for _ in range(sent):
-                lane.finished.acquire()
-            lane.taken.release()
-    if errors:
-        raise errors[min(errors)]
+            taken = {i: _error_of(call) for i, (future, call) in reversed(list(enumerate(calls)))
+                     if future.cancel()}
+            errors = [taken[i] if i in taken else future.exception()
+                      for i, (future, _) in enumerate(calls)]
+            calls.clear()  # submit may outlive the block; the calls' arrays do not
+    if any(errors):
+        raise next(filter(None, errors))
 
 
 # -- checkpoints ---------------------------------------------------------

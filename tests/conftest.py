@@ -215,30 +215,32 @@ def rng():
     return np.random.default_rng(0)
 
 
+def on_the_lane() -> bool:
+    """Whether the calling thread is the second lane's worker."""
+    return threading.current_thread().name.startswith("prunescope-lane")
+
+
 @pytest.fixture
 def force_lane(monkeypatch):
-    """Force the second lane's BLAS rule on or off, on a fresh lane whose
-    ``worker`` shows whether a stage handed it anything; returns the lane."""
-    def force(on: bool) -> netcore._Lane:
-        lane = netcore._Lane()
-        monkeypatch.setattr(netcore, "_LANE", lane)
+    """Force the second lane's rule on or off and drop its pool, so the next
+    stage that queues a call makes a fresh one and ``"pool" in
+    netcore._LANE`` shows whether any stage did."""
+    def force(on: bool) -> None:
+        monkeypatch.setattr(netcore, "_LANE", {})
         monkeypatch.setattr(netcore, "_lane_rule", lambda: on)
-        return lane
     return force
 
 
 @pytest.fixture
 def gated_lane(force_lane):
-    """The second lane forced on, with a worker that takes nothing until the
-    returned event is set: a lane held up as by a busy core. Returns the
-    lane and the event, and sets the event on teardown."""
-    lane, gate = force_lane(True), threading.Event()
-    serve = lane.serve
-
-    def gated() -> None:
-        gate.wait()
-        serve()
-
-    lane.serve = gated
-    yield lane, gate
+    """The second lane forced on, its worker held by a first call that waits
+    for the returned event: a lane held up as by a busy core, which leaves
+    every later call for its stage to take back. Sets the event on
+    teardown."""
+    force_lane(True)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(lambda: None)  # makes the pool
+    gate = threading.Event()
+    netcore._LANE["pool"].submit(gate.wait)
+    yield gate
     gate.set()

@@ -56,6 +56,18 @@ def test_load_idx_rejects_malformed_files(tmp_path):
         load_idx(path)
 
 
+def test_load_idx_refuses_a_gzip_stream_that_exceeds_memory(tmp_path, monkeypatch):
+    path = tmp_path / "images.idx.gz"
+    path.write_bytes(gzip.compress(image_bytes()))
+
+    def out_of_memory(data):
+        raise MemoryError
+
+    monkeypatch.setattr(gzip, "decompress", out_of_memory)
+    with pytest.raises(DataFormatError, match="decompressed stream exceeds memory"):
+        load_idx(path)
+
+
 def test_load_image_matrix_flattens_and_scales(tmp_path):
     path = tmp_path / "images.idx"
     path.write_bytes(image_bytes(count=2, rows=2, cols=2,

@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def pinned_report() -> dict:
     and whether the second lane ran; printed as JSON by the subprocess."""
     params, states = autoencoder_digests()
     return {"params": params, "states": states, "core": netcore.blas_runtime().core,
-            "cores": netcore._usable_cores(), "lane": netcore._LANE.worker is not None}
+            "cores": netcore._usable_cores(), "lane": "pool" in netcore._LANE}
 
 
 def run_pinned(threads: str | None) -> dict:
@@ -154,18 +155,20 @@ def test_second_lane_changes_no_bit(force_lane):
     and off: the parameter and states digests are equal."""
     runs = []
     for on in (True, False):
-        lane = force_lane(on)
+        force_lane(on)
         runs.append(autoencoder_digests())
-        assert (lane.worker is not None) == on
+        assert ("pool" in netcore._LANE) == on
     assert runs[0] == runs[1]
 
 
 def test_a_held_up_lane_changes_no_bit(force_lane, gated_lane):
-    """One epoch of the autoencoder case with a lane whose worker takes
-    nothing: every stage's calls run on this thread, from the back of each
-    stage's queue, and the digests equal those with the lane off."""
-    lane, _ = gated_lane
+    """One epoch of the autoencoder case with a lane whose worker starts
+    nothing: every stage takes its calls back and runs them on this thread,
+    from the back, and the digests equal those with the lane off."""
+    ran = []
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(ran.append, threading.get_ident())
     held_up = autoencoder_digests(epochs=1)
-    assert lane.worker is not None and not lane.todo
+    assert ran == [threading.get_ident()] and not gated_lane.is_set()
     force_lane(False)
     assert held_up == autoencoder_digests(epochs=1)

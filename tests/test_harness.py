@@ -216,10 +216,29 @@ def test_training_is_bitwise_deterministic():
 
 def test_toy_training_never_starts_the_second_lane(force_lane):
     """1,130 parameters span less than one ADAM_BLOCK, so no stage hands
-    work to the lane even where BLAS leaves a core idle."""
-    lane = force_lane(True)
+    work to the lane even where BLAS leaves a core idle, and no pool is made."""
+    force_lane(True)
     run_training(toy_config())
-    assert lane.worker is None
+    assert "pool" not in netcore._LANE
+
+
+def test_toy_training_never_imports_the_thread_pool():
+    """A toy_multihead run in a fresh interpreter, with the lane rule of the
+    machine it runs on, never makes the pool or imports
+    ``concurrent.futures``: the import waits for the first stage that
+    queues a call."""
+    code = ("import sys; from prunescope import netcore; "
+            "from prunescope.harness.config import DatasetConfig, ExperimentConfig, "
+            "ModelConfig; from prunescope.harness.train import run_training; "
+            "run_training(ExperimentConfig(model=ModelConfig(preset='toy_multihead'), "
+            "dataset=DatasetConfig(n_train=128, n_test=32, rank=6, target='affine'), "
+            "epochs=2, batch_size=32)); "
+            "print(netcore._LANE, 'concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["{}", "False"]
 
 
 def test_no_function_the_bench_times_runs_on_the_lane(force_lane, monkeypatch):
@@ -241,12 +260,12 @@ def test_no_function_the_bench_times_runs_on_the_lane(force_lane, monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, recording)
-    lane = force_lane(True)
+    force_lane(True)
     run_training(ExperimentConfig(
         model=ModelConfig(preset="autoencoder", latent_dim=8),
         dataset=DatasetConfig(kind="synthetic", n_train=256, n_test=64, rank=8),
         epochs=1, batch_size=128, seed=0))
-    assert lane.worker is not None
+    assert "pool" in netcore._LANE
     assert threads == {name: {threading.get_ident()} for name in timed}
 
 
@@ -269,10 +288,10 @@ def test_a_steps_gradients_are_read_on_the_lane(force_lane, monkeypatch):
         original(*args)
 
     monkeypatch.setattr(importance_module, "_update_group", recording)
-    lane = force_lane(True)
+    force_lane(True)
     result = run_training(latent8_config())
     assert len(threads) == 8 * len(result.graph.groups)
-    assert lane.worker is not None and set(threads) - {threading.get_ident()}
+    assert "pool" in netcore._LANE and set(threads) - {threading.get_ident()}
 
 
 @pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
@@ -967,8 +986,9 @@ def test_star_imports_resolve_every_exported_name():
 
 
 def test_cli_import_loads_no_thread_pool_or_logging():
-    """``setup_s`` pays for every module the CLI imports; the second lane is
-    built on ``threading`` alone, and the only dependency outside the
+    """``setup_s`` pays for every module the CLI imports; the second lane's
+    pool, and with it ``concurrent.futures`` and ``logging``, is imported on
+    the first stage that queues a call, and the only dependency outside the
     standard library is numpy. ``-S`` keeps site hooks from loading modules
     of their own first."""
     code = ("import sys; before = set(sys.modules); import prunescope.harness.cli; "

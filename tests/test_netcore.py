@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -24,8 +23,8 @@ from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
 from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
-                      make_two_component_chain, predicted_removed_params, set_dyadic,
-                      with_activations)
+                      make_two_component_chain, on_the_lane, predicted_removed_params,
+                      set_dyadic, with_activations)
 
 
 # -- activations -----------------------------------------------------------
@@ -118,7 +117,7 @@ def test_forward_rejects_bad_batches():
         forward(net, np.zeros((2, 4)))
 
 
-def split_test_net(name: str) -> Network:
+def lane_test_net(name: str) -> Network:
     """A preset network by name, or ``pruned``: the latent-8 autoencoder
     with units taken from four layers, a shape no preset has."""
     if name == "toy_multihead":
@@ -137,11 +136,11 @@ def split_test_net(name: str) -> Network:
 
 @pytest.mark.parametrize("name", [f"latent{d}" for d in AUTOENCODER_LATENTS]
                          + ["pruned", "toy_multihead"])
-def test_the_lane_splits_change_no_bit(force_lane, name):
+def test_the_lane_changes_no_activation_or_gradient_bit(force_lane, name):
     """With the lane forced on, every activation equals the layer-by-layer
     oracle bit for bit, and every gradient equals backward's without the
     lane, at batch sizes from one row up."""
-    net = split_test_net(name)
+    net = lane_test_net(name)
     rng = np.random.default_rng(9)
     for rows in (1, 3, 40, 64, 127, 128, 256):
         x = rng.standard_normal((rows, net.input_dim))
@@ -162,24 +161,24 @@ def test_backward_keeps_the_input_layer_whole_on_this_thread(force_lane, monkeyp
     """The input layer's gradients are one whole call on the calling thread;
     each other layer's are one whole call on the lane's worker or, taken
     back when the stage closes, on the calling thread."""
-    lane = force_lane(True)
-    net = split_test_net("latent8")
+    force_lane(True)
+    net = lane_test_net("latent8")
     calls, param_grads = [], netcore._param_grads
 
     def recording(dz, x, weight_grad, bias_grad):
         k = next(k for k, layer in enumerate(net.layers)
                  if np.shares_memory(weight_grad, layer.weight.grad))
-        calls.append((k, threading.get_ident(), weight_grad.shape))
+        calls.append((k, threading.get_ident(), on_the_lane(), weight_grad.shape))
         param_grads(dz, x, weight_grad, bias_grad)
 
     monkeypatch.setattr(netcore, "_param_grads", recording)
     acts = forward(net, np.random.default_rng(2).standard_normal((128, net.input_dim)))
     backward(net, acts, np.ones_like(acts[-1]))
     here = threading.get_ident()
-    assert sorted(k for k, _, _ in calls) == list(range(6))
-    for k, thread, shape in sorted(calls):
+    assert sorted(k for k, _, _, _ in calls) == list(range(6))
+    for k, thread, lane, shape in sorted(calls):
         assert shape == net.layers[k].weight.grad.shape
-        assert thread in ((here,) if k == 0 else (here, lane.worker.ident)), f"layer {k}"
+        assert thread == here or (lane and k > 0), f"layer {k}"
 
 
 # -- loss ------------------------------------------------------------------
@@ -197,6 +196,11 @@ def test_mse_means_over_every_element():
     loss, grad = mse_loss(pred, target)
     assert loss == (1.0 + 9.0 + 25.0 + 49.0) / 4.0
     np.testing.assert_array_equal(grad, pred / 2.0)
+
+
+def test_mse_refuses_an_empty_prediction_before_dividing():
+    with pytest.raises(ConfigurationError, match=r"empty prediction \(0, 3\)"):
+        mse_loss(np.empty((0, 3)), np.empty((0, 3)))
 
 
 def test_mse_loss_has_the_bits_of_the_mean_of_squares():
@@ -469,7 +473,7 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
     to it. The error names the same tensor with the lane forced on and off."""
     messages = []
     for on in (True, False):
-        lane = force_lane(on)
+        force_lane(on)
         net = make_net([200, 200, 2], ["relu", "identity"], seed=0)
         acts = forward(net, np.ones((3, 200)))
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError) as err:
@@ -480,7 +484,7 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
                 net.layers[1].weight.grad[1, 7] = math.inf
                 (SGD(lr=0.1) if stage == "SGD" else Adam(lr=0.1)).step(net)
         messages.append(str(err.value))
-        assert (lane.worker is not None) == on
+        assert ("pool" in netcore._LANE) == on
     assert messages[0] == messages[1]
     assert "layer1.weight" in messages[0]
 
@@ -488,8 +492,9 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
 @pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
 def test_second_lane_reraises_after_both_halves_finish(force_lane, on):
     """With the lane and inline alike, every call runs, the first error is
-    raised after the block, and an error of the block itself wins."""
-    lane = force_lane(on)
+    raised after the block, and an error of the block itself wins. A nested
+    stage queues like any other: its call has run once when it closes."""
+    force_lane(on)
     done = []
 
     def fail():
@@ -506,48 +511,43 @@ def test_second_lane_reraises_after_both_halves_finish(force_lane, on):
         with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
             submit(fail)
             raise KeyError("here")
-    threads = {}  # the thread each call ran on
+    here, ran = threading.get_ident(), []  # (stage, thread)
+    threads = {"here", "lane"} if on else {"here"}
+
+    def record(stage):
+        ran.append((stage, "here" if threading.get_ident() == here
+                    else "lane" if on_the_lane() else "another"))
+
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
-        submit(lambda: threads.setdefault("outer", threading.get_ident()))
-        with netcore.second_lane(netcore.ADAM_BLOCK) as nested:  # the lane is taken: inline
-            nested(lambda: threads.setdefault("nested", threading.get_ident()))
-            assert "nested" in threads  # run at once
-    here = threading.get_ident()
-    assert threads["nested"] == here
-    assert threads["outer"] in ((here, lane.worker.ident) if on else (here,))
+        submit(record, "outer")
+        with netcore.second_lane(netcore.ADAM_BLOCK) as nested:
+            nested(record, "nested")
+        nested_ran = [thread for stage, thread in ran if stage == "nested"]
+        assert len(nested_ran) == 1 and nested_ran[0] in threads
+    assert sorted(stage for stage, _ in ran) == ["nested", "outer"]
+    assert {thread for _, thread in ran} <= threads
 
 
 def test_a_stage_runs_the_calls_a_held_up_lane_has_not_taken(gated_lane):
     """Leaving the block, this thread runs every call the worker has not
-    taken, from the back of the queue; the worker skips the wake-ups whose
-    calls are gone and then serves the next stage as before."""
-    lane, gate = gated_lane
+    started, from the back; once free, the worker discards those calls and
+    then serves the next stage as before."""
     ran = []
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         for i in range(4):
             submit(lambda i=i: ran.append((i, threading.get_ident())))
     assert ran == [(i, threading.get_ident()) for i in (3, 2, 1, 0)]
-    skipped = threading.Event()
-
-    class Todo(deque):
-        def popleft(self):
-            if not self:
-                skipped.set()
-            return super().popleft()
-
-    lane.todo = Todo()
-    gate.set()
-    assert skipped.wait(timeout=60)
+    gated_lane.set()
     taken = threading.Event()
 
     def record():
-        ran.append(threading.get_ident())
+        ran.append(on_the_lane())
         taken.set()
 
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         submit(record)
         assert taken.wait(timeout=60)  # the worker took it; leaving waits for it
-    assert ran[-1] == lane.worker.ident
+    assert ran[4:] == [True]
 
 
 def test_the_earliest_submitted_error_wins_whichever_call_ran_first(gated_lane):
@@ -564,9 +564,8 @@ def test_the_earliest_submitted_error_wins_whichever_call_ran_first(gated_lane):
 
 def test_stages_from_four_threads_close_after_each_call_ran_once(force_lane):
     """Four threads open 200 stages of eight calls each under a short
-    switch interval: whichever stage holds the lane shares its calls with
-    the worker, the others run inline, and every stage closes only after
-    each of its calls has run exactly once."""
+    switch interval: every stage shares its calls with the one worker and
+    closes only after each of its calls has run exactly once."""
     force_lane(True)
     wrong = []
 
@@ -641,24 +640,26 @@ def test_an_idle_lane_keeps_no_reference_to_its_last_call(force_lane):
     alive = weakref.ref(arena)
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         submit(np.add, arena, 1.0, arena)
+    netcore._LANE["pool"].submit(int).result()  # idle: the worker has taken every earlier call
     del arena
     assert alive() is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_lane(force_lane):
-    parent_lane = force_lane(True)
+    force_lane(True)
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         submit(lambda: None)
-    assert parent_lane.worker is not None
+    parent_pool = netcore._LANE.get("pool")
+    assert parent_pool is not None
     pid = os.fork()
-    if pid == 0:  # the child: a stage must get a lane of its own and finish
-        done = []
+    if pid == 0:  # the child: a stage must make a pool of its own and finish
+        here, done = threading.get_ident(), []
         with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
-            submit(lambda: done.append(threading.get_ident()))
-        lane = netcore._LANE
-        ok = (lane is not parent_lane and lane.worker is not None and lane.worker.is_alive()
-              and done and done[0] in (threading.get_ident(), lane.worker.ident))
+            submit(lambda: done.append(threading.get_ident() == here or on_the_lane()))
+        workers = [t for t in threading.enumerate() if t.name.startswith("prunescope-lane")]
+        ok = (netcore._LANE.get("pool") not in (None, parent_pool) and done == [True]
+              and len(workers) == 1 and workers[0].is_alive())
         os._exit(0 if ok else 1)
     for _ in range(600):
         waited, status = os.waitpid(pid, os.WNOHANG)

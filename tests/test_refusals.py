@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError
-from prunescope.harness import train as train_module
+from prunescope.harness import data as data_module, train as train_module
 from prunescope.harness.cli import main
 from prunescope.harness.data import IDX_IMAGE_MAGIC, synthetic_dataset
 from prunescope.harness.train import evaluate_mse, run_training
@@ -118,6 +118,23 @@ def test_cli_train_refuses_mnist_files_that_cannot_serve_the_network(toy_run, tm
 
         refused(capsys, ["train", "--config", damaged(cfg_path, tmp_path / "cfg.json", to_mnist),
                          "--out", str(out)], fragment, out)
+
+
+def test_cli_train_refuses_images_that_exceed_memory_as_float64(toy_run, tmp_path, capsys,
+                                                                monkeypatch):
+    """A valid (65536, 16384, 1024) uint8 image set needs 8 TiB as float64:
+    the conversion fails at once and exits 2 naming the file. The images are
+    a broadcast view of one byte, so the test allocates none of them."""
+    cfg_path, _, _ = toy_run
+    images, out = idx_images(tmp_path / "huge.idx", 1, 4, 4), tmp_path / "out"
+    shape = (1 << 16, 1 << 14, 1 << 10)
+    monkeypatch.setattr(data_module, "load_idx", lambda path: np.broadcast_to(np.uint8(0), shape))
+
+    def to_mnist(doc):
+        doc["dataset"].update(kind="mnist", train_images=images, n_train=2, n_test=1)
+
+    refused(capsys, ["train", "--config", damaged(cfg_path, tmp_path / "cfg.json", to_mnist),
+                     "--out", str(out)], f"{images}: {shape} images exceed memory", out)
 
 
 def test_cli_train_refuses_a_corrupt_gzip_image_file(toy_run, tmp_path, capsys):
