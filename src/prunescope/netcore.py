@@ -13,8 +13,10 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -680,13 +682,18 @@ def _fresh_lane() -> None:
 os.register_at_fork(after_in_child=_fresh_lane)
 
 
-def _error_of(func: Callable, *args: object) -> BaseException | None:
-    """Run ``func(*args)`` and return what it raised, or None."""
+def _call(errors: dict[int, BaseException], index: int, func: Callable, args: tuple) -> None:
     try:
         func(*args)
     except BaseException as exc:  # re-raised when the stage closes
-        return exc
-    return None
+        errors[index] = exc
+
+
+def _run_all(take: Callable[[], Callable[[], None]]) -> None:
+    """Run the calls ``take`` removes from a stage's queue until none is left."""
+    with contextlib.suppress(IndexError):
+        while True:
+            take()()  # no call outlives its turn, so a drained queue keeps no arrays
 
 
 @contextlib.contextmanager
@@ -694,49 +701,49 @@ def second_lane(size: int) -> Iterator[Callable[..., None]]:
     """A stage over ``size`` arena elements: the ``with`` block gets
     ``submit(func, *args)``, which queues a whole call for the second lane.
 
-    The lane is one worker thread that takes calls in submit order. Leaving
-    the block, this thread walks its own calls from the back, runs each one
-    whose ``Future.cancel()`` succeeds (exactly those the worker has not
-    started) and waits for the rest (work stealing: Blumofe and Leiserson,
-    JACM 1999), so a busy core only leaves more calls to this thread. Then the error of the
-    earliest-submitted call that raised one is re-raised, unless the block
-    raised its own. A stage waits for no call but its own, so stages may
-    nest or run on several threads. Calls are queued only when the stage
-    spans an ``ADAM_BLOCK`` and the process may use two cores
-    (:func:`_lane_rule`); otherwise ``submit`` runs each call at once, under
-    the same error rule. A call runs in a copy of the context it was
-    submitted in, so ``np.errstate`` holds on either thread. Each call is
-    whole and writes its own arrays, so no bit depends on the thread that
-    ran it.
+    The lane is a one-worker ``ThreadPoolExecutor``. A stage keeps its own
+    queue and at most one unfinished task on the pool, which runs calls from
+    the front until the queue is empty. Leaving the block, this thread runs
+    the calls left from the back and then cancels its task, or waits for it if
+    the worker has started it (work stealing: Blumofe and Leiserson, JACM
+    1999): a busy core only leaves more calls to this thread. Then the error
+    of the earliest-submitted call that raised one is re-raised, unless the
+    block raised its own. A stage waits for no call but its own, so stages may
+    nest or run on several threads. Calls are queued only when the stage spans
+    an ``ADAM_BLOCK`` and the process may use two cores (:func:`_lane_rule`);
+    otherwise ``submit`` runs each call at once, under the same error rule. A
+    call runs in a copy of the context it was submitted in, so ``np.errstate``
+    holds on either thread. Each call is whole and writes its own arrays: no
+    bit depends on which thread ran it.
     """
-    errors: list[BaseException | None] = []  # one per call, in submit order
+    errors: dict[int, BaseException] = {}
     if not (size >= ADAM_BLOCK and _lane_rule()):
-        yield lambda func, *args: errors.append(_error_of(func, *args))
+        # Calls run here in submit order, so the earliest error gets the lowest key.
+        yield lambda func, *args: _call(errors, len(errors), func, args)
     else:
-        pool, calls = _LANE.get("pool"), []
+        pool, todo, tasks, order = _LANE.get("pool"), deque(), [], itertools.count()
         if pool is None:
-            # Imported here: concurrent.futures loads logging, which a CLI
-            # start would pay for. setdefault keeps one pool where first
-            # stages race; a pool starts its worker on its first submit, so
-            # one not kept never starts any.
+            # Imported here: it loads logging, which importing the CLI need not. setdefault
+            # keeps one pool where first stages race; one not kept never starts a worker.
             from concurrent.futures import ThreadPoolExecutor
             pool = _LANE.setdefault("pool", ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="prunescope-lane"))
 
         def submit(func: Callable, *args: object) -> None:
-            call = functools.partial(contextvars.copy_context().run, func, *args)
-            calls.append((pool.submit(call), call))
+            todo.append(functools.partial(contextvars.copy_context().run,
+                                          _call, errors, next(order), func, args))
+            if not tasks or tasks[-1].done():
+                with contextlib.suppress(RuntimeError):  # an exiting interpreter's
+                    tasks.append(pool.submit(_run_all, todo.popleft))  # pools take none
 
         try:
             yield submit
         finally:
-            taken = {i: _error_of(call) for i, (future, call) in reversed(list(enumerate(calls)))
-                     if future.cancel()}
-            errors = [taken[i] if i in taken else future.exception()
-                      for i, (future, _) in enumerate(calls)]
-            calls.clear()  # submit may outlive the block; the calls' arrays do not
-    if any(errors):
-        raise next(filter(None, errors))
+            _run_all(todo.pop)
+            if tasks and not tasks[-1].cancel():
+                tasks[-1].result()  # the worker finishes the call it is on
+    if errors:
+        raise errors[min(errors)]
 
 
 # -- checkpoints ---------------------------------------------------------

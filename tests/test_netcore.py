@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import weakref
@@ -530,8 +531,8 @@ def test_second_lane_reraises_after_both_halves_finish(force_lane, on):
 
 def test_a_stage_runs_the_calls_a_held_up_lane_has_not_taken(gated_lane):
     """Leaving the block, this thread runs every call the worker has not
-    started, from the back; once free, the worker discards those calls and
-    then serves the next stage as before."""
+    taken, from the back; once free, the worker skips the stage's cancelled
+    task and then serves the next stage as before."""
     ran = []
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         for i in range(4):
@@ -640,9 +641,19 @@ def test_an_idle_lane_keeps_no_reference_to_its_last_call(force_lane):
     alive = weakref.ref(arena)
     with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
         submit(np.add, arena, 1.0, arena)
-    netcore._LANE["pool"].submit(int).result()  # idle: the worker has taken every earlier call
     del arena
     assert alive() is None
+
+
+def test_a_held_up_lane_keeps_no_reference_to_the_calls_taken_back(gated_lane):
+    """The stage's task waits on the pool until the worker is free, but
+    the calls the stage took back are no longer in it."""
+    arena = np.zeros(4)
+    alive = weakref.ref(arena)
+    with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+        submit(np.add, arena, 1.0, arena)
+    del arena
+    assert alive() is None and not gated_lane.is_set()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -671,6 +682,35 @@ def test_a_forked_child_starts_its_own_lane(force_lane):
         os.waitpid(pid, 0)
         pytest.fail("the forked child's stage did not finish")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_stage_opened_while_the_interpreter_exits_runs_its_calls_itself():
+    """Once the main thread has returned, the interpreter's exit stops every
+    thread pool taking calls. A stage that a non-daemon thread opens then
+    runs all its calls on that thread and closes."""
+    code = textwrap.dedent("""
+        import threading
+        from prunescope import netcore
+        netcore._lane_rule = lambda: True
+
+        def stage():
+            ran = []
+            with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
+                for i in range(4):
+                    submit(ran.append, i)
+            return sorted(ran) == list(range(4))
+
+        def late():
+            threading.main_thread().join()  # returns after the pools' exit hook ran
+            print(stage(), "prunescope-lane" not in str(threading.enumerate()))
+
+        assert stage()  # makes the pool
+        threading.Thread(target=late).start()
+    """)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert done.returncode == 0, done.stderr
+    assert (done.stdout, done.stderr) == ("True True\n", "")
 
 
 def test_backward_names_the_non_finite_gradient():

@@ -122,12 +122,14 @@ def test_cli_train_refuses_mnist_files_that_cannot_serve_the_network(toy_run, tm
 
 def test_cli_train_refuses_images_that_exceed_memory_as_float64(toy_run, tmp_path, capsys,
                                                                 monkeypatch):
-    """A valid (65536, 16384, 1024) uint8 image set needs 8 TiB as float64:
-    the conversion fails at once and exits 2 naming the file. The images are
-    a broadcast view of one byte, so the test allocates none of them."""
+    """A valid (65536, 65536, 8192) uint8 image set needs 256 TiB as float64,
+    more than a 48-bit address space holds, so the conversion fails at once
+    whatever the kernel's overcommit rule, and exits 2 naming the file. The
+    images are a broadcast view of one byte, so the test allocates none of
+    them."""
     cfg_path, _, _ = toy_run
     images, out = idx_images(tmp_path / "huge.idx", 1, 4, 4), tmp_path / "out"
-    shape = (1 << 16, 1 << 14, 1 << 10)
+    shape = (1 << 16, 1 << 16, 1 << 13)
     monkeypatch.setattr(data_module, "load_idx", lambda path: np.broadcast_to(np.uint8(0), shape))
 
     def to_mnist(doc):
