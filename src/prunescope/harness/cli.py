@@ -115,7 +115,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
                                   f"it takes no {', '.join(refused)}")
     elif args.weights and args.metric not in (None, COMBINED):
         raise PrunescopeError(f"--weights needs --metric {COMBINED}, not {args.metric}")
-    net, graph, meta = load_grouped(args.checkpoint, 1)
+    net, graph, meta = load_grouped(args.checkpoint)
     if args.apply:
         plan = PrunePlan.load(args.apply)
     else:

@@ -20,7 +20,6 @@ class HypothesisReport:
     window: int
     group_ids: tuple[str, ...]
     kinds: dict[str, str]
-    mean_late_score: dict[str, dict[str, float]]
     top_group: dict[str, str]
     coupling_on_top: dict[str, bool]
     earliest_specific: str | None
@@ -60,7 +59,6 @@ def evaluate_hypotheses(records: list[TraceRecord], window: int) -> HypothesisRe
     if earliest is None:
         notes.append("no component-specific groups in this trace")
 
-    mean_late: dict[str, dict[str, float]] = {}
     top: dict[str, str] = {}
     coupling_top: dict[str, bool] = {}
     earliest_rank: dict[str, int] = {}
@@ -70,7 +68,6 @@ def evaluate_hypotheses(records: list[TraceRecord], window: int) -> HypothesisRe
         field = f"ema_{metric}"
         means = {g: sum(getattr(table[e][g], field) for e in late) / used
                  for g in ids}
-        mean_late[metric] = means
         order = ranked(means, ids)
         top[metric] = order[0]
         coupling_top[metric] = kinds[order[0]] == KIND_COUPLING
@@ -84,7 +81,7 @@ def evaluate_hypotheses(records: list[TraceRecord], window: int) -> HypothesisRe
                               if cur != prev]
 
     return HypothesisReport(
-        window=used, group_ids=ids, kinds=kinds, mean_late_score=mean_late,
+        window=used, group_ids=ids, kinds=kinds,
         top_group=top, coupling_on_top=coupling_top,
         earliest_specific=earliest, earliest_specific_rank=earliest_rank,
         earliest_specific_bottom=earliest_bottom,

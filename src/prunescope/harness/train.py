@@ -137,6 +137,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     """
     cfg = replace(cfg, seed=cfg.resolve_seed() if seed is None else seed,
                   epochs=cfg.epochs if epochs is None else epochs)
+    optimizer = make_optimizer(cfg)  # refuses bad settings before any build
     if net is None:
         net = build_model(cfg.model, cfg.seed)
     if graph is None:
@@ -150,7 +151,6 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     param_counts = [g.param_count for g in groups]
     states = init_states(graph, cfg.bayes)
     reader = Reader(states, net, graph, cfg.bayes, cfg.gamma)
-    optimizer = make_optimizer(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
     records: list[TraceRecord] = []
@@ -202,24 +202,25 @@ def finetune(checkpoint_path: str | Path, cfg: ExperimentConfig,
     """Continue training a saved (typically pruned) network.
 
     The group decomposition is rebuilt from the checkpoint's own shapes using
-    the ``layers_per_group`` recorded in its metadata; importance states start
-    fresh so the smoothed metrics describe the fine-tuning phase only.
+    the ``layers_per_group`` recorded in its metadata (1 when it records
+    none, whatever ``cfg`` holds); importance states start fresh so the
+    smoothed metrics describe the fine-tuning phase only.
     """
-    net, graph, _ = load_grouped(checkpoint_path, cfg.layers_per_group)
+    net, graph, _ = load_grouped(checkpoint_path)
     cfg = replace(cfg, layers_per_group=graph.layers_per_group)
     return run_training(cfg, net=net, graph=graph, epochs=epochs)
 
 
-def load_grouped(checkpoint_path: str | Path,
-                 layers_per_group: int) -> tuple[Network, ComponentGraph, dict]:
+def load_grouped(checkpoint_path: str | Path) -> tuple[Network, ComponentGraph, dict]:
     """Load a checkpoint and rebuild its groups with the ``layers_per_group``
-    its metadata records (``layers_per_group`` when it records none).
+    its metadata records (1, :func:`build_groups`' default, when it records
+    none).
 
     Returns the network, its groups and the metadata.
     """
     net, meta = load_checkpoint(checkpoint_path)
     lpg = Fields(meta, f"checkpoint {checkpoint_path} meta").int(
-        "layers_per_group", layers_per_group, low=1)
+        "layers_per_group", 1, low=1)
     return net, build_groups(net, lpg), meta
 
 

@@ -13,10 +13,9 @@ The reads write nothing into the network. The step's L1 subgradient exists
 only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 ``flat_grad`` holding the task gradients, so the term never reaches
 importance, and a step's gradients can be read while the next step's
-forward pass runs (:meth:`Reader.beside`), on the second lane's thread
-pool, which the first stage that queues a call makes and imports. A
-:class:`Reader` checks its inputs, allocates its scratch and binds its
-views once, so each read runs only its ufuncs.
+forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
+inputs, allocates its scratch and binds its views once, so each read runs
+only its ufuncs.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -25,8 +24,8 @@ as stated; reports surface ``1/mu`` alongside.
 
 Each metric is smoothed with an exponential moving average,
 ``s(t) = gamma * s(t-1) + (1 - gamma) * raw(t)``, initialized to the first
-raw value. Per-unit mean-absolute-gradient scores are tracked the same way
-for within-group unit ranking.
+raw value: the same update at gamma 0. Per-unit mean-absolute-gradient
+scores are tracked the same way for within-group unit ranking.
 """
 
 from __future__ import annotations
@@ -143,8 +142,9 @@ class Reader:
     ``states`` holds when it is built, one observation per :meth:`read` or
     :meth:`beside` stage.
 
-    Construction checks ``gamma``, the network's layout against the graph
-    and that every group has a state, allocates the one scratch buffer of
+    Construction checks ``gamma``, the network's layout against the graph,
+    that every group has a state and that each unit score vector a state
+    holds has its layer's width, allocates the one scratch buffer of
     the arena's size and binds every view a read runs its ufuncs on, so a
     stage pays only for its arithmetic. A stage is one :func:`second_lane`
     call per group, which takes the squared and then the absolute gradients
@@ -168,6 +168,13 @@ class Reader:
         for group in graph.groups:
             if group.id not in states:
                 raise ConfigurationError(f"no importance state for group {group.id!r}")
+            for layer, width, _, _ in group.units:
+                scores = states[group.id].unit_ema.get(layer)
+                if scores is not None and len(scores) != width:
+                    raise ConfigurationError(
+                        f"group {group.id!r}: {len(scores)} unit scores for layer {layer}, "
+                        f"which has {width} units; the states were not recorded on "
+                        "this network")
         scratch = np.empty(net.flat_grad.size)
         self._calls = [(_update_group, group, states[group.id],
                         *_views(group, net.flat_grad, scratch), cfg, gamma)
@@ -224,18 +231,15 @@ def _update_group(group: PruningGroup, state: GroupImportanceState,
             and math.isfinite(raw_bayes)):
         raise NumericsError(f"group {group.id!r}: importance is not finite, grad "
                             f"{raw_grad}, fisher {raw_fisher}, bayes {raw_bayes}")
-    first = state.iteration == 0
+    # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
+    # raw bit for bit, since raw >= +0 and previous is finite.
+    g = gamma if state.iteration else 0.0
     state.raw_grad = raw_grad
     state.raw_fisher = raw_fisher
     state.raw_bayes = raw_bayes
-    if first:
-        state.ema_grad = raw_grad
-        state.ema_fisher = raw_fisher
-        state.ema_bayes = raw_bayes
-    else:
-        state.ema_grad = ema_update(state.ema_grad, raw_grad, gamma)
-        state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, gamma)
-        state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, gamma)
+    state.ema_grad = ema_update(state.ema_grad, raw_grad, g)
+    state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, g)
+    state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, g)
 
     # Per-unit mean |grad| over the slices each unit layer indexes.
     for unit_layer, width, parts, per_unit in units:
@@ -244,8 +248,8 @@ def _update_group(group: PruningGroup, state: GroupImportanceState,
             numerator += a if axis is None else np.add.reduce(a, axis)
         scores = numerator / per_unit
         previous = state.unit_ema.get(unit_layer)
-        state.unit_ema[unit_layer] = (scores if first or previous is None
-                                      else ema_update(previous, scores, gamma))
+        state.unit_ema[unit_layer] = (scores if previous is None
+                                      else ema_update(previous, scores, g))
     state.iteration += 1
 
 

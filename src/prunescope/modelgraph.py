@@ -106,10 +106,12 @@ class ComponentGraph:
                 "were built for; rebuild the groups with build_groups(net)")
 
     def l1_norms(self, values: np.ndarray) -> list[float]:
-        """Each group's :func:`slot_sum` of absolute values, in group order,
-        from an arena laid out like the groups' (``net.flat_values``)."""
+        """Each group's :func:`view_sum` of absolute values over its slots,
+        in group order, from an arena laid out like the groups'
+        (``net.flat_values``)."""
         magnitudes = np.abs(values)
-        return [slot_sum(magnitudes, group.slots) for group in self.groups]
+        return [view_sum([magnitudes[lo:hi] for lo, hi, _ in group.slots])
+                for group in self.groups]
 
     def penalty(self, coeffs: Sequence[float]) -> Penalty:
         """The L1 term an optimizer step takes: each group's runs with its
@@ -123,19 +125,13 @@ class ComponentGraph:
                 if coeff != 0.0 for lo, hi in group.runs]
 
 
-def slot_sum(values: np.ndarray, slots: Iterable[tuple[int, int, tuple]]) -> float:
-    """The sum of an arena's elements over a group's slots.
-
-    Each slot is reduced on its own and the slots are added in slice order,
-    so the sum has the bits of a sum of per-tensor sums; a sum over merged
-    runs would group the additions differently.
-    """
-    return view_sum([values[lo:hi] for lo, hi, _ in slots])
-
-
 def view_sum(views: Iterable[np.ndarray]) -> float:
-    """The sum of arrays, each reduced on its own and added in order: a
-    :func:`slot_sum` over views already cut."""
+    """The sum of arrays, each reduced on its own and added in order.
+
+    Over a group's slot views in slice order, this has the bits of a sum of
+    per-tensor sums; a sum over merged runs would group the additions
+    differently.
+    """
     return sum([float(np.add.reduce(v, axis=None)) for v in views])
 
 

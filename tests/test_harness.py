@@ -533,6 +533,37 @@ def test_finetune_uses_checkpoint_grouping_and_fresh_states(tmp_path):
     assert max(r.epoch for r in ft.records) == 2
 
 
+def test_a_checkpoint_that_records_no_grouping_groups_by_one_everywhere(tmp_path, capsys,
+                                                                         monkeypatch):
+    """A bare checkpoint groups by 1, ``build_groups``' default, in ``prune``
+    and in ``finetune`` alike, though the config asks for 2."""
+    model = ModelConfig(preset="custom", widths=(4,) * 7,
+                        activations=("relu",) * 5 + ("identity",),
+                        components={"front": (0, 3), "back": (3, 6)})
+    cfg = toy_config(model=model, layers_per_group=2, epochs=1, dataset=DatasetConfig(
+        kind="synthetic", n_train=64, n_test=0, rank=None, target="affine"))
+    cfg.save(tmp_path / "cfg.json")
+    result = run_training(replace(cfg, layers_per_group=1))
+    checkpoint = save_outputs(result, tmp_path / "run")["checkpoint"]
+    save_checkpoint(result.net, checkpoint)
+    assert build_groups(result.net, 2).group_ids() != result.graph.group_ids()
+    built = []
+
+    def recording(net, layers_per_group=1):
+        graph = build_groups(net, layers_per_group)
+        built.append(graph.group_ids())
+        return graph
+
+    monkeypatch.setattr(train_module, "build_groups", recording)
+    assert main(["prune", "--checkpoint", str(checkpoint), "--sparsity", "0.3",
+                 "--plan", str(tmp_path / "plan.json")]) == 0
+    assert main(["finetune", "--checkpoint", str(checkpoint), "--config",
+                 str(tmp_path / "cfg.json"), "--epochs", "1",
+                 "--out", str(tmp_path / "ft")]) == 0
+    assert built == [result.graph.group_ids()] * 2
+    capsys.readouterr()
+
+
 def test_finetune_continues_from_saved_parameters(tmp_path):
     cfg = toy_config()
     result = run_training(cfg)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
-from prunescope.importance import (BayesConfig, GroupImportanceState,
+from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
                                    bayes_importance, bayes_update, ema_update,
                                    init_states, metric_scores, rank_groups, ranked,
                                    states_from_doc, states_to_doc, update_all)
-from prunescope.modelgraph import build_groups, slot_sum
+from prunescope.modelgraph import build_groups, view_sum
 from prunescope.netcore import Adam, backward, forward, mse_loss
 
 from conftest import (dyadic, group_tensors, make_net, make_toy_multihead,
@@ -50,7 +50,8 @@ def test_the_fisher_pass_has_the_bits_of_the_products(rng):
     cfg = BayesConfig()
     states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
     for group in graph.groups:
-        assert states[group.id].raw_fisher == (slot_sum(squares, group.slots)
+        views = [squares[lo:hi] for lo, hi, _ in group.slots]
+        assert states[group.id].raw_fisher == (view_sum(views)
                                                / group.param_count), group.id
 
 
@@ -288,6 +289,60 @@ def test_update_all_requires_states_for_every_group():
     grads_for(net)
     with pytest.raises(ConfigurationError):
         update_all(states, net, graph, cfg, gamma=0.9)
+
+
+def prior_doc(graph, cfg, short=None):
+    """A states document at iteration 0 whose averages and unit scores are
+    non-zero, each unit score vector of its layer's width, or one entry
+    short for the group and layer ``short`` names."""
+    doc = json.loads(json.dumps(states_to_doc(init_states(graph, cfg), 0.9, cfg)))
+    for entry in doc["groups"]:
+        group = graph.get(entry["id"])
+        entry.update({f"{kind}_{m}": 1e300 for kind in ("raw", "ema")
+                      for m in ("grad", "fisher", "bayes")})
+        entry["unit_ema"] = {
+            str(layer): [-1e300] * (width - ((group.id, layer) == short))
+            for layer, width, _, _ in group.units}
+    return doc
+
+
+def test_a_first_observation_replaces_a_non_zero_prior_bit_for_bit():
+    """At iteration 0 the one EMA runs at gamma 0: whatever finite averages
+    and unit scores a state holds, one read leaves each average equal to
+    its raw value and each unit score vector equal to its scores."""
+    net = make_toy_multihead(seed=6)
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    grads_for(net)
+    states = update_all(states_from_doc(prior_doc(graph, cfg)), net, graph, cfg, 0.9)
+    fresh = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
+    assert any(st.unit_ema for st in states.values())
+    for gid, st in states.items():
+        for m in ("grad", "fisher", "bayes"):
+            raw = getattr(st, f"raw_{m}")
+            assert raw.hex() == getattr(fresh[gid], f"raw_{m}").hex()
+            assert getattr(st, f"ema_{m}").hex() == raw.hex(), (gid, m)
+        assert set(st.unit_ema) == set(fresh[gid].unit_ema)
+        for layer, scores in st.unit_ema.items():
+            assert scores.tobytes() == fresh[gid].unit_ema[layer].tobytes(), (gid, layer)
+
+
+def test_a_reader_refuses_unit_scores_of_another_width():
+    """A state whose unit score vector is one entry short of its layer's
+    width is refused when the reader is built, before any read."""
+    net = make_toy_multihead(seed=6)
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    grads_for(net)
+    doc = prior_doc(graph, cfg, short=("coupling_encoder_head_a_head_b", 1))
+    match = r"group 'coupling_encoder_head_a_head_b': 7 unit scores for layer 1, which has 8"
+    for read in (lambda st: Reader(st, net, graph, cfg, 0.9),
+                 lambda st: update_all(st, net, graph, cfg, 0.9)):
+        states = states_from_doc(doc)
+        with pytest.raises(ConfigurationError, match=match):
+            read(states)
+        assert all(st.iteration == 0 and st.alpha == cfg.alpha0
+                   for st in states.values())
 
 
 def test_update_all_names_the_group_whose_metric_overflows():

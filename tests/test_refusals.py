@@ -60,6 +60,10 @@ CONFIG_CASES = {
     "beta1": ({"optimizer": {"beta1": 1.0}}, "betas must lie in [0, 1)"),
     "beta2": ({"optimizer": {"beta2": -0.5}}, "betas must lie in [0, 1)"),
     "eps": ({"optimizer": {"eps": 0.0}}, "eps must be positive"),
+    # The optimizer is built before the dataset is loaded, so the learning
+    # rate is named, not the missing image file.
+    "lr_before_mnist_file": ({"optimizer": {"lr": -1}, **mnist_counts(n_train=2, n_test=1)},
+                             "learning rate must be positive"),
     "batch_size": ({"batch_size": 0}, "batch_size must be at least 1"),
     "layers_per_group": ({"layers_per_group": 0}, "layers_per_group must be at least 1"),
     "mnist_n_train_zero": (mnist_counts(n_train=0), "need n_train >= 1 and n_test >= 0"),
@@ -100,8 +104,9 @@ def test_cli_train_refuses_mnist_files_that_cannot_serve_the_network(toy_run, tm
                                                                      capsys):
     """toy_multihead reads 16 inputs and writes 2 outputs: 3x3 images are too
     narrow, 4x4 ones fit its input but not a reconstruction target, and a
-    header whose dimensions pass 2**40 elements is refused before any read
-    of its payload."""
+    file whose header's dimensions pass 2**40 elements is read whole, then
+    refused by its header before its payload's length is checked or any
+    array is built."""
     cfg_path, _, _ = toy_run
     out = tmp_path / "out"
     cases = [
