@@ -3,20 +3,23 @@
 Each iteration runs forward, task loss and backward, and the optimizer
 steps with the scheduled L1 subgradient as its penalty, which leaves
 ``flat_grad`` holding the task gradients. One ``importance.Reader`` per
-run, which checks its inputs, allocates its scratch and binds its views
+run, which checks its inputs, allocates its arenas and binds its views
 once, reads those gradients into the importance states in one
 ``second_lane`` stage (``Reader.beside``) that spans the next iteration's
-forward pass and loss, so the element-wise reads run beside its matrix
-products; the epoch's last iteration is read after its step
-(``Reader.read``). The lane's thread pool, and ``concurrent.futures``
-with it, is made by the first stage that queues a call, so a network below
-one ``ADAM_BLOCK`` never loads either. One trace row per (epoch, group)
-captures the final iteration's metrics with epoch-end norms and losses.
+forward pass and loss, so the element-wise read runs beside its matrix
+products. The L1 norms run in the same stages: an epoch's last stage takes
+the pre-step norms of the epoch's loss, and the next epoch's first stage,
+which reads the epoch's last step, takes the norms of its trace rows. Only
+the run's last iteration is read after its step (``Reader.read``). The
+lane's thread pool, and ``concurrent.futures`` with it, is made by the
+first stage that queues a call, so a network below one ``ADAM_BLOCK``
+never loads either. One trace row per (epoch, group) captures the final
+iteration's metrics with epoch-end norms and losses; an epoch's rows are
+appended when the stage that reads its last step closes.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +32,8 @@ from ..importance import (GroupImportanceState, METRICS, Reader, init_states,
                           rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
-                       mse_loss, one_blas_thread, save_checkpoint, sidecar_path)
+                       mse_loss, one_blas_thread, save_checkpoint, second_lane,
+                       sidecar_path)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -155,31 +159,13 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
 
     records: list[TraceRecord] = []
     task_loss = math.nan
-    for epoch in range(1, cfg.epochs + 1):
-        lambdas = schedule_row(epoch - 1, param_counts, cfg.schedule)
-        weight = lambda_weight_at(epoch, cfg.schedule)
-        penalty = graph.penalty([weight * lam for lam in lambdas])
-        order = shuffle_rng.permutation(len(x_train))
-        starts = range(0, len(x_train), cfg.batch_size)
-        for it, lo in enumerate(starts):
-            idx = order[lo:lo + cfg.batch_size]
-            # The previous iteration's gradients are read beside this forward.
-            with reader.beside() if it else contextlib.nullcontext():
-                acts = forward(net, x_train[idx])
-                task_loss, d_out = mse_loss(acts[-1], y_train[idx])
-            if not math.isfinite(task_loss):
-                raise NumericsError(
-                    f"task loss became {task_loss} at epoch {epoch}, "
-                    f"iteration {it + 1}")
-            backward(net, acts, d_out)
-            del acts, d_out  # freed before the step and the next forward allocate theirs
-            if lo == starts[-1]:  # the epoch's loss is taken before its last step
-                l1 = sum(lam * norm for lam, norm
-                         in zip(lambdas, graph.l1_norms(net.flat_values)))
-            optimizer.step(net, penalty)
-        reader.read()
-        epoch_loss = total_loss(task_loss, l1, weight)
-        norms = graph.l1_norms(net.flat_values)
+    norms: dict[str, list[float]] = {}
+
+    def take_norms(key: str) -> None:
+        norms[key] = graph.l1_norms(net.flat_values)
+
+    def close_epoch(epoch: int, lambdas: list[float], task_loss: float,
+                    epoch_loss: float) -> None:
         for i, group in enumerate(groups):
             st = states[group.id]
             records.append(TraceRecord(
@@ -188,8 +174,44 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                 raw_grad=st.raw_grad, ema_grad=st.ema_grad,
                 raw_fisher=st.raw_fisher, ema_fisher=st.ema_fisher,
                 raw_bayes=st.raw_bayes, ema_bayes=st.ema_bayes,
-                l1_norm=norms[i],
+                l1_norm=norms["trace"][i],
                 task_loss=task_loss, total_loss=epoch_loss))
+
+    ended = None  # the last epoch's trace row fields, closed by the next read stage
+    for epoch in range(1, cfg.epochs + 1):
+        lambdas = schedule_row(epoch - 1, param_counts, cfg.schedule)
+        weight = lambda_weight_at(epoch, cfg.schedule)
+        penalty = graph.penalty([weight * lam for lam in lambdas])
+        order = shuffle_rng.permutation(len(x_train))
+        starts = range(0, len(x_train), cfg.batch_size)
+        for it, lo in enumerate(starts):
+            idx = order[lo:lo + cfg.batch_size]
+            # The previous step's gradients are read beside this forward, with
+            # the norms the ended epoch's trace and this epoch's loss take: no
+            # step moves the values in between. The first step has nothing to
+            # read, and a stage of no elements runs each call at once.
+            with reader.beside() if it or ended else second_lane(0) as submit:
+                if ended:
+                    submit(take_norms, "trace")
+                if lo == starts[-1]:
+                    submit(take_norms, "loss")
+                acts = forward(net, x_train[idx])
+                task_loss, d_out = mse_loss(acts[-1], y_train[idx])
+            if ended:
+                close_epoch(*ended)
+                ended = None
+            if not math.isfinite(task_loss):
+                raise NumericsError(
+                    f"task loss became {task_loss} at epoch {epoch}, "
+                    f"iteration {it + 1}")
+            backward(net, acts, d_out)
+            del acts, d_out  # freed before the step and the next forward allocate theirs
+            optimizer.step(net, penalty)
+        l1 = sum(lam * norm for lam, norm in zip(lambdas, norms["loss"]))
+        ended = epoch, lambdas, task_loss, total_loss(task_loss, l1, weight)
+    reader.read()
+    take_norms("trace")
+    close_epoch(*ended)
 
     test_mse = evaluate_mse(net, x_test, y_test) if len(x_test) else math.nan
     return TrainResult(net=net, graph=graph, states=states, records=records,
@@ -204,8 +226,10 @@ def finetune(checkpoint_path: str | Path, cfg: ExperimentConfig,
     The group decomposition is rebuilt from the checkpoint's own shapes using
     the ``layers_per_group`` recorded in its metadata (1 when it records
     none, whatever ``cfg`` holds); importance states start fresh so the
-    smoothed metrics describe the fine-tuning phase only.
+    smoothed metrics describe the fine-tuning phase only. Bad optimizer
+    settings are refused before the checkpoint is read.
     """
+    make_optimizer(cfg)
     net, graph, _ = load_grouped(checkpoint_path)
     cfg = replace(cfg, layers_per_group=graph.layers_per_group)
     return run_training(cfg, net=net, graph=graph, epochs=epochs)

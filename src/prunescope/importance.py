@@ -14,8 +14,10 @@ only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 ``flat_grad`` holding the task gradients, so the term never reaches
 importance, and a step's gradients can be read while the next step's
 forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
-inputs, allocates its scratch and binds its views once, so each read runs
-only its ufuncs.
+inputs, allocates its arenas and binds its views once, so each read runs
+only its ufuncs: g^2 and |g| once over the whole arena, side by side in a
+``(2, n)`` scratch, one reduction per slot for both sums, and the unit
+scores over one arena of every group's units.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -33,13 +35,13 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
-from .modelgraph import ComponentGraph, PruningGroup, view_sum
+from .modelgraph import ComponentGraph, view_sum
 from .netcore import Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
@@ -144,20 +146,27 @@ class Reader:
 
     Construction checks ``gamma``, the network's layout against the graph,
     that every group has a state and that each unit score vector a state
-    holds has its layer's width, allocates the one scratch buffer of
-    the arena's size and binds every view a read runs its ufuncs on, so a
-    stage pays only for its arithmetic. A stage is one :func:`second_lane`
-    call per group, which takes the squared and then the absolute gradients
-    over the group's arena runs into its runs of the buffer. Its metrics
-    are reduced from the buffer over its slots in slice order by
-    :func:`view_sum`: the gradient magnitude (1/N) sum |g|,
-    also the energy the Bayes tracker observes, and the Fisher diagonal
-    (1/N) sum g^2; one that is not finite raises :class:`NumericsError`
+    holds has its layer's width. It allocates a ``(2, n)`` scratch over the
+    arena's n elements and one unit arena, every group's unit layers side by
+    side, and binds every view a read runs its ufuncs on, so a stage pays
+    only for its arithmetic. A stage is one :func:`second_lane` call. It
+    squares the gradients into row 0 of the scratch and takes their
+    magnitudes into row 1, each once over the whole arena, and reduces each
+    slot's two rows in one call; :func:`view_sum` adds a group's slot sums
+    in slice order into the Fisher diagonal (1/N) sum g^2 and the gradient
+    magnitude (1/N) sum |g|, also the energy the Bayes tracker observes.
+    Each unit layer's numerators are reduced from row 1 into its slice of
+    the unit arena, which is divided by each unit's weight count and then
+    smoothed in one pass at a gamma per unit: 0 where the state is at
+    iteration 0 or holds no scores for the layer, as for the averages. The
+    states then hold views of the reader's unit arena; a score vector put
+    in a state between reads is read in by the next. A group whose metrics
+    are not finite keeps its averages and unit scores while the others
+    advance, and the first such group's :class:`NumericsError` is raised
     when the stage closes, unless the block raised its own error. Where the
     slots lie and which of them feed each unit score was fixed by
-    :func:`build_groups`. Groups own disjoint runs, so no group's
-    arithmetic depends on another's. The stages of one reader share its
-    buffer, so they run one at a time.
+    :func:`build_groups`. The stages of one reader share its arenas, so
+    they run one at a time.
     """
 
     def __init__(self, states: dict[str, GroupImportanceState], net: Network,
@@ -175,82 +184,107 @@ class Reader:
                         f"group {group.id!r}: {len(scores)} unit scores for layer {layer}, "
                         f"which has {width} units; the states were not recorded on "
                         "this network")
-        scratch = np.empty(net.flat_grad.size)
-        self._calls = [(_update_group, group, states[group.id],
-                        *_views(group, net.flat_grad, scratch), cfg, gamma)
-                       for group in graph.groups]
-        self._size = scratch.size
+        self._grad, self._cfg, self._gamma = net.flat_grad, cfg, gamma
+        self._scratch = np.empty((2, net.flat_grad.size))  # g^2 in row 0, |g| in row 1
+        magnitudes = self._scratch[1]
+        # The unit arena's numerators and scores, per-unit divisors, smoothed
+        # scores and gammas.
+        units = [(layer, width, per_unit) for group in graph.groups
+                 for layer, width, _, per_unit in group.units]
+        size = sum(width for _, width, _ in units)
+        self._scores, self._ema, self._gammas = (np.zeros(size) for _ in range(3))
+        self._per_unit = np.repeat([float(p) for _, _, p in units],
+                                   [width for _, width, _ in units])
+        # Each unit layer's parts: tensor views of row 1, the axis to reduce
+        # and the layer's slice of the unit arena, the first apart.
+        self._first_parts: list[tuple] = []
+        self._other_parts: list[tuple] = []
+        self._groups = []
+        lo = 0
+        for group in graph.groups:
+            segments = []
+            for layer, width, parts, _ in group.units:
+                out = self._scores[lo:lo + width]
+                for j, (i, axis) in enumerate(parts):
+                    slot_lo, slot_hi, shape = group.slots[i]
+                    tensor = magnitudes[slot_lo:slot_hi].reshape(shape)
+                    if j:
+                        self._other_parts.append((tensor, axis, out))
+                    else:  # a reduction over no axis, (), copies a bias
+                        self._first_parts.append((tensor, () if axis is None else axis, out))
+                segments.append((layer, self._ema[lo:lo + width],
+                                 self._gammas[lo:lo + width]))
+                lo += width
+            self._groups.append((group, states[group.id],
+                                 [self._scratch[:, a:b] for a, b, _ in group.slots],
+                                 segments))
 
     @contextlib.contextmanager
-    def beside(self) -> Iterator[None]:
+    def beside(self) -> Iterator[Callable[..., None]]:
         """A :func:`second_lane` stage that reads the gradients while the
-        ``with`` block runs.
+        ``with`` block runs; the block gets the stage's ``submit``.
 
-        The calls read ``flat_grad`` and write only the states and the
-        buffer, so the block may run anything that neither writes
-        ``flat_grad`` nor reads the states: ``run_training`` runs the next
-        step's forward pass and loss there. Without the lane, each call runs
-        when it is submitted, before the block.
+        The read reads ``flat_grad`` and writes only the states and the
+        reader's arenas, so the block may run, and submit, anything that
+        neither writes ``flat_grad`` nor reads the states: ``run_training``
+        runs the next step's forward pass and loss there. Without the lane,
+        each call runs when it is submitted.
         """
-        with second_lane(self._size) as submit:
-            for call in self._calls:
-                submit(*call)
-            yield
+        with second_lane(self._grad.size) as submit:
+            submit(self.read)
+            yield submit
 
     def read(self) -> None:
-        """One observation now: :meth:`beside` with an empty block."""
-        with self.beside():
-            pass
-
-
-def _views(group: PruningGroup, grad: np.ndarray, scratch: np.ndarray) -> tuple:
-    """The views a read of ``group`` runs its ufuncs on: each arena run of
-    ``grad`` beside the same run of ``scratch``, each slot of ``scratch``,
-    and per unit layer its width, its parts (each slot reshaped to its
-    tensor, with the axis to reduce or None) and its weights per unit."""
-    slots = tuple(scratch[lo:hi] for lo, hi, _ in group.slots)
-    return (tuple((grad[lo:hi], scratch[lo:hi]) for lo, hi in group.runs), slots,
-            tuple((layer, width, tuple((slots[i].reshape(group.slots[i][2]), axis)
-                                       for i, axis in parts), per_unit)
-                  for layer, width, parts, per_unit in group.units))
-
-
-def _update_group(group: PruningGroup, state: GroupImportanceState,
-                  runs: tuple, slots: tuple, units: tuple,
-                  cfg: BayesConfig, gamma: float) -> None:
-    for g, s in runs:
-        np.square(g, out=s)
-    raw_fisher = view_sum(slots) / group.param_count
-    for g, s in runs:
-        np.abs(g, out=s)
-    raw_grad = view_sum(slots) / group.param_count
-    if math.isfinite(raw_grad):  # else bayes_update would refuse it
-        bayes_update(state, raw_grad, cfg)
-    raw_bayes = bayes_importance(state.mu, raw_fisher)
-    if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
-            and math.isfinite(raw_bayes)):
-        raise NumericsError(f"group {group.id!r}: importance is not finite, grad "
-                            f"{raw_grad}, fisher {raw_fisher}, bayes {raw_bayes}")
-    # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
-    # raw bit for bit, since raw >= +0 and previous is finite.
-    g = gamma if state.iteration else 0.0
-    state.raw_grad = raw_grad
-    state.raw_fisher = raw_fisher
-    state.raw_bayes = raw_bayes
-    state.ema_grad = ema_update(state.ema_grad, raw_grad, g)
-    state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, g)
-    state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, g)
-
-    # Per-unit mean |grad| over the slices each unit layer indexes.
-    for unit_layer, width, parts, per_unit in units:
-        numerator = np.zeros(width)
-        for a, axis in parts:
-            numerator += a if axis is None else np.add.reduce(a, axis)
-        scores = numerator / per_unit
-        previous = state.unit_ema.get(unit_layer)
-        state.unit_ema[unit_layer] = (scores if previous is None
-                                      else ema_update(previous, scores, g))
-    state.iteration += 1
+        """One observation now, on this thread."""
+        squares, magnitudes = self._scratch
+        np.square(self._grad, out=squares)
+        np.abs(self._grad, out=magnitudes)
+        scores, ema, gammas = self._scores, self._ema, self._gammas
+        for a, axis, out in self._first_parts:
+            np.add.reduce(a, axis, out=out)
+        for a, axis, out in self._other_parts:
+            out += a if axis is None else np.add.reduce(a, axis)
+        np.divide(scores, self._per_unit, out=scores)
+        error, kept = None, []
+        for group, state, slots, segments in self._groups:
+            fisher, grad = view_sum(slots)
+            raw_fisher, raw_grad = fisher / group.param_count, grad / group.param_count
+            if math.isfinite(raw_grad):  # else bayes_update would refuse it
+                bayes_update(state, raw_grad, self._cfg)
+            raw_bayes = bayes_importance(state.mu, raw_fisher)
+            if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
+                    and math.isfinite(raw_bayes)):
+                error = error or NumericsError(
+                    f"group {group.id!r}: importance is not finite, grad {raw_grad}, "
+                    f"fisher {raw_fisher}, bayes {raw_bayes}")
+                # Put back after the arena pass: the group keeps its unit scores.
+                kept += [(smoothed, smoothed.copy()) for _, smoothed, _ in segments]
+                continue
+            # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
+            # raw bit for bit, since raw >= +0 and previous is finite.
+            g = self._gamma if state.iteration else 0.0
+            state.raw_grad = raw_grad
+            state.raw_fisher = raw_fisher
+            state.raw_bayes = raw_bayes
+            state.ema_grad = ema_update(state.ema_grad, raw_grad, g)
+            state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, g)
+            state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, g)
+            for layer, smoothed, unit_gamma in segments:
+                held = state.unit_ema.get(layer)
+                if held is not smoothed:
+                    if held is not None:
+                        smoothed[...] = held
+                    state.unit_ema[layer] = smoothed
+                unit_gamma[...] = g if held is not None else 0.0
+            state.iteration += 1
+        # ema_update's gamma * previous + (1 - gamma) * raw over the unit
+        # arena, in place, at each unit's gamma.
+        ema *= gammas
+        ema += (1.0 - gammas) * scores
+        for smoothed, before in kept:
+            smoothed[...] = before
+        if error:
+            raise error
 
 
 def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:

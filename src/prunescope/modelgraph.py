@@ -108,9 +108,9 @@ class ComponentGraph:
     def l1_norms(self, values: np.ndarray) -> list[float]:
         """Each group's :func:`view_sum` of absolute values over its slots,
         in group order, from an arena laid out like the groups'
-        (``net.flat_values``)."""
-        magnitudes = np.abs(values)
-        return [view_sum([magnitudes[lo:hi] for lo, hi, _ in group.slots])
+        (``net.flat_values``): its one-row caller. The magnitudes are taken
+        slot by slot, so no temporary outgrows the largest tensor."""
+        return [view_sum(np.abs(values[None, lo:hi]) for lo, hi, _ in group.slots)[0]
                 for group in self.groups]
 
     def penalty(self, coeffs: Sequence[float]) -> Penalty:
@@ -125,14 +125,16 @@ class ComponentGraph:
                 if coeff != 0.0 for lo, hi in group.runs]
 
 
-def view_sum(views: Iterable[np.ndarray]) -> float:
-    """The sum of arrays, each reduced on its own and added in order.
+def view_sum(views: Iterable[np.ndarray]) -> list[float]:
+    """One sum per row of views of shape ``(rows, k)``: each view's rows are
+    reduced by one call, one view at a time, and a row's sums are added in
+    view order.
 
-    Over a group's slot views in slice order, this has the bits of a sum of
-    per-tensor sums; a sum over merged runs would group the additions
-    differently.
+    Over a group's slot views in slice order, each row's sum has the bits of
+    a sum of per-tensor sums; a sum over merged runs would group the
+    additions differently.
     """
-    return sum([float(np.add.reduce(v, axis=None)) for v in views])
+    return [sum(row) for row in zip(*[np.add.reduce(v, 1).tolist() for v in views])]
 
 
 def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -83,10 +83,12 @@ def apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
 
 def activation_grad(kind: str, post: np.ndarray) -> np.ndarray:
     """Derivative w.r.t. the pre-activation, written in terms of the output;
-    relu's subgradient at exactly zero is taken as zero. :func:`backward`
-    passes an identity layer's gradient through without calling this."""
+    relu's is the boolean mask ``post > 0``, which a product with the
+    upstream gradient casts, and its subgradient at exactly zero is taken as
+    zero. :func:`backward` passes an identity layer's gradient through
+    without calling this."""
     if kind == "relu":
-        return (post > 0.0).astype(np.float64)
+        return post > 0.0
     if kind == "sigmoid":
         return post * (1.0 - post)
     raise ConfigurationError(f"unknown activation {kind!r}")

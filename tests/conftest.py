@@ -13,7 +13,10 @@ from prunescope import netcore
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig, ModelConfig,
                                        build_model)
-from prunescope.modelgraph import PruningGroup
+from prunescope.importance import (BayesConfig, Reader, bayes_importance, bayes_update,
+                                   ema_update, init_states, states_from_doc, states_to_doc,
+                                   update_all)
+from prunescope.modelgraph import ComponentGraph, PruningGroup
 from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, apply_activation,
                                 build_sequential, forward, mse_loss)
 from prunescope.pruner import _RemovalLedger
@@ -82,6 +85,73 @@ def per_tensor_mean(arrays) -> float:
     """Reference group metric: (1/N) times the sum of per-tensor sums over
     the N elements of ``arrays``; training reduces its slots the same way."""
     return sum(float(a.sum()) for a in arrays) / sum(a.size for a in arrays)
+
+
+def read_oracle(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
+                gamma: float) -> None:
+    """One observation of ``net.flat_grad`` into ``states``, group by group
+    and unit layer by unit layer: each slot's sum of g^2 and of |g| taken
+    on its own and added in slice order, and each unit layer's numerator
+    added part by part onto zeros. The reference :meth:`Reader.read` must
+    equal bit for bit on finite gradients."""
+    grad = net.flat_grad
+    for group in graph.groups:
+        st = states[group.id]
+        slots = [grad[lo:hi] for lo, hi, _ in group.slots]
+        raw_fisher = sum([float(np.add.reduce(np.square(v), axis=None))
+                          for v in slots]) / group.param_count
+        raw_grad = sum([float(np.add.reduce(np.abs(v), axis=None))
+                        for v in slots]) / group.param_count
+        bayes_update(st, raw_grad, cfg)
+        g = gamma if st.iteration else 0.0
+        st.raw_grad, st.raw_fisher = raw_grad, raw_fisher
+        st.raw_bayes = bayes_importance(st.mu, raw_fisher)
+        st.ema_grad = ema_update(st.ema_grad, raw_grad, g)
+        st.ema_fisher = ema_update(st.ema_fisher, raw_fisher, g)
+        st.ema_bayes = ema_update(st.ema_bayes, st.raw_bayes, g)
+        for layer, width, parts, per_unit in group.units:
+            numerator = np.zeros(width)
+            for i, axis in parts:
+                a = np.abs(slots[i]).reshape(group.slots[i][2])
+                numerator += a if axis is None else np.add.reduce(a, axis)
+            scores = numerator / per_unit
+            previous = st.unit_ema.get(layer)
+            st.unit_ema[layer] = scores if previous is None else ema_update(previous, scores, g)
+        st.iteration += 1
+
+
+def assert_reads_like_the_oracle(net: Network, graph: ComponentGraph, seed: int,
+                                 reads: int = 3) -> None:
+    """Several reads of heavy-tailed gradients with exact zeros by one
+    :class:`Reader`, and by :func:`update_all`, each give the states of
+    :func:`read_oracle`'s bits. The reads start from fresh states, and from
+    recorded ones at iteration 1 that lack one group's first unit layer."""
+    rng = np.random.default_rng([seed, 29])
+    cfg, gamma = BayesConfig(), 0.9
+
+    def new_gradients() -> None:
+        g = rng.standard_t(2, size=net.flat_grad.size)
+        g[rng.random(g.size) < 0.1] = 0.0
+        net.flat_grad[...] = g
+
+    new_gradients()
+    recorded = init_states(graph, cfg)
+    read_oracle(recorded, net, graph, cfg, gamma)
+    doc = states_to_doc(recorded, gamma, cfg)
+    with_units = [entry for entry in doc["groups"] if entry["unit_ema"]]
+    if with_units:
+        del with_units[-1]["unit_ema"][min(with_units[-1]["unit_ema"], key=int)]
+    for start in (lambda: init_states(graph, cfg), lambda: states_from_doc(doc)):
+        oracle, by_reader, by_update_all = start(), start(), start()
+        reader = Reader(by_reader, net, graph, cfg, gamma)
+        for _ in range(reads):
+            new_gradients()
+            read_oracle(oracle, net, graph, cfg, gamma)
+            reader.read()
+            update_all(by_update_all, net, graph, cfg, gamma)
+            want = json.dumps(states_to_doc(oracle, gamma, cfg))
+            assert json.dumps(states_to_doc(by_reader, gamma, cfg)) == want
+            assert json.dumps(states_to_doc(by_update_all, gamma, cfg)) == want
 
 
 def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,

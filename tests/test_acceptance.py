@@ -9,6 +9,7 @@ a much larger scale.
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
 from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import check_trace
-from prunescope.importance import (BayesConfig, GroupImportanceState, _update_group, _views,
-                                   bayes_update, ema_update, init_states, update_all)
-from prunescope.modelgraph import PruningGroup, build_groups
+from prunescope.importance import (BayesConfig, GroupImportanceState, Reader, bayes_update,
+                                   ema_update, init_states, update_all)
+from prunescope.modelgraph import ComponentGraph, PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
 from prunescope.pruner import PrunePlan, apply_prune, verify_consistency
 from prunescope.scheduler import ScheduleConfig, lambda_coefficient
@@ -76,14 +77,16 @@ def test_criterion_2_metrics_match_brute_force():
     rng = np.random.default_rng(202)
     worst = 0.0
     cfg = BayesConfig()
-    # The reader's kernel, on one group whose single slot is the vector.
+    # The reader's kernel, on one group whose single slot is the vector: an
+    # arena of its own, read through a stand-in network.
     for _ in range(1000):
         g = rng.normal(0.0, 3.0, size=int(rng.integers(1, 64)))
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), ((0, n),), (), ())
         state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
-        _update_group(group, state, *_views(group, g, np.empty(n)), cfg, 0.9)
+        arena = SimpleNamespace(flat_grad=g, layout=())
+        Reader({"g": state}, arena, ComponentGraph([group], 1, ()), cfg, 0.9).read()
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
         for got, ref in ((state.raw_grad, ref_grad), (state.raw_fisher, ref_fisher)):

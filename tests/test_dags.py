@@ -20,7 +20,8 @@ from prunescope.netcore import (ROLE_BIAS, ROLE_WEIGHT, backward, forward, load_
                                 mse_loss, save_checkpoint)
 from prunescope.pruner import allocate_budget, apply_prune, verify_consistency
 
-from conftest import dyadic, fd_gradient, masked_clone, random_dag, set_dyadic, toy_config
+from conftest import (assert_reads_like_the_oracle, dyadic, fd_gradient, masked_clone,
+                      random_dag, set_dyadic, toy_config)
 
 SEEDS = range(64)
 
@@ -82,6 +83,12 @@ def test_each_non_output_unit_has_one_group():
             for g in graph.groups:
                 biases = {s.layer for s in g.member_slices if s.role == ROLE_BIAS}
                 assert {layer for layer, _, _, _ in g.units} <= biases, g.id
+
+
+def test_every_accepted_network_reads_like_the_per_slot_oracle():
+    for seed in SEEDS:
+        net, _, graph = grouped(seed)
+        assert_reads_like_the_oracle(net, graph, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -277,21 +277,43 @@ def latent8_config(n_train=1024) -> ExperimentConfig:
 
 
 def test_a_steps_gradients_are_read_on_the_lane(force_lane, monkeypatch):
-    """With the lane forced on, the reads of a latent-8 epoch's eight steps
-    run at least one group's call on the lane thread, beside the calling
-    thread's forward passes."""
+    """With the lane forced on, a latent-8 epoch's eight steps are read by
+    one call each, seven in stages beside the next forward and the last
+    after the run, and at least one of them runs on the lane thread."""
     threads = []
-    original = importance_module._update_group
+    original = importance_module.Reader.read
 
-    def recording(*args):
+    def recording(self):
         threads.append(threading.get_ident())
-        original(*args)
+        original(self)
 
-    monkeypatch.setattr(importance_module, "_update_group", recording)
+    monkeypatch.setattr(importance_module.Reader, "read", recording)
     force_lane(True)
-    result = run_training(latent8_config())
-    assert len(threads) == 8 * len(result.graph.groups)
+    run_training(latent8_config())
+    assert len(threads) == 8
     assert "pool" in netcore._LANE and set(threads) - {threading.get_ident()}
+
+
+def poisoned_run(force_lane, monkeypatch, on: bool, step: int) -> list:
+    """A 2-epoch latent-8 run whose Bayes scores are not finite from step
+    ``step``'s read on, which must raise the first group's NumericsError;
+    returns one entry per ``backward`` that ran."""
+    groups = build_groups(build_model(latent8_config().model, 0)).groups
+    scores, backwards = [], []
+    original = importance_module.bayes_importance
+
+    def poisoned(mu, fisher):
+        scores.append(None)
+        return math.nan if len(scores) > (step - 1) * len(groups) else original(mu, fisher)
+
+    monkeypatch.setattr(importance_module, "bayes_importance", poisoned)
+    monkeypatch.setattr(train_module, "backward",
+                        lambda *args: (backwards.append(None), netcore.backward(*args)))
+    force_lane(on)
+    with pytest.raises(NumericsError, match=rf"group {groups[0].id!r}: importance is not "
+                                            r"finite, grad \S+, fisher \S+, bayes nan"):
+        run_training(replace(latent8_config(), epochs=2))
+    return backwards
 
 
 @pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
@@ -300,27 +322,22 @@ def test_a_non_finite_importance_ends_training_with_the_groups_error(
     """A Bayes score that is not finite from the second step's read on
     raises the first group's NumericsError when the third step's read stage
     closes, before its backward, with the lane and without it."""
-    groups = build_groups(build_model(latent8_config().model, 0)).groups
-    scores, backwards = [], []
-    original = importance_module.bayes_importance
+    assert len(poisoned_run(force_lane, monkeypatch, on, step=2)) == 2
 
-    def poisoned(mu, fisher):
-        scores.append(None)
-        return math.nan if len(scores) > len(groups) else original(mu, fisher)
 
-    monkeypatch.setattr(importance_module, "bayes_importance", poisoned)
-    monkeypatch.setattr(train_module, "backward",
-                        lambda *args: (backwards.append(None), netcore.backward(*args)))
-    force_lane(on)
-    with pytest.raises(NumericsError, match=rf"group {groups[0].id!r}: importance is not "
-                                            r"finite, grad \S+, fisher \S+, bayes nan"):
-        run_training(latent8_config())
-    assert len(backwards) == 2
+@pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
+def test_a_non_finite_importance_at_an_epoch_end_stops_before_the_next_backward(
+        force_lane, monkeypatch, on):
+    """Not finite from the read of the first epoch's last step, the eighth,
+    the error is raised when the next epoch's first read stage closes,
+    before its backward, with the lane and without it."""
+    assert len(poisoned_run(force_lane, monkeypatch, on, step=8)) == 8
 
 
 def test_a_training_run_allocates_one_read_arena(monkeypatch):
-    """A 2-epoch latent-8 run (16 steps, 16 reads) allocates one arena-sized
-    array in ``importance``, the reader's scratch, and not one per read."""
+    """A 2-epoch latent-8 run (16 steps, 16 reads) allocates one array of
+    one or two arenas in ``importance``, the reader's ``(2, n)`` scratch,
+    and not one per read."""
     cfg = replace(latent8_config(), epochs=2)
     size = build_model(cfg.model, 0).param_count()
     arenas = []
@@ -333,19 +350,20 @@ def test_a_training_run_allocates_one_read_arena(monkeypatch):
 
             def counted(*args, **kwargs):
                 out = attr(*args, **kwargs)
-                if isinstance(out, np.ndarray) and out.base is None and out.size == size:
-                    arenas.append(name)
+                if (isinstance(out, np.ndarray) and out.base is None
+                        and out.size in (size, 2 * size)):
+                    arenas.append((name, out.shape))
                 return out
             return counted
 
     monkeypatch.setattr(importance_module, "np", CountingNumpy())
     reads = []
-    original = importance_module._update_group
-    monkeypatch.setattr(importance_module, "_update_group",
-                        lambda *args: (reads.append(None), original(*args)))
-    result = run_training(cfg)
-    assert len(reads) == 16 * len(result.graph.groups)
-    assert arenas == ["empty"]
+    original = importance_module.Reader.read
+    monkeypatch.setattr(importance_module.Reader, "read",
+                        lambda self: (reads.append(None), original(self)))
+    run_training(cfg)
+    assert len(reads) == 16
+    assert arenas == [("empty", (2, size))]
 
 
 def test_training_through_an_sgd_config(tmp_path):

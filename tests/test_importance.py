@@ -15,8 +15,10 @@ from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
 from prunescope.modelgraph import build_groups, view_sum
 from prunescope.netcore import Adam, backward, forward, mse_loss
 
-from conftest import (dyadic, group_tensors, make_net, make_toy_multihead,
-                      make_two_component_chain, per_tensor_mean)
+from prunescope.harness.config import ModelConfig, build_model
+
+from conftest import (assert_reads_like_the_oracle, dyadic, group_tensors, make_net,
+                      make_toy_multihead, make_two_component_chain, per_tensor_mean)
 
 
 # -- raw metrics -------------------------------------------------------------
@@ -45,14 +47,24 @@ def test_the_fisher_pass_has_the_bits_of_the_products(rng):
     net = make_toy_multihead(seed=0)
     finite = g[np.isfinite(g) & (np.abs(g) < 1e150)]
     net.flat_grad[...] = rng.choice(finite, size=net.flat_grad.size)
-    squares = net.flat_grad * net.flat_grad
+    squares = (net.flat_grad * net.flat_grad)[None]
     graph = build_groups(net, 1)
     cfg = BayesConfig()
     states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
     for group in graph.groups:
-        views = [squares[lo:hi] for lo, hi, _ in group.slots]
-        assert states[group.id].raw_fisher == (view_sum(views)
+        views = [squares[:, lo:hi] for lo, hi, _ in group.slots]
+        assert states[group.id].raw_fisher == (view_sum(views)[0]
                                                / group.param_count), group.id
+
+
+@pytest.mark.parametrize("model", [ModelConfig(preset="toy_multihead"),
+                                   ModelConfig(preset="autoencoder", latent_dim=8)],
+                         ids=["toy_multihead", "autoencoder"])
+def test_a_read_has_the_bits_of_the_per_slot_oracle(model):
+    """The reader's arena-wide kernel gives, read after read, the bits of
+    summing each group slot by slot and each unit layer part by part."""
+    net = build_model(model, 0)
+    assert_reads_like_the_oracle(net, build_groups(net, 1), seed=0)
 
 
 def test_grad_magnitude_by_hand():
@@ -355,6 +367,36 @@ def test_update_all_names_the_group_whose_metric_overflows():
     with (np.errstate(over="ignore"),
           pytest.raises(NumericsError, match=re.escape(repr(graph.groups[0].id)))):
         update_all(init_states(graph, cfg), net, graph, cfg, gamma=0.9)
+
+
+def test_a_group_whose_metric_overflows_keeps_its_values_while_the_others_advance():
+    """A read whose first group's Fisher sum overflows raises that group's
+    error; the group keeps its metrics, unit scores and iteration (its
+    finite energy has updated alpha and beta), and every other group takes
+    its second observation."""
+    net = make_two_component_chain(seed=3)
+    graph = build_groups(net, 1)
+    cfg = BayesConfig()
+    states = init_states(graph, cfg)
+    reader = Reader(states, net, graph, cfg, 0.9)
+    grads_for(net)
+    reader.read()
+    first = states[graph.groups[0].id]
+
+    def kept():
+        return ([getattr(first, f"{kind}_{m}") for kind in ("raw", "ema")
+                 for m in ("grad", "fisher", "bayes")], first.iteration,
+                {layer: scores.tobytes() for layer, scores in first.unit_ema.items()})
+
+    before = kept()
+    assert before[2]
+    lo, hi = graph.groups[0].runs[0]
+    net.flat_grad[lo:hi] = 1e200
+    with (np.errstate(over="ignore"),
+          pytest.raises(NumericsError, match=re.escape(repr(first.group_id)))):
+        reader.read()
+    assert kept() == before
+    assert [st.iteration for st in states.values()] == [1] + [2] * (len(states) - 1)
 
 
 # -- the L1 term stays out of importance ------------------------------------------

@@ -100,6 +100,23 @@ def test_cli_train_refuses_a_malformed_config(toy_run, tmp_path, capsys, case):
                      "--out", str(out)], fragment, out)
 
 
+def test_cli_finetune_refuses_bad_optimizer_settings_before_reading_the_checkpoint(
+        toy_run, tmp_path, capsys, monkeypatch):
+    """A fine-tune config with a negative learning rate is refused by name,
+    though the checkpoint is missing too: it is never loaded."""
+    cfg_path, _, _ = toy_run
+    loads = []
+    monkeypatch.setattr(train_module, "load_checkpoint",
+                        lambda *args: loads.append(args) or load_checkpoint(*args))
+    bad = damaged(cfg_path, tmp_path / "cfg.json",
+                  lambda doc: doc["optimizer"].update(lr=-1))
+    out = tmp_path / "out"
+    refused(capsys, ["finetune", "--checkpoint", str(tmp_path / "missing.json"),
+                     "--config", bad, "--epochs", "1", "--out", str(out)],
+            "learning rate must be positive", out)
+    assert loads == []
+
+
 def test_cli_train_refuses_mnist_files_that_cannot_serve_the_network(toy_run, tmp_path,
                                                                      capsys):
     """toy_multihead reads 16 inputs and writes 2 outputs: 3x3 images are too
