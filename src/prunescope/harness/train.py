@@ -1,8 +1,9 @@
 """The training loop: seeded batches, scheduled group L1, online importance.
 
 Each iteration runs forward, task loss and backward, and the optimizer
-steps with the scheduled L1 subgradient as its penalty, which leaves
-``flat_grad`` holding the task gradients. One ``importance.Reader`` per
+steps with the scheduled L1 subgradient as its penalty, compiled once per
+epoch (``ComponentGraph.penalty``), which leaves ``flat_grad`` holding the
+task gradients. One ``importance.Reader`` per
 run, which checks its inputs, allocates its arenas and binds its views
 once, reads those gradients into the importance states in one
 ``second_lane`` stage (``Reader.beside``) that spans the next iteration's

@@ -16,8 +16,9 @@ importance, and a step's gradients can be read while the next step's
 forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
 inputs, allocates its arenas and binds its views once, so each read runs
 only its ufuncs: g^2 and |g| once over the whole arena, side by side in a
-``(2, n)`` scratch, one reduction per slot for both sums, and the unit
-scores over one arena of every group's units.
+``(2, n)`` scratch, one reduction per slot for both sums into one sums
+array read back at once, and the unit scores over one arena of every
+group's units.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -35,13 +36,13 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
-from .modelgraph import ComponentGraph, view_sum
+from .modelgraph import ComponentGraph
 from .netcore import Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
@@ -152,19 +153,21 @@ class Reader:
     only for its arithmetic. A stage is one :func:`second_lane` call. It
     squares the gradients into row 0 of the scratch and takes their
     magnitudes into row 1, each once over the whole arena, and reduces each
-    slot's two rows in one call; :func:`view_sum` adds a group's slot sums
+    slot's two rows in one call into its column of one ``(2, slots)`` sums
+    array, which one ``tolist()`` reads back. A group's slot sums are added
     in slice order into the Fisher diagonal (1/N) sum g^2 and the gradient
     magnitude (1/N) sum |g|, also the energy the Bayes tracker observes.
     Each unit layer's numerators are reduced from row 1 into its slice of
     the unit arena, which is divided by each unit's weight count and then
     smoothed in one pass at a gamma per unit: 0 where the state is at
-    iteration 0 or holds no scores for the layer, as for the averages. The
-    states then hold views of the reader's unit arena; a score vector put
-    in a state between reads is read in by the next. A group whose metrics
-    are not finite keeps its averages and unit scores while the others
-    advance, and the first such group's :class:`NumericsError` is raised
-    when the stage closes, unless the block raised its own error. Where the
-    slots lie and which of them feed each unit score was fixed by
+    iteration 0 or holds no scores for the layer, as for the averages; the
+    per-unit gammas and their complements are rewritten only where a gamma
+    changes. The states then hold views of the reader's unit arena; a score
+    vector put in a state between reads is read in by the next. A group
+    whose metrics are not finite keeps its averages and unit scores while
+    the others advance, and the first such group's :class:`NumericsError`
+    is raised when the stage closes, unless the block raised its own error.
+    Where the slots lie and which of them feed each unit score was fixed by
     :func:`build_groups`. The stages of one reader share its arenas, so
     they run one at a time.
     """
@@ -187,12 +190,17 @@ class Reader:
         self._grad, self._cfg, self._gamma = net.flat_grad, cfg, gamma
         self._scratch = np.empty((2, net.flat_grad.size))  # g^2 in row 0, |g| in row 1
         magnitudes = self._scratch[1]
+        # Both sums of every slot, groups in order, each group's slots in
+        # slice order: one column per slot.
+        self._sums = np.empty((2, sum(len(group.slots) for group in graph.groups)))
+        self._slot_sums = []
         # The unit arena's numerators and scores, per-unit divisors, smoothed
-        # scores and gammas.
+        # scores, gammas and their complements.
         units = [(layer, width, per_unit) for group in graph.groups
                  for layer, width, _, per_unit in group.units]
         size = sum(width for _, width, _ in units)
         self._scores, self._ema, self._gammas = (np.zeros(size) for _ in range(3))
+        self._complements = np.ones(size)
         self._per_unit = np.repeat([float(p) for _, _, p in units],
                                    [width for _, width, _ in units])
         # Each unit layer's parts: tensor views of row 1, the axis to reduce
@@ -202,6 +210,10 @@ class Reader:
         self._groups = []
         lo = 0
         for group in graph.groups:
+            first_slot = len(self._slot_sums)
+            for a, b, _ in group.slots:
+                self._slot_sums.append((self._scratch[:, a:b],
+                                        self._sums[:, len(self._slot_sums)]))
             segments = []
             for layer, width, parts, _ in group.units:
                 out = self._scores[lo:lo + width]
@@ -212,15 +224,13 @@ class Reader:
                         self._other_parts.append((tensor, axis, out))
                     else:  # a reduction over no axis, (), copies a bias
                         self._first_parts.append((tensor, () if axis is None else axis, out))
-                segments.append((layer, self._ema[lo:lo + width],
-                                 self._gammas[lo:lo + width]))
+                segments.append((layer, self._ema[lo:lo + width], self._gammas[lo:lo + width],
+                                 self._complements[lo:lo + width]))
                 lo += width
             self._groups.append((group, states[group.id],
-                                 [self._scratch[:, a:b] for a, b, _ in group.slots],
-                                 segments))
+                                 slice(first_slot, len(self._slot_sums)), segments))
 
-    @contextlib.contextmanager
-    def beside(self) -> Iterator[Callable[..., None]]:
+    def beside(self) -> contextlib.AbstractContextManager[Callable[..., None]]:
         """A :func:`second_lane` stage that reads the gradients while the
         ``with`` block runs; the block gets the stage's ``submit``.
 
@@ -228,18 +238,21 @@ class Reader:
         reader's arenas, so the block may run, and submit, anything that
         neither writes ``flat_grad`` nor reads the states: ``run_training``
         runs the next step's forward pass and loss there. Without the lane,
-        each call runs when it is submitted.
+        the read runs here, before the block.
         """
-        with second_lane(self._grad.size) as submit:
-            submit(self.read)
-            yield submit
+        stage = second_lane(self._grad.size)
+        stage.submit(self.read)
+        return stage
 
     def read(self) -> None:
         """One observation now, on this thread."""
         squares, magnitudes = self._scratch
         np.square(self._grad, out=squares)
         np.abs(self._grad, out=magnitudes)
-        scores, ema, gammas = self._scores, self._ema, self._gammas
+        for view, out in self._slot_sums:
+            np.add.reduce(view, 1, out=out)
+        square_sums, magnitude_sums = self._sums.tolist()
+        scores, ema = self._scores, self._ema
         for a, axis, out in self._first_parts:
             np.add.reduce(a, axis, out=out)
         for a, axis, out in self._other_parts:
@@ -247,8 +260,11 @@ class Reader:
         np.divide(scores, self._per_unit, out=scores)
         error, kept = None, []
         for group, state, slots, segments in self._groups:
-            fisher, grad = view_sum(slots)
-            raw_fisher, raw_grad = fisher / group.param_count, grad / group.param_count
+            # Each group's slot sums added in slice order: the bits of a sum
+            # of per-tensor sums, which a sum over merged runs would group
+            # differently.
+            raw_fisher = sum(square_sums[slots]) / group.param_count
+            raw_grad = sum(magnitude_sums[slots]) / group.param_count
             if math.isfinite(raw_grad):  # else bayes_update would refuse it
                 bayes_update(state, raw_grad, self._cfg)
             raw_bayes = bayes_importance(state.mu, raw_fisher)
@@ -258,7 +274,7 @@ class Reader:
                     f"group {group.id!r}: importance is not finite, grad {raw_grad}, "
                     f"fisher {raw_fisher}, bayes {raw_bayes}")
                 # Put back after the arena pass: the group keeps its unit scores.
-                kept += [(smoothed, smoothed.copy()) for _, smoothed, _ in segments]
+                kept += [(smoothed, smoothed.copy()) for _, smoothed, _, _ in segments]
                 continue
             # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
             # raw bit for bit, since raw >= +0 and previous is finite.
@@ -269,18 +285,22 @@ class Reader:
             state.ema_grad = ema_update(state.ema_grad, raw_grad, g)
             state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, g)
             state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, g)
-            for layer, smoothed, unit_gamma in segments:
+            for layer, smoothed, unit_gamma, complement in segments:
                 held = state.unit_ema.get(layer)
                 if held is not smoothed:
                     if held is not None:
                         smoothed[...] = held
                     state.unit_ema[layer] = smoothed
-                unit_gamma[...] = g if held is not None else 0.0
+                want = g if held is not None else 0.0
+                if unit_gamma[0] != want:
+                    unit_gamma[...] = want
+                    complement[...] = 1.0 - want
             state.iteration += 1
         # ema_update's gamma * previous + (1 - gamma) * raw over the unit
         # arena, in place, at each unit's gamma.
-        ema *= gammas
-        ema += (1.0 - gammas) * scores
+        ema *= self._gammas
+        scores *= self._complements
+        ema += scores
         for smoothed, before in kept:
             smoothed[...] = before
         if error:
@@ -379,11 +399,18 @@ def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
 
 
 def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
-    """Rebuild the states of :func:`states_to_doc`. Every metric must be
-    finite, alpha and beta positive, and each unit score vector a flat list
-    of finite numbers keyed by its layer index, written as
-    :func:`states_to_doc` writes it."""
+    """Rebuild the states of :func:`states_to_doc`. ``gamma`` must lie in
+    [0, 1) and each ``bayes`` constant be positive and finite, as
+    :class:`BayesConfig` requires; every metric must be finite, alpha and
+    beta positive, and each unit score vector a flat list of finite numbers
+    keyed by its layer index, written as :func:`states_to_doc` writes it."""
     doc = Fields.document(doc, "importance states", STATES_FORMAT, STATES_VERSION)
+    gamma = doc.float("gamma")
+    if not 0.0 <= gamma < 1.0:
+        doc.fail("gamma", f"must lie in [0, 1), got {gamma}")
+    bayes = doc.obj("bayes")
+    for name in ("kappa", "eta", "alpha0", "beta0"):
+        bayes.float(name, finite=True, positive=True)
     groups = doc.arr("groups")
     states = {}
     for k in groups.keys():

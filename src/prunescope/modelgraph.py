@@ -13,11 +13,14 @@ unit has one home; a consumed layer's units are scored by their bias entries.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
 network's arenas, once; the importance update, the optimizer's L1 penalty
-and the L1 norms all read that view.
+(compiled per epoch by :meth:`ComponentGraph.penalty`) and the L1 norms
+all read that view.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,8 +77,8 @@ class ComponentGraph:
     """The full group decomposition for one network.
 
     ``layout`` is the network's :attr:`Network.layout` (tensor names and
-    shapes) that the groups were built for; their arena positions serve
-    only networks of that layout.
+    shapes) that the groups were built for, and ``size`` its arena's element
+    count; their arena positions serve only networks of that layout.
     """
 
     def __init__(self, groups: Iterable[PruningGroup], layers_per_group: int,
@@ -83,6 +86,11 @@ class ComponentGraph:
         self.groups: tuple[PruningGroup, ...] = tuple(groups)
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
+        self.size = sum(math.prod(shape) for _, shape in layout)
+        # Every group's slots in order, and each group's range of them.
+        self._slots = [(lo, hi) for g in self.groups for lo, hi, _ in g.slots]
+        ends = list(itertools.accumulate(len(g.slots) for g in self.groups))
+        self._slot_ranges = list(zip([0, *ends], ends))
         self._by_id: dict[str, PruningGroup] = {}
         for g in self.groups:
             if g.id in self._by_id:
@@ -106,35 +114,29 @@ class ComponentGraph:
                 "were built for; rebuild the groups with build_groups(net)")
 
     def l1_norms(self, values: np.ndarray) -> list[float]:
-        """Each group's :func:`view_sum` of absolute values over its slots,
-        in group order, from an arena laid out like the groups'
-        (``net.flat_values``): its one-row caller. The magnitudes are taken
-        slot by slot, so no temporary outgrows the largest tensor."""
-        return [view_sum(np.abs(values[None, lo:hi]) for lo, hi, _ in group.slots)[0]
-                for group in self.groups]
+        """Each group's sum of absolute values over its slots, in group
+        order, from an arena laid out like the groups' (``net.flat_values``).
+        Each slot's magnitudes are taken and reduced on their own, into one
+        array of slot sums read back at once, and a group's slot sums are
+        added in slice order: the bits of a sum of per-tensor sums, which a
+        sum over merged runs would group differently. No temporary outgrows
+        the largest tensor."""
+        sums = np.empty((1, len(self._slots)))
+        for j, (lo, hi) in enumerate(self._slots):
+            np.add.reduce(np.abs(values[None, lo:hi]), 1, out=sums[:, j])
+        (slot_sums,) = sums.tolist()
+        return [sum(slot_sums[a:b]) for a, b in self._slot_ranges]
 
     def penalty(self, coeffs: Sequence[float]) -> Penalty:
-        """The L1 term an optimizer step takes: each group's runs with its
-        coefficient, ``coeffs`` holding one per group in ``groups`` order
-        (the schedule's value times the loss weight). A group whose
-        coefficient is zero adds nothing, so its ``-0.0`` gradients stay
-        ``-0.0``."""
+        """The L1 term an optimizer step takes, compiled for the groups'
+        arena: each group's runs with its coefficient, ``coeffs`` holding one
+        per group in ``groups`` order (the schedule's value times the loss
+        weight). A group whose coefficient is zero adds nothing, so its
+        ``-0.0`` gradients stay ``-0.0``."""
         if len(coeffs) != len(self.groups):
             raise ConfigurationError(f"need one L1 coefficient per group, got {len(coeffs)}")
-        return [(lo, hi, coeff) for group, coeff in zip(self.groups, coeffs)
-                if coeff != 0.0 for lo, hi in group.runs]
-
-
-def view_sum(views: Iterable[np.ndarray]) -> list[float]:
-    """One sum per row of views of shape ``(rows, k)``: each view's rows are
-    reduced by one call, one view at a time, and a row's sums are added in
-    view order.
-
-    Over a group's slot views in slice order, each row's sum has the bits of
-    a sum of per-tensor sums; a sum over merged runs would group the
-    additions differently.
-    """
-    return [sum(row) for row in zip(*[np.add.reduce(v, 1).tolist() for v in views])]
+        return Penalty([(lo, hi, coeff) for group, coeff in zip(self.groups, coeffs)
+                        for lo, hi in group.runs], self.size)
 
 
 def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -149,9 +149,10 @@ class Network:
     :meth:`param_tensors` order, and makes each layer's tensors
     (``layer{k}.weight``, ``layer{k}.bias``) as views of them, so
     whole-network work (optimizer steps, finiteness scans) runs as a few
-    array calls. ``layers`` and ``layer_inputs`` are tuples and
-    ``components`` is read-only: a built network's structure cannot change,
-    only the values in its arenas.
+    array calls, and binds the views :func:`forward` reads of each layer.
+    ``layers`` and ``layer_inputs`` are tuples and ``components`` is
+    read-only: a built network's structure cannot change, only the values in
+    its arenas.
     """
 
     def __init__(self, layers: Iterable[tuple[np.ndarray, np.ndarray, str]],
@@ -179,6 +180,11 @@ class Network:
             offset += w.size + b.size
             built.append(DenseLayer(weight, bias, activation))
         self.layers: tuple[DenseLayer, ...] = tuple(built)
+        # What forward reads of each layer: its source, W.T, b and activation
+        # (None for identity, which forward does not call).
+        self._bound = tuple((src, layer.weight.values.T, layer.bias.values,
+                             None if layer.activation == "identity" else layer.activation)
+                            for src, layer in zip(self.layer_inputs, built))
         self.layout = tuple((t.name, t.shape) for _, _, t in self.param_tensors())
         self.input_dim: int = self.layers[self.layer_inputs.index(-1)].in_dim
         self.output_dim: int = sum(self.layers[s].out_dim for s in self._sinks)
@@ -322,6 +328,8 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
 
     Each layer runs whole on the calling thread: the product ``x @ W.T``,
     then the bias and the activation in place, at the caller's BLAS threads.
+    The views each layer reads are bound when the network is built; an
+    identity layer skips :func:`apply_activation`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -333,10 +341,12 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
             f"batch width {batch.shape[1]} does not match network input width "
             f"{net.input_dim}")
     acts = [batch]
-    for src, layer in zip(net.layer_inputs, net.layers):
-        z = np.matmul(acts[src + 1], layer.weight.values.T)
-        np.add(z, layer.bias.values, out=z)
-        acts.append(apply_activation(layer.activation, z))
+    for src, weight_t, bias, activation in net._bound:
+        z = np.matmul(acts[src + 1], weight_t)
+        np.add(z, bias, out=z)
+        if activation is not None:
+            apply_activation(activation, z)
+        acts.append(z)
     sinks = net.sinks()
     if len(sinks) == 1:
         acts.append(acts[sinks[0] + 1])
@@ -431,10 +441,6 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
 # through all the passes of the update.
 ADAM_BLOCK = 32768
 
-# An optimizer step's L1 term: ``(lo, hi, coeff)`` arena runs, each adding
-# ``coeff * sign(theta)`` to the gradient the step reads over ``[lo, hi)``.
-Penalty = Sequence[tuple[int, int, float]]
-
 
 def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
                context: str) -> None:
@@ -457,53 +463,118 @@ def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
         net._raise_non_finite(context)
 
 
-def _penalized(g: np.ndarray, theta: np.ndarray, lo: int, hi: int,
-               penalty: Penalty) -> tuple[np.ndarray, np.ndarray | None]:
-    """The gradient a step reads over the block ``[lo, hi)``, and a free
-    array of the block's size or None.
+class Penalty:
+    """An optimizer step's L1 term, compiled for an arena of ``size``
+    elements: ``runs`` of ``(lo, hi, coeff)``, each adding ``coeff *
+    sign(theta)`` to the gradient the step reads over ``[lo, hi)``.
 
-    Where no run of ``penalty`` meets the block, that is the block of ``g``
-    itself and None. Otherwise it is a private copy of the block plus
-    ``coeff * sign(theta)`` over each run that meets it: the free array
-    takes the block's signs once, and each run multiplies its part of them
-    in place, so ``g`` keeps the task gradient. Runs that do not overlap give
-    each element at most one addition, with the bits of adding the term to
-    ``g`` in place.
+    Each run must be a non-empty range inside ``[0, size)``, no two may
+    overlap, and each coefficient must be non-negative and finite; anything
+    else is refused with a :class:`ConfigurationError`. A run of coefficient
+    zero adds nothing, so the ``-0.0`` gradients under it stay ``-0.0``;
+    ``runs`` keeps the others, in the given order. For each ``ADAM_BLOCK``
+    the penalty holds the runs clipped to the block, the merged spans they
+    cover and the gaps they leave, or None where no run meets the block, so
+    a step builds no list per block (:meth:`gradient`).
+    :meth:`ComponentGraph.penalty` builds one per epoch.
     """
-    # Clipped by comparisons, not max() and min() calls: a toy network
-    # steps in microseconds, and this runs once per block and step.
-    runs = [(a - lo if a > lo else 0, (b if b < hi else hi) - lo, coeff)
-            for a, b, coeff in penalty if a < hi and b > lo]
-    if not runs:
-        return g[lo:hi], None
-    gb, free = g[lo:hi].copy(), np.sign(theta[lo:hi])
-    for a, b, coeff in runs:
-        term = free[a:b]
-        gb[a:b] += np.multiply(term, coeff, out=term)
-    return gb, free
+
+    def __init__(self, runs: Iterable[tuple[int, int, float]], size: int) -> None:
+        runs = [(int(lo), int(hi), float(coeff)) for lo, hi, coeff in runs]
+        end = 0
+        for lo, hi, coeff in sorted(runs):
+            if not 0 <= lo < hi <= size:
+                raise ConfigurationError(
+                    f"penalty run [{lo}, {hi}) is not a non-empty range of the "
+                    f"arena's {size} elements")
+            if lo < end:
+                raise ConfigurationError(f"penalty run [{lo}, {hi}) overlaps another run")
+            if not 0.0 <= coeff < math.inf:  # written so that NaN fails
+                raise ConfigurationError(
+                    f"penalty run [{lo}, {hi}): the L1 coefficient must be "
+                    f"non-negative and finite, got {coeff}")
+            end = hi
+        self.size = size
+        self.runs = [run for run in runs if run[2] != 0.0]
+        ordered = sorted(self.runs)
+        self._blocks: list[tuple[list, list, list] | None] = []
+        for start in range(0, size, ADAM_BLOCK):
+            stop = min(start + ADAM_BLOCK, size)
+            parts = [(max(lo, start) - start, min(hi, stop) - start, coeff)
+                     for lo, hi, coeff in ordered if lo < stop and hi > start]
+            spans: list[tuple[int, int]] = []
+            for a, b, _ in parts:
+                if spans and spans[-1][1] == a:
+                    spans[-1] = (spans[-1][0], b)
+                else:
+                    spans.append((a, b))
+            edges = [0, *(x for span in spans for x in span), stop - start]
+            gaps = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
+            self._blocks.append((parts, spans, gaps) if parts else None)
+
+    def gradient(self, g: np.ndarray, theta: np.ndarray, lo: int,
+                 hi: int) -> tuple[np.ndarray, bool]:
+        """The gradient a step reads over the block ``[lo, hi)``, and whether
+        it is a private array the step may overwrite.
+
+        Where no run meets the block, that is the block of ``g`` itself.
+        Otherwise it is one new array, made in three passes: it takes the
+        block's signs, each run scales its part in place, and ``g`` is added
+        over each covered span and copied over each gap, so ``g`` keeps the
+        task gradient. Each element gets at most one addition, with the bits
+        of adding the term to ``g`` in place: IEEE addition commutes, and the
+        copy keeps a gap's ``-0.0``.
+        """
+        block = self._blocks[lo // ADAM_BLOCK]
+        if block is None:
+            return g[lo:hi], False
+        parts, spans, gaps = block
+        gb = np.sign(theta[lo:hi])
+        for a, b, coeff in parts:
+            term = gb[a:b]
+            np.multiply(term, coeff, out=term)
+        for a, b in spans:
+            term = gb[a:b]
+            np.add(term, g[lo + a:lo + b], out=term)
+        for a, b in gaps:
+            gb[a:b] = g[lo + a:lo + b]
+        return gb, True
+
+
+def _gradient_reader(net: Network, penalty: Penalty | None) -> Callable[[int, int], tuple]:
+    """``gradient(lo, hi)`` for a step of ``net`` under ``penalty``: the
+    penalty's :meth:`Penalty.gradient`, or the shared block of ``flat_grad``
+    without one. A penalty compiled for another arena size is refused."""
+    g, theta = net.flat_grad, net.flat_values
+    if penalty is None:
+        return lambda lo, hi: (g[lo:hi], False)
+    if penalty.size != g.size:
+        raise ConfigurationError(
+            f"the penalty was compiled for an arena of {penalty.size} elements; "
+            f"the network has {g.size}")
+    return lambda lo, hi: penalty.gradient(g, theta, lo, hi)
 
 
 class SGD:
     """Plain gradient descent: ``theta -= lr * g``, where ``g`` is the task
     gradient plus the step's L1 subgradient, read as :class:`Adam` reads it.
-    A block allocates at most two arrays: with a penalty run, the penalized
-    gradient copy and the term's scratch, which then holds ``lr * g``;
-    without one, ``lr * g`` alone."""
+    A block allocates at most one array: with a penalty run, the penalized
+    gradient, which then holds ``lr * g``; without one, ``lr * g``."""
 
     def __init__(self, lr: float = 1e-3) -> None:
         if not lr > 0:
             raise ConfigurationError("learning rate must be positive")
         self.lr = float(lr)
 
-    def step(self, net: Network, penalty: Penalty = ()) -> None:
+    def step(self, net: Network, penalty: Penalty | None = None) -> None:
         """Step ``net`` by its task gradients plus the L1 subgradient over
         ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
-        theta, g, lr = net.flat_values, net.flat_grad, self.lr
+        gradient, theta, lr = _gradient_reader(net, penalty), net.flat_values, self.lr
 
         def update(lo: int, hi: int) -> np.ndarray:
-            gb, free = _penalized(g, theta, lo, hi, penalty)
+            gb, own = gradient(lo, hi)
             tb = theta[lo:hi]
-            tb -= np.multiply(gb, lr, out=free)
+            tb -= np.multiply(gb, lr, out=gb if own else None)
             return tb
 
         _blockwise(net, update, "after SGD step")
@@ -521,14 +592,13 @@ class Adam:
     are checked for finiteness while still in cache. A step keeps the
     caller's BLAS thread count.
 
-    :meth:`step` takes the step's L1 term as a ``penalty``: ``(lo, hi,
-    coeff)`` arena runs, as :meth:`ComponentGraph.penalty` builds them. Over
-    each run, ``g`` is the task gradient plus ``coeff * sign(theta)``, taken
-    before the step moves theta, in a private copy of the block, so
-    ``net.flat_grad`` keeps the task gradients. A block allocates at most two
-    arrays: its penalized copy, which holds ``lr*(m/c1)`` once the gradient
-    is read for the last time, and one temporary; or, without a penalty run,
-    the temporary and ``lr*(m/c1)``.
+    :meth:`step` takes the step's L1 term as a :class:`Penalty`, as
+    :meth:`ComponentGraph.penalty` builds it. Over each run, ``g`` is the
+    task gradient plus ``coeff * sign(theta)``, taken before the step moves
+    theta, in a private array of the block, so ``net.flat_grad`` keeps the
+    task gradients. A block allocates at most two arrays: one temporary, and
+    its penalized gradient, which holds ``lr*(m/c1)`` once the gradient is
+    read for the last time, or, without a penalty run, ``lr*(m/c1)``.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -547,9 +617,10 @@ class Adam:
         self._m = self._v = np.empty(0)
         self._t = 0
 
-    def step(self, net: Network, penalty: Penalty = ()) -> None:
+    def step(self, net: Network, penalty: Penalty | None = None) -> None:
         """Step ``net`` by its task gradients plus the L1 subgradient over
         ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
+        gradient = _gradient_reader(net, penalty)
         if net.layout != self._layout:
             n = net.flat_values.size
             self._layout = net.layout
@@ -560,14 +631,13 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
-        theta, g, m, v = net.flat_values, net.flat_grad, self._m, self._v
+        theta, m, v = net.flat_values, self._m, self._v
 
         def update(lo: int, hi: int) -> np.ndarray:
-            gb, s = _penalized(g, theta, lo, hi, penalty)
+            gb, own = gradient(lo, hi)
             mb, vb, tb = m[lo:hi], v[lo:hi], theta[lo:hi]
-            own = s is not None
             np.multiply(mb, b1, out=mb)
-            s = np.multiply(gb, 1.0 - b1, out=s)
+            s = np.multiply(gb, 1.0 - b1)
             np.add(mb, s, out=mb)
             np.multiply(vb, b2, out=vb)
             np.multiply(gb, 1.0 - b2, out=s)
@@ -698,8 +768,7 @@ def _run_all(take: Callable[[], Callable[[], None]]) -> None:
             take()()  # no call outlives its turn, so a drained queue keeps no arrays
 
 
-@contextlib.contextmanager
-def second_lane(size: int) -> Iterator[Callable[..., None]]:
+def second_lane(size: int) -> _Inline | _Lane:
     """A stage over ``size`` arena elements: the ``with`` block gets
     ``submit(func, *args)``, which queues a whole call for the second lane.
 
@@ -713,39 +782,73 @@ def second_lane(size: int) -> Iterator[Callable[..., None]]:
     block raised its own. A stage waits for no call but its own, so stages may
     nest or run on several threads. Calls are queued only when the stage spans
     an ``ADAM_BLOCK`` and the process may use two cores (:func:`_lane_rule`);
-    otherwise ``submit`` runs each call at once, under the same error rule. A
-    call runs in a copy of the context it was submitted in, so ``np.errstate``
-    holds on either thread. Each call is whole and writes its own arrays: no
-    bit depends on which thread ran it.
+    otherwise the stage is an inline one, whose ``submit`` runs each call at
+    once, under the same error rule. A call runs in a copy of the context it
+    was submitted in, so ``np.errstate`` holds on either thread. Each call is
+    whole and writes its own arrays: no bit depends on which thread ran it.
+    A stage's ``submit`` may be called from its making on: :meth:`Reader.beside`
+    submits its read before the ``with`` statement enters the stage.
     """
-    errors: dict[int, BaseException] = {}
     if not (size >= ADAM_BLOCK and _lane_rule()):
-        # Calls run here in submit order, so the earliest error gets the lowest key.
-        yield lambda func, *args: _call(errors, len(errors), func, args)
-    else:
-        pool, todo, tasks, order = _LANE.get("pool"), deque(), [], itertools.count()
-        if pool is None:
-            # Imported here: it loads logging, which importing the CLI need not. setdefault
-            # keeps one pool where first stages race; one not kept never starts a worker.
-            from concurrent.futures import ThreadPoolExecutor
-            pool = _LANE.setdefault("pool", ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="prunescope-lane"))
+        return _Inline()
+    pool = _LANE.get("pool")
+    if pool is None:
+        # Imported here: it loads logging, which importing the CLI need not. setdefault
+        # keeps one pool where first stages race; one not kept never starts a worker.
+        from concurrent.futures import ThreadPoolExecutor
+        pool = _LANE.setdefault("pool", ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="prunescope-lane"))
+    return _Lane(pool)
 
-        def submit(func: Callable, *args: object) -> None:
-            todo.append(functools.partial(contextvars.copy_context().run,
-                                          _call, errors, next(order), func, args))
-            if not tasks or tasks[-1].done():
-                with contextlib.suppress(RuntimeError):  # an exiting interpreter's
-                    tasks.append(pool.submit(_run_all, todo.popleft))  # pools take none
 
+class _Inline:
+    """A :func:`second_lane` stage that runs each call when it is submitted."""
+
+    __slots__ = ("error",)
+
+    def __init__(self) -> None:
+        self.error: BaseException | None = None
+
+    def submit(self, func: Callable, *args: object) -> None:
         try:
-            yield submit
-        finally:
-            _run_all(todo.pop)
-            if tasks and not tasks[-1].cancel():
-                tasks[-1].result()  # the worker finishes the call it is on
-    if errors:
-        raise errors[min(errors)]
+            func(*args)
+        except BaseException as exc:  # re-raised when the stage closes
+            if self.error is None:  # calls run in submit order: the earliest wins
+                self.error = exc
+
+    def __enter__(self) -> Callable[..., None]:
+        return self.submit
+
+    def __exit__(self, kind: type | None, *_: object) -> None:
+        if kind is None and self.error is not None:
+            raise self.error
+
+
+class _Lane:
+    """A :func:`second_lane` stage that queues its calls for the worker."""
+
+    __slots__ = ("pool", "errors", "todo", "task", "order")
+
+    def __init__(self, pool: object) -> None:
+        self.pool, self.errors, self.todo = pool, {}, deque()
+        self.task, self.order = None, itertools.count()
+
+    def submit(self, func: Callable, *args: object) -> None:
+        self.todo.append(functools.partial(contextvars.copy_context().run,
+                                           _call, self.errors, next(self.order), func, args))
+        if self.task is None or self.task.done():
+            with contextlib.suppress(RuntimeError):  # an exiting interpreter's
+                self.task = self.pool.submit(_run_all, self.todo.popleft)  # pools take none
+
+    def __enter__(self) -> Callable[..., None]:
+        return self.submit
+
+    def __exit__(self, kind: type | None, *_: object) -> None:
+        _run_all(self.todo.pop)
+        if self.task is not None and not self.task.cancel():
+            self.task.result()  # the worker finishes the call it is on
+        if kind is None and self.errors:
+            raise self.errors[min(self.errors)]
 
 
 # -- checkpoints ---------------------------------------------------------

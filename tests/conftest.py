@@ -87,6 +87,14 @@ def per_tensor_mean(arrays) -> float:
     return sum(float(a.sum()) for a in arrays) / sum(a.size for a in arrays)
 
 
+def view_sum(views) -> list[float]:
+    """Reference sums, one per row of views of shape ``(rows, k)``: each
+    view's rows reduced by one call, one view at a time, and a row's sums
+    added in view order. Over a group's slot views in slice order, each
+    row's sum is a sum of per-tensor sums, as training takes it."""
+    return [sum(row) for row in zip(*[np.add.reduce(v, 1).tolist() for v in views])]
+
+
 def read_oracle(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
                 gamma: float) -> None:
     """One observation of ``net.flat_grad`` into ``states``, group by group

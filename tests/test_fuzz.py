@@ -124,6 +124,21 @@ def test_damaged_json_artifacts_exit_zero_or_two(run, name, data):
     feed(run, name, json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("value", RETYPED, ids=repr)
+@pytest.mark.parametrize("name", ["gamma", "kappa", "eta", "alpha0", "beta0"])
+def test_states_with_a_retyped_gamma_or_bayes_constant_exit_two_unless_in_range(
+        run, name, value):
+    """Each retyped value of the states' ``gamma`` or of a Bayes constant is
+    read: outside [0, 1) for ``gamma``, or not a positive finite number for
+    a constant, it exits 2 with an ``error:`` line."""
+    doc = json.loads(run[0]["states"][0].read_bytes())
+    (doc if name == "gamma" else doc["bayes"])[name] = value
+    code, err = feed(run, "states", json.dumps(doc).encode())
+    number = type(value) in (int, float)
+    valid = number and (0 <= value < 1 if name == "gamma" else value > 0)
+    assert (code, err.startswith("error:")) == ((0, False) if valid else (2, True)), err
+
+
 @FUZZ
 @given(data=st.data())
 def test_damaged_csv_traces_exit_zero_or_two(run, data):

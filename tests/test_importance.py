@@ -12,13 +12,14 @@ from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
                                    bayes_importance, bayes_update, ema_update,
                                    init_states, metric_scores, rank_groups, ranked,
                                    states_from_doc, states_to_doc, update_all)
-from prunescope.modelgraph import build_groups, view_sum
+from prunescope.modelgraph import build_groups
 from prunescope.netcore import Adam, backward, forward, mse_loss
 
 from prunescope.harness.config import ModelConfig, build_model
 
 from conftest import (assert_reads_like_the_oracle, dyadic, group_tensors, make_net,
-                      make_toy_multihead, make_two_component_chain, per_tensor_mean)
+                      make_toy_multihead, make_two_component_chain, per_tensor_mean,
+                      view_sum)
 
 
 # -- raw metrics -------------------------------------------------------------

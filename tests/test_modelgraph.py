@@ -277,9 +277,9 @@ def test_penalty_refuses_l1_coefficients_of_the_wrong_length():
 def test_penalty_holds_the_runs_of_each_group_with_a_nonzero_coefficient():
     graph = build_groups(make_toy_multihead())
     coeffs = [0.5 * i for i in range(len(graph.groups))]
-    assert graph.penalty(coeffs) == [(lo, hi, coeff) for group, coeff
-                                     in zip(graph.groups[1:], coeffs[1:])
-                                     for lo, hi in group.runs]
+    assert graph.penalty(coeffs).runs == [(lo, hi, coeff) for group, coeff
+                                          in zip(graph.groups[1:], coeffs[1:])
+                                          for lo, hi in group.runs]
 
 
 # -- prunable units and closures --------------------------------------------

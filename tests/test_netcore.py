@@ -18,7 +18,7 @@ from prunescope import netcore
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.harness.config import AUTOENCODER_LATENTS, ModelConfig, build_model
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
+from prunescope.netcore import (Adam, Network, Penalty, SGD, apply_activation, backward,
                                 build_sequential, forward, load_checkpoint,
                                 mse_loss, save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune
@@ -387,8 +387,7 @@ def l1_gradient(values, grad, coeff) -> np.ndarray:
     net.layers[0].weight.grad[...] = [grad]
     task = net.flat_grad.tobytes()
     penalty = build_groups(net, 1).penalty([coeff])
-    read, _ = netcore._penalized(net.flat_grad, net.flat_values, 0, net.flat_grad.size,
-                                 penalty)
+    read, _ = penalty.gradient(net.flat_grad, net.flat_values, 0, net.flat_grad.size)
     assert net.flat_grad.tobytes() == task
     return read
 
@@ -409,6 +408,63 @@ def test_l1_subgradient_zero_coefficient_is_a_noop():
     assert np.signbit(read[0])  # -0.0 + 0 * sign(1.0) would be +0.0
 
 
+PENALTY_REFUSALS = {
+    # Scaled in place run by run, the signs on [2, 4) would add 0.75, not 1.0:
+    # the second run would scale the signs the first one had scaled.
+    "overlap": ([(0, 4, 0.5), (2, 6, 0.5)], r"penalty run \[2, 6\) overlaps another run"),
+    "nested": ([(0, 6, 0.5), (2, 3, 0.0)], r"penalty run \[2, 3\) overlaps another run"),
+    "below": ([(-1, 2, 0.5)], r"penalty run \[-1, 2\) is not a non-empty range of the "
+                              "arena's 6 elements"),
+    "past": ([(4, 7, 0.5)], r"penalty run \[4, 7\) is not a non-empty range"),
+    "empty": ([(3, 3, 0.5)], r"penalty run \[3, 3\) is not a non-empty range"),
+    "negative": ([(0, 2, -0.5)], "must be non-negative and finite, got -0.5"),
+    "nan": ([(0, 2, math.nan)], "must be non-negative and finite, got nan"),
+    "inf": ([(0, 2, math.inf)], "must be non-negative and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENALTY_REFUSALS))
+def test_a_penalty_refuses_overlapping_runs_runs_outside_the_arena_and_bad_coefficients(case):
+    runs, match = PENALTY_REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=match):
+        Penalty(runs, 6)
+
+
+@pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
+                         ids=["SGD", "Adam"])
+def test_a_step_refuses_a_penalty_compiled_for_another_arena_size(make_opt):
+    net = make_net([3, 2], ["identity"], seed=0)
+    net.flat_grad[...] = 1.0
+    before = net.flat_values.tobytes()
+    opt = make_opt()
+    for size in (net.param_count() - 1, net.param_count() + 1):
+        with pytest.raises(ConfigurationError, match=rf"compiled for an arena of {size} "):
+            opt.step(net, Penalty([(0, 2, 0.5)], size))
+    assert net.flat_values.tobytes() == before
+    opt.step(net, Penalty([(0, 2, 0.5)], net.param_count()))
+    assert net.flat_values.tobytes() != before
+
+
+def test_a_penalty_holds_runs_side_by_side_with_the_bits_of_adding_each_in_place(rng):
+    """Adjacent runs, a gap between runs and a zero-coefficient run in one
+    block: each element is read with at most one addition, as in place."""
+    theta = dyadic(rng, (10,))
+    theta[[1, 6]] = 0.0
+    g = dyadic(rng, (10,))
+    g[[0, 4, 9]] = -0.0
+    runs = [(1, 3, 0.5), (3, 4, 0.25), (5, 8, 2.0), (8, 9, 0.0)]
+    want = g.copy()
+    for lo, hi, coeff in runs:
+        if coeff:
+            want[lo:hi] += coeff * np.sign(theta[lo:hi])
+    task = g.tobytes()
+    read, own = Penalty(runs, 10).gradient(g, theta, 0, 10)
+    assert own and read.tobytes() == want.tobytes() and g.tobytes() == task
+    assert Penalty(runs, 10).runs == runs[:3]
+    shared, own = Penalty([(8, 9, 0.0)], 10).gradient(g, theta, 0, 10)
+    assert not own and np.shares_memory(shared, g)
+
+
 @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
                          ids=["SGD", "Adam"])
 def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, make_opt):
@@ -417,8 +473,8 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
     place, group by group and one ``ADAM_BLOCK`` at a time from each run's
     start, and then stepping without one. The arena spans four blocks, runs
     cross block edges, and it holds -0.0 gradients, theta = 0 entries and a
-    group of coefficient zero. The penalized network's gradient stays the
-    task gradient."""
+    group of coefficient zero, whose end shares a block with a penalized
+    run. The penalized network's gradient stays the task gradient."""
     force_lane(True)
     net = make_two_component_chain(seed=4, widths=(200, 300, 120, 40, 200))
     graph = build_groups(net, 1)
@@ -431,6 +487,15 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
     task[::89] = -0.0
     coeffs = [1e-3 * i for i in range(len(graph.groups))]
     assert coeffs[0] == 0.0
+    # The zero-coefficient group ends inside a block that a penalized run
+    # fills: a gap whose -0.0 gradients, at -0.0 values, the step must keep
+    # (SGD's -0.0 - lr * -0.0 is +0.0, and -0.0 - lr * +0.0 is -0.0).
+    edge = graph.groups[0].runs[-1][1]
+    assert edge % netcore.ADAM_BLOCK and coeffs[1] != 0.0
+    gap = np.arange(edge - edge % netcore.ADAM_BLOCK, edge)
+    gap = gap[task[gap] == 0.0]
+    assert gap.size and np.signbit(task[gap]).all()
+    net.flat_values[gap] = -0.0
     reference, penalized = net.copy(), net.copy()
     ref_opt, opt = make_opt(), make_opt()
     for _ in range(2):
@@ -492,21 +557,23 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
 
 @pytest.mark.parametrize("on", [True, False], ids=["lane", "inline"])
 def test_second_lane_reraises_after_both_halves_finish(force_lane, on):
-    """With the lane and inline alike, every call runs, the first error is
-    raised after the block, and an error of the block itself wins. A nested
-    stage queues like any other: its call has run once when it closes."""
+    """With the lane and inline alike, every call runs, the earliest
+    submitted call's error is raised after the block, and an error of the
+    block itself wins. A nested stage queues like any other: its call has
+    run once when it closes."""
     force_lane(on)
     done = []
 
-    def fail():
+    def fail(message="from the call"):
         done.append("call")
-        raise ValueError("from the call")
+        raise ValueError(message)
 
-    with pytest.raises(ValueError, match="from the call"):
+    with pytest.raises(ValueError, match="^from the call$"):
         with netcore.second_lane(netcore.ADAM_BLOCK) as submit:
             submit(fail)
+            submit(fail, "from a later call")
             done.append("here")
-    assert sorted(done) == ["call", "here"]
+    assert sorted(done) == ["call", "call", "here"]
     # An exception of the stage itself wins; the lane is free afterwards.
     with pytest.raises(KeyError):
         with netcore.second_lane(netcore.ADAM_BLOCK) as submit:

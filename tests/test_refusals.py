@@ -202,6 +202,36 @@ def test_cli_prune_refuses_a_unit_score_key_that_is_no_layer(toy_run, tmp_path, 
                 "is not a layer index", out)
 
 
+STATES_CONSTANT_CASES = {
+    "gamma_text": ("gamma", "x", "'gamma' must be a number, got 'x'"),
+    "gamma_one": ("gamma", 1.0, "'gamma' must lie in [0, 1), got 1.0"),
+    "gamma_negative": ("gamma", -0.1, "'gamma' must lie in [0, 1), got -0.1"),
+    "kappa_negative": ("kappa", -1, "'bayes.kappa' must be positive, got -1"),
+    "eta_zero": ("eta", 0, "'bayes.eta' must be positive, got 0"),
+    "alpha0_bool": ("alpha0", True, "'bayes.alpha0' must be a number, got True"),
+    # Past the float range: read as infinite, so refused as not finite.
+    "beta0_huge": ("beta0", 10**400, "'bayes.beta0' must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATES_CONSTANT_CASES))
+def test_cli_prune_refuses_states_whose_gamma_or_bayes_constant_is_out_of_range(
+        toy_run, tmp_path, capsys, case):
+    """The states' ``gamma`` must lie in [0, 1) and each Bayes constant be
+    positive and finite, the ranges the config enforces."""
+    _, run_dir, _ = toy_run
+    name, value, fragment = STATES_CONSTANT_CASES[case]
+
+    def set_constant(doc):
+        (doc if name == "gamma" else doc["bayes"])[name] = value
+
+    states = damaged(run_dir / "states.json", tmp_path / "states.json", set_constant)
+    out = tmp_path / "out"
+    refused(capsys, ["prune", "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--sparsity", "0.4", "--states", states, "--out", str(out)],
+            fragment, out)
+
+
 def test_cli_verify_refuses_a_sidecar_of_the_right_size_from_another_run(
         toy_run, tmp_path, capsys):
     cfg_path, run_dir, _ = toy_run
