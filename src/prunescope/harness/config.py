@@ -10,7 +10,7 @@ import numpy as np
 
 from ..artifacts import Fields, read_json, write_json
 from ..errors import ConfigurationError
-from ..importance import BayesConfig, check_metric_weights
+from ..importance import BayesConfig, check_gamma, check_metric_weights
 from ..netcore import Network, build_sequential, seeded_layer
 from ..scheduler import ScheduleConfig
 
@@ -105,8 +105,7 @@ class ExperimentConfig:
             raise ConfigurationError("batch_size must be at least 1")
         if self.layers_per_group < 1:
             raise ConfigurationError("layers_per_group must be at least 1")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigurationError(f"gamma must lie in [0, 1), got {self.gamma}")
+        check_gamma(self.gamma)
         check_metric_weights(self.metric_weights)
 
     # -- serialization ------------------------------------------------------

@@ -29,8 +29,8 @@ import numpy as np
 
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
-from ..importance import (GroupImportanceState, METRICS, Reader, init_states,
-                          rank_groups, states_to_doc)
+from ..importance import (GroupImportanceState, METRIC_FIELDS, METRICS, Reader,
+                          init_states, rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
                        mse_loss, one_blas_thread, save_checkpoint, second_lane,
@@ -171,10 +171,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
             st = states[group.id]
             records.append(TraceRecord(
                 epoch=epoch, group_id=group.id, kind=group.kind,
-                lambda_=lambdas[i],
-                raw_grad=st.raw_grad, ema_grad=st.ema_grad,
-                raw_fisher=st.raw_fisher, ema_fisher=st.ema_fisher,
-                raw_bayes=st.raw_bayes, ema_bayes=st.ema_bayes,
+                lambda_=lambdas[i], **{name: getattr(st, name) for name in METRIC_FIELDS},
                 l1_norm=norms["trace"][i],
                 task_loss=task_loss, total_loss=epoch_loss))
 

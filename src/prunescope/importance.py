@@ -46,6 +46,9 @@ from .modelgraph import ComponentGraph
 from .netcore import Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
+# The state fields of each metric's raw and smoothed values, as states.json
+# and the trace rows write them.
+METRIC_FIELDS = tuple(f"{kind}_{m}" for kind in ("raw", "ema") for m in METRICS)
 COMBINED = "combined"
 
 STATES_FORMAT = "prunescope.states"
@@ -120,12 +123,17 @@ def bayes_importance(mu: float, fisher: float) -> float:
     return math.log1p(mu) * (1.0 + fisher)
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse an EMA gamma outside [0, 1), NaN included."""
+    if not 0.0 <= gamma < 1.0:
+        raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
+
+
 def ema_update(previous: float | np.ndarray, current: float | np.ndarray,
                gamma: float) -> float | np.ndarray:
     """Exponential moving average step, of floats or elementwise of arrays;
     gamma in [0, 1)."""
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
+    check_gamma(gamma)
     return gamma * previous + (1.0 - gamma) * current
 
 
@@ -145,55 +153,46 @@ class Reader:
     ``states`` holds when it is built, one observation per :meth:`read` or
     :meth:`beside` stage.
 
-    Construction checks ``gamma``, the network's layout against the graph,
-    that every group has a state and that each unit score vector a state
-    holds has its layer's width. It allocates a ``(2, n)`` scratch over the
-    arena's n elements and one unit arena, every group's unit layers side by
-    side, and binds every view a read runs its ufuncs on, so a stage pays
-    only for its arithmetic. A stage is one :func:`second_lane` call. It
-    squares the gradients into row 0 of the scratch and takes their
-    magnitudes into row 1, each once over the whole arena, and reduces each
-    slot's two rows in one call into its column of one ``(2, slots)`` sums
-    array, which one ``tolist()`` reads back. A group's slot sums are added
-    in slice order into the Fisher diagonal (1/N) sum g^2 and the gradient
-    magnitude (1/N) sum |g|, also the energy the Bayes tracker observes.
-    Each unit layer's numerators are reduced from row 1 into its slice of
-    the unit arena, which is divided by each unit's weight count and then
-    smoothed in one pass at a gamma per unit: 0 where the state is at
-    iteration 0 or holds no scores for the layer, as for the averages; the
-    per-unit gammas and their complements are rewritten only where a gamma
-    changes. The states then hold views of the reader's unit arena; a score
-    vector put in a state between reads is read in by the next. A group
-    whose metrics are not finite keeps its averages and unit scores while
-    the others advance, and the first such group's :class:`NumericsError`
-    is raised when the stage closes, unless the block raised its own error.
-    Where the slots lie and which of them feed each unit score was fixed by
-    :func:`build_groups`. The stages of one reader share its arenas, so
-    they run one at a time.
+    Construction checks ``gamma``, the network's layout against the graph
+    and the states against the groups (:meth:`ComponentGraph.check_states`:
+    a unit score vector a state holds must have its layer's width). It
+    allocates a ``(2, n)`` scratch over the arena's n elements and one unit
+    arena, every group's unit layers side by side, and binds every view a
+    read runs its ufuncs on, so a stage pays only for its arithmetic. A
+    stage is one :func:`second_lane` call. It squares the gradients into row
+    0 of the scratch and takes their magnitudes into row 1, each once over
+    the whole arena, and reduces each slot's two rows in one call into its
+    column of one ``(2, slots)`` sums array, which one ``tolist()`` reads
+    back. A group's slot sums are added in slice order into the Fisher
+    diagonal (1/N) sum g^2 and the gradient magnitude (1/N) sum |g|, also
+    the energy the Bayes tracker observes. Each unit layer's numerators are
+    reduced from row 1 into its slice of the unit arena, which is divided by
+    each unit's weight count and then smoothed in one pass at a gamma per
+    unit: 0 where the state is at iteration 0 or holds no scores for the
+    layer, as for the averages; the per-unit gammas and their complements
+    are rewritten only where a gamma changes. The states then hold views of
+    the reader's unit arena; a score vector put in a state between reads is
+    read in by the next. A group whose metrics are not finite keeps its
+    averages and unit scores while the others advance, and the first such
+    group's :class:`NumericsError` is raised when the stage closes, unless
+    the block raised its own error. Where the slots lie and which of them
+    feed each unit score was fixed by :func:`build_groups`; the sums array
+    follows the graph's slot table. The stages of one reader share its
+    arenas, so they run one at a time.
     """
 
     def __init__(self, states: dict[str, GroupImportanceState], net: Network,
                  graph: ComponentGraph, cfg: BayesConfig, gamma: float) -> None:
-        if not 0.0 <= gamma < 1.0:
-            raise ConfigurationError(f"gamma must lie in [0, 1), got {gamma}")
+        check_gamma(gamma)
         graph.check_layout(net)
-        for group in graph.groups:
-            if group.id not in states:
-                raise ConfigurationError(f"no importance state for group {group.id!r}")
-            for layer, width, _, _ in group.units:
-                scores = states[group.id].unit_ema.get(layer)
-                if scores is not None and len(scores) != width:
-                    raise ConfigurationError(
-                        f"group {group.id!r}: {len(scores)} unit scores for layer {layer}, "
-                        f"which has {width} units; the states were not recorded on "
-                        "this network")
+        graph.check_states(states, graph.groups, scored=False)
         self._grad, self._cfg, self._gamma = net.flat_grad, cfg, gamma
         self._scratch = np.empty((2, net.flat_grad.size))  # g^2 in row 0, |g| in row 1
         magnitudes = self._scratch[1]
-        # Both sums of every slot, groups in order, each group's slots in
-        # slice order: one column per slot.
-        self._sums = np.empty((2, sum(len(group.slots) for group in graph.groups)))
-        self._slot_sums = []
+        # Both sums of every slot of the graph's slot table: one column per slot.
+        self._sums = np.empty((2, len(graph.slots)))
+        self._slot_sums = [(self._scratch[:, a:b], self._sums[:, j])
+                           for j, (a, b) in enumerate(graph.slots)]
         # The unit arena's numerators and scores, per-unit divisors, smoothed
         # scores, gammas and their complements.
         units = [(layer, width, per_unit) for group in graph.groups
@@ -209,11 +208,7 @@ class Reader:
         self._other_parts: list[tuple] = []
         self._groups = []
         lo = 0
-        for group in graph.groups:
-            first_slot = len(self._slot_sums)
-            for a, b, _ in group.slots:
-                self._slot_sums.append((self._scratch[:, a:b],
-                                        self._sums[:, len(self._slot_sums)]))
+        for group, slots in zip(graph.groups, graph.slot_ranges):
             segments = []
             for layer, width, parts, _ in group.units:
                 out = self._scores[lo:lo + width]
@@ -227,8 +222,7 @@ class Reader:
                 segments.append((layer, self._ema[lo:lo + width], self._gammas[lo:lo + width],
                                  self._complements[lo:lo + width]))
                 lo += width
-            self._groups.append((group, states[group.id],
-                                 slice(first_slot, len(self._slot_sums)), segments))
+            self._groups.append((group, states[group.id], slots, segments))
 
     def beside(self) -> contextlib.AbstractContextManager[Callable[..., None]]:
         """A :func:`second_lane` stage that reads the gradients while the
@@ -380,12 +374,7 @@ def states_to_doc(states: Mapping[str, GroupImportanceState], gamma: float,
             {
                 "id": st.group_id,
                 "iteration": st.iteration,
-                "raw_grad": st.raw_grad,
-                "raw_fisher": st.raw_fisher,
-                "raw_bayes": st.raw_bayes,
-                "ema_grad": st.ema_grad,
-                "ema_fisher": st.ema_fisher,
-                "ema_bayes": st.ema_bayes,
+                **{name: getattr(st, name) for name in METRIC_FIELDS},
                 "alpha": st.alpha,
                 "beta": st.beta,
                 "mu": st.mu,
@@ -406,7 +395,7 @@ def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
     keyed by its layer index, written as :func:`states_to_doc` writes it."""
     doc = Fields.document(doc, "importance states", STATES_FORMAT, STATES_VERSION)
     gamma = doc.float("gamma")
-    if not 0.0 <= gamma < 1.0:
+    if not 0.0 <= gamma < 1.0:  # named by its field path, not by check_gamma
         doc.fail("gamma", f"must lie in [0, 1), got {gamma}")
     bayes = doc.obj("bayes")
     for name in ("kappa", "eta", "alpha0", "beta0"):
@@ -431,8 +420,7 @@ def states_from_doc(doc: dict) -> dict[str, GroupImportanceState]:
             alpha=entry.float("alpha", finite=True, positive=True),
             beta=entry.float("beta", finite=True, positive=True),
             iteration=entry.int("iteration", low=0), unit_ema=scores,
-            **{f"{kind}_{m}": entry.float(f"{kind}_{m}", finite=True)
-               for m in METRICS for kind in ("raw", "ema")})
+            **{name: entry.float(name, finite=True) for name in METRIC_FIELDS})
         if st.group_id in states:
             entry.fail("id", f"repeats group {st.group_id!r}")
         states[st.group_id] = st

@@ -12,9 +12,10 @@ prune, the units of each non-output layer whose bias it owns, so each such
 unit has one home; a consumed layer's units are scored by their bias entries.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
-network's arenas, once; the importance update, the optimizer's L1 penalty
-(compiled per epoch by :meth:`ComponentGraph.penalty`) and the L1 norms
-all read that view.
+network's arenas, once, and :class:`ComponentGraph` lays every group's
+slots out in one table and checks importance states against the groups;
+the importance read, the optimizer's L1 penalty (compiled per epoch by
+:meth:`ComponentGraph.penalty`) and the L1 norms all read that view.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class PruningGroup:
     """One group and where its parameters lie in the network's arenas.
 
     ``slots`` holds each member tensor's arena range and shape, in slice
-    order, and ``param_count`` their element count; ``runs`` holds the
-    slots merged into ranges of adjacent elements. ``units`` holds, per
+    order, and ``param_count`` their element count. ``units`` holds, per
     unit layer in ascending order, its width, the parts its unit scores
     sum (an index into ``slots`` and the weight axis to reduce, or None for
     a bias) and the number of weights per unit they add up. Its unit layers
@@ -68,7 +68,6 @@ class PruningGroup:
     owning_components: tuple[str, ...]
     param_count: int
     slots: tuple[tuple[int, int, tuple[int, ...]], ...]
-    runs: tuple[tuple[int, int], ...]
     units: tuple[tuple[int, int, tuple[tuple[int, int | None], ...], int], ...]
     prunable: tuple[tuple[int, int], ...]
 
@@ -79,6 +78,9 @@ class ComponentGraph:
     ``layout`` is the network's :attr:`Network.layout` (tensor names and
     shapes) that the groups were built for, and ``size`` its arena's element
     count; their arena positions serve only networks of that layout.
+    ``slots`` holds every group's slot ranges ``(lo, hi)``, groups in order
+    and each group's slots in slice order, and ``slot_ranges`` each group's
+    slice of ``slots``.
     """
 
     def __init__(self, groups: Iterable[PruningGroup], layers_per_group: int,
@@ -87,10 +89,9 @@ class ComponentGraph:
         self.layers_per_group = int(layers_per_group)
         self.layout = layout
         self.size = sum(math.prod(shape) for _, shape in layout)
-        # Every group's slots in order, and each group's range of them.
-        self._slots = [(lo, hi) for g in self.groups for lo, hi, _ in g.slots]
+        self.slots = [(lo, hi) for g in self.groups for lo, hi, _ in g.slots]
         ends = list(itertools.accumulate(len(g.slots) for g in self.groups))
-        self._slot_ranges = list(zip([0, *ends], ends))
+        self.slot_ranges = [slice(a, b) for a, b in zip([0, *ends], ends)]
         self._by_id: dict[str, PruningGroup] = {}
         for g in self.groups:
             if g.id in self._by_id:
@@ -121,33 +122,41 @@ class ComponentGraph:
         added in slice order: the bits of a sum of per-tensor sums, which a
         sum over merged runs would group differently. No temporary outgrows
         the largest tensor."""
-        sums = np.empty((1, len(self._slots)))
-        for j, (lo, hi) in enumerate(self._slots):
+        sums = np.empty((1, len(self.slots)))
+        for j, (lo, hi) in enumerate(self.slots):
             np.add.reduce(np.abs(values[None, lo:hi]), 1, out=sums[:, j])
         (slot_sums,) = sums.tolist()
-        return [sum(slot_sums[a:b]) for a, b in self._slot_ranges]
+        return [sum(slot_sums[slots]) for slots in self.slot_ranges]
+
+    def check_states(self, states: Mapping[str, Any], groups: Iterable[PruningGroup],
+                     *, scored: bool) -> None:
+        """Refuse importance states, keyed by group id as
+        :func:`importance.init_states` makes them, that lack one of
+        ``groups`` or hold a unit score vector for one of a group's unit
+        layers that is not of the layer's width; with ``scored`` every unit
+        layer must have one."""
+        for group in groups:
+            if group.id not in states:
+                raise ConfigurationError(f"no importance state for group {group.id!r}")
+            unit_ema = states[group.id].unit_ema
+            for layer, width, _, _ in group.units:
+                count = len(unit_ema.get(layer, ()))
+                if count != width and (scored or layer in unit_ema):
+                    raise ConfigurationError(
+                        f"group {group.id!r}: {count} unit scores for layer {layer}, "
+                        f"which has {width} units; the states were not recorded on "
+                        "this network")
 
     def penalty(self, coeffs: Sequence[float]) -> Penalty:
         """The L1 term an optimizer step takes, compiled for the groups'
-        arena: each group's runs with its coefficient, ``coeffs`` holding one
-        per group in ``groups`` order (the schedule's value times the loss
-        weight). A group whose coefficient is zero adds nothing, so its
+        arena: each group's slots with its coefficient, ``coeffs`` holding
+        one per group in ``groups`` order (the schedule's value times the
+        loss weight). A group whose coefficient is zero adds nothing, so its
         ``-0.0`` gradients stay ``-0.0``."""
         if len(coeffs) != len(self.groups):
             raise ConfigurationError(f"need one L1 coefficient per group, got {len(coeffs)}")
         return Penalty([(lo, hi, coeff) for group, coeff in zip(self.groups, coeffs)
-                        for lo, hi in group.runs], self.size)
-
-
-def _merged(ranges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Half-open ranges, sorted, with adjacent ones joined."""
-    runs: list[tuple[int, int]] = []
-    for lo, hi in sorted(ranges):
-        if runs and runs[-1][1] == lo:
-            runs[-1] = (runs[-1][0], hi)
-        else:
-            runs.append((lo, hi))
-    return tuple(runs)
+                        for lo, hi, _ in group.slots], self.size)
 
 
 def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
@@ -173,8 +182,7 @@ def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],
         units.append((unit_layer, net.layers[unit_layer].out_dim, tuple(parts), per_unit))
     prunable = tuple((layer, u) for layer, width, _, _ in units for u in range(width))
     return PruningGroup(gid, kind, tuple(slices), owners,
-                        sum(t.size for t in tensors), slots,
-                        _merged([(lo, hi) for lo, hi, _ in slots]), tuple(units), prunable)
+                        sum(t.size for t in tensors), slots, tuple(units), prunable)
 
 
 def build_groups(net: Network, layers_per_group: int = 1) -> ComponentGraph:

@@ -472,16 +472,18 @@ class Penalty:
     overlap, and each coefficient must be non-negative and finite; anything
     else is refused with a :class:`ConfigurationError`. A run of coefficient
     zero adds nothing, so the ``-0.0`` gradients under it stay ``-0.0``;
-    ``runs`` keeps the others, in the given order. For each ``ADAM_BLOCK``
-    the penalty holds the runs clipped to the block, the merged spans they
-    cover and the gaps they leave, or None where no run meets the block, so
-    a step builds no list per block (:meth:`gradient`).
+    ``runs`` keeps the others, in the given order. Adjacent runs of equal
+    coefficient are joined into one part, and for each ``ADAM_BLOCK`` the
+    penalty holds the parts clipped to the block, the merged spans they
+    cover and the gaps they leave, or None where no part meets the block, so
+    a step builds no list per block and scales each part with one call
+    (:meth:`gradient`).
     :meth:`ComponentGraph.penalty` builds one per epoch.
     """
 
     def __init__(self, runs: Iterable[tuple[int, int, float]], size: int) -> None:
         runs = [(int(lo), int(hi), float(coeff)) for lo, hi, coeff in runs]
-        end = 0
+        end, joined = 0, []  # the non-zero runs, adjacent ones of equal coefficient joined
         for lo, hi, coeff in sorted(runs):
             if not 0 <= lo < hi <= size:
                 raise ConfigurationError(
@@ -494,14 +496,17 @@ class Penalty:
                     f"penalty run [{lo}, {hi}): the L1 coefficient must be "
                     f"non-negative and finite, got {coeff}")
             end = hi
+            if joined and joined[-1][1] == lo and joined[-1][2] == coeff:
+                joined[-1] = (joined[-1][0], hi, coeff)
+            elif coeff:
+                joined.append((lo, hi, coeff))
         self.size = size
         self.runs = [run for run in runs if run[2] != 0.0]
-        ordered = sorted(self.runs)
         self._blocks: list[tuple[list, list, list] | None] = []
         for start in range(0, size, ADAM_BLOCK):
             stop = min(start + ADAM_BLOCK, size)
             parts = [(max(lo, start) - start, min(hi, stop) - start, coeff)
-                     for lo, hi, coeff in ordered if lo < stop and hi > start]
+                     for lo, hi, coeff in joined if lo < stop and hi > start]
             spans: list[tuple[int, int]] = []
             for a, b, _ in parts:
                 if spans and spans[-1][1] == a:

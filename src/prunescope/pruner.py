@@ -22,7 +22,7 @@ import numpy as np
 from .artifacts import Fields, read_json, write_json
 from .errors import ConfigurationError, InfeasiblePlanError
 from .importance import GroupImportanceState, _minmax, metric_scores
-from .modelgraph import ComponentGraph, PruningGroup, build_groups
+from .modelgraph import ComponentGraph, build_groups
 from .netcore import Network
 
 UNIT_CAP_FRACTION = 0.9
@@ -134,7 +134,8 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
 
     Raises :class:`InfeasiblePlanError` when caps and protections make the
     target unreachable, and a configuration error when ``net`` is not of
-    the layout ``graph`` was built for.
+    the layout ``graph`` was built for or a group it may prune lacks a
+    state or a unit score vector of each unit layer's width.
     """
     graph.check_layout(net)
     if not 0.0 < target_sparsity < 1.0:
@@ -146,20 +147,9 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
     if unknown:
         raise ConfigurationError(f"protected ids not in graph: {sorted(unknown)}")
 
-    candidates: list[PruningGroup] = []
-    for group in graph.groups:
-        if group.id in protect or not group.prunable:
-            continue
-        if group.id not in states:
-            raise ConfigurationError(f"no importance state for group {group.id!r}")
-        for layer, width, _, _ in group.units:
-            count = len(states[group.id].unit_ema.get(layer, ()))
-            if count != width:
-                raise ConfigurationError(
-                    f"group {group.id!r}: {count} unit scores for layer {layer}, "
-                    f"which has {width} units; the states were not recorded on "
-                    "this network")
-        candidates.append(group)
+    candidates = [group for group in graph.groups
+                  if group.id not in protect and group.prunable]
+    graph.check_states(states, candidates, scored=True)
     if not candidates:
         raise InfeasiblePlanError("no unprotected group has prunable units")
 

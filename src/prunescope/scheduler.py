@@ -16,6 +16,7 @@ exactly periodic in t. The total objective is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,8 +49,9 @@ class ScheduleConfig:
             raise ConfigurationError(
                 f"need 0 <= lambda_min <= lambda_max < inf, got "
                 f"[{self.lambda_min}, {self.lambda_max}]")
-        if not 1 <= self.cycle_T < math.inf:
-            raise ConfigurationError("cycle_T must be at least 1")
+        # An int past the float range would overflow the phase offsets.
+        if not 1 <= self.cycle_T <= sys.float_info.max:
+            raise ConfigurationError("cycle_T must be at least 1 and within the float range")
         object.__setattr__(self, "cycle_T", int(self.cycle_T))
         if not 0 <= self.lambda_weight < math.inf:
             raise ConfigurationError("lambda_weight must be non-negative and finite")

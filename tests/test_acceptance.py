@@ -83,7 +83,7 @@ def test_criterion_2_metrics_match_brute_force():
         g = rng.normal(0.0, 3.0, size=int(rng.integers(1, 64)))
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
-                             ((0, n, (n,)),), ((0, n),), (), ())
+                             ((0, n, (n,)),), (), ())
         state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
         arena = SimpleNamespace(flat_grad=g, layout=())
         Reader({"g": state}, arena, ComponentGraph([group], 1, ()), cfg, 0.9).read()

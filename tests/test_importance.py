@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
-from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
-                                   bayes_importance, bayes_update, ema_update,
+from prunescope.importance import (METRIC_FIELDS, BayesConfig, GroupImportanceState,
+                                   Reader, bayes_importance, bayes_update, ema_update,
                                    init_states, metric_scores, rank_groups, ranked,
                                    states_from_doc, states_to_doc, update_all)
 from prunescope.modelgraph import build_groups
@@ -304,18 +304,15 @@ def test_update_all_requires_states_for_every_group():
         update_all(states, net, graph, cfg, gamma=0.9)
 
 
-def prior_doc(graph, cfg, short=None):
+def prior_doc(graph, cfg):
     """A states document at iteration 0 whose averages and unit scores are
-    non-zero, each unit score vector of its layer's width, or one entry
-    short for the group and layer ``short`` names."""
+    non-zero, each unit score vector of its layer's width."""
     doc = json.loads(json.dumps(states_to_doc(init_states(graph, cfg), 0.9, cfg)))
     for entry in doc["groups"]:
         group = graph.get(entry["id"])
-        entry.update({f"{kind}_{m}": 1e300 for kind in ("raw", "ema")
-                      for m in ("grad", "fisher", "bayes")})
-        entry["unit_ema"] = {
-            str(layer): [-1e300] * (width - ((group.id, layer) == short))
-            for layer, width, _, _ in group.units}
+        entry.update({name: 1e300 for name in METRIC_FIELDS})
+        entry["unit_ema"] = {str(layer): [-1e300] * width
+                             for layer, width, _, _ in group.units}
     return doc
 
 
@@ -338,24 +335,6 @@ def test_a_first_observation_replaces_a_non_zero_prior_bit_for_bit():
         assert set(st.unit_ema) == set(fresh[gid].unit_ema)
         for layer, scores in st.unit_ema.items():
             assert scores.tobytes() == fresh[gid].unit_ema[layer].tobytes(), (gid, layer)
-
-
-def test_a_reader_refuses_unit_scores_of_another_width():
-    """A state whose unit score vector is one entry short of its layer's
-    width is refused when the reader is built, before any read."""
-    net = make_toy_multihead(seed=6)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    grads_for(net)
-    doc = prior_doc(graph, cfg, short=("coupling_encoder_head_a_head_b", 1))
-    match = r"group 'coupling_encoder_head_a_head_b': 7 unit scores for layer 1, which has 8"
-    for read in (lambda st: Reader(st, net, graph, cfg, 0.9),
-                 lambda st: update_all(st, net, graph, cfg, 0.9)):
-        states = states_from_doc(doc)
-        with pytest.raises(ConfigurationError, match=match):
-            read(states)
-        assert all(st.iteration == 0 and st.alpha == cfg.alpha0
-                   for st in states.values())
 
 
 def test_update_all_names_the_group_whose_metric_overflows():
@@ -391,7 +370,7 @@ def test_a_group_whose_metric_overflows_keeps_its_values_while_the_others_advanc
 
     before = kept()
     assert before[2]
-    lo, hi = graph.groups[0].runs[0]
+    lo, hi, _ = graph.groups[0].slots[0]
     net.flat_grad[lo:hi] = 1e200
     with (np.errstate(over="ignore"),
           pytest.raises(NumericsError, match=re.escape(repr(first.group_id)))):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError
-from prunescope.importance import BayesConfig, init_states
+from prunescope.importance import BayesConfig, Reader, init_states, states_to_doc
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
                                    build_groups, export_manifest)
-from prunescope.netcore import (ROLE_BIAS, ROLE_WEIGHT, Network, build_sequential,
-                                seeded_layer)
+from prunescope.netcore import (ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, Network,
+                                build_sequential, seeded_layer)
 from prunescope.pruner import PrunePlan, allocate_budget, apply_prune, verify_consistency
 
 from conftest import (group_l1_norm, group_tensors, make_net, make_toy_multihead,
@@ -237,21 +237,19 @@ def test_group_lookup_and_tensor_access():
     assert group.slots == tuple((t.offset, t.offset + t.size, t.shape) for t in tensors)
 
 
-def test_group_runs_are_merged_arena_ranges():
+def test_the_slot_table_holds_each_groups_tensors_in_slice_order():
     net = make_toy_multihead()
     graph = build_groups(net)
-    for group in graph.groups:
-        assert sum(hi - lo for lo, hi in group.runs) == group.param_count
-        for t in group_tensors(net, group):
-            assert any(lo <= t.offset and t.offset + t.size <= hi
-                       for lo, hi in group.runs)
-        # Only the coupling group spans the fan-out to both heads.
-        assert len(group.runs) == (2 if group.kind == KIND_COUPLING else 1)
-    # The groups' runs tile the arena without overlap, so groups may write
-    # their runs of one buffer on either thread.
-    runs = sorted(r for group in graph.groups for r in group.runs)
-    assert sum(hi - lo for lo, hi in runs) == net.flat_grad.size
-    assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:]))
+    assert len(graph.slot_ranges) == len(graph.groups)
+    for group, slots in zip(graph.groups, graph.slot_ranges):
+        assert graph.slots[slots] == [(t.offset, t.offset + t.size)
+                                      for t in group_tensors(net, group)]
+        assert sum(hi - lo for lo, hi in graph.slots[slots]) == group.param_count
+    # The groups' slots tile the arena without overlap, so groups may write
+    # their slots of one buffer on either thread.
+    slots = sorted(graph.slots)
+    assert sum(hi - lo for lo, hi in slots) == net.flat_grad.size
+    assert all(a[1] <= b[0] for a, b in zip(slots, slots[1:]))
 
 
 @pytest.mark.parametrize("make", [lambda: autoencoder(latent=8),
@@ -279,7 +277,80 @@ def test_penalty_holds_the_runs_of_each_group_with_a_nonzero_coefficient():
     coeffs = [0.5 * i for i in range(len(graph.groups))]
     assert graph.penalty(coeffs).runs == [(lo, hi, coeff) for group, coeff
                                           in zip(graph.groups[1:], coeffs[1:])
-                                          for lo, hi in group.runs]
+                                          for lo, hi, _ in group.slots]
+
+
+@pytest.mark.parametrize("make", [lambda: autoencoder(latent=8),
+                                  lambda: autoencoder(latent=512),
+                                  make_toy_multihead],
+                         ids=["latent8", "latent512", "toy_multihead"])
+def test_a_penalty_scales_one_part_per_run_of_equal_coefficient_in_each_block(make):
+    """``graph.penalty`` passes each slot with its group's coefficient, and
+    the penalty joins them: in each ``ADAM_BLOCK`` it scales one part per
+    maximal run of elements of equal non-zero coefficient, so a step makes
+    no more calls than the coefficients need. The coefficients are distinct
+    per group, equal for all, and equal in pairs with one zero."""
+    graph = build_groups(make())
+    n = len(graph.groups)
+    for coeffs in ([1e-3 * (i + 1) for i in range(n)], [1e-3] * n,
+                   [0.0 if i == 1 else 1e-3 * (1 + i // 2) for i in range(n)]):
+        per_element = np.zeros(graph.size)
+        for group, coeff in zip(graph.groups, coeffs):
+            for lo, hi, _ in group.slots:
+                per_element[lo:hi] = coeff
+        blocks = graph.penalty(coeffs)._blocks
+        assert len(blocks) == -(-graph.size // ADAM_BLOCK)
+        for k, block in enumerate(blocks):
+            want = per_element[k * ADAM_BLOCK:(k + 1) * ADAM_BLOCK]
+            edges = [0, *(np.flatnonzero(np.diff(want)) + 1).tolist(), want.size]
+            runs = [(a, b, float(want[a])) for a, b in zip(edges, edges[1:]) if want[a]]
+            assert (block[0] if block else []) == runs, k
+
+
+CALLERS = {
+    "Reader": lambda states, net, graph: Reader(states, net, graph, BayesConfig(), 0.9),
+    "allocate_budget": lambda states, net, graph: allocate_budget(states, graph, net,
+                                                                  0.3, "grad"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_states_without_a_group_or_with_unit_scores_of_another_width_are_refused(caller):
+    """Both callers of ``check_states`` refuse, before any work, states that
+    lack a group or hold a unit score vector one entry short of its layer's
+    width. The allocator needs every unit layer's scores; the reader reads
+    missing ones in."""
+    net = make_toy_multihead(seed=6)
+    graph = build_groups(net, 1)
+    call = CALLERS[caller]
+    gid = "coupling_encoder_head_a_head_b"
+
+    def refused(states, match):
+        before = states_to_doc(states, 0.9, BayesConfig())
+        with pytest.raises(ConfigurationError, match=match):
+            call(states, net, graph)
+        assert states_to_doc(states, 0.9, BayesConfig()) == before
+
+    def scored():
+        states = init_states(graph, BayesConfig())
+        for group in graph.groups:
+            for layer, width, _, _ in group.units:
+                states[group.id].unit_ema[layer] = np.arange(float(width))
+        return states
+
+    states = scored()
+    del states["head_a_1"]
+    refused(states, "no importance state for group 'head_a_1'")
+    states = scored()
+    states[gid].unit_ema[1] = states[gid].unit_ema[1][1:]
+    refused(states, f"group '{gid}': 7 unit scores for layer 1, which has 8 units; "
+                    "the states were not recorded on this network")
+    states = scored()
+    del states[gid].unit_ema[1]
+    if caller == "Reader":
+        call(states, net, graph)
+    else:
+        refused(states, f"group '{gid}': 0 unit scores for layer 1, which has 8")
 
 
 # -- prunable units and closures --------------------------------------------

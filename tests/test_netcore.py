@@ -470,8 +470,8 @@ def test_a_penalty_holds_runs_side_by_side_with_the_bits_of_adding_each_in_place
 def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, make_opt):
     """Two steps with the L1 term as the step's penalty give the values (and
     Adam's moments) of adding ``coeff * sign(theta)`` to the gradient in
-    place, group by group and one ``ADAM_BLOCK`` at a time from each run's
-    start, and then stepping without one. The arena spans four blocks, runs
+    place, group by group and one ``ADAM_BLOCK`` at a time from each slot's
+    start, and then stepping without one. The arena spans four blocks, slots
     cross block edges, and it holds -0.0 gradients, theta = 0 entries and a
     group of coefficient zero, whose end shares a block with a penalized
     run. The penalized network's gradient stays the task gradient."""
@@ -480,7 +480,7 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
     graph = build_groups(net, 1)
     assert net.param_count() > 3 * netcore.ADAM_BLOCK
     assert any(lo // netcore.ADAM_BLOCK != (hi - 1) // netcore.ADAM_BLOCK
-               for group in graph.groups for lo, hi in group.runs)
+               for lo, hi in graph.slots)
     rng = np.random.default_rng(12)
     net.flat_values[::97] = 0.0
     task = rng.normal(0.0, 1e-3, net.flat_grad.size)
@@ -490,7 +490,7 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
     # The zero-coefficient group ends inside a block that a penalized run
     # fills: a gap whose -0.0 gradients, at -0.0 values, the step must keep
     # (SGD's -0.0 - lr * -0.0 is +0.0, and -0.0 - lr * +0.0 is -0.0).
-    edge = graph.groups[0].runs[-1][1]
+    edge = max(hi for _, hi, _ in graph.groups[0].slots)
     assert edge % netcore.ADAM_BLOCK and coeffs[1] != 0.0
     gap = np.arange(edge - edge % netcore.ADAM_BLOCK, edge)
     gap = gap[task[gap] == 0.0]
@@ -503,7 +503,7 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
         g[...] = task
         for group, coeff in zip(graph.groups, coeffs):
             if coeff != 0.0:
-                for lo, hi in group.runs:
+                for lo, hi, _ in group.slots:
                     for start in range(lo, hi, netcore.ADAM_BLOCK):
                         end = min(start + netcore.ADAM_BLOCK, hi)
                         term = np.sign(reference.flat_values[start:end])

@@ -54,13 +54,6 @@ def test_rank_units_breaks_ties_by_position():
     assert plan_for_unit_scores(scores, 0.6).per_group == {"body_1": [(0, 0), (0, 1)]}
 
 
-def test_rank_units_validates_scores():
-    with pytest.raises(ConfigurationError, match="'body_1': 0 unit scores for layer 0, which has 3"):
-        plan_for_unit_scores({}, 0.3)
-    with pytest.raises(ConfigurationError, match="1 unit scores for layer 0, which has 3"):
-        plan_for_unit_scores({0: np.array([1.0])}, 0.3)
-
-
 # -- allocation weights --------------------------------------------------------
 
 

@@ -66,6 +66,9 @@ CONFIG_CASES = {
                              "learning rate must be positive"),
     "batch_size": ({"batch_size": 0}, "batch_size must be at least 1"),
     "layers_per_group": ({"layers_per_group": 0}, "layers_per_group must be at least 1"),
+    # An int past the float range: the phase offsets (i / n) * T would overflow.
+    "cycle_T_past_float": ({"schedule": {"cycle_T": 10**400}},
+                           "cycle_T must be at least 1 and within the float range"),
     "mnist_n_train_zero": (mnist_counts(n_train=0), "need n_train >= 1 and n_test >= 0"),
     "mnist_n_train_negative": (mnist_counts(n_train=-5), "need n_train >= 1 and n_test >= 0"),
     "mnist_n_test_negative": (mnist_counts(n_train=10, n_test=-2),
