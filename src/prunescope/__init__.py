@@ -10,8 +10,7 @@ from .errors import (ConfigurationError, DataFormatError, InfeasiblePlanError,
                      NumericsError, PrunescopeError)
 from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
                          bayes_update, ema_update, init_states, metric_scores,
-                         rank_groups, states_from_doc, states_to_doc,
-                         update_all)
+                         rank_groups, states_from_doc, states_to_doc)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
                          build_groups, export_manifest)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
@@ -29,7 +28,7 @@ __all__ = [
     "NumericsError", "PrunescopeError",
     "BayesConfig", "GroupImportanceState", "bayes_importance", "bayes_update",
     "ema_update", "init_states", "metric_scores", "rank_groups",
-    "states_from_doc", "states_to_doc", "update_all",
+    "states_from_doc", "states_to_doc",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
     "export_manifest",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",

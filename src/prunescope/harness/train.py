@@ -3,9 +3,9 @@
 Each iteration runs forward, task loss and backward, and the optimizer
 steps with the scheduled L1 subgradient as its penalty, compiled once per
 epoch (``ComponentGraph.penalty``), which leaves ``flat_grad`` holding the
-task gradients. One ``importance.Reader`` per
-run, which checks its inputs, allocates its arenas and binds its views
-once, reads those gradients into the importance states in one
+task gradients. One ``importance.Reader`` per run, which checks its
+inputs, makes the run's importance states, allocates its arenas and binds
+its views once, reads those gradients into the states in one
 ``second_lane`` stage (``Reader.beside``) that spans the next iteration's
 forward pass and loss, so the element-wise read runs beside its matrix
 products. The L1 norms run in the same stages: an epoch's last stage takes
@@ -30,7 +30,7 @@ import numpy as np
 from ..artifacts import Fields, write_json
 from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRIC_FIELDS, METRICS, Reader,
-                          init_states, rank_groups, states_to_doc)
+                          rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
                        mse_loss, one_blas_thread, save_checkpoint, second_lane,
@@ -154,8 +154,8 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
 
     groups = graph.groups
     param_counts = [g.param_count for g in groups]
-    states = init_states(graph, cfg.bayes)
-    reader = Reader(states, net, graph, cfg.bayes, cfg.gamma)
+    reader = Reader(net, graph, cfg.bayes, cfg.gamma)
+    states = reader.states
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
     records: list[TraceRecord] = []

@@ -13,12 +13,13 @@ The reads write nothing into the network. The step's L1 subgradient exists
 only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 ``flat_grad`` holding the task gradients, so the term never reaches
 importance, and a step's gradients can be read while the next step's
-forward pass runs (:meth:`Reader.beside`). A :class:`Reader` checks its
-inputs, allocates its arenas and binds its views once, so each read runs
-only its ufuncs: g^2 and |g| once over the whole arena, side by side in a
-``(2, n)`` scratch, one reduction per slot for both sums into one sums
-array read back at once, and the unit scores over one arena of every
-group's units.
+forward pass runs (:meth:`Reader.beside`). A :class:`Reader` owns the
+states it reads into: it checks its inputs, makes the states, allocates its
+arenas and binds its views once, so each read runs only its ufuncs: g^2 and
+|g| once over the whole arena, side by side in a ``(2, n)`` scratch, one
+reduction per slot for both sums into one sums array read back at once,
+and the unit scores over one arena of every group's units. A read that
+meets a non-finite metric changes nothing.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
 faster than alpha, so mu *decreases* for historically active groups and its
@@ -27,8 +28,9 @@ as stated; reports surface ``1/mu`` alongside.
 
 Each metric is smoothed with an exponential moving average,
 ``s(t) = gamma * s(t-1) + (1 - gamma) * raw(t)``, initialized to the first
-raw value: the same update at gamma 0. Per-unit mean-absolute-gradient
-scores are tracked the same way for within-group unit ranking.
+raw value: the same update at gamma 0, which every group takes on the
+first read and none after. Per-unit mean-absolute-gradient scores are
+tracked the same way for within-group unit ranking.
 """
 
 from __future__ import annotations
@@ -102,6 +104,12 @@ def init_states(graph: ComponentGraph,
             for g in graph.groups}
 
 
+def _posterior(alpha: float, beta: float, energy: float,
+               cfg: BayesConfig) -> tuple[float, float]:
+    """The conjugate update's alpha + kappa and beta + kappa * E / eta."""
+    return alpha + cfg.kappa, beta + cfg.kappa * energy / cfg.eta
+
+
 def bayes_update(state: GroupImportanceState, energy: float,
                  cfg: BayesConfig) -> GroupImportanceState:
     """One conjugate update: alpha += kappa, beta += kappa * E / eta.
@@ -111,8 +119,7 @@ def bayes_update(state: GroupImportanceState, energy: float,
     """
     if not math.isfinite(energy) or energy < 0:
         raise ConfigurationError(f"group energy must be finite and >= 0, got {energy}")
-    state.alpha += cfg.kappa
-    state.beta += cfg.kappa * energy / cfg.eta
+    state.alpha, state.beta = _posterior(state.alpha, state.beta, energy, cfg)
     return state
 
 
@@ -137,71 +144,56 @@ def ema_update(previous: float | np.ndarray, current: float | np.ndarray,
     return gamma * previous + (1.0 - gamma) * current
 
 
-def update_all(states: dict[str, GroupImportanceState], net: Network,
-               graph: ComponentGraph, cfg: BayesConfig,
-               gamma: float) -> dict[str, GroupImportanceState]:
-    """Advance every group's metrics by one observation of the gradients in
-    ``net.flat_grad``: one :meth:`Reader.read`. Writes nothing into the
-    network. Mutates and returns ``states``; deterministic for identical
-    inputs."""
-    Reader(states, net, graph, cfg, gamma).read()
-    return states
-
-
 class Reader:
-    """Reads the gradients in ``net.flat_grad`` into the states that
-    ``states`` holds when it is built, one observation per :meth:`read` or
-    :meth:`beside` stage.
+    """Reads the gradients in ``net.flat_grad`` into the importance states it
+    owns, :attr:`states` (fresh from :func:`init_states`), one observation
+    per :meth:`read` or :meth:`beside` stage.
 
-    Construction checks ``gamma``, the network's layout against the graph
-    and the states against the groups (:meth:`ComponentGraph.check_states`:
-    a unit score vector a state holds must have its layer's width). It
-    allocates a ``(2, n)`` scratch over the arena's n elements and one unit
-    arena, every group's unit layers side by side, and binds every view a
+    Construction checks ``gamma`` and the network's layout against the
+    graph. It allocates a ``(2, n)`` scratch over the arena's n elements and
+    one unit arena, every group's unit layers side by side, binds each
+    state's unit score vectors to their slices of it, and binds every view a
     read runs its ufuncs on, so a stage pays only for its arithmetic. A
     stage is one :func:`second_lane` call. It squares the gradients into row
     0 of the scratch and takes their magnitudes into row 1, each once over
     the whole arena, and reduces each slot's two rows in one call into its
     column of one ``(2, slots)`` sums array, which one ``tolist()`` reads
-    back. A group's slot sums are added in slice order into the Fisher
-    diagonal (1/N) sum g^2 and the gradient magnitude (1/N) sum |g|, also
-    the energy the Bayes tracker observes. Each unit layer's numerators are
-    reduced from row 1 into its slice of the unit arena, which is divided by
-    each unit's weight count and then smoothed in one pass at a gamma per
-    unit: 0 where the state is at iteration 0 or holds no scores for the
-    layer, as for the averages; the per-unit gammas and their complements
-    are rewritten only where a gamma changes. The states then hold views of
-    the reader's unit arena; a score vector put in a state between reads is
-    read in by the next. A group whose metrics are not finite keeps its
-    averages and unit scores while the others advance, and the first such
-    group's :class:`NumericsError` is raised when the stage closes, unless
-    the block raised its own error. Where the slots lie and which of them
-    feed each unit score was fixed by :func:`build_groups`; the sums array
-    follows the graph's slot table. The stages of one reader share its
-    arenas, so they run one at a time.
+    back, then each unit layer's numerators from row 1, divided by each
+    unit's weight count. A group's slot sums are added in slice order into
+    the Fisher diagonal (1/N) sum g^2 and the gradient magnitude (1/N) sum
+    |g|, also the energy the Bayes tracker observes. A read is all or
+    nothing: if any group's gradient magnitude, Fisher value, Bayes score
+    or posterior beta is not finite, the first such group's
+    :class:`NumericsError` is raised and no state or unit score changes;
+    otherwise every group advances. So all groups share one gamma per read:
+    0 on the first, as a first observation replaces its zeros, and
+    ``gamma`` after, at which the unit arena is smoothed in one pass. Where
+    the slots lie and which of them feed each unit score was fixed by
+    :func:`build_groups`; the sums array follows the graph's slot table. The
+    stages of one reader share its arenas, so they run one at a time.
     """
 
-    def __init__(self, states: dict[str, GroupImportanceState], net: Network,
-                 graph: ComponentGraph, cfg: BayesConfig, gamma: float) -> None:
+    def __init__(self, net: Network, graph: ComponentGraph, cfg: BayesConfig,
+                 gamma: float) -> None:
         check_gamma(gamma)
         graph.check_layout(net)
-        graph.check_states(states, graph.groups, scored=False)
+        self.states = init_states(graph, cfg)
         self._grad, self._cfg, self._gamma = net.flat_grad, cfg, gamma
+        self._g = 0.0  # the next read's gamma
         self._scratch = np.empty((2, net.flat_grad.size))  # g^2 in row 0, |g| in row 1
         magnitudes = self._scratch[1]
         # Both sums of every slot of the graph's slot table: one column per slot.
         self._sums = np.empty((2, len(graph.slots)))
         self._slot_sums = [(self._scratch[:, a:b], self._sums[:, j])
                            for j, (a, b) in enumerate(graph.slots)]
-        # The unit arena's numerators and scores, per-unit divisors, smoothed
-        # scores, gammas and their complements.
-        units = [(layer, width, per_unit) for group in graph.groups
-                 for layer, width, _, per_unit in group.units]
-        size = sum(width for _, width, _ in units)
-        self._scores, self._ema, self._gammas = (np.zeros(size) for _ in range(3))
-        self._complements = np.ones(size)
-        self._per_unit = np.repeat([float(p) for _, _, p in units],
-                                   [width for _, width, _ in units])
+        # The unit arena's numerators and scores, per-unit divisors and
+        # smoothed scores, which the states hold.
+        units = [(width, per_unit) for group in graph.groups
+                 for _, width, _, per_unit in group.units]
+        size = sum(width for width, _ in units)
+        self._scores, self._ema = np.zeros(size), np.zeros(size)
+        self._per_unit = np.repeat([float(p) for _, p in units],
+                                   [width for width, _ in units])
         # Each unit layer's parts: tensor views of row 1, the axis to reduce
         # and the layer's slice of the unit arena, the first apart.
         self._first_parts: list[tuple] = []
@@ -209,7 +201,7 @@ class Reader:
         self._groups = []
         lo = 0
         for group, slots in zip(graph.groups, graph.slot_ranges):
-            segments = []
+            state = self.states[group.id]
             for layer, width, parts, _ in group.units:
                 out = self._scores[lo:lo + width]
                 for j, (i, axis) in enumerate(parts):
@@ -219,10 +211,9 @@ class Reader:
                         self._other_parts.append((tensor, axis, out))
                     else:  # a reduction over no axis, (), copies a bias
                         self._first_parts.append((tensor, () if axis is None else axis, out))
-                segments.append((layer, self._ema[lo:lo + width], self._gammas[lo:lo + width],
-                                 self._complements[lo:lo + width]))
+                state.unit_ema[layer] = self._ema[lo:lo + width]
                 lo += width
-            self._groups.append((group, states[group.id], slots, segments))
+            self._groups.append((group, state, slots))
 
     def beside(self) -> contextlib.AbstractContextManager[Callable[..., None]]:
         """A :func:`second_lane` stage that reads the gradients while the
@@ -252,53 +243,37 @@ class Reader:
         for a, axis, out in self._other_parts:
             out += a if axis is None else np.add.reduce(a, axis)
         np.divide(scores, self._per_unit, out=scores)
-        error, kept = None, []
-        for group, state, slots, segments in self._groups:
+        observed = []
+        for group, state, slots in self._groups:
             # Each group's slot sums added in slice order: the bits of a sum
             # of per-tensor sums, which a sum over merged runs would group
             # differently.
             raw_fisher = sum(square_sums[slots]) / group.param_count
             raw_grad = sum(magnitude_sums[slots]) / group.param_count
-            if math.isfinite(raw_grad):  # else bayes_update would refuse it
-                bayes_update(state, raw_grad, self._cfg)
-            raw_bayes = bayes_importance(state.mu, raw_fisher)
+            alpha, beta = _posterior(state.alpha, state.beta, raw_grad, self._cfg)
+            raw_bayes = bayes_importance(alpha / beta, raw_fisher)
             if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
-                    and math.isfinite(raw_bayes)):
-                error = error or NumericsError(
+                    and math.isfinite(raw_bayes) and math.isfinite(beta)):
+                raise NumericsError(
                     f"group {group.id!r}: importance is not finite, grad {raw_grad}, "
-                    f"fisher {raw_fisher}, bayes {raw_bayes}")
-                # Put back after the arena pass: the group keeps its unit scores.
-                kept += [(smoothed, smoothed.copy()) for _, smoothed, _, _ in segments]
-                continue
-            # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
-            # raw bit for bit, since raw >= +0 and previous is finite.
-            g = self._gamma if state.iteration else 0.0
-            state.raw_grad = raw_grad
-            state.raw_fisher = raw_fisher
-            state.raw_bayes = raw_bayes
+                    f"fisher {raw_fisher}, bayes {raw_bayes}, beta {beta}")
+            observed.append((state, alpha, beta, raw_grad, raw_fisher, raw_bayes))
+        # A first observation is the EMA at gamma 0: 0 * previous + 1 * raw is
+        # raw bit for bit, since raw >= +0 and previous is finite.
+        g = self._g
+        for state, alpha, beta, raw_grad, raw_fisher, raw_bayes in observed:
+            state.alpha, state.beta = alpha, beta
+            state.raw_grad, state.raw_fisher, state.raw_bayes = raw_grad, raw_fisher, raw_bayes
             state.ema_grad = ema_update(state.ema_grad, raw_grad, g)
             state.ema_fisher = ema_update(state.ema_fisher, raw_fisher, g)
             state.ema_bayes = ema_update(state.ema_bayes, raw_bayes, g)
-            for layer, smoothed, unit_gamma, complement in segments:
-                held = state.unit_ema.get(layer)
-                if held is not smoothed:
-                    if held is not None:
-                        smoothed[...] = held
-                    state.unit_ema[layer] = smoothed
-                want = g if held is not None else 0.0
-                if unit_gamma[0] != want:
-                    unit_gamma[...] = want
-                    complement[...] = 1.0 - want
             state.iteration += 1
         # ema_update's gamma * previous + (1 - gamma) * raw over the unit
-        # arena, in place, at each unit's gamma.
-        ema *= self._gammas
-        scores *= self._complements
+        # arena, in place.
+        ema *= g
+        scores *= 1.0 - g
         ema += scores
-        for smoothed, before in kept:
-            smoothed[...] = before
-        if error:
-            raise error
+        self._g = self._gamma
 
 
 def check_metric_weights(weights: Sequence[float]) -> tuple[float, ...]:

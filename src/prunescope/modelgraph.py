@@ -128,20 +128,19 @@ class ComponentGraph:
         (slot_sums,) = sums.tolist()
         return [sum(slot_sums[slots]) for slots in self.slot_ranges]
 
-    def check_states(self, states: Mapping[str, Any], groups: Iterable[PruningGroup],
-                     *, scored: bool) -> None:
+    def check_states(self, states: Mapping[str, Any],
+                     groups: Iterable[PruningGroup]) -> None:
         """Refuse importance states, keyed by group id as
         :func:`importance.init_states` makes them, that lack one of
-        ``groups`` or hold a unit score vector for one of a group's unit
-        layers that is not of the layer's width; with ``scored`` every unit
-        layer must have one."""
+        ``groups`` or a unit score vector of its layer's width for one of a
+        group's unit layers."""
         for group in groups:
             if group.id not in states:
                 raise ConfigurationError(f"no importance state for group {group.id!r}")
             unit_ema = states[group.id].unit_ema
             for layer, width, _, _ in group.units:
                 count = len(unit_ema.get(layer, ()))
-                if count != width and (scored or layer in unit_ema):
+                if count != width:
                     raise ConfigurationError(
                         f"group {group.id!r}: {count} unit scores for layer {layer}, "
                         f"which has {width} units; the states were not recorded on "

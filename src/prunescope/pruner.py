@@ -149,7 +149,7 @@ def allocate_budget(states: Mapping[str, GroupImportanceState],
 
     candidates = [group for group in graph.groups
                   if group.id not in protect and group.prunable]
-    graph.check_states(states, candidates, scored=True)
+    graph.check_states(states, candidates)
     if not candidates:
         raise InfeasiblePlanError("no unprotected group has prunable units")
 

@@ -21,7 +21,7 @@ from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import check_trace
 from prunescope.importance import (BayesConfig, GroupImportanceState, Reader, bayes_update,
-                                   ema_update, init_states, update_all)
+                                   ema_update)
 from prunescope.modelgraph import ComponentGraph, PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
 from prunescope.pruner import PrunePlan, apply_prune, verify_consistency
@@ -84,20 +84,23 @@ def test_criterion_2_metrics_match_brute_force():
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), (), ())
-        state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
         arena = SimpleNamespace(flat_grad=g, layout=())
-        Reader({"g": state}, arena, ComponentGraph([group], 1, ()), cfg, 0.9).read()
+        reader = Reader(arena, ComponentGraph([group], 1, ()), cfg, 0.9)
+        reader.read()
+        state = reader.states["g"]
         ref_grad = math.fsum(abs(v) for v in g) / n
         ref_fisher = math.fsum(v * v for v in g) / n
         for got, ref in ((state.raw_grad, ref_grad), (state.raw_fisher, ref_fisher)):
             worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
-    # The whole online update, on random gradients.
+    # A whole read, on random gradients.
     for seed in range(20):
         net = make_toy_multihead(seed=seed)
         for _, _, tensor in net.param_tensors():
             tensor.grad[...] = rng.normal(0.0, 3.0, size=tensor.shape)
         graph = build_groups(net)
-        states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
+        reader = Reader(net, graph, cfg, 0.9)
+        reader.read()
+        states = reader.states
         for group in graph.groups:
             g = [v for t in group_tensors(net, group) for v in t.grad.ravel()]
             st = states[group.id]
@@ -105,7 +108,7 @@ def test_criterion_2_metrics_match_brute_force():
                              (st.raw_fisher, math.fsum(v * v for v in g) / len(g))):
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     ok = worst <= 1e-12
-    announce(2, ok, f"the reader's kernel over 1000 vectors and update_all "
+    announce(2, ok, f"the reader's kernel over 1000 vectors and a read "
                     f"over 20 networks vs fsum recomputation, worst "
                     f"deviation {worst:.3e}")
     assert ok

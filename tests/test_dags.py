@@ -14,7 +14,7 @@ import pytest
 from prunescope.errors import InfeasiblePlanError
 from prunescope.harness.config import ModelConfig, build_model
 from prunescope.harness.train import run_training
-from prunescope.importance import COMBINED, METRICS, BayesConfig, init_states, update_all
+from prunescope.importance import COMBINED, METRICS, BayesConfig, Reader
 from prunescope.modelgraph import KIND_COMPONENT, KIND_COUPLING, build_groups, export_manifest
 from prunescope.netcore import (ROLE_BIAS, ROLE_WEIGHT, backward, forward, load_checkpoint,
                                 mse_loss, save_checkpoint)
@@ -110,8 +110,9 @@ def test_an_accepted_network_prunes_like_its_masked_copy(seed):
     x = dyadic(rng, (8, net.input_dim))
     acts = forward(net, x)
     backward(net, acts, mse_loss(acts[-1], dyadic(rng, acts[-1].shape))[1])
-    cfg = BayesConfig()
-    states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
+    reader = Reader(net, graph, BayesConfig(), 0.9)
+    reader.read()
+    states = reader.states
     sparsity, metric = float(rng.uniform(0.05, 0.4)), str(rng.choice(METRICS + (COMBINED,)))
     while True:  # the caps and a group of weight 0 can leave too few units
         try:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
-from prunescope.importance import (METRIC_FIELDS, BayesConfig, GroupImportanceState,
-                                   Reader, bayes_importance, bayes_update, ema_update,
+from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
+                                   bayes_importance, bayes_update, ema_update,
                                    init_states, metric_scores, rank_groups, ranked,
-                                   states_from_doc, states_to_doc, update_all)
+                                   states_from_doc, states_to_doc)
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import Adam, backward, forward, mse_loss
 
@@ -25,19 +25,25 @@ from conftest import (assert_reads_like_the_oracle, dyadic, group_tensors, make_
 # -- raw metrics -------------------------------------------------------------
 
 
+def read_once(net, cfg=None):
+    """The states of one :class:`Reader` after one read of ``net``'s
+    gradients, its groups built one layer each."""
+    reader = Reader(net, build_groups(net, 1), cfg or BayesConfig(), 0.9)
+    reader.read()
+    return reader.states
+
+
 def one_layer_metrics(grad):
-    """(raw_grad, raw_fisher) after one ``update_all`` on a one-layer
-    network, one group, whose gradient (weight row, then bias) is ``grad``."""
+    """(raw_grad, raw_fisher) after one read on a one-layer network, one
+    group, whose gradient (weight row, then bias) is ``grad``."""
     net = make_net([len(grad) - 1, 1], ["identity"])
     net.flat_grad[...] = grad
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    (st,) = update_all(init_states(graph, cfg), net, graph, cfg, 0.9).values()
+    (st,) = read_once(net).values()
     return st.raw_grad, st.raw_fisher
 
 
 def test_the_fisher_pass_has_the_bits_of_the_products(rng):
-    """``update_all`` squares the gradient with ``np.square``: the bits of
+    """A read squares the gradient with ``np.square``: the bits of
     ``g * g`` on heavy-tailed draws, signed zeros, infinities, NaN and
     subnormals, so each group's Fisher metric is the slot sum of ``g * g``."""
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -49,10 +55,8 @@ def test_the_fisher_pass_has_the_bits_of_the_products(rng):
     finite = g[np.isfinite(g) & (np.abs(g) < 1e150)]
     net.flat_grad[...] = rng.choice(finite, size=net.flat_grad.size)
     squares = (net.flat_grad * net.flat_grad)[None]
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    states = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
-    for group in graph.groups:
+    states = read_once(net)
+    for group in build_groups(net, 1).groups:
         views = [squares[:, lo:hi] for lo, hi, _ in group.slots]
         assert states[group.id].raw_fisher == (view_sum(views)[0]
                                                / group.param_count), group.id
@@ -209,14 +213,12 @@ def grads_for(net):
     backward(net, acts, d_out)
 
 
-def test_update_all_matches_per_group_brute_force():
+def test_a_first_read_matches_per_group_brute_force():
     net = make_two_component_chain(seed=1)
-    graph = build_groups(net, 1)
     cfg = BayesConfig()
-    states = init_states(graph, cfg)
     grads_for(net)
-    update_all(states, net, graph, cfg, gamma=0.9)
-    for group in graph.groups:
+    states = read_once(net, cfg)
+    for group in build_groups(net, 1).groups:
         grads = [t.grad for t in group_tensors(net, group)]
         st = states[group.id]
         # Training sums each tensor on its own, then the sums: bit for bit.
@@ -234,19 +236,19 @@ def test_update_all_matches_per_group_brute_force():
         assert st.iteration == 1
 
 
-def test_update_all_second_step_smooths_with_gamma():
+def test_a_second_read_smooths_with_gamma():
     net = make_two_component_chain(seed=2)
     graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    states = init_states(graph, cfg)
+    reader = Reader(net, graph, BayesConfig(), 0.5)
+    states = reader.states
     rng = np.random.default_rng(5)
     for _, _, t in net.param_tensors():
         t.grad[...] = dyadic(rng, t.shape)
-    update_all(states, net, graph, cfg, gamma=0.5)
+    reader.read()
     first = {g.id: states[g.id].raw_grad for g in graph.groups}
     for _, _, t in net.param_tensors():
         t.grad[...] = dyadic(rng, t.shape)
-    update_all(states, net, graph, cfg, gamma=0.5)
+    reader.read()
     for group in graph.groups:
         st = states[group.id]
         assert st.iteration == 2
@@ -257,12 +259,8 @@ def test_unit_scores_for_coupling_group_by_hand():
     """Each interface unit's score averages its weight row on the producer,
     its bias entry, and its weight column in every consumer."""
     net = make_toy_multihead(seed=3)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    states = init_states(graph, cfg)
     grads_for(net)
-    update_all(states, net, graph, cfg, gamma=0.9)
-    st = states["coupling_encoder_head_a_head_b"]
+    st = read_once(net)["coupling_encoder_head_a_head_b"]
     assert list(st.unit_ema) == [1]
     w1 = np.abs(net.layers[1].weight.grad)
     b1 = np.abs(net.layers[1].bias.grad)
@@ -273,110 +271,69 @@ def test_unit_scores_for_coupling_group_by_hand():
     np.testing.assert_allclose(st.unit_ema[1], expected, rtol=1e-15)
 
 
-def test_update_all_refuses_a_network_of_another_layout():
+def test_a_reader_refuses_a_network_of_another_layout():
     """The graph's arena view is built once and serves every network of its
     layout; a network of another layout (here one layer narrower, as after
-    a prune) is refused, even on the first call."""
+    a prune) is refused when the reader is built."""
     net = make_two_component_chain(seed=4)
     graph = build_groups(net, 1)
     cfg = BayesConfig()
-    states = init_states(graph, cfg)
     grads_for(net)
-    update_all(states, net, graph, cfg, gamma=0.9)
     groups = graph.groups
-    update_all(states, net.copy(), graph, cfg, gamma=0.9)
+    Reader(net.copy(), graph, cfg, 0.9).read()
     assert graph.groups is groups
     narrower = make_two_component_chain(seed=4, widths=(6, 5, 3, 3, 2))
-    grads_for(narrower)
     for g in (graph, build_groups(net, 1)):
         with pytest.raises(ConfigurationError, match="layout"):
-            update_all(init_states(g, cfg), narrower, g, cfg, gamma=0.9)
+            Reader(narrower, g, cfg, 0.9)
 
 
-def test_update_all_requires_states_for_every_group():
-    net = make_two_component_chain(seed=3)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    states = init_states(graph, cfg)
-    del states[graph.groups[0].id]
-    grads_for(net)
-    with pytest.raises(ConfigurationError):
-        update_all(states, net, graph, cfg, gamma=0.9)
-
-
-def prior_doc(graph, cfg):
-    """A states document at iteration 0 whose averages and unit scores are
-    non-zero, each unit score vector of its layer's width."""
-    doc = json.loads(json.dumps(states_to_doc(init_states(graph, cfg), 0.9, cfg)))
-    for entry in doc["groups"]:
-        group = graph.get(entry["id"])
-        entry.update({name: 1e300 for name in METRIC_FIELDS})
-        entry["unit_ema"] = {str(layer): [-1e300] * width
-                             for layer, width, _, _ in group.units}
-    return doc
-
-
-def test_a_first_observation_replaces_a_non_zero_prior_bit_for_bit():
-    """At iteration 0 the one EMA runs at gamma 0: whatever finite averages
-    and unit scores a state holds, one read leaves each average equal to
-    its raw value and each unit score vector equal to its scores."""
-    net = make_toy_multihead(seed=6)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    grads_for(net)
-    states = update_all(states_from_doc(prior_doc(graph, cfg)), net, graph, cfg, 0.9)
-    fresh = update_all(init_states(graph, cfg), net, graph, cfg, 0.9)
-    assert any(st.unit_ema for st in states.values())
-    for gid, st in states.items():
-        for m in ("grad", "fisher", "bayes"):
-            raw = getattr(st, f"raw_{m}")
-            assert raw.hex() == getattr(fresh[gid], f"raw_{m}").hex()
-            assert getattr(st, f"ema_{m}").hex() == raw.hex(), (gid, m)
-        assert set(st.unit_ema) == set(fresh[gid].unit_ema)
-        for layer, scores in st.unit_ema.items():
-            assert scores.tobytes() == fresh[gid].unit_ema[layer].tobytes(), (gid, layer)
-
-
-def test_update_all_names_the_group_whose_metric_overflows():
+def test_a_read_names_the_group_whose_metric_overflows():
     """Every gradient entry is finite, but its square is not: the Fisher
     value is refused with the group's name instead of being stored."""
     net = make_two_component_chain(seed=3)
-    graph = build_groups(net, 1)
-    cfg = BayesConfig()
     net.flat_grad[...] = 1e200
+    first = build_groups(net, 1).groups[0]
     with (np.errstate(over="ignore"),
-          pytest.raises(NumericsError, match=re.escape(repr(graph.groups[0].id)))):
-        update_all(init_states(graph, cfg), net, graph, cfg, gamma=0.9)
+          pytest.raises(NumericsError, match=re.escape(repr(first.id)))):
+        read_once(net)
 
 
-def test_a_group_whose_metric_overflows_keeps_its_values_while_the_others_advance():
-    """A read whose first group's Fisher sum overflows raises that group's
-    error; the group keeps its metrics, unit scores and iteration (its
-    finite energy has updated alpha and beta), and every other group takes
-    its second observation."""
+@pytest.mark.parametrize("reads_before", [0, 2], ids=["first_read", "later_read"])
+@pytest.mark.parametrize("cause", ["fisher", "beta"])
+def test_a_read_that_raises_changes_no_state(cause, reads_before):
+    """A read is all or nothing. Only the last group's gradients are poisoned:
+    its Fisher sum overflows, or at eta 1e-300 its posterior beta does while
+    its Fisher value and Bayes score stay finite. The read raises that
+    group's error and leaves every state byte-identical, alpha, beta,
+    metrics, iteration and unit scores, on the first read and on a later
+    one; the reader then reads on as one that never met the poisoned read."""
     net = make_two_component_chain(seed=3)
     graph = build_groups(net, 1)
-    cfg = BayesConfig()
-    states = init_states(graph, cfg)
-    reader = Reader(states, net, graph, cfg, 0.9)
-    grads_for(net)
-    reader.read()
-    first = states[graph.groups[0].id]
+    cfg = BayesConfig(eta=1e-300) if cause == "beta" else BayesConfig()
+    reader, twin = Reader(net, graph, cfg, 0.9), Reader(net, graph, cfg, 0.9)
 
-    def kept():
-        return ([getattr(first, f"{kind}_{m}") for kind in ("raw", "ema")
-                 for m in ("grad", "fisher", "bayes")], first.iteration,
-                {layer: scores.tobytes() for layer, scores in first.unit_ema.items()})
+    def snapshot(states):
+        return json.dumps(states_to_doc(states, 0.9, cfg))
 
-    before = kept()
-    assert before[2]
-    lo, hi, _ = graph.groups[0].slots[0]
-    net.flat_grad[lo:hi] = 1e200
-    with (np.errstate(over="ignore"),
-          pytest.raises(NumericsError, match=re.escape(repr(first.group_id)))):
+    for _ in range(reads_before):
+        grads_for(net)
         reader.read()
-    assert kept() == before
-    assert [st.iteration for st in states.values()] == [1] + [2] * (len(states) - 1)
+        twin.read()
+    before = snapshot(reader.states)
+    grads_for(net)
+    task = net.flat_grad.copy()
+    last = graph.groups[-1]
+    for lo, hi, _ in last.slots:
+        net.flat_grad[lo:hi] = 1e20 if cause == "beta" else 1e200
+    with (np.errstate(over="ignore"),
+          pytest.raises(NumericsError, match=f"{re.escape(repr(last.id))}: .*{cause} inf")):
+        reader.read()
+    assert snapshot(reader.states) == before
+    net.flat_grad[...] = task
+    reader.read()
+    twin.read()
+    assert snapshot(reader.states) == snapshot(twin.states)
 
 
 # -- the L1 term stays out of importance ------------------------------------------
@@ -384,7 +341,7 @@ def test_a_group_whose_metric_overflows_keeps_its_values_while_the_others_advanc
 
 @pytest.mark.parametrize("widths", [(6, 5, 4, 3, 2), (120, 160, 120, 80, 10)])
 def test_the_l1_term_never_reaches_importance(widths, force_lane):
-    """``update_all`` leaves ``flat_grad`` and ``flat_values`` bitwise
+    """Reads leave ``flat_grad`` and ``flat_values`` bitwise
     unchanged, and an optimizer step with a large L1 coefficient per group
     leaves ``flat_grad`` holding the task gradient, so reading it after the
     step gives every metric, unit score and Bayes parameter of reading it
@@ -396,17 +353,17 @@ def test_the_l1_term_never_reaches_importance(widths, force_lane):
     cfg = BayesConfig()
     grads_for(net)
     values, task = net.flat_values.tobytes(), net.flat_grad.tobytes()
-    before = init_states(graph, cfg)
+    before = Reader(net, graph, cfg, 0.9)
     for _ in range(2):
-        update_all(before, net, graph, cfg, 0.9)
+        before.read()
     assert (net.flat_values.tobytes(), net.flat_grad.tobytes()) == (values, task)
     Adam(lr=0.1).step(net, graph.penalty([1e3 * (i + 1) for i in range(len(graph.groups))]))
     assert net.flat_grad.tobytes() == task and net.flat_values.tobytes() != values
-    after = init_states(graph, cfg)
+    after = Reader(net, graph, cfg, 0.9)
     for _ in range(2):
-        update_all(after, net, graph, cfg, 0.9)
-    assert (json.dumps(states_to_doc(after, 0.9, cfg))
-            == json.dumps(states_to_doc(before, 0.9, cfg)))
+        after.read()
+    assert (json.dumps(states_to_doc(after.states, 0.9, cfg))
+            == json.dumps(states_to_doc(before.states, 0.9, cfg)))
 
 
 # -- scoring and ranking --------------------------------------------------------
@@ -467,11 +424,9 @@ def test_rank_groups_descending_with_id_tiebreak():
 
 def test_states_document_round_trip_is_lossless():
     net = make_toy_multihead(seed=9)
-    graph = build_groups(net, 1)
     cfg = BayesConfig()
-    states = init_states(graph, cfg)
     grads_for(net)
-    update_all(states, net, graph, cfg, gamma=0.9)
+    states = read_once(net, cfg)
     doc = json.loads(json.dumps(states_to_doc(states, 0.9, cfg)))
     back = states_from_doc(doc)
     assert set(back) == set(states)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prunescope.errors import ConfigurationError
-from prunescope.importance import BayesConfig, Reader, init_states, states_to_doc
+from prunescope.importance import BayesConfig, init_states, states_to_doc
 from prunescope.modelgraph import (KIND_COMPONENT, KIND_COUPLING,
                                    build_groups, export_manifest)
 from prunescope.netcore import (ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, Network,
@@ -308,7 +308,6 @@ def test_a_penalty_scales_one_part_per_run_of_equal_coefficient_in_each_block(ma
 
 
 CALLERS = {
-    "Reader": lambda states, net, graph: Reader(states, net, graph, BayesConfig(), 0.9),
     "allocate_budget": lambda states, net, graph: allocate_budget(states, graph, net,
                                                                   0.3, "grad"),
 }
@@ -316,10 +315,9 @@ CALLERS = {
 
 @pytest.mark.parametrize("caller", sorted(CALLERS))
 def test_states_without_a_group_or_with_unit_scores_of_another_width_are_refused(caller):
-    """Both callers of ``check_states`` refuse, before any work, states that
-    lack a group or hold a unit score vector one entry short of its layer's
-    width. The allocator needs every unit layer's scores; the reader reads
-    missing ones in."""
+    """The callers of ``check_states`` refuse, before any work, states that
+    lack a group, hold a unit score vector one entry short of its layer's
+    width, or lack one."""
     net = make_toy_multihead(seed=6)
     graph = build_groups(net, 1)
     call = CALLERS[caller]
@@ -347,10 +345,7 @@ def test_states_without_a_group_or_with_unit_scores_of_another_width_are_refused
                     "the states were not recorded on this network")
     states = scored()
     del states[gid].unit_ema[1]
-    if caller == "Reader":
-        call(states, net, graph)
-    else:
-        refused(states, f"group '{gid}': 0 unit scores for layer 1, which has 8")
+    refused(states, f"group '{gid}': 0 unit scores for layer 1, which has 8")
 
 
 # -- prunable units and closures --------------------------------------------

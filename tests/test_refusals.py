@@ -15,7 +15,7 @@ from prunescope.harness import data as data_module, train as train_module
 from prunescope.harness.cli import main
 from prunescope.harness.data import IDX_IMAGE_MAGIC, synthetic_dataset
 from prunescope.harness.train import evaluate_mse, run_training
-from prunescope.importance import BayesConfig, init_states, metric_scores, update_all
+from prunescope.importance import BayesConfig, Reader, metric_scores
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Network, activation_grad, build_sequential,
                                 load_checkpoint, seeded_layer)
@@ -69,6 +69,10 @@ CONFIG_CASES = {
     # An int past the float range: the phase offsets (i / n) * T would overflow.
     "cycle_T_past_float": ({"schedule": {"cycle_T": 10**400}},
                            "cycle_T must be at least 1 and within the float range"),
+    # Positive and finite, but kappa * E / eta overflows: the first read's
+    # posterior beta is infinite, so the run stops there and writes nothing.
+    "bayes_eta_subnormal": ({"bayes": {"eta": 5e-324}},
+                            "group 'encoder_1': importance is not finite"),
     "mnist_n_train_zero": (mnist_counts(n_train=0), "need n_train >= 1 and n_test >= 0"),
     "mnist_n_train_negative": (mnist_counts(n_train=-5), "need n_train >= 1 and n_test >= 0"),
     "mnist_n_test_negative": (mnist_counts(n_train=10, n_test=-2),
@@ -297,7 +301,7 @@ def test_library_calls_refuse_malformed_arguments():
         build_groups(net, 0)
     for gamma in (1.0, -0.1):
         with pytest.raises(ConfigurationError, match="gamma"):
-            update_all(init_states(graph, BayesConfig()), net, graph, BayesConfig(), gamma)
+            Reader(net, graph, BayesConfig(), gamma)
     with pytest.raises(ConfigurationError, match="at least one group"):
         metric_scores({}, [], "grad")
     with pytest.raises(ConfigurationError, match="unknown activation 'tanh'"):
