@@ -1,8 +1,8 @@
 """The training loop: seeded batches, scheduled group L1, online importance.
 
 Each iteration runs forward, task loss and backward, and the optimizer
-steps with the scheduled L1 subgradient as its penalty, compiled once per
-epoch (``ComponentGraph.penalty``), which leaves ``flat_grad`` holding the
+steps with the scheduled L1 subgradient as its penalty (bound once per
+epoch by ``ComponentGraph.penalty``), which leaves ``flat_grad`` holding the
 task gradients. One ``importance.Reader`` per run, which checks its
 inputs, makes the run's importance states, allocates its arenas and binds
 its views once, reads those gradients into the states in one

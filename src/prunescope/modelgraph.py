@@ -13,9 +13,9 @@ unit has one home; a consumed layer's units are scored by their bias entries.
 
 :func:`build_groups` also fixes where each group's tensors lie in the
 network's arenas, once, and :class:`ComponentGraph` lays every group's
-slots out in one table and checks importance states against the groups;
-the importance read, the optimizer's L1 penalty (compiled per epoch by
-:meth:`ComponentGraph.penalty`) and the L1 norms all read that view.
+slots out in one table, checks that they tile the arena and checks
+importance states against the groups; the importance read, the L1 norms and
+the optimizer's L1 penalty, whose block table it compiles once, read it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .netcore import Network, Penalty, ROLE_BIAS, ROLE_WEIGHT
+from .netcore import ADAM_BLOCK, Network, Penalty, ROLE_BIAS, ROLE_WEIGHT
 
 KIND_COMPONENT = "component_specific"
 KIND_COUPLING = "coupling"
@@ -81,6 +81,10 @@ class ComponentGraph:
     ``slots`` holds every group's slot ranges ``(lo, hi)``, groups in order
     and each group's slots in slice order, and ``slot_ranges`` each group's
     slice of ``slots``.
+    The slots must tile ``[0, size)`` (no overlap, gap, overrun or short
+    cover), or a :class:`ConfigurationError` refuses them. ``blocks`` is the
+    penalty's table: each ``ADAM_BLOCK``'s parts ``(a, b, group index)``,
+    the maximal runs of one group's slots clipped to the block.
     """
 
     def __init__(self, groups: Iterable[PruningGroup], layers_per_group: int,
@@ -92,6 +96,25 @@ class ComponentGraph:
         self.slots = [(lo, hi) for g in self.groups for lo, hi, _ in g.slots]
         ends = list(itertools.accumulate(len(g.slots) for g in self.groups))
         self.slot_ranges = [slice(a, b) for a, b in zip([0, *ends], ends)]
+        end, runs = 0, []  # the maximal runs of one group's slots, in arena order
+        for lo, hi, i in sorted((lo, hi, i) for i, group in enumerate(self.groups)
+                                for lo, hi, _ in group.slots):
+            if lo != end or not lo < hi <= self.size:
+                raise ConfigurationError(
+                    f"group slot [{lo}, {hi}) does not tile the arena's {self.size} "
+                    f"elements: the slots before it end at {end}")
+            end = hi
+            if runs and runs[-1][2] == i:
+                runs[-1] = (runs[-1][0], hi, i)
+            else:
+                runs.append((lo, hi, i))
+        if end != self.size:
+            raise ConfigurationError(
+                f"the group slots end at {end}, short of the arena's {self.size} elements")
+        self.blocks = tuple(
+            tuple((max(lo, start) - start, min(hi, start + ADAM_BLOCK) - start, i)
+                  for lo, hi, i in runs if lo < start + ADAM_BLOCK and hi > start)
+            for start in range(0, self.size, ADAM_BLOCK))
         self._by_id: dict[str, PruningGroup] = {}
         for g in self.groups:
             if g.id in self._by_id:
@@ -147,15 +170,20 @@ class ComponentGraph:
                         "this network")
 
     def penalty(self, coeffs: Sequence[float]) -> Penalty:
-        """The L1 term an optimizer step takes, compiled for the groups'
-        arena: each group's slots with its coefficient, ``coeffs`` holding
-        one per group in ``groups`` order (the schedule's value times the
-        loss weight). A group whose coefficient is zero adds nothing, so its
+        """The L1 term an optimizer step takes: ``coeffs``, one per group in
+        ``groups`` order (the schedule's value times the loss weight), bound
+        to the graph's one block table. Each must be non-negative and
+        finite. A group whose coefficient is zero adds nothing, so its
         ``-0.0`` gradients stay ``-0.0``."""
         if len(coeffs) != len(self.groups):
             raise ConfigurationError(f"need one L1 coefficient per group, got {len(coeffs)}")
-        return Penalty([(lo, hi, coeff) for group, coeff in zip(self.groups, coeffs)
-                        for lo, hi, _ in group.slots], self.size)
+        coeffs = tuple(float(c) for c in coeffs)
+        for group, coeff in zip(self.groups, coeffs):
+            if not 0.0 <= coeff < math.inf:  # written so that NaN fails
+                raise ConfigurationError(
+                    f"group {group.id!r}: the L1 coefficient must be non-negative "
+                    f"and finite, got {coeff}")
+        return Penalty(self.layout, self.blocks, coeffs)
 
 
 def _compile(net: Network, gid: str, kind: str, slices: list[MemberSlice],

@@ -463,107 +463,68 @@ def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
         net._raise_non_finite(context)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Penalty:
-    """An optimizer step's L1 term, compiled for an arena of ``size``
-    elements: ``runs`` of ``(lo, hi, coeff)``, each adding ``coeff *
-    sign(theta)`` to the gradient the step reads over ``[lo, hi)``.
-
-    Each run must be a non-empty range inside ``[0, size)``, no two may
-    overlap, and each coefficient must be non-negative and finite; anything
-    else is refused with a :class:`ConfigurationError`. A run of coefficient
-    zero adds nothing, so the ``-0.0`` gradients under it stay ``-0.0``;
-    ``runs`` keeps the others, in the given order. Adjacent runs of equal
-    coefficient are joined into one part, and for each ``ADAM_BLOCK`` the
-    penalty holds the parts clipped to the block, the merged spans they
-    cover and the gaps they leave, or None where no part meets the block, so
-    a step builds no list per block and scales each part with one call
-    (:meth:`gradient`).
-    :meth:`ComponentGraph.penalty` builds one per epoch.
+    """An optimizer step's L1 term: ``coeffs``, one L1 coefficient per
+    group, bound to the block table of :class:`ComponentGraph` for networks
+    of ``layout``. ``blocks`` holds, for each ``ADAM_BLOCK``, its parts
+    ``(a, b, group index)``: the block's maximal runs of one group's slots,
+    clipped to the block, which tile it. Over each part the step reads the
+    task gradient plus ``coeffs[group] * sign(theta)`` (:meth:`gradient`).
+    :meth:`ComponentGraph.penalty` makes one per epoch, sharing the graph's
+    one table, which its constructor compiled and checked.
     """
 
-    def __init__(self, runs: Iterable[tuple[int, int, float]], size: int) -> None:
-        runs = [(int(lo), int(hi), float(coeff)) for lo, hi, coeff in runs]
-        end, joined = 0, []  # the non-zero runs, adjacent ones of equal coefficient joined
-        for lo, hi, coeff in sorted(runs):
-            if not 0 <= lo < hi <= size:
-                raise ConfigurationError(
-                    f"penalty run [{lo}, {hi}) is not a non-empty range of the "
-                    f"arena's {size} elements")
-            if lo < end:
-                raise ConfigurationError(f"penalty run [{lo}, {hi}) overlaps another run")
-            if not 0.0 <= coeff < math.inf:  # written so that NaN fails
-                raise ConfigurationError(
-                    f"penalty run [{lo}, {hi}): the L1 coefficient must be "
-                    f"non-negative and finite, got {coeff}")
-            end = hi
-            if joined and joined[-1][1] == lo and joined[-1][2] == coeff:
-                joined[-1] = (joined[-1][0], hi, coeff)
-            elif coeff:
-                joined.append((lo, hi, coeff))
-        self.size = size
-        self.runs = [run for run in runs if run[2] != 0.0]
-        self._blocks: list[tuple[list, list, list] | None] = []
-        for start in range(0, size, ADAM_BLOCK):
-            stop = min(start + ADAM_BLOCK, size)
-            parts = [(max(lo, start) - start, min(hi, stop) - start, coeff)
-                     for lo, hi, coeff in joined if lo < stop and hi > start]
-            spans: list[tuple[int, int]] = []
-            for a, b, _ in parts:
-                if spans and spans[-1][1] == a:
-                    spans[-1] = (spans[-1][0], b)
-                else:
-                    spans.append((a, b))
-            edges = [0, *(x for span in spans for x in span), stop - start]
-            gaps = [(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
-            self._blocks.append((parts, spans, gaps) if parts else None)
+    layout: tuple
+    blocks: tuple[tuple[tuple[int, int, int], ...], ...]
+    coeffs: tuple[float, ...]
 
     def gradient(self, g: np.ndarray, theta: np.ndarray, lo: int,
                  hi: int) -> tuple[np.ndarray, bool]:
         """The gradient a step reads over the block ``[lo, hi)``, and whether
         it is a private array the step may overwrite.
 
-        Where no run meets the block, that is the block of ``g`` itself.
-        Otherwise it is one new array, made in three passes: it takes the
-        block's signs, each run scales its part in place, and ``g`` is added
-        over each covered span and copied over each gap, so ``g`` keeps the
-        task gradient. Each element gets at most one addition, with the bits
+        Where every part of the block has coefficient zero, that is the block
+        of ``g`` itself. Otherwise it is one new array: it takes the block's
+        signs, each part of non-zero coefficient is scaled by it in place,
+        ``g`` is added once over the block and copied over each part of
+        coefficient zero, so ``g`` keeps the task gradient. That has the bits
         of adding the term to ``g`` in place: IEEE addition commutes, and the
-        copy keeps a gap's ``-0.0``.
+        copy keeps a zero part's ``-0.0``.
         """
-        block = self._blocks[lo // ADAM_BLOCK]
-        if block is None:
+        parts, coeffs = self.blocks[lo // ADAM_BLOCK], self.coeffs
+        if not any(coeffs[i] for _, _, i in parts):
             return g[lo:hi], False
-        parts, spans, gaps = block
         gb = np.sign(theta[lo:hi])
-        for a, b, coeff in parts:
-            term = gb[a:b]
-            np.multiply(term, coeff, out=term)
-        for a, b in spans:
-            term = gb[a:b]
-            np.add(term, g[lo + a:lo + b], out=term)
-        for a, b in gaps:
-            gb[a:b] = g[lo + a:lo + b]
+        for a, b, i in parts:
+            if coeffs[i]:
+                term = gb[a:b]
+                np.multiply(term, coeffs[i], out=term)
+        np.add(gb, g[lo:hi], out=gb)
+        for a, b, i in parts:
+            if not coeffs[i]:
+                gb[a:b] = g[lo + a:lo + b]
         return gb, True
 
 
 def _gradient_reader(net: Network, penalty: Penalty | None) -> Callable[[int, int], tuple]:
     """``gradient(lo, hi)`` for a step of ``net`` under ``penalty``: the
     penalty's :meth:`Penalty.gradient`, or the shared block of ``flat_grad``
-    without one. A penalty compiled for another arena size is refused."""
+    without one. A penalty bound for another parameter layout is refused."""
     g, theta = net.flat_grad, net.flat_values
     if penalty is None:
         return lambda lo, hi: (g[lo:hi], False)
-    if penalty.size != g.size:
+    if penalty.layout != net.layout:
         raise ConfigurationError(
-            f"the penalty was compiled for an arena of {penalty.size} elements; "
-            f"the network has {g.size}")
+            "the penalty was bound for another parameter layout than the "
+            "network's; bind it from build_groups(net).penalty")
     return lambda lo, hi: penalty.gradient(g, theta, lo, hi)
 
 
 class SGD:
     """Plain gradient descent: ``theta -= lr * g``, where ``g`` is the task
     gradient plus the step's L1 subgradient, read as :class:`Adam` reads it.
-    A block allocates at most one array: with a penalty run, the penalized
+    A block allocates at most one array: with a penalized part, the penalized
     gradient, which then holds ``lr * g``; without one, ``lr * g``."""
 
     def __init__(self, lr: float = 1e-3) -> None:
@@ -572,8 +533,8 @@ class SGD:
         self.lr = float(lr)
 
     def step(self, net: Network, penalty: Penalty | None = None) -> None:
-        """Step ``net`` by its task gradients plus the L1 subgradient over
-        ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
+        """Step ``net`` by its task gradients plus ``penalty``'s L1
+        subgradient; ``net.flat_grad`` is left as it was."""
         gradient, theta, lr = _gradient_reader(net, penalty), net.flat_values, self.lr
 
         def update(lo: int, hi: int) -> np.ndarray:
@@ -598,12 +559,12 @@ class Adam:
     caller's BLAS thread count.
 
     :meth:`step` takes the step's L1 term as a :class:`Penalty`, as
-    :meth:`ComponentGraph.penalty` builds it. Over each run, ``g`` is the
-    task gradient plus ``coeff * sign(theta)``, taken before the step moves
-    theta, in a private array of the block, so ``net.flat_grad`` keeps the
-    task gradients. A block allocates at most two arrays: one temporary, and
-    its penalized gradient, which holds ``lr*(m/c1)`` once the gradient is
-    read for the last time, or, without a penalty run, ``lr*(m/c1)``.
+    :meth:`ComponentGraph.penalty` binds it. Over each group's slots, ``g``
+    is the task gradient plus ``coeff * sign(theta)``, taken before the step
+    moves theta, in a private array of the block, so ``net.flat_grad`` keeps
+    the task gradients. A block allocates at most two arrays: one temporary,
+    and its penalized gradient, which holds ``lr*(m/c1)`` once the gradient
+    is read for the last time, or, without a penalized part, ``lr*(m/c1)``.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -623,8 +584,8 @@ class Adam:
         self._t = 0
 
     def step(self, net: Network, penalty: Penalty | None = None) -> None:
-        """Step ``net`` by its task gradients plus the L1 subgradient over
-        ``penalty``'s runs; ``net.flat_grad`` is left as it was."""
+        """Step ``net`` by its task gradients plus ``penalty``'s L1
+        subgradient; ``net.flat_grad`` is left as it was."""
         gradient = _gradient_reader(net, penalty)
         if net.layout != self._layout:
             n = net.flat_values.size

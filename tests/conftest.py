@@ -206,6 +206,17 @@ def make_two_component_chain(seed=0, widths=(6, 5, 4, 3, 2)) -> Network:
         {"front": (0, cut), "back": (cut, n)}, seed)
 
 
+def slot_graph(size: int, *groups: list[tuple[int, int]]) -> ComponentGraph:
+    """A graph of hand-built groups, each a list of ``(lo, hi)`` slots, over
+    an arena of ``size`` elements laid out as one vector; the groups hold no
+    members and no units."""
+    return ComponentGraph(
+        [PruningGroup(f"g{i}", "component_specific", (), ("body",),
+                      sum(hi - lo for lo, hi in slots),
+                      tuple((lo, hi, (hi - lo,)) for lo, hi in slots), (), ())
+         for i, slots in enumerate(groups)], 1, (("arena", (size,)),))
+
+
 def random_dag(seed: int) -> tuple[Network, int]:
     """A seeded valid network and a ``layers_per_group`` of 1-3.
 

@@ -84,8 +84,9 @@ def test_criterion_2_metrics_match_brute_force():
         n = g.size
         group = PruningGroup("g", "component_specific", (), ("body",), n,
                              ((0, n, (n,)),), (), ())
-        arena = SimpleNamespace(flat_grad=g, layout=())
-        reader = Reader(arena, ComponentGraph([group], 1, ()), cfg, 0.9)
+        layout = (("g", (n,)),)
+        arena = SimpleNamespace(flat_grad=g, layout=layout)
+        reader = Reader(arena, ComponentGraph([group], 1, layout), cfg, 0.9)
         reader.read()
         state = reader.states["g"]
         ref_grad = math.fsum(abs(v) for v in g) / n

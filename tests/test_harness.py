@@ -26,7 +26,7 @@ from prunescope.harness.trace import TraceRecord, check_trace, read_trace
 from prunescope.harness.train import (evaluate_mse, finetune, load_dataset,
                                       run_training, save_outputs)
 from prunescope.importance import states_from_doc
-from prunescope.modelgraph import build_groups
+from prunescope.modelgraph import ComponentGraph, build_groups
 from prunescope.netcore import forward, load_checkpoint, mse_loss, save_checkpoint
 from prunescope.scheduler import ScheduleConfig, schedule_row, total_loss
 
@@ -212,6 +212,23 @@ def test_training_is_bitwise_deterministic():
                                       b.net.param_tensors()):
         np.testing.assert_array_equal(ta.values, tb.values)
     assert struct.pack("d", a.test_mse) == struct.pack("d", b.test_mse)
+
+
+def test_every_epochs_penalty_shares_the_graphs_one_table(monkeypatch):
+    """Each epoch of a run binds its own coefficients to the block table the
+    graph compiled once: no penalty builds a table of its own."""
+    penalties = []
+    original = ComponentGraph.penalty
+
+    def recording(self, coeffs):
+        penalties.append(original(self, coeffs))
+        return penalties[-1]
+
+    monkeypatch.setattr(ComponentGraph, "penalty", recording)
+    result = run_training(toy_config())
+    assert len(penalties) == result.config.epochs == 3
+    assert len({p.coeffs for p in penalties}) == 3
+    assert all(p.blocks is result.graph.blocks for p in penalties)
 
 
 def test_toy_training_never_starts_the_second_lane(force_lane):

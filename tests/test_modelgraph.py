@@ -1,5 +1,7 @@
 """Group decomposition: ownership partition, coupling groups, closures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from prunescope.netcore import (ADAM_BLOCK, ROLE_BIAS, ROLE_WEIGHT, Network,
 from prunescope.pruner import PrunePlan, allocate_budget, apply_prune, verify_consistency
 
 from conftest import (group_l1_norm, group_tensors, make_net, make_toy_multihead,
-                      make_two_component_chain, predicted_removed_params)
+                      make_two_component_chain, predicted_removed_params, slot_graph)
 
 
 def autoencoder(latent=8, seed=0):
@@ -265,46 +267,81 @@ def test_l1_norms_equal_the_per_tensor_sums_bit_for_bit(make):
     assert graph.l1_norms(net.flat_values) == [group_l1_norm(net, g) for g in graph.groups]
 
 
-def test_penalty_refuses_l1_coefficients_of_the_wrong_length():
-    graph = build_groups(make_two_component_chain(seed=3), 1)
-    for coeffs in ([], [0.1] * (len(graph.groups) + 1)):
-        with pytest.raises(ConfigurationError, match="one L1 coefficient per group"):
-            graph.penalty(coeffs)
+SLOT_REFUSALS = {
+    # Scaled in place part by part, the signs on [2, 4) would add 0.75, not
+    # 1.0: the second part would scale the signs the first one had scaled.
+    "overlap": ([[(0, 4)], [(2, 6)]], r"slot \[2, 6\) .* the slots before it end at 4"),
+    "nested": ([[(0, 6)], [(2, 3)]], r"slot \[2, 3\) .* the slots before it end at 6"),
+    "below": ([[(-1, 2)], [(2, 6)]], r"group slot \[-1, 2\) does not tile the arena's 6 "
+                                     "elements: the slots before it end at 0"),
+    "past": ([[(0, 4)], [(4, 7)]], r"slot \[4, 7\) .* the slots before it end at 4"),
+    "empty": ([[(0, 3), (3, 3)], [(3, 6)]], r"slot \[3, 3\) .* the slots before it end at 3"),
+    "gap": ([[(0, 2)], [(3, 6)]], r"slot \[3, 6\) .* the slots before it end at 2"),
+    "short": ([[(0, 2)], [(2, 5)]], "the group slots end at 5, short of the arena's 6 "
+                                    "elements"),
+}
 
 
-def test_penalty_holds_the_runs_of_each_group_with_a_nonzero_coefficient():
+@pytest.mark.parametrize("case", sorted(SLOT_REFUSALS))
+def test_a_graph_refuses_slots_that_do_not_tile_the_arena(case):
+    """Slots that overlap, leave the arena, leave a gap or stop short are
+    refused when the graph is built, before a penalty, a read or the L1
+    norms could follow them."""
+    groups, match = SLOT_REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=match):
+        slot_graph(6, *groups)
+
+
+COEFF_REFUSALS = {
+    "negative": ([0.5, -0.5], "group 'g1': the L1 coefficient must be non-negative "
+                              "and finite, got -0.5"),
+    "nan": ([math.nan, 0.5], "group 'g0': .* got nan"),
+    "inf": ([0.5, math.inf], "group 'g1': .* got inf"),
+    "none": ([], "need one L1 coefficient per group, got 0"),
+    "short": ([0.5], "need one L1 coefficient per group, got 1"),
+    "long": ([0.5] * 3, "need one L1 coefficient per group, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COEFF_REFUSALS))
+def test_penalty_refuses_a_wrong_count_and_negative_or_non_finite_coefficients(case):
+    coeffs, match = COEFF_REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=match):
+        slot_graph(6, [(0, 2)], [(2, 6)]).penalty(coeffs)
+
+
+def test_penalty_binds_the_coefficients_to_the_graphs_one_table():
+    """Each penalty holds the graph's layout, its own coefficients and the
+    one block table the graph compiled: binding builds no table."""
     graph = build_groups(make_toy_multihead())
     coeffs = [0.5 * i for i in range(len(graph.groups))]
-    assert graph.penalty(coeffs).runs == [(lo, hi, coeff) for group, coeff
-                                          in zip(graph.groups[1:], coeffs[1:])
-                                          for lo, hi, _ in group.slots]
+    penalty = graph.penalty(coeffs)
+    assert penalty.coeffs == tuple(coeffs) and penalty.layout == graph.layout
+    assert penalty.blocks is graph.blocks is graph.penalty(coeffs[::-1]).blocks
 
 
-@pytest.mark.parametrize("make", [lambda: autoencoder(latent=8),
-                                  lambda: autoencoder(latent=512),
-                                  make_toy_multihead],
-                         ids=["latent8", "latent512", "toy_multihead"])
-def test_a_penalty_scales_one_part_per_run_of_equal_coefficient_in_each_block(make):
-    """``graph.penalty`` passes each slot with its group's coefficient, and
-    the penalty joins them: in each ``ADAM_BLOCK`` it scales one part per
-    maximal run of elements of equal non-zero coefficient, so a step makes
-    no more calls than the coefficients need. The coefficients are distinct
-    per group, equal for all, and equal in pairs with one zero."""
+@pytest.mark.parametrize("make, counts", [
+    (lambda: autoencoder(latent=8), {1, 2, 3}),
+    (lambda: autoencoder(latent=512), {1, 2}),
+    (make_toy_multihead, {5}),
+], ids=["latent8", "latent512", "toy_multihead"])
+def test_each_blocks_parts_are_the_maximal_runs_of_one_group(make, counts):
+    """In each ``ADAM_BLOCK`` the table holds one part per maximal run of
+    elements of one group, clipped to the block, and the parts tile the
+    block. A step scales each part with a non-zero coefficient by one call
+    and adds the task gradient by one more, so with distinct coefficients
+    it makes no more calls than one per such run plus one."""
     graph = build_groups(make())
-    n = len(graph.groups)
-    for coeffs in ([1e-3 * (i + 1) for i in range(n)], [1e-3] * n,
-                   [0.0 if i == 1 else 1e-3 * (1 + i // 2) for i in range(n)]):
-        per_element = np.zeros(graph.size)
-        for group, coeff in zip(graph.groups, coeffs):
-            for lo, hi, _ in group.slots:
-                per_element[lo:hi] = coeff
-        blocks = graph.penalty(coeffs)._blocks
-        assert len(blocks) == -(-graph.size // ADAM_BLOCK)
-        for k, block in enumerate(blocks):
-            want = per_element[k * ADAM_BLOCK:(k + 1) * ADAM_BLOCK]
-            edges = [0, *(np.flatnonzero(np.diff(want)) + 1).tolist(), want.size]
-            runs = [(a, b, float(want[a])) for a, b in zip(edges, edges[1:]) if want[a]]
-            assert (block[0] if block else []) == runs, k
+    owner = np.empty(graph.size, dtype=int)
+    for i, group in enumerate(graph.groups):
+        for lo, hi, _ in group.slots:
+            owner[lo:hi] = i
+    assert len(graph.blocks) == -(-graph.size // ADAM_BLOCK)
+    for k, parts in enumerate(graph.blocks):
+        want = owner[k * ADAM_BLOCK:(k + 1) * ADAM_BLOCK]
+        edges = [0, *(np.flatnonzero(np.diff(want)) + 1).tolist(), want.size]
+        assert list(parts) == [(a, b, int(want[a])) for a, b in zip(edges, edges[1:])], k
+    assert {len(parts) for parts in graph.blocks} == counts
 
 
 CALLERS = {

@@ -18,14 +18,14 @@ from prunescope import netcore
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.harness.config import AUTOENCODER_LATENTS, ModelConfig, build_model
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import (Adam, Network, Penalty, SGD, apply_activation, backward,
+from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
                                 build_sequential, forward, load_checkpoint,
                                 mse_loss, save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
                       make_two_component_chain, on_the_lane, predicted_removed_params,
-                      set_dyadic, with_activations)
+                      set_dyadic, slot_graph, with_activations)
 
 
 # -- activations -----------------------------------------------------------
@@ -408,60 +408,49 @@ def test_l1_subgradient_zero_coefficient_is_a_noop():
     assert np.signbit(read[0])  # -0.0 + 0 * sign(1.0) would be +0.0
 
 
-PENALTY_REFUSALS = {
-    # Scaled in place run by run, the signs on [2, 4) would add 0.75, not 1.0:
-    # the second run would scale the signs the first one had scaled.
-    "overlap": ([(0, 4, 0.5), (2, 6, 0.5)], r"penalty run \[2, 6\) overlaps another run"),
-    "nested": ([(0, 6, 0.5), (2, 3, 0.0)], r"penalty run \[2, 3\) overlaps another run"),
-    "below": ([(-1, 2, 0.5)], r"penalty run \[-1, 2\) is not a non-empty range of the "
-                              "arena's 6 elements"),
-    "past": ([(4, 7, 0.5)], r"penalty run \[4, 7\) is not a non-empty range"),
-    "empty": ([(3, 3, 0.5)], r"penalty run \[3, 3\) is not a non-empty range"),
-    "negative": ([(0, 2, -0.5)], "must be non-negative and finite, got -0.5"),
-    "nan": ([(0, 2, math.nan)], "must be non-negative and finite, got nan"),
-    "inf": ([(0, 2, math.inf)], "must be non-negative and finite, got inf"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PENALTY_REFUSALS))
-def test_a_penalty_refuses_overlapping_runs_runs_outside_the_arena_and_bad_coefficients(case):
-    runs, match = PENALTY_REFUSALS[case]
-    with pytest.raises(ConfigurationError, match=match):
-        Penalty(runs, 6)
-
-
 @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
                          ids=["SGD", "Adam"])
-def test_a_step_refuses_a_penalty_compiled_for_another_arena_size(make_opt):
-    net = make_net([3, 2], ["identity"], seed=0)
+def test_a_step_refuses_a_penalty_bound_for_another_layout(make_opt):
+    """Widths (2, 3, 2) and (3, 2, 3) both give 17 parameters, but their
+    slots end at other places: a penalty bound for one must not step the
+    other, whose arena it would cut at the wrong boundaries."""
+    net = make_net([2, 3, 2], ["relu", "identity"], seed=0)
+    other = make_net([3, 2, 3], ["relu", "identity"], seed=0)
+    assert other.param_count() == net.param_count() and other.layout != net.layout
     net.flat_grad[...] = 1.0
     before = net.flat_values.tobytes()
     opt = make_opt()
-    for size in (net.param_count() - 1, net.param_count() + 1):
-        with pytest.raises(ConfigurationError, match=rf"compiled for an arena of {size} "):
-            opt.step(net, Penalty([(0, 2, 0.5)], size))
+    with pytest.raises(ConfigurationError, match="another parameter layout"):
+        opt.step(net, build_groups(other, 1).penalty([0.5, 0.5]))
     assert net.flat_values.tobytes() == before
-    opt.step(net, Penalty([(0, 2, 0.5)], net.param_count()))
+    opt.step(net, build_groups(net, 1).penalty([0.5, 0.5]))
     assert net.flat_values.tobytes() != before
 
 
-def test_a_penalty_holds_runs_side_by_side_with_the_bits_of_adding_each_in_place(rng):
-    """Adjacent runs, a gap between runs and a zero-coefficient run in one
-    block: each element is read with at most one addition, as in place."""
+def test_a_penalty_holds_parts_side_by_side_with_the_bits_of_adding_each_in_place(rng):
+    """Parts of distinct coefficients side by side in one block, a group
+    of two adjacent slots, and zero-coefficient parts at both ends and in
+    between: each element is read with at most one addition, as in place,
+    and a zero part keeps its ``-0.0`` gradients."""
     theta = dyadic(rng, (10,))
     theta[[1, 6]] = 0.0
     g = dyadic(rng, (10,))
     g[[0, 4, 9]] = -0.0
-    runs = [(1, 3, 0.5), (3, 4, 0.25), (5, 8, 2.0), (8, 9, 0.0)]
+    graph = slot_graph(10, [(0, 1), (4, 5), (9, 10)], [(1, 3)], [(3, 4)],
+                       [(5, 7), (7, 8)], [(8, 9)])
+    assert graph.blocks == (((0, 1, 0), (1, 3, 1), (3, 4, 2), (4, 5, 0), (5, 8, 3),
+                             (8, 9, 4), (9, 10, 0)),)
+    coeffs = [0.0, 0.5, 0.25, 2.0, 0.0]
     want = g.copy()
-    for lo, hi, coeff in runs:
-        if coeff:
-            want[lo:hi] += coeff * np.sign(theta[lo:hi])
+    for group, coeff in zip(graph.groups, coeffs):
+        for lo, hi, _ in group.slots:
+            if coeff:
+                want[lo:hi] += coeff * np.sign(theta[lo:hi])
     task = g.tobytes()
-    read, own = Penalty(runs, 10).gradient(g, theta, 0, 10)
+    read, own = graph.penalty(coeffs).gradient(g, theta, 0, 10)
     assert own and read.tobytes() == want.tobytes() and g.tobytes() == task
-    assert Penalty(runs, 10).runs == runs[:3]
-    shared, own = Penalty([(8, 9, 0.0)], 10).gradient(g, theta, 0, 10)
+    assert np.signbit(read[[0, 4, 9]]).all()
+    shared, own = graph.penalty([0.0] * 5).gradient(g, theta, 0, 10)
     assert not own and np.shares_memory(shared, g)
 
 
@@ -487,8 +476,8 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
     task[::89] = -0.0
     coeffs = [1e-3 * i for i in range(len(graph.groups))]
     assert coeffs[0] == 0.0
-    # The zero-coefficient group ends inside a block that a penalized run
-    # fills: a gap whose -0.0 gradients, at -0.0 values, the step must keep
+    # The zero-coefficient group ends inside a block that a penalized part
+    # fills: a zero part whose -0.0 gradients, at -0.0 values, the step must keep
     # (SGD's -0.0 - lr * -0.0 is +0.0, and -0.0 - lr * +0.0 is -0.0).
     edge = max(hi for _, hi, _ in graph.groups[0].slots)
     assert edge % netcore.ADAM_BLOCK and coeffs[1] != 0.0
