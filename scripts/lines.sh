@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Print the line counts of src/ and tests/ in the working tree and at a git
-# revision (default HEAD), and the change from the revision to the tree.
+# Print the line counts of src/, tests/, bench/ and scripts/ in the working
+# tree and at a git revision (default HEAD), and the change from the
+# revision to the tree.
 # The working tree counts the tracked files and the untracked ones that git
 # does not ignore.
 #
@@ -12,7 +13,7 @@ rev=${1:-HEAD}
 git rev-parse --verify --quiet "$rev^{commit}" >/dev/null \
     || { echo "lines.sh: unknown revision $rev" >&2; exit 2; }
 printf '%-6s %8s %8s %8s\n' dir "$rev" tree delta
-for dir in src tests; do
+for dir in src tests bench scripts; do
     old=$(git archive "$rev" -- "$dir" | tar -xO | wc -l)
     new=$(git ls-files -z --cached --others --exclude-standard -- "$dir" \
           | xargs -0 -r sh -c 'for f; do [ -f "$f" ] && cat "$f"; done' sh | wc -l)

@@ -9,8 +9,8 @@ closure so the smaller network stays consistent.
 from .errors import (ConfigurationError, DataFormatError, InfeasiblePlanError,
                      NumericsError, PrunescopeError)
 from .importance import (BayesConfig, GroupImportanceState, bayes_importance,
-                         bayes_update, ema_update, init_states, metric_scores,
-                         rank_groups, states_from_doc, states_to_doc)
+                         ema_update, init_states, metric_scores, rank_groups,
+                         states_from_doc, states_to_doc)
 from .modelgraph import (ComponentGraph, MemberSlice, PruningGroup,
                          build_groups, export_manifest)
 from .netcore import (Adam, DenseLayer, Network, ParamTensor, SGD,
@@ -26,9 +26,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError", "DataFormatError", "InfeasiblePlanError",
     "NumericsError", "PrunescopeError",
-    "BayesConfig", "GroupImportanceState", "bayes_importance", "bayes_update",
-    "ema_update", "init_states", "metric_scores", "rank_groups",
-    "states_from_doc", "states_to_doc",
+    "BayesConfig", "GroupImportanceState", "bayes_importance", "ema_update",
+    "init_states", "metric_scores", "rank_groups", "states_from_doc",
+    "states_to_doc",
     "ComponentGraph", "MemberSlice", "PruningGroup", "build_groups",
     "export_manifest",
     "Adam", "DenseLayer", "Network", "ParamTensor", "SGD",

@@ -11,7 +11,7 @@ import numpy as np
 from ..artifacts import Fields, read_json, write_json
 from ..errors import ConfigurationError
 from ..importance import BayesConfig, check_gamma, check_metric_weights
-from ..netcore import Network, build_sequential, seeded_layer
+from ..netcore import Adam, Network, SGD, build_sequential, seeded_layer
 from ..scheduler import ScheduleConfig
 
 SEED_ENV_VAR = "PRUNESCOPE_SEED"
@@ -71,6 +71,9 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """A run's optimizer (``sgd`` takes ``lr`` only). Making the config
+    builds one, so the optimizer's own checks refuse bad settings here."""
+
     kind: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
@@ -78,8 +81,15 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.kind not in ("adam", "sgd"):
+        self.build()
+
+    def build(self) -> Adam | SGD:
+        """A fresh optimizer of these settings."""
+        if self.kind == "sgd":
+            return SGD(lr=self.lr)
+        if self.kind != "adam":
             raise ConfigurationError(f"unknown optimizer {self.kind!r}")
+        return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
 
 @dataclass(frozen=True)

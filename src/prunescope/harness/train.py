@@ -32,9 +32,8 @@ from ..errors import ConfigurationError, NumericsError
 from ..importance import (GroupImportanceState, METRIC_FIELDS, METRICS, Reader,
                           rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
-from ..netcore import (Adam, Network, SGD, backward, forward, load_checkpoint,
-                       mse_loss, one_blas_thread, save_checkpoint, second_lane,
-                       sidecar_path)
+from ..netcore import (Network, backward, forward, load_checkpoint, mse_loss,
+                       one_blas_thread, save_checkpoint, second_lane, sidecar_path)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -54,13 +53,6 @@ class TrainResult:
     config: ExperimentConfig
     final_task_loss: float
     test_mse: float
-
-
-def make_optimizer(cfg: ExperimentConfig):
-    opt = cfg.optimizer
-    if opt.kind == "sgd":
-        return SGD(lr=opt.lr)
-    return Adam(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
 
 
 def load_dataset(cfg: ExperimentConfig,
@@ -136,13 +128,14 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
     ``net``/``graph``/``data`` override the config when given, which is how
     fine-tuning reuses this loop on a pruned checkpoint. ``seed`` (else the
     PRUNESCOPE_SEED environment variable) and ``epochs`` are folded into the
-    config, so the result's ``config`` is the one that ran. BLAS runs one
+    config, so the result's ``config`` is the one that ran. It steps a fresh
+    ``cfg.optimizer.build()`` under each epoch's penalty. BLAS runs one
     thread (``netcore.one_blas_thread``), so ``OPENBLAS_NUM_THREADS`` changes
     no bit and the second lane is the run's only parallel path.
     """
     cfg = replace(cfg, seed=cfg.resolve_seed() if seed is None else seed,
                   epochs=cfg.epochs if epochs is None else epochs)
-    optimizer = make_optimizer(cfg)  # refuses bad settings before any build
+    optimizer = cfg.optimizer.build()
     if net is None:
         net = build_model(cfg.model, cfg.seed)
     if graph is None:
@@ -224,10 +217,9 @@ def finetune(checkpoint_path: str | Path, cfg: ExperimentConfig,
     The group decomposition is rebuilt from the checkpoint's own shapes using
     the ``layers_per_group`` recorded in its metadata (1 when it records
     none, whatever ``cfg`` holds); importance states start fresh so the
-    smoothed metrics describe the fine-tuning phase only. Bad optimizer
-    settings are refused before the checkpoint is read.
+    smoothed metrics describe the fine-tuning phase only. ``cfg`` refused
+    bad optimizer settings when it was made.
     """
-    make_optimizer(cfg)
     net, graph, _ = load_grouped(checkpoint_path)
     cfg = replace(cfg, layers_per_group=graph.layers_per_group)
     return run_training(cfg, net=net, graph=graph, epochs=epochs)

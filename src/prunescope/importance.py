@@ -7,7 +7,8 @@ Three per-group metrics are maintained from task-loss gradients only:
 * empirical Bayes: ``log(1 + mu) * (1 + fisher)`` where ``mu = alpha/beta``
   is the posterior mean rate of a Gamma prior over an exponential
   gradient-energy model, updated as ``alpha += kappa`` and
-  ``beta += kappa * E / eta`` per observation.
+  ``beta += kappa * E / eta`` per observation. :meth:`Reader.read` is the
+  library's one implementation of that conjugate update.
 
 The reads write nothing into the network. The step's L1 subgradient exists
 only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
@@ -104,25 +105,6 @@ def init_states(graph: ComponentGraph,
             for g in graph.groups}
 
 
-def _posterior(alpha: float, beta: float, energy: float,
-               cfg: BayesConfig) -> tuple[float, float]:
-    """The conjugate update's alpha + kappa and beta + kappa * E / eta."""
-    return alpha + cfg.kappa, beta + cfg.kappa * energy / cfg.eta
-
-
-def bayes_update(state: GroupImportanceState, energy: float,
-                 cfg: BayesConfig) -> GroupImportanceState:
-    """One conjugate update: alpha += kappa, beta += kappa * E / eta.
-
-    E = 0 is legal (beta unchanged, mu strictly increases); negative E is a
-    contract violation.
-    """
-    if not math.isfinite(energy) or energy < 0:
-        raise ConfigurationError(f"group energy must be finite and >= 0, got {energy}")
-    state.alpha, state.beta = _posterior(state.alpha, state.beta, energy, cfg)
-    return state
-
-
 def bayes_importance(mu: float, fisher: float) -> float:
     """Combine posterior mean and Fisher: log(1 + mu) * (1 + fisher)."""
     if mu < 0 or fisher < 0:
@@ -161,16 +143,17 @@ class Reader:
     back, then each unit layer's numerators from row 1, divided by each
     unit's weight count. A group's slot sums are added in slice order into
     the Fisher diagonal (1/N) sum g^2 and the gradient magnitude (1/N) sum
-    |g|, also the energy the Bayes tracker observes. A read is all or
-    nothing: if any group's gradient magnitude, Fisher value, Bayes score
-    or posterior beta is not finite, the first such group's
-    :class:`NumericsError` is raised and no state or unit score changes;
-    otherwise every group advances. So all groups share one gamma per read:
-    0 on the first, as a first observation replaces its zeros, and
-    ``gamma`` after, at which the unit arena is smoothed in one pass. Where
-    the slots lie and which of them feed each unit score was fixed by
-    :func:`build_groups`; the sums array follows the graph's slot table. The
-    stages of one reader share its arenas, so they run one at a time.
+    |g|, also the energy E of the library's one conjugate update, ``alpha +
+    kappa`` and ``beta + kappa * E / eta``. A read is all or nothing: if any
+    group's gradient magnitude, Fisher value, Bayes score or posterior beta
+    is not finite, the first such group's :class:`NumericsError` is raised
+    and no state or unit score changes; otherwise every group advances. So
+    all groups share one gamma per read: 0 on the first, as a first
+    observation replaces its zeros, and ``gamma`` after, at which the unit
+    arena is smoothed in one pass. Where the slots lie and which of them
+    feed each unit score was fixed by :func:`build_groups`; the sums array
+    follows the graph's slot table. The stages of one reader share its
+    arenas, so they run one at a time.
     """
 
     def __init__(self, net: Network, graph: ComponentGraph, cfg: BayesConfig,
@@ -237,7 +220,7 @@ class Reader:
         for view, out in self._slot_sums:
             np.add.reduce(view, 1, out=out)
         square_sums, magnitude_sums = self._sums.tolist()
-        scores, ema = self._scores, self._ema
+        scores, ema, cfg = self._scores, self._ema, self._cfg
         for a, axis, out in self._first_parts:
             np.add.reduce(a, axis, out=out)
         for a, axis, out in self._other_parts:
@@ -250,7 +233,7 @@ class Reader:
             # differently.
             raw_fisher = sum(square_sums[slots]) / group.param_count
             raw_grad = sum(magnitude_sums[slots]) / group.param_count
-            alpha, beta = _posterior(state.alpha, state.beta, raw_grad, self._cfg)
+            alpha, beta = state.alpha + cfg.kappa, state.beta + cfg.kappa * raw_grad / cfg.eta
             raw_bayes = bayes_importance(alpha / beta, raw_fisher)
             if not (math.isfinite(raw_grad) and math.isfinite(raw_fisher)
                     and math.isfinite(raw_bayes) and math.isfinite(beta)):

@@ -470,9 +470,9 @@ class Penalty:
     of ``layout``. ``blocks`` holds, for each ``ADAM_BLOCK``, its parts
     ``(a, b, group index)``: the block's maximal runs of one group's slots,
     clipped to the block, which tile it. Over each part the step reads the
-    task gradient plus ``coeffs[group] * sign(theta)`` (:meth:`gradient`).
-    :meth:`ComponentGraph.penalty` makes one per epoch, sharing the graph's
-    one table, which its constructor compiled and checked.
+    task gradient plus ``coeffs[group] * sign(theta)`` in a private array
+    (:meth:`gradient`); every optimizer step takes one. One per epoch,
+    :meth:`ComponentGraph.penalty` binds it to the graph's one table.
     """
 
     layout: tuple
@@ -480,21 +480,19 @@ class Penalty:
     coeffs: tuple[float, ...]
 
     def gradient(self, g: np.ndarray, theta: np.ndarray, lo: int,
-                 hi: int) -> tuple[np.ndarray, bool]:
-        """The gradient a step reads over the block ``[lo, hi)``, and whether
-        it is a private array the step may overwrite.
-
-        Where every part of the block has coefficient zero, that is the block
-        of ``g`` itself. Otherwise it is one new array: it takes the block's
-        signs, each part of non-zero coefficient is scaled by it in place,
-        ``g`` is added once over the block and copied over each part of
-        coefficient zero, so ``g`` keeps the task gradient. That has the bits
-        of adding the term to ``g`` in place: IEEE addition commutes, and the
-        copy keeps a zero part's ``-0.0``.
+                 hi: int) -> np.ndarray:
+        """The gradient a step reads over the block ``[lo, hi)``, in a new
+        array the step may overwrite: a copy of ``g``'s block where every
+        part has coefficient zero. Otherwise it takes the block's signs,
+        scales each part of non-zero coefficient by it in place, adds ``g``
+        once over the block and copies ``g`` over each part of coefficient
+        zero, so ``g`` keeps the task gradient. That has the bits of adding
+        the term to ``g`` in place: IEEE addition commutes, and the copy
+        keeps a zero part's ``-0.0``.
         """
         parts, coeffs = self.blocks[lo // ADAM_BLOCK], self.coeffs
         if not any(coeffs[i] for _, _, i in parts):
-            return g[lo:hi], False
+            return g[lo:hi].copy()
         gb = np.sign(theta[lo:hi])
         for a, b, i in parts:
             if coeffs[i]:
@@ -504,43 +502,40 @@ class Penalty:
         for a, b, i in parts:
             if not coeffs[i]:
                 gb[a:b] = g[lo + a:lo + b]
-        return gb, True
+        return gb
 
 
-def _gradient_reader(net: Network, penalty: Penalty | None) -> Callable[[int, int], tuple]:
-    """``gradient(lo, hi)`` for a step of ``net`` under ``penalty``: the
-    penalty's :meth:`Penalty.gradient`, or the shared block of ``flat_grad``
-    without one. A penalty bound for another parameter layout is refused."""
-    g, theta = net.flat_grad, net.flat_values
-    if penalty is None:
-        return lambda lo, hi: (g[lo:hi], False)
+def _check_penalty(net: Network, penalty: Penalty) -> None:
+    """Refuse anything but a :class:`Penalty` bound for ``net``'s layout."""
+    if not isinstance(penalty, Penalty):
+        raise ConfigurationError(f"a step takes a Penalty, got {type(penalty).__name__}")
     if penalty.layout != net.layout:
         raise ConfigurationError(
             "the penalty was bound for another parameter layout than the "
             "network's; bind it from build_groups(net).penalty")
-    return lambda lo, hi: penalty.gradient(g, theta, lo, hi)
 
 
 class SGD:
     """Plain gradient descent: ``theta -= lr * g``, where ``g`` is the task
     gradient plus the step's L1 subgradient, read as :class:`Adam` reads it.
-    A block allocates at most one array: with a penalized part, the penalized
-    gradient, which then holds ``lr * g``; without one, ``lr * g``."""
+    A block allocates one array, its private gradient, which then holds
+    ``lr * g``."""
 
     def __init__(self, lr: float = 1e-3) -> None:
-        if not lr > 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ConfigurationError("learning rate must be positive and finite")
         self.lr = float(lr)
 
-    def step(self, net: Network, penalty: Penalty | None = None) -> None:
+    def step(self, net: Network, penalty: Penalty) -> None:
         """Step ``net`` by its task gradients plus ``penalty``'s L1
         subgradient; ``net.flat_grad`` is left as it was."""
-        gradient, theta, lr = _gradient_reader(net, penalty), net.flat_values, self.lr
+        _check_penalty(net, penalty)
+        g, theta, lr = net.flat_grad, net.flat_values, self.lr
 
         def update(lo: int, hi: int) -> np.ndarray:
-            gb, own = gradient(lo, hi)
+            gb = penalty.gradient(g, theta, lo, hi)
             tb = theta[lo:hi]
-            tb -= np.multiply(gb, lr, out=gb if own else None)
+            tb -= np.multiply(gb, lr, out=gb)
             return tb
 
         _blockwise(net, update, "after SGD step")
@@ -558,23 +553,23 @@ class Adam:
     are checked for finiteness while still in cache. A step keeps the
     caller's BLAS thread count.
 
-    :meth:`step` takes the step's L1 term as a :class:`Penalty`, as
-    :meth:`ComponentGraph.penalty` binds it. Over each group's slots, ``g``
-    is the task gradient plus ``coeff * sign(theta)``, taken before the step
-    moves theta, in a private array of the block, so ``net.flat_grad`` keeps
-    the task gradients. A block allocates at most two arrays: one temporary,
-    and its penalized gradient, which holds ``lr*(m/c1)`` once the gradient
-    is read for the last time, or, without a penalized part, ``lr*(m/c1)``.
+    :meth:`step` takes the step's L1 term as a :class:`Penalty` bound for
+    the network's layout, or refuses it before anything moves. Over each
+    group's slots, ``g`` is the task gradient plus ``coeff * sign(theta)``,
+    taken before the step moves theta, in a private array of the block, so
+    ``net.flat_grad`` keeps the task gradients. A block allocates two
+    arrays: that gradient, which holds ``lr*(m/c1)`` once it is read for the
+    last time, and one temporary.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
-        if not lr > 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ConfigurationError("learning rate must be positive and finite")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigurationError("betas must lie in [0, 1)")
-        if not eps > 0:
-            raise ConfigurationError("eps must be positive")
+        if not 0 < eps < math.inf:
+            raise ConfigurationError("eps must be positive and finite")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -583,10 +578,10 @@ class Adam:
         self._m = self._v = np.empty(0)
         self._t = 0
 
-    def step(self, net: Network, penalty: Penalty | None = None) -> None:
+    def step(self, net: Network, penalty: Penalty) -> None:
         """Step ``net`` by its task gradients plus ``penalty``'s L1
         subgradient; ``net.flat_grad`` is left as it was."""
-        gradient = _gradient_reader(net, penalty)
+        _check_penalty(net, penalty)
         if net.layout != self._layout:
             n = net.flat_values.size
             self._layout = net.layout
@@ -597,10 +592,10 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1 = 1.0 - b1 ** self._t
         c2 = 1.0 - b2 ** self._t
-        theta, m, v = net.flat_values, self._m, self._v
+        g, theta, m, v = net.flat_grad, net.flat_values, self._m, self._v
 
         def update(lo: int, hi: int) -> np.ndarray:
-            gb, own = gradient(lo, hi)
+            gb = penalty.gradient(g, theta, lo, hi)
             mb, vb, tb = m[lo:hi], v[lo:hi], theta[lo:hi]
             np.multiply(mb, b1, out=mb)
             s = np.multiply(gb, 1.0 - b1)
@@ -612,7 +607,7 @@ class Adam:
             np.divide(vb, c2, out=s)
             np.sqrt(s, out=s)
             np.add(s, eps, out=s)
-            u = np.divide(mb, c1, out=gb if own else None)  # gb is read no more
+            u = np.divide(mb, c1, out=gb)  # gb is read no more
             np.multiply(u, lr, out=u)
             np.divide(u, s, out=u)
             return np.subtract(tb, u, out=tb)

@@ -13,9 +13,9 @@ from prunescope import netcore
 from prunescope.harness.cli import main
 from prunescope.harness.config import (DatasetConfig, ExperimentConfig, ModelConfig,
                                        build_model)
-from prunescope.importance import (BayesConfig, Reader, bayes_importance, bayes_update,
+from prunescope.importance import (BayesConfig, Reader, bayes_importance,
                                    ema_update, init_states, states_to_doc)
-from prunescope.modelgraph import ComponentGraph, PruningGroup
+from prunescope.modelgraph import ComponentGraph, PruningGroup, build_groups
 from prunescope.netcore import (Network, ParamTensor, ROLE_WEIGHT, apply_activation,
                                 build_sequential, forward, mse_loss)
 from prunescope.pruner import _RemovalLedger
@@ -34,6 +34,13 @@ def make_net(widths, activations, components=None, seed=0) -> Network:
     if components is None:
         components = {"body": (0, len(widths) - 1)}
     return build_sequential(widths, activations, components, seed)
+
+
+def zero_penalty(net: Network) -> netcore.Penalty:
+    """The penalty of an optimizer step with no L1 term: coefficient zero
+    for every group of ``build_groups(net)``."""
+    graph = build_groups(net)
+    return graph.penalty([0.0] * len(graph.groups))
 
 
 def set_dyadic(net: Network, rng: np.random.Generator) -> None:
@@ -98,9 +105,10 @@ def read_oracle(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
                 gamma: float) -> None:
     """One observation of ``net.flat_grad`` into ``states``, group by group
     and unit layer by unit layer: each slot's sum of g^2 and of |g| taken
-    on its own and added in slice order, and each unit layer's numerator
-    added part by part onto zeros. The reference :meth:`Reader.read` must
-    equal bit for bit on finite gradients."""
+    on its own and added in slice order, the conjugate update
+    ``alpha += kappa``, ``beta += kappa * E / eta`` written out, and each
+    unit layer's numerator added part by part onto zeros. The reference
+    :meth:`Reader.read` must equal bit for bit on finite gradients."""
     grad = net.flat_grad
     for group in graph.groups:
         st = states[group.id]
@@ -109,7 +117,7 @@ def read_oracle(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
                           for v in slots]) / group.param_count
         raw_grad = sum([float(np.add.reduce(np.abs(v), axis=None))
                         for v in slots]) / group.param_count
-        bayes_update(st, raw_grad, cfg)
+        st.alpha, st.beta = st.alpha + cfg.kappa, st.beta + cfg.kappa * raw_grad / cfg.eta
         g = gamma if st.iteration else 0.0
         st.raw_grad, st.raw_fisher = raw_grad, raw_fisher
         st.raw_bayes = bayes_importance(st.mu, raw_fisher)

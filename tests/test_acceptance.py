@@ -20,8 +20,7 @@ from prunescope.harness.config import (DatasetConfig, ExperimentConfig,
 from prunescope.harness.hypotheses import evaluate_hypotheses
 from prunescope.harness.train import run_training
 from prunescope.harness.trace import check_trace
-from prunescope.importance import (BayesConfig, GroupImportanceState, Reader, bayes_update,
-                                   ema_update)
+from prunescope.importance import BayesConfig, Reader, ema_update
 from prunescope.modelgraph import ComponentGraph, PruningGroup, build_groups
 from prunescope.netcore import backward, build_sequential, forward, mse_loss
 from prunescope.pruner import PrunePlan, apply_prune, verify_consistency
@@ -116,21 +115,31 @@ def test_criterion_2_metrics_match_brute_force():
 
 
 def test_criterion_3_bayes_recurrence_is_exact():
+    """The posterior is read from :meth:`Reader.read`, the update training
+    runs. Each read fills ``flat_grad`` with one dyadic magnitude, signs
+    drawn, so every group's energy E is that magnitude exactly."""
     cfg = BayesConfig()  # kappa 1/4, eta 1, alpha0 = beta0 = 1
     rng = np.random.default_rng(33)
-    state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
+    net = make_toy_multihead(seed=0)
+    signs = rng.choice([-1.0, 1.0], size=net.flat_grad.size)
+    reader = Reader(net, build_groups(net), cfg, 0.9)
     exact_beta = Fraction(1)
     energies = (rng.integers(1, 33, size=500) * 0.125).tolist()
     for t, energy in enumerate(energies, start=1):
-        state = bayes_update(state, energy, cfg)
+        np.multiply(signs, energy, out=net.flat_grad)
+        reader.read()
         exact_beta += Fraction(1, 4) * Fraction(energy)
-        assert state.alpha == 1.0 + 0.25 * t
-        assert state.beta == float(exact_beta)
-    state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
+        for state in reader.states.values():
+            assert state.alpha == 1.0 + 0.25 * t
+            assert state.beta == float(exact_beta)
+    reader = Reader(net, build_groups(net), cfg, 0.9)
+    np.multiply(signs, 2.0, out=net.flat_grad)
     for _ in range(2000):
-        state = bayes_update(state, 2.0, cfg)
-    drift = abs(state.mu - 0.5) / 0.5
-    ok = state.alpha == 501.0 and state.beta == 1001.0 and drift < 0.01
+        reader.read()
+    states = reader.states.values()
+    drift = max(abs(state.mu - 0.5) / 0.5 for state in states)
+    ok = (all(state.alpha == 501.0 and state.beta == 1001.0 for state in states)
+          and drift < 0.01)
     announce(3, ok, f"alpha/beta recurrences exact over 500 random updates; "
                     f"mu within {drift:.4%} of eta/E at t=2000")
     assert ok

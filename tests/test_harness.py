@@ -86,6 +86,23 @@ def test_dataset_config_validates():
         DatasetConfig(kind="mnist")  # needs a path
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(lr=0.0), "learning rate must be positive"),
+    (dict(lr=math.inf), "learning rate must be positive and finite"),
+    (dict(kind="sgd", lr=math.inf), "learning rate must be positive and finite"),
+    (dict(lr=math.nan), "learning rate must be positive and finite"),
+    (dict(beta1=1.0), r"betas must lie in \[0, 1\)"),
+    (dict(eps=math.inf), "eps must be positive and finite"),
+    (dict(eps=math.nan), "eps must be positive and finite"),
+], ids=["lr_zero", "adam_lr_inf", "sgd_lr_inf", "lr_nan", "beta1", "eps_inf", "eps_nan"])
+def test_an_optimizer_config_refuses_bad_settings_when_made(settings, message):
+    """The optimizer's own checks run when the config is made, so a config
+    built in Python is refused as one read from a file is (the file cases
+    are the CLI's). An infinite ``eps`` would make every update zero."""
+    with pytest.raises(ConfigurationError, match=message):
+        OptimizerConfig(**settings)
+
+
 def test_seed_env_var_overrides_the_config(monkeypatch):
     cfg = toy_config(seed=5)
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)

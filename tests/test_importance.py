@@ -9,9 +9,9 @@ import pytest
 
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
-                                   bayes_importance, bayes_update, ema_update,
-                                   init_states, metric_scores, rank_groups, ranked,
-                                   states_from_doc, states_to_doc)
+                                   bayes_importance, ema_update, init_states,
+                                   metric_scores, rank_groups, ranked, states_from_doc,
+                                   states_to_doc)
 from prunescope.modelgraph import build_groups
 from prunescope.netcore import Adam, backward, forward, mse_loss
 
@@ -85,22 +85,34 @@ def test_fisher_diag_by_hand():
 # -- conjugate updates --------------------------------------------------------
 
 
+def read_energies(energies):
+    """Each group's state after one :class:`Reader` read per row of
+    ``energies``, on a ``[2, 3, 2]`` network of two groups: every gradient
+    of a group is its energy in magnitude, signs alternating. A dyadic
+    magnitude is then the group's mean |g|, its energy E, exactly."""
+    net = make_net([2, 3, 2], ["relu", "identity"])
+    graph = build_groups(net, 1)
+    reader = Reader(net, graph, BayesConfig(), 0.9)
+    for row in energies:
+        for group, energy in zip(graph.groups, row):
+            for lo, hi, _ in group.slots:
+                net.flat_grad[lo:hi] = energy
+        net.flat_grad[::2] *= -1.0
+        reader.read()
+    return [reader.states[group.id] for group in graph.groups]
+
+
 def test_bayes_update_closed_form_single_step():
     """kappa and the dyadic energy are exact in float64, so one update gives
     alpha = 1.25 and beta = 1.5 exactly, hence mu = 5/6."""
-    cfg = BayesConfig()  # kappa 0.25, eta 1.0, alpha0 = beta0 = 1
-    state = GroupImportanceState("g", alpha=cfg.alpha0, beta=cfg.beta0)
-    bayes_update(state, 2.0, cfg)
+    state, _ = read_energies([(2.0, 1.0)])  # kappa 0.25, eta 1.0, alpha0 = beta0 = 1
     assert state.alpha == 1.25
     assert state.beta == 1.5
     assert state.mu == 1.25 / 1.5
 
 
 def test_bayes_update_closed_form_many_steps():
-    cfg = BayesConfig()
-    state = GroupImportanceState("g", alpha=1.0, beta=1.0)
-    for _ in range(8):
-        bayes_update(state, 0.5, cfg)
+    state, _ = read_energies([(0.5, 1.0)] * 8)
     assert state.alpha == 1.0 + 8 * 0.25
     assert state.beta == 1.0 + 8 * 0.25 * 0.5
 
@@ -108,10 +120,7 @@ def test_bayes_update_closed_form_many_steps():
 def test_posterior_mean_converges_to_eta_over_energy():
     """Constant energy E drives mu toward eta / E; after 2000 observations
     of E = 2 the posterior mean is 501/1001, within 1% of 0.5."""
-    cfg = BayesConfig()
-    state = GroupImportanceState("g", alpha=1.0, beta=1.0)
-    for _ in range(2000):
-        bayes_update(state, 2.0, cfg)
+    state, _ = read_energies([(2.0, 1.0)] * 2000)
     assert state.alpha == 501.0
     assert state.beta == 1001.0
     assert abs(state.mu - 0.5) / 0.5 < 0.01
@@ -120,31 +129,15 @@ def test_posterior_mean_converges_to_eta_over_energy():
 def test_persistently_energetic_groups_get_smaller_mu():
     """The update direction: energy inflates beta, so mu falls for active
     groups and rises for quiet ones."""
-    cfg = BayesConfig()
-    busy = GroupImportanceState("busy", alpha=1.0, beta=1.0)
-    quiet = GroupImportanceState("quiet", alpha=1.0, beta=1.0)
-    for _ in range(50):
-        bayes_update(busy, 4.0, cfg)
-        bayes_update(quiet, 0.01, cfg)
+    busy, quiet = read_energies([(4.0, 1 / 128)] * 50)
     assert busy.mu < quiet.mu
     assert quiet.mu > 1.0  # E < eta makes mu grow past its prior mean
 
 
 def test_zero_energy_is_legal_and_raises_mu():
-    cfg = BayesConfig()
-    state = GroupImportanceState("g", alpha=1.0, beta=1.0)
-    bayes_update(state, 0.0, cfg)
+    state, _ = read_energies([(0.0, 1.0)])
     assert state.beta == 1.0
     assert state.mu == 1.25
-
-
-def test_bad_energy_is_rejected():
-    cfg = BayesConfig()
-    state = GroupImportanceState("g", alpha=1.0, beta=1.0)
-    with pytest.raises(ConfigurationError):
-        bayes_update(state, -1.0, cfg)
-    with pytest.raises(ConfigurationError):
-        bayes_update(state, math.nan, cfg)
 
 
 def test_bayes_importance_by_hand():

@@ -25,7 +25,7 @@ from prunescope.pruner import PrunePlan, apply_prune
 
 from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
                       make_two_component_chain, on_the_lane, predicted_removed_params,
-                      set_dyadic, slot_graph, with_activations)
+                      set_dyadic, slot_graph, with_activations, zero_penalty)
 
 
 # -- activations -----------------------------------------------------------
@@ -325,7 +325,7 @@ def test_fd_gradient_restores_the_probed_parameter():
 def test_sgd_by_hand():
     net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     net.layers[0].weight.grad[...] = 2.0
-    SGD(lr=0.1).step(net)
+    SGD(lr=0.1).step(net, zero_penalty(net))
     np.testing.assert_array_equal(net.layers[0].weight.values, [[0.8]])
 
 
@@ -334,7 +334,7 @@ def test_adam_first_step_matches_hand_computation():
     g = 0.5
     net.layers[0].weight.grad[...] = g
     opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    opt.step(net)
+    opt.step(net, zero_penalty(net))
     m_hat = (1 - 0.9) * g / (1 - 0.9)
     v_hat = (1 - 0.999) * g * g / (1 - 0.999)
     expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -349,7 +349,7 @@ def test_adam_second_step_matches_hand_computation():
     theta = 1.0
     for t, g in enumerate([0.5, -0.25], start=1):
         net.layers[0].weight.grad[...] = g
-        opt.step(net)
+        opt.step(net, zero_penalty(net))
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         theta -= 0.1 * (m / (1 - 0.9 ** t)) / (
@@ -369,9 +369,9 @@ def test_adam_state_resets_when_a_tensor_changes_shape(rng):
             t.grad[...] = dyadic(rng, t.shape)
     fresh = pruned.copy()
     opt = Adam(lr=0.01)
-    opt.step(net)
-    opt.step(pruned)
-    Adam(lr=0.01).step(fresh)
+    opt.step(net, zero_penalty(net))
+    opt.step(pruned, zero_penalty(pruned))
+    Adam(lr=0.01).step(fresh, zero_penalty(fresh))
     assert pruned.flat_values.tobytes() == fresh.flat_values.tobytes()
 
 
@@ -387,7 +387,7 @@ def l1_gradient(values, grad, coeff) -> np.ndarray:
     net.layers[0].weight.grad[...] = [grad]
     task = net.flat_grad.tobytes()
     penalty = build_groups(net, 1).penalty([coeff])
-    read, _ = penalty.gradient(net.flat_grad, net.flat_values, 0, net.flat_grad.size)
+    read = penalty.gradient(net.flat_grad, net.flat_values, 0, net.flat_grad.size)
     assert net.flat_grad.tobytes() == task
     return read
 
@@ -427,6 +427,30 @@ def test_a_step_refuses_a_penalty_bound_for_another_layout(make_opt):
     assert net.flat_values.tobytes() != before
 
 
+@pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
+                         ids=["SGD", "Adam"])
+def test_a_step_refuses_anything_but_a_bound_penalty_before_its_state_moves(make_opt):
+    """``None``, bare coefficients and a penalty bound for another layout
+    are refused before the values move, or Adam's step count and moments."""
+    net = make_net([2, 3, 2], ["relu", "identity"], seed=0)
+    other = make_net([3, 2, 3], ["relu", "identity"], seed=0)
+    net.flat_grad[...] = 1.0
+    opt = make_opt()
+    opt.step(net, zero_penalty(net))
+
+    def state():
+        return (net.flat_values.tobytes(), getattr(opt, "_t", None),
+                *(getattr(opt, moment, np.empty(0)).tobytes() for moment in ("_m", "_v")))
+
+    before = state()
+    for penalty, message in ((None, "takes a Penalty, got NoneType"),
+                             ([0.5, 0.5], "takes a Penalty, got list"),
+                             (zero_penalty(other), "another parameter layout")):
+        with pytest.raises(ConfigurationError, match=message):
+            opt.step(net, penalty)
+        assert state() == before
+
+
 def test_a_penalty_holds_parts_side_by_side_with_the_bits_of_adding_each_in_place(rng):
     """Parts of distinct coefficients side by side in one block, a group
     of two adjacent slots, and zero-coefficient parts at both ends and in
@@ -447,11 +471,20 @@ def test_a_penalty_holds_parts_side_by_side_with_the_bits_of_adding_each_in_plac
             if coeff:
                 want[lo:hi] += coeff * np.sign(theta[lo:hi])
     task = g.tobytes()
-    read, own = graph.penalty(coeffs).gradient(g, theta, 0, 10)
-    assert own and read.tobytes() == want.tobytes() and g.tobytes() == task
+    read = graph.penalty(coeffs).gradient(g, theta, 0, 10)
+    assert read.tobytes() == want.tobytes() and g.tobytes() == task
     assert np.signbit(read[[0, 4, 9]]).all()
-    shared, own = graph.penalty([0.0] * 5).gradient(g, theta, 0, 10)
-    assert not own and np.shares_memory(shared, g)
+
+
+def test_a_block_of_zero_coefficients_is_read_as_a_private_copy(rng):
+    """A step may overwrite the gradient it reads: over a block whose
+    coefficients are all zero, that is a copy of ``flat_grad``'s block with
+    its bits, ``-0.0`` included, that shares no memory with it."""
+    theta, g = dyadic(rng, (10,)), dyadic(rng, (10,))
+    g[[2, 7]] = -0.0
+    graph = slot_graph(10, [(0, 4)], [(4, 10)])
+    read = graph.penalty([0.0, 0.0]).gradient(g, theta, 0, 10)
+    assert read.tobytes() == g.tobytes() and not np.shares_memory(read, g)
 
 
 @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.01)],
@@ -497,7 +530,7 @@ def test_a_penalized_step_has_the_bits_of_adding_the_term_in_place(force_lane, m
                         end = min(start + netcore.ADAM_BLOCK, hi)
                         term = np.sign(reference.flat_values[start:end])
                         g[start:end] += np.multiply(term, coeff, out=term)
-        ref_opt.step(reference)
+        ref_opt.step(reference, zero_penalty(reference))
         penalized.flat_grad[...] = task
         opt.step(penalized, graph.penalty(coeffs))
         assert penalized.flat_grad.tobytes() == task.tobytes()
@@ -517,7 +550,7 @@ def test_optimizer_names_the_non_finite_tensor(make_opt, context):
     net.layers[1].weight.grad[1, 7] = math.inf
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericsError, match=rf"values in layer1\.weight {context}"):
-        make_opt().step(net)
+        make_opt().step(net, zero_penalty(net))
 
 
 @pytest.mark.parametrize("stage", ["backward", "SGD", "Adam"])
@@ -537,7 +570,7 @@ def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
                 backward(net, acts, np.ones((3, 2)))
             else:
                 net.layers[1].weight.grad[1, 7] = math.inf
-                (SGD(lr=0.1) if stage == "SGD" else Adam(lr=0.1)).step(net)
+                (SGD(lr=0.1) if stage == "SGD" else Adam(lr=0.1)).step(net, zero_penalty(net))
         messages.append(str(err.value))
         assert ("pool" in netcore._LANE) == on
     assert messages[0] == messages[1]
@@ -781,7 +814,7 @@ def test_optimizer_rejects_non_finite_result():
     net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
     net.layers[0].weight.grad[...] = math.inf
     with pytest.raises(NumericsError):
-        SGD(lr=0.1).step(net)
+        SGD(lr=0.1).step(net, zero_penalty(net))
 
 
 # -- network structure -----------------------------------------------------
