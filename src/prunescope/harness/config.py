@@ -71,14 +71,16 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """A run's optimizer (``sgd`` takes ``lr`` only). Making the config
-    builds one, so the optimizer's own checks refuse bad settings here."""
+    """A run's optimizer. Making the config builds one, so the optimizer's
+    own checks refuse bad settings here. ``sgd`` takes ``lr`` only: it
+    refuses an Adam setting other than the default, and saves none."""
 
     kind: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    _ADAM_ONLY = ("beta1", "beta2", "eps")
 
     def __post_init__(self) -> None:
         self.build()
@@ -86,10 +88,18 @@ class OptimizerConfig:
     def build(self) -> Adam | SGD:
         """A fresh optimizer of these settings."""
         if self.kind == "sgd":
+            given = [f"{name}={getattr(self, name)!r}" for name in self._ADAM_ONLY
+                     if getattr(self, name) != getattr(OptimizerConfig, name)]
+            if given:
+                raise ConfigurationError(f"sgd takes lr only, got {', '.join(given)}")
             return SGD(lr=self.lr)
         if self.kind != "adam":
             raise ConfigurationError(f"unknown optimizer {self.kind!r}")
         return Adam(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+
+    def to_dict(self) -> dict:
+        skip = self._ADAM_ONLY if self.kind == "sgd" else ()
+        return {k: v for k, v in asdict(self).items() if k not in skip}
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The JSON-ready document (tuples are written as arrays)."""
-        return asdict(self)
+        return asdict(self) | {"optimizer": self.optimizer.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

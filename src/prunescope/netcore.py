@@ -436,9 +436,9 @@ def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
 # -- optimizers ----------------------------------------------------------
 
 
-# Elements per Adam block: the block's gradient, moments, values and two
-# temporaries (6 x 256 KiB = 1.5 MiB) stay in one core's 2 MiB L2 cache
-# through all the passes of the update.
+# Elements per Adam block: the block's moments, values and one temporary, its
+# private gradient (5 x 256 KiB = 1.25 MiB), stay in one core's 2 MiB L2
+# cache through the ten passes of the update.
 ADAM_BLOCK = 32768
 
 
@@ -544,23 +544,22 @@ class SGD:
 class Adam:
     """Adam with bias correction over the network's whole arena.
 
-    The first and second moments are flat arrays laid out like the arena.
-    A network with another layout (tensor names and shapes) than the last
-    one stepped starts the optimizer afresh: zero moments, step count 0.
-    The update runs in place, block by block, in the element-wise order
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
-    ``theta -= (lr*(m/c1)) / (sqrt(v/c2)+eps)``; each block's new values
-    are checked for finiteness while still in cache. A step keeps the
-    caller's BLAS thread count.
-
-    :meth:`step` takes the step's L1 term as a :class:`Penalty` bound for
-    the network's layout, or refuses it before anything moves. Over each
-    group's slots, ``g`` is the task gradient plus ``coeff * sign(theta)``,
-    taken before the step moves theta, in a private array of the block, so
-    ``net.flat_grad`` keeps the task gradients. A block allocates two
-    arrays: that gradient, which holds ``lr*(m/c1)`` once it is read for the
-    last time, and one temporary.
-    """
+    The moments are flat arrays laid out like the arena. A network of
+    another layout (tensor names and shapes) than the last one stepped
+    starts the optimizer afresh: zero moments, step count 0. Kingma and
+    Ba's ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``theta -= lr*(m/c1) / (sqrt(v/c2)+eps)`` with ``c = 1 - b**t`` runs
+    here with ``_m`` and ``_v`` holding the moments divided by ``1-b``:
+    ``m = b1*m + g``, ``v = b2*v + g*g``, ``theta -= alpha*(m/(sqrt(v)+eps_hat))``
+    with ``r = sqrt(c2/(1-b2))``, ``alpha = lr*(1-b1)/c1*r`` and
+    ``eps_hat = eps*r``, both taken once per step: equal in exact
+    arithmetic, the forms differ in rounding only. :meth:`step` refuses a
+    penalty not bound for the network's layout before anything moves. Each
+    block reads ``g``, the task gradient plus ``coeff * sign(theta)`` over
+    each group's slots, into a private array (:meth:`Penalty.gradient`),
+    its one allocation, which then holds ``g*g`` and the update; ten passes
+    follow, in place, and the new values are checked while in cache. A
+    step keeps ``net.flat_grad`` and the caller's BLAS thread count."""
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -589,27 +588,23 @@ class Adam:
             self._v = np.zeros(n)
             self._t = 0
         self._t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        c1 = 1.0 - b1 ** self._t
-        c2 = 1.0 - b2 ** self._t
+        b1, b2, t = self.beta1, self.beta2, self._t
+        r = math.sqrt((1.0 - b2 ** t) / (1.0 - b2))
+        alpha, eps_hat = self.lr * (1.0 - b1) / (1.0 - b1 ** t) * r, self.eps * r
         g, theta, m, v = net.flat_grad, net.flat_values, self._m, self._v
 
         def update(lo: int, hi: int) -> np.ndarray:
             gb = penalty.gradient(g, theta, lo, hi)
             mb, vb, tb = m[lo:hi], v[lo:hi], theta[lo:hi]
             np.multiply(mb, b1, out=mb)
-            s = np.multiply(gb, 1.0 - b1)
-            np.add(mb, s, out=mb)
+            np.add(mb, gb, out=mb)
             np.multiply(vb, b2, out=vb)
-            np.multiply(gb, 1.0 - b2, out=s)
-            np.multiply(s, gb, out=s)
-            np.add(vb, s, out=vb)
-            np.divide(vb, c2, out=s)
-            np.sqrt(s, out=s)
-            np.add(s, eps, out=s)
-            u = np.divide(mb, c1, out=gb)  # gb is read no more
-            np.multiply(u, lr, out=u)
-            np.divide(u, s, out=u)
+            np.multiply(gb, gb, out=gb)
+            np.add(vb, gb, out=vb)
+            u = np.sqrt(vb, out=gb)  # gb is read no more
+            np.add(u, eps_hat, out=u)
+            np.divide(mb, u, out=u)
+            np.multiply(u, alpha, out=u)
             return np.subtract(tb, u, out=tb)
 
         _blockwise(net, update, "after Adam step")

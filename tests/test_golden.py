@@ -8,7 +8,10 @@ arithmetic on purpose must say so and record new digests. The toy
 when a group's units became those of the non-output layers whose bias it
 owns: the states then score the decoder's consumed layer 3 instead of the
 output layer 5, and the toy plan takes head units. ``TRAINED`` and the
-parameter digests did not move.
+parameter digests did not move. Every digest was re-recorded once more when
+Adam's moments came to be kept divided by ``1 - beta``, with every scalar
+of the update folded into one step size: the same update in another
+rounding.
 
 ``run_training`` holds OpenBLAS at one thread, so a seed has one set of
 bits whatever ``OPENBLAS_NUM_THREADS`` says. The autoencoder's products are
@@ -35,14 +38,14 @@ from prunescope.importance import states_to_doc
 from prunescope.netcore import save_checkpoint
 from prunescope.pruner import allocate_budget, apply_prune
 
-TRAINED = "323cd4536642b3bdd29e74c7ae3a1ba9803c51354f0e8b424e8f9587ff181344"
-FINETUNED = "aba0e25da08a1436120585df2af1875dc9b48ef3bbf9a2fc4eb9e6dfd04e8fa5"
+TRAINED = "69eda82f74361ce932373030cd66154e39d77144cebb1f3332c38f033f439685"
+FINETUNED = "9390792b0846eab9a65bb80a03269f49b449600f4eecd1829e3d432d1bd1a1b7"
 # The autoencoder digests per BLAS core kernel, recorded with numpy 2.4.6 and
 # its scipy-openblas 0.3.31 at one BLAS thread, at the commit before the
-# second lane.
+# second lane, and re-recorded with Adam's unscaled moments.
 AUTOENCODER = {
-    "SkylakeX": ("a477e6fe4a90ad2972d1a0b8952c48186d635e5573fcb329e900da8fe3b30ae0",
-                 "0b9b4113cc17ac5c0bd1bde55a896e56395d3e7af550fbbe226f6552f68177d6"),
+    "SkylakeX": ("1f3fab3928f84ba694423791ee5e1cf28a81363094987ba74b9d2908434a4371",
+                 "e9b18c5bcd09f7894a95e83631595bdeade7cc8d143b0a0ce166b7eedac49548"),
 }
 
 

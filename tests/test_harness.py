@@ -94,7 +94,11 @@ def test_dataset_config_validates():
     (dict(beta1=1.0), r"betas must lie in \[0, 1\)"),
     (dict(eps=math.inf), "eps must be positive and finite"),
     (dict(eps=math.nan), "eps must be positive and finite"),
-], ids=["lr_zero", "adam_lr_inf", "sgd_lr_inf", "lr_nan", "beta1", "eps_inf", "eps_nan"])
+    (dict(kind="sgd", eps=0.0, beta1=5.0), r"sgd takes lr only, got beta1=5\.0, eps=0\.0"),
+    (dict(kind="sgd", beta2=0.5), r"sgd takes lr only, got beta2=0\.5"),
+    (dict(kind="sgd", eps=math.nan), "sgd takes lr only, got eps=nan"),
+], ids=["lr_zero", "adam_lr_inf", "sgd_lr_inf", "lr_nan", "beta1", "eps_inf", "eps_nan",
+        "sgd_eps_beta1", "sgd_beta2", "sgd_eps_nan"])
 def test_an_optimizer_config_refuses_bad_settings_when_made(settings, message):
     """The optimizer's own checks run when the config is made, so a config
     built in Python is refused as one read from a file is (the file cases
@@ -402,10 +406,16 @@ def test_a_training_run_allocates_one_read_arena(monkeypatch):
 
 def test_training_through_an_sgd_config(tmp_path):
     """An ``optimizer.kind: "sgd"`` config read from a file trains with plain
-    gradient descent: the loss falls, and the run differs from Adam's."""
+    gradient descent: the loss falls, and the run differs from Adam's. The
+    file holds only the settings SGD uses, and one that also gives Adam's
+    defaults loads as the same config."""
     path = tmp_path / "cfg.json"
     toy_config(epochs=6, optimizer=OptimizerConfig(kind="sgd", lr=0.05)).save(path)
+    doc = json.loads(path.read_text())
+    assert doc["optimizer"] == {"kind": "sgd", "lr": 0.05}
     cfg = ExperimentConfig.from_file(path)
+    doc["optimizer"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+    assert ExperimentConfig.from_dict(doc) == cfg
     assert cfg.optimizer.kind == "sgd"
     sgd = run_training(cfg)
     losses = [r.task_loss for r in sgd.records]

@@ -10,6 +10,7 @@ import textwrap
 import threading
 import time
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,6 +357,122 @@ def test_adam_second_step_matches_hand_computation():
             math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
     np.testing.assert_allclose(net.layers[0].weight.values, [[theta]],
                                rtol=0, atol=1e-15)
+
+
+# Each gradient of the accuracy test is G / 2**GRAD_BITS for an integer G.
+GRAD_BITS = 128
+
+
+def fixed_point(x: float, bits: int) -> int:
+    """The integer ``x * 2**bits``, which must be exact."""
+    n, d = x.as_integer_ratio()
+    assert d.bit_length() - 1 <= bits
+    return n * ((1 << bits) // d)
+
+
+def floor_scaled(x: int, k: int, bits: int) -> int:
+    """``floor(x * 2**(bits - k))``."""
+    return x >> (k - bits) if k >= bits else x << (bits - k)
+
+
+class ExactMoments:
+    """Adam's moments of every element, kept exactly: after ``t`` steps the
+    first moment is ``M / 2**(64t + GRAD_BITS)``, the first moment of |g|
+    ``A`` over the same power of two, and the second moment
+    ``V / 2**(64t + 2 GRAD_BITS)``. Every beta and ``1 - beta`` is a
+    multiple of ``2**-64``, so a step is integer arithmetic."""
+
+    def __init__(self, n: int, b1: float, b2: float) -> None:
+        self.b1, self.c1 = fixed_point(b1, 64), fixed_point(1.0 - b1, 64)
+        self.b2, self.c2 = fixed_point(b2, 64), fixed_point(1.0 - b2, 64)
+        self.m, self.a, self.v = [0] * n, [0] * n, [0] * n
+        self.t, self.b1_t, self.b2_t = 0, 1, 1
+
+    def step(self, g: np.ndarray) -> None:
+        shift = 64 * self.t
+        for i, x in enumerate(g.tolist()):
+            q = fixed_point(x, GRAD_BITS)
+            self.m[i] = self.b1 * self.m[i] + (self.c1 * q << shift)
+            self.a[i] = self.b1 * self.a[i] + (self.c1 * abs(q) << shift)
+            self.v[i] = self.b2 * self.v[i] + (self.c2 * q * q << shift)
+        self.t, self.b1_t, self.b2_t = self.t + 1, self.b1_t * self.b1, self.b2_t * self.b2
+
+    def moments(self, i: int) -> tuple[Fraction, Fraction]:
+        k = 64 * self.t + GRAD_BITS
+        return Fraction(self.m[i], 1 << k), Fraction(self.v[i], 1 << (k + GRAD_BITS))
+
+    def updates(self, lr: float, eps: float) -> list[tuple[float, float]]:
+        """Per element, the textbook update ``lr*(m/c1)/(sqrt(v/c2)+eps)``
+        and the same with the first moment of |g|, each rounded once to a
+        float. The moments, ``c1``, ``c2`` and the square root are cut to at
+        least 64 bits past ``2**-GRAD_BITS``: far below an ulp of either."""
+        k, extra = 64 * self.t, GRAD_BITS + 64
+        c1, c2 = (Fraction((1 << 256) - floor_scaled(p, k, 256), 1 << 256)
+                  for p in (self.b1_t, self.b2_t))
+        unit = Fraction(1, 1 << extra)
+        out = []
+        for m, a, v in zip(self.m, self.a, self.v):
+            root = math.isqrt(floor_scaled(v, k, 128) * c2.denominator // c2.numerator)
+            denominator = (root * unit + Fraction(eps)) * c1
+            out.append(tuple(float(Fraction(lr) * floor_scaled(x, k, 64) * unit / denominator)
+                             for x in (m, a)))
+        return out
+
+
+def adam_before_folding(m, v, g, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The element-wise order ``Adam`` had before it folded its scalars."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + ((1.0 - b2) * g) * g
+    return m, v, (lr * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+
+
+def test_adam_updates_are_within_128_ulps_of_exact_moments_in_either_order():
+    """Random gradients with |g| from 1e-10 to 1, for 2,000 steps. Each
+    update is compared with the textbook update on moments kept exactly,
+    in ulps of that update taken with the first moment of |g|: the scale at
+    which the first moment's sum cancels. ``Adam``'s order (moments divided
+    by ``1 - beta``, one step size) and the order before it both hold the
+    bound, so the folding costs no accuracy."""
+    rng = np.random.default_rng(7)
+    n, lr, eps = 6, 1e-3, 1e-8
+    net = Network([([[0.0] * n], [0.0], "identity")], {"body": (0, 1)})
+    opt, penalty = Adam(lr=lr, eps=eps), zero_penalty(net)
+    exact = ExactMoments(n, opt.beta1, opt.beta2)
+    m_f, v_f = Fraction(0), Fraction(0)
+    m_old = v_old = np.zeros(n)
+    worst = {"Adam": 0.0, "before": 0.0}
+    for t in range(1, 2001):
+        g = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-10.0, 0.0, n)
+        net.layers[0].weight.grad[0] = g
+        net.flat_values[:] = 0.0  # so the new value is minus the update, unrounded
+        opt.step(net, penalty)
+        m_old, v_old, u_old = adam_before_folding(m_old, v_old, g, t, lr, eps=eps)
+        exact.step(g)
+        if t <= 20:  # the integer bookkeeping is the Fraction recurrence
+            b1, b2 = Fraction(opt.beta1), Fraction(opt.beta2)
+            m_f = b1 * m_f + (1 - b1) * Fraction(g[0])
+            v_f = b2 * v_f + (1 - b2) * Fraction(g[0]) ** 2
+            assert exact.moments(0) == (m_f, v_f)
+        got = -net.layers[0].weight.values[0]
+        for i, (want, scale) in enumerate(exact.updates(lr, eps)):
+            for name, u in (("Adam", got[i]), ("before", u_old[i])):
+                worst[name] = max(worst[name], abs(u - want) / math.ulp(scale))
+    assert max(worst.values()) <= 128, worst
+
+
+def test_adam_stays_finite_past_the_step_where_beta2_to_the_t_underflows():
+    """0.999**t is 0.0 for t above about 745,000: the step size and
+    ``eps_hat`` then take their limits, and the values stay finite."""
+    net = Network([([[1.0, -2.0]], [0.5], "identity")], {"body": (0, 1)})
+    net.layers[0].weight.grad[...] = [[0.5, -1e-10]]
+    net.layers[0].bias.grad[...] = 1e-3
+    opt = Adam(lr=0.1)
+    opt.step(net, zero_penalty(net))
+    opt._t = 800_000
+    assert opt.beta2 ** (opt._t + 1) == 0.0
+    opt.step(net, zero_penalty(net))
+    for moment in (net.flat_values, opt._m, opt._v):
+        assert np.isfinite(moment).all()
 
 
 def test_adam_state_resets_when_a_tensor_changes_shape(rng):

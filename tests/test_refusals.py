@@ -57,6 +57,10 @@ CONFIG_CASES = {
     "optimizer_kind": ({"optimizer": {"kind": "rmsprop"}}, "unknown optimizer 'rmsprop'"),
     "adam_lr": ({"optimizer": {"lr": 0.0}}, "learning rate must be positive"),
     "sgd_lr": ({"optimizer": {"kind": "sgd", "lr": -0.1}}, "learning rate must be positive"),
+    # Adam's defaults stand in the file; SGD refuses only a changed one.
+    "sgd_eps": ({"optimizer": {"kind": "sgd", "eps": 0.0}}, "sgd takes lr only, got eps=0.0"),
+    "sgd_beta1": ({"optimizer": {"kind": "sgd", "beta1": 5.0}},
+                  "sgd takes lr only, got beta1=5.0"),
     "beta1": ({"optimizer": {"beta1": 1.0}}, "betas must lie in [0, 1)"),
     "beta2": ({"optimizer": {"beta2": -0.5}}, "betas must lie in [0, 1)"),
     "eps": ({"optimizer": {"eps": 0.0}}, "eps must be positive"),
