@@ -3,14 +3,15 @@
 working tree, and write one BENCH file; or render such a file as a table.
 
     python3 scripts/bench_pair.py --parent HEAD~1 --scratch /tmp/pair \\
-        --out BENCH_36.json [--pairs 10 --seconds 30 --seed 1]
+        --out BENCH_36.json
     python3 scripts/bench_pair.py --render BENCH_36.json
 
 The parent's files are unpacked with ``git archive`` into a fresh directory
-under ``--scratch``, so the repository gains no worktree entry. Each pair
-runs ``bench/run.py --trace 0`` once per workload of BENCHMARK.json on both
-sides, every run in a fresh process, and the side that goes first
-alternates from pair to pair. A side whose runs disagree in parameter
+under ``--scratch``, so the repository gains no worktree entry. Each of the
+ten pairs runs ``bench/run.py --seed 1 --trace 0`` once per workload of
+BENCHMARK.json on both sides, for the ``run_seconds`` that file sets, every
+run in a fresh process, and the side that goes first alternates from pair
+to pair. A side whose runs disagree in parameter
 fingerprint is refused; a parent whose fingerprint differs from the
 change's is recorded, since a change may move bits on purpose. The file
 holds the machine record, each side's fingerprints and, per workload and
@@ -32,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 1
 
 
 class PairError(Exception):
@@ -47,12 +50,20 @@ def unpack(rev: str, scratch: Path) -> Path:
     scratch.mkdir(parents=True, exist_ok=True)
     tree = Path(tempfile.mkdtemp(prefix="parent-", dir=scratch))
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(tree, filter="data")
+        # The archive is the repository's own, so Pythons that predate
+        # extraction filters (3.10.11, 3.11.3 and older) extract it as it is.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(tree, filter="data")
+        else:
+            tar.extractall(tree)
     return tree
 
 
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One fresh ``bench/run.py`` process: its report and result lines."""
+    """One fresh ``bench/run.py`` process: its report and result lines.
+
+    Like ``run_all`` in ``bench/run.py``, this reads the two JSON lines that
+    ``run_one`` prints last, so it follows any change to that format."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -129,18 +140,19 @@ def render(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def run_pairs(parent: Path, count: int, seed: int, seconds: float, spec: dict) -> list[dict]:
+def run_pairs(parent: Path, spec: dict) -> list[dict]:
     trees = {"parent": parent, "change": ROOT}
     pairs = []
-    for i in range(count):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {side: {} for side in SIDES}
         for side in order:
             for workload in spec["workloads"]:
-                run = bench_once(trees[side], workload["name"], seed, seconds)
+                run = bench_once(trees[side], workload["name"], SEED,
+                                 spec["run_seconds"])
                 pair[side][workload["name"]] = run
         pairs.append(pair)
-        print(f"pair {i + 1}/{count} done ({' then '.join(order)})", file=sys.stderr,
+        print(f"pair {i + 1}/{PAIRS} done ({' then '.join(order)})", file=sys.stderr,
               flush=True)
     return pairs
 
@@ -151,9 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", help="the git revision to pair against the tree")
     parser.add_argument("--scratch", type=Path, help="where the parent is unpacked")
     parser.add_argument("--out", type=Path, help="the BENCH file to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     try:
         if args.render:
@@ -162,11 +171,10 @@ def main(argv: list[str] | None = None) -> int:
         if not (args.parent and args.scratch and args.out):
             parser.error("--parent, --scratch and --out are needed to run pairs")
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-        pairs = run_pairs(unpack(args.parent, args.scratch), args.pairs, args.seed,
-                          args.seconds, spec)
+        pairs = run_pairs(unpack(args.parent, args.scratch), spec)
         doc = summarize(spec, pairs) | {
-            "command": {"parent": args.parent, "pairs": args.pairs, "seed": args.seed,
-                        "seconds": args.seconds}}
+            "command": {"parent": args.parent, "pairs": PAIRS, "seed": SEED,
+                        "seconds": spec["run_seconds"]}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
         print(render(doc))
         return 0

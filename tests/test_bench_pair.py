@@ -59,3 +59,19 @@ def test_the_writer_refuses_a_side_whose_fingerprints_disagree():
         bench_pair.summarize(SPEC, pairs)
     assert bench_pair.summarize(SPEC, fake_pairs(change_fp="aa"))["fingerprints"]["slow"][
         "equal"]
+
+
+def test_the_runner_takes_its_run_length_from_the_spec_and_alternates_sides(monkeypatch):
+    calls = []
+
+    def fake_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        return run(1.0, 1.0)
+
+    monkeypatch.setattr(bench_pair, "bench_once", fake_once)
+    pairs = bench_pair.run_pairs(Path("parent"), SPEC | {"run_seconds": 7})
+    assert len(pairs) == bench_pair.PAIRS == 10
+    assert {(seed, seconds) for _, _, seed, seconds in calls} == {(1, 7)}
+    firsts = [calls[4 * i][0] for i in range(bench_pair.PAIRS)]
+    assert firsts[:2] == ["parent", bench_pair.ROOT.name] and firsts[2] == "parent"
+    assert [w for _, w, _, _ in calls[:4]] == ["fast", "slow", "fast", "slow"]
