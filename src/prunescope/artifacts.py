@@ -1,8 +1,9 @@
 """Artifact I/O: one reader, one typed field accessor, one atomic writer.
 
-Every artifact is read by :func:`read_json` or :func:`read_csv` and its
-fields are taken through :class:`Fields`, so a malformed artifact of any
-kind ends as one :class:`DataFormatError` naming the document and the field.
+Every artifact is opened by :func:`open_artifact`, parsed by
+:func:`parse_json` or :func:`read_csv`, and its fields are taken through
+:class:`Fields`, so a malformed artifact of any kind ends as one
+:class:`DataFormatError` naming the document and the field.
 Every artifact is written by :func:`write_atomic`: a temporary file beside
 the target, then ``os.replace``, so a reader sees the old bytes or the new
 and never a part. There is no fsync; the aim is atomic visibility, not
@@ -11,13 +12,14 @@ durability across a power cut.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import DataFormatError, NumericsError
 
@@ -29,36 +31,47 @@ def _show(value: object) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _decode(path: Path, what: str) -> str:
+@contextlib.contextmanager
+def open_artifact(path: str | Path, what: str) -> Iterator[BinaryIO]:
+    """``path`` opened for binary reading; an ``OSError`` ends as a
+    :class:`DataFormatError` naming ``what`` and ``path``."""
     try:
-        return path.read_bytes().decode("utf-8")
+        with open(path, "rb") as fh:
+            yield fh
     except FileNotFoundError:
         raise DataFormatError(f"{what} {path} does not exist") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise DataFormatError(f"cannot read {what} {path}: {exc}") from None
+
+
+def parse_json(data: bytes, path: str | Path, what: str) -> Any:
+    """The JSON document ``data`` of the file ``path``, decoded as strict UTF-8."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    # ValueError also covers bytes that are not UTF-8 and integers past the digit limit.
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def read_json(path: str | Path, what: str) -> Any:
     """The parsed JSON document at ``path``; ``what`` names it in errors."""
-    text = _decode(Path(path), what)
-    try:
-        return json.loads(text)
-    # ValueError also covers integer literals past the interpreter's digit limit.
-    except (ValueError, RecursionError) as exc:
-        raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from None
+    with open_artifact(path, what) as fh:
+        return parse_json(fh.read(), path, what)
 
 
 def read_csv(path: str | Path, what: str, header: Sequence[str]) -> list[Fields]:
     """The rows of a CSV file whose first line must be ``header``, each as
     text :class:`Fields` keyed by column name."""
-    reader = csv.DictReader(io.StringIO(_decode(Path(path), what), newline=""))
+    with open_artifact(path, what) as fh:
+        data = fh.read()
     try:
+        reader = csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))
         if tuple(reader.fieldnames or ()) != tuple(header):
             raise DataFormatError(f"{what} {path} has header {reader.fieldnames}, "
                                   f"expected {list(header)}")
         return [Fields(row, f"{what} row {reader.line_num} of {path}", text=True)
                 for row in reader]
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{what} {path} is not valid CSV: {exc}") from None
 
 
@@ -176,11 +189,15 @@ def write_atomic(path: str | Path, data: str | bytes | memoryview) -> None:
         raise
 
 
-def write_json(path: str | Path, doc: object, indent: int | None = None) -> None:
-    """Replace ``path`` by ``doc`` as strict JSON (RFC 8259); a NaN or an
-    infinity is refused before ``path`` is touched."""
+def encode_json(doc: object, path: str | Path, indent: int | None = None) -> str:
+    """``doc`` as strict JSON (RFC 8259) for the file ``path``: a NaN or an
+    infinity is refused. With no ``indent`` the text holds no raw newline."""
     try:
-        text = json.dumps(doc, indent=indent, allow_nan=False)
+        return json.dumps(doc, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise NumericsError(f"cannot write {path}: {exc}") from None
-    write_atomic(path, text)
+
+
+def write_json(path: str | Path, doc: object, indent: int | None = None) -> None:
+    """Replace ``path`` by ``doc`` as :func:`encode_json` gives it."""
+    write_atomic(path, encode_json(doc, path, indent))

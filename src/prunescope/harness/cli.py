@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("prune", help="plan and apply structured pruning")
-    p.add_argument("--checkpoint", required=True, help="trained checkpoint JSON")
+    p.add_argument("--checkpoint", required=True,
+                   help="trained checkpoint file (its first line is the JSON header)")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--sparsity", type=float, default=None,
                         help="target fraction of parameters to remove, in (0, 1)")
@@ -101,12 +102,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"trained {result.config.epochs} epochs, seed {result.config.seed}")
     print(f"final task loss {result.final_task_loss:.6g}, "
           f"test mse {result.test_mse:.6g}")
-    for name in ("checkpoint", "params", "trace_csv", "states", "summary"):
+    for name in ("checkpoint", "trace_csv", "states", "summary"):
         print(f"wrote {paths[name]}")
     return 0
 
 
+def refuse_overwriting_the_input(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` whose checkpoint is the input ``--checkpoint``
+    file, however either path is spelled."""
+    out = args.out and Path(args.out, "checkpoint.json")
+    if out and out.resolve() == Path(args.checkpoint).resolve():
+        raise PrunescopeError(f"--out {args.out} would overwrite the input "
+                              f"checkpoint {args.checkpoint}")
+
+
 def cmd_prune(args: argparse.Namespace) -> int:
+    refuse_overwriting_the_input(args)
     if args.apply:
         refused = [f"--{name}" for name in ("metric", "states", "protect", "weights", "plan")
                    if getattr(args, name)]
@@ -151,6 +162,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
+    refuse_overwriting_the_input(args)
     cfg = ExperimentConfig.from_file(args.config)
     result = finetune(args.checkpoint, cfg, args.epochs)
     paths = save_outputs(result, args.out,

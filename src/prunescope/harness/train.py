@@ -33,7 +33,7 @@ from ..importance import (GroupImportanceState, METRIC_FIELDS, METRICS, Reader,
                           rank_groups, states_to_doc)
 from ..modelgraph import ComponentGraph, build_groups, export_manifest
 from ..netcore import (Network, backward, forward, load_checkpoint, mse_loss,
-                       one_blas_thread, save_checkpoint, second_lane, sidecar_path)
+                       one_blas_thread, save_checkpoint, second_lane)
 from ..scheduler import lambda_weight_at, schedule_row, total_loss
 from .config import ExperimentConfig, build_model
 from .data import load_image_matrix, synthetic_dataset
@@ -250,7 +250,6 @@ def save_outputs(result: TrainResult, out_dir: str | Path,
     paths = {
         "config": out / "config.json",
         "checkpoint": out / "checkpoint.json",
-        "params": sidecar_path(out / "checkpoint.json"),
         "trace_csv": out / "trace.csv",
         "states": out / "states.json",
         "manifest": out / "manifest.json",

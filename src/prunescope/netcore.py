@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
-from .artifacts import Fields, read_json, write_atomic, write_json
+from .artifacts import Fields, encode_json, open_artifact, parse_json, write_atomic
 from .errors import ConfigurationError, DataFormatError, NumericsError
 
 ACTIVATIONS = ("relu", "sigmoid", "identity")
@@ -810,37 +810,23 @@ class _Lane:
 # -- checkpoints ---------------------------------------------------------
 
 CHECKPOINT_FORMAT = "prunescope.checkpoint"
-CHECKPOINT_VERSION = 2
-
-
-def sidecar_path(header: str | Path) -> Path:
-    """The parameter sidecar that pairs with a checkpoint header: the
-    header's path with its suffix replaced by ``.f64``."""
-    return Path(header).with_suffix(".f64")
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(net: Network, path: str | Path,
                     meta: dict | None = None) -> None:
-    """Write the network as a checkpoint pair, bitwise round trip.
+    """Write the network as one checkpoint file, bitwise round trip.
 
-    The sidecar, ``path`` with its suffix replaced by ``.f64``, holds
+    The file is the header, strict JSON on one line, then ``\\n``, then
     ``net.flat_values`` as raw little-endian float64 in arena order. The
-    header at ``path`` is strict JSON: each layer's activation, shape and
-    input, the components, ``meta``, and ``params_sha256``, the SHA-256 of
-    the sidecar's bytes. The sidecar is written first, so a crash between
-    the two writes leaves a pair whose digests disagree, which
-    :func:`load_checkpoint` refuses. A ``path`` that ends in ``.f64`` is
-    refused: it would be its own sidecar.
+    header holds each layer's activation, shape and input, the components,
+    ``meta``, and ``params_sha256``, the SHA-256 of the parameter bytes. One
+    :func:`write_atomic` call writes the file.
     """
     import hashlib  # imported here: it costs milliseconds that a CLI start would pay
 
-    path, sidecar = Path(path), sidecar_path(path)
-    if sidecar == path:
-        raise ConfigurationError(f"checkpoint header {path} cannot end in .f64, "
-                                 "the suffix of its sidecar")
     raw = np.asarray(net.flat_values, dtype="<f8")  # the arena itself on a little-endian host
-    write_atomic(sidecar, raw.data)
-    write_json(path, {
+    header = encode_json({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "layers": [
@@ -855,58 +841,56 @@ def save_checkpoint(net: Network, path: str | Path,
         "components": [[name, lo, hi] for name, (lo, hi) in net.components.items()],
         "meta": dict(meta or {}),
         "params_sha256": hashlib.sha256(raw).hexdigest(),
-    })
+    }, path)
+    write_atomic(path, b"".join((header.encode("ascii"), b"\n", raw.data)))
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
-    """Load a checkpoint pair written by :func:`save_checkpoint`.
+    """Load a checkpoint file written by :func:`save_checkpoint`.
 
-    Returns the reconstructed network and the stored metadata dict. Every
-    field of the header is checked first. The sidecar's size must then be
-    8 bytes per parameter the recorded shapes hold, checked before the
-    network allocates its arena, so a header cannot claim more memory than
-    its sidecar holds. The sidecar is read straight into the arena, and its
-    SHA-256 must equal the header's ``params_sha256``. A malformed header and
-    a missing, wrong-size or foreign sidecar raise :class:`DataFormatError`.
+    Returns the network and its metadata dict. The header line is parsed as
+    :func:`read_json` parses a file and every field checked, format and
+    version first. Before the arena is allocated, the line must end in
+    ``\\n`` and the rest hold 8 bytes per parameter of the shapes. The rest
+    is read into the arena; its SHA-256 must equal ``params_sha256``. Every
+    refusal is a :class:`DataFormatError`.
     """
     import hashlib  # imported here: it costs milliseconds that a CLI start would pay
 
-    doc = Fields.document(read_json(path, "checkpoint"), f"checkpoint {path}",
-                          CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
-    layers = doc.arr("layers")
-    entries = [layers.obj(k) for k in layers.keys()]
-    shapes = [(entry.int("out", low=1), entry.int("in", low=1), entry.str("activation"))
-              for entry in entries]
-    components = doc.arr("components")
-    bounds = {}
-    for c in components.keys():
-        name_lo_hi = components.arr(c, length=3)
-        name = name_lo_hi.str(0)
-        if name in bounds:
-            components.fail(c, f"repeats the component name {name!r}")
-        bounds[name] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
-    inputs = [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)]
-    meta = dict(doc.obj("meta", {}).value)
-    digest = doc.str("params_sha256")
-    sidecar = sidecar_path(path)
-    expected = 8 * sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
-    try:
-        with open(sidecar, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                raise DataFormatError(
-                    f"checkpoint sidecar {sidecar} holds {size} bytes; the layer "
-                    f"shapes of {path} need {expected}")
-            # Zeros that take no memory of their own: the sidecar is read
-            # straight into the arena.
-            net = Network([(np.broadcast_to(0.0, (out_dim, in_dim)),
-                            np.broadcast_to(0.0, out_dim), activation)
-                           for out_dim, in_dim, activation in shapes], bounds, inputs)
-            fh.readinto(memoryview(net.flat_values).cast("B"))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read checkpoint sidecar {sidecar}: {exc}") from None
+    with open_artifact(path, "checkpoint") as fh:
+        line = fh.readline()
+        doc = Fields.document(parse_json(line, path, "checkpoint"), f"checkpoint {path}",
+                              CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+        layers = doc.arr("layers")
+        entries = [layers.obj(k) for k in layers.keys()]
+        shapes = [(entry.int("out", low=1), entry.int("in", low=1), entry.str("activation"))
+                  for entry in entries]
+        components = doc.arr("components")
+        bounds = {}
+        for c in components.keys():
+            name_lo_hi = components.arr(c, length=3)
+            name = name_lo_hi.str(0)
+            if name in bounds:
+                components.fail(c, f"repeats the component name {name!r}")
+            bounds[name] = (name_lo_hi.int(1, low=0), name_lo_hi.int(2, low=0))
+        inputs = [e.int("input", k - 1, low=-1) for k, e in enumerate(entries)]
+        meta = dict(doc.obj("meta", {}).value)
+        digest = doc.str("params_sha256")
+        if not line.endswith(b"\n"):
+            raise DataFormatError(f"checkpoint {path} has no newline after its header line")
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        expected = 8 * sum(out_dim * (in_dim + 1) for out_dim, in_dim, _ in shapes)
+        if size != expected:
+            raise DataFormatError(f"checkpoint {path} holds {size} bytes after its "
+                                  f"header line; its layer shapes need {expected}")
+        # Zeros that take no memory of their own: the file's parameter bytes
+        # are read straight into the arena.
+        net = Network([(np.broadcast_to(0.0, (out_dim, in_dim)),
+                        np.broadcast_to(0.0, out_dim), activation)
+                       for out_dim, in_dim, activation in shapes], bounds, inputs)
+        fh.readinto(memoryview(net.flat_values).cast("B"))
     if hashlib.sha256(net.flat_values).hexdigest() != digest:
-        raise DataFormatError(f"checkpoint sidecar {sidecar} does not hold the parameters "
-                              f"of {path}: their SHA-256 differs from 'params_sha256'")
+        raise DataFormatError(f"checkpoint {path} is corrupted: the SHA-256 of its "
+                              "parameters differs from 'params_sha256'")
     net.flat_values[...] = net.flat_values.view("<f8")  # a no-op on a little-endian host
     return net, meta

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import shutil
 import threading
 
 import numpy as np
@@ -284,11 +283,20 @@ def damaged(src, dst, damage):
     return str(dst)
 
 
-def copied_checkpoint(src, dst, damage=lambda doc: None):
-    """Copy a checkpoint pair: the header to ``dst`` with ``damage`` applied
-    to its document, and its sidecar unchanged beside it."""
-    shutil.copyfile(netcore.sidecar_path(src), netcore.sidecar_path(dst))
-    return damaged(src, dst, damage)
+def checkpoint_parts(path) -> tuple[dict, bytes]:
+    """A checkpoint file's header document and the parameter bytes after
+    its header line."""
+    header, _, params = path.read_bytes().partition(b"\n")
+    return json.loads(header), params
+
+
+def copied_checkpoint(src, dst, damage=lambda doc: None, params=None):
+    """Copy a checkpoint file to ``dst`` with ``damage`` applied to its
+    header document and its parameter bytes kept (or ``params`` instead)."""
+    doc, kept = checkpoint_parts(src)
+    damage(doc)
+    dst.write_bytes(json.dumps(doc).encode() + b"\n" + (kept if params is None else params))
+    return str(dst)
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ from prunescope.errors import DataFormatError, NumericsError
 from prunescope.harness.cli import main
 from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
 from prunescope.harness.train import run_training, save_outputs
-from prunescope.netcore import save_checkpoint
+from prunescope.netcore import load_checkpoint, save_checkpoint
 
-from conftest import make_toy_multihead
+from conftest import checkpoint_parts, make_toy_multihead
 
 # SHA-256 of each file a seeded toy train + prune writes, recorded with the
 # encoders as they were before every write went through write_atomic;
@@ -25,14 +25,14 @@ from conftest import make_toy_multihead
 # digest is that of the version-1 base64 payloads it replaced, decoded and
 # concatenated in layer order (weight, then bias). The trained and pruned
 # files' digests were re-recorded when Adam came to keep its moments divided
-# by 1 - beta: the same update in another rounding.
+# by 1 - beta: the same update in another rounding. The two checkpoints were
+# re-recorded when a checkpoint became one file (version 3): the version-2
+# header with its version set to 3, a newline, then the sidecar's bytes.
 ARTIFACT_DIGESTS = {
-    "pruned/checkpoint.f64": "843dc2c1b1dfdfccf21bab4e0cb455112c09707a63b4afaaef68a7087f34b3b4",
-    "pruned/checkpoint.json": "4030b97069fa8ee51e7b0e76d09cbb5f8e0b3e3ee99bd07f7e53d86a887ff0e1",
+    "pruned/checkpoint.json": "5de809812890803bb4ba9a0405b98b32c44bbb69df4b28aa72a2e05f1dba7cc6",
     "pruned/manifest.json": "8e5d1cbee6717001e7ceecd7dc5fe24f13bdaec28b8c4414abfc48740fdd97ef",
     "pruned/plan.json": "025e3930c8ce15489e8daabef8b69e6e55c8fa7fac88eba699bf06b437c95c0a",
-    "run/checkpoint.f64": "449c20db8f51b0406df4e6dcd1ff3d3c39aa75ffb82b93fb03b17734d4d464e0",
-    "run/checkpoint.json": "8c431dce731d76bff6448bd32a4969f89a225c5438b2cc66085bef55b79476bf",
+    "run/checkpoint.json": "9a5e71d8bdf89ed20d57bf6b60628fac6ded7d83a79b5f1168514b1fa9203127",
     "run/config.json": "4e98f0495e271faeef05728b88fba0144349635bbc7acc1d26672a668d9a8a45",
     "run/manifest.json": "11ee9c871c41f5bab3139b8c848cae85035509da61faa5f794b9435f5c54b585",
     "run/states.json": "fa568c4075537a0ad95ee354415d00d0aae39f0dbcc9af5ed4c0f101f4497d2c",
@@ -88,28 +88,30 @@ def test_write_atomic_replaces_without_newline_translation(tmp_path):
     assert os.listdir(tmp_path) == ["a.csv"]
 
 
-def test_a_crash_between_the_sidecar_and_the_header_leaves_a_pair_verify_refuses(
-        tmp_path, monkeypatch, capsys):
+def test_a_failed_replace_keeps_the_old_checkpoint_loadable_with_its_digest(
+        tmp_path, monkeypatch):
+    """A checkpoint goes out in one write: when its ``os.replace`` fails,
+    the previous file loads with its previous parameters and digest, and no
+    temporary file is left."""
     path = tmp_path / "checkpoint.json"
     net = make_toy_multihead(seed=0)
     save_checkpoint(net, path)
+    before, params = path.read_bytes(), net.flat_values.tobytes()
     net.flat_values[0] += 1.0
-    replace = os.replace
 
-    def die_at_the_header(src, dst):
-        if str(dst).endswith(".json"):
-            raise KeyboardInterrupt  # the process is killed after the sidecar's rename
-        replace(src, dst)
+    def refuse(src, dst):
+        raise OSError("replace refused")
 
-    monkeypatch.setattr(os, "replace", die_at_the_header)
-    with pytest.raises(KeyboardInterrupt):
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
         save_checkpoint(net, path)
     monkeypatch.undo()
-    assert sorted(os.listdir(tmp_path)) == ["checkpoint.f64", "checkpoint.json"]
-    capsys.readouterr()
-    assert main(["verify", "--checkpoint", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "checkpoint.f64 does not hold the parameters" in err
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
+    assert path.read_bytes() == before
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat_values.tobytes() == params
+    assert (checkpoint_parts(path)[0]["params_sha256"]
+            == hashlib.sha256(loaded.flat_values).hexdigest())
 
 
 @pytest.mark.parametrize("read, value, message", [

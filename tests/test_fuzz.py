@@ -5,15 +5,17 @@ importance states, prune plan, and the trace CSV) are
 truncated, retyped and stripped of keys, then fed through ``main``. Whatever
 the damage, ``main`` must return 0 or 2 and no exception may escape. A
 document that no longer parses, or whose whole value was retyped, must exit 2
-with an ``error:`` line, and so must a checkpoint whose parameter sidecar is
-truncated, has one byte changed or is gone. Examples are derived
+with an ``error:`` line. A checkpoint's header line is damaged the same way
+with its parameter bytes kept; a checkpoint whose parameter bytes are cut
+short, one float64 too long, missing with the header's newline, changed in
+one byte or spliced in from another network must exit 2 with one ``error:``
+line naming the file, as a ``DataFormatError``. Examples are derived
 deterministically and no example database is written.
 """
 
 import contextlib
 import io
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from prunescope.errors import DataFormatError
 from prunescope.harness.cli import main
-from prunescope.harness.config import DatasetConfig, ExperimentConfig, ModelConfig
+from prunescope.harness.config import (DatasetConfig, ExperimentConfig, ModelConfig,
+                                       build_model)
 from prunescope.harness.train import run_training, save_outputs
-from prunescope.netcore import sidecar_path
+from prunescope.netcore import load_checkpoint
 
 # Even with no example database, Hypothesis caches the constants of local
 # source files under its home directory (./.hypothesis by default), and its
@@ -74,8 +78,6 @@ def run(tmp_path_factory):
         assert run_cli(command(str(sources[name])))[0] == 0, name
     damaged = root / "damaged"
     damaged.mkdir()
-    # A damaged checkpoint header pairs with the valid sidecar.
-    shutil.copyfile(sidecar_path(ckpt), sidecar_path(damaged / ckpt.name))
     return {name: (sources[name], command) for name, command in commands.items()}, damaged
 
 
@@ -102,6 +104,8 @@ def nodes(doc, path=()):
 @given(data=st.data())
 def test_damaged_json_artifacts_exit_zero_or_two(run, name, data):
     raw = run[0][name][0].read_bytes()
+    # A checkpoint's JSON is its header line; its parameter bytes are kept.
+    raw, newline, params = raw.partition(b"\n") if name == "checkpoint" else (raw, b"", b"")
     damage = data.draw(st.sampled_from(["truncate", "retype", "drop"]))
     if damage == "truncate":
         code, err = feed(run, name, raw[:data.draw(st.integers(0, len(raw) - 1))])
@@ -111,7 +115,8 @@ def test_damaged_json_artifacts_exit_zero_or_two(run, name, data):
     paths = list(nodes(doc))
     path = data.draw(st.sampled_from(paths if damage == "retype" else paths[1:]))
     if not path:
-        code, err = feed(run, name, json.dumps(data.draw(st.sampled_from(RETYPED))).encode())
+        retyped = json.dumps(data.draw(st.sampled_from(RETYPED))).encode()
+        code, err = feed(run, name, retyped + newline + params)
         assert code == 2 and err.startswith("error:")
         return
     parent = doc
@@ -121,7 +126,7 @@ def test_damaged_json_artifacts_exit_zero_or_two(run, name, data):
         parent[path[-1]] = data.draw(st.sampled_from(RETYPED))
     else:
         del parent[path[-1]]
-    feed(run, name, json.dumps(doc).encode())
+    feed(run, name, json.dumps(doc).encode() + newline + params)
 
 
 @pytest.mark.parametrize("value", RETYPED, ids=repr)
@@ -159,22 +164,31 @@ def test_damaged_csv_traces_exit_zero_or_two(run, data):
 
 @FUZZ
 @given(data=st.data())
-def test_damaged_checkpoint_sidecars_exit_two(run, data):
+def test_damaged_checkpoint_files_exit_two(run, data):
     artifacts, damaged = run
-    header, command = artifacts["checkpoint"]
-    pair = damaged / "pair"
-    pair.mkdir(exist_ok=True)
-    shutil.copyfile(header, pair / header.name)
-    raw = sidecar_path(header).read_bytes()
-    sidecar = sidecar_path(pair / header.name)
-    damage = data.draw(st.sampled_from(["truncate", "flip", "delete"]))
+    source, command = artifacts["checkpoint"]
+    header, _, params = source.read_bytes().partition(b"\n")
+    damage = data.draw(st.sampled_from(["truncate", "extra", "no_newline", "flip", "foreign"]))
     if damage == "truncate":
-        sidecar.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        params = params[:data.draw(st.integers(0, len(params) - 1))]
+    elif damage == "extra":  # one float64 too many
+        params += data.draw(st.binary(min_size=8, max_size=8))
     elif damage == "flip":
-        flipped = bytearray(raw)
-        flipped[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
-        sidecar.write_bytes(flipped)
-    else:
-        sidecar.unlink(missing_ok=True)
-    code, err = run_cli(command(str(pair / header.name)))
-    assert code == 2 and err.startswith("error:") and sidecar.name in err, err
+        flipped = bytearray(params)
+        flipped[data.draw(st.integers(0, len(params) - 1))] ^= data.draw(st.integers(1, 255))
+        params = bytes(flipped)
+    elif damage == "foreign":  # another network's arena, of the right size
+        net = build_model(ModelConfig(preset="toy_multihead"), data.draw(st.integers(1, 9)))
+        foreign = net.flat_values.astype("<f8").tobytes()
+        assert len(foreign) == len(params)
+        params = foreign
+    path = damaged / "checkpoint.json"
+    path.write_bytes(header if damage == "no_newline" else header + b"\n" + params)
+    refusal = {"truncate": "bytes after its header line", "extra": "bytes after its header line",
+               "no_newline": "has no newline after its header line",
+               "flip": "is corrupted", "foreign": "is corrupted"}[damage]
+    with pytest.raises(DataFormatError, match=refusal):
+        load_checkpoint(path)
+    code, err = run_cli(command(str(path)))
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
+    assert f"checkpoint {path} " in err and refusal in err, err

@@ -549,8 +549,7 @@ def test_evaluate_mse_matches_unbatched_loss():
 def test_save_outputs_writes_the_full_artifact_set(tmp_path):
     result = run_training(toy_config())
     paths = save_outputs(result, tmp_path / "run")
-    for name in ("config", "checkpoint", "params", "trace_csv", "states", "manifest",
-                 "summary"):
+    for name in ("config", "checkpoint", "trace_csv", "states", "manifest", "summary"):
         assert paths[name].exists(), name
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
         p.name for p in paths.values())
@@ -850,6 +849,7 @@ def test_cli_refuses_mistyped_and_foreign_artifacts(toy_run, tmp_path, capsys):
     not_utf8.write_bytes(b'{"epochs": "\xe9"}')
     fails_typed(["train", "--config", str(not_utf8), "--out", out])
     fails_typed(["verify", "--checkpoint", str(not_utf8)])
+    fails_typed(["verify", "--checkpoint", str(tmp_path)])  # a directory: open fails
     trace = tmp_path / "trace.csv"
     trace.write_text("[1]")
     fails_typed(["report", "--trace", str(trace)])
@@ -1098,7 +1098,7 @@ def test_cli_import_loads_no_thread_pool_or_logging():
 
 def test_cli_verify_of_a_checkpoint_without_layers_exits_two(tmp_path, capsys):
     path = tmp_path / "bare.json"
-    path.write_text('{"format": "prunescope.checkpoint", "version": 2}')
+    path.write_text('{"format": "prunescope.checkpoint", "version": 3}\n')
     assert main(["verify", "--checkpoint", str(path)]) == 2
     assert "layer" in capsys.readouterr().err
 
@@ -1219,8 +1219,7 @@ def test_cli_prune_writes_nothing_that_fails_its_check(toy_run, tmp_path, capsys
     assert "wrote" not in printed and not out.exists()
 
 
-RUN_FILES = ("checkpoint.json", "checkpoint.f64", "trace.csv", "states.json", "summary.json",
-             "config.json")
+RUN_FILES = ("checkpoint.json", "trace.csv", "states.json", "summary.json", "config.json")
 
 
 def test_recorded_config_reproduces_the_run(tmp_path, monkeypatch):

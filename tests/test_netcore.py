@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ import threading
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from prunescope.netcore import (Adam, Network, SGD, apply_activation, backward,
                                 mse_loss, save_checkpoint, seeded_layer)
 from prunescope.pruner import PrunePlan, apply_prune
 
-from conftest import (dyadic, fd_gradient, forward_oracle, make_net, make_toy_multihead,
-                      make_two_component_chain, on_the_lane, predicted_removed_params,
-                      set_dyadic, slot_graph, with_activations, zero_penalty)
+from conftest import (checkpoint_parts, copied_checkpoint, dyadic, fd_gradient,
+                      forward_oracle, make_net, make_toy_multihead, make_two_component_chain,
+                      on_the_lane, predicted_removed_params, set_dyadic, slot_graph,
+                      with_activations, zero_penalty)
 
 
 # -- activations -----------------------------------------------------------
@@ -1097,10 +1100,12 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path, rng):
     net.layers[0].weight.values[0, 0] = 1.0 / 3.0  # not dyadic on purpose
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path, meta={"layers_per_group": 2, "seed": 6})
-    # The header holds no parameter; the sidecar is the arena, little-endian.
-    assert all(set(entry) == {"activation", "out", "in", "input"}
-               for entry in json.loads(path.read_text())["layers"])
-    assert (tmp_path / "ckpt.f64").read_bytes() == net.flat_values.astype("<f8").tobytes()
+    # The header line holds no parameter; the bytes after it are the arena,
+    # little-endian.
+    doc, params = checkpoint_parts(path)
+    assert all(set(entry) == {"activation", "out", "in", "input"} for entry in doc["layers"])
+    assert params == net.flat_values.astype("<f8").tobytes()
+    assert os.listdir(tmp_path) == ["ckpt.json"]
     loaded, meta = load_checkpoint(path)
     assert meta == {"layers_per_group": 2, "seed": 6}
     assert loaded.layer_inputs == net.layer_inputs
@@ -1124,8 +1129,7 @@ def test_checkpoint_rejects_corrupt_payload(tmp_path):
     net = make_net([2, 2], ["identity"], seed=0)
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path)
-    sidecar = tmp_path / "ckpt.f64"
-    sidecar.write_bytes(sidecar.read_bytes()[:8])
+    copied_checkpoint(path, path, params=checkpoint_parts(path)[1][:8])
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
 
@@ -1144,9 +1148,7 @@ def test_checkpoint_rejects_corrupt_payload(tmp_path):
 def test_checkpoint_rejects_malformed_fields(tmp_path, damage):
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_net([2, 2], ["identity"], seed=0), path)
-    doc = json.loads(path.read_text())
-    damage(doc)
-    path.write_text(json.dumps(doc))
+    copied_checkpoint(path, path, damage)
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
 
@@ -1155,21 +1157,38 @@ def test_checkpoint_shapes_are_checked_against_payloads_before_allocation(
         tmp_path, monkeypatch):
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_net([2, 2], ["identity"], seed=0), path)
-    doc = json.loads(path.read_text())
-    doc["layers"][0]["out"] = 3  # the sidecar still holds a 2 x 2 layer
-    path.write_text(json.dumps(doc))
+    # The file still holds a 2 x 2 layer.
+    copied_checkpoint(path, path, lambda doc: doc["layers"][0].update(out=3))
 
     def too_soon(*args, **kwargs):
-        raise AssertionError("the network was built before the sidecar's size was checked")
+        raise AssertionError("the network was built before the file's size was checked")
 
     monkeypatch.setattr(netcore, "Network", too_soon)
     with pytest.raises(DataFormatError,
-                       match=r"sidecar .*ckpt\.f64 holds 48 bytes; the layer shapes of "
-                             r".*ckpt\.json need 72"):
+                       match=r"ckpt\.json holds 48 bytes after its header line; its "
+                             r"layer shapes need 72"):
         load_checkpoint(path)
 
 
-def test_a_checkpoint_header_is_not_its_own_sidecar(tmp_path):
-    with pytest.raises(ConfigurationError, match=r"cannot end in \.f64"):
-        save_checkpoint(make_net([2, 2], ["identity"], seed=0), tmp_path / "ckpt.f64")
-    assert list(tmp_path.iterdir()) == []
+def test_the_readme_turns_a_version_2_pair_into_one_file(tmp_path, monkeypatch, rng):
+    """README's conversion, run as written on a hand-made version-2 pair,
+    gives the bytes ``save_checkpoint`` writes, with the same digest."""
+    net = make_toy_multihead(seed=3)
+    net.flat_values[...] = rng.standard_normal(net.flat_values.size)
+    meta = {"layers_per_group": 1, "seed": 3, "pruned_from": "run/checkpoint.json"}
+    reference = tmp_path / "reference.json"
+    save_checkpoint(net, reference, meta)
+    doc, params = checkpoint_parts(reference)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "checkpoint.json").write_text(json.dumps({**doc, "version": 2}))
+    (run / "checkpoint.f64").write_bytes(params)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [block] = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if ".f64" in b]
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    assert os.listdir(run) == ["checkpoint.json"]
+    assert (run / "checkpoint.json").read_bytes() == reference.read_bytes()
+    loaded, loaded_meta = load_checkpoint(run / "checkpoint.json")
+    assert loaded.flat_values.tobytes() == net.flat_values.tobytes()
+    assert loaded_meta == meta

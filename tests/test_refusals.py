@@ -4,6 +4,7 @@ PrunescopeError, and where a file carries the input through the CLI, as exit
 
 import base64
 import gzip
+import json
 import shutil
 import struct
 
@@ -20,7 +21,7 @@ from prunescope.modelgraph import build_groups
 from prunescope.netcore import (Network, activation_grad, build_sequential,
                                 load_checkpoint, seeded_layer)
 
-from conftest import copied_checkpoint, damaged, toy_config
+from conftest import checkpoint_parts, copied_checkpoint, damaged, toy_config
 
 
 def refused(capsys, argv, fragment, out=None):
@@ -243,24 +244,24 @@ def test_cli_prune_refuses_states_whose_gamma_or_bayes_constant_is_out_of_range(
             fragment, out)
 
 
-def test_cli_verify_refuses_a_sidecar_of_the_right_size_from_another_run(
+def test_cli_verify_refuses_parameters_of_the_right_size_from_another_run(
         toy_run, tmp_path, capsys):
     cfg_path, run_dir, _ = toy_run
     other = tmp_path / "other"
     assert main(["train", "--config", str(cfg_path), "--seed", "1", "--out", str(other)]) == 0
-    header = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
-    shutil.copyfile(other / "checkpoint.f64", tmp_path / "checkpoint.f64")
-    refused(capsys, ["verify", "--checkpoint", header],
-            "checkpoint.f64 does not hold the parameters of")
+    spliced = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                                params=checkpoint_parts(other / "checkpoint.json")[1])
+    refused(capsys, ["verify", "--checkpoint", spliced],
+            f"checkpoint {spliced} is corrupted: the SHA-256 of its parameters differs")
 
 
-def test_cli_verify_refuses_a_sidecar_of_the_wrong_size(toy_run, tmp_path, capsys):
+def test_cli_verify_refuses_parameters_of_the_wrong_size(toy_run, tmp_path, capsys):
     _, run_dir, _ = toy_run
-    header = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json")
-    sidecar = tmp_path / "checkpoint.f64"
-    sidecar.write_bytes(sidecar.read_bytes() + bytes(8))  # one parameter too many
-    refused(capsys, ["verify", "--checkpoint", header],
-            "checkpoint.f64 holds 9048 bytes; the layer shapes of")
+    params = checkpoint_parts(run_dir / "checkpoint.json")[1]
+    longer = copied_checkpoint(run_dir / "checkpoint.json", tmp_path / "checkpoint.json",
+                               params=params + bytes(8))  # one parameter too many
+    refused(capsys, ["verify", "--checkpoint", longer],
+            "checkpoint.json holds 9048 bytes after its header line; its layer shapes need 9040")
 
 
 def test_cli_verify_refuses_a_version_1_checkpoint(toy_run, tmp_path, capsys):
@@ -268,17 +269,50 @@ def test_cli_verify_refuses_a_version_1_checkpoint(toy_run, tmp_path, capsys):
     JSON document; it is refused by its version, before any payload is read."""
     _, run_dir, _ = toy_run
     net, _ = load_checkpoint(run_dir / "checkpoint.json")
+    doc = checkpoint_parts(run_dir / "checkpoint.json")[0]
+    doc["version"] = 1
+    del doc["params_sha256"]
+    for entry, layer in zip(doc["layers"], net.layers):
+        for role in ("weight", "bias"):
+            raw = getattr(layer, role).values.astype("<f8").tobytes()
+            entry[role] = base64.b64encode(raw).decode("ascii")
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps(doc))
+    refused(capsys, ["verify", "--checkpoint", str(old)], "'version' must be 3, got 1")
 
-    def to_version_1(doc):
-        doc["version"] = 1
-        del doc["params_sha256"]
-        for entry, layer in zip(doc["layers"], net.layers):
-            for role in ("weight", "bias"):
-                raw = getattr(layer, role).values.astype("<f8").tobytes()
-                entry[role] = base64.b64encode(raw).decode("ascii")
 
-    old = damaged(run_dir / "checkpoint.json", tmp_path / "checkpoint.json", to_version_1)
-    refused(capsys, ["verify", "--checkpoint", old], "'version' must be 2, got 1")
+def test_cli_verify_refuses_a_version_2_header_by_its_version(toy_run, tmp_path, capsys):
+    """A version-2 checkpoint was a one-line JSON header with no newline, its
+    parameters in a second file; the version check refuses it before the
+    newline check."""
+    _, run_dir, _ = toy_run
+    old = tmp_path / "checkpoint.json"
+    old.write_text(json.dumps({**checkpoint_parts(run_dir / "checkpoint.json")[0], "version": 2}))
+    refused(capsys, ["verify", "--checkpoint", str(old)], "'version' must be 3, got 2")
+
+
+@pytest.mark.parametrize("spelling", ["{run}", "{run}/.", "{run}/../{name}"],
+                         ids=["same", "dot", "up_and_back"])
+@pytest.mark.parametrize("command", ["prune", "finetune"])
+def test_cli_refuses_an_out_that_would_overwrite_the_input_checkpoint(
+        toy_run, tmp_path, capsys, monkeypatch, command, spelling):
+    """``prune --out`` and ``finetune --out`` refuse a directory whose
+    ``checkpoint.json`` is the input file, however either path is spelled,
+    before anything is loaded: the input keeps its bytes."""
+    cfg_path, run_dir, _ = toy_run
+    run = tmp_path / "run2"
+    shutil.copytree(run_dir, run)
+    checkpoint = run / "checkpoint.json"
+    before = checkpoint.read_bytes()
+    monkeypatch.setattr(train_module, "load_checkpoint", None)  # loading would fail
+    out = spelling.format(run=run, name=run.name)
+    argv = {"prune": ["prune", "--checkpoint", f"{run}/./checkpoint.json",
+                      "--sparsity", "0.3", "--out", out],
+            "finetune": ["finetune", "--checkpoint", f"{run}/./checkpoint.json",
+                         "--config", str(cfg_path), "--epochs", "1", "--out", out]}[command]
+    refused(capsys, argv, "would overwrite the input checkpoint")
+    assert checkpoint.read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in run_dir.iterdir())
 
 
 def test_cli_report_refuses_a_zero_window_and_an_oversized_csv_field(toy_run, tmp_path,
