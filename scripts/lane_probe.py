@@ -12,8 +12,8 @@ second here.
   of the autoencoder's forward pass at batch 128.
 * stream||stream: two element-wise passes, ``np.square`` then ``np.abs``,
   over a latent-8 autoencoder's 470,552-element gradient arena into a
-  buffer, as ``importance.Reader.read`` does into the two rows of its
-  scratch.
+  buffer, the passes ``importance.Reader.read`` makes chunk by chunk into
+  the two rows of its buffer.
 * product||stream: the lane runs the stream and this thread the product,
   as the read stage runs beside ``forward`` in ``run_training``.
 

@@ -49,8 +49,61 @@ class Mutant(NamedTuple):
 
 NETCORE, CLI = "src/prunescope/netcore.py", "src/prunescope/harness/cli.py"
 CONFIG, BENCH_PAIR = "src/prunescope/harness/config.py", "scripts/bench_pair.py"
+IMPORTANCE = "src/prunescope/importance.py"
+ORACLE = "tests/test_importance.py::test_a_read_has_the_bits_of_the_per_slot_oracle"
 
 MUTANTS = [
+    # The importance read, chunk by chunk.
+    Mutant("other_parts_before_first_parts", IMPORTANCE,
+           '''            for a, axis, out in first_parts:
+                np.add.reduce(a, axis, out=out)
+            for a, axis, out in other_parts:
+                out += a if axis is None else np.add.reduce(a, axis)
+''',
+           '''            for a, axis, out in other_parts:
+                out += a if axis is None else np.add.reduce(a, axis)
+            for a, axis, out in first_parts:
+                np.add.reduce(a, axis, out=out)
+''',
+           "a layer's first part overwrites the other parts added before it, so a "
+           "unit score holds its rows or bias alone",
+           (ORACLE,)),
+    Mutant("chunks_in_reverse", IMPORTANCE,
+           "in self._chunks:", "in self._chunks[::-1]:",
+           "a unit layer whose parts span two chunks (latent 8's input rows and their "
+           "bias) gets its bias added before its rows overwrite it",
+           (f"{ORACLE}[chain]", f"{ORACLE}[autoencoder]")),
+    Mutant("cap_below_the_largest_slot", IMPORTANCE,
+           "cap = max(ADAM_BLOCK, *(hi - lo for lo, hi in slots))", "cap = ADAM_BLOCK",
+           "slots beside a slot wider than ADAM_BLOCK pack under 32,768 elements, so "
+           "latent 8 reads in more chunks than the rule gives (the bits hold)",
+           ("tests/test_importance.py::"
+            "test_a_read_packs_whole_slots_into_chunks_in_arena_order[autoencoder]",)),
+    Mutant("slot_sums_added_in_reverse", IMPORTANCE,
+           "sum(square_sums[slots])", "sum(square_sums[slots][::-1])",
+           "a group of three or more slots adds its Fisher slot sums in another order, "
+           "which rounds differently from the sum of per-tensor sums in slice order",
+           (ORACLE,)),
+    Mutant("read_gamma_stays_zero", IMPORTANCE,
+           "        self._g = self._gamma\n", "",
+           "every read after the first replaces the smoothed metrics and unit scores "
+           "by the raw ones, as a first read does",
+           ("tests/test_importance.py::test_a_second_read_smooths_with_gamma", ORACLE)),
+    Mutant("first_read_at_gamma", IMPORTANCE,
+           "self._g = 0.0  # the next read's gamma", "self._g = gamma",
+           "a first read smooths its raw values against the zeros of fresh states",
+           ("tests/test_importance.py::test_a_first_read_matches_per_group_brute_force",
+            ORACLE)),
+    # Refusals of an output over an input, and of an overflowed Adam moment.
+    Mutant("plan_may_overwrite_an_input", CLI,
+           'if getattr(args, "plan", None):', "if False:",
+           "prune --plan replaces the input checkpoint or the states it reads",
+           ("tests/test_refusals.py::test_cli_refuses_a_plan_that_would_overwrite_an_input",)),
+    Mutant("adam_second_moment_unchecked", NETCORE,
+           '_blockwise(net, update, "after Adam step", v)',
+           '_blockwise(net, update, "after Adam step")',
+           "a v that overflows to inf makes every later update of its weight 0, silently",
+           ("tests/test_netcore.py::test_adam_refuses_a_second_moment_that_overflows",)),
     # One checkpoint file.
     Mutant("size_checked_after_allocation", NETCORE,
            '''        if size != expected:

@@ -107,13 +107,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def states_path(args: argparse.Namespace) -> Path:
+    """The states file that prune reads: ``--states``, or the one beside
+    the checkpoint."""
+    return Path(args.states or Path(args.checkpoint).parent / "states.json")
+
+
 def refuse_overwriting_the_input(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` whose checkpoint is the input ``--checkpoint``
-    file, however either path is spelled."""
-    out = args.out and Path(args.out, "checkpoint.json")
-    if out and out.resolve() == Path(args.checkpoint).resolve():
-        raise PrunescopeError(f"--out {args.out} would overwrite the input "
-                              f"checkpoint {args.checkpoint}")
+    """Refuse an output that is a file the command reads, however either
+    path is spelled: an ``--out`` whose ``checkpoint.json`` is the input
+    ``--checkpoint``, or a prune ``--plan`` that is the input checkpoint or
+    the states prune reads (:func:`states_path`)."""
+    inputs = [("checkpoint", Path(args.checkpoint))]
+    outputs = [(f"--out {args.out}", args.out and Path(args.out, "checkpoint.json"))]
+    if getattr(args, "plan", None):
+        inputs.append(("states", states_path(args)))
+        outputs.append((f"--plan {args.plan}", Path(args.plan)))
+    for flag, out in outputs:
+        for kind, path in inputs:
+            if out and out.resolve() == path.resolve():
+                raise PrunescopeError(f"{flag} would overwrite the input {kind} {path}")
 
 
 def cmd_prune(args: argparse.Namespace) -> int:
@@ -130,8 +143,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
     if args.apply:
         plan = PrunePlan.load(args.apply)
     else:
-        states_path = args.states or Path(args.checkpoint).parent / "states.json"
-        states = states_from_doc(read_json(states_path, "importance states"))
+        states = states_from_doc(read_json(states_path(args), "importance states"))
         weights = tuple(args.weights) if args.weights else None
         plan = allocate_budget(states, graph, net, args.sparsity,
                                args.metric or COMBINED, protect=args.protect,

@@ -16,10 +16,11 @@ only inside the optimizer step (``Adam.step(net, penalty)``), which leaves
 importance, and a step's gradients can be read while the next step's
 forward pass runs (:meth:`Reader.beside`). A :class:`Reader` owns the
 states it reads into: it checks its inputs, makes the states, allocates its
-arenas and binds its views once, so each read runs only its ufuncs: g^2 and
-|g| once over the whole arena, side by side in a ``(2, n)`` scratch, one
-reduction per slot for both sums into one sums array read back at once,
-and the unit scores over one arena of every group's units. A read that
+arenas and binds its views once, so each read runs only its ufuncs. Chunk
+by chunk of whole slots (:func:`read_chunks`), it takes g^2 and |g| side by
+side into a ``(2, w)`` buffer as wide as the longest chunk, reduces each
+slot for both sums into one sums array, read back at once, and adds the
+chunk's unit parts into one arena of every group's unit scores. A read that
 meets a non-finite metric changes nothing.
 
 Note the direction of ``mu``: a persistently large energy E grows beta
@@ -36,6 +37,7 @@ tracked the same way for within-group unit ranking.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 from dataclasses import dataclass, field
@@ -46,7 +48,7 @@ import numpy as np
 from .artifacts import Fields
 from .errors import ConfigurationError, NumericsError
 from .modelgraph import ComponentGraph
-from .netcore import Network, second_lane
+from .netcore import ADAM_BLOCK, Network, second_lane
 
 METRICS = ("grad", "fisher", "bayes")
 # The state fields of each metric's raw and smoothed values, as states.json
@@ -126,34 +128,55 @@ def ema_update(previous: float | np.ndarray, current: float | np.ndarray,
     return gamma * previous + (1.0 - gamma) * current
 
 
+def read_chunks(slots: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The arena ranges ``(lo, hi)`` that a read takes one at a time: the
+    slots, which tile the arena, in arena order, packed greedily into runs
+    of adjacent whole slots that span at most the largest slot or
+    ``ADAM_BLOCK``, whichever is more."""
+    slots = sorted(slots)
+    cap = max(ADAM_BLOCK, *(hi - lo for lo, hi in slots))
+    chunks: list[tuple[int, int]] = []
+    for lo, hi in slots:
+        if chunks and hi - chunks[-1][0] <= cap:
+            chunks[-1] = (chunks[-1][0], hi)
+        else:
+            chunks.append((lo, hi))
+    return chunks
+
+
 class Reader:
     """Reads the gradients in ``net.flat_grad`` into the importance states it
     owns, :attr:`states` (fresh from :func:`init_states`), one observation
     per :meth:`read` or :meth:`beside` stage.
 
-    Construction checks ``gamma`` and the network's layout against the
-    graph. It allocates a ``(2, n)`` scratch over the arena's n elements and
-    one unit arena, every group's unit layers side by side, binds each
-    state's unit score vectors to their slices of it, and binds every view a
-    read runs its ufuncs on, so a stage pays only for its arithmetic. A
-    stage is one :func:`second_lane` call. It squares the gradients into row
-    0 of the scratch and takes their magnitudes into row 1, each once over
-    the whole arena, and reduces each slot's two rows in one call into its
-    column of one ``(2, slots)`` sums array, which one ``tolist()`` reads
-    back, then each unit layer's numerators from row 1, divided by each
-    unit's weight count. A group's slot sums are added in slice order into
-    the Fisher diagonal (1/N) sum g^2 and the gradient magnitude (1/N) sum
-    |g|, also the energy E of the library's one conjugate update, ``alpha +
-    kappa`` and ``beta + kappa * E / eta``. A read is all or nothing: if any
-    group's gradient magnitude, Fisher value, Bayes score or posterior beta
-    is not finite, the first such group's :class:`NumericsError` is raised
-    and no state or unit score changes; otherwise every group advances. So
-    all groups share one gamma per read: 0 on the first, as a first
-    observation replaces its zeros, and ``gamma`` after, at which the unit
-    arena is smoothed in one pass. Where the slots lie and which of them
-    feed each unit score was fixed by :func:`build_groups`; the sums array
-    follows the graph's slot table. The stages of one reader share its
-    arenas, so they run one at a time.
+    Construction checks ``gamma``, the network's layout against the graph
+    and that each unit layer's parts lie in arena order. It allocates a
+    ``(2, w)`` buffer as wide as the longest of :func:`read_chunks`' chunks
+    (200,704 elements, 3.2 MB, at both autoencoder latents) and one unit
+    arena, every group's unit layers side by side, binds each state's unit
+    score vectors to their slices of it, and binds every view a read runs
+    its ufuncs on, so a stage pays only for its arithmetic. A stage is one
+    :func:`second_lane` call. Chunk by chunk, in arena order, it squares
+    the chunk's gradients into row 0 of the buffer and takes their
+    magnitudes into row 1, reduces each of its slots' two rows in one call
+    into the slot's column of one ``(2, slots)`` sums array, and adds its
+    parts of the unit layers' numerators from row 1, first parts before the
+    others. Each slot lies whole in one chunk, so its sums are those of one
+    call over its values, and a layer's parts reach its numerators in their
+    order. One ``tolist()`` reads the sums back, and the numerators are
+    divided by each unit's weight count. A group's slot sums are added in
+    slice order into the Fisher diagonal (1/N) sum g^2 and the gradient
+    magnitude (1/N) sum |g|, also the energy E of the library's one
+    conjugate update, ``alpha + kappa`` and ``beta + kappa * E / eta``. A
+    read is all or nothing: if any group's gradient magnitude, Fisher
+    value, Bayes score or posterior beta is not finite, the first such
+    group's :class:`NumericsError` is raised and no state or unit score
+    changes; otherwise every group advances. So all groups share one gamma
+    per read: 0 on the first, as a first observation replaces its zeros,
+    and ``gamma`` after, at which the unit arena is smoothed in one pass.
+    Where the slots lie and which of them feed each unit score was fixed by
+    :func:`build_groups`; the sums array follows the graph's slot table.
+    The stages of one reader share its arenas, so they run one at a time.
     """
 
     def __init__(self, net: Network, graph: ComponentGraph, cfg: BayesConfig,
@@ -163,12 +186,25 @@ class Reader:
         self.states = init_states(graph, cfg)
         self._grad, self._cfg, self._gamma = net.flat_grad, cfg, gamma
         self._g = 0.0  # the next read's gamma
-        self._scratch = np.empty((2, net.flat_grad.size))  # g^2 in row 0, |g| in row 1
-        magnitudes = self._scratch[1]
+        chunks = read_chunks(graph.slots)
+        starts = [lo for lo, _ in chunks]
+        # g^2 in row 0 and |g| in row 1, of one chunk at a time.
+        self._buffer = np.empty((2, max(hi - lo for lo, hi in chunks)))
+        # Per chunk: its slots' sums, its unit layers' first parts and their
+        # other parts.
+        slot_sums, first_parts, other_parts = ([[] for _ in chunks] for _ in range(3))
+
+        def place(lo: int, hi: int) -> tuple[int, np.ndarray]:
+            """The index of the chunk that holds ``[lo, hi)`` and the
+            buffer's columns that hold it there."""
+            k = bisect.bisect_right(starts, lo) - 1
+            return k, self._buffer[:, lo - starts[k]:hi - starts[k]]
+
         # Both sums of every slot of the graph's slot table: one column per slot.
         self._sums = np.empty((2, len(graph.slots)))
-        self._slot_sums = [(self._scratch[:, a:b], self._sums[:, j])
-                           for j, (a, b) in enumerate(graph.slots)]
+        for j, (a, b) in enumerate(graph.slots):
+            k, view = place(a, b)
+            slot_sums[k].append((view, self._sums[:, j]))
         # The unit arena's numerators and scores, per-unit divisors and
         # smoothed scores, which the states hold.
         units = [(width, per_unit) for group in graph.groups
@@ -178,25 +214,33 @@ class Reader:
         self._per_unit = np.repeat([float(p) for _, p in units],
                                    [width for width, _ in units])
         # Each unit layer's parts: tensor views of row 1, the axis to reduce
-        # and the layer's slice of the unit arena, the first apart.
-        self._first_parts: list[tuple] = []
-        self._other_parts: list[tuple] = []
+        # and the layer's slice of the unit arena, the first apart, in the
+        # lists of their chunks. In arena order, a layer's first part is
+        # read before its others, and those in their order.
         self._groups = []
         lo = 0
         for group, slots in zip(graph.groups, graph.slot_ranges):
             state = self.states[group.id]
             for layer, width, parts, _ in group.units:
+                starts_of_parts = [group.slots[i][0] for i, _ in parts]
+                if starts_of_parts != sorted(starts_of_parts):
+                    raise ConfigurationError(
+                        f"group {group.id!r}: the parts of layer {layer}'s unit "
+                        "scores do not lie in arena order")
                 out = self._scores[lo:lo + width]
                 for j, (i, axis) in enumerate(parts):
                     slot_lo, slot_hi, shape = group.slots[i]
-                    tensor = magnitudes[slot_lo:slot_hi].reshape(shape)
+                    k, view = place(slot_lo, slot_hi)
+                    tensor = view[1].reshape(shape)
                     if j:
-                        self._other_parts.append((tensor, axis, out))
+                        other_parts[k].append((tensor, axis, out))
                     else:  # a reduction over no axis, (), copies a bias
-                        self._first_parts.append((tensor, () if axis is None else axis, out))
+                        first_parts[k].append((tensor, () if axis is None else axis, out))
                 state.unit_ema[layer] = self._ema[lo:lo + width]
                 lo += width
             self._groups.append((group, state, slots))
+        self._chunks = [(self._grad[a:b], *self._buffer[:, :b - a], *lists)
+                        for (a, b), *lists in zip(chunks, slot_sums, first_parts, other_parts)]
 
     def beside(self) -> contextlib.AbstractContextManager[Callable[..., None]]:
         """A :func:`second_lane` stage that reads the gradients while the
@@ -214,17 +258,17 @@ class Reader:
 
     def read(self) -> None:
         """One observation now, on this thread."""
-        squares, magnitudes = self._scratch
-        np.square(self._grad, out=squares)
-        np.abs(self._grad, out=magnitudes)
-        for view, out in self._slot_sums:
-            np.add.reduce(view, 1, out=out)
+        for grad, squares, magnitudes, slot_sums, first_parts, other_parts in self._chunks:
+            np.square(grad, out=squares)
+            np.abs(grad, out=magnitudes)
+            for view, out in slot_sums:
+                np.add.reduce(view, 1, out=out)
+            for a, axis, out in first_parts:
+                np.add.reduce(a, axis, out=out)
+            for a, axis, out in other_parts:
+                out += a if axis is None else np.add.reduce(a, axis)
         square_sums, magnitude_sums = self._sums.tolist()
         scores, ema, cfg = self._scores, self._ema, self._cfg
-        for a, axis, out in self._first_parts:
-            np.add.reduce(a, axis, out=out)
-        for a, axis, out in self._other_parts:
-            out += a if axis is None else np.add.reduce(a, axis)
         np.divide(scores, self._per_unit, out=scores)
         observed = []
         for group, state, slots in self._groups:

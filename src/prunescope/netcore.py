@@ -224,15 +224,21 @@ class Network:
     def param_count(self) -> int:
         return self.flat_values.size
 
-    def _raise_non_finite(self, context: str) -> NoReturn:
+    def _raise_non_finite(self, context: str,
+                          moment: np.ndarray | None = None) -> NoReturn:
         """Raise a NumericsError naming the first tensor that holds a
-        non-finite value or gradient; called once a scan of an arena has
-        found one."""
+        non-finite value or gradient, or else, in ``moment`` (an optimizer's
+        second moment, laid out like the arena), an overflowed one; called
+        once a scan of an arena has found one."""
         for _, _, tensor in self.param_tensors():
             if not np.isfinite(tensor.values).all():
                 raise NumericsError(f"non-finite values in {tensor.name} {context}")
             if not np.isfinite(tensor.grad).all():
                 raise NumericsError(f"non-finite gradient in {tensor.name} {context}")
+            if moment is not None and not np.isfinite(
+                    moment[tensor.offset:tensor.offset + tensor.size]).all():
+                raise NumericsError(
+                    f"the second moment of {tensor.name} overflowed {context}")
         raise NumericsError(f"non-finite parameters {context}")
 
     def copy(self) -> "Network":
@@ -443,16 +449,19 @@ ADAM_BLOCK = 32768
 
 
 def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
-               context: str) -> None:
+               context: str, moment: np.ndarray | None = None) -> None:
     """Run ``update(lo, hi)`` over the arena as one :func:`second_lane` call
-    per ``ADAM_BLOCK``, and check the new values it returns for each block
-    while they are still in cache. Once every block is done, a non-finite
-    value raises an error that names the first tensor that holds one.
+    per ``ADAM_BLOCK``, and check the new values it returns for each block,
+    and the block of ``moment`` if given, while they are still in cache.
+    Once every block is done, a non-finite value raises an error that names
+    the first tensor that holds one.
     """
     size = net.flat_values.size
 
     def run(lo: int) -> None:
-        if not np.isfinite(update(lo, min(lo + ADAM_BLOCK, size))).all():
+        hi = min(lo + ADAM_BLOCK, size)
+        if not (np.isfinite(update(lo, hi)).all()
+                and (moment is None or np.isfinite(moment[lo:hi]).all())):
             raise NumericsError(context)
 
     try:
@@ -460,7 +469,7 @@ def _blockwise(net: Network, update: Callable[[int, int], np.ndarray],
             for lo in range(0, size, ADAM_BLOCK):
                 submit(run, lo)
     except NumericsError:
-        net._raise_non_finite(context)
+        net._raise_non_finite(context, moment)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -558,7 +567,8 @@ class Adam:
     block reads ``g``, the task gradient plus ``coeff * sign(theta)`` over
     each group's slots, into a private array (:meth:`Penalty.gradient`),
     its one allocation, which then holds ``g*g`` and the update; ten passes
-    follow, in place, and the new values are checked while in cache. A
+    follow, in place, and the new values and ``v`` are checked while in
+    cache, so a ``v`` that overflows raises an error naming its tensor. A
     step keeps ``net.flat_grad`` and the caller's BLAS thread count."""
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
@@ -607,7 +617,8 @@ class Adam:
             np.multiply(u, alpha, out=u)
             return np.subtract(tb, u, out=tb)
 
-        _blockwise(net, update, "after Adam step")
+        # An infinite v would hold theta still with no error: u = m/inf = 0.
+        _blockwise(net, update, "after Adam step", v)
 
 
 # -- the second lane -------------------------------------------------------

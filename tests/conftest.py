@@ -104,53 +104,95 @@ def read_oracle(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
                 gamma: float) -> None:
     """One observation of ``net.flat_grad`` into ``states``, group by group
     and unit layer by unit layer: each slot's sum of g^2 and of |g| taken
-    on its own and added in slice order, the conjugate update
-    ``alpha += kappa``, ``beta += kappa * E / eta`` written out, and each
-    unit layer's numerator added part by part onto zeros. The reference
+    on its own and added in slice order, each unit layer's numerator added
+    part by part onto zeros, and the update of :func:`observe`. The reference
     :meth:`Reader.read` must equal bit for bit on finite gradients."""
     grad = net.flat_grad
     for group in graph.groups:
-        st = states[group.id]
         slots = [grad[lo:hi] for lo, hi, _ in group.slots]
         raw_fisher = sum([float(np.add.reduce(np.square(v), axis=None))
                           for v in slots]) / group.param_count
         raw_grad = sum([float(np.add.reduce(np.abs(v), axis=None))
                         for v in slots]) / group.param_count
-        st.alpha, st.beta = st.alpha + cfg.kappa, st.beta + cfg.kappa * raw_grad / cfg.eta
-        g = gamma if st.iteration else 0.0
-        st.raw_grad, st.raw_fisher = raw_grad, raw_fisher
-        st.raw_bayes = bayes_importance(st.mu, raw_fisher)
-        st.ema_grad = ema_update(st.ema_grad, raw_grad, g)
-        st.ema_fisher = ema_update(st.ema_fisher, raw_fisher, g)
-        st.ema_bayes = ema_update(st.ema_bayes, st.raw_bayes, g)
+        numerators = {}
         for layer, width, parts, per_unit in group.units:
             numerator = np.zeros(width)
             for i, axis in parts:
                 a = np.abs(slots[i]).reshape(group.slots[i][2])
                 numerator += a if axis is None else np.add.reduce(a, axis)
-            scores = numerator / per_unit
-            previous = st.unit_ema.get(layer)
-            st.unit_ema[layer] = scores if previous is None else ema_update(previous, scores, g)
-        st.iteration += 1
+            numerators[layer] = numerator / per_unit
+        observe(states[group.id], cfg, gamma, raw_grad, raw_fisher, numerators)
+
+
+def whole_arena_read(states, net: Network, graph: ComponentGraph, cfg: BayesConfig,
+                     gamma: float) -> None:
+    """One observation of ``net.flat_grad`` into ``states`` by the calls a
+    read made over the whole arena, before it took it chunk by chunk: g^2
+    and |g| of the whole arena into the two rows of one ``(2, n)`` scratch,
+    each slot's two rows reduced by one call, and each unit layer's first
+    part reduced from row 1 before its other parts are added. The
+    reference :meth:`Reader.read` must equal bit for bit."""
+    scratch = np.empty((2, net.flat_grad.size))
+    np.square(net.flat_grad, out=scratch[0])
+    np.abs(net.flat_grad, out=scratch[1])
+    sums = np.empty((2, len(graph.slots)))
+    for j, (a, b) in enumerate(graph.slots):
+        np.add.reduce(scratch[:, a:b], 1, out=sums[:, j])
+    square_sums, magnitude_sums = sums.tolist()
+    for group, slots in zip(graph.groups, graph.slot_ranges):
+        numerators = {}
+        for layer, width, parts, per_unit in group.units:
+            numerator = np.empty(width)
+            for j, (i, axis) in enumerate(parts):
+                lo, hi, shape = group.slots[i]
+                a = scratch[1, lo:hi].reshape(shape)
+                if j:
+                    numerator += a if axis is None else np.add.reduce(a, axis)
+                else:
+                    np.add.reduce(a, () if axis is None else axis, out=numerator)
+            numerators[layer] = numerator / per_unit
+        observe(states[group.id], cfg, gamma, sum(magnitude_sums[slots]) / group.param_count,
+                sum(square_sums[slots]) / group.param_count, numerators)
+
+
+def observe(st, cfg: BayesConfig, gamma: float, raw_grad: float, raw_fisher: float,
+            unit_scores) -> None:
+    """Advance one group's state by one observation, the conjugate update
+    ``alpha += kappa``, ``beta += kappa * E / eta`` written out, and each
+    metric and unit score smoothed at gamma, 0 on the first."""
+    st.alpha, st.beta = st.alpha + cfg.kappa, st.beta + cfg.kappa * raw_grad / cfg.eta
+    g = gamma if st.iteration else 0.0
+    st.raw_grad, st.raw_fisher = raw_grad, raw_fisher
+    st.raw_bayes = bayes_importance(st.mu, raw_fisher)
+    st.ema_grad = ema_update(st.ema_grad, raw_grad, g)
+    st.ema_fisher = ema_update(st.ema_fisher, raw_fisher, g)
+    st.ema_bayes = ema_update(st.ema_bayes, st.raw_bayes, g)
+    for layer, scores in unit_scores.items():
+        previous = st.unit_ema.get(layer)
+        st.unit_ema[layer] = scores if previous is None else ema_update(previous, scores, g)
+    st.iteration += 1
 
 
 def assert_reads_like_the_oracle(net: Network, graph: ComponentGraph, seed: int,
                                  reads: int = 3) -> None:
     """Several reads of heavy-tailed gradients with exact zeros by one
-    :class:`Reader` give, read after read, the states of
-    :func:`read_oracle`'s bits from fresh states."""
+    :class:`Reader` give, read after read, every state field and unit score
+    of :func:`whole_arena_read` and of :func:`read_oracle` bit for bit, each
+    from fresh states."""
     rng = np.random.default_rng([seed, 29])
     cfg, gamma = BayesConfig(), 0.9
-    oracle = init_states(graph, cfg)
+    oracle, whole = init_states(graph, cfg), init_states(graph, cfg)
     reader = Reader(net, graph, cfg, gamma)
     for _ in range(reads):
         g = rng.standard_t(2, size=net.flat_grad.size)
         g[rng.random(g.size) < 0.1] = 0.0
         net.flat_grad[...] = g
         read_oracle(oracle, net, graph, cfg, gamma)
+        whole_arena_read(whole, net, graph, cfg, gamma)
         reader.read()
-        assert (json.dumps(states_to_doc(reader.states, gamma, cfg))
-                == json.dumps(states_to_doc(oracle, gamma, cfg)))
+        doc = json.dumps(states_to_doc(reader.states, gamma, cfg))
+        assert doc == json.dumps(states_to_doc(whole, gamma, cfg))
+        assert doc == json.dumps(states_to_doc(oracle, gamma, cfg))
 
 
 def fd_gradient(net: Network, batch: np.ndarray, target: np.ndarray,

@@ -10,10 +10,10 @@ import pytest
 from prunescope.errors import ConfigurationError, DataFormatError, NumericsError
 from prunescope.importance import (BayesConfig, GroupImportanceState, Reader,
                                    bayes_importance, ema_update, init_states,
-                                   metric_scores, rank_groups, ranked, states_from_doc,
-                                   states_to_doc)
+                                   metric_scores, rank_groups, ranked, read_chunks,
+                                   states_from_doc, states_to_doc)
 from prunescope.modelgraph import build_groups
-from prunescope.netcore import Adam, backward, forward, mse_loss
+from prunescope.netcore import ADAM_BLOCK, Adam, backward, forward, mse_loss
 
 from prunescope.harness.config import ModelConfig, build_model
 
@@ -62,14 +62,53 @@ def test_the_fisher_pass_has_the_bits_of_the_products(rng):
                                                / group.param_count), group.id
 
 
-@pytest.mark.parametrize("model", [ModelConfig(preset="toy_multihead"),
-                                   ModelConfig(preset="autoencoder", latent_dim=8)],
-                         ids=["toy_multihead", "autoencoder"])
-def test_a_read_has_the_bits_of_the_per_slot_oracle(model):
-    """The reader's arena-wide kernel gives, read after read, the bits of
-    summing each group slot by slot and each unit layer part by part."""
-    net = build_model(model, 0)
+def chunked_chain():
+    """A two-component chain whose arena packs into four chunks: the
+    300 x 150 input weights, the small middle layers with the biases on
+    either side of them, the 150 x 300 output weights and their bias. The
+    first layer's unit scores take its rows from the first chunk and its
+    bias from the second."""
+    return make_two_component_chain(widths=(300, 150, 20, 20, 150, 300))
+
+
+NETWORKS = {
+    "toy_multihead": lambda: build_model(ModelConfig(preset="toy_multihead"), 0),
+    "autoencoder": lambda: build_model(ModelConfig(preset="autoencoder", latent_dim=8), 0),
+    "autoencoder512": lambda: build_model(ModelConfig(preset="autoencoder",
+                                                      latent_dim=512), 0),
+    "chain": chunked_chain,
+}
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_a_read_has_the_bits_of_the_per_slot_oracle(name):
+    """The reader's chunked kernel gives, read after read, every state field
+    and unit score of the whole-arena read and of summing each group slot by
+    slot and each unit layer part by part, bit for bit."""
+    net = NETWORKS[name]()
     assert_reads_like_the_oracle(net, build_groups(net, 1), seed=0)
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_a_read_packs_whole_slots_into_chunks_in_arena_order(name):
+    """The chunks tile the arena in order, each a run of whole slots that
+    spans at most the largest slot or ADAM_BLOCK, and each ends only where
+    the next slot would not fit. The toy's arena is one chunk, and both
+    autoencoders' widest chunk is their 784 x 256 input weights."""
+    graph = build_groups(NETWORKS[name](), 1)
+    slots, chunks = sorted(graph.slots), read_chunks(graph.slots)
+    cap = max(ADAM_BLOCK, max(hi - lo for lo, hi in slots))
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == graph.size
+    for lo, hi in slots:
+        assert sum(a <= lo and hi <= b for a, b in chunks) == 1
+    assert all(hi - lo <= cap for lo, hi in chunks)
+    next_ends = [next(hi for lo, hi in slots if lo == end) for _, end in chunks[:-1]]
+    assert all(end - lo > cap for (lo, _), end in zip(chunks, next_ends))
+    widest = max(hi - lo for lo, hi in chunks)
+    expected = {"toy_multihead": (1, 1130), "autoencoder": (4, 784 * 256),
+                "autoencoder512": (4, 784 * 256), "chain": (4, 300 * 150)}
+    assert (len(chunks), widest) == expected[name]
 
 
 def test_grad_magnitude_by_hand():

@@ -673,6 +673,20 @@ def test_optimizer_names_the_non_finite_tensor(make_opt, context):
         make_opt().step(net, zero_penalty(net))
 
 
+def test_adam_refuses_a_second_moment_that_overflows():
+    """A finite task gradient of 1e156 squares past the float range, so v
+    is infinite and the update m / (sqrt(v) + eps) is 0: the step raises an
+    error that names the tensor, where it once left the weight at 1.0 with
+    only a warning, step after step."""
+    net = Network([([[1.0]], [0.0], "identity")], {"body": (0, 1)})
+    opt = Adam(lr=0.1)
+    net.flat_grad[...] = [1e156, 0.0]
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"^the second moment of layer0\.weight overflowed after Adam step$"):
+        opt.step(net, zero_penalty(net))
+    assert net.flat_grad.tolist() == [1e156, 0.0]
+
+
 @pytest.mark.parametrize("stage", ["backward", "SGD", "Adam"])
 def test_a_non_finite_value_on_the_second_lane_is_named_as_without_it(
         force_lane, stage):

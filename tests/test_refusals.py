@@ -7,6 +7,7 @@ import gzip
 import json
 import shutil
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from prunescope.harness.cli import main
 from prunescope.harness.data import IDX_IMAGE_MAGIC, synthetic_dataset
 from prunescope.harness.train import evaluate_mse, run_training
 from prunescope.importance import BayesConfig, Reader, metric_scores
-from prunescope.modelgraph import build_groups
+from prunescope.modelgraph import ComponentGraph, build_groups
 from prunescope.netcore import (Network, activation_grad, build_sequential,
                                 load_checkpoint, seeded_layer)
 
@@ -315,6 +316,35 @@ def test_cli_refuses_an_out_that_would_overwrite_the_input_checkpoint(
     assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in run_dir.iterdir())
 
 
+@pytest.mark.parametrize("target, spelling", [
+    ("checkpoint.json", "{run}/./checkpoint.json"),
+    ("checkpoint.json", "{run}/../{name}/checkpoint.json"),
+    ("states.json", "{run}/states.json"),
+    ("states.json", "{run}/./../{name}/states.json"),
+], ids=["checkpoint-dot", "checkpoint-up_and_back", "states-same", "states-up_and_back"])
+def test_cli_refuses_a_plan_that_would_overwrite_an_input(
+        toy_run, tmp_path, capsys, monkeypatch, target, spelling):
+    """``prune --plan`` refuses a path that is the input checkpoint, or the
+    states file prune reads beside it, however either path is spelled,
+    before anything is loaded: every input keeps its bytes."""
+    _, run_dir, _ = toy_run
+    run = tmp_path / "run2"
+    shutil.copytree(run_dir, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    monkeypatch.setattr(train_module, "load_checkpoint", None)  # loading would fail
+    argv = ["prune", "--checkpoint", f"{run}/checkpoint.json", "--sparsity", "0.3",
+            "--plan", spelling.format(run=run, name=run.name)]
+    refused(capsys, argv, f"would overwrite the input {target.split('.')[0]}")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    # A --states given by another spelling is the file that is kept.
+    states = tmp_path / "states.json"
+    shutil.copy(run / "states.json", states)
+    refused(capsys, ["prune", "--checkpoint", f"{run}/checkpoint.json", "--sparsity", "0.3",
+                     "--states", str(states), "--plan", f"{tmp_path}/./states.json"],
+            f"would overwrite the input states {states}")
+    assert states.read_bytes() == before["states.json"]
+
+
 def test_cli_report_refuses_a_zero_window_and_an_oversized_csv_field(toy_run, tmp_path,
                                                                      capsys):
     _, run_dir, _ = toy_run
@@ -340,6 +370,13 @@ def test_library_calls_refuse_malformed_arguments():
     for gamma in (1.0, -0.1):
         with pytest.raises(ConfigurationError, match="gamma"):
             Reader(net, graph, BayesConfig(), gamma)
+    # A unit layer's bias before its weight rows: the read adds parts in
+    # arena order, so the parts must lie in it.
+    first, *rest = graph.groups
+    (layer, width, parts, per_unit), = first.units
+    backwards = replace(first, units=((layer, width, parts[::-1], per_unit),))
+    with pytest.raises(ConfigurationError, match="parts of layer 0's unit scores do not lie"):
+        Reader(net, ComponentGraph([backwards, *rest], 1, net.layout), BayesConfig(), 0.9)
     with pytest.raises(ConfigurationError, match="at least one group"):
         metric_scores({}, [], "grad")
     with pytest.raises(ConfigurationError, match="unknown activation 'tanh'"):
