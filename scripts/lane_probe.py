@@ -8,8 +8,9 @@ of running both calls one after the other on this thread, divided by the
 time of one stage that submits the first call to the lane and runs the
 second here.
 
-* product||product: two (128, 784) @ (784, 256) products, the first layer
-  of the autoencoder's forward pass at batch 128.
+* product||product: two (128, 784) by (784, 256) products through
+  ``np.dot``, as ``netcore.forward`` runs the first layer of the
+  autoencoder's forward pass at batch 128.
 * stream||stream: two element-wise passes, ``np.square`` then ``np.abs``,
   over a latent-8 autoencoder's 470,552-element gradient arena into a
   buffer, the passes ``importance.Reader.read`` makes chunk by chunk into
@@ -46,7 +47,7 @@ ARENA = 470_552  # the latent-8 autoencoder's parameter count
 
 def product(rng: np.random.Generator) -> Callable[[], None]:
     x, w, out = rng.random((128, 784)), rng.random((256, 784)), np.empty((128, 256))
-    return lambda: np.matmul(x, w.T, out=out)
+    return lambda: np.dot(x, w.T, out=out)
 
 
 def stream(rng: np.random.Generator) -> Callable[[], None]:

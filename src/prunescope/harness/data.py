@@ -77,9 +77,11 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
     into [0, 1]. ``target='identity'`` returns the inputs themselves
     (reconstruction; requires out_dim == in_dim); ``target='affine'``
     returns ``X @ A + c`` for fixed seeded A, c. Same seed, same arrays.
-    The four arrays are row slices of one input and one target array, and
-    identity targets are the input slices themselves: they share memory,
-    and nothing may write into them.
+    The four arrays are row slices of one input and one target array.
+    Identity targets are the input slices themselves, as
+    :func:`~prunescope.harness.train.load_dataset` returns them for mnist:
+    ``Y_train is X_train`` and ``Y_test is X_test``, so a training step
+    gathers each batch once, and nothing may write into them.
     """
     if n_train < 1 or n_test < 0:
         raise ConfigurationError("need n_train >= 1 and n_test >= 0")
@@ -106,12 +108,13 @@ def synthetic_dataset(seed: int, n_train: int, n_test: int, in_dim: int,
         span = x.max() - lo
         x -= lo
         x /= span if span > 0 else 1.0
-        if target == "identity":
-            y = x
-        else:
+        if target == "affine":
             a = rng.uniform(-1.0, 1.0, size=(in_dim, out_dim)) / np.sqrt(in_dim)
             c = rng.uniform(0.0, 1.0, size=out_dim)
             y = x @ a + c
     except MemoryError:
         raise ConfigurationError(f"{n_train + n_test} dataset rows exceed memory") from None
-    return x[:n_train], y[:n_train], x[n_train:], y[n_train:]
+    x_train, x_test = x[:n_train], x[n_train:]
+    if target == "identity":
+        return x_train, x_train, x_test, x_test
+    return x_train, y[:n_train], x_test, y[n_train:]

@@ -186,8 +186,10 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     submit(take_norms, "trace")
                 if lo == starts[-1]:
                     submit(take_norms, "loss")
-                acts = forward(net, x_train[idx])
-                task_loss, d_out = mse_loss(acts[-1], y_train[idx])
+                batch = x_train[idx]
+                acts = forward(net, batch)
+                task_loss, d_out = mse_loss(
+                    acts[-1], batch if y_train is x_train else y_train[idx])
             if ended:
                 close_epoch(*ended)
                 ended = None
@@ -196,7 +198,7 @@ def run_training(cfg: ExperimentConfig, *, net: Network | None = None,
                     f"task loss became {task_loss} at epoch {epoch}, "
                     f"iteration {it + 1}")
             backward(net, acts, d_out)
-            del acts, d_out  # freed before the step and the next forward allocate theirs
+            del acts, d_out, batch  # freed before the step and the next forward allocate theirs
             optimizer.step(net, penalty)
         l1 = sum(lam * norm for lam, norm in zip(lambdas, norms["loss"]))
         ended = epoch, lambdas, task_loss, total_loss(task_loss, l1, weight)

@@ -149,10 +149,13 @@ class Network:
     :meth:`param_tensors` order, and makes each layer's tensors
     (``layer{k}.weight``, ``layer{k}.bias``) as views of them, so
     whole-network work (optimizer steps, finiteness scans) runs as a few
-    array calls, and binds the views :func:`forward` reads of each layer.
-    ``layers`` and ``layer_inputs`` are tuples and ``components`` is
-    read-only: a built network's structure cannot change, only the values in
-    its arenas.
+    array calls. It binds one table of what :func:`forward` and
+    :func:`backward` read of each layer: its source, its activation (None
+    for identity), and the views of its weight, bias and their gradients.
+    A training step of a small network is bound by per-call cost, so the
+    passes look nothing up per layer. ``layers`` and ``layer_inputs`` are
+    tuples and ``components`` is read-only: a built network's structure
+    cannot change, only the values in its arenas.
     """
 
     def __init__(self, layers: Iterable[tuple[np.ndarray, np.ndarray, str]],
@@ -180,10 +183,12 @@ class Network:
             offset += w.size + b.size
             built.append(DenseLayer(weight, bias, activation))
         self.layers: tuple[DenseLayer, ...] = tuple(built)
-        # What forward reads of each layer: its source, W.T, b and activation
-        # (None for identity, which forward does not call).
-        self._bound = tuple((src, layer.weight.values.T, layer.bias.values,
-                             None if layer.activation == "identity" else layer.activation)
+        # What forward and backward read of each layer: its source, its
+        # activation (None for identity, which neither pass calls), W, b and
+        # their gradients.
+        self._bound = tuple((src, None if layer.activation == "identity" else layer.activation,
+                             layer.weight.values, layer.bias.values,
+                             layer.weight.grad, layer.bias.grad)
                             for src, layer in zip(self.layer_inputs, built))
         self.layout = tuple((t.name, t.shape) for _, _, t in self.param_tensors())
         self.input_dim: int = self.layers[self.layer_inputs.index(-1)].in_dim
@@ -334,8 +339,10 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
 
     Each layer runs whole on the calling thread: the product ``x @ W.T``,
     then the bias and the activation in place, at the caller's BLAS threads.
-    The views each layer reads are bound when the network is built; an
-    identity layer skips :func:`apply_activation`.
+    The product is a direct ``np.dot`` call, which reaches the same BLAS
+    routine as ``np.matmul`` without a generalized ufunc's dispatch. What
+    each layer reads comes from the table bound when the network is built;
+    an identity layer skips :func:`apply_activation`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -347,8 +354,8 @@ def forward(net: Network, batch: np.ndarray) -> list[np.ndarray]:
             f"batch width {batch.shape[1]} does not match network input width "
             f"{net.input_dim}")
     acts = [batch]
-    for src, weight_t, bias, activation in net._bound:
-        z = np.matmul(acts[src + 1], weight_t)
+    for src, activation, weight, bias, _, _ in net._bound:
+        z = np.dot(acts[src + 1], weight.T)
         np.add(z, bias, out=z)
         if activation is not None:
             apply_activation(activation, z)
@@ -393,7 +400,14 @@ def backward(net: Network, activations: list[np.ndarray],
     :func:`second_lane` call, queued while this thread computes the gradient
     of the layer's input; a layer that reads the network input has none, so
     this thread computes its gradients itself. No product is split, so no
-    bit depends on the lane. Products run at the caller's BLAS thread count.
+    bit depends on the lane. Products run at the caller's BLAS thread count,
+    each a direct ``np.dot`` call, and the layers are walked in reverse
+    through the table :class:`Network` binds, so nothing is looked up per
+    layer. An identity sink wider than one unit in a network of several
+    sinks gets a strided column slice of ``d_output`` as its ``dz``;
+    ``np.dot`` copies it and calls BLAS, where ``np.matmul`` summed it in a
+    loop of its own, so that sink's weight-gradient bits differ from
+    ``np.matmul``'s. No preset has such a sink.
     """
     n = len(net.layers)
     if len(activations) != n + 2:
@@ -413,29 +427,26 @@ def backward(net: Network, activations: list[np.ndarray],
             f"width {col}")
     with second_lane(net.flat_grad.size) as submit:
         for k in reversed(range(n)):
-            dh = d_h[k]
-            assert dh is not None  # every non-sink layer feeds a later layer
-            layer = net.layers[k]
-            h = activations[k + 1]
-            if layer.activation == "identity":
-                dz = dh
-            else:
-                dz = dh * activation_grad(layer.activation, h)
-            src = net.source(k)
-            x, wg, bg = activations[src + 1], layer.weight.grad, layer.bias.grad
+            src, activation, weight, _, weight_grad, bias_grad = net._bound[k]
+            dz = d_h[k]
+            assert dz is not None  # every non-sink layer feeds a later layer
+            if activation is not None:
+                dz = dz * activation_grad(activation, activations[k + 1])
             if src >= 0:
-                submit(_param_grads, dz, x, wg, bg)
-                d_in = dz @ layer.weight.values
+                submit(_param_grads, dz, activations[src + 1], weight_grad, bias_grad)
+                d_in = np.dot(dz, weight)
                 d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
             else:
-                _param_grads(dz, x, wg, bg)
+                _param_grads(dz, activations[0], weight_grad, bias_grad)
     if not np.isfinite(net.flat_grad).all():
         net._raise_non_finite("after backward")
 
 
 def _param_grads(dz: np.ndarray, x: np.ndarray, weight_grad: np.ndarray,
                  bias_grad: np.ndarray) -> None:
-    np.matmul(dz.T, x, out=weight_grad)
+    """A layer's weight gradient ``dz.T @ x``, one ``np.dot`` call into its
+    arena view, and its bias gradient, the column sums of ``dz``."""
+    np.dot(dz.T, x, out=weight_grad)
     np.add.reduce(dz, 0, out=bias_grad)  # what np.sum calls, without its wrapper
 
 

@@ -375,3 +375,47 @@ def gated_lane(force_lane):
     netcore._LANE["pool"].submit(gate.wait)
     yield gate
     gate.set()
+
+
+def backward_oracle(net: Network, activations: list[np.ndarray],
+                    d_output: np.ndarray) -> np.ndarray:
+    """The gradient arena as :func:`backward` filled it before it read a
+    per-layer table: each layer looked up on every call, every product
+    through ``np.matmul`` (``@``), all on this thread. The reference that
+    backward's ``flat_grad`` must equal bit for bit, except in the weight
+    gradients :func:`strided_sink_weights` names."""
+    grad = np.empty_like(net.flat_grad)
+    n = len(net.layers)
+    d_h: list[np.ndarray | None] = [None] * n
+    col = 0
+    for s in net.sinks():
+        width = net.layers[s].out_dim
+        d_h[s] = d_output[:, col:col + width]
+        col += width
+    for k in reversed(range(n)):
+        layer, dz, src = net.layers[k], d_h[k], net.source(k)
+        if layer.activation != "identity":
+            dz = dz * netcore.activation_grad(layer.activation, activations[k + 1])
+        w, b = layer.weight, layer.bias
+        np.matmul(dz.T, activations[src + 1],
+                  out=grad[w.offset:w.offset + w.size].reshape(w.shape))
+        np.add.reduce(dz, 0, out=grad[b.offset:b.offset + b.size])
+        if src >= 0:
+            d_in = dz @ w.values
+            d_h[src] = d_in if d_h[src] is None else d_h[src] + d_in
+    return grad
+
+
+def strided_sink_weights(net: Network) -> list[tuple[int, int]]:
+    """The arena ranges of the weights whose gradient bits :func:`backward`
+    and :func:`backward_oracle` may disagree on: those of identity sinks
+    wider than one unit in a network of several sinks. Such a sink's ``dz``
+    is a strided column slice of ``d_output``; ``np.dot`` copies it and
+    calls BLAS where ``np.matmul`` sums it in a loop of its own, in another
+    order."""
+    sinks = net.sinks()
+    if len(sinks) == 1:
+        return []
+    return [(layer.weight.offset, layer.weight.offset + layer.weight.size)
+            for layer in (net.layers[s] for s in sinks)
+            if layer.activation == "identity" and layer.out_dim > 1]

@@ -109,9 +109,13 @@ def test_synthetic_dataset_shapes_and_range():
 
 
 def test_identity_target_returns_the_inputs():
+    """Identity targets are the input arrays themselves, so a training step
+    gathers each batch once; affine targets are arrays of their own."""
     xtr, ytr, xte, yte = synthetic_dataset(1, 16, 4, 5, 5, target="identity")
-    np.testing.assert_array_equal(xtr, ytr)
-    np.testing.assert_array_equal(xte, yte)
+    assert ytr is xtr and yte is xte
+    xtr, ytr, xte, yte = synthetic_dataset(1, 16, 4, 5, 5, target="affine")
+    assert ytr is not xtr and yte is not xte
+    assert not np.shares_memory(ytr, xtr) and not np.shares_memory(yte, xte)
 
 
 def test_affine_target_is_linear_in_the_inputs():

@@ -1,5 +1,6 @@
 """scripts/mutants.py's list stays pointed at the code: each mutant's text
-occurs exactly once in its file. No mutant runs here."""
+occurs exactly once in its file, and the file it mutates compiles. No
+mutant runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -22,8 +23,11 @@ def test_an_entry_whose_text_is_gone_or_repeated_is_named():
     gone = first._replace(name="gone", text="a text that is in no file")
     repeated = first._replace(name="repeated", text="import ")
     same = first._replace(name="same", replacement=first.text)
-    assert mutants.misplaced([first, gone, repeated, same]) == [
+    broken = first._replace(name="broken", replacement=first.text + "    (\n")
+    *problems, last = mutants.misplaced([first, gone, repeated, same, broken])
+    assert problems == [
         f"gone: its text occurs 0 times in {first.file}",
         f"repeated: its text occurs {(ROOT / first.file).read_text().count('import ')} "
         f"times in {first.file}",
         "same: its replacement is its text"]
+    assert last.startswith(f"broken: the mutated {first.file} does not compile: ")
